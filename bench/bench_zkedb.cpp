@@ -88,9 +88,11 @@ void BM_BatchVerify(benchmark::State& state) {
     keys.push_back(key_for_identifier(prover.crs(), be64(i)));
   }
   const auto batch = edb_prove_membership_batch(prover, keys, threads);
+  EdbVerifyOptions opts;
+  opts.threads = threads;
   for (auto _ : state) {
     auto values = edb_verify_membership_batch(
-        prover.crs(), prover.commitment(), keys, batch, threads);
+        prover.crs(), prover.commitment(), keys, batch, opts);
     if (!values.has_value()) {
       state.SkipWithError("batch verification failed");
       return;

@@ -71,24 +71,8 @@ obs::Counter& distribution_gaveup() {
 
 Participant::Participant(ParticipantId id, net::Transport& transport,
                          net::NodeId proxy, ParticipantDeps deps)
-    : Participant(std::move(id), nullptr, &transport, std::move(proxy),
-                  std::move(deps)) {}
-
-Participant::Participant(ParticipantId id, net::Network& network,
-                         net::NodeId proxy, CrsCachePtr crs_cache)
-    : Participant(std::move(id), std::make_unique<net::SimTransport>(network),
-                  nullptr, std::move(proxy),
-                  ParticipantDeps{std::move(crs_cache)}) {}
-
-Participant::Participant(ParticipantId id,
-                         std::unique_ptr<net::SimTransport> owned,
-                         net::Transport* transport, net::NodeId proxy,
-                         ParticipantDeps deps)
     : id_(std::move(id)),
-      owned_transport_(std::move(owned)),
-      transport_(owned_transport_ ? static_cast<net::Transport&>(
-                                        *owned_transport_)
-                                  : *transport),
+      transport_(transport),
       proxy_(std::move(proxy)),
       crs_cache_(std::move(deps.crs_cache)) {
   transport_.register_node(id_,
@@ -97,8 +81,8 @@ Participant::Participant(ParticipantId id,
 
 Participant::~Participant() {
   // Finish in-flight proof builds first: after the drain no worker touches
-  // this object (or its owned transport) again. Completions already posted
-  // to the loop guard themselves with the aliveness token.
+  // this object again. Completions already posted to the loop guard
+  // themselves with the aliveness token.
   if (strand_) strand_->drain();
   for (auto& [task_id, task] : tasks_) {
     if (task.ps_retry_timer != 0) transport_.cancel_timer(task.ps_retry_timer);
@@ -610,8 +594,12 @@ Bytes Participant::maybe_corrupt_proof(const supplychain::ProductId& product,
 
 void Participant::set_reply_cache_capacity(std::size_t cap) {
   reply_cache_capacity_ = cap;
-  while (reply_cache_capacity_ > 0 &&
-         reply_cache_.size() > reply_cache_capacity_) {
+  evict_replies(cap);
+}
+
+void Participant::evict_replies(std::size_t limit) {
+  if (reply_cache_capacity_ == 0) return;
+  while (reply_cache_.size() > limit) {
     reply_cache_.erase(reply_cache_lru_.back());
     reply_cache_lru_.pop_back();
     reply_cache_evictions().add();
@@ -645,22 +633,21 @@ void Participant::respond_cached(const net::Envelope& env,
     return;
   }
   reply_cache_misses().add();
+  in_flight_.emplace(key, InFlight{resp_type, {env.from}});
   if (!strand_) {
-    // Inline (legacy) mode: compute, cache, send — all in the handler.
-    Bytes payload = compute();
-    while (reply_cache_capacity_ > 0 &&
-           reply_cache_.size() >= reply_cache_capacity_) {
-      reply_cache_.erase(reply_cache_lru_.back());
-      reply_cache_lru_.pop_back();
-      reply_cache_evictions().add();
+    // Inline: build and complete in the handler. A throwing build clears
+    // its entry before the handler drops the request, so a retransmission
+    // recomputes instead of joining a build that will never land.
+    Bytes payload;
+    try {
+      payload = compute();
+    } catch (...) {
+      finish_in_flight(key, false, {});
+      throw;
     }
-    reply_cache_lru_.push_front(key);
-    reply_cache_[key] =
-        CachedReply{resp_type, payload, reply_cache_lru_.begin()};
-    transport_.send(id_, env.from, resp_type, std::move(payload));
+    finish_in_flight(key, true, std::move(payload));
     return;
   }
-  in_flight_.emplace(key, InFlight{resp_type, {env.from}});
   transport_.add_work();
   std::weak_ptr<void> token = alive_;
   // Raw Strand pointer is safe: the destructor (and rebind) drain the
@@ -698,12 +685,7 @@ void Participant::finish_in_flight(const Bytes& key, bool ok, Bytes payload) {
   InFlight entry = std::move(it->second);
   in_flight_.erase(it);
   if (!ok) return;
-  while (reply_cache_capacity_ > 0 &&
-         reply_cache_.size() >= reply_cache_capacity_) {
-    reply_cache_.erase(reply_cache_lru_.back());
-    reply_cache_lru_.pop_back();
-    reply_cache_evictions().add();
-  }
+  evict_replies(reply_cache_capacity_ - 1);  // room for the new entry
   reply_cache_lru_.push_front(key);
   reply_cache_[key] = CachedReply{entry.resp_type, payload,
                                   reply_cache_lru_.begin()};

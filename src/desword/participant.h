@@ -65,13 +65,8 @@ struct ParticipantDeps {
 
 class Participant {
  public:
-  /// The one real constructor: every dependency travels in `deps`.
   Participant(ParticipantId id, net::Transport& transport, net::NodeId proxy,
               ParticipantDeps deps);
-  /// Deprecated convenience shim (kept one release): runs over an
-  /// internally-owned SimTransport wrapping `network`.
-  Participant(ParticipantId id, net::Network& network, net::NodeId proxy,
-              CrsCachePtr crs_cache);
   ~Participant();
 
   Participant(const Participant&) = delete;
@@ -162,10 +157,6 @@ class Participant {
   }
 
  private:
-  Participant(ParticipantId id, std::unique_ptr<net::SimTransport> owned,
-              net::Transport* transport, net::NodeId proxy,
-              ParticipantDeps deps);
-
   struct TaskState {
     TaskSetup setup;
     Bytes ps;
@@ -262,21 +253,24 @@ class Participant {
   /// digest of the request (type + payload), so retransmitted requests get
   /// byte-identical responses without re-running proof generation.
   ///
-  /// With an executor attached, `compute` runs on the participant's strand
-  /// and the response is cached + sent from a posted loop-thread
-  /// completion; a duplicate request arriving while the original is still
-  /// being generated joins the in-flight entry (one proof generation, one
-  /// response delivery per request arrival). `compute` must be
-  /// self-contained (by-value captures only).
+  /// Every miss registers an `in_flight_` entry that finish_in_flight
+  /// completes. Inline (no executor), `compute` runs in the handler and
+  /// completes in the same call stack. With an executor, `compute` runs on
+  /// the participant's strand and completes from a posted loop-thread
+  /// continuation; a duplicate request arriving meanwhile joins the entry
+  /// (one proof generation, one response delivery per request arrival).
+  /// `compute` must be self-contained (by-value captures only).
   void respond_cached(const net::Envelope& env, const std::string& resp_type,
                       std::function<Bytes()> compute);
-  /// Loop-thread completion of an offloaded `compute`: caches the payload,
-  /// answers every joined waiter. A failed compute (`ok == false`) just
-  /// clears the in-flight entry so a retransmission recomputes.
+  /// Loop-thread completion of a `compute`: caches the payload, answers
+  /// every joined waiter. A failed compute (`ok == false`) just clears the
+  /// in-flight entry so a retransmission recomputes.
   void finish_in_flight(const Bytes& key, bool ok, Bytes payload);
+  /// Evicts least-recently-used replies until at most `limit` remain; a
+  /// no-op while the cache is unbounded (capacity 0).
+  void evict_replies(std::size_t limit);
 
   ParticipantId id_;
-  std::unique_ptr<net::SimTransport> owned_transport_;  // compat ctor only
   net::Transport& transport_;
   net::NodeId proxy_;
   CrsCachePtr crs_cache_;
@@ -297,7 +291,7 @@ class Participant {
   std::map<Bytes, CachedReply> reply_cache_;  // request digest -> reply
   std::list<Bytes> reply_cache_lru_;          // most recently used first
   /// "In-flight" reply-cache state: requests whose response is being built
-  /// on the strand right now. Loop-thread only. `waiters` records every
+  /// right now. Loop-thread only. `waiters` records every
   /// request arrival (original + joined duplicates); each gets its own
   /// response delivery when the build completes.
   struct InFlight {

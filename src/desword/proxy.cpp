@@ -61,34 +61,13 @@ obs::Counter& hops_joined() {
 
 Proxy::Proxy(net::NodeId id, net::Transport& transport, ProxyDeps deps,
              ProxyConfig config)
-    : Proxy(std::move(id), nullptr, &transport, std::move(deps),
-            std::move(config)) {}
-
-Proxy::Proxy(net::NodeId id, net::Network& network, CrsCachePtr crs_cache,
-             ProxyConfig config)
-    : Proxy(std::move(id), std::make_unique<net::SimTransport>(network),
-            nullptr, ProxyDeps{std::move(crs_cache), nullptr, nullptr},
-            std::move(config)) {}
-
-Proxy::Proxy(net::NodeId id, net::Network& network, CrsCachePtr crs_cache,
-             zkedb::EdbCrsPtr crs, ProxyConfig config)
-    : Proxy(std::move(id), std::make_unique<net::SimTransport>(network),
-            nullptr, ProxyDeps{std::move(crs_cache), std::move(crs), nullptr},
-            std::move(config)) {}
-
-Proxy::Proxy(net::NodeId id, std::unique_ptr<net::SimTransport> owned,
-             net::Transport* transport, ProxyDeps deps, ProxyConfig config)
     : id_(std::move(id)),
-      owned_transport_(std::move(owned)),
-      transport_(owned_transport_ ? static_cast<net::Transport&>(
-                                        *owned_transport_)
-                                  : *transport),
+      transport_(transport),
       crs_cache_(std::move(deps.crs_cache)),
       config_(std::move(config)),
-      // config_ is initialized before crs_ (declaration order), so a fresh
-      // CRS can be derived from it when the caller did not supply one.
-      crs_(deps.crs != nullptr ? std::move(deps.crs)
-                               : zkedb::generate_crs(config_.edb)),
+      // config_ is initialized before crs_ (declaration order), so the CRS
+      // can be derived from it.
+      crs_(zkedb::generate_crs(config_.edb)),
       backoff_rng_(config_.backoff_seed) {
   ps_bytes_ = crs_->params().serialize();
   // Adopt the cache's canonical instance: if another in-process node
@@ -96,21 +75,18 @@ Proxy::Proxy(net::NodeId id, std::unique_ptr<net::SimTransport> owned,
   // precomputed power tables) instead of keeping a duplicate alive.
   crs_ = crs_cache_->put(crs_);
   ledger_.set_history_cap(config_.reputation_history_cap);
-  verify_policy_ = config_.effective_verify();
-  if (deps.verify_cache != nullptr) {
-    verify_cache_ = std::move(deps.verify_cache);
-  } else if (verify_policy_.cache_proofs || verify_policy_.cache_hops) {
-    verify_cache_ = std::make_shared<zkedb::VerifyCache>(
-        zkedb::VerifyCache::Config{verify_policy_.cache_capacity,
-                                   verify_policy_.cache_shards});
-  }
+  const VerifyPolicy& policy = config_.verify;
   zkedb::EdbVerifyOptions verify_opts;
-  verify_opts.batched = verify_policy_.batch_verify;
-  if (verify_policy_.cache_proofs) verify_opts.cache = verify_cache_;
+  verify_opts.batched = policy.batch_verify;
+  if (policy.cache) {
+    verify_cache_ = std::make_shared<zkedb::VerifyCache>(
+        zkedb::VerifyCache::Config{.capacity = policy.cache_capacity});
+    verify_opts.cache = verify_cache_;
+  }
   scheme_ = std::make_unique<poc::PocScheme>(crs_, verify_opts);
-  if (verify_policy_.worker_threads > 0) {
+  if (policy.worker_threads > 0) {
     obs::install_executor_metrics();
-    executor_ = std::make_shared<Executor>(verify_policy_.worker_threads);
+    executor_ = std::make_shared<Executor>(policy.worker_threads);
   }
   scheduler_ = std::make_unique<QueryScheduler>(
       config_.max_concurrent_queries,
@@ -434,8 +410,9 @@ void Proxy::advance_candidate(Session& s) {
                    .serialize());
 }
 
-void Proxy::start_walk(Session& s, const Candidate& candidate,
-                       const std::optional<OwnershipCheck>& pre_verified) {
+void Proxy::start_walk(
+    Session& s, const Candidate& candidate,
+    const std::optional<zkedb::VerifyOutcome>& pre_verified) {
   const auto it = lists_.find(candidate.task_id);
   if (it == lists_.end()) {
     finish(s, false);
@@ -491,41 +468,32 @@ void Proxy::record_verify(Session& s, const std::string& peer, bool ok,
                  ok ? obs::span::kVerifyOk : obs::span::kVerifyFail, kind);
 }
 
-Proxy::OwnershipCheck Proxy::check_ownership(
-    const poc::Poc& poc, const supplychain::ProductId& product,
-    const Bytes& proof_bytes) const {
-  OwnershipCheck check;
+zkedb::VerifyOutcome Proxy::check_hop(const poc::Poc& poc,
+                                      const supplychain::ProductId& product,
+                                      const Bytes& proof_bytes,
+                                      bool ownership) const {
   try {
     const poc::PocProof proof = poc::PocProof::deserialize(proof_bytes);
-    if (!proof.ownership) return check;
-    const poc::PocVerifyResult result = scheme().verify(poc, product, proof);
-    if (result.verdict != poc::PocVerdict::kTrace) return check;
-    check.valid = true;
-    check.trace_da = *result.trace_info;
+    if (proof.ownership != ownership) return zkedb::VerifyOutcome::reject();
+    poc::PocVerifyResult result = scheme().verify(poc, product, proof);
+    if (ownership && result.verdict == poc::PocVerdict::kTrace) {
+      return zkedb::VerifyOutcome::accept_value(std::move(*result.trace_info));
+    }
+    if (!ownership && result.verdict == poc::PocVerdict::kValid) {
+      return zkedb::VerifyOutcome::accept();
+    }
   } catch (const Error&) {
-    check = OwnershipCheck{};
+    // Malformed proof bytes: a rejection like any other invalid proof.
   }
-  return check;
+  return zkedb::VerifyOutcome::reject();
 }
 
-bool Proxy::check_non_ownership(const poc::Poc& poc,
-                                const supplychain::ProductId& product,
-                                const Bytes& proof_bytes) const {
-  try {
-    const poc::PocProof proof = poc::PocProof::deserialize(proof_bytes);
-    return !proof.ownership &&
-           scheme().verify(poc, product, proof).verdict ==
-               poc::PocVerdict::kValid;
-  } catch (const Error&) {
-    return false;
-  }
-}
-
-bool Proxy::absorb_ownership_result(Session& s, const OwnershipCheck& check) {
-  record_verify(s, s.current, check.valid, "ownership");
-  if (!check.valid) return false;
+bool Proxy::absorb_ownership_result(Session& s,
+                                    const zkedb::VerifyOutcome& check) {
+  record_verify(s, s.current, check.ok, "ownership");
+  if (!check.ok) return false;
   RecoveredTrace trace;
-  trace.da = *check.trace_da;
+  trace.da = *check;
   try {
     trace.info = supplychain::TraceInfo::deserialize(trace.da);
   } catch (const Error&) {
@@ -536,18 +504,56 @@ bool Proxy::absorb_ownership_result(Session& s, const OwnershipCheck& check) {
   return true;
 }
 
-template <typename R>
-void Proxy::verify_then(Session& s, std::function<R()> work,
-                        std::function<void(Session&, const R&)> done) {
-  if (!executor_) {
-    // Inline mode: byte-identical to the historical synchronous path.
-    const R result = work();
-    done(s, result);
+void Proxy::verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
+                       Bytes proof_bytes, bool ownership, HopDone done) {
+  const supplychain::ProductId product = s.outcome.product;
+  // The key binds the FULL proof bytes (a tampered proof can never alias a
+  // cached acceptance); the epoch tag is the task's POC-list generation,
+  // so memo entries from before a list replacement are dead.
+  const std::uint64_t epoch = task_epoch(task_id);
+  Bytes key = zkedb::VerifyCache::hop_key(
+      task_id, poc.participant, product, poc.commitment, proof_bytes,
+      ownership ? "ownership" : "non_ownership");
+  if (verify_cache_) {
+    if (const auto hit = verify_cache_->lookup(key, epoch)) {
+      // Handler context: handle()'s exception policy covers `done`.
+      done(s, *hit);
+      return;
+    }
+  }
+
+  // Single-flight: the first arrival for this key dispatches the check;
+  // identical concurrent hops (other sessions racing the same proof bytes)
+  // just enqueue a waiter — one multi-exp, N verdict deliveries, mirroring
+  // the participant's reply-cache join.
+  s.verifying = true;
+  const auto [it, inserted] = hop_in_flight_.try_emplace(key);
+  it->second.push_back(HopWaiter{s.outcome.query_id, std::move(done)});
+  if (!inserted) {
+    hops_joined().add();
     return;
   }
-  s.verifying = true;
+  // Worker-safe: by-value captures plus the shared read-only scheme.
+  // check_hop swallows adversarial Errors itself; anything escaping is an
+  // internal invariant failure, carried to the loop thread and rethrown.
+  auto check = [this, poc = std::move(poc), product,
+                proof_bytes = std::move(proof_bytes), ownership] {
+    HopResult result;
+    try {
+      result.outcome = check_hop(poc, product, proof_bytes, ownership);
+    } catch (...) {
+      result.error = std::current_exception();
+    }
+    return result;
+  };
+
+  if (!executor_) {
+    // Inline: complete in this call stack, so the serial event order is
+    // byte-identical to a synchronous verify.
+    finish_hop_verify(key, epoch, check());
+    return;
+  }
   if (!s.strand) s.strand = std::make_shared<Strand>(executor_);
-  const std::uint64_t query_id = s.outcome.query_id;
   // Work-accounting bracket: add_work() here on the loop thread; the
   // worker posts the verdict completion BEFORE remove_work(), so the loop
   // never observes "no work pending" while a verdict is owed (SimTransport
@@ -555,152 +561,33 @@ void Proxy::verify_then(Session& s, std::function<R()> work,
   // verifier that is merely busy, not silent).
   transport_.add_work();
   std::weak_ptr<void> token = alive_;
-  s.strand->post([this, token, query_id, strand = s.strand,
-                  work = std::move(work), done = std::move(done)]() mutable {
-    // Worker context: the session's strand serializes this body, and
-    // everything loop-owned (sessions_, timers, sends) stays out of it —
-    // the verdict travels back through transport_.post below.
-    DESWORD_DCHECK(strand->running_on_this_thread(),
-                   "verify task escaped its session strand");
-    std::optional<R> result;
-    std::exception_ptr error;
-    try {
-      result = work();
-    } catch (...) {
-      // check_* swallow adversarial Errors themselves; anything escaping
-      // is an internal invariant failure, rethrown on the loop thread.
-      error = std::current_exception();
-    }
-    transport_.post([this, token, query_id, result = std::move(result), error,
-                     done = std::move(done)]() mutable {
-      if (token.expired()) return;
-      resume_verify<R>(query_id, std::move(result), error, done);
-    });
-    transport_.remove_work();
-  });
-}
-
-template <typename R>
-void Proxy::resume_verify(std::uint64_t query_id, std::optional<R> result,
-                          std::exception_ptr error,
-                          const std::function<void(Session&, const R&)>& done) {
-  DESWORD_DCHECK_ON_LOOP(transport_);
-  const auto it = sessions_.find(query_id);
-  if (it == sessions_.end()) return;
-  Session& s = it->second;
-  s.verifying = false;
-  if (error) std::rethrow_exception(error);
-  if (s.phase == Phase::kDone) return;
-  try {
-    done(s, *result);
-  } catch (const CheckError&) {
-    throw;  // internal bug: fail loudly, exactly like handle()
-  } catch (const Error&) {
-    // Same policy as handle(): adversarial input aborts this continuation;
-    // the session's timers recover.
-  }
-}
-
-void Proxy::verify_hop_then(Session& s, const std::string& task_id,
-                            poc::Poc poc, Bytes proof_bytes, bool ownership,
-                            HopDone done) {
-  const supplychain::ProductId product = s.outcome.product;
-  const char* kind = ownership ? "ownership" : "non_ownership";
-  // Worker-safe: by-value captures plus the shared read-only scheme.
-  // Ownership and non-ownership checks share the VerifyOutcome shape so
-  // one memo serves both flavours.
-  std::function<zkedb::VerifyOutcome()> work =
-      [this, poc, product, proof_bytes, ownership] {
-        if (ownership) {
-          OwnershipCheck c = check_ownership(poc, product, proof_bytes);
-          return zkedb::VerifyOutcome{c.valid, std::move(c.trace_da)};
-        }
-        return zkedb::VerifyOutcome{
-            check_non_ownership(poc, product, proof_bytes), std::nullopt};
-      };
-
-  if (!verify_cache_ || !verify_policy_.cache_hops) {
-    verify_then<zkedb::VerifyOutcome>(s, std::move(work), std::move(done));
-    return;
-  }
-
-  // The memo key binds the FULL proof bytes (a tampered proof can never
-  // alias a cached acceptance); the epoch tag is the task's POC-list
-  // generation, so entries from before a list replacement are dead.
-  const std::uint64_t epoch = task_epoch(task_id);
-  Bytes key = zkedb::VerifyCache::hop_key(task_id, poc.participant, product,
-                                          poc.commitment, proof_bytes, kind);
-  if (const auto hit = verify_cache_->lookup(key, epoch)) {
-    // Same calling context as the inline verify_then path: the enclosing
-    // handle()/resume discipline covers exceptions out of `done`.
-    done(s, *hit);
-    return;
-  }
-
-  if (!executor_) {
-    verify_then<zkedb::VerifyOutcome>(
-        s, std::move(work),
-        [this, key = std::move(key), epoch, done = std::move(done)](
-            Session& s, const zkedb::VerifyOutcome& o) {
-          verify_cache_->store(key, o, epoch);
-          done(s, o);
-        });
-    return;
-  }
-
-  // Executor mode: single-flight. The first arrival for this key runs the
-  // check on its strand; identical concurrent hops (other sessions racing
-  // the same proof bytes) just enqueue a waiter — one multi-exp, N
-  // verdict deliveries, mirroring the participant's reply-cache join.
-  const auto [it, inserted] = hop_in_flight_.try_emplace(key);
-  it->second.push_back(HopWaiter{s.outcome.query_id, std::move(done)});
-  if (!inserted) {
-    hops_joined().add();
-    s.verifying = true;  // resolved by finish_hop_verify
-    return;
-  }
-  start_hop_verify(s, std::move(key), epoch, std::move(work));
-}
-
-void Proxy::start_hop_verify(Session& s, Bytes key, std::uint64_t epoch,
-                             std::function<zkedb::VerifyOutcome()> work) {
-  s.verifying = true;
-  if (!s.strand) s.strand = std::make_shared<Strand>(executor_);
-  // Same work-accounting bracket as verify_then (see there); the verdict
-  // resolves through finish_hop_verify instead of resume_verify because
-  // resume's single-session early returns would strand joined waiters.
-  transport_.add_work();
-  std::weak_ptr<void> token = alive_;
   s.strand->post([this, token, key = std::move(key), epoch, strand = s.strand,
-                  work = std::move(work)]() mutable {
+                  check = std::move(check)]() mutable {
+    // Worker context: the session's strand serializes this body, and
+    // everything loop-owned (sessions_, the single-flight registry, timers,
+    // sends) stays out of it — the verdict travels back through
+    // transport_.post below.
     DESWORD_DCHECK(strand->running_on_this_thread(),
                    "hop verify task escaped its session strand");
-    std::optional<zkedb::VerifyOutcome> result;
-    std::exception_ptr error;
-    try {
-      result = work();
-    } catch (...) {
-      // check_* swallow adversarial Errors themselves; anything escaping
-      // is an internal invariant failure, rethrown on the loop thread.
-      error = std::current_exception();
-    }
+    HopResult result = check();
     transport_.post([this, token, key = std::move(key), epoch,
-                     result = std::move(result), error]() mutable {
+                     result = std::move(result)]() mutable {
       if (token.expired()) return;
-      finish_hop_verify(key, epoch, std::move(result), error);
+      finish_hop_verify(key, epoch, std::move(result));
     });
     transport_.remove_work();
   });
 }
 
 void Proxy::finish_hop_verify(const Bytes& key, std::uint64_t epoch,
-                              std::optional<zkedb::VerifyOutcome> result,
-                              std::exception_ptr error) {
+                              HopResult result) {
   DESWORD_DCHECK_ON_LOOP(transport_);
+  // Unregister before anything can throw: a stale key would make later
+  // identical hops join a verdict that never comes.
   auto node = hop_in_flight_.extract(key);
-  if (error) std::rethrow_exception(error);
-  const zkedb::VerifyOutcome& o = *result;
-  verify_cache_->store(key, o, epoch);
+  if (result.error) std::rethrow_exception(result.error);
+  const zkedb::VerifyOutcome& o = *result.outcome;
+  if (verify_cache_) verify_cache_->store(key, o, epoch);
   if (node.empty()) return;
   for (HopWaiter& w : node.mapped()) {
     const auto it = sessions_.find(w.query_id);
@@ -713,29 +600,10 @@ void Proxy::finish_hop_verify(const Bytes& key, std::uint64_t epoch,
     } catch (const CheckError&) {
       throw;  // internal bug: fail loudly, exactly like handle()
     } catch (const Error&) {
-      // Adversarial input aborts this continuation; timers recover.
+      // Same policy as handle(): adversarial input aborts this
+      // continuation; the session's timers recover.
     }
   }
-}
-
-void Proxy::verify_ownership_then(
-    Session& s, const std::string& task_id, poc::Poc poc, Bytes proof_bytes,
-    std::function<void(Session&, const OwnershipCheck&)> done) {
-  verify_hop_then(
-      s, task_id, std::move(poc), std::move(proof_bytes), /*ownership=*/true,
-      [done = std::move(done)](Session& s, const zkedb::VerifyOutcome& o) {
-        done(s, OwnershipCheck{o.ok, o.value});
-      });
-}
-
-void Proxy::verify_non_ownership_then(
-    Session& s, const std::string& task_id, poc::Poc poc, Bytes proof_bytes,
-    std::function<void(Session&, bool)> done) {
-  verify_hop_then(
-      s, task_id, std::move(poc), std::move(proof_bytes), /*ownership=*/false,
-      [done = std::move(done)](Session& s, const zkedb::VerifyOutcome& o) {
-        done(s, o.ok);
-      });
 }
 
 void Proxy::record_violation(Session& s, const std::string& participant,
@@ -803,18 +671,18 @@ void Proxy::on_query_response(const net::Envelope& env,
         // One verify identifies the hop AND yields its recovered trace:
         // start_walk absorbs the cached verdict, recording the single
         // verify_ok span for this hop.
-        verify_ownership_then(
-            s, cand.task_id, cand.poc, *m.proof,
-            [this, cand](Session& s, const OwnershipCheck& check) {
-              if (check.valid) {
-                start_walk(s, cand, check);
-              } else {
-                record_verify(s, cand.participant, false, "ownership");
-                record_violation(s, cand.participant,
-                                 ViolationType::kClaimProcessingInvalidProof);
-                advance_candidate(s);
-              }
-            });
+        verify_hop(s, cand.task_id, cand.poc, *m.proof, /*ownership=*/true,
+                   [this, cand](Session& s, const zkedb::VerifyOutcome& o) {
+                     if (o.ok) {
+                       start_walk(s, cand, o);
+                     } else {
+                       record_verify(s, cand.participant, false, "ownership");
+                       record_violation(
+                           s, cand.participant,
+                           ViolationType::kClaimProcessingInvalidProof);
+                       advance_candidate(s);
+                     }
+                   });
       } else if (m.claims_processing) {
         record_violation(s, cand.participant,
                          ViolationType::kClaimProcessingInvalidProof);
@@ -827,18 +695,18 @@ void Proxy::on_query_response(const net::Envelope& env,
 
     // Bad product scan: demand a valid non-ownership proof per queue entry.
     if (!m.claims_processing && m.proof.has_value()) {
-      verify_non_ownership_then(
-          s, cand.task_id, cand.poc, *m.proof,
-          [this, cand](Session& s, bool valid) {
-            record_verify(s, cand.participant, valid, "non_ownership");
-            if (valid) {
-              advance_candidate(s);
-            } else {
-              record_violation(s, cand.participant,
-                               ViolationType::kClaimNonProcessingInvalidProof);
-              start_walk(s, cand, std::nullopt);
-            }
-          });
+      verify_hop(s, cand.task_id, cand.poc, *m.proof, /*ownership=*/false,
+                 [this, cand](Session& s, const zkedb::VerifyOutcome& o) {
+                   record_verify(s, cand.participant, o.ok, "non_ownership");
+                   if (o.ok) {
+                     advance_candidate(s);
+                   } else {
+                     record_violation(
+                         s, cand.participant,
+                         ViolationType::kClaimNonProcessingInvalidProof);
+                     start_walk(s, cand, std::nullopt);
+                   }
+                 });
     } else if (!m.claims_processing) {
       record_violation(s, cand.participant,
                        ViolationType::kClaimNonProcessingInvalidProof);
@@ -856,17 +724,18 @@ void Proxy::on_query_response(const net::Envelope& env,
 
   if (s.outcome.quality == ProductQuality::kGood) {
     if (m.claims_processing && m.proof.has_value()) {
-      verify_ownership_then(
-          s, s.outcome.task_id, s.current_poc, *m.proof,
-          [this](Session& s, const OwnershipCheck& check) {
-            if (absorb_ownership_result(s, check)) {
-              request_next_hop(s);
-              return;
-            }
-            record_violation(s, s.current,
-                             ViolationType::kClaimProcessingInvalidProof);
-            finish(s, false);
-          });
+      verify_hop(s, s.outcome.task_id, s.current_poc, *m.proof,
+                 /*ownership=*/true,
+                 [this](Session& s, const zkedb::VerifyOutcome& o) {
+                   if (absorb_ownership_result(s, o)) {
+                     request_next_hop(s);
+                     return;
+                   }
+                   record_violation(
+                       s, s.current,
+                       ViolationType::kClaimProcessingInvalidProof);
+                   finish(s, false);
+                 });
       return;
     }
     if (m.claims_processing) {
@@ -887,23 +756,25 @@ void Proxy::on_query_response(const net::Envelope& env,
 
   // Bad product walk.
   if (!m.claims_processing && m.proof.has_value()) {
-    verify_non_ownership_then(
-        s, s.outcome.task_id, s.current_poc, *m.proof,
-        [this](Session& s, bool valid) {
-          record_verify(s, s.current, valid, "non_ownership");
-          if (valid) {
-            // Really did not process the product: the referrer lied.
-            if (!s.previous.empty()) {
-              record_violation(s, s.previous,
-                               ViolationType::kWrongNextHopNotProcessed);
-            }
-            finish(s, false);
-            return;
-          }
-          record_violation(s, s.current,
-                           ViolationType::kClaimNonProcessingInvalidProof);
-          request_reveal(s);
-        });
+    verify_hop(s, s.outcome.task_id, s.current_poc, *m.proof,
+               /*ownership=*/false,
+               [this](Session& s, const zkedb::VerifyOutcome& o) {
+                 record_verify(s, s.current, o.ok, "non_ownership");
+                 if (o.ok) {
+                   // Really did not process the product: the referrer lied.
+                   if (!s.previous.empty()) {
+                     record_violation(
+                         s, s.previous,
+                         ViolationType::kWrongNextHopNotProcessed);
+                   }
+                   finish(s, false);
+                   return;
+                 }
+                 record_violation(
+                     s, s.current,
+                     ViolationType::kClaimNonProcessingInvalidProof);
+                 request_reveal(s);
+               });
     return;
   }
   if (!m.claims_processing) {
@@ -931,16 +802,16 @@ void Proxy::on_reveal_response(const net::Envelope& env,
     finish(s, false);
     return;
   }
-  verify_ownership_then(s, s.outcome.task_id, s.current_poc, *m.proof,
-                        [this](Session& s, const OwnershipCheck& check) {
-                          if (!absorb_ownership_result(s, check)) {
-                            record_violation(s, s.current,
-                                             ViolationType::kInvalidReveal);
-                            finish(s, false);
-                            return;
-                          }
-                          request_next_hop(s);
-                        });
+  verify_hop(s, s.outcome.task_id, s.current_poc, *m.proof,
+             /*ownership=*/true,
+             [this](Session& s, const zkedb::VerifyOutcome& o) {
+               if (!absorb_ownership_result(s, o)) {
+                 record_violation(s, s.current, ViolationType::kInvalidReveal);
+                 finish(s, false);
+                 return;
+               }
+               request_next_hop(s);
+             });
 }
 
 void Proxy::on_next_hop_response(const net::Envelope& env,

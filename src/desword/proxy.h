@@ -54,18 +54,13 @@ struct VerifyPolicy {
   /// single-threaded behavior. With workers, `scheme().verify` runs on a
   /// per-session strand and its verdict is posted back to the loop thread.
   unsigned worker_threads = 0;
-  /// Memoize accepted ZK-EDB proof verdicts keyed on
-  /// digest(CRS ‖ commitment ‖ key ‖ full proof bytes). See
-  /// zkedb/verify_cache.h for why this is sound.
-  bool cache_proofs = true;
-  /// Memoize whole per-(task, participant, product, proof bytes) hop
-  /// verdicts across queries, epoch-versioned by POC-list generation, and
-  /// single-flight-join identical in-flight hop verifications.
-  bool cache_hops = true;
-  /// Total entry budget of the verification cache (shared by both layers
-  /// unless an external cache is injected via ProxyDeps).
+  /// Memoize accepted verdicts at both layers: ZK-EDB proofs keyed on
+  /// digest(CRS ‖ commitment ‖ key ‖ full proof bytes), and whole
+  /// per-(task, participant, product, proof bytes) hops, epoch-versioned by
+  /// POC-list generation. See zkedb/verify_cache.h for why this is sound.
+  bool cache = true;
+  /// Total entry budget of the verification cache shared by both layers.
   std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 8;
 };
 
 struct ProxyConfig {
@@ -103,50 +98,23 @@ struct ProxyConfig {
   /// Verification policy: strategy, worker fan-out, cache knobs. Verdicts
   /// — and thus reputation penalties — are identical under every setting.
   VerifyPolicy verify;
-  /// Deprecated alias of `verify.batch_verify` (one release): effective
-  /// batching requires BOTH to stay true, so old call sites that clear
-  /// this still get scalar verification.
-  bool batch_verify = true;
-  /// Deprecated alias of `verify.worker_threads` (one release): a nonzero
-  /// value here wins over the nested field.
-  unsigned worker_threads = 0;
   /// Query sessions allowed to drive the transport at once; further
   /// `begin_query` calls queue in the scheduler until a slot frees
   /// (0 is treated as 1).
   std::size_t max_concurrent_queries = 8;
-
-  /// Folds the deprecated flat aliases into the nested policy.
-  VerifyPolicy effective_verify() const {
-    VerifyPolicy v = verify;
-    v.batch_verify = verify.batch_verify && batch_verify;
-    v.worker_threads =
-        worker_threads != 0 ? worker_threads : verify.worker_threads;
-    return v;
-  }
 };
 
 /// Collaborator handles of a Proxy, gathered so the constructor surface
-/// stays one signature as dependencies accrue. Only `crs_cache` is
-/// mandatory; a null `crs` derives a fresh CRS from ProxyConfig::edb, a
-/// null `verify_cache` lets the proxy own one sized by its VerifyPolicy.
+/// stays one signature as dependencies accrue. The proxy derives its CRS
+/// from ProxyConfig::edb and adopts the cache's canonical instance.
 struct ProxyDeps {
   CrsCachePtr crs_cache;
-  zkedb::EdbCrsPtr crs;
-  zkedb::VerifyCachePtr verify_cache;
 };
 
 class Proxy {
  public:
-  /// The one real constructor: every dependency travels in `deps`.
   Proxy(net::NodeId id, net::Transport& transport, ProxyDeps deps,
         ProxyConfig config);
-  /// Deprecated convenience shims (kept one release): run over an
-  /// internally-owned SimTransport wrapping `network`. New code should
-  /// construct a SimTransport and use the primary constructor.
-  Proxy(net::NodeId id, net::Network& network, CrsCachePtr crs_cache,
-        ProxyConfig config);
-  Proxy(net::NodeId id, net::Network& network, CrsCachePtr crs_cache,
-        zkedb::EdbCrsPtr crs, ProxyConfig config);
   ~Proxy();
 
   Proxy(const Proxy&) = delete;
@@ -265,11 +233,6 @@ class Proxy {
   std::string export_report_json() const;
 
  private:
-  /// All public ctors delegate here. Exactly one of `owned` / `transport`
-  /// is set; when `owned` is non-null the proxy keeps it alive and uses it.
-  Proxy(net::NodeId id, std::unique_ptr<net::SimTransport> owned,
-        net::Transport* transport, ProxyDeps deps, ProxyConfig config);
-
   enum class Phase : std::uint8_t { kInitialScan, kWalk, kReveal, kNextHop,
                                     kDone };
 
@@ -307,18 +270,11 @@ class Proxy {
     std::uint64_t backoff = 0;
     /// Absolute transport time the query budget runs out (0 = none).
     std::uint64_t deadline_at = 0;
-    // Off-loop verification: while a verdict is in flight on the strand the
-    // session ignores incoming protocol messages (it is not awaiting any —
-    // the response that triggered the verify already settled the timer).
+    // Hop verification: while a verdict is owed the session ignores
+    // incoming protocol messages (it is not awaiting any — the response
+    // that triggered the verify already settled the timer).
     bool verifying = false;
     std::shared_ptr<Strand> strand;  // serializes this session's verifies
-  };
-
-  /// Worker-safe verdict of an ownership-proof check: `trace_da` carries
-  /// the recovered committed trace bytes when valid.
-  struct OwnershipCheck {
-    bool valid = false;
-    std::optional<Bytes> trace_da;
   };
 
   void handle(const net::Envelope& env);
@@ -341,74 +297,56 @@ class Proxy {
   void record_incoming(Session& s, const net::Envelope& env);
   void advance_candidate(Session& s);
   void start_walk(Session& s, const Candidate& candidate,
-                  const std::optional<OwnershipCheck>& pre_verified);
+                  const std::optional<zkedb::VerifyOutcome>& pre_verified);
   void query_current(Session& s);
   void request_reveal(Session& s);
   void request_next_hop(Session& s);
   /// Sends the first candidate request of a scheduler-admitted session.
   void launch_query(std::uint64_t query_id);
 
-  // The only `scheme().verify` call sites (handlers stay crypto-free so
-  // they never block the loop — enforced by tools/desword_lint.py). Both
-  // are worker-safe: const, touching only their arguments and the shared
-  // read-only scheme. Adversarial input (malformed proof bytes) yields an
-  // invalid verdict, never an exception.
-  OwnershipCheck check_ownership(const poc::Poc& poc,
+  /// The only `scheme().verify` call site (handlers stay crypto-free so
+  /// they never block the loop — enforced by tools/desword_lint.py).
+  /// Worker-safe: const, touching only its arguments and the shared
+  /// read-only scheme. An accepted ownership proof carries the recovered
+  /// trace da as the outcome's value. Adversarial input (malformed proof
+  /// bytes, wrong flavour) yields a rejection, never an exception.
+  zkedb::VerifyOutcome check_hop(const poc::Poc& poc,
                                  const supplychain::ProductId& product,
-                                 const Bytes& proof_bytes) const;
-  bool check_non_ownership(const poc::Poc& poc,
-                           const supplychain::ProductId& product,
-                           const Bytes& proof_bytes) const;
+                                 const Bytes& proof_bytes,
+                                 bool ownership) const;
 
-  /// Runs `work` and invokes `done(session, result)` on the loop thread.
-  /// Inline (no executor): both run synchronously, byte-identically to the
-  /// historical behavior. Async: `work` runs on the session's strand under
-  /// the transport work-accounting bracket (add_work before dispatch, the
-  /// worker posts the verdict *before* remove_work, so the loop never sees
-  /// "no work" while a completion is owed) and `done` runs from the posted
-  /// completion, guarded by the aliveness token and a fresh session lookup.
-  template <typename R>
-  void verify_then(Session& s, std::function<R()> work,
-                   std::function<void(Session&, const R&)> done);
-  template <typename R>
-  void resume_verify(std::uint64_t query_id, std::optional<R> result,
-                     std::exception_ptr error,
-                     const std::function<void(Session&, const R&)>& done);
-
-  /// Continuation of a hop verdict. The verdict is a zkedb::VerifyOutcome
-  /// so ownership (value = recovered trace da) and non-ownership checks
-  /// share one memoizable shape.
+  /// Continuation of a hop verdict; always runs on the loop thread.
   using HopDone = std::function<void(Session&, const zkedb::VerifyOutcome&)>;
 
-  /// Unified hop verification: consults the hop-level memo (epoch =
-  /// current POC-list generation of `task_id`), single-flight-joins an
-  /// identical in-flight verification, or schedules the check via
-  /// verify_then. `done` always runs on the loop thread.
-  void verify_hop_then(Session& s, const std::string& task_id, poc::Poc poc,
-                       Bytes proof_bytes, bool ownership, HopDone done);
-  /// Executor-mode miss path of verify_hop_then: runs `work` on the
-  /// session's strand and resolves ALL waiters registered under `key`
-  /// through finish_hop_verify (resume_verify would strand joined waiters
-  /// on its single-session early returns).
-  void start_hop_verify(Session& s, Bytes key, std::uint64_t epoch,
-                        std::function<zkedb::VerifyOutcome()> work);
+  /// The one hop-verification route. A memo hit (caching on; epoch = the
+  /// current POC-list generation of `task_id`) runs `done` at once.
+  /// Otherwise the session registers under the hop key in
+  /// `hop_in_flight_`: an identical in-flight hop just joins as a waiter,
+  /// the first arrival dispatches check_hop — synchronously when there is
+  /// no executor (serial event order stays byte-identical), else on the
+  /// session's strand under the transport work-accounting bracket — and
+  /// finish_hop_verify resolves every waiter.
+  void verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
+                  Bytes proof_bytes, bool ownership, HopDone done);
+  /// A dispatched check's result: the verdict, or the internal failure
+  /// that escaped check_hop (rethrown on the loop thread).
+  struct HopResult {
+    std::optional<zkedb::VerifyOutcome> outcome;
+    std::exception_ptr error;
+  };
+  /// Loop-thread completion of a dispatched check: unregisters `key`
+  /// (before anything can throw), stores an accepted verdict when caching
+  /// is on, and runs each live waiter's continuation under handle()'s
+  /// policy — `Error` drops the continuation, `CheckError` rethrows.
   void finish_hop_verify(const Bytes& key, std::uint64_t epoch,
-                         std::optional<zkedb::VerifyOutcome> result,
-                         std::exception_ptr error);
-
-  void verify_ownership_then(
-      Session& s, const std::string& task_id, poc::Poc poc, Bytes proof_bytes,
-      std::function<void(Session&, const OwnershipCheck&)> done);
-  void verify_non_ownership_then(Session& s, const std::string& task_id,
-                                 poc::Poc poc, Bytes proof_bytes,
-                                 std::function<void(Session&, bool)> done);
+                         HopResult result);
   /// POC-list generation of a task (0 before any submission). Bumped on
   /// every list replacement so stale hop-memo entries die structurally.
   std::uint64_t task_epoch(const std::string& task_id) const;
 
-  /// Records the verify span for `s.current` and, when valid, the
-  /// recovered trace; returns `check.valid`.
-  bool absorb_ownership_result(Session& s, const OwnershipCheck& check);
+  /// Records the ownership verify span for `s.current` and, when
+  /// accepted, the recovered trace; returns `check.ok`.
+  bool absorb_ownership_result(Session& s, const zkedb::VerifyOutcome& check);
   /// Records a verify-outcome span (`kind` = "ownership"/"non_ownership").
   void record_verify(Session& s, const std::string& peer, bool ok,
                      const char* kind);
@@ -424,7 +362,6 @@ class Proxy {
   const poc::PocScheme& scheme() const { return *scheme_; }
 
   net::NodeId id_;
-  std::unique_ptr<net::SimTransport> owned_transport_;  // compat ctors only
   net::Transport& transport_;
   CrsCachePtr crs_cache_;
   ProxyConfig config_;
@@ -455,8 +392,6 @@ class Proxy {
 
   std::shared_ptr<Executor> executor_;  // null = inline verification
   std::unique_ptr<QueryScheduler> scheduler_;
-  /// Effective verification policy (flat aliases already folded in).
-  VerifyPolicy verify_policy_;
   /// Verdict cache shared by the zkedb proof layer (via
   /// EdbVerifyOptions::cache) and the proxy hop memo. Null = caching off.
   zkedb::VerifyCachePtr verify_cache_;

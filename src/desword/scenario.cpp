@@ -19,8 +19,7 @@ Scenario::Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config)
   proxy_config.max_retries = config_.max_retries;
   proxy_config.verify.batch_verify = config_.batch_verify;
   proxy_config.verify.worker_threads = config_.worker_threads;
-  proxy_config.verify.cache_proofs = config_.verify_cache;
-  proxy_config.verify.cache_hops = config_.verify_cache;
+  proxy_config.verify.cache = config_.verify_cache;
   proxy_config.max_concurrent_queries = config_.max_concurrent_queries;
   proxy_config.query_deadline = config_.query_deadline;
   proxy_config.retransmit_base = config_.retransmit_base;
@@ -33,20 +32,14 @@ Scenario::Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config)
     // every send crosses the fault injector.
     sim_ = std::make_unique<net::SimTransport>(network_);
     fault_ = std::make_unique<net::FaultInjector>(*sim_, *config_.fault_plan);
-    ProxyDeps deps;
-    deps.crs_cache = crs_cache_;
-    proxy_ = std::make_unique<Proxy>(kProxyId, *fault_, std::move(deps),
-                                     std::move(proxy_config));
-  } else {
-    proxy_ = std::make_unique<Proxy>(kProxyId, network_, crs_cache_,
-                                     std::move(proxy_config));
   }
+  proxy_ = std::make_unique<Proxy>(kProxyId, endpoint_transport(),
+                                   ProxyDeps{.crs_cache = crs_cache_},
+                                   std::move(proxy_config));
   for (const ParticipantId& id : graph_.participants()) {
-    auto p = fault_ ? std::make_unique<Participant>(
-                          id, *fault_, kProxyId,
-                          ParticipantDeps{.crs_cache = crs_cache_})
-                    : std::make_unique<Participant>(id, network_, kProxyId,
-                                                    crs_cache_);
+    auto p = std::make_unique<Participant>(
+        id, endpoint_transport(), kProxyId,
+        ParticipantDeps{.crs_cache = crs_cache_});
     if (config_.max_distribution_retries > 0) {
       p->set_max_distribution_retries(config_.max_distribution_retries);
     }
@@ -60,6 +53,12 @@ Scenario::Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config)
     if (proxy_->executor()) p->set_executor(proxy_->executor());
     participants_.emplace(id, std::move(p));
   }
+}
+
+net::Transport& Scenario::endpoint_transport() {
+  if (fault_) return *fault_;
+  return *endpoint_transports_.emplace_back(
+      std::make_unique<net::SimTransport>(network_));
 }
 
 Participant& Scenario::participant(const ParticipantId& id) {

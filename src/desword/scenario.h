@@ -26,18 +26,18 @@ struct ScenarioConfig {
   ScorePolicy scores;
   std::uint64_t network_seed = 1;
   int max_retries = 3;
-  /// Forwarded to ProxyConfig::batch_verify (query-proof verification
+  /// Forwarded to VerifyPolicy::batch_verify (query-proof verification
   /// strategy; verdicts identical either way).
   bool batch_verify = true;
-  /// Forwarded to VerifyPolicy::{cache_proofs, cache_hops} — the proxy's
-  /// epoch-versioned verification cache — and to every participant's
-  /// `set_proof_memo` (repeated proofs of the same committed statement are
-  /// served from memory). Verdicts and reputation are byte-identical
-  /// either way; the caches only skip recomputation of work whose result
-  /// is already determined.
+  /// Forwarded to VerifyPolicy::cache — the proxy's epoch-versioned
+  /// verification cache — and to every participant's `set_proof_memo`
+  /// (repeated proofs of the same committed statement are served from
+  /// memory). Verdicts and reputation are byte-identical either way; the
+  /// caches only skip recomputation of work whose result is already
+  /// determined.
   bool verify_cache = true;
   /// Crypto worker threads shared by the proxy and every participant
-  /// (forwarded to ProxyConfig::worker_threads; the proxy's executor is
+  /// (forwarded to VerifyPolicy::worker_threads; the proxy's executor is
   /// handed to each participant via set_executor). 0 = inline crypto,
   /// byte-identical to the historical single-threaded deployment.
   unsigned worker_threads = 0;
@@ -98,6 +98,10 @@ class Scenario {
       const supplychain::ProductId& product) const;
 
  private:
+  /// The transport for the next endpoint: the shared fault injector in
+  /// fault mode, else a fresh SimTransport over `network_`.
+  net::Transport& endpoint_transport();
+
   supplychain::SupplyChainGraph graph_;
   ScenarioConfig config_;
   net::Network network_;
@@ -106,6 +110,8 @@ class Scenario {
   // their timers through these, so they must outlive them.
   std::unique_ptr<net::SimTransport> sim_;       // fault mode only
   std::unique_ptr<net::FaultInjector> fault_;    // fault mode only
+  /// One per endpoint, proxy first (no fault plan only).
+  std::vector<std::unique_ptr<net::SimTransport>> endpoint_transports_;
   std::unique_ptr<Proxy> proxy_;
   std::map<ParticipantId, std::unique_ptr<Participant>> participants_;
   std::map<std::string, supplychain::DistributionResult> truths_;

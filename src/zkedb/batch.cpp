@@ -310,13 +310,4 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
   }
 }
 
-std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
-    const EdbCrs& crs, const mercurial::QtmcCommitment& root,
-    const std::vector<EdbKey>& keys, const EdbBatchMembershipProof& proof,
-    unsigned threads) {
-  EdbVerifyOptions opts;
-  opts.threads = threads;
-  return edb_verify_membership_batch(crs, root, keys, proof, opts);
-}
-
 }  // namespace desword::zkedb

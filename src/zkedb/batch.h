@@ -60,10 +60,4 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
     const std::vector<EdbKey>& keys, const EdbBatchMembershipProof& proof,
     const EdbVerifyOptions& opts = {});
 
-/// Back-compat overload: threads only, defaults otherwise.
-std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
-    const EdbCrs& crs, const mercurial::QtmcCommitment& root,
-    const std::vector<EdbKey>& keys, const EdbBatchMembershipProof& proof,
-    unsigned threads);
-
 }  // namespace desword::zkedb

@@ -243,7 +243,7 @@ struct SweepRun {
 /// them schedule-independent on the simulated clock (a timed window would
 /// cover different message sets in serial vs concurrent runs).
 SweepRun run_cell(Cell cell, std::uint64_t seed, bool concurrent,
-                  bool verify_cache = true) {
+                  bool verify_cache = true, unsigned workers = 0) {
   FaultPlan plan;
   plan.seed = seed;
   plan.default_faults.drop_rate = cell == Cell::kLoss30 ? 0.30 : 0.10;
@@ -254,6 +254,7 @@ SweepRun run_cell(Cell cell, std::uint64_t seed, bool concurrent,
   cfg.query_deadline = kQueryDeadline;
   cfg.max_concurrent_queries = concurrent ? 8 : 1;
   cfg.verify_cache = verify_cache;
+  cfg.worker_threads = workers;
   Scenario scenario(SupplyChainGraph::paper_example(), cfg);
 
   DistributionConfig dist;
@@ -342,26 +343,34 @@ TEST(ChaosSweepTest, SerialAndConcurrentSchedulersAgreeUnderFaults) {
 }
 
 TEST(ChaosSweepTest, VerifyCacheOnAndOffAgreeUnderFaults) {
-  // The epoch-versioned verification cache (ISSUE 10) must be outcome-
-  // invisible even when the network mangles the walk: identical verdict
-  // digests AND identical reputation, per seed, with the cache on vs off.
+  // The epoch-versioned verification cache must be outcome-invisible even
+  // when the network mangles the walk, whichever way the hop verifies are
+  // dispatched: identical verdict digests AND identical reputation, per
+  // seed, across {inline, 2 workers} x {cache on, off}.
   const std::vector<std::uint64_t> seeds{1, 2, 3, 5, 8, 13, 21, 34};
   for (const std::uint64_t seed : seeds) {
-    SCOPED_TRACE("loss10 seed " + std::to_string(seed));
-    const SweepRun cached =
+    const SweepRun reference =
         run_cell(Cell::kLoss10, seed, /*concurrent=*/true, /*cache=*/true);
-    const SweepRun uncached =
-        run_cell(Cell::kLoss10, seed, /*concurrent=*/true, /*cache=*/false);
-    ASSERT_EQ(cached.outcomes.size(), uncached.outcomes.size());
-    for (std::size_t i = 0; i < cached.outcomes.size(); ++i) {
-      EXPECT_TRUE(cached.outcomes[i] == uncached.outcomes[i])
-          << "query " << i << " diverged between cache modes";
-    }
-    ASSERT_EQ(cached.reputation.size(), uncached.reputation.size());
-    for (const auto& [participant, score] : cached.reputation) {
-      const auto it = uncached.reputation.find(participant);
-      ASSERT_TRUE(it != uncached.reputation.end()) << participant;
-      EXPECT_DOUBLE_EQ(score, it->second) << participant;
+    for (const unsigned workers : {0u, 2u}) {
+      for (const bool cache : {true, false}) {
+        if (workers == 0 && cache) continue;  // the reference itself
+        SCOPED_TRACE("loss10 seed " + std::to_string(seed) + " workers " +
+                     std::to_string(workers) + " cache " +
+                     (cache ? "on" : "off"));
+        const SweepRun run = run_cell(Cell::kLoss10, seed,
+                                      /*concurrent=*/true, cache, workers);
+        ASSERT_EQ(reference.outcomes.size(), run.outcomes.size());
+        for (std::size_t i = 0; i < reference.outcomes.size(); ++i) {
+          EXPECT_TRUE(reference.outcomes[i] == run.outcomes[i])
+              << "query " << i << " diverged from inline cache-on";
+        }
+        ASSERT_EQ(reference.reputation.size(), run.reputation.size());
+        for (const auto& [participant, score] : reference.reputation) {
+          const auto it = run.reputation.find(participant);
+          ASSERT_TRUE(it != run.reputation.end()) << participant;
+          EXPECT_DOUBLE_EQ(score, it->second) << participant;
+        }
+      }
     }
   }
 }

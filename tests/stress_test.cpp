@@ -102,8 +102,10 @@ TEST(StressTest, ReplyCacheEvictsLeastRecentlyUsed) {
   // against a capacity of 8 must evict the 12 oldest; a resend of a
   // surviving (recent) request is served from the cache.
   net::Network network;
-  auto crs_cache = std::make_shared<CrsCache>();
-  Participant participant("p1", network, "proxy", crs_cache);
+  net::SimTransport transport(network);
+  Participant participant(
+      "p1", transport, "proxy",
+      ParticipantDeps{.crs_cache = std::make_shared<CrsCache>()});
   network.register_node("client", [](const net::Envelope&) {});
 
   obs::MetricsRegistry::global().reset_for_test();

@@ -442,8 +442,7 @@ int serve_proxy_impl(const Flags& flags, std::ostream& out) {
   config.retransmit_base = plan.retransmit_ms;
   config.query_deadline = static_cast<std::uint64_t>(query_deadline);
   config.verify.worker_threads = static_cast<unsigned>(workers);
-  config.verify.cache_proofs = verify_cache != 0;
-  config.verify.cache_hops = verify_cache != 0;
+  config.verify.cache = verify_cache != 0;
   config.verify.cache_capacity = static_cast<std::size_t>(cache_capacity);
   config.max_concurrent_queries = static_cast<std::size_t>(query_concurrency);
   ProxyDeps deps;

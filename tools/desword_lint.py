@@ -38,7 +38,7 @@ Rules (each can be waived on a specific line with a trailing
                 thread and must never invoke modular-exponentiation-heavy
                 scheme calls (``scheme().verify/prove/aggregate``,
                 ``qHOpen``-family, ``make_ownership_proof``,
-                ``check_ownership``) inline. Blocking crypto belongs in the
+                ``check_hop``) inline. Blocking crypto belongs in the
                 builder/check methods dispatched through the Executor
                 strands; a handler that proves or verifies directly stalls
                 every session behind it.
@@ -65,7 +65,8 @@ Rules (each can be waived on a specific line with a trailing
                 lambdas (worker context), loop-owned state must not be
                 touched: ``transport_.send/set_timer/cancel_timer``,
                 ``sessions_``, ``in_flight_``, ``reply_cache_*``,
-                ``scheduler_``, ``finish_in_flight``, ``resume_verify``.
+                ``scheduler_``, ``finish_in_flight``, ``hop_in_flight_``,
+                ``finish_hop_verify``.
                 Results must travel back to the loop thread through a
                 nested ``transport_.post(...)`` (those nested spans are
                 exempt — they run on the loop). The runtime counterpart is
@@ -157,7 +158,7 @@ RE_HANDLER_CRYPTO = re.compile(
     r"(?:\.|->)\s*prove\s*\(|"
     r"\bqH(?:Com|Open|Ver|Update)\w*\s*\(|"
     r"\bmake_ownership_proof\s*\(|"
-    r"\bcheck_(?:non_)?ownership\s*\(")
+    r"\bcheck_hop\s*\(")
 
 RE_ALLOW = re.compile(r"//\s*desword-lint:\s*allow\(([a-z-]+)\)")
 RE_LINE_COMMENT = re.compile(r"//.*$")
@@ -215,7 +216,7 @@ RE_LOOP_POST = re.compile(r"\btransport_?\s*(?:\.|->)\s*post\s*\(")
 RE_LOOP_OWNED = re.compile(
     r"\btransport_?\s*(?:\.|->)\s*(?:send|set_timer|cancel_timer)\s*\(|"
     r"\bsessions_\b|\bin_flight_\b|\breply_cache_\w*|\bscheduler_\b|"
-    r"\bfinish_in_flight\s*\(|\bresume_verify\b")
+    r"\bfinish_in_flight\s*\(|\bhop_in_flight_\b|\bfinish_hop_verify\s*\(")
 
 
 def balance_parens(text: str, open_idx: int,

@@ -10,7 +10,7 @@ void Participant::handle(const net::Envelope& env) {
 }
 
 void Participant::on_query_request(const net::Envelope& env) {
-  auto ok = check_ownership(poc_, product_, env.payload);
+  auto ok = check_hop(poc_, product_, env.payload, true);
   (void)ok;
 }
 

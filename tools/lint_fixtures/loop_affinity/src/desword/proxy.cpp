@@ -6,14 +6,16 @@
 
 namespace desword {
 
-void Proxy::verify_then() {
+void Proxy::verify_hop() {
   strand->post([this] {
     sessions_.erase(7);
     transport_.send(id_, peer_, type_, {});
+    hop_in_flight_.erase(key_);
+    finish_hop_verify(key_, 0, {});
     scheduler_.finished(7);  // desword-lint: allow(loop-affinity)
     transport_.post([this] {
       finish_in_flight(key_, true, {});
-      resume_verify(7);
+      finish_hop_verify(key_, 0, {});
     });
     transport_.remove_work();
   });
@@ -21,8 +23,8 @@ void Proxy::verify_then() {
 
 void Proxy::good_path() {
   s.strand->post([this] {
-    auto verdict = work();
-    transport_.post([this, verdict] { resume_verify(verdict); });
+    auto result = check();
+    transport_.post([this, result] { finish_hop_verify(key_, 0, result); });
   });
 }
 
