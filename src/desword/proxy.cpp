@@ -57,6 +57,16 @@ obs::Counter& hops_joined() {
   return c;
 }
 
+obs::Counter& walk_overlapped() {
+  static obs::Counter& c = obs::metric("protocol.walk.overlapped");
+  return c;
+}
+
+obs::Counter& walk_discarded() {
+  static obs::Counter& c = obs::metric("protocol.walk.discarded");
+  return c;
+}
+
 }  // namespace
 
 Proxy::Proxy(net::NodeId id, net::Transport& transport, ProxyDeps deps,
@@ -226,6 +236,15 @@ std::uint64_t Proxy::begin_query(const supplychain::ProductId& product,
                                  ProductQuality quality,
                                  std::optional<std::string> task_hint) {
   DESWORD_DCHECK_ON_LOOP(transport_);
+  // Reject an unknown hint before any session exists: one that can never
+  // finish would keep the active count, and so pump(), up forever.
+  const poc::PocList* hinted = nullptr;
+  if (task_hint.has_value()) {
+    hinted = task_list(*task_hint);
+    if (hinted == nullptr) {
+      throw ProtocolError("unknown task: " + *task_hint);
+    }
+  }
   const std::uint64_t query_id = next_query_id_++;
   Session& s = sessions_[query_id];
   s.outcome.query_id = query_id;
@@ -239,14 +258,12 @@ std::uint64_t Proxy::begin_query(const supplychain::ProductId& product,
   }
   queries_started().add();
   sessions_active().add(1);
+  ++active_sessions_;
 
-  if (task_hint.has_value()) {
-    const poc::PocList* list = task_list(*task_hint);
-    if (list == nullptr) {
-      throw ProtocolError("unknown task: " + *task_hint);
-    }
-    for (const std::string& initial : list->initial_participants()) {
-      s.candidates.push_back(Candidate{initial, *task_hint, *list->find(initial)});
+  if (hinted != nullptr) {
+    for (const std::string& initial : hinted->initial_participants()) {
+      s.candidates.push_back(
+          Candidate{initial, *task_hint, *hinted->find(initial)});
     }
   } else {
     for (const auto& [initial, queue] : queues_) {
@@ -338,10 +355,11 @@ bool Proxy::deadline_expired(Session& s) {
   // Graceful degradation: the budget is gone, so the verdict is "the
   // pending peer never answered in time" — violation booked, reputation
   // penalized via the normal finish path — rather than an open session.
+  SessionEnd end;
   if (s.awaiting && !s.last_to.empty()) {
-    record_violation(s, s.last_to, ViolationType::kNoResponse);
+    end.blame = Violation{s.last_to, ViolationType::kNoResponse};
   }
-  finish(s, false);
+  conclude(s, std::move(end));
   return true;
 }
 
@@ -371,11 +389,12 @@ void Proxy::on_retransmit_timeout(std::uint64_t query_id) {
     // timeouts. Charge the retry immediately and try again now.
     retransmits_refused().add();
   }
-  record_violation(s, s.last_to, ViolationType::kNoResponse);
   if (s.phase == Phase::kInitialScan) {
+    record_violation(s, s.last_to, ViolationType::kNoResponse);
     advance_candidate(s);
   } else {
-    finish(s, false);
+    conclude(s, SessionEnd{.blame = Violation{s.last_to,
+                                              ViolationType::kNoResponse}});
   }
 }
 
@@ -428,7 +447,7 @@ void Proxy::start_walk(
   if (pre_verified.has_value()) {
     // The initial scan already verified this hop's ownership proof once;
     // absorbing the cached verdict records the hop's single verify span.
-    if (!absorb_ownership_result(s, *pre_verified)) {
+    if (!absorb_ownership_result(s, s.current, *pre_verified)) {
       // Should not happen: the caller checked validity before identifying.
       finish(s, false);
       return;
@@ -488,9 +507,9 @@ zkedb::VerifyOutcome Proxy::check_hop(const poc::Poc& poc,
   return zkedb::VerifyOutcome::reject();
 }
 
-bool Proxy::absorb_ownership_result(Session& s,
+bool Proxy::absorb_ownership_result(Session& s, const std::string& hop,
                                     const zkedb::VerifyOutcome& check) {
-  record_verify(s, s.current, check.ok, "ownership");
+  record_verify(s, hop, check.ok, "ownership");
   if (!check.ok) return false;
   RecoveredTrace trace;
   trace.da = *check;
@@ -499,8 +518,8 @@ bool Proxy::absorb_ownership_result(Session& s,
   } catch (const Error&) {
     // Verifiably committed, but not a decodable TraceInfo.
   }
-  s.outcome.path.push_back(s.current);
-  s.outcome.traces[s.current] = std::move(trace);
+  s.outcome.path.push_back(hop);
+  s.outcome.traces[hop] = std::move(trace);
   return true;
 }
 
@@ -606,6 +625,43 @@ void Proxy::finish_hop_verify(const Bytes& key, std::uint64_t epoch,
   }
 }
 
+void Proxy::verify_walk_hop(Session& s, Bytes proof,
+                            ViolationType on_invalid) {
+  verify_hop(s, s.outcome.task_id, s.current_poc, std::move(proof),
+             /*ownership=*/true,
+             [this, hop = s.current, on_invalid](
+                 Session& s, const zkedb::VerifyOutcome& o) {
+               commit_walk_hop(s, hop, o, on_invalid);
+             });
+  if (!s.verifying) return;  // the verdict already landed in this call
+  s.lookahead.emplace();
+  walk_overlapped().add();
+  request_next_hop(s);
+}
+
+void Proxy::commit_walk_hop(Session& s, const std::string& hop,
+                            const zkedb::VerifyOutcome& o,
+                            ViolationType on_invalid) {
+  if (!absorb_ownership_result(s, hop, o)) {
+    record_violation(s, hop, on_invalid);
+    finish(s, false);  // discards the lookahead, if any
+    return;
+  }
+  if (!s.lookahead) {
+    request_next_hop(s);
+    return;
+  }
+  const Lookahead ahead = std::move(*s.lookahead);
+  s.lookahead.reset();
+  if (ahead.deferred) {
+    conclude(s, *ahead.deferred);
+  } else if (ahead.parked) {
+    on_walk_response(s, *ahead.parked);
+  }
+  // Otherwise the lookahead's request is still outstanding and the walk
+  // goes on from its response.
+}
+
 void Proxy::record_violation(Session& s, const std::string& participant,
                              ViolationType type) {
   s.outcome.violations.push_back(Violation{participant, type});
@@ -614,15 +670,32 @@ void Proxy::record_violation(Session& s, const std::string& participant,
                  to_string(type));
 }
 
+void Proxy::conclude(Session& s, SessionEnd end) {
+  if (s.lookahead) {
+    // Reached on the lookahead leg: the serial walk gets here only if the
+    // owed verdict accepts its hop, so hold the decision until it lands.
+    settle(s);
+    s.lookahead->deferred = std::move(end);
+    return;
+  }
+  if (end.blame) record_violation(s, end.blame->participant, end.blame->type);
+  finish(s, end.complete);
+}
+
 void Proxy::finish(Session& s, bool complete) {
   if (s.phase == Phase::kDone) return;
   s.phase = Phase::kDone;
   settle(s);
+  if (s.lookahead) {
+    walk_discarded().add();
+    s.lookahead.reset();
+  }
   s.outcome.complete = complete;
   s.trace.record(transport_.now(), id_, obs::span::kFinished,
                  complete ? "complete" : "incomplete");
   queries_completed().add();
   sessions_active().add(-1);
+  --active_sessions_;
   apply_scores(s);
   if (completion_cb_) completion_cb_(s.outcome);
   // Free the concurrency slot last: this may synchronously launch (and
@@ -656,7 +729,7 @@ void Proxy::on_query_response(const net::Envelope& env,
   const auto it = sessions_.find(m.query_id);
   if (it == sessions_.end()) return;
   Session& s = it->second;
-  if (s.phase == Phase::kDone || s.verifying) return;
+  if (s.phase == Phase::kDone || !s.awaiting) return;
 
   if (s.phase == Phase::kInitialScan) {
     if (s.candidate_idx >= s.candidates.size()) return;
@@ -721,21 +794,19 @@ void Proxy::on_query_response(const net::Envelope& env,
   if (s.phase != Phase::kWalk || env.from != s.current) return;
   settle(s);
   record_incoming(s, env);
+  if (s.lookahead) {
+    // Park, don't nest: this hop verifies only after the owed verdict.
+    s.lookahead->parked = m;
+    return;
+  }
+  on_walk_response(s, m);
+}
 
+void Proxy::on_walk_response(Session& s, const QueryResponse& m) {
   if (s.outcome.quality == ProductQuality::kGood) {
     if (m.claims_processing && m.proof.has_value()) {
-      verify_hop(s, s.outcome.task_id, s.current_poc, *m.proof,
-                 /*ownership=*/true,
-                 [this](Session& s, const zkedb::VerifyOutcome& o) {
-                   if (absorb_ownership_result(s, o)) {
-                     request_next_hop(s);
-                     return;
-                   }
-                   record_violation(
-                       s, s.current,
-                       ViolationType::kClaimProcessingInvalidProof);
-                   finish(s, false);
-                 });
+      verify_walk_hop(s, *m.proof,
+                      ViolationType::kClaimProcessingInvalidProof);
       return;
     }
     if (m.claims_processing) {
@@ -791,7 +862,7 @@ void Proxy::on_reveal_response(const net::Envelope& env,
   const auto it = sessions_.find(m.query_id);
   if (it == sessions_.end()) return;
   Session& s = it->second;
-  if (s.phase != Phase::kReveal || env.from != s.current || s.verifying) {
+  if (s.phase != Phase::kReveal || env.from != s.current || !s.awaiting) {
     return;
   }
   settle(s);
@@ -802,16 +873,7 @@ void Proxy::on_reveal_response(const net::Envelope& env,
     finish(s, false);
     return;
   }
-  verify_hop(s, s.outcome.task_id, s.current_poc, *m.proof,
-             /*ownership=*/true,
-             [this](Session& s, const zkedb::VerifyOutcome& o) {
-               if (!absorb_ownership_result(s, o)) {
-                 record_violation(s, s.current, ViolationType::kInvalidReveal);
-                 finish(s, false);
-                 return;
-               }
-               request_next_hop(s);
-             });
+  verify_walk_hop(s, *m.proof, ViolationType::kInvalidReveal);
 }
 
 void Proxy::on_next_hop_response(const net::Envelope& env,
@@ -819,7 +881,7 @@ void Proxy::on_next_hop_response(const net::Envelope& env,
   const auto it = sessions_.find(m.query_id);
   if (it == sessions_.end()) return;
   Session& s = it->second;
-  if (s.phase != Phase::kNextHop || env.from != s.current || s.verifying) {
+  if (s.phase != Phase::kNextHop || env.from != s.current || !s.awaiting) {
     return;
   }
   settle(s);
@@ -827,10 +889,10 @@ void Proxy::on_next_hop_response(const net::Envelope& env,
 
   if (!m.next.has_value()) {
     if (s.list->children_of(s.current).empty()) {
-      finish(s, /*complete=*/true);
+      conclude(s, SessionEnd{.blame = std::nullopt, .complete = true});
     } else {
-      record_violation(s, s.current, ViolationType::kFalseTermination);
-      finish(s, false);
+      conclude(s, SessionEnd{.blame = Violation{
+                                 s.current, ViolationType::kFalseTermination}});
     }
     return;
   }
@@ -838,8 +900,9 @@ void Proxy::on_next_hop_response(const net::Envelope& env,
   const bool revisits =
       std::find(s.visited.begin(), s.visited.end(), next) != s.visited.end();
   if (revisits || !s.list->has_edge(s.current, next)) {
-    record_violation(s, s.current, ViolationType::kWrongNextHopNotChild);
-    finish(s, false);
+    conclude(s, SessionEnd{.blame = Violation{
+                               s.current,
+                               ViolationType::kWrongNextHopNotChild}});
     return;
   }
   s.previous = s.current;
@@ -847,13 +910,6 @@ void Proxy::on_next_hop_response(const net::Envelope& env,
   s.current_poc = *s.list->find(next);
   s.visited.push_back(next);
   query_current(s);
-}
-
-bool Proxy::has_active_sessions() const {
-  for (const auto& [qid, s] : sessions_) {
-    if (s.phase != Phase::kDone) return true;
-  }
-  return false;
 }
 
 void Proxy::pump() {
@@ -865,7 +921,7 @@ void Proxy::pump() {
   constexpr int kMaxRounds = 1000000;
   for (int round = 0; round < kMaxRounds; ++round) {
     transport_.poll(/*timeout_ms=*/10);
-    if (!has_active_sessions()) return;
+    if (active_sessions_ == 0) return;
   }
   pump_stalled().add();
   throw ProtocolError(pump_stall_report());
@@ -880,6 +936,15 @@ const char* Proxy::phase_name(Phase phase) {
     case Phase::kDone: return "done";
   }
   return "?";
+}
+
+std::string Proxy::lookahead_state(const Session& s) {
+  if (!s.lookahead) return "none";
+  if (s.lookahead->parked) return "parked";
+  if (!s.lookahead->deferred) return "overlapped";
+  const SessionEnd& end = *s.lookahead->deferred;
+  if (end.blame) return "deferred:" + to_string(end.blame->type);
+  return end.complete ? "deferred:complete" : "deferred:incomplete";
 }
 
 std::string Proxy::pump_stall_report() const {
@@ -899,6 +964,7 @@ std::string Proxy::pump_stall_report() const {
            std::to_string(s.candidates.size()) +
            " awaiting=" + (s.awaiting ? "1" : "0") +
            " verifying=" + (s.verifying ? "1" : "0") +
+           " lookahead=" + lookahead_state(s) +
            " retries=" + std::to_string(s.retries) + "]";
   }
   msg += " (" + std::to_string(active) + " active sessions, " +

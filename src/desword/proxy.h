@@ -180,8 +180,9 @@ class Proxy {
   /// Outcome of a finished query (nullptr while in flight / unknown).
   const QueryOutcome* outcome(std::uint64_t query_id) const;
 
-  /// True while any query session is unresolved.
-  bool has_active_sessions() const;
+  /// Query sessions begun but not yet finished (queued ones included).
+  /// O(1): a count kept by begin_query and finish, not a session scan.
+  std::size_t active_sessions() const { return active_sessions_; }
 
   /// Invoked (synchronously, from transport context) whenever a query
   /// session finishes — the hook a server wrapper uses to answer remote
@@ -242,6 +243,23 @@ class Proxy {
     poc::Poc poc;
   };
 
+  /// How a session ends: the violation to book, if any, then finish.
+  struct SessionEnd {
+    std::optional<Violation> blame;
+    bool complete = false;
+  };
+
+  /// Pipelined walk (DESIGN.md §9): the walk's progress past a hop whose
+  /// ownership verdict is still owed. A session owes at most one verdict.
+  struct Lookahead {
+    /// The next hop's query response, settled and recorded; replayed
+    /// through the walk logic once the owed verdict accepts.
+    std::optional<QueryResponse> parked;
+    /// A decision the lookahead leg reached; applied only if the owed
+    /// verdict accepts.
+    std::optional<SessionEnd> deferred;
+  };
+
   struct Session {
     QueryOutcome outcome;
     Phase phase = Phase::kInitialScan;
@@ -270,11 +288,14 @@ class Proxy {
     std::uint64_t backoff = 0;
     /// Absolute transport time the query budget runs out (0 = none).
     std::uint64_t deadline_at = 0;
-    // Hop verification: while a verdict is owed the session ignores
-    // incoming protocol messages (it is not awaiting any — the response
-    // that triggered the verify already settled the timer).
+    // Hop verification: set while a verdict is owed. A session takes a
+    // response only while `awaiting` its one outstanding request, so while
+    // verifying it ignores protocol messages unless a lookahead sent one.
     bool verifying = false;
     std::shared_ptr<Strand> strand;  // serializes this session's verifies
+    /// Set while an ownership-verified walk hop's verdict is owed and the
+    /// walk has moved on without it.
+    std::optional<Lookahead> lookahead;
   };
 
   void handle(const net::Envelope& env);
@@ -283,6 +304,9 @@ class Proxy {
   void on_query_response(const net::Envelope& env, const QueryResponse& m);
   void on_reveal_response(const net::Envelope& env, const RevealResponse& m);
   void on_next_hop_response(const net::Envelope& env, const NextHopResponse& m);
+  /// A walk-phase query response, already settled and recorded: handled
+  /// live, or replayed after being parked behind an owed verdict.
+  void on_walk_response(Session& s, const QueryResponse& m);
 
   void send_tracked(Session& s, const net::NodeId& to, const std::string& type,
                     Bytes payload);
@@ -344,9 +368,25 @@ class Proxy {
   /// every list replacement so stale hop-memo entries die structurally.
   std::uint64_t task_epoch(const std::string& task_id) const;
 
-  /// Records the ownership verify span for `s.current` and, when
-  /// accepted, the recovered trace; returns `check.ok`.
-  bool absorb_ownership_result(Session& s, const zkedb::VerifyOutcome& check);
+  /// Verifies `s.current`'s ownership proof (a good walk response or a
+  /// reveal). If the verdict is still owed on return, opens the lookahead:
+  /// the next-hop claim is checked against the POC-list edge, not against
+  /// the proof, so the next_hop_request goes out at once.
+  void verify_walk_hop(Session& s, Bytes proof, ViolationType on_invalid);
+  /// Verdict continuation of verify_walk_hop for the hop it verified (not
+  /// `s.current`, which the lookahead may have advanced): commits the hop
+  /// and resumes the lookahead's parked response or deferred decision, or
+  /// books `on_invalid` against the hop and discards the lookahead.
+  void commit_walk_hop(Session& s, const std::string& hop,
+                       const zkedb::VerifyOutcome& o, ViolationType on_invalid);
+  /// Ends the session per `end`; on an open lookahead, settles it and
+  /// defers `end` until the owed verdict lands instead.
+  void conclude(Session& s, SessionEnd end);
+
+  /// Records the ownership verify span for `hop` and, when accepted, the
+  /// recovered trace; returns `check.ok`.
+  bool absorb_ownership_result(Session& s, const std::string& hop,
+                               const zkedb::VerifyOutcome& check);
   /// Records a verify-outcome span (`kind` = "ownership"/"non_ownership").
   void record_verify(Session& s, const std::string& peer, bool ok,
                      const char* kind);
@@ -357,6 +397,7 @@ class Proxy {
   /// Per-session diagnosis for the pump non-convergence error.
   std::string pump_stall_report() const;
   static const char* phase_name(Phase phase);
+  static std::string lookahead_state(const Session& s);
 
   poc::PocScheme& scheme() { return *scheme_; }
   const poc::PocScheme& scheme() const { return *scheme_; }
@@ -385,6 +426,7 @@ class Proxy {
 
   std::uint64_t next_query_id_ = 1;
   std::map<std::uint64_t, Session> sessions_;
+  std::size_t active_sessions_ = 0;  // sessions_ entries not yet kDone
   ReputationLedger ledger_;
   /// Jitter DRBG for backed-off retransmission delays (loop-thread-only,
   /// seeded from `ProxyConfig::backoff_seed` for reproducible runs).

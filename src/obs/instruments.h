@@ -58,6 +58,8 @@
   X(protocol_deadline_exceeded, "protocol.query.deadline_exceeded")   \
   X(protocol_distribution_gaveup,"protocol.distribution.gaveup")      \
   X(protocol_scheduler_admitted,"protocol.scheduler.admitted")        \
+  X(protocol_walk_overlapped,   "protocol.walk.overlapped")           \
+  X(protocol_walk_discarded,    "protocol.walk.discarded")            \
   X(exec_task_submitted,        "exec.task.submitted")                \
   X(exec_task_completed,        "exec.task.completed")
 

@@ -140,7 +140,7 @@ struct SweepResult {
   std::map<std::string, double> reputation;
 };
 
-/// Builds a 3-task lossy deployment with two adversaries and runs the same
+/// Builds a 3-task lossy deployment with three adversaries and runs the same
 /// 33-query mixed-quality sweep, either serially (one run_query at a time)
 /// or as one concurrent batch.
 SweepResult run_sweep(unsigned worker_threads,
@@ -178,6 +178,14 @@ SweepResult run_sweep(unsigned worker_threads,
   denial.claim_non_processing.insert(lots[1][1]);
   const auto& denial_path = *scenario.path_of(lots[1][1]);
   scenario.participant(denial_path[1]).set_query_behavior(denial);
+
+  // A mid-path hop whose ownership proof arrives corrupted: with workers
+  // the walk has already asked for its next hop when the verdict fails, so
+  // the lookahead is discarded, under retransmits and reordering.
+  QueryBehavior corrupt;
+  corrupt.corrupt_proof.insert(lots[2][1]);
+  const auto& corrupt_path = *scenario.path_of(lots[2][1]);
+  scenario.participant(corrupt_path[2]).set_query_behavior(corrupt);
 
   std::vector<Proxy::QuerySpec> specs;
   for (std::size_t lot = 0; lot < lots.size(); ++lot) {

@@ -6,6 +6,7 @@
 
 #include "common/json.h"
 #include "desword/scenario.h"
+#include "obs/metrics.h"
 
 namespace desword::protocol {
 namespace {
@@ -200,6 +201,53 @@ TEST(ProxyEdgeTest, JsonReportExport) {
     EXPECT_EQ(e.at("query_id").as_int(),
               static_cast<std::int64_t>(outcome.query_id));
   }
+}
+
+TEST(ProxyEdgeTest, ActiveSessionCountTracksBeginFinishAndDeadline) {
+  ScenarioConfig cfg = fast_config();
+  // Expires at the first retransmission; queries that never retransmit
+  // are never checked against it.
+  cfg.query_deadline = 1;
+  Scenario scenario(SupplyChainGraph::paper_example(), cfg);
+  Proxy& proxy = scenario.proxy();
+
+  // No task yet: begin_query finishes the session before it returns.
+  proxy.begin_query(supplychain::make_epc(1, 1, 1), ProductQuality::kGood);
+  EXPECT_EQ(proxy.active_sessions(), 0u);
+
+  DistributionConfig dist;
+  dist.initial = "v0";
+  dist.products = make_products(1, 0, 3);
+  scenario.run_task("task-1", dist);
+  // An unknown task hint is refused before a session exists.
+  EXPECT_THROW(proxy.begin_query(dist.products[0], ProductQuality::kGood,
+                                 std::string("no-such-task")),
+               ProtocolError);
+  EXPECT_EQ(proxy.active_sessions(), 0u);
+
+  proxy.begin_query(dist.products[0], ProductQuality::kGood);
+  proxy.begin_query(dist.products[1], ProductQuality::kBad);
+  EXPECT_EQ(proxy.active_sessions(), 2u);
+  proxy.pump();
+  EXPECT_EQ(proxy.active_sessions(), 0u);
+
+  // Deadline path: the silent initial participant holds the session until
+  // the first retransmission finds the budget spent.
+  QueryBehavior silent;
+  silent.unresponsive = true;
+  scenario.participant("v0").set_query_behavior(silent);
+  const std::uint64_t deadlines_before =
+      obs::metric("protocol.query.deadline_exceeded").value();
+  const std::uint64_t qid =
+      proxy.begin_query(dist.products[2], ProductQuality::kGood);
+  EXPECT_EQ(proxy.active_sessions(), 1u);
+  proxy.pump();
+  EXPECT_EQ(proxy.active_sessions(), 0u);
+  EXPECT_EQ(obs::metric("protocol.query.deadline_exceeded").value(),
+            deadlines_before + 1);
+  const QueryOutcome* outcome = proxy.outcome(qid);
+  ASSERT_NE(outcome, nullptr);
+  EXPECT_TRUE(outcome->has_violation("v0", ViolationType::kNoResponse));
 }
 
 TEST(ProxyEdgeTest, LedgerDefaultsToZero) {
