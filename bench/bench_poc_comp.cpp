@@ -4,8 +4,15 @@
 //   * ownership proof generation   (grows with q and h)
 //   * ownership proof verification (grows with h only)
 //   * non-ownership proof generation / verification ("similar" per the
-//     paper — included for completeness)
+//     paper — included for completeness). Generation proves a fresh absent
+//     id per iteration, so it pays for the fabricated soft nodes;
+//     NOwnProofGenRepeat times the memoized replay of one absent id.
 //   * POC aggregation (extension: the distribution-phase commit cost)
+//
+// The proof cases take a third argument: the prover / verifier thread
+// count (EdbProverOptions / EdbVerifyOptions::threads). The threads = 1
+// rows are the paper-figure anchors; the default_threads() rows show the
+// per-proof fan-out.
 //
 // Expected shape (paper): generation is far more expensive than
 // verification, generation increases with both q and h, verification only
@@ -14,6 +21,7 @@
 
 #include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "bench_util.h"
@@ -33,13 +41,16 @@ struct PocFixture {
   Bytes ghost_id;
   Bytes own_proof;
   Bytes nown_proof;
+  std::uint64_t next_ghost = 0;  // serial of the next never-proven id
 };
 
-PocFixture& fixture_for(std::uint32_t q, std::uint32_t h) {
-  static std::map<std::pair<std::uint32_t, std::uint32_t>,
+/// One fixture per (q, h, threads): `threads` sizes both the prover's and
+/// the verifier's per-proof fan-out.
+PocFixture& fixture_for(std::uint32_t q, std::uint32_t h, unsigned threads) {
+  static std::map<std::tuple<std::uint32_t, std::uint32_t, unsigned>,
                   std::unique_ptr<PocFixture>>
       cache;
-  const auto key = std::make_pair(q, h);
+  const auto key = std::make_tuple(q, h, threads);
   auto it = cache.find(key);
   if (it == cache.end()) {
     auto fx = std::make_unique<PocFixture>();
@@ -47,12 +58,16 @@ PocFixture& fixture_for(std::uint32_t q, std::uint32_t h) {
     fx->crs->qtmc().precompute_soft_bases();
     fx->crs->qtmc().precompute_fixed_bases();
     fx->crs->tmc().precompute_fixed_bases();
-    fx->scheme = std::make_unique<poc::PocScheme>(fx->crs);
+    zkedb::EdbVerifyOptions verify_opts;
+    verify_opts.threads = threads;
+    fx->scheme = std::make_unique<poc::PocScheme>(fx->crs, verify_opts);
     std::map<Bytes, Bytes> traces;
     for (std::uint64_t i = 0; i < 4; ++i) {
       traces[supplychain::make_epc(1, 1, i)] = bytes_of("production-data");
     }
-    auto [p, dpoc] = fx->scheme->aggregate("v1", traces);
+    zkedb::EdbProverOptions prover_opts;
+    prover_opts.threads = threads;
+    auto [p, dpoc] = fx->scheme->aggregate("v1", traces, prover_opts);
     fx->poc = p;
     fx->dpoc = std::move(dpoc);
     fx->owned_id = supplychain::make_epc(1, 1, 0);
@@ -64,9 +79,15 @@ PocFixture& fixture_for(std::uint32_t q, std::uint32_t h) {
   return *it->second;
 }
 
+/// Fixture of a proof case: Args {q, h, threads}.
+PocFixture& proof_fixture(const benchmark::State& state) {
+  return fixture_for(static_cast<std::uint32_t>(state.range(0)),
+                     static_cast<std::uint32_t>(state.range(1)),
+                     static_cast<unsigned>(state.range(2)));
+}
+
 void BM_OwnProofGen(benchmark::State& state) {
-  PocFixture& fx = fixture_for(static_cast<std::uint32_t>(state.range(0)),
-                               static_cast<std::uint32_t>(state.range(1)));
+  PocFixture& fx = proof_fixture(state);
   for (auto _ : state) {
     auto proof = fx.scheme->prove(*fx.dpoc, fx.owned_id);
     benchmark::DoNotOptimize(proof.zk_proof);
@@ -74,8 +95,7 @@ void BM_OwnProofGen(benchmark::State& state) {
 }
 
 void BM_OwnProofVerify(benchmark::State& state) {
-  PocFixture& fx = fixture_for(static_cast<std::uint32_t>(state.range(0)),
-                               static_cast<std::uint32_t>(state.range(1)));
+  PocFixture& fx = proof_fixture(state);
   const poc::PocProof proof = poc::PocProof::deserialize(fx.own_proof);
   for (auto _ : state) {
     auto result = fx.scheme->verify(fx.poc, fx.owned_id, proof);
@@ -87,17 +107,29 @@ void BM_OwnProofVerify(benchmark::State& state) {
 }
 
 void BM_NOwnProofGen(benchmark::State& state) {
-  PocFixture& fx = fixture_for(static_cast<std::uint32_t>(state.range(0)),
-                               static_cast<std::uint32_t>(state.range(1)));
+  PocFixture& fx = proof_fixture(state);
   for (auto _ : state) {
+    // A never-proven id: the proof fabricates its soft nodes in situ.
+    state.PauseTiming();
+    const Bytes ghost = supplychain::make_epc(9, 10, fx.next_ghost++);
+    state.ResumeTiming();
+    auto proof = fx.scheme->prove(*fx.dpoc, ghost);
+    benchmark::DoNotOptimize(proof.zk_proof);
+  }
+}
+
+void BM_NOwnProofGenRepeat(benchmark::State& state) {
+  PocFixture& fx = proof_fixture(state);
+  for (auto _ : state) {
+    // The fixture already proved ghost_id: this replays the memoized
+    // fabrication (hard teases of committed nodes are recomputed).
     auto proof = fx.scheme->prove(*fx.dpoc, fx.ghost_id);
     benchmark::DoNotOptimize(proof.zk_proof);
   }
 }
 
 void BM_NOwnProofVerify(benchmark::State& state) {
-  PocFixture& fx = fixture_for(static_cast<std::uint32_t>(state.range(0)),
-                               static_cast<std::uint32_t>(state.range(1)));
+  PocFixture& fx = proof_fixture(state);
   const poc::PocProof proof = poc::PocProof::deserialize(fx.nown_proof);
   for (auto _ : state) {
     auto result = fx.scheme->verify(fx.poc, fx.ghost_id, proof);
@@ -110,7 +142,7 @@ void BM_NOwnProofVerify(benchmark::State& state) {
 
 void BM_PocAggregate(benchmark::State& state) {
   PocFixture& fx = fixture_for(static_cast<std::uint32_t>(state.range(0)),
-                               static_cast<std::uint32_t>(state.range(1)));
+                               static_cast<std::uint32_t>(state.range(1)), 1);
   std::map<Bytes, Bytes> traces;
   for (std::uint64_t i = 0; i < 4; ++i) {
     traces[supplychain::make_epc(1, 1, i)] = bytes_of("production-data");
@@ -126,7 +158,7 @@ void BM_PocAggregate(benchmark::State& state) {
 // baseline).
 void BM_PocAggregateThreads(benchmark::State& state) {
   PocFixture& fx = fixture_for(static_cast<std::uint32_t>(state.range(0)),
-                               static_cast<std::uint32_t>(state.range(1)));
+                               static_cast<std::uint32_t>(state.range(1)), 1);
   zkedb::EdbProverOptions opts;
   opts.threads = static_cast<unsigned>(state.range(2));
   std::map<Bytes, Bytes> traces;
@@ -140,24 +172,32 @@ void BM_PocAggregateThreads(benchmark::State& state) {
 }
 
 void register_all() {
+  // threads = 1 rows are the paper-figure anchors.
+  std::vector<long> proof_threads{1};
+  const long hw = static_cast<long>(ThreadPool::default_threads());
+  if (hw > 1) proof_threads.push_back(hw);
   for (const auto& [q, h] : desword::benchutil::qh_sweep()) {
-    const auto add = [q = q, h = h](const char* name, auto* fn,
-                                    int iterations) {
+    const auto add = [](const char* name, auto* fn, int iterations,
+                        const std::vector<std::int64_t>& args) {
       benchmark::RegisterBenchmark(name, fn)
-          ->Args({static_cast<long>(q), static_cast<long>(h)})
+          ->Args(args)
           ->Unit(benchmark::kMillisecond)
           ->Iterations(iterations);
     };
-    add("Fig5/OwnProofGen", BM_OwnProofGen, 5);
-    add("Fig5/OwnProofVerify", BM_OwnProofVerify, 20);
-    add("Fig5/NOwnProofGen", BM_NOwnProofGen, 5);
-    add("Fig5/NOwnProofVerify", BM_NOwnProofVerify, 20);
-    add("Ext/PocAggregate", BM_PocAggregate, 3);
+    const long ql = static_cast<long>(q);
+    const long hl = static_cast<long>(h);
+    for (const long t : proof_threads) {
+      add("Fig5/OwnProofGen", BM_OwnProofGen, 5, {ql, hl, t});
+      add("Fig5/OwnProofVerify", BM_OwnProofVerify, 20, {ql, hl, t});
+      add("Fig5/NOwnProofGen", BM_NOwnProofGen, 5, {ql, hl, t});
+      add("Fig5/NOwnProofGenRepeat", BM_NOwnProofGenRepeat, 5, {ql, hl, t});
+      add("Fig5/NOwnProofVerify", BM_NOwnProofVerify, 20, {ql, hl, t});
+    }
+    add("Ext/PocAggregate", BM_PocAggregate, 3, {ql, hl});
   }
   // Thread sweep on one representative configuration.
   const auto [q, h] = desword::benchutil::qh_sweep().front();
   std::vector<long> thread_counts{1, 4};
-  const long hw = static_cast<long>(ThreadPool::default_threads());
   if (hw > 4) thread_counts.push_back(hw);
   for (const long t : thread_counts) {
     benchmark::RegisterBenchmark("Ext/PocAggregateThreads",

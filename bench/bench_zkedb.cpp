@@ -42,13 +42,21 @@ std::map<Bytes, Bytes> entries_of(const EdbCrs& crs, std::size_t n) {
   return entries;
 }
 
-EdbProver& prover_for(std::size_t n) {
-  static std::map<std::size_t, std::unique_ptr<EdbProver>> cache;
-  auto it = cache.find(n);
+/// Prover over n entries; `threads` is its EdbProverOptions::threads
+/// (0 = default), which also sizes each proof's per-level fan-out.
+EdbProver& prover_for(std::size_t n, unsigned threads = 0) {
+  static std::map<std::pair<std::size_t, unsigned>, std::unique_ptr<EdbProver>>
+      cache;
+  const auto key = std::make_pair(n, threads);
+  auto it = cache.find(key);
   if (it == cache.end()) {
     const EdbCrsPtr crs = bench_crs();
     crs->qtmc().precompute_soft_bases();
-    it = cache.emplace(n, std::make_unique<EdbProver>(crs, entries_of(*crs, n)))
+    EdbProverOptions opts;
+    opts.threads = threads;
+    it = cache
+             .emplace(key, std::make_unique<EdbProver>(
+                               crs, entries_of(*crs, n), opts))
              .first;
   }
   return *it->second;
@@ -101,7 +109,8 @@ void BM_BatchVerify(benchmark::State& state) {
 }
 
 void BM_ProveMember(benchmark::State& state) {
-  EdbProver& prover = prover_for(static_cast<std::size_t>(state.range(0)));
+  EdbProver& prover = prover_for(static_cast<std::size_t>(state.range(0)),
+                                 static_cast<unsigned>(state.range(1)));
   const EdbKey key = key_for_identifier(prover.crs(), be64(0));
   for (auto _ : state) {
     auto proof = prover.prove_membership(key);
@@ -117,9 +126,11 @@ void BM_VerifyMember(benchmark::State& state) {
   EdbProver& prover = prover_for(static_cast<std::size_t>(state.range(0)));
   const EdbKey key = key_for_identifier(prover.crs(), be64(0));
   const auto proof = prover.prove_membership(key);
+  EdbVerifyOptions opts;
+  opts.threads = static_cast<unsigned>(state.range(1));
   for (auto _ : state) {
-    auto value =
-        edb_verify_membership(prover.crs(), prover.commitment(), key, proof);
+    auto value = edb_verify_membership(prover.crs(), prover.commitment(), key,
+                                       proof, opts);
     if (!value.has_value()) {
       state.SkipWithError("verification failed");
       return;
@@ -181,6 +192,8 @@ void register_all() {
   std::vector<long> thread_counts{1, 4};
   const long hw = static_cast<long>(ThreadPool::default_threads());
   if (hw > 4) thread_counts.push_back(hw);
+  std::vector<long> proof_threads{1};
+  if (hw > 1) proof_threads.push_back(hw);
   for (const long n : sizes) {
     for (const long t : thread_counts) {
       benchmark::RegisterBenchmark("ZkEdb/Commit", BM_Commit)
@@ -188,14 +201,17 @@ void register_all() {
           ->Unit(benchmark::kMillisecond)
           ->Iterations(2);
     }
-    benchmark::RegisterBenchmark("ZkEdb/ProveMember", BM_ProveMember)
-        ->Arg(n)
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(5);
-    benchmark::RegisterBenchmark("ZkEdb/VerifyMember", BM_VerifyMember)
-        ->Arg(n)
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(10);
+    // Per-proof fan-out: threads = 1 is the sequential anchor.
+    for (const long t : proof_threads) {
+      benchmark::RegisterBenchmark("ZkEdb/ProveMember", BM_ProveMember)
+          ->Args({n, t})
+          ->Unit(benchmark::kMillisecond)
+          ->Iterations(5);
+      benchmark::RegisterBenchmark("ZkEdb/VerifyMember", BM_VerifyMember)
+          ->Args({n, t})
+          ->Unit(benchmark::kMillisecond)
+          ->Iterations(10);
+    }
     benchmark::RegisterBenchmark("ZkEdb/IncrementalInsert",
                                  BM_IncrementalInsert)
         ->Arg(n)

@@ -177,4 +177,9 @@ ThreadPool& ThreadPool::with_threads(unsigned threads) {
   return *it->second;
 }
 
+ThreadPool* ThreadPool::for_threads(unsigned threads) {
+  if (threads == 0) threads = default_threads();
+  return threads > 1 ? &with_threads(threads) : nullptr;
+}
+
 }  // namespace desword

@@ -76,6 +76,10 @@ class ThreadPool {
   /// (threads >= 1). Pools are cached per count and shared by all callers.
   static ThreadPool& with_threads(unsigned threads);
 
+  /// The pool an options `threads` knob selects: 0 resolves to
+  /// default_threads(); null when that resolves to 1 (run sequentially).
+  static ThreadPool* for_threads(unsigned threads);
+
  private:
   // Every Batch field is guarded by the owning pool's mu_ — a relationship
   // the capability annotations cannot express on a free-standing struct

@@ -2,6 +2,7 @@
 
 #include <openssl/err.h>
 
+#include <memory>
 #include <utility>
 
 #include "common/error.h"
@@ -12,9 +13,11 @@ namespace {
 
 /// Thread-local scratch context shared by all Bignum operations.
 BN_CTX* ctx() {
-  thread_local BN_CTX* c = BN_CTX_new();
+  // Owned, so a thread that exits (a local ThreadPool's worker) frees it.
+  thread_local const std::unique_ptr<BN_CTX, decltype(&BN_CTX_free)> c(
+      BN_CTX_new(), &BN_CTX_free);
   if (c == nullptr) throw CryptoError("BN_CTX_new failed");
-  return c;
+  return c.get();
 }
 
 [[noreturn]] void fail(const char* op) {

@@ -1,8 +1,10 @@
 #include "crypto/modexp.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace desword {
@@ -28,9 +30,11 @@ obs::Counter& multi_exp_calls() {
 }
 
 BN_CTX* scratch() {
-  thread_local BN_CTX* c = BN_CTX_new();
+  // Owned, so a thread that exits (a local ThreadPool's worker) frees it.
+  thread_local const std::unique_ptr<BN_CTX, decltype(&BN_CTX_free)> c(
+      BN_CTX_new(), &BN_CTX_free);
   if (c == nullptr) throw CryptoError("BN_CTX_new failed");
-  return c;
+  return c.get();
 }
 
 }  // namespace
@@ -194,7 +198,8 @@ double pippenger_cost(std::size_t n, int bits, int w) {
 
 }  // namespace
 
-Bignum ModExpContext::multi_exp(const std::vector<ExpTerm>& terms) const {
+Bignum ModExpContext::multi_exp(const std::vector<ExpTerm>& terms,
+                                ThreadPool* pool) const {
   std::vector<const ExpTerm*> live;
   live.reserve(terms.size());
   int max_bits = 0;
@@ -210,30 +215,75 @@ Bignum ModExpContext::multi_exp(const std::vector<ExpTerm>& terms) const {
   if (live.size() == 1) return exp(live[0]->base, live[0]->exponent);
   multi_exp_calls().add();
 
+  // Below kMinChunkTerms terms per chunk the duplicated squaring chains
+  // and table set-ups outweigh the parallel speedup.
+  constexpr std::size_t kMinChunkTerms = 8;
+  const std::size_t chunks =
+      pool == nullptr
+          ? 1
+          : std::min<std::size_t>(pool->concurrency(),
+                                  live.size() / kMinChunkTerms);
+  if (chunks <= 1) return multi_exp_live(live, max_bits);
+
+  // Widest exponents first, so each chunk's squaring chain serves terms of
+  // similar width; cut where the running bit total crosses the next
+  // multiple of total / chunks.
+  std::stable_sort(live.begin(), live.end(),
+                   [](const ExpTerm* a, const ExpTerm* b) {
+                     return a->exponent.bits() > b->exponent.bits();
+                   });
+  std::uint64_t total_bits = 0;
+  for (const ExpTerm* t : live) {
+    total_bits += static_cast<std::uint64_t>(t->exponent.bits());
+  }
+  std::vector<std::size_t> cut{0};
+  std::uint64_t running = 0;
+  for (std::size_t i = 0; i + 1 < live.size() && cut.size() < chunks; ++i) {
+    running += static_cast<std::uint64_t>(live[i]->exponent.bits());
+    if (running * chunks >= total_bits * cut.size()) cut.push_back(i + 1);
+  }
+  cut.push_back(live.size());
+
+  std::vector<Bignum> partial(cut.size() - 1);
+  parallel_for(pool, partial.size(), [&](std::size_t c) {
+    const std::vector<const ExpTerm*> part(
+        live.begin() + static_cast<std::ptrdiff_t>(cut[c]),
+        live.begin() + static_cast<std::ptrdiff_t>(cut[c + 1]));
+    partial[c] = multi_exp_live(part, part.front()->exponent.bits());
+  });
+  Bignum out = std::move(partial[0]);
+  for (std::size_t c = 1; c < partial.size(); ++c) {
+    out = Bignum::mod_mul(out, partial[c], modulus_);
+  }
+  return out;
+}
+
+Bignum ModExpContext::multi_exp_live(const std::vector<const ExpTerm*>& terms,
+                                     int max_bits) const {
   // Pick the algorithm/window pair with the lowest estimated multiplication
   // count. Straus windows are capped at 8 (table memory is n·2^w residues);
   // Pippenger buckets at 12 (2^w residues, amortized over many bases).
-  double best_cost = straus_cost(live.size(), max_bits, 1);
+  double best_cost = straus_cost(terms.size(), max_bits, 1);
   bool use_pippenger = false;
   int best_w = 1;
   for (int w = 1; w <= 12; ++w) {
     if (w <= 8) {
-      const double c = straus_cost(live.size(), max_bits, w);
+      const double c = straus_cost(terms.size(), max_bits, w);
       if (c < best_cost) {
         best_cost = c;
         best_w = w;
         use_pippenger = false;
       }
     }
-    const double c = pippenger_cost(live.size(), max_bits, w);
+    const double c = pippenger_cost(terms.size(), max_bits, w);
     if (c < best_cost) {
       best_cost = c;
       best_w = w;
       use_pippenger = true;
     }
   }
-  return use_pippenger ? multi_exp_pippenger(live, max_bits, best_w)
-                       : multi_exp_straus(live, max_bits, best_w);
+  return use_pippenger ? multi_exp_pippenger(terms, max_bits, best_w)
+                       : multi_exp_straus(terms, max_bits, best_w);
 }
 
 Bignum ModExpContext::multi_exp_straus(const std::vector<const ExpTerm*>& terms,

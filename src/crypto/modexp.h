@@ -24,7 +24,8 @@
 // small batches (per-base window tables), Pippenger bucket aggregation for
 // large ones (per-window digit buckets, no per-base tables). The crossover
 // is picked from a multiplication-count model over the batch size and the
-// widest exponent.
+// widest exponent. Given a thread pool, a large product is split into
+// chunks evaluated concurrently (see multi_exp).
 #pragma once
 
 #include <openssl/bn.h>
@@ -34,6 +35,8 @@
 #include "crypto/bignum.h"
 
 namespace desword {
+
+class ThreadPool;
 
 class ModExpContext {
  public:
@@ -102,9 +105,21 @@ class ModExpContext {
   /// chain across all bases. Zero exponents contribute 1 and are skipped;
   /// an empty (or all-zero-exponent) product returns 1. Negative exponents
   /// throw CryptoError.
-  Bignum multi_exp(const std::vector<ExpTerm>& terms) const;
+  ///
+  /// With a `pool` of concurrency > 1, a product of enough terms is split
+  /// into up to pool->concurrency() chunks evaluated on the pool, and the
+  /// partial products are multiplied mod the modulus — the same residue.
+  /// Terms are sorted by exponent width and cut into contiguous chunks of
+  /// equal total exponent bits, so each chunk's squaring chain serves terms
+  /// of similar width. Either way the call counts as ONE multi-exp.
+  Bignum multi_exp(const std::vector<ExpTerm>& terms,
+                   ThreadPool* pool = nullptr) const;
 
  private:
+  /// Evaluates the product of `terms` (non-empty, non-zero exponents of at
+  /// most `max_bits` bits) with the cheaper of Straus and Pippenger.
+  Bignum multi_exp_live(const std::vector<const ExpTerm*>& terms,
+                        int max_bits) const;
   Bignum multi_exp_straus(const std::vector<const ExpTerm*>& terms,
                           int max_bits, int window) const;
   Bignum multi_exp_pippenger(const std::vector<const ExpTerm*>& terms,

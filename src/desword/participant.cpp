@@ -537,7 +537,12 @@ const Participant::ProofContext* Participant::context_for(
 
 poc::PocProof Participant::prove_poc(const ProofContext& ctx,
                                      const supplychain::ProductId& product) {
-  if (!proof_memo_enabled_) {
+  // Non-ownership proofs bypass the memo: EdbProver already memoizes their
+  // costly part (fabricated soft nodes and their teases), and the rest —
+  // hard teases of committed nodes, the leaf's soft tease — is
+  // deterministic, so a repeat recomputes the identical bytes cheaply
+  // without a second ~proof-sized copy here.
+  if (!proof_memo_enabled_ || !ctx.dpoc->owns(product)) {
     stats_.proofs_generated += 1;
     return ctx.scheme->prove(*ctx.dpoc, product);
   }

@@ -136,13 +136,13 @@ class Participant {
   std::size_t reply_cache_capacity() const { return reply_cache_capacity_; }
   std::size_t reply_cache_size() const { return reply_cache_.size(); }
 
-  /// Toggles the proof memo (on by default): repeated proofs of the same
-  /// (commitment, product) statement are served from memory instead of
-  /// re-running ZK-EDB proof generation. Sound because proofs are
-  /// re-derivations of committed state — the memoized bytes are exactly
-  /// what a recompute would produce (and for randomized non-ownership
-  /// teases, a replayed valid proof of the same statement). Must be set
-  /// before query traffic arrives, like `set_executor`.
+  /// Toggles the proof memo (on by default): repeated ownership proofs of
+  /// the same (commitment, product) statement are served from memory
+  /// instead of re-running ZK-EDB proof generation. Sound because proofs
+  /// are re-derivations of committed state — the memoized bytes are
+  /// exactly what a recompute would produce. Non-ownership proofs are not
+  /// memoized here (see prove_poc). Must be set before query traffic
+  /// arrives, like `set_executor`.
   void set_proof_memo(bool enabled) { proof_memo_enabled_ = enabled; }
   bool proof_memo_enabled() const { return proof_memo_enabled_; }
   std::size_t proof_memo_size() const {
@@ -235,9 +235,11 @@ class Participant {
   Bytes make_ownership_proof(const ProofContext& ctx,
                              const supplychain::ProductId& product);
   /// The one gateway to `PocScheme::prove`: consults the proof memo first
-  /// (POC proofs are deterministic — openings reveal stored randomness —
-  /// so a repeat of the same (commitment, product) statement re-serves the
-  /// identical bytes instead of re-running the heavyweight ZK-EDB work).
+  /// for ownership proofs (deterministic — openings reveal stored
+  /// randomness — so a repeat of the same (commitment, product) statement
+  /// re-serves the identical bytes instead of re-running the heavyweight
+  /// ZK-EDB work). Non-ownership proofs are always recomputed: the prover's
+  /// own fabrication memo makes a repeat cheap and byte-identical.
   /// Behaviour deviations (tampering, relabelling, corruption) apply on
   /// the returned copy at the call sites, never to the memoized honest
   /// proof. Safe from strand workers; `stats_.proofs_generated` counts
@@ -305,9 +307,9 @@ class Participant {
   std::size_t reply_cache_capacity_ = 128;
   int max_distribution_retries_ = 32;
   /// Proof memo: digest(commitment ‖ product) -> serialized honest
-  /// PocProof. Shared between strand workers and the loop thread (size
-  /// queries), hence the lock; proving dominates it by orders of
-  /// magnitude. Bounded by wholesale clearing at the cap — a participant
+  /// ownership PocProof. Shared between strand workers and the loop
+  /// thread (size queries), hence the lock; proving dominates it by orders
+  /// of magnitude. Bounded by wholesale clearing at the cap — a participant
   /// serves a handful of commitments × products, so the cap only guards
   /// against pathological query streams.
   bool proof_memo_enabled_ = true;

@@ -166,7 +166,8 @@ void BatchVerifier::derive_multipliers(std::vector<Bignum>& rsa_r,
 }
 
 bool BatchVerifier::fold_rsa(const std::vector<std::size_t>& unit_idxs,
-                             const std::vector<Bignum>& rsa_r) const {
+                             const std::vector<Bignum>& rsa_r,
+                             ThreadPool* pool) const {
   // Aggregated coprimality check: emission only canonical-form-checks the
   // proof-supplied elements; the gcd(x, N) = 1 requirement of the scalar
   // verifiers is enforced here with ONE gcd over the product of every
@@ -223,9 +224,11 @@ bool BatchVerifier::fold_rsa(const std::vector<std::size_t>& unit_idxs,
   // small-exponent batching is UNSOUND — the publicly known order-2
   // element −1 gives a sign-flip defect (−1)^{r_i} that cancels for every
   // even multiplier — while in the quotient −1 is the identity and no
-  // other low-order element is computable without factoring N.
-  return qtmc_->canonical(mexp.multi_exp(lhs_terms)) ==
-         qtmc_->canonical(mexp.multi_exp(rhs_terms));
+  // other low-order element is computable without factoring N. Chunked
+  // evaluation over `pool` multiplies partial products mod N, yielding the
+  // same residue, so the compare — and its soundness — is unchanged.
+  return qtmc_->canonical(mexp.multi_exp(lhs_terms, pool)) ==
+         qtmc_->canonical(mexp.multi_exp(rhs_terms, pool));
 }
 
 bool BatchVerifier::fold_ec(const std::vector<std::size_t>& unit_idxs,
@@ -274,9 +277,10 @@ bool BatchVerifier::fold_ec(const std::vector<std::size_t>& unit_idxs,
 
 bool BatchVerifier::fold(const std::vector<std::size_t>& unit_idxs,
                          const std::vector<Bignum>& rsa_r,
-                         const std::vector<Bignum>& ec_r) const {
+                         const std::vector<Bignum>& ec_r,
+                         ThreadPool* pool) const {
   fold_count().add();
-  return fold_rsa(unit_idxs, rsa_r) && fold_ec(unit_idxs, ec_r);
+  return fold_rsa(unit_idxs, rsa_r, pool) && fold_ec(unit_idxs, ec_r);
 }
 
 bool BatchVerifier::scalar_unit(std::size_t unit) const {
@@ -297,7 +301,7 @@ bool BatchVerifier::scalar_unit(std::size_t unit) const {
   }
 }
 
-BatchVerifier::Result BatchVerifier::verify() const {
+BatchVerifier::Result BatchVerifier::verify(ThreadPool* pool) const {
   Result res;
   res.unit_ok.assign(units_.size(), false);
   std::vector<std::size_t> live;
@@ -314,7 +318,7 @@ BatchVerifier::Result BatchVerifier::verify() const {
   const std::function<void(const std::vector<std::size_t>&)> settle =
       [&](const std::vector<std::size_t>& idxs) {
         if (idxs.empty()) return;
-        if (fold(idxs, rsa_r, ec_r)) {
+        if (fold(idxs, rsa_r, ec_r, pool)) {
           for (std::size_t u : idxs) res.unit_ok[u] = true;
           return;
         }

@@ -14,7 +14,10 @@
 // hard opening, S_i at position i, the commitment elements — merge, so the
 // whole batch costs one multi-exponentiation (crypto/modexp.h Pippenger /
 // Straus, Group::multi_exp) instead of 3–4 full exponentiations per
-// opening.
+// opening. Given a thread pool, each side of the RSA fold is evaluated as
+// concurrent multi-exponentiation chunks (ModExpContext::multi_exp) whose
+// partial products multiply to the same group element, so chunking changes
+// wall time only — never a fold's outcome.
 //
 // Multipliers are derived deterministically from a transcript hash of all
 // accumulated equations (Fiat–Shamir style), so verification stays
@@ -41,6 +44,10 @@
 #include "mercurial/equation.h"
 #include "mercurial/qtmc.h"
 #include "mercurial/tmc.h"
+
+namespace desword {
+class ThreadPool;
+}
 
 namespace desword::mercurial {
 
@@ -83,8 +90,10 @@ class BatchVerifier {
 
   /// Folds and checks everything accumulated so far. On fold failure,
   /// bisects to per-unit verdicts (scalar-exact at the leaves). Idempotent:
-  /// multipliers are transcript-derived, so repeated calls agree.
-  Result verify() const;
+  /// multipliers are transcript-derived, so repeated calls agree. `pool`
+  /// (null = this thread) evaluates each RSA fold in chunks; verdicts and
+  /// bisection steps are the same with or without it.
+  Result verify(ThreadPool* pool = nullptr) const;
 
  private:
   struct UnitRange {
@@ -94,10 +103,10 @@ class BatchVerifier {
   };
 
   bool fold(const std::vector<std::size_t>& unit_idxs,
-            const std::vector<Bignum>& rsa_r,
-            const std::vector<Bignum>& ec_r) const;
+            const std::vector<Bignum>& rsa_r, const std::vector<Bignum>& ec_r,
+            ThreadPool* pool) const;
   bool fold_rsa(const std::vector<std::size_t>& unit_idxs,
-                const std::vector<Bignum>& rsa_r) const;
+                const std::vector<Bignum>& rsa_r, ThreadPool* pool) const;
   bool fold_ec(const std::vector<std::size_t>& unit_idxs,
                const std::vector<Bignum>& ec_r) const;
   bool scalar_unit(std::size_t unit) const;

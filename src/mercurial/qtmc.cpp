@@ -336,8 +336,13 @@ std::pair<QtmcCommitment, QtmcSoftDecommit> QtmcScheme::soft_commit(
   while (!Bignum::gcd(r1, prod_all_.mod(r1)).is_one()) {
     r1 = rng.rand_bits(kRandomizerBits);
   }
-  QtmcCommitment com{canonical(pow_g(r0)), canonical(pow_g(r1))};
-  return {std::move(com), QtmcSoftDecommit{std::move(r0), std::move(r1)}};
+  QtmcSoftDecommit dec{std::move(r0), std::move(r1)};
+  QtmcCommitment com = soft_commitment(dec);
+  return {std::move(com), std::move(dec)};
+}
+
+QtmcCommitment QtmcScheme::soft_commitment(const QtmcSoftDecommit& dec) const {
+  return QtmcCommitment{canonical(pow_g(dec.r0)), canonical(pow_g(dec.r1))};
 }
 
 const Bignum& QtmcScheme::u_base(std::uint32_t pos) const {

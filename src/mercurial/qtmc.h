@@ -146,6 +146,11 @@ class QtmcScheme {
   std::pair<QtmcCommitment, QtmcSoftDecommit> soft_commit(
       RandomSource& rng) const;
 
+  /// The soft commitment (C0, C1) = (g^{r0}, g^{r1}) that `dec` opens: lets
+  /// a holder of many soft decommitments store them without their
+  /// commitments and recompute one on demand (two fixed-base powers).
+  QtmcCommitment soft_commitment(const QtmcSoftDecommit& dec) const;
+
   /// qSOpen of a soft commitment: tease position `pos` to arbitrary `msg`.
   QtmcTease tease_soft(const QtmcSoftDecommit& dec, std::uint32_t pos,
                        BytesView msg) const;

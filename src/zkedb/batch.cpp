@@ -12,15 +12,6 @@
 
 namespace desword::zkedb {
 
-namespace {
-
-ThreadPool* resolve_pool(unsigned threads) {
-  const unsigned t = threads != 0 ? threads : ThreadPool::default_threads();
-  return t > 1 ? &ThreadPool::with_threads(t) : nullptr;
-}
-
-}  // namespace
-
 Bytes EdbBatchMembershipProof::serialize(const EdbCrs& crs) const {
   const Bignum& n = crs.params().qtmc_pk.n;
   BinaryWriter w;
@@ -83,7 +74,7 @@ EdbBatchMembershipProof edb_prove_membership_batch(
   // Opening generation (one qTMC hard_open per edge, one TMC open per
   // leaf) dominates; prove_membership is read-only, so keys fan out.
   std::vector<EdbMembershipProof> singles(unique_keys.size());
-  parallel_for(resolve_pool(threads), unique_keys.size(),
+  parallel_for(ThreadPool::for_threads(threads), unique_keys.size(),
                [&](std::size_t i) {
                  singles[i] = prover.prove_membership(unique_keys[i]);
                });
@@ -177,16 +168,15 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
     // only flip the flag, so order does not matter; remaining checks keep
     // running but the batch is rejected as a whole (all-or-nothing).
     std::atomic<bool> ok{true};
-    ThreadPool* pool = resolve_pool(opts.threads);
+    ThreadPool* pool = ThreadPool::for_threads(opts.threads);
     // Contiguous shards so the batched strategy can fold a whole shard
     // into one multi-exponentiation per worker.
-    const unsigned t =
-        opts.threads != 0 ? opts.threads : ThreadPool::default_threads();
     const auto run_sharded = [&](std::size_t count, auto&& shard_fn) {
       const std::size_t shards =
-          pool == nullptr
-              ? 1
-              : std::max<std::size_t>(1, std::min<std::size_t>(t, count));
+          pool == nullptr ? 1
+                          : std::max<std::size_t>(
+                                1, std::min<std::size_t>(pool->concurrency(),
+                                                         count));
       parallel_for(pool, count == 0 ? 0 : shards, [&](std::size_t s) {
         const std::size_t begin = count * s / shards;
         const std::size_t end = count * (s + 1) / shards;

@@ -10,7 +10,9 @@ namespace desword::zkedb {
 namespace {
 
 constexpr std::uint32_t kStateMagic = 0x44504f43;  // "DPOC"
-constexpr std::uint8_t kStateVersion = 1;
+// Version 2 adds soft-node tag 2 (a fabricated inner node stored without
+// its derivable commitment); version 1 blobs still load.
+constexpr std::uint8_t kStateVersion = 2;
 
 void write_scalar(BinaryWriter& w, const Bignum& v) { w.bytes(v.to_bytes()); }
 
@@ -64,8 +66,8 @@ Bytes EdbProver::serialize_state() const {
   w.varint(soft_nodes_.size());
   for (const SoftNode& node : soft_nodes_) {
     if (const auto* inner = std::get_if<SoftInner>(&node)) {
-      w.u8(0);
-      w.bytes(inner->com.serialize(n));
+      w.u8(inner->com ? 0 : 2);
+      if (inner->com) w.bytes(inner->com->serialize(n));
       write_scalar(w, inner->dec.r0);
       write_scalar(w, inner->dec.r1);
       w.varint(inner->teases.size());
@@ -94,7 +96,8 @@ EdbProver EdbProver::load(EdbCrsPtr crs, BytesView state) {
   if (r.u32() != kStateMagic) {
     throw SerializationError("not a DPOC state blob");
   }
-  if (r.u8() != kStateVersion) {
+  const std::uint8_t version = r.u8();
+  if (version != 1 && version != kStateVersion) {
     throw SerializationError("unsupported DPOC state version");
   }
 
@@ -146,9 +149,11 @@ EdbProver EdbProver::load(EdbCrsPtr crs, BytesView state) {
   const std::uint64_t n_soft = r.varint();
   for (std::uint64_t i = 0; i < n_soft; ++i) {
     const std::uint8_t tag = r.u8();
-    if (tag == 0) {
+    if (tag == 0 || (tag == 2 && version >= 2)) {
       SoftInner inner;
-      inner.com = mercurial::QtmcCommitment::deserialize(n, r.bytes());
+      if (tag == 0) {
+        inner.com = mercurial::QtmcCommitment::deserialize(n, r.bytes());
+      }
       inner.dec.r0 = read_scalar(r);
       inner.dec.r1 = read_scalar(r);
       const std::uint64_t n_teases = r.varint();

@@ -107,31 +107,35 @@ std::optional<Bytes> EdbProver::value_of(const EdbKey& key) const {
   return it->second;
 }
 
-std::pair<std::size_t, Bytes> EdbProver::make_soft_node(std::uint32_t depth,
-                                                        RandomSource& rng) {
+std::pair<EdbProver::SoftNode, Bytes> EdbProver::soft_node(
+    std::uint32_t depth, RandomSource& rng) const {
   if (depth == crs_->height()) {
     auto [com, dec] = crs_->tmc().soft_commit(rng);
     Bytes digest = crs_->digest_leaf(com);
-    MutexLock lock(state_mu_);
-    const std::size_t id = soft_nodes_.size();
-    soft_nodes_.push_back(SoftLeaf{std::move(com), std::move(dec)});
-    return {id, std::move(digest)};
+    return {SoftLeaf{std::move(com), std::move(dec)}, std::move(digest)};
   }
   auto [com, dec] = crs_->qtmc().soft_commit(rng);
   Bytes digest = crs_->digest_inner(com);
-  MutexLock lock(state_mu_);
-  const std::size_t id = soft_nodes_.size();
-  soft_nodes_.push_back(SoftInner{std::move(com), std::move(dec), {}});
-  return {id, std::move(digest)};
+  return {SoftInner{std::move(com), std::move(dec), {}}, std::move(digest)};
 }
 
 Bytes EdbProver::soft_digest(std::size_t id) const {
   DESWORD_DCHECK(id < soft_nodes_.size(), "soft node id out of range");
   const SoftNode& node = soft_nodes_.at(id);
   if (const auto* inner = std::get_if<SoftInner>(&node)) {
-    return crs_->digest_inner(inner->com);
+    // Only backing nodes are digested here; they keep their commitment.
+    return crs_->digest_inner(inner->com.value());
   }
   return crs_->digest_leaf(std::get<SoftLeaf>(node).com);
+}
+
+Bytes EdbProver::soft_commitment_bytes(const SoftNode& node) const {
+  if (const auto* inner = std::get_if<SoftInner>(&node)) {
+    const Bignum& n = crs_->params().qtmc_pk.n;
+    return inner->com ? inner->com->serialize(n)
+                      : crs_->qtmc().soft_commitment(inner->dec).serialize(n);
+  }
+  return std::get<SoftLeaf>(node).com.serialize();
 }
 
 Bytes EdbProver::backing_digest(const std::string& prefix,
@@ -153,9 +157,10 @@ Bytes EdbProver::backing_digest(const std::string& prefix,
   if (opts_.seed) drbg.emplace(node_seed('s', backing_key));
   RandomSource& rng =
       drbg ? static_cast<RandomSource&>(*drbg) : system_random();
-  auto [id, digest] = make_soft_node(depth + 1, rng);
+  auto [node, digest] = soft_node(depth + 1, rng);
   MutexLock lock(state_mu_);
-  soft_backing_.emplace(backing_key, id);
+  soft_backing_.emplace(backing_key, soft_nodes_.size());
+  soft_nodes_.push_back(std::move(node));
   return digest;
 }
 
@@ -242,13 +247,16 @@ EdbMembershipProof EdbProver::prove_membership(const EdbKey& key) const {
   const std::uint32_t h = crs_->height();
   const Bignum& n = crs_->params().qtmc_pk.n;
 
+  // Walk the path first (map lookups only), then compute the h openings
+  // plus the leaf opening — independent given the committed tree — into
+  // their slots over the pool.
+  std::vector<const mercurial::QtmcHardDecommit*> decs(h);
   EdbMembershipProof proof;
-  proof.openings.reserve(h);
+  proof.openings.resize(h);
   proof.child_commitments.reserve(h);
   std::string prefix;
   for (std::uint32_t d = 0; d < h; ++d) {
-    const InnerNode& node = inner_.at(prefix);
-    proof.openings.push_back(crs_->qtmc().hard_open(node.dec, digits[d]));
+    decs[d] = &inner_.at(prefix).dec;
     prefix = child_prefix(prefix, digits[d]);
     if (d + 1 < h) {
       proof.child_commitments.push_back(inner_.at(prefix).com.serialize(n));
@@ -257,7 +265,15 @@ EdbMembershipProof EdbProver::prove_membership(const EdbKey& key) const {
     }
   }
   const LeafNode& leaf = leaves_.at(prefix);
-  proof.leaf_opening = crs_->tmc().hard_open(leaf.dec);
+  parallel_for(ThreadPool::for_threads(opts_.threads), h + 1,
+               [&](std::size_t d) {
+                 if (d == h) {
+                   proof.leaf_opening = crs_->tmc().hard_open(leaf.dec);
+                 } else {
+                   proof.openings[d] =
+                       crs_->qtmc().hard_open(*decs[d], digits[d]);
+                 }
+               });
   proof.value = values_.at(key);
   return proof;
 }
@@ -271,77 +287,119 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
   const std::uint32_t h = crs_->height();
   const Bignum& n = crs_->params().qtmc_pk.n;
 
+  // Every level d gets teases[d] and child_commitments[d] (the node at
+  // depth d+1); the per-level crypto fills its slots in parallel below.
   EdbNonMembershipProof proof;
-  proof.teases.reserve(h);
-  proof.child_commitments.reserve(h);
+  proof.teases.resize(h);
+  proof.child_commitments.resize(h);
 
-  // Phase 1: walk committed trie nodes, teasing to committed digests.
+  // Phase 1: walk committed trie nodes (lookups only; the tease_hard at
+  // each joins the fan-out below) until the path falls off the trie onto a
+  // soft backing node.
+  std::vector<const mercurial::QtmcHardDecommit*> hard;
   std::string prefix;
-  std::uint32_t d = 0;
-  std::optional<std::size_t> soft_id;
-  while (d < h) {
-    const InnerNode& node = inner_.at(prefix);
-    const std::uint32_t digit = digits[d];
-    proof.teases.push_back(crs_->qtmc().tease_hard(node.dec, digit));
-    const std::string next = child_prefix(prefix, digit);
+  std::size_t soft_id = 0;
+  while (true) {
+    hard.push_back(&inner_.at(prefix).dec);
+    const std::uint32_t d = static_cast<std::uint32_t>(prefix.size());
+    const std::string next = child_prefix(prefix, digits[d]);
     const bool child_in_trie =
         (d + 1 < h) ? (inner_.find(next) != inner_.end())
                     : (leaves_.find(next) != leaves_.end());
-    if (child_in_trie) {
-      if (d + 1 == h) {
-        // Walked into a committed leaf — the key is present after all.
-        throw ProtocolError("non-membership walk reached a committed leaf");
-      }
-      proof.child_commitments.push_back(inner_.at(next).com.serialize(n));
-      prefix = next;
-      ++d;
-      continue;
+    if (!child_in_trie) {
+      const std::string backing_key =
+          crs_->params().soft_mode == SoftMode::kShared ? prefix : next;
+      soft_id = soft_backing_.at(backing_key);
+      proof.child_commitments[d] = soft_commitment_bytes(soft_nodes_[soft_id]);
+      break;
     }
-    // Fell off the trie: the committed digest at this position is the soft
-    // backing node's digest.
-    const std::string backing_key =
-        crs_->params().soft_mode == SoftMode::kShared ? prefix : next;
-    soft_id = soft_backing_.at(backing_key);
-    proof.child_commitments.push_back(
-        std::holds_alternative<SoftInner>(soft_nodes_[*soft_id])
-            ? std::get<SoftInner>(soft_nodes_[*soft_id]).com.serialize(n)
-            : std::get<SoftLeaf>(soft_nodes_[*soft_id]).com.serialize());
-    ++d;
-    break;
+    if (d + 1 == h) {
+      // Walked into a committed leaf — the key is present after all.
+      throw ProtocolError("non-membership walk reached a committed leaf");
+    }
+    proof.child_commitments[d] = inner_.at(next).com.serialize(n);
+    prefix = next;
   }
 
-  // Phase 2: fabricate (memoized) soft nodes down to the leaf.
-  while (d < h) {
-    const std::uint32_t digit = digits[d];
-    auto& cur = std::get<SoftInner>(soft_nodes_[*soft_id]);
-    const auto it = cur.teases.find(digit);
-    if (it != cur.teases.end()) {
-      proof.teases.push_back(it->second.first);
-      soft_id = it->second.second;
-    } else {
-      // soft_nodes_ is a deque, so creating the child never invalidates
-      // `cur` (a vector's push_back could reallocate out from under it).
-      std::optional<DrbgRandomSource> drbg;
-      if (opts_.seed) {
-        drbg.emplace(node_seed('f', std::to_string(fabrication_counter_++)));
+  // Phase 2: replay memoized fabrications (soft_id is the soft node at
+  // depth d) until a level has no memoized tease yet. The replayed nodes'
+  // commitments are recomputed in the fan-out.
+  std::vector<std::size_t> replayed;
+  std::uint32_t d = static_cast<std::uint32_t>(hard.size());
+  for (; d < h; ++d) {
+    const auto& cur = std::get<SoftInner>(soft_nodes_[soft_id]);
+    const auto it = cur.teases.find(digits[d]);
+    if (it == cur.teases.end()) break;
+    proof.teases[d] = it->second.first;
+    soft_id = it->second.second;
+    replayed.push_back(soft_id);
+  }
+
+  // Phase 3: fabricate the unmemoized tail [d, h). Level k's tease opens
+  // its parent (the memoized node for k == d, else the node fabricated for
+  // level k−1) to the digest of the node fabricated below it. Seeds are
+  // drawn in level order here and nodes are appended in level order after
+  // the fan-out, so soft-node ids, the memo and serialize_state() never
+  // depend on scheduling.
+  const std::size_t first_replayed = hard.size();
+  const std::uint32_t first = d;
+  const std::size_t tail = h - first;
+  std::vector<std::optional<Bytes>> seeds(tail);
+  if (opts_.seed) {
+    for (auto& seed : seeds) {
+      seed = node_seed('f', std::to_string(fabrication_counter_++));
+    }
+  }
+  std::vector<std::pair<SoftNode, Bytes>> fresh(tail);
+  ThreadPool* pool = ThreadPool::for_threads(opts_.threads);
+  // Pass 1: the phase-1 hard teases, the replayed nodes' commitments and
+  // the tail's soft nodes. soft_nodes_ is not mutated until both passes
+  // joined, so reading it here and in pass 2 is race-free.
+  parallel_for(pool, hard.size() + replayed.size() + tail, [&](std::size_t i) {
+    if (i < hard.size()) {
+      proof.teases[i] = crs_->qtmc().tease_hard(*hard[i], digits[i]);
+      return;
+    }
+    i -= hard.size();
+    if (i < replayed.size()) {
+      proof.child_commitments[first_replayed + i] =
+          soft_commitment_bytes(soft_nodes_[replayed[i]]);
+      return;
+    }
+    const std::size_t k = i - replayed.size();
+    std::optional<DrbgRandomSource> drbg;
+    if (seeds[k]) drbg.emplace(*seeds[k]);
+    RandomSource& rng =
+        drbg ? static_cast<RandomSource&>(*drbg) : system_random();
+    fresh[k] = soft_node(first + static_cast<std::uint32_t>(k) + 1, rng);
+    proof.child_commitments[first + k] =
+        soft_commitment_bytes(fresh[k].first);
+  });
+  // Pass 2: the tail's soft teases.
+  parallel_for(pool, tail, [&](std::size_t k) {
+    const SoftNode& parent = k == 0 ? soft_nodes_[soft_id] : fresh[k - 1].first;
+    const std::uint32_t level = first + static_cast<std::uint32_t>(k);
+    proof.teases[level] = crs_->qtmc().tease_soft(
+        std::get<SoftInner>(parent).dec, digits[level], fresh[k].second);
+  });
+  {
+    MutexLock lock(state_mu_);
+    for (std::size_t k = 0; k < tail; ++k) {
+      const std::uint32_t level = first + static_cast<std::uint32_t>(k);
+      const std::size_t child_id = soft_nodes_.size();
+      // soft_nodes_ is a deque: appending never invalidates `parent`.
+      auto& parent = std::get<SoftInner>(soft_nodes_[soft_id]);
+      parent.teases.emplace(digits[level],
+                            std::make_pair(proof.teases[level], child_id));
+      if (auto* inner = std::get_if<SoftInner>(&fresh[k].first)) {
+        inner->com.reset();  // derived from dec on a replay
       }
-      RandomSource& rng =
-          drbg ? static_cast<RandomSource&>(*drbg) : system_random();
-      auto [child_id, child_digest] = make_soft_node(d + 1, rng);
-      mercurial::QtmcTease tease =
-          crs_->qtmc().tease_soft(cur.dec, digit, child_digest);
-      cur.teases.emplace(digit, std::make_pair(tease, child_id));
-      proof.teases.push_back(std::move(tease));
+      soft_nodes_.push_back(std::move(fresh[k].first));
       soft_id = child_id;
     }
-    proof.child_commitments.push_back(
-        std::holds_alternative<SoftInner>(soft_nodes_[*soft_id])
-            ? std::get<SoftInner>(soft_nodes_[*soft_id]).com.serialize(n)
-            : std::get<SoftLeaf>(soft_nodes_[*soft_id]).com.serialize());
-    ++d;
   }
 
-  const auto& leaf = std::get<SoftLeaf>(soft_nodes_[*soft_id]);
+  const auto& leaf = std::get<SoftLeaf>(soft_nodes_[soft_id]);
   proof.leaf_tease =
       crs_->tmc().tease_soft(leaf.dec, mercurial::null_message());
   return proof;

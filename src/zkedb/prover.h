@@ -33,10 +33,11 @@ namespace desword::zkedb {
 
 /// Knobs for EDB-commit (and later updates) on an EdbProver.
 struct EdbProverOptions {
-  /// Worker threads for the bottom-up trie build: 0 = default
-  /// (DESWORD_THREADS env var, else hardware_concurrency()), 1 = fully
-  /// sequential. Commitments are identical at any thread count when `seed`
-  /// is set; without a seed the CSPRNG makes every build unique anyway.
+  /// Worker threads for the bottom-up trie build and for the per-level
+  /// openings of each proof: 0 = default (DESWORD_THREADS env var, else
+  /// hardware_concurrency()), 1 = fully sequential. Commitments and
+  /// membership proofs are identical at any thread count when `seed` is
+  /// set; without a seed the CSPRNG makes every build unique anyway.
   unsigned threads = 0;
   /// Deterministic commitment randomness. When set, every node draws its
   /// randomizers from a DRBG keyed by H(seed, role, node position), so the
@@ -69,11 +70,15 @@ class EdbProver {
   std::optional<Bytes> value_of(const EdbKey& key) const;
 
   /// EDB-proof for x ∈ [D]. Throws ProtocolError if the key is absent.
-  /// Read-only: safe to call concurrently from many threads.
+  /// Read-only: safe to call concurrently from many threads. The h + 1
+  /// openings are computed in parallel (EdbProverOptions::threads).
   EdbMembershipProof prove_membership(const EdbKey& key) const;
 
   /// EDB-proof for x ∉ [D]. Throws ProtocolError if the key is present.
-  /// Mutates internal memoization state (fabricated soft subtrees).
+  /// Mutates internal memoization state (fabricated soft subtrees), so
+  /// calls must not overlap each other or serialize_state(). The per-level
+  /// teases and fabricated soft nodes are computed in parallel; seeds,
+  /// soft-node ids and memo entries are still assigned in level order.
   EdbNonMembershipProof prove_non_membership(const EdbKey& key);
 
   /// Inserts a new entry, recommitting the affected root-to-leaf path
@@ -107,7 +112,11 @@ class EdbProver {
     mercurial::TmcHardDecommit dec;
   };
   struct SoftInner {
-    mercurial::QtmcCommitment com;
+    // Set on backing nodes, which every walk that falls off the trie there
+    // serializes. Empty on fabricated nodes: the commitment is a function
+    // of `dec` (QtmcScheme::soft_commitment), recomputed on the rare
+    // replay, and dropping it saves ~40% of a fabricated node's memory.
+    std::optional<mercurial::QtmcCommitment> com;
     mercurial::QtmcSoftDecommit dec;
     // digit -> (memoized tease, child soft-node id)
     std::map<std::uint32_t, std::pair<mercurial::QtmcTease, std::size_t>>
@@ -148,14 +157,19 @@ class EdbProver {
   void recommit_path(const std::vector<std::uint32_t>& digits,
                      std::uint32_t depth, const Bytes& child_digest);
 
-  // Creates a soft node whose *node depth* is `depth` (leaf iff == height),
-  // drawing its randomness from `rng`; returns (id, digest). Crypto runs
-  // outside state_mu_; only the push_back is serialized.
-  std::pair<std::size_t, Bytes> make_soft_node(std::uint32_t depth,
-                                               RandomSource& rng);
+  // Computes a soft node whose *node depth* is `depth` (leaf iff ==
+  // height), drawing its randomness from `rng`; returns (node, digest).
+  // Pure crypto that touches no container, so it runs in parallel; callers
+  // append the node to soft_nodes_ themselves, under state_mu_.
+  std::pair<SoftNode, Bytes> soft_node(std::uint32_t depth,
+                                       RandomSource& rng) const;
 
   // Digest of a soft node by id.
   Bytes soft_digest(std::size_t id) const;
+
+  // Commitment of a soft node in wire form (recomputed for a fabricated
+  // inner node, which does not store it).
+  Bytes soft_commitment_bytes(const SoftNode& node) const;
 
   /// DRBG seed for the node identified by (role, id): role 'i' = inner
   /// node keyed by prefix, 'l' = leaf keyed by prefix, 's' = soft backing
@@ -183,9 +197,11 @@ class EdbProver {
   // while doing modular exponentiations. The containers below deliberately
   // carry no DESWORD_GUARDED_BY: they are phase-disciplined, not
   // lock-disciplined — shared (and locked) only while build() fans out
-  // over the pool, then read lock-free on the serial prove/update paths.
-  // That phase split is outside the capability model; the parallel phase
-  // is covered dynamically by parallel_edb_test under TSan.
+  // over the pool, then read lock-free on the prove/update paths, whose
+  // per-level fan-outs only read them (proofs mutate the soft-node store
+  // serially, after the fan-out joined). That phase split is outside the
+  // capability model; the parallel phases are covered dynamically by
+  // parallel_edb_test under TSan.
   mutable Mutex state_mu_;
   // Trie nodes addressed by digit-prefix strings (one byte per digit).
   std::map<std::string, InnerNode> inner_;

@@ -228,7 +228,9 @@ VerifyOutcome verify_membership_uncached(const EdbCrs& crs,
     if (!add_membership_chain(crs, root, key, proof, bv)) {
       return VerifyOutcome::reject();
     }
-    if (!bv.verify().all_ok) return VerifyOutcome::reject();
+    if (!bv.verify(ThreadPool::for_threads(opts.threads)).all_ok) {
+      return VerifyOutcome::reject();
+    }
     return VerifyOutcome::accept_value(proof.value);
   } catch (const Error&) {
     return VerifyOutcome::reject();
@@ -253,8 +255,9 @@ VerifyOutcome verify_non_membership_uncached(
     if (!add_non_membership_chain(crs, root, key, proof, bv)) {
       return VerifyOutcome::reject();
     }
-    return bv.verify().all_ok ? VerifyOutcome::accept()
-                              : VerifyOutcome::reject();
+    return bv.verify(ThreadPool::for_threads(opts.threads)).all_ok
+               ? VerifyOutcome::accept()
+               : VerifyOutcome::reject();
   } catch (const Error&) {
     return VerifyOutcome::reject();
   }
@@ -315,9 +318,7 @@ std::vector<VerifyOutcome> edb_verify_membership_many(
     const std::vector<EdbMembershipQuery>& queries,
     const EdbVerifyOptions& opts) {
   std::vector<VerifyOutcome> results(queries.size());
-  const unsigned t = opts.threads != 0 ? opts.threads
-                                       : ThreadPool::default_threads();
-  ThreadPool* pool = t > 1 ? &ThreadPool::with_threads(t) : nullptr;
+  ThreadPool* pool = ThreadPool::for_threads(opts.threads);
 
   // Cache pre-pass: hits resolve before any shard is formed, so only
   // misses pay for key digests twice. keys[i] stays empty when the proof
@@ -367,7 +368,7 @@ std::vector<VerifyOutcome> edb_verify_membership_many(
       pool == nullptr
           ? 1
           : std::max<std::size_t>(
-                1, std::min<std::size_t>(t, queries.size()));
+                1, std::min<std::size_t>(pool->concurrency(), queries.size()));
   parallel_for(pool, shards, [&](std::size_t s) {
     const std::size_t begin = queries.size() * s / shards;
     const std::size_t end = queries.size() * (s + 1) / shards;
@@ -399,6 +400,7 @@ std::vector<VerifyOutcome> edb_verify_membership_many(
     // Same exception discipline as the scalar verifiers: a verify() throw
     // (BN_* failure, internal check) rejects the shard's pending units —
     // their results stay rejected — instead of escaping the pool worker.
+    // No pool for the fold: the shards already occupy it.
     try {
       const mercurial::BatchVerifier::Result res = bv.verify();
       for (const Pending& p : pending) {

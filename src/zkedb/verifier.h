@@ -29,8 +29,12 @@ namespace desword::zkedb {
 /// exact scalar re-checks when a fold fails), and a cache hit replays a
 /// verdict the same bytes already earned.
 struct EdbVerifyOptions {
-  bool batched = true;   // fold proof-chain equations into one multi-exp
-  unsigned threads = 0;  // *_many fan-out; 0 = DESWORD_THREADS / hw default
+  bool batched = true;  // fold proof-chain equations into one multi-exp
+  /// Worker threads: the *_many fan-out, and the chunks one batched
+  /// proof's fold is evaluated in (see BatchVerifier::verify). 0 = default
+  /// (DESWORD_THREADS env var, else hardware_concurrency()), 1 = fully
+  /// sequential.
+  unsigned threads = 0;
   /// Optional verdict cache. When set, each verification first looks up
   /// digest(CRS ‖ commitment ‖ key ‖ full proof bytes) and skips the
   /// multi-exp on a hit; accepted verdicts are stored back. Null = off.
@@ -67,7 +71,8 @@ struct EdbMembershipQuery {
 /// each worker folds its whole shard of proofs into one batch — the main
 /// throughput lever of this module (see bench_zkedb VerifyManyBatched).
 /// With `opts.cache`, hits are satisfied before sharding and only misses
-/// enter the fold.
+/// enter the fold. The shards already fill the pool, so each shard's fold
+/// runs unchunked on its worker.
 std::vector<VerifyOutcome> edb_verify_membership_many(
     const EdbCrs& crs, const mercurial::QtmcCommitment& root,
     const std::vector<EdbMembershipQuery>& queries,

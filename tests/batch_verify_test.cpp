@@ -4,11 +4,13 @@
 // proofs whose structure still parses, and on adversarial bit-flips — and
 // the bisection must pinpoint exactly the corrupted unit inside a large
 // batch. Also covers the fixed-base table registry shared across scheme
-// instances and the protocol-level reputation outcome under both
-// verification strategies.
+// instances, the protocol-level reputation outcome under both
+// verification strategies, and the chunked fold: evaluating the fold on a
+// thread pool must not move a verdict or a bisection step.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -16,9 +18,11 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "crypto/hash.h"
 #include "desword/scenario.h"
 #include "mercurial/batch_verify.h"
+#include "obs/metrics.h"
 #include "zkedb/prover.h"
 #include "zkedb/verifier.h"
 
@@ -417,6 +421,216 @@ TEST_F(EdbDifferentialTest, VerifyManyPinpointsTamperedProof) {
       EXPECT_EQ(results[i].has_value(), i != kBad)
           << "proof " << i << " batched=" << batched;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Chunked fold: a pool splits each side of the RSA fold into concurrent
+// multi-exponentiation chunks. Same residues, so the same verdicts and the
+// same bisection, with no pool, a 1-wide pool and a 4-wide pool.
+
+std::uint64_t counter(const char* name) { return obs::metric(name).value(); }
+
+TEST(ChunkedMultiExpTest, ChunksMultiplyToTheSerialProduct) {
+  const QtmcKeyPair keys = QtmcScheme::keygen(/*q=*/2, kTestRsaBits);
+  const ModExpContext mexp(keys.pk.n);
+  DrbgRandomSource rng(bytes_of("chunked-multi-exp"));
+  std::vector<ModExpContext::ExpTerm> terms;
+  for (int i = 0; i < 70; ++i) {
+    // Mixed widths (and one zero exponent) exercise the width-sorted cuts.
+    const int bits = i == 5 ? 0 : 64 + (i * 37) % 330;
+    Bignum base = Bignum::from_bytes(rng.bytes(64)).mod(keys.pk.n);
+    Bignum exp = bits == 0 ? Bignum(std::uint64_t{0}) : rng.rand_bits(bits);
+    terms.push_back({std::move(base), std::move(exp)});
+  }
+  const Bignum serial = mexp.multi_exp(terms);
+  ThreadPool four(4);
+  const std::uint64_t calls = counter("crypto.multi_exp.calls");
+  const std::uint64_t modexps = counter("crypto.modexp.calls");
+  EXPECT_EQ(mexp.multi_exp(terms, &four), serial);
+  // One logical multi-exp, however many chunks evaluated it.
+  EXPECT_EQ(counter("crypto.multi_exp.calls"), calls + 1);
+  EXPECT_EQ(counter("crypto.modexp.calls"), modexps);
+  // Too few terms to split: the serial path, same answer.
+  const std::vector<ModExpContext::ExpTerm> few(terms.begin(),
+                                                terms.begin() + 9);
+  EXPECT_EQ(mexp.multi_exp(few, &four), mexp.multi_exp(few));
+}
+
+class ChunkedFoldTest : public ::testing::Test {
+ protected:
+  static constexpr std::uint32_t kHeight = 32;
+
+  static void SetUpTestSuite() {
+    zk::EdbConfig cfg;
+    cfg.q = 4;
+    cfg.height = kHeight;
+    cfg.rsa_bits = kTestRsaBits;
+    cfg.group_name = "p256";
+    crs_ = new zk::EdbCrsPtr(zk::generate_crs(cfg));
+    std::map<Bytes, Bytes> entries;
+    for (int i = 0; i < 4; ++i) {
+      entries[member(i)] = bytes_of("value-" + std::to_string(i));
+    }
+    zk::EdbProverOptions opts;
+    opts.seed = bytes_of("chunked-fold");
+    prover_ = new zk::EdbProver(crs(), entries, opts);
+  }
+
+  static void TearDownTestSuite() {
+    delete prover_;
+    delete crs_;
+  }
+
+  static const zk::EdbCrsPtr& crs() { return *crs_; }
+  static const QtmcScheme& qtmc() { return crs()->qtmc(); }
+  static const Bignum& modulus() { return crs()->params().qtmc_pk.n; }
+
+  static EdbKey member(int i) {
+    return zk::key_for_identifier(*crs(), bytes_of("m" + std::to_string(i)));
+  }
+
+  static mercurial::QtmcCommitment child(const std::vector<Bytes>& coms,
+                                         std::uint32_t d) {
+    return d == 0 ? prover_->commitment()
+                  : mercurial::QtmcCommitment::deserialize(modulus(),
+                                                           coms[d - 1]);
+  }
+
+  /// Adds a membership chain's equations as one unit, checking opening d
+  /// against `coms[d - 1]` (the root for d = 0) exactly as the verifier's
+  /// chain walk does.
+  static void add_chain(BatchVerifier& bv, const zk::EdbMembershipProof& p) {
+    bv.begin_unit();
+    for (std::uint32_t d = 0; d < kHeight; ++d) {
+      if (!bv.add_open(child(p.child_commitments, d), p.openings[d])) return;
+    }
+    bv.add_leaf_open(mercurial::TmcCommitment::deserialize(
+                         crs()->group(), p.child_commitments[kHeight - 1]),
+                     p.leaf_opening);
+  }
+
+  static void add_chain(BatchVerifier& bv,
+                        const zk::EdbNonMembershipProof& p) {
+    bv.begin_unit();
+    for (std::uint32_t d = 0; d < kHeight; ++d) {
+      if (!bv.add_tease(child(p.child_commitments, d), p.teases[d])) return;
+    }
+    bv.add_leaf_tease(mercurial::TmcCommitment::deserialize(
+                          crs()->group(), p.child_commitments[kHeight - 1]),
+                      p.leaf_tease);
+  }
+
+  struct Run {
+    BatchVerifier::Result result;
+    std::uint64_t bisect_steps = 0;
+  };
+
+  /// Verifies `bv` with no pool, a 1-wide and a 4-wide pool; asserts the
+  /// three agree on every verdict and on the bisection step count.
+  static Run verify_everywhere(const BatchVerifier& bv) {
+    ThreadPool one(1);
+    ThreadPool four(4);
+    std::vector<Run> runs;
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+      const std::uint64_t before =
+          counter("crypto.batch_verify.bisect_steps");
+      Run run;
+      run.result = bv.verify(pool);
+      run.bisect_steps =
+          counter("crypto.batch_verify.bisect_steps") - before;
+      runs.push_back(run);
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].result.all_ok, runs[0].result.all_ok) << "pool " << i;
+      EXPECT_EQ(runs[i].result.unit_ok, runs[0].result.unit_ok)
+          << "pool " << i;
+      EXPECT_EQ(runs[i].bisect_steps, runs[0].bisect_steps) << "pool " << i;
+    }
+    return runs[0];
+  }
+
+  /// Honest membership chain, `proof` (the case under test), honest
+  /// non-membership chain — so a rejected case also exercises bisection.
+  static Run verify_case(const zk::EdbMembershipProof& proof) {
+    BatchVerifier bv(qtmc(), &crs()->tmc());
+    add_chain(bv, prover_->prove_membership(member(1)));
+    add_chain(bv, proof);
+    add_chain(bv, prover_->prove_non_membership(absent()));
+    return verify_everywhere(bv);
+  }
+
+  static EdbKey absent() {
+    return zk::key_for_identifier(*crs(), bytes_of("absent"));
+  }
+
+  static void expect_only_case_rejected(const Run& run) {
+    EXPECT_FALSE(run.result.all_ok);
+    EXPECT_EQ(run.result.unit_ok, (std::vector<bool>{true, false, true}));
+  }
+
+  static zk::EdbCrsPtr* crs_;
+  static zk::EdbProver* prover_;
+};
+
+zk::EdbCrsPtr* ChunkedFoldTest::crs_ = nullptr;
+zk::EdbProver* ChunkedFoldTest::prover_ = nullptr;
+
+TEST_F(ChunkedFoldTest, HonestChainsAccepted) {
+  const Run run = verify_case(prover_->prove_membership(member(0)));
+  EXPECT_TRUE(run.result.all_ok);
+  EXPECT_EQ(run.bisect_steps, 0u);
+}
+
+TEST_F(ChunkedFoldTest, TamperedLambdaRejectedAtAnyLevel) {
+  for (const std::uint32_t level : {0u, 16u, 31u}) {
+    auto proof = prover_->prove_membership(member(0));
+    auto& lambda = proof.openings[level].lambda;
+    lambda = qtmc().canonical(Bignum::mod_mul(lambda, Bignum(4), modulus()));
+    SCOPED_TRACE(level);
+    expect_only_case_rejected(verify_case(proof));
+  }
+}
+
+TEST_F(ChunkedFoldTest, TauOffByOneRejected) {
+  auto proof = prover_->prove_membership(member(0));
+  proof.openings[9].tau += Bignum(1);
+  expect_only_case_rejected(verify_case(proof));
+}
+
+TEST_F(ChunkedFoldTest, WrongChildDigestRejected) {
+  // Level 12's child is swapped for another member's node at that depth:
+  // level 13's opening is then checked against the wrong commitment.
+  auto proof = prover_->prove_membership(member(0));
+  const auto other = prover_->prove_membership(member(2));
+  ASSERT_NE(proof.child_commitments[12], other.child_commitments[12]);
+  proof.child_commitments[12] = other.child_commitments[12];
+  expect_only_case_rejected(verify_case(proof));
+}
+
+TEST_F(ChunkedFoldTest, SignFlipForgeryRejected) {
+  auto proof = prover_->prove_membership(member(0));
+  proof.openings[20].lambda = modulus() - proof.openings[20].lambda;
+  expect_only_case_rejected(verify_case(proof));
+}
+
+TEST_F(ChunkedFoldTest, VerifyManyPileOf64) {
+  constexpr std::size_t kProofs = 64;
+  const std::vector<std::size_t> bad = {5, 40};
+  BatchVerifier bv(qtmc(), &crs()->tmc());
+  for (std::size_t i = 0; i < kProofs; ++i) {
+    auto proof = prover_->prove_membership(member(static_cast<int>(i % 4)));
+    if (std::find(bad.begin(), bad.end(), i) != bad.end()) {
+      proof.openings[i % kHeight].tau += Bignum(1);
+    }
+    add_chain(bv, proof);
+  }
+  const Run run = verify_everywhere(bv);
+  EXPECT_FALSE(run.result.all_ok);
+  EXPECT_GT(run.bisect_steps, 0u);
+  for (std::size_t i = 0; i < kProofs; ++i) {
+    const bool is_bad = std::find(bad.begin(), bad.end(), i) != bad.end();
+    EXPECT_EQ(run.result.unit_ok[i], !is_bad) << "proof " << i;
   }
 }
 

@@ -5,12 +5,15 @@
 // its position, so the commitment — and every proof derived from it — is
 // byte-identical at any thread count. These tests pin that contract, plus
 // the deque-backed soft-node store (fabricating a child soft node while
-// holding a reference to its parent must not invalidate the parent).
+// holding a reference to its parent must not invalidate the parent), and
+// the per-proof fan-out: a proof's levels are computed in parallel, yet
+// seeds, soft-node ids and memoized teases follow level order.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "crypto/hash.h"
@@ -216,6 +219,143 @@ TEST_P(ParallelEdbTest, VerifyManySweep) {
       *crs_, prover.commitment(), mixed, mixed_opts);
   EXPECT_FALSE(mixed_results[0].has_value());
   EXPECT_TRUE(mixed_results[1].has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Per-proof fan-out: EdbProverOptions::threads also sizes the parallel
+// computation of one proof's levels.
+
+/// Key whose base-q digits (root first) are `digits`: keys are 16-byte
+/// big-endian integers below q^height.
+EdbKey key_from_digits(const EdbCrs& crs,
+                       const std::vector<std::uint32_t>& digits) {
+  std::uint64_t value = 0;
+  for (const std::uint32_t digit : digits) value = value * crs.q() + digit;
+  EdbKey key(16, 0);
+  for (int i = 15; i >= 8; --i) {
+    key[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(value);
+    value >>= 8;
+  }
+  return key;
+}
+
+/// Entries whose keys all start with digit 0, so any key starting with a
+/// non-zero digit falls off the trie at the root and fabricates every
+/// level below it.
+std::map<Bytes, Bytes> low_entries(const EdbCrs& crs, int n) {
+  std::map<Bytes, Bytes> entries;
+  for (int i = 0; i < n; ++i) {
+    std::vector<std::uint32_t> digits(crs.height(), 0);
+    digits[crs.height() - 1] = static_cast<std::uint32_t>(i) % crs.q();
+    digits[crs.height() - 2] = static_cast<std::uint32_t>(i) / crs.q();
+    entries[key_from_digits(crs, digits)] = bytes_of("v" + std::to_string(i));
+  }
+  return entries;
+}
+
+std::vector<EdbKey> ghost_keys(const EdbCrs& crs,
+                               const std::map<Bytes, Bytes>& entries) {
+  std::vector<EdbKey> ghosts;
+  for (int i = 0; i < 6; ++i) {
+    const EdbKey ghost = key_of(crs, "fan-out-ghost-" + std::to_string(i));
+    if (entries.count(ghost) == 0) ghosts.push_back(ghost);
+  }
+  return ghosts;
+}
+
+TEST_P(ParallelEdbTest, SeededMembershipProofsIdenticalAtAnyFanOut) {
+  const auto entries = test_entries(*crs_, 12);
+  EdbProver base(crs_, entries, seeded(1));
+  for (const unsigned threads : {2u, 4u}) {
+    EdbProver par(crs_, entries, seeded(threads));
+    for (const auto& [key, value] : entries) {
+      EXPECT_EQ(par.prove_membership(key).serialize(*crs_),
+                base.prove_membership(key).serialize(*crs_))
+          << "threads=" << threads;
+    }
+  }
+}
+
+TEST_P(ParallelEdbTest, SeededFabricationsIdenticalAtAnyFanOut) {
+  const auto entries = test_entries(*crs_, 12);
+  EdbProver seq(crs_, entries, seeded(1));
+  EdbProver par(crs_, entries, seeded(4));
+  for (const EdbKey& ghost : ghost_keys(*crs_, entries)) {
+    const auto a = seq.prove_non_membership(ghost);
+    const auto b = par.prove_non_membership(ghost);
+    EXPECT_EQ(a.child_commitments, b.child_commitments);
+    EXPECT_TRUE(edb_verify_non_membership(*crs_, seq.commitment(), ghost, a));
+    EXPECT_TRUE(edb_verify_non_membership(*crs_, par.commitment(), ghost, b));
+  }
+  // Soft-node ids and memo entries were assigned in level order, so a
+  // repeat after later fabrications still walks the same chain in both.
+  const EdbKey again = ghost_keys(*crs_, entries).front();
+  EXPECT_EQ(seq.prove_non_membership(again).child_commitments,
+            par.prove_non_membership(again).child_commitments);
+}
+
+TEST_P(ParallelEdbTest, SharedFabricatedPrefixReusesMemoizedTeases) {
+  const auto entries = low_entries(*crs_, 5);
+  EdbProver prover(crs_, entries, seeded(4));
+  const std::uint32_t h = crs_->height();
+  std::vector<std::uint32_t> digits(h, 1);
+  digits[0] = 3;  // off the trie at the root: levels 1..h-1 are fabricated
+  const EdbKey first = key_from_digits(*crs_, digits);
+  digits[h - 1] = 2;  // same path except the last level
+  const EdbKey second = key_from_digits(*crs_, digits);
+  ASSERT_FALSE(prover.contains(first));
+  ASSERT_FALSE(prover.contains(second));
+
+  const auto a = prover.prove_non_membership(first);
+  const auto b = prover.prove_non_membership(second);
+  const Bignum& n = crs_->params().qtmc_pk.n;
+  for (std::uint32_t d = 0; d + 1 < h; ++d) {
+    EXPECT_EQ(a.teases[d].serialize(n), b.teases[d].serialize(n)) << d;
+    EXPECT_EQ(a.child_commitments[d], b.child_commitments[d]) << d;
+  }
+  EXPECT_NE(a.child_commitments[h - 1], b.child_commitments[h - 1]);
+  EXPECT_TRUE(edb_verify_non_membership(*crs_, prover.commitment(), first, a));
+  EXPECT_TRUE(
+      edb_verify_non_membership(*crs_, prover.commitment(), second, b));
+}
+
+TEST_P(ParallelEdbTest, RepeatProofsByteIdenticalAfterStateRoundTrip) {
+  const auto entries = test_entries(*crs_, 12);
+  EdbProver prover(crs_, entries, seeded(4));
+  const EdbKey member = entries.begin()->first;
+  const std::vector<EdbKey> ghosts = ghost_keys(*crs_, entries);
+  ASSERT_FALSE(ghosts.empty());
+  const Bytes member_proof = prover.prove_membership(member).serialize(*crs_);
+  const Bytes ghost_proof =
+      prover.prove_non_membership(ghosts.front()).serialize(*crs_);
+  // The repeat replays the memoized fabrication: identical bytes.
+  EXPECT_EQ(prover.prove_non_membership(ghosts.front()).serialize(*crs_),
+            ghost_proof);
+
+  EdbProver loaded = EdbProver::load(crs_, prover.serialize_state());
+  EXPECT_EQ(loaded.prove_membership(member).serialize(*crs_), member_proof);
+  EXPECT_EQ(loaded.prove_non_membership(ghosts.front()).serialize(*crs_),
+            ghost_proof);
+}
+
+TEST_P(ParallelEdbTest, ConcurrentMembershipProofsAgree) {
+  const auto entries = test_entries(*crs_, 12);
+  const EdbProver prover(crs_, entries, seeded(4));
+  const EdbKey key = entries.begin()->first;
+  const Bytes expected = prover.prove_membership(key).serialize(*crs_);
+  constexpr int kCallers = 8;
+  std::vector<Bytes> got(kCallers);
+  std::vector<std::thread> callers;
+  for (int i = 0; i < kCallers; ++i) {
+    callers.emplace_back([&, i] {
+      got[static_cast<std::size_t>(i)] =
+          prover.prove_membership(key).serialize(*crs_);
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int i = 0; i < kCallers; ++i) {
+    EXPECT_EQ(got[static_cast<std::size_t>(i)], expected) << "caller " << i;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SoftModes, ParallelEdbTest,

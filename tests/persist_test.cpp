@@ -3,6 +3,7 @@
 // non-membership fabrications.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "crypto/hash.h"
@@ -100,6 +101,46 @@ TEST_F(PersistTest, CorruptedStateRejected) {
     const Bytes prefix(state.begin(), state.begin() + static_cast<long>(len));
     EXPECT_THROW(EdbProver::load(crs_, prefix), SerializationError) << len;
   }
+}
+
+TEST_F(PersistTest, FabricatedNodesStoredWithoutTheirCommitments) {
+  // Version 2 stores a fabricated inner soft node as its decommitment
+  // only; the commitment is recomputed on a replay, so the reloaded chain
+  // is byte-identical.
+  const EdbKey ghost = key("ghost");
+  const auto proof = prover_->prove_non_membership(ghost);
+  const Bytes state = prover_->serialize_state();
+  const auto stored = [&state](const Bytes& needle) {
+    return std::search(state.begin(), state.end(), needle.begin(),
+                       needle.end()) != state.end();
+  };
+  // The root's child is a trie or backing node, stored with its
+  // commitment; with 4 entries the walk falls off the trie long before the
+  // last inner level, whose node was fabricated.
+  const std::size_t h = test_config().height;
+  EXPECT_TRUE(stored(proof.child_commitments[0]));
+  EXPECT_FALSE(stored(proof.child_commitments[h - 2]));
+  EdbProver reloaded = EdbProver::load(crs_, state);
+  EXPECT_EQ(reloaded.prove_non_membership(ghost).serialize(*crs_),
+            proof.serialize(*crs_));
+}
+
+TEST_F(PersistTest, VersionOneStateStillLoads) {
+  // Before any fabrication every soft node is a backing node stored with
+  // its commitment, which is exactly the version 1 layout.
+  Bytes state = prover_->serialize_state();
+  ASSERT_EQ(state[4], 2);
+  state[4] = 1;
+  EdbProver reloaded = EdbProver::load(crs_, state);
+  EXPECT_EQ(reloaded.commitment(), prover_->commitment());
+  const EdbKey ghost = key("ghost");
+  EXPECT_TRUE(edb_verify_non_membership(*crs_, prover_->commitment(), ghost,
+                                        reloaded.prove_non_membership(ghost)));
+  // A version 1 blob cannot carry a commitment-less node.
+  (void)prover_->prove_non_membership(ghost);
+  Bytes fabricated = prover_->serialize_state();
+  fabricated[4] = 1;
+  EXPECT_THROW(EdbProver::load(crs_, fabricated), SerializationError);
 }
 
 TEST_F(PersistTest, PocDecommitmentRoundTrip) {

@@ -280,6 +280,90 @@ TEST_F(VerifyCacheProtocolTest, RepeatedQuerySkipsProofRegeneration) {
   EXPECT_EQ(digest(first), digest(second));
 }
 
+// The participant memo holds ownership proofs only. A bad-product query
+// without a task hint scans the POC lists of earlier tasks, whose
+// participants deny with non-ownership proofs; those are recomputed on a
+// repeat — from the prover's memoized fabrication, into the identical
+// bytes — so the proxy's hop memo (keyed by the full proof bytes) still
+// hits.
+class ProofMemoScopeTest : public VerifyCacheProtocolTest {
+ protected:
+  void SetUp() override {
+    VerifyCacheProtocolTest::SetUp();
+    later_.initial = "v0";
+    later_.products = make_products(1, 100, 2);
+    later_.seed = 8;
+    scenario_->run_task("t1", later_);
+  }
+
+  std::size_t memo_size() const {
+    std::size_t total = 0;
+    for (const auto& id : scenario_->graph().participants()) {
+      total += scenario_->participant(id).proof_memo_size();
+    }
+    return total;
+  }
+
+  std::uint64_t generated() const {
+    std::uint64_t total = 0;
+    for (const auto& id : scenario_->graph().participants()) {
+      total += scenario_->participant(id).stats().proofs_generated;
+    }
+    return total;
+  }
+
+  static std::uint64_t denials() {
+    return obs::metric("protocol.proof.non_ownership").value();
+  }
+
+  static std::uint64_t ownerships() {
+    return obs::metric("protocol.proof.ownership").value();
+  }
+
+  proto::QueryOutcome bad_query(const ProductId& product) {
+    return scenario_->proxy().run_query(product, proto::ProductQuality::kBad);
+  }
+
+  DistributionConfig later_;
+};
+
+TEST_F(ProofMemoScopeTest, RepeatedBadQueryRecomputesIdenticalDenials) {
+  const ProductId& product = later_.products[0];
+  const std::uint64_t d0 = denials();
+  const auto first = bad_query(product);
+  ASSERT_TRUE(first.complete);
+  ASSERT_GT(denials(), d0) << "the scan must draw non-ownership proofs";
+
+  const std::size_t memo0 = memo_size();
+  const std::uint64_t d1 = denials();
+  const std::uint64_t g1 = generated();
+  const std::uint64_t h0 = hits();
+  const auto second = bad_query(product);
+  ASSERT_EQ(denials() - d1, d1 - d0);
+  EXPECT_EQ(generated() - g1, d1 - d0) << "denials are recomputed";
+  EXPECT_EQ(memo_size(), memo0) << "a repeat must not grow the memo";
+  EXPECT_GT(hits(), h0) << "recomputed denials must be byte-identical";
+  EXPECT_EQ(digest(first), digest(second));
+  EXPECT_EQ(first.violations.size(), second.violations.size());
+}
+
+TEST_F(ProofMemoScopeTest, MemoCountsOwnershipProofsOnly) {
+  ASSERT_EQ(memo_size(), 0u);
+  // A good walk memoizes one ownership proof per hop, nothing else.
+  const auto good = query(dist_.products[0]);
+  ASSERT_TRUE(good.complete);
+  EXPECT_EQ(memo_size(), good.path.size());
+  // A bad query's denials never enter the memo; only the ownership proofs
+  // its reveal round draws from the product's own path do.
+  const std::size_t before = memo_size();
+  const std::uint64_t d0 = denials();
+  const std::uint64_t o0 = ownerships();
+  const auto bad = bad_query(later_.products[1]);
+  ASSERT_TRUE(bad.complete);
+  EXPECT_GT(denials(), d0);
+  EXPECT_EQ(memo_size(), before + (ownerships() - o0));
+}
+
 TEST_F(VerifyCacheProtocolTest, ListReplacementBumpsEpochAndStalesEntries) {
   const ProductId& product = dist_.products[0];
   const auto first = query(product);
