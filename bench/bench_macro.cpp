@@ -296,7 +296,7 @@ void BM_RepeatQuery(benchmark::State& state) {
 //
 // Same deployment as the latency cases, but queried through a FaultInjector
 // dropping each frame with probability loss_permille/1000. Distribution runs
-// fault-free (cfg.fault_plan has drop_rate 0 until the plan is swapped in),
+// fault-free (the default plan injects nothing until the lossy one is set),
 // so the sweep isolates the query path: retransmission backoff is the only
 // recovery mechanism exercised. Counters record the recovery cost —
 // retransmits_per_query and the fraction of queries that still complete
@@ -317,8 +317,7 @@ FaultFixture& fault_fixture(long loss_permille) {
     ScenarioConfig cfg;
     cfg.edb = macro_edb();
     cfg.verify_cache = false;
-    cfg.fault_plan = net::FaultPlan{};  // fault mode on, no faults yet
-    cfg.fault_plan->seed = 11;
+    cfg.fault_plan.seed = 11;
     Scenario& scenario = *(fx->scenario = std::make_unique<Scenario>(
                                supplychain::SupplyChainGraph::layered(3, 3, 2),
                                cfg));
@@ -332,7 +331,7 @@ FaultFixture& fault_fixture(long loss_permille) {
     plan.seed = 11;
     plan.default_faults.drop_rate =
         static_cast<double>(loss_permille) / 1000.0;
-    scenario.fault_injector()->set_plan(plan);
+    scenario.fault_injector().set_plan(plan);
     it = cache.emplace(loss_permille, std::move(fx)).first;
   }
   return *it->second;

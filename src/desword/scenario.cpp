@@ -11,8 +11,9 @@ constexpr const char* kProxyId = "proxy";
 Scenario::Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config)
     : graph_(std::move(graph)),
       config_(std::move(config)),
-      network_(config_.network_seed),
-      crs_cache_(std::make_shared<CrsCache>()) {
+      crs_cache_(std::make_shared<CrsCache>()),
+      sim_(network_),
+      fault_(sim_, config_.fault_plan) {
   ProxyConfig proxy_config;
   proxy_config.edb = config_.edb;
   proxy_config.scores = config_.scores;
@@ -26,19 +27,12 @@ Scenario::Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config)
   proxy_config.retransmit_cap = config_.retransmit_cap;
   proxy_config.backoff_factor = config_.backoff_factor;
   proxy_config.backoff_seed = config_.backoff_seed;
-  if (config_.fault_plan.has_value()) {
-    // One shared transport for the whole deployment: a single poll loop
-    // fires every endpoint's timers (distribution retries included) and
-    // every send crosses the fault injector.
-    sim_ = std::make_unique<net::SimTransport>(network_);
-    fault_ = std::make_unique<net::FaultInjector>(*sim_, *config_.fault_plan);
-  }
-  proxy_ = std::make_unique<Proxy>(kProxyId, endpoint_transport(),
+  proxy_ = std::make_unique<Proxy>(kProxyId, fault_,
                                    ProxyDeps{.crs_cache = crs_cache_},
                                    std::move(proxy_config));
   for (const ParticipantId& id : graph_.participants()) {
     auto p = std::make_unique<Participant>(
-        id, endpoint_transport(), kProxyId,
+        id, fault_, kProxyId,
         ParticipantDeps{.crs_cache = crs_cache_});
     if (config_.max_distribution_retries > 0) {
       p->set_max_distribution_retries(config_.max_distribution_retries);
@@ -53,12 +47,6 @@ Scenario::Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config)
     if (proxy_->executor()) p->set_executor(proxy_->executor());
     participants_.emplace(id, std::move(p));
   }
-}
-
-net::Transport& Scenario::endpoint_transport() {
-  if (fault_) return *fault_;
-  return *endpoint_transports_.emplace_back(
-      std::make_unique<net::SimTransport>(network_));
 }
 
 Participant& Scenario::participant(const ParticipantId& id) {
@@ -101,39 +89,21 @@ const supplychain::DistributionResult& Scenario::run_task(
     p.begin_task(setup);
   }
 
-  participant(dist.initial).initiate_task(task_id);
-  if (fault_) {
-    // Fault mode: the endpoints share one transport, so driving it fires
-    // their own distribution retry timers — the protocol heals itself, the
-    // harness only polls. A bounded wait that runs out surfaces the
-    // initial participant's task-level error instead of spinning forever.
-    Participant& initial = participant(dist.initial);
-    std::size_t idle_rounds = 0;
-    while (idle_rounds < 3) {
-      if (proxy_->task_list(task_id) != nullptr) break;
-      const std::string error = initial.task_error(task_id);
-      if (!error.empty()) {
-        throw ProtocolError("distribution failed for " + task_id + ": " +
-                            error);
-      }
-      idle_rounds = fault_->poll() == 0 ? idle_rounds + 1 : 0;
+  Participant& initial = participant(dist.initial);
+  initial.initiate_task(task_id);
+  // The endpoints share one transport, so driving it fires their own
+  // distribution retry timers: the protocol heals itself, the harness only
+  // polls. A bounded wait that runs out surfaces the initial participant's
+  // task-level error instead of spinning forever.
+  std::size_t idle_rounds = 0;
+  while (idle_rounds < 3) {
+    if (proxy_->task_list(task_id) != nullptr) break;
+    const std::string error = initial.task_error(task_id);
+    if (!error.empty()) {
+      throw ProtocolError("distribution failed for " + task_id + ": " +
+                          error);
     }
-  } else {
-    network_.run();
-    // Retransmit the distribution phase if messages were dropped: re-kick
-    // the initiator a bounded number of times.
-    for (int attempt = 0; attempt < config_.max_retries; ++attempt) {
-      bool all_done = true;
-      for (const ParticipantId& id : result.involved) {
-        if (!participant(id).task_complete(task_id)) {
-          all_done = false;
-          break;
-        }
-      }
-      if (all_done && proxy_->task_list(task_id) != nullptr) break;
-      participant(dist.initial).initiate_task(task_id);
-      network_.run();
-    }
+    idle_rounds = fault_.poll() == 0 ? idle_rounds + 1 : 0;
   }
   if (proxy_->task_list(task_id) == nullptr) {
     throw ProtocolError("distribution phase did not complete for " + task_id);

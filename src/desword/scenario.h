@@ -6,11 +6,16 @@
 // the resulting trace databases and task topologies into the participants,
 // and drives the distribution phase to completion. Tests, examples and
 // benchmarks all start from here.
+//
+// Like `serve-*` and `perfbench`, the deployment runs over ONE transport:
+// a SimTransport over the scenario's lossless Network, wrapped in a
+// FaultInjector. Every endpoint's timers fire from the same poll loop, and
+// every frame crosses the injector's plan (which injects nothing unless a
+// test configures it).
 #pragma once
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,7 +29,6 @@ namespace desword::protocol {
 struct ScenarioConfig {
   zkedb::EdbConfig edb = {4, 6, 512, "p256", zkedb::SoftMode::kShared};
   ScorePolicy scores;
-  std::uint64_t network_seed = 1;
   int max_retries = 3;
   /// Forwarded to VerifyPolicy::batch_verify (query-proof verification
   /// strategy; verdicts identical either way).
@@ -43,15 +47,11 @@ struct ScenarioConfig {
   unsigned worker_threads = 0;
   /// Forwarded to ProxyConfig::max_concurrent_queries.
   std::size_t max_concurrent_queries = 8;
-  /// When set, the whole deployment shares ONE SimTransport wrapped in a
-  /// FaultInjector driven by this plan: every endpoint's timers fire from
-  /// the same poll loop, the distribution phase is driven by the
-  /// participants' own retry timers (instead of the harness re-kick loop),
-  /// and a distribution give-up surfaces as a ProtocolError naming the
-  /// missing participants. When unset the legacy wiring (one SimTransport
-  /// per endpoint over the shared Network) is used, byte-identical to
-  /// before.
-  std::optional<net::FaultPlan> fault_plan;
+  /// The plan of the FaultInjector every frame crosses. The default plan
+  /// injects nothing. Losses during the distribution phase are healed by
+  /// the participants' own retry timers; a distribution give-up surfaces
+  /// as a ProtocolError naming the missing participants.
+  net::FaultPlan fault_plan;
   /// Forwarded to ProxyConfig::query_deadline (0 = no budget).
   std::uint64_t query_deadline = 0;
   /// Retransmission/backoff knobs forwarded to ProxyConfig.
@@ -68,14 +68,10 @@ class Scenario {
   Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config);
 
   net::Network& network() { return network_; }
-  /// The transport the proxy runs over: the shared fault-injecting
-  /// transport when `fault_plan` is set, the proxy's own otherwise.
-  net::Transport& transport() {
-    return fault_ ? static_cast<net::Transport&>(*fault_)
-                  : proxy_->transport();
-  }
-  /// The fault injector, or nullptr when no `fault_plan` was configured.
-  net::FaultInjector* fault_injector() { return fault_.get(); }
+  /// The one transport every endpoint runs over (the fault injector).
+  net::Transport& transport() { return fault_; }
+  /// The fault injector; tests re-plan it between phases.
+  net::FaultInjector& fault_injector() { return fault_; }
   Proxy& proxy() { return *proxy_; }
   Participant& participant(const ParticipantId& id);
   const CrsCachePtr& crs_cache() const { return crs_cache_; }
@@ -98,20 +94,14 @@ class Scenario {
       const supplychain::ProductId& product) const;
 
  private:
-  /// The transport for the next endpoint: the shared fault injector in
-  /// fault mode, else a fresh SimTransport over `network_`.
-  net::Transport& endpoint_transport();
-
   supplychain::SupplyChainGraph graph_;
   ScenarioConfig config_;
   net::Network network_;
   CrsCachePtr crs_cache_;
   // Declared before the endpoints: proxy/participant destructors cancel
   // their timers through these, so they must outlive them.
-  std::unique_ptr<net::SimTransport> sim_;       // fault mode only
-  std::unique_ptr<net::FaultInjector> fault_;    // fault mode only
-  /// One per endpoint, proxy first (no fault plan only).
-  std::vector<std::unique_ptr<net::SimTransport>> endpoint_transports_;
+  net::SimTransport sim_;
+  net::FaultInjector fault_;
   std::unique_ptr<Proxy> proxy_;
   std::map<ParticipantId, std::unique_ptr<Participant>> participants_;
   std::map<std::string, supplychain::DistributionResult> truths_;

@@ -1,6 +1,5 @@
 #include "net/network.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/error.h"
@@ -45,20 +44,8 @@ bool Network::has_node(const NodeId& id) const {
   return nodes_.find(id) != nodes_.end();
 }
 
-void Network::set_link_policy(const NodeId& from, const NodeId& to,
-                              LinkPolicy policy) {
-  policies_[{from, to}] = policy;
-}
-
-const LinkPolicy& Network::policy_for(const NodeId& from,
-                                      const NodeId& to) const {
-  const auto it = policies_.find({from, to});
-  return it == policies_.end() ? default_policy_ : it->second;
-}
-
 bool Network::send(const NodeId& from, const NodeId& to,
                    const std::string& type, Bytes payload) {
-  const LinkPolicy& policy = policy_for(from, to);
   LinkStats& stats = stats_[{from, to}];
   stats.messages_sent += 1;
   stats.bytes_sent += payload.size();
@@ -72,38 +59,26 @@ bool Network::send(const NodeId& from, const NodeId& to,
     frames_dropped().add();
     return false;
   }
-  if (rng_.chance(policy.drop_rate)) {
-    stats.messages_dropped += 1;
-    frames_dropped().add();
-    return true;  // silent in-flight loss: the sender cannot know
-  }
-  const auto deliver_at = [&] {
-    std::uint64_t at = now_ + policy.latency;
-    if (policy.jitter > 0) at += rng_.below(policy.jitter + 1);
-    return at;
-  };
-  if (rng_.chance(policy.duplicate_rate)) {
-    stats.messages_duplicated += 1;
-    queue_.push_back(Envelope{from, to, type, payload, deliver_at()});
-  }
-  queue_.push_back(
-      Envelope{from, to, type, std::move(payload), deliver_at()});
+  queue_.push_back(Envelope{from, to, type, std::move(payload), now_ + 1});
   return true;
 }
 
 std::size_t Network::run(std::size_t max_steps) {
   std::size_t delivered = 0;
   while (!queue_.empty() && delivered < max_steps) {
-    // Deliver the earliest message (stable for equal timestamps).
-    auto it = std::min_element(queue_.begin(), queue_.end(),
-                               [](const Envelope& a, const Envelope& b) {
-                                 return a.deliver_at < b.deliver_at;
-                               });
-    Envelope env = std::move(*it);
-    queue_.erase(it);
-    now_ = std::max(now_, env.deliver_at);
+    // Every frame takes one tick, so the queue is already in delivery
+    // order: deliver_at never decreases from front to back.
+    Envelope env = std::move(queue_.front());
+    queue_.pop_front();
+    now_ = env.deliver_at;
     const auto node = nodes_.find(env.to);
-    if (node == nodes_.end()) continue;  // receiver left: message lost
+    if (node == nodes_.end()) {
+      // The receiver left while the frame was in flight: it is lost, and
+      // counted like any other drop so sent − dropped stays deliveries.
+      stats_[{env.from, env.to}].messages_dropped += 1;
+      frames_dropped().add();
+      continue;
+    }
     frames_received().add();
     node->second(env);
     ++delivered;
@@ -181,7 +156,6 @@ LinkStats Network::total_stats() const {
   for (const auto& [link, s] : stats_) {
     total.messages_sent += s.messages_sent;
     total.messages_dropped += s.messages_dropped;
-    total.messages_duplicated += s.messages_duplicated;
     total.bytes_sent += s.bytes_sent;
   }
   return total;

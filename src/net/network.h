@@ -1,12 +1,13 @@
 // In-process simulated network.
 //
 // DE-Sword is a distributed protocol between the proxy and participant
-// backend servers. This module gives the protocol layer a realistic
-// message-passing substrate without sockets: named endpoints exchange
-// serialized envelopes through a central `Network` that models per-link
-// latency, message drops, and byte accounting. Byte counters back the
-// communication-overhead numbers of Table II; fault injection exercises
-// the protocol's abort paths.
+// backend servers. This module gives the protocol layer a message-passing
+// substrate without sockets: named endpoints exchange serialized envelopes
+// through a central `Network`, a lossless FIFO queue in which every frame
+// takes one tick, with per-link byte accounting. Byte counters back the
+// communication-overhead numbers of Table II. The network itself never
+// loses, duplicates or reorders a frame: faults come only from a
+// `FaultInjector` (net/fault_injector.h) wrapped around the transport.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +19,6 @@
 
 #include "common/bytes.h"
 #include "common/mutex.h"
-#include "common/rng.h"
 
 namespace desword::net {
 
@@ -35,17 +35,7 @@ struct Envelope {
 struct LinkStats {
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_dropped = 0;
-  std::uint64_t messages_duplicated = 0;
   std::uint64_t bytes_sent = 0;
-};
-
-/// Per-link fault/latency model.
-struct LinkPolicy {
-  std::uint64_t latency = 1;       // simulated ticks
-  double drop_rate = 0.0;          // probability a message is lost
-  double duplicate_rate = 0.0;     // probability a message is delivered twice
-  std::uint64_t jitter = 0;        // extra random delay in [0, jitter]
-                                   // (jitter reorders messages)
 };
 
 /// A handler consumes a delivered envelope and may send replies.
@@ -53,31 +43,24 @@ using Handler = std::function<void(const Envelope&)>;
 
 class Network {
  public:
-  explicit Network(std::uint64_t seed = 1) : rng_(seed) {}
-
   /// Registers an endpoint. Throws ProtocolError on duplicates.
   void register_node(const NodeId& id, Handler handler);
   void unregister_node(const NodeId& id);
   bool has_node(const NodeId& id) const;
 
-  /// Sets the policy for the directed link from->to (default policy
-  /// otherwise).
-  void set_link_policy(const NodeId& from, const NodeId& to,
-                       LinkPolicy policy);
-  void set_default_policy(LinkPolicy policy) { default_policy_ = policy; }
-
   /// Queues a message. Sending to an unknown (crashed / deregistered)
   /// recipient drops the message, counts it in
   /// `LinkStats::messages_dropped`, and returns false — it never throws,
   /// so a dead peer cannot kill the sender, but the sender learns the peer
-  /// is known-dead and may charge a retry immediately. Lossy-link drops
-  /// are decided at send time per link policy and return true (the loss is
-  /// silent, only a timeout can observe it).
+  /// is known-dead and may charge a retry immediately. Every other frame
+  /// is queued for delivery one tick from now.
   bool send(const NodeId& from, const NodeId& to, const std::string& type,
             Bytes payload);
 
-  /// Delivers queued messages (in deliver_at, then FIFO order) until the
-  /// queue drains or `max_steps` deliveries happened. Returns deliveries.
+  /// Delivers queued messages in send order until the queue drains or
+  /// `max_steps` deliveries happened. A frame whose receiver unregistered
+  /// while it was in flight is lost and counted as dropped. Returns
+  /// deliveries.
   std::size_t run(std::size_t max_steps = SIZE_MAX);
 
   /// Simulated clock (advances as messages deliver).
@@ -122,19 +105,14 @@ class Network {
   void reset_stats() { stats_.clear(); }
 
  private:
-  const LinkPolicy& policy_for(const NodeId& from, const NodeId& to) const;
-
   // Thread-safe seam (workers + loop thread); everything else loop-only.
   mutable Mutex posted_mu_;
   CondVar posted_cv_;
   std::deque<std::function<void()>> posted_ DESWORD_GUARDED_BY(posted_mu_);
   std::size_t work_pending_ DESWORD_GUARDED_BY(posted_mu_) = 0;
 
-  SimRng rng_;
   std::uint64_t now_ = 0;
-  LinkPolicy default_policy_;
   std::map<NodeId, Handler> nodes_;
-  std::map<std::pair<NodeId, NodeId>, LinkPolicy> policies_;
   std::map<std::pair<NodeId, NodeId>, LinkStats> stats_;
   std::deque<Envelope> queue_;
 };

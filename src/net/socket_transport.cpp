@@ -204,7 +204,6 @@ LinkStats& SocketTransport::touch_stats(const LinkKey& key) const {
     const LinkStats& s = victim->second.stats;
     evicted_total_.messages_sent += s.messages_sent;
     evicted_total_.messages_dropped += s.messages_dropped;
-    evicted_total_.messages_duplicated += s.messages_duplicated;
     evicted_total_.bytes_sent += s.bytes_sent;
     stats_.erase(victim);
     stats_lru_.pop_back();
@@ -533,7 +532,6 @@ LinkStats SocketTransport::total_stats() const {
     const LinkStats& s = tracked.stats;
     total.messages_sent += s.messages_sent;
     total.messages_dropped += s.messages_dropped;
-    total.messages_duplicated += s.messages_duplicated;
     total.bytes_sent += s.bytes_sent;
   }
   return total;

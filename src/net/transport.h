@@ -6,11 +6,15 @@
 // Participant`) are written against this interface only, so the same state
 // machines run over:
 //
-//   * `SimTransport`  — the in-process simulated `Network` (deterministic,
-//     fault-injecting; what every test and the `Scenario` harness uses);
+//   * `SimTransport`  — the in-process simulated `Network` (deterministic
+//     and lossless; what every test and the `Scenario` harness uses);
 //   * `SocketTransport` — a poll(2)-based TCP event loop with
 //     length-prefixed envelope framing (see net/wire.h), letting a proxy
 //     and N participants run as separate OS processes.
+//
+// Faults come only from `FaultInjector` (net/fault_injector.h), a
+// decorator that wraps either transport; `Scenario` always wraps its one
+// SimTransport in one.
 //
 // Endpoints are event driven: they react to delivered envelopes and to
 // timers. Timers are the only way an endpoint regains control without a

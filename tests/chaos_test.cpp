@@ -47,7 +47,7 @@ using supplychain::SupplyChainGraph;
 /// Two-node harness over a raw SimTransport recording deliveries at "b".
 struct InjectorRig {
   explicit InjectorRig(FaultPlan plan)
-      : network(1), sim(network), fault(sim, std::move(plan)) {
+      : sim(network), fault(sim, std::move(plan)) {
     fault.register_node("a", [](const net::Envelope&) {});
     fault.register_node("b", [this](const net::Envelope& env) {
       deliveries.push_back({env.type, env.payload});
@@ -149,8 +149,23 @@ TEST(FaultInjectorTest, DelayedFrameArrivesViaTimer) {
   EXPECT_EQ(rig.deliveries[0].second, Bytes{9});
 }
 
+TEST(FaultInjectorTest, DelayReordersFrames) {
+  // The network itself is FIFO; a delay is the injector's only way to
+  // reorder. The held "slow" frame lands after the later "fast" one.
+  FaultPlan plan;
+  plan.rules.push_back(net::FaultRule{"a", "b", {.delay_rate = 1.0}});
+  InjectorRig rig(plan);
+  rig.fault.register_node("c", [](const net::Envelope&) {});
+  EXPECT_TRUE(rig.fault.send("a", "b", "slow", Bytes{1}));
+  EXPECT_TRUE(rig.fault.send("c", "b", "fast", Bytes{2}));
+  rig.pump();
+  ASSERT_EQ(rig.deliveries.size(), 2u);
+  EXPECT_EQ(rig.deliveries[0].first, "fast");
+  EXPECT_EQ(rig.deliveries[1].first, "slow");
+}
+
 TEST(FaultInjectorTest, TeardownCancelsHeldFrames) {
-  net::Network network(1);
+  net::Network network;
   net::SimTransport sim(network);
   std::size_t delivered = 0;
   sim.register_node("a", [](const net::Envelope&) {});
@@ -270,11 +285,11 @@ SweepRun run_cell(Cell cell, std::uint64_t seed, bool concurrent,
     FaultPlan query_plan = plan;
     query_plan.partitions.push_back(
         Partition{{"proxy"}, {victim}, FaultWindow{0, 0}});
-    scenario.fault_injector()->set_plan(query_plan);
+    scenario.fault_injector().set_plan(query_plan);
   } else if (cell == Cell::kCrash) {
     FaultPlan query_plan = plan;
     query_plan.crashes.push_back(CrashWindow{victim, FaultWindow{0, 0}});
-    scenario.fault_injector()->set_plan(query_plan);
+    scenario.fault_injector().set_plan(query_plan);
   }
 
   std::vector<Proxy::QuerySpec> specs;
@@ -422,7 +437,7 @@ TEST(ChaosDistributionTest, DarkParticipantProducesBoundedGiveUpNamingIt) {
   const std::string victim = victim_path[1];
   FaultPlan dark = plan;
   dark.crashes.push_back(CrashWindow{victim, FaultWindow{0, 0}});
-  scenario.fault_injector()->set_plan(dark);
+  scenario.fault_injector().set_plan(dark);
 
   const std::uint64_t gaveup_before =
       obs::metric("protocol.distribution.gaveup").value();
@@ -463,7 +478,7 @@ TEST(ChaosDistributionTest, LostListSubmitIsResentUntilTheProxyHasIt) {
 TEST(ChaosDistributionTest, OrphanedDistributionMessagesAreCounted) {
   // A ps/report for a task the receiver never began must not vanish
   // silently — `net.distribution.orphaned` feeds `desword stats`.
-  net::Network network(1);
+  net::Network network;
   net::SimTransport sim(network);
   Participant participant(
       "p0", sim, "proxy",

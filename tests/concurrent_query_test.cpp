@@ -4,7 +4,7 @@
 //     joins the existing computation (one proof, two deliveries);
 //   * the query scheduler bounds in-flight sessions and admits queued ones
 //     as slots free;
-//   * ≥32 interleaved good/bad queries over a lossy, jittery SimTransport
+//   * ≥32 interleaved good/bad queries over a lossy, reordering transport
 //     with 4 crypto workers produce verdicts and reputation identical to
 //     the single-threaded serial run.
 #include <gtest/gtest.h>
@@ -51,7 +51,8 @@ TEST(ConcurrentQueryTest, RetransmitJoinsInFlightProofGeneration) {
   // A fake query client standing in for a proxy whose retransmission timer
   // fired while the participant was still proving.
   std::vector<Bytes> responses;
-  scenario.network().register_node("probe", [&](const net::Envelope& env) {
+  net::Transport& transport = scenario.transport();
+  transport.register_node("probe", [&](const net::Envelope& env) {
     if (env.type == msg::kQueryResponse) responses.push_back(env.payload);
   });
 
@@ -62,14 +63,14 @@ TEST(ConcurrentQueryTest, RetransmitJoinsInFlightProofGeneration) {
   const Bytes request =
       QueryRequest{99, product, ProductQuality::kGood, poc->serialize()}
           .serialize();
-  // Back-to-back identical requests: both deliver in the same run() round,
+  // Back-to-back identical requests: both deliver in the same poll round,
   // so the second necessarily arrives while the first's proof generation
   // is still in flight on the strand — the deterministic join race.
-  scenario.network().send("probe", first_hop, msg::kQueryRequest, request);
-  scenario.network().send("probe", first_hop, msg::kQueryRequest, request);
+  transport.send("probe", first_hop, msg::kQueryRequest, request);
+  transport.send("probe", first_hop, msg::kQueryRequest, request);
 
   for (int round = 0; round < 200 && responses.size() < 2; ++round) {
-    prover.transport().poll(50);
+    transport.poll(50);
   }
 
   ASSERT_EQ(responses.size(), 2u);
@@ -161,14 +162,12 @@ SweepResult run_sweep(unsigned worker_threads,
     lots.push_back(dist.products);
   }
 
-  // Drops and jitter on every link from here on: the query sweep sees
+  // Drops and delays on every link from here on: the query sweep sees
   // retransmissions and reordered deliveries (distribution ran clean so
   // the deployment itself is identical across runs).
-  net::LinkPolicy lossy;
-  lossy.latency = 1;
-  lossy.jitter = 2;
-  lossy.drop_rate = 0.02;
-  scenario.network().set_default_policy(lossy);
+  net::FaultPlan lossy;
+  lossy.default_faults = {.drop_rate = 0.02, .delay_rate = 0.2, .delay = 2};
+  scenario.fault_injector().set_plan(lossy);
 
   QueryBehavior wrong_next;
   wrong_next.wrong_next[lots[0][0]] = "L4-0";

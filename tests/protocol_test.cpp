@@ -2,7 +2,9 @@
 
 #include <memory>
 
+#include "common/rng.h"
 #include "desword/scenario.h"
+#include "obs/metrics.h"
 
 namespace desword::protocol {
 namespace {
@@ -65,6 +67,17 @@ TEST_F(ProtocolTest, DistributionPhaseBuildsPocList) {
             (std::vector<std::string>{"v0"}));
   // The proxy's POC queue for v0 has one entry.
   EXPECT_EQ(scenario_->proxy().poc_queue("v0").size(), 1u);
+}
+
+TEST_F(ProtocolTest, EveryEndpointSharesOneTransport) {
+  // One transport per deployment, like serve-* and perfbench: every
+  // endpoint's frames cross the same fault injector and every endpoint's
+  // timers fire from the same poll loop.
+  const net::Transport* shared = &scenario_->transport();
+  EXPECT_EQ(&scenario_->proxy().transport(), shared);
+  for (const auto& id : scenario_->graph().participants()) {
+    EXPECT_EQ(&scenario_->participant(id).transport(), shared) << id;
+  }
 }
 
 TEST_F(ProtocolTest, HonestGoodQueryRecoversFullPath) {
@@ -558,16 +571,29 @@ TEST_F(ProtocolTest, MultiTaskQueuesAndQueries) {
   EXPECT_EQ(c.task_id, "task-c");
 }
 
+/// Retry budget of the lossy cells. With 30% loss each way a round trip
+/// fails with p = 1 - 0.7^2 = 0.51, so a hop that gets 1 + 10 attempts
+/// fails with p = 0.51^11 < 1e-3. The default budget of 3 completes a
+/// 3-hop good walk in only 11 of 20 plan seeds.
+constexpr int kLossyRetries = 10;
+
+/// A plan applying `faults` to every frame to or from the proxy.
+net::FaultPlan proxy_link_plan(const net::LinkFaults& faults) {
+  net::FaultPlan plan;
+  plan.rules.push_back(net::FaultRule{"proxy", "", faults});
+  plan.rules.push_back(net::FaultRule{"", "proxy", faults});
+  return plan;
+}
+
 TEST_F(ProtocolTest, QuerySurvivesLossyLinks) {
+  ScenarioConfig cfg = fast_config();
+  cfg.max_retries = kLossyRetries;
+  scenario_ = std::make_unique<Scenario>(SupplyChainGraph::paper_example(),
+                                         cfg);
   run_task();
   const ProductId product = product_with_path_length(3);
   // Make every link to/from the proxy lossy AFTER the distribution phase.
-  for (const auto& id : scenario_->graph().participants()) {
-    scenario_->network().set_link_policy("proxy", id,
-                                         net::LinkPolicy{1, 0.3});
-    scenario_->network().set_link_policy(id, "proxy",
-                                         net::LinkPolicy{1, 0.3});
-  }
+  scenario_->fault_injector().set_plan(proxy_link_plan({.drop_rate = 0.3}));
   const QueryOutcome outcome =
       scenario_->proxy().run_query(product, ProductQuality::kGood);
   EXPECT_TRUE(outcome.complete);
@@ -575,19 +601,19 @@ TEST_F(ProtocolTest, QuerySurvivesLossyLinks) {
 }
 
 TEST_F(ProtocolTest, QuerySurvivesChaos) {
-  // Drops + duplicates + jitter on every proxy link at once: the protocol
+  // Drops + duplicates + delays on every proxy link at once: the protocol
   // must stay correct (idempotent handlers, phase-gated sessions,
-  // retransmission), not merely available.
+  // retransmission), not merely available. At 20% loss a round trip fails
+  // with p = 0.36, well inside the lossy cells' budget.
+  ScenarioConfig cfg = fast_config();
+  cfg.max_retries = kLossyRetries;
+  scenario_ = std::make_unique<Scenario>(SupplyChainGraph::paper_example(),
+                                         cfg);
   run_task();
   const ProductId product = product_with_path_length(3);
-  net::LinkPolicy chaos;
-  chaos.drop_rate = 0.2;
-  chaos.duplicate_rate = 0.3;
-  chaos.jitter = 7;
-  for (const auto& id : scenario_->graph().participants()) {
-    scenario_->network().set_link_policy("proxy", id, chaos);
-    scenario_->network().set_link_policy(id, "proxy", chaos);
-  }
+  const net::LinkFaults chaos = {.drop_rate = 0.2, .delay_rate = 0.3,
+                                 .delay = 7, .duplicate_rate = 0.3};
+  scenario_->fault_injector().set_plan(proxy_link_plan(chaos));
   for (int i = 0; i < 3; ++i) {
     const QueryOutcome outcome =
         scenario_->proxy().run_query(product, ProductQuality::kGood);
@@ -620,15 +646,17 @@ TEST_F(ProtocolTest, GarbageMessagesDoNotCrashEndpoints) {
       scenario_->proxy().run_query(product, ProductQuality::kGood).complete);
 }
 
-TEST_F(ProtocolTest, DistributionSurvivesDuplicatesAndJitter) {
+TEST_F(ProtocolTest, DistributionSurvivesDuplicatesAndDelays) {
   // Duplicate + reorder every message during the DISTRIBUTION phase (the
   // chaos tests above only stress the query phase). Duplicated ps
   // responses, POCs and pair reports must all be absorbed idempotently,
   // and the resulting deployment must behave exactly like a clean one.
-  net::LinkPolicy noisy;
-  noisy.duplicate_rate = 0.3;
-  noisy.jitter = 9;
-  scenario_->network().set_default_policy(noisy);
+  net::FaultPlan noisy;
+  noisy.default_faults = {.delay_rate = 0.3, .delay = 9,
+                          .duplicate_rate = 0.3};
+  scenario_->fault_injector().set_plan(noisy);
+  const std::uint64_t duplicated_before =
+      obs::metric("net.fault.duplicated").value();
   run_task();
 
   ASSERT_NE(scenario_->proxy().task_list("task-1"), nullptr);
@@ -643,7 +671,7 @@ TEST_F(ProtocolTest, DistributionSurvivesDuplicatesAndJitter) {
   for (const auto& hop : outcome.path) {
     EXPECT_DOUBLE_EQ(scenario_->proxy().reputation(hop), 1.0) << hop;
   }
-  EXPECT_GT(scenario_->network().total_stats().messages_duplicated, 0u);
+  EXPECT_GT(obs::metric("net.fault.duplicated").value(), duplicated_before);
 }
 
 TEST_F(ProtocolTest, DuplicatedRequestsServedFromReplyCache) {
@@ -651,11 +679,10 @@ TEST_F(ProtocolTest, DuplicatedRequestsServedFromReplyCache) {
   const ProductId product = product_with_path_length(3);
   // Deliver every proxy->participant request twice: participants answer
   // the copy from their reply cache instead of regenerating proofs.
-  net::LinkPolicy duplicate_all;
-  duplicate_all.duplicate_rate = 1.0;
-  for (const auto& id : scenario_->graph().participants()) {
-    scenario_->network().set_link_policy("proxy", id, duplicate_all);
-  }
+  net::FaultPlan duplicate_all;
+  duplicate_all.rules.push_back(
+      net::FaultRule{"proxy", "", {.duplicate_rate = 1.0}});
+  scenario_->fault_injector().set_plan(duplicate_all);
   std::map<std::string, std::uint64_t> proofs_before;
   for (const auto& id : scenario_->graph().participants()) {
     proofs_before[id] = scenario_->participant(id).stats().proofs_generated;
