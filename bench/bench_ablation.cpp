@@ -53,7 +53,6 @@ void BM_AggregateSoftMode(benchmark::State& state, zkedb::SoftMode mode) {
 
 void BM_ProveSoftMode(benchmark::State& state, zkedb::SoftMode mode) {
   const zkedb::EdbCrsPtr crs = ablation_crs(mode, "p256");
-  crs->qtmc().precompute_soft_bases();
   poc::PocScheme scheme(crs);
   auto [p, dpoc] =
       scheme.aggregate("v1", traces_of(static_cast<std::size_t>(state.range(0))));

@@ -43,7 +43,6 @@ int main() {
   const std::uint32_t q = quick ? 4 : 16;
   const std::uint32_t h = quick ? 8 : 32;
   const zkedb::EdbCrsPtr crs = benchutil::crs_for(q, h);
-  crs->qtmc().precompute_soft_bases();
   poc::PocScheme zk_scheme(crs);
   baseline::BaselineScheme sig_scheme(make_p256_group());
 

@@ -55,7 +55,6 @@ PocFixture& fixture_for(std::uint32_t q, std::uint32_t h, unsigned threads) {
   if (it == cache.end()) {
     auto fx = std::make_unique<PocFixture>();
     fx->crs = benchutil::crs_for(q, h);
-    fx->crs->qtmc().precompute_soft_bases();
     fx->crs->qtmc().precompute_fixed_bases();
     fx->crs->tmc().precompute_fixed_bases();
     zkedb::EdbVerifyOptions verify_opts;

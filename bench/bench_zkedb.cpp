@@ -26,7 +26,6 @@ EdbCrsPtr bench_crs() {
   static const EdbCrsPtr crs = [] {
     EdbCrsPtr c = benchutil::quick_mode() ? benchutil::crs_for(4, 8)
                                           : benchutil::crs_for(16, 32);
-    c->qtmc().precompute_soft_bases();
     c->qtmc().precompute_fixed_bases();
     c->tmc().precompute_fixed_bases();
     return c;
@@ -51,7 +50,6 @@ EdbProver& prover_for(std::size_t n, unsigned threads = 0) {
   auto it = cache.find(key);
   if (it == cache.end()) {
     const EdbCrsPtr crs = bench_crs();
-    crs->qtmc().precompute_soft_bases();
     EdbProverOptions opts;
     opts.threads = threads;
     it = cache
@@ -174,7 +172,6 @@ void BM_VerifyMany(benchmark::State& state, bool batched) {
 
 void BM_IncrementalInsert(benchmark::State& state) {
   const EdbCrsPtr crs = bench_crs();
-  crs->qtmc().precompute_soft_bases();
   EdbProver prover(crs, entries_of(*crs, static_cast<std::size_t>(state.range(0))));
   std::uint64_t serial = 1u << 20;
   for (auto _ : state) {

@@ -67,10 +67,11 @@ class CrsCache {
   /// Warms the fixed-base exponentiation tables every cached-CRS consumer
   /// shares (the qTMC tables live in a process-wide per-public-key
   /// registry, so this is once per distinct CRS no matter how many nodes
-  /// adopt it). The per-position S_i tables are left to first use — they
-  /// cost q·~128 KiB and only verification-heavy nodes need them.
+  /// adopt it). The qTMC position tables are built too: every participant
+  /// commits, opens and teases through them (~12 MiB at RSA-2048, q=16),
+  /// and the proxy's scalar verification uses the S_i ones.
   static void warm(const zkedb::EdbCrs& crs) {
-    crs.qtmc().precompute_fixed_bases(/*position_bases=*/false);
+    crs.qtmc().precompute_fixed_bases(/*position_bases=*/true);
     crs.tmc().precompute_fixed_bases();
   }
 

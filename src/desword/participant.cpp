@@ -47,16 +47,6 @@ obs::Counter& non_ownership_proofs() {
   return c;
 }
 
-obs::Counter& proof_memo_hits() {
-  static obs::Counter& c = obs::metric("protocol.proof.memo_hits");
-  return c;
-}
-
-/// Proof-memo entry bound: generous for a real deployment (a participant
-/// proves per (commitment, product) it ever served) while still bounding
-/// memory against a hostile query stream sweeping fabricated product ids.
-constexpr std::size_t kProofMemoCap = 4096;
-
 obs::Counter& distribution_orphaned() {
   static obs::Counter& c = obs::metric("net.distribution.orphaned");
   return c;
@@ -415,9 +405,8 @@ void Participant::aggregate_poc(TaskState& task) {
   auto [poc, dpoc] = task.scheme->aggregate(id_, traces);
   task.own_poc = poc;
   task.dpoc = std::shared_ptr<poc::PocDecommitment>(std::move(dpoc));
-  contexts_[poc.commitment] =
-      ProofContext{task.crs, task.dpoc,
-                   std::make_shared<poc::PocScheme>(task.crs), poc.commitment};
+  contexts_[poc.commitment] = ProofContext{
+      task.crs, task.dpoc, std::make_shared<poc::PocScheme>(task.crs)};
 }
 
 void Participant::on_poc_to_parent(const net::Envelope& env,
@@ -537,38 +526,8 @@ const Participant::ProofContext* Participant::context_for(
 
 poc::PocProof Participant::prove_poc(const ProofContext& ctx,
                                      const supplychain::ProductId& product) {
-  // Non-ownership proofs bypass the memo: EdbProver already memoizes their
-  // costly part (fabricated soft nodes and their teases), and the rest —
-  // hard teases of committed nodes, the leaf's soft tease — is
-  // deterministic, so a repeat recomputes the identical bytes cheaply
-  // without a second ~proof-sized copy here.
-  if (!proof_memo_enabled_ || !ctx.dpoc->owns(product)) {
-    stats_.proofs_generated += 1;
-    return ctx.scheme->prove(*ctx.dpoc, product);
-  }
-  const Bytes key = TaggedHasher("desword/proof-memo")
-                        .add(ctx.commitment)
-                        .add(product)
-                        .digest();
-  {
-    MutexLock lock(proof_memo_mu_);
-    const auto it = proof_memo_.find(key);
-    if (it != proof_memo_.end()) {
-      proof_memo_hits().add();
-      return poc::PocProof::deserialize(it->second);
-    }
-  }
-  // Miss: generate outside the lock (proving is the heavyweight part and
-  // must not serialize unrelated memo lookups), then publish. A racing
-  // duplicate generation stores identical bytes, so last-write-wins is
-  // harmless.
   stats_.proofs_generated += 1;
-  poc::PocProof proof = ctx.scheme->prove(*ctx.dpoc, product);
-  Bytes serialized = proof.serialize();
-  MutexLock lock(proof_memo_mu_);
-  if (proof_memo_.size() >= kProofMemoCap) proof_memo_.clear();
-  proof_memo_[key] = std::move(serialized);
-  return proof;
+  return ctx.scheme->prove(*ctx.dpoc, product);
 }
 
 Bytes Participant::make_ownership_proof(const ProofContext& ctx,

@@ -136,20 +136,6 @@ class Participant {
   std::size_t reply_cache_capacity() const { return reply_cache_capacity_; }
   std::size_t reply_cache_size() const { return reply_cache_.size(); }
 
-  /// Toggles the proof memo (on by default): repeated ownership proofs of
-  /// the same (commitment, product) statement are served from memory
-  /// instead of re-running ZK-EDB proof generation. Sound because proofs
-  /// are re-derivations of committed state — the memoized bytes are
-  /// exactly what a recompute would produce. Non-ownership proofs are not
-  /// memoized here (see prove_poc). Must be set before query traffic
-  /// arrives, like `set_executor`.
-  void set_proof_memo(bool enabled) { proof_memo_enabled_ = enabled; }
-  bool proof_memo_enabled() const { return proof_memo_enabled_; }
-  std::size_t proof_memo_size() const {
-    MutexLock lock(proof_memo_mu_);
-    return proof_memo_.size();
-  }
-
   /// Receives envelopes whose type the participant does not understand
   /// (admin extensions layered on top of the core protocol).
   void set_fallback_handler(net::Handler handler) {
@@ -189,11 +175,6 @@ class Participant {
     zkedb::EdbCrsPtr crs;
     std::shared_ptr<poc::PocDecommitment> dpoc;
     std::shared_ptr<poc::PocScheme> scheme;
-    /// Serialized commitment the context proves against — the proof-memo
-    /// key component that scopes memoized proofs to one aggregation (a
-    /// re-aggregated database commits to different bytes, so its proofs
-    /// never alias the old ones).
-    Bytes commitment;
   };
 
   void handle(const net::Envelope& env);
@@ -234,16 +215,14 @@ class Participant {
   /// Ownership proof honouring wrong_trace behaviour.
   Bytes make_ownership_proof(const ProofContext& ctx,
                              const supplychain::ProductId& product);
-  /// The one gateway to `PocScheme::prove`: consults the proof memo first
-  /// for ownership proofs (deterministic — openings reveal stored
-  /// randomness — so a repeat of the same (commitment, product) statement
-  /// re-serves the identical bytes instead of re-running the heavyweight
-  /// ZK-EDB work). Non-ownership proofs are always recomputed: the prover's
-  /// own fabrication memo makes a repeat cheap and byte-identical.
-  /// Behaviour deviations (tampering, relabelling, corruption) apply on
-  /// the returned copy at the call sites, never to the memoized honest
-  /// proof. Safe from strand workers; `stats_.proofs_generated` counts
-  /// only actual generations (memo misses).
+  /// The one gateway to `PocScheme::prove`, counted in
+  /// `stats_.proofs_generated`. Every request proves afresh: an ownership
+  /// proof reveals stored randomness and a repeated non-ownership proof
+  /// replays the prover's fabrication memo, so a repeat is byte-identical
+  /// (the proxy's hop memo, keyed by the proof bytes, still hits) and
+  /// costs a few milliseconds (DESIGN.md §12). Behaviour deviations
+  /// (tampering, relabelling, corruption) apply on the returned proof at
+  /// the call sites. Safe from strand workers.
   poc::PocProof prove_poc(const ProofContext& ctx,
                           const supplychain::ProductId& product);
   /// Applies the corrupt_proof deviation (bit-flips the serialized proof)
@@ -306,15 +285,6 @@ class Participant {
   /// request round.
   std::size_t reply_cache_capacity_ = 128;
   int max_distribution_retries_ = 32;
-  /// Proof memo: digest(commitment ‖ product) -> serialized honest
-  /// ownership PocProof. Shared between strand workers and the loop
-  /// thread (size queries), hence the lock; proving dominates it by orders
-  /// of magnitude. Bounded by wholesale clearing at the cap — a participant
-  /// serves a handful of commitments × products, so the cap only guards
-  /// against pathological query streams.
-  bool proof_memo_enabled_ = true;
-  mutable Mutex proof_memo_mu_;
-  std::map<Bytes, Bytes> proof_memo_ DESWORD_GUARDED_BY(proof_memo_mu_);
   Stats stats_;
   net::Handler fallback_;
 

@@ -37,11 +37,6 @@ Scenario::Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config)
     if (config_.max_distribution_retries > 0) {
       p->set_max_distribution_retries(config_.max_distribution_retries);
     }
-    // The scenario-level cache knob governs every memoization layer: the
-    // proxy's verification cache AND the participants' proof memo, so a
-    // cache-off run truly recomputes everything (the equivalence tests
-    // rely on that).
-    p->set_proof_memo(config_.verify_cache);
     // One worker pool serves the whole deployment: proxy verifies and
     // participant proofs share the executor, each behind its own strand.
     if (proxy_->executor()) p->set_executor(proxy_->executor());

@@ -34,11 +34,9 @@ struct ScenarioConfig {
   /// strategy; verdicts identical either way).
   bool batch_verify = true;
   /// Forwarded to VerifyPolicy::cache — the proxy's epoch-versioned
-  /// verification cache — and to every participant's `set_proof_memo`
-  /// (repeated proofs of the same committed statement are served from
-  /// memory). Verdicts and reputation are byte-identical either way; the
-  /// caches only skip recomputation of work whose result is already
-  /// determined.
+  /// verification cache. Verdicts and reputation are byte-identical either
+  /// way; the cache only skips recomputation of work whose result is
+  /// already determined.
   bool verify_cache = true;
   /// Crypto worker threads shared by the proxy and every participant
   /// (forwarded to VerifyPolicy::worker_threads; the proxy's executor is

@@ -1,6 +1,6 @@
 #include "mercurial/qtmc.h"
 
-#include <list>
+#include <algorithm>
 #include <map>
 #include <mutex>  // desword-lint: allow(raw-mutex) — std::once_flag/call_once
 
@@ -13,6 +13,23 @@
 
 namespace desword::mercurial {
 
+using FixedBaseTable = ModExpContext::FixedBaseTable;
+
+struct QtmcBaseTables {
+  FixedBaseTable g;
+  FixedBaseTable h;
+  FixedBaseTable h_tilde;
+};
+
+struct QtmcPositionTables {
+  std::vector<FixedBaseTable> s;
+  std::vector<FixedBaseTable> s_inv;
+  std::vector<FixedBaseTable> t;
+  std::vector<FixedBaseTable> u_inv;
+  FixedBaseTable w;
+  FixedBaseTable g_inv;
+};
+
 namespace {
 
 constexpr int kRandomizerBits = 256;
@@ -20,28 +37,108 @@ constexpr int kRandomizerBits = 256;
 // the cap only bounds verification work, not security).
 constexpr int kMaxExponentBits = 1024;
 
-Bignum product_range(const std::vector<Bignum>& primes, std::size_t lo,
-                     std::size_t hi) {
-  if (hi - lo == 1) return primes[lo];
+// Divide-and-conquer power tree over the primes: each node covers a range
+// X of positions and carries three powers of g,
+//   s = g^{O},  t = g^{σ(O)},  u = g^{⌊P/Π_X²⌋},
+// where O = P/Π_X is the product of the primes outside X and
+// σ(O) = Σ_{j outside} O/e_j. At leaf i the outside set is every j ≠ i, so
+// s = S_i, t = T_i and u = U_i (⌊P/e_i²⌋ = ⌊P_i/e_i⌋). Moving into one half
+// adds the other half's primes Q to the outside set:
+//   O' = O·Π_Q,  σ(O') = σ(O)·Π_Q + O·σ(Q),
+//   ⌊P/Π'²⌋ = Π_Q²·⌊P/Π_X²⌋ + ⌊Π_Q²·(P mod Π_X²)/Π_X²⌋.
+// Every exponent is O(|Q|·|e|) bits, so the whole tree costs Θ(q log q)
+// modular squarings instead of Θ(q²).
+struct RangeProduct {
+  Bignum prod;   // Π_Q = ∏_{j∈Q} e_j
+  Bignum sigma;  // σ(Q) = Σ_{j∈Q} Π_Q/e_j
+};
+
+RangeProduct range_product(const std::vector<Bignum>& primes, std::size_t lo,
+                           std::size_t hi) {
+  if (hi - lo == 1) return RangeProduct{primes[lo], Bignum(1)};
   const std::size_t mid = lo + (hi - lo) / 2;
-  return product_range(primes, lo, mid) * product_range(primes, mid, hi);
+  const RangeProduct l = range_product(primes, lo, mid);
+  const RangeProduct r = range_product(primes, mid, hi);
+  return RangeProduct{l.prod * r.prod, l.sigma * r.prod + l.prod * r.sigma};
 }
 
-// Divide-and-conquer "all-but-one" power tree: out[i] = base^{∏_{j≠i} e_j}
-// within [lo, hi), assuming `base` already carries the primes outside the
-// range. Θ(q log q) modular squarings total instead of Θ(q²).
-void fill_powers(const Bignum& base, const std::vector<Bignum>& primes,
-                 std::size_t lo, std::size_t hi, const ModExpContext& mexp,
-                 std::vector<Bignum>& out) {
+struct TreePowers {
+  Bignum s;
+  Bignum t;
+  Bignum u;
+};
+
+void fill_powers(const TreePowers& node, const Bignum& g, const Bignum& p,
+                 const std::vector<Bignum>& primes, std::size_t lo,
+                 std::size_t hi, const ModExpContext& mexp,
+                 std::vector<TreePowers>& out) {
   if (hi - lo == 1) {
-    out[lo] = base;
+    out[lo] = node;
     return;
   }
+  const Bignum pi = range_product(primes, lo, hi).prod;
+  const Bignum pi_sq = pi * pi;
+  const Bignum p_rem = p.mod(pi_sq);
   const std::size_t mid = lo + (hi - lo) / 2;
-  const Bignum prod_left = product_range(primes, lo, mid);
-  const Bignum prod_right = product_range(primes, mid, hi);
-  fill_powers(mexp.exp(base, prod_right), primes, lo, mid, mexp, out);
-  fill_powers(mexp.exp(base, prod_left), primes, mid, hi, mexp, out);
+  const auto descend = [&](const RangeProduct& other, std::size_t sub_lo,
+                           std::size_t sub_hi) {
+    const Bignum other_sq = other.prod * other.prod;
+    // Each two-power product shares one squaring chain.
+    TreePowers sub{
+        mexp.exp(node.s, other.prod),
+        mexp.multi_exp({{node.t, other.prod}, {node.s, other.sigma}}),
+        mexp.multi_exp(
+            {{node.u, other_sq},
+             {g, (other_sq * p_rem).divided_by(pi_sq)}})};
+    fill_powers(sub, g, p, primes, sub_lo, sub_hi, mexp, out);
+  };
+  descend(range_product(primes, mid, hi), lo, mid);
+  descend(range_product(primes, lo, mid), mid, hi);
+}
+
+// Montgomery's batch inversion: replaces every element of `xs` by its
+// inverse mod `n` with ONE modular inverse and 3·(|xs| − 1)
+// multiplications. Throws CryptoError if any element is not a unit.
+void invert_all(std::vector<Bignum*>& xs, const Bignum& n) {
+  std::vector<Bignum> prefix(xs.size());
+  prefix[0] = *xs[0];
+  for (std::size_t k = 1; k < xs.size(); ++k) {
+    prefix[k] = Bignum::mod_mul(prefix[k - 1], *xs[k], n);
+  }
+  Bignum inv = Bignum::mod_inverse(prefix.back(), n);
+  for (std::size_t k = xs.size(); k-- > 1;) {
+    Bignum x_inv = Bignum::mod_mul(inv, prefix[k - 1], n);
+    inv = Bignum::mod_mul(inv, *xs[k], n);
+    *xs[k] = std::move(x_inv);
+  }
+  *xs[0] = std::move(inv);
+}
+
+// Index of the most frequent message of `dec` and its count. Ties go to
+// the lowest message, so the choice is deterministic (the commitment does
+// not depend on it).
+std::pair<std::size_t, std::size_t> mode_of(const QtmcHardDecommit& dec) {
+  std::vector<std::size_t> order(dec.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  const auto less = [&](std::size_t x, std::size_t y) {
+    const BytesView a = dec.message(x);
+    const BytesView b = dec.message(y);
+    return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                        b.end());
+  };
+  std::sort(order.begin(), order.end(), less);
+  std::pair<std::size_t, std::size_t> best{0, 0};
+  for (std::size_t k = 0; k < order.size();) {
+    std::size_t run = k + 1;
+    while (run < order.size() && !less(order[k], order[run])) ++run;
+    if (run - k > best.second) best = {order[k], run - k};
+    k = run;
+  }
+  return best;
+}
+
+bool same_message(BytesView a, BytesView b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
 // Process-wide registry of fixed-base table sets, keyed by the hash of the
@@ -50,34 +147,25 @@ void fill_powers(const Bignum& base, const std::vector<Bignum>& primes,
 // one shared, immutable set instead of rebuilding megabytes of
 // precomputation per instance (proxy + participants all hold the same CRS).
 //
-// The registry is a bounded LRU: a peer able to present many distinct CRS
-// public keys must not drive unbounded memory growth (each set is several
-// MiB). Evicting an entry only drops the registry's reference — instances
-// that already adopted the set keep it alive via shared_ptr, and a
-// re-presented CRS simply rebuilds. The registry mutex guards only the
-// map itself; table builds run outside it, deduplicated per entry by
-// once_flags, so one slow build for CRS A never blocks precompute for an
-// unrelated CRS B.
-struct FixedBaseSet {
-  std::shared_ptr<const ModExpContext::FixedBaseTable> g;
-  std::shared_ptr<const ModExpContext::FixedBaseTable> h;
-  std::shared_ptr<const ModExpContext::FixedBaseTable> h_tilde;
-  std::shared_ptr<const std::vector<ModExpContext::FixedBaseTable>> s;
-};
-
+// The registry holds weak references: an instance that adopts a set owns
+// its entry (QtmcScheme keeps aliasing pointers into it), so a set lives
+// exactly as long as some instance of its CRS does, and a CRS nobody holds
+// any more costs no memory — however many distinct CRSs a process has
+// seen. Expired keys are purged on each insertion. The registry mutex
+// guards only the map itself; table builds run outside it, deduplicated
+// per entry by once_flags, so one slow build for CRS A never blocks
+// precompute for an unrelated CRS B.
 struct FixedBaseEntry {
   std::once_flag base_once;
   std::once_flag pos_once;
-  FixedBaseSet set;
+  std::unique_ptr<const QtmcBaseTables> base;
+  std::unique_ptr<const QtmcPositionTables> pos;
 };
-
-constexpr std::size_t kFixedBaseRegistryCap = 8;
 
 struct FixedBaseRegistry {
   Mutex mu;
-  std::map<Bytes, std::shared_ptr<FixedBaseEntry>> entries
+  std::map<Bytes, std::weak_ptr<FixedBaseEntry>> entries
       DESWORD_GUARDED_BY(mu);
-  std::list<Bytes> lru DESWORD_GUARDED_BY(mu);  // front = most recently used
 };
 
 FixedBaseRegistry& fixed_base_registry() {
@@ -85,24 +173,18 @@ FixedBaseRegistry& fixed_base_registry() {
   return *reg;
 }
 
-// Looks up (or inserts) the entry for `key`, evicting the least recently
-// used entries beyond the cap. O(cap) list scans are fine at cap = 8.
+// The live entry for `key`, created if no instance holds one.
 std::shared_ptr<FixedBaseEntry> fixed_base_entry(const Bytes& key) {
   FixedBaseRegistry& reg = fixed_base_registry();
   MutexLock lock(reg.mu);
   const auto it = reg.entries.find(key);
   if (it != reg.entries.end()) {
-    reg.lru.remove(key);
-    reg.lru.push_front(key);
-    return it->second;
+    if (std::shared_ptr<FixedBaseEntry> live = it->second.lock()) return live;
   }
-  while (reg.entries.size() >= kFixedBaseRegistryCap && !reg.lru.empty()) {
-    reg.entries.erase(reg.lru.back());
-    reg.lru.pop_back();
-  }
+  std::erase_if(reg.entries,
+                [](const auto& kv) { return kv.second.expired(); });
   auto entry = std::make_shared<FixedBaseEntry>();
-  reg.entries.emplace(key, entry);
-  reg.lru.push_front(key);
+  reg.entries[key] = entry;
   return entry;
 }
 
@@ -226,17 +308,31 @@ QtmcScheme::QtmcScheme(QtmcPublicKey pk) : pk_(std::move(pk)) {
   n_half_ = (pk_.n - Bignum(1)).divided_by(Bignum(2));
   mexp_ = std::make_unique<ModExpContext>(pk_.n);
   e_ = derive_primes(pk_.prime_seed, pk_.q, kPrimeBits);
-  prod_all_ = product_range(e_, 0, e_.size());
-  s_.resize(pk_.q);
-  fill_powers(pk_.g.mod(pk_.n), e_, 0, e_.size(), *mexp_, s_);
+  prod_all_ = range_product(e_, 0, e_.size()).prod;
+  const Bignum g = pk_.g.mod(pk_.n);
+  // Root: the outside set is empty (O = 1, σ = 0) and ⌊P/P²⌋ = 0 for
+  // q ≥ 2; at q = 1 the root is the leaf and U_0 = g^{⌊1/e_0⌋} = 1.
+  std::vector<TreePowers> powers(pk_.q);
+  fill_powers(TreePowers{g, Bignum(1), Bignum(1)}, g, prod_all_, e_, 0,
+              e_.size(), *mexp_, powers);
   // h̃ = g^P = S_0^{e_0} (cheap: one small exponentiation).
-  h_tilde_ = mexp_->exp(s_[0], e_[0]);
-  rho_.reserve(pk_.q);
+  h_tilde_ = mexp_->exp(powers[0].s, e_[0]);
+  w_ = Bignum(1);
   for (std::uint32_t i = 0; i < pk_.q; ++i) {
-    const Bignum p_i = prod_all_.divided_by(e_[i]);
-    rho_.push_back(p_i.mod(e_[i]));
+    p_.push_back(prod_all_.divided_by(e_[i]));
+    rho_.push_back(p_[i].mod(e_[i]));
+    s_.push_back(std::move(powers[i].s));
+    t_.push_back(std::move(powers[i].t));
+    u_inv_.push_back(std::move(powers[i].u));  // inverted below
+    w_ = Bignum::mod_mul(w_, s_[i], pk_.n);
   }
-  u_.resize(pk_.q);
+  s_inv_ = s_;
+  g_inv_ = g;
+  std::vector<Bignum*> units;
+  for (Bignum& x : s_inv_) units.push_back(&x);
+  for (Bignum& x : u_inv_) units.push_back(&x);
+  units.push_back(&g_inv_);
+  invert_all(units, pk_.n);
 }
 
 std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
@@ -250,76 +346,102 @@ std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
     throw CryptoError("qTMC: more messages than arity");
   }
   QtmcHardDecommit dec;
-  dec.messages = messages;
-  dec.messages.resize(pk_.q, null_message());
+  dec.messages.reserve(pk_.q * kMessageBytes);
+  for (const Bytes& m : messages) {
+    if (m.size() != kMessageBytes) {
+      throw CryptoError("mercurial message must be exactly 16 bytes");
+    }
+    append(dec.messages, m);
+  }
+  dec.messages.resize(pk_.q * kMessageBytes, 0);  // null-message tail
   dec.z = rng.rand_bits(kRandomizerBits);
   dec.r0 = rng.rand_bits(kRandomizerBits);
   dec.r1 = rng.rand_bits(kRandomizerBits);
 
-  const Bignum c1 = canonical(pow_h(dec.r1));
+  // ∏_i S_i^{m_i} = W^{m*} · ∏_{m_i≠m*} S_i^{m_i−m*} with m* the most
+  // frequent message (null when none repeats): a ZK-EDB node commits the
+  // shared soft-backing digest at every absent child, so this is one
+  // 128-bit power per distinct message besides m*. Negative differences
+  // power S_i^{-1}.
+  const QtmcPositionTables* tables = fb_pos();
+  const auto [star, count] = mode_of(dec);
+  const Bignum m_star =
+      count > 1 ? message_to_scalar(dec.message(star)) : Bignum();
   Bignum acc = pow_h_tilde(dec.z);
-  // Group equal messages: ∏_{i∈I} S_i^m = (∏_{i∈I} S_i)^m. ZK-EDB nodes
-  // commit the same soft-backing digest at most positions, so this turns
-  // q exponentiations into one per distinct message. Messages unique to a
-  // single position go through the per-position fixed-base table instead
-  // (when built), which beats a plain exponentiation of the lone base.
-  struct Grouped {
-    Bignum base;
-    std::uint32_t first_pos = 0;
-    std::uint32_t count = 0;
-  };
-  std::map<Bytes, Grouped> base_by_message;
-  for (std::uint32_t i = 0; i < pk_.q; ++i) {
-    const Bytes& m = dec.messages[i];
-    if (message_to_scalar(m).is_zero()) continue;  // S_i^0 = 1
-    const auto it = base_by_message.find(m);
-    if (it == base_by_message.end()) {
-      base_by_message.emplace(m, Grouped{s_[i], i, 1});
-    } else {
-      it->second.base = Bignum::mod_mul(it->second.base, s_[i], pk_.n);
-      ++it->second.count;
-    }
+  if (!m_star.is_zero()) {
+    acc = Bignum::mod_mul(acc, pow(w_, tables ? &tables->w : nullptr, m_star),
+                          pk_.n);
   }
-  for (const auto& [m, group] : base_by_message) {
-    const Bignum scalar = message_to_scalar(m);
-    const Bignum factor = group.count == 1 ? pow_s(group.first_pos, scalar)
-                                           : mexp_->exp(group.base, scalar);
+  for (std::uint32_t i = 0; i < pk_.q; ++i) {
+    const Bignum d = message_to_scalar(dec.message(i)) - m_star;
+    if (d.is_zero()) continue;
+    const Bignum factor =
+        d.is_negative()
+            ? pow(s_inv_[i], tables ? &tables->s_inv[i] : nullptr, d.negated())
+            : pow_s(i, d);
     acc = Bignum::mod_mul(acc, factor, pk_.n);
   }
-  Bignum c0 = canonical(Bignum::mod_mul(acc, mexp_->exp(c1, dec.r0), pk_.n));
+  const Bignum c1 = canonical(pow_h(dec.r1));
+  // C1^{r0} = (±h^{r1})^{r0} = ±h^{r1·r0}; canonical() absorbs the sign.
+  Bignum c0 =
+      canonical(Bignum::mod_mul(acc, pow_h(dec.r1 * dec.r0), pk_.n));
   return {QtmcCommitment{std::move(c0), c1}, std::move(dec)};
 }
 
-Bignum QtmcScheme::lambda_exponent(const QtmcHardDecommit& dec,
-                                   std::uint32_t pos) const {
-  // (z·P + Σ_{j≠pos} m_j·P_j) / e_pos  =  z·P_pos + Σ_{j≠pos} m_j·(P_pos/e_j)
-  const Bignum p_pos = prod_all_.divided_by(e_[pos]);
-  Bignum exp = dec.z * p_pos;
-  for (std::uint32_t j = 0; j < pk_.q; ++j) {
-    if (j == pos) continue;
-    const Bignum m = message_to_scalar(dec.messages[j]);
-    if (m.is_zero()) continue;
-    exp += m * p_pos.divided_by(e_[j]);
+Bignum QtmcScheme::hard_lambda(const QtmcHardDecommit& dec,
+                               std::uint32_t pos) const {
+  // Λ_pos = g^{(z·P + Σ_{j≠pos} m_j·P_j)/e_pos}
+  //       = S_pos^z · T_pos^{m*} · g^{R},  R = Σ_{j≠pos} (m_j − m*)·P/(e_pos·e_j).
+  // When every j ≠ pos holds the same message, m* is that message and
+  // R = 0 (a trie node opened at its real child). Otherwise R is a
+  // Θ(q·|e|)-bit power whatever m* is, so m* = null and S_pos^z = g^{z·P_pos}
+  // folds into it: one power of g.
+  const std::uint32_t first = pos == 0 ? 1 : 0;
+  bool shared = true;
+  for (std::uint32_t j = first + 1; j < pk_.q && shared; ++j) {
+    shared = j == pos || same_message(dec.message(j), dec.message(first));
   }
-  return exp;
+  if (!shared) {
+    Bignum x = dec.z * p_[pos];
+    for (std::uint32_t j = 0; j < pk_.q; ++j) {
+      if (j == pos) continue;
+      const Bignum m = message_to_scalar(dec.message(j));
+      if (!m.is_zero()) x += m * p_[pos].divided_by(e_[j]);
+    }
+    return canonical(pow_g(x));
+  }
+  const QtmcPositionTables* tables = fb_pos();
+  Bignum lambda = pow(s_[pos], tables ? &tables->s[pos] : nullptr, dec.z);
+  // first >= q only at q = 1, where there is no other position: Λ = S_0^z.
+  if (first < pk_.q) {
+    const Bignum m_star = message_to_scalar(dec.message(first));
+    if (!m_star.is_zero()) {
+      lambda = Bignum::mod_mul(
+          lambda, pow(t_[pos], tables ? &tables->t[pos] : nullptr, m_star),
+          pk_.n);
+    }
+  }
+  return canonical(lambda);
 }
 
 QtmcOpening QtmcScheme::hard_open(const QtmcHardDecommit& dec,
                                   std::uint32_t pos) const {
-  if (pos >= pk_.q || dec.messages.size() != pk_.q) {
+  if (pos >= pk_.q || dec.messages.size() != pk_.q * kMessageBytes) {
     throw CryptoError("qTMC hard_open: bad position or decommitment");
   }
-  const Bignum lambda = canonical(pow_g(lambda_exponent(dec, pos)));
-  return QtmcOpening{pos, dec.messages[pos], dec.r0, lambda, dec.r1};
+  const BytesView m = dec.message(pos);
+  return QtmcOpening{pos, Bytes(m.begin(), m.end()), dec.r0,
+                     hard_lambda(dec, pos), dec.r1};
 }
 
 QtmcTease QtmcScheme::tease_hard(const QtmcHardDecommit& dec,
                                  std::uint32_t pos) const {
-  if (pos >= pk_.q || dec.messages.size() != pk_.q) {
+  if (pos >= pk_.q || dec.messages.size() != pk_.q * kMessageBytes) {
     throw CryptoError("qTMC tease_hard: bad position or decommitment");
   }
-  const Bignum lambda = canonical(pow_g(lambda_exponent(dec, pos)));
-  return QtmcTease{pos, dec.messages[pos], dec.r0, lambda};
+  const BytesView m = dec.message(pos);
+  return QtmcTease{pos, Bytes(m.begin(), m.end()), dec.r0,
+                   hard_lambda(dec, pos)};
 }
 
 std::pair<QtmcCommitment, QtmcSoftDecommit> QtmcScheme::soft_commit() const {
@@ -345,22 +467,6 @@ QtmcCommitment QtmcScheme::soft_commitment(const QtmcSoftDecommit& dec) const {
   return QtmcCommitment{canonical(pow_g(dec.r0)), canonical(pow_g(dec.r1))};
 }
 
-const Bignum& QtmcScheme::u_base(std::uint32_t pos) const {
-  MutexLock lock(u_mutex_);
-  if (!u_[pos].has_value()) {
-    // U_pos = g^{(P/e_pos) div e_pos}; one-time Θ(q·|e|)-bit exponentiation,
-    // cached so steady-state soft openings stay constant time.
-    const Bignum p_pos = prod_all_.divided_by(e_[pos]);
-    const Bignum quot = (p_pos - rho_[pos]).divided_by(e_[pos]);
-    u_[pos] = pow_g(quot);
-  }
-  return *u_[pos];
-}
-
-void QtmcScheme::precompute_soft_bases() const {
-  for (std::uint32_t i = 0; i < pk_.q; ++i) (void)u_base(i);
-}
-
 void QtmcScheme::precompute_fixed_bases(bool position_bases) const {
   MutexLock lock(fb_mu_);
   if (fb_ready_.load(std::memory_order_acquire) &&
@@ -375,92 +481,104 @@ void QtmcScheme::precompute_fixed_bases(bool position_bases) const {
       fixed_base_entry(sha256(pk_.serialize()));
   if (!fb_ready_.load(std::memory_order_acquire)) {
     std::call_once(entry->base_once, [&] {
-      // λ exponents reach z·P + Σ m_j·P_j < 2^{P_bits + kRandomizerBits + 8};
-      // anything wider (hostile input) falls back to plain modexp inside
-      // ModExpContext::exp, so the cap is a fast-path bound, not a limit.
+      // Λ exponents reach z·P_i + R < 2^{P_bits + kRandomizerBits + 8};
+      // anything wider (the simulator) falls back to plain modexp inside
+      // ModExpContext::exp, so the width is a fast-path bound, not a limit.
       const int g_bits = prod_all_.bits() + kRandomizerBits + 8;
-      entry->set.g = std::make_shared<const ModExpContext::FixedBaseTable>(
-          mexp_->precompute(pk_.g.mod(pk_.n), g_bits));
-      entry->set.h = std::make_shared<const ModExpContext::FixedBaseTable>(
-          mexp_->precompute(pk_.h.mod(pk_.n), kMaxExponentBits));
-      entry->set.h_tilde = std::make_shared<const ModExpContext::FixedBaseTable>(
-          mexp_->precompute(h_tilde_, kRandomizerBits));
+      entry->base = std::make_unique<const QtmcBaseTables>(QtmcBaseTables{
+          mexp_->precompute(pk_.g.mod(pk_.n), g_bits),
+          mexp_->precompute(pk_.h.mod(pk_.n), kMaxExponentBits),
+          mexp_->precompute(h_tilde_, kRandomizerBits)});
     });
-    fb_g_ = entry->set.g;
-    fb_h_ = entry->set.h;
-    fb_h_tilde_ = entry->set.h_tilde;
+    fb_base_ = std::shared_ptr<const QtmcBaseTables>(entry, entry->base.get());
     fb_ready_.store(true, std::memory_order_release);
   }
   if (position_bases && !fb_pos_ready_.load(std::memory_order_acquire)) {
     std::call_once(entry->pos_once, [&] {
-      std::vector<ModExpContext::FixedBaseTable> tables;
-      tables.reserve(pk_.q);
-      for (std::uint32_t i = 0; i < pk_.q; ++i) {
-        // Message scalars are kMessageBytes wide (128 bits).
-        tables.push_back(
-            mexp_->precompute(s_[i], static_cast<int>(kMessageBytes) * 8));
-      }
-      entry->set.s =
-          std::make_shared<const std::vector<ModExpContext::FixedBaseTable>>(
-              std::move(tables));
+      const auto each = [&](const std::vector<Bignum>& bases, int bits) {
+        std::vector<FixedBaseTable> tables;
+        tables.reserve(bases.size());
+        for (const Bignum& b : bases) {
+          tables.push_back(mexp_->precompute(b, bits));
+        }
+        return tables;
+      };
+      // S_i powers z (256 bits) when opening and messages when verifying;
+      // the other position bases power messages or message differences.
+      // A soft tease's |k0| < τ·r1 < 2^{2·256}.
+      entry->pos = std::make_unique<const QtmcPositionTables>(
+          QtmcPositionTables{each(s_, kRandomizerBits),
+                             each(s_inv_, kMessageBits),
+                             each(t_, kMessageBits),
+                             each(u_inv_, kMessageBits),
+                             mexp_->precompute(w_, kMessageBits),
+                             mexp_->precompute(g_inv_, 2 * kRandomizerBits)});
     });
-    fb_s_ = entry->set.s;
+    fb_pos_ =
+        std::shared_ptr<const QtmcPositionTables>(entry, entry->pos.get());
     fb_pos_ready_.store(true, std::memory_order_release);
   }
 }
 
 const void* QtmcScheme::fixed_base_tables_id() const {
   MutexLock lock(fb_mu_);
-  return fb_g_.get();
+  return fb_base_.get();
 }
 
-// See the declarations in qtmc.h for why these four accessors may read the
+// See the declarations in qtmc.h for why these accessors may read the
 // fb_* pointers without holding fb_mu_ (write-once release/acquire
 // publication gated by fb_*_ready_).
-const ModExpContext::FixedBaseTable* QtmcScheme::fb_g_table() const {
+const QtmcBaseTables* QtmcScheme::fb_base() const {
   if (!fb_ready_.load(std::memory_order_acquire)) return nullptr;
-  return fb_g_.get();
+  return fb_base_.get();
 }
 
-const ModExpContext::FixedBaseTable* QtmcScheme::fb_h_table() const {
-  if (!fb_ready_.load(std::memory_order_acquire)) return nullptr;
-  return fb_h_.get();
-}
-
-const ModExpContext::FixedBaseTable* QtmcScheme::fb_h_tilde_table() const {
-  if (!fb_ready_.load(std::memory_order_acquire)) return nullptr;
-  return fb_h_tilde_.get();
-}
-
-const std::vector<ModExpContext::FixedBaseTable>* QtmcScheme::fb_s_tables()
-    const {
+const QtmcPositionTables* QtmcScheme::fb_pos() const {
   if (!fb_pos_ready_.load(std::memory_order_acquire)) return nullptr;
-  return fb_s_.get();
+  return fb_pos_.get();
+}
+
+Bignum QtmcScheme::pow(const Bignum& base, const FixedBaseTable* table,
+                       const Bignum& exponent) const {
+  return table != nullptr ? mexp_->exp(*table, exponent)
+                          : mexp_->exp(base, exponent);
 }
 
 Bignum QtmcScheme::pow_g(const Bignum& exponent) const {
-  if (const auto* t = fb_g_table()) return mexp_->exp(*t, exponent);
-  return mexp_->exp(pk_.g, exponent);
+  const QtmcBaseTables* t = fb_base();
+  return pow(pk_.g, t ? &t->g : nullptr, exponent);
 }
 
 Bignum QtmcScheme::pow_g_signed(const Bignum& exponent) const {
-  if (const auto* t = fb_g_table()) return mexp_->exp_signed(*t, exponent);
-  return mexp_->exp_signed(pk_.g, exponent);
+  if (!exponent.is_negative()) return pow_g(exponent);
+  const QtmcPositionTables* t = fb_pos();
+  return pow(g_inv_, t ? &t->g_inv : nullptr, exponent.negated());
 }
 
 Bignum QtmcScheme::pow_h(const Bignum& exponent) const {
-  if (const auto* t = fb_h_table()) return mexp_->exp(*t, exponent);
-  return mexp_->exp(pk_.h, exponent);
+  const QtmcBaseTables* t = fb_base();
+  return pow(pk_.h, t ? &t->h : nullptr, exponent);
 }
 
 Bignum QtmcScheme::pow_h_tilde(const Bignum& exponent) const {
-  if (const auto* t = fb_h_tilde_table()) return mexp_->exp(*t, exponent);
-  return mexp_->exp(h_tilde_, exponent);
+  const QtmcBaseTables* t = fb_base();
+  return pow(h_tilde_, t ? &t->h_tilde : nullptr, exponent);
 }
 
 Bignum QtmcScheme::pow_s(std::uint32_t pos, const Bignum& exponent) const {
-  if (const auto* s = fb_s_tables()) return mexp_->exp((*s)[pos], exponent);
-  return mexp_->exp(s_[pos], exponent);
+  const QtmcPositionTables* t = fb_pos();
+  return pow(s_[pos], t ? &t->s[pos] : nullptr, exponent);
+}
+
+Bignum QtmcScheme::soft_lambda(std::uint32_t pos, const Bignum& k0,
+                               const Bignum& m) const {
+  Bignum lambda = pow_g_signed(k0);
+  if (!m.is_zero()) {
+    const QtmcPositionTables* t = fb_pos();
+    lambda = Bignum::mod_mul(
+        lambda, pow(u_inv_[pos], t ? &t->u_inv[pos] : nullptr, m), pk_.n);
+  }
+  return canonical(lambda);
 }
 
 QtmcTease QtmcScheme::tease_soft(const QtmcSoftDecommit& dec,
@@ -480,14 +598,8 @@ QtmcTease QtmcScheme::tease_soft(const QtmcSoftDecommit& dec,
   if (!rem.is_zero()) {
     throw CryptoError("qTMC tease_soft: internal divisibility failure");
   }
-  Bignum lambda = pow_g_signed(k0);
-  if (!m.is_zero()) {
-    const Bignum um = mexp_->exp(u_base(pos), m);
-    lambda = Bignum::mod_mul(lambda, Bignum::mod_inverse(um, pk_.n), pk_.n);
-  }
-  lambda = canonical(lambda);
   return QtmcTease{pos, Bytes(msg.begin(), msg.end()), std::move(tau),
-                   std::move(lambda)};
+                   soft_lambda(pos, k0, m)};
 }
 
 Bignum QtmcScheme::canonical(const Bignum& x) const {
@@ -677,14 +789,8 @@ QtmcOpening QtmcScheme::fake_open(const QtmcSoftDecommit& dec,
   if (!rem.is_zero()) {
     throw CryptoError("qTMC fake_open: internal divisibility failure");
   }
-  Bignum lambda = pow_g_signed(k0);
-  if (!m.is_zero()) {
-    const Bignum um = mexp_->exp(u_base(pos), m);
-    lambda = Bignum::mod_mul(lambda, Bignum::mod_inverse(um, pk_.n), pk_.n);
-  }
-  lambda = canonical(lambda);
   return QtmcOpening{pos, Bytes(msg.begin(), msg.end()), std::move(tau),
-                     std::move(lambda), dec.r1};
+                     soft_lambda(pos, k0, m), dec.r1};
 }
 
 }  // namespace desword::mercurial

@@ -31,16 +31,30 @@
 // break small-exponent batch verification (DESIGN.md §5.5); binding is
 // unaffected, since a relation g^a = −g^b still yields g^{2(a−b)} = 1.
 //
-// Cost profile (matches the paper's Figure 4): qKGen / qHCom / qHOpen /
-// qSOpen-of-hard grow linearly with q (exponent sizes are Θ(q·|e|));
-// soft-commitment algorithms are constant in q (U_i values are cached per
-// key); verification is constant in q.
+// Prover-side constants (all derived from the public key in the
+// constructor, all powers of g): T_i = g^{Σ_{j≠i} P/(e_i·e_j)},
+// W = ∏_i S_i, and the inverses S_i^{-1}, U_i^{-1}, g^{-1}. With them the
+// prover's exponents are short wherever the message vector repeats:
+//   Λ_i   = S_i^z · T_i^{m*} when every j≠i holds the same message m*;
+//           otherwise the direct power g^{z·P_i + Σ_{j≠i} m_j·P/(e_i·e_j)};
+//   C0    = h̃^z · W^{m*} · ∏_{m_i≠m*} S_i^{±|m_i−m*|} · h^{r1·r0}, m* the
+//           most frequent message (canonical() absorbs C1's sign);
+//   tease = g^{k0} · (U_i^{-1})^m, k0 signed (g^{-1} for k0 < 0).
+//
+// Cost profile (matches the paper's Figure 4): qHCom and qHOpen/qSOpen-of-
+// hard on vectors of distinct messages grow linearly with q (one 128-bit
+// power per distinct message; an opening is one Θ(q·|e|)-bit power). On a
+// ZK-EDB trie node (one real child, the shared soft digest everywhere
+// else) a commitment is two 128-bit powers plus the randomizer powers
+// h̃^z, h^{r1}, h^{r1·r0}, and an opening at the real child is a 256-bit
+// plus a 128-bit power: flat in q. qKGen's power tree is Θ(q log q)
+// squarings. Soft-commitment algorithms and verification are constant in
+// q.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/bytes.h"
@@ -80,10 +94,16 @@ struct QtmcCommitment {
 };
 
 struct QtmcHardDecommit {
-  std::vector<Bytes> messages;  // exactly q 16-byte messages
+  Bytes messages;  // the q committed messages, kMessageBytes each, packed
   Bignum z;
   Bignum r0;
   Bignum r1;
+
+  std::size_t size() const { return messages.size() / kMessageBytes; }
+  /// The message committed at position `i` (< size()).
+  BytesView message(std::size_t i) const {
+    return BytesView(messages).subspan(i * kMessageBytes, kMessageBytes);
+  }
 };
 
 struct QtmcSoftDecommit {
@@ -114,14 +134,18 @@ struct QtmcTease {
   static QtmcTease deserialize(const Bignum& modulus, BytesView data);
 };
 
+// Fixed-base table sets (precompute_fixed_bases); defined in qtmc.cpp.
+struct QtmcBaseTables;      // g, h, h̃
+struct QtmcPositionTables;  // S_i, S_i^{-1}, T_i, U_i^{-1}, W, g^{-1}
+
 class QtmcScheme {
  public:
   /// qKGen: fresh CRS with arity `q` over a new RSA modulus of `rsa_bits`.
   static QtmcKeyPair keygen(std::uint32_t q, int rsa_bits);
 
-  /// Builds the scheme from a public key, deriving the primes and the
-  /// S_i / h̃ tables (the dominant keygen cost; linear in q via a
-  /// divide-and-conquer power tree).
+  /// Builds the scheme from a public key, deriving the primes, S_i, T_i
+  /// and U_i (one divide-and-conquer power tree, the dominant keygen cost),
+  /// h̃, W and the inverses (one batched modular inverse).
   explicit QtmcScheme(QtmcPublicKey pk);
 
   const QtmcPublicKey& public_key() const { return pk_; }
@@ -226,26 +250,25 @@ class QtmcScheme {
   QtmcOpening fake_open(const QtmcSoftDecommit& dec, const Bignum& trapdoor,
                         std::uint32_t pos, BytesView msg) const;
 
-  /// Warms the per-position U_i cache (used by benchmarks to measure the
-  /// steady-state constant cost of soft openings).
-  void precompute_soft_bases() const;
-
-  /// Builds fixed-base windowed tables for the CRS bases — g (sized for
-  /// the full λ-exponent width), h, h̃, and optionally every S_i — turning
-  /// each fixed-base exponentiation into ~len/4 Montgomery multiplications
-  /// with no squarings. One-time cost: a few plain exponentiations' worth
-  /// of work; memory: ~(P_bits/4)·16 residues for g plus ~512 residues per
-  /// S_i (≈2.5 MiB + q·128 KiB at RSA-2048, q=16). Idempotent and safe to
-  /// race; commits/opens/verifies pick the tables up once built.
+  /// Builds fixed-base windowed tables for the CRS bases, turning each
+  /// fixed-base exponentiation into ~len/4 Montgomery multiplications with
+  /// no squarings. Always: g (sized for the full Λ-exponent width), h and
+  /// h̃ — ~14k residues, ≈4.2 MiB at RSA-2048, q=16. With
+  /// `position_bases`, every prover constant too: S_i (256-bit exponents),
+  /// S_i^{-1}, T_i, U_i^{-1}, W (128-bit) and g^{-1} (tease-width) —
+  /// ~41k residues, ≈12 MiB at RSA-2048, q=16. Without a table each power
+  /// is a plain exponentiation of the same base, so results never depend
+  /// on whether (or when) tables exist. Idempotent and safe to race;
+  /// commits/opens/verifies pick the tables up once built.
   ///
   /// Tables live in a process-wide registry keyed by the public key, so
   /// every QtmcScheme instance built from the same CRS (proxy sessions,
   /// participants, cached EdbCrs copies) shares ONE table set — the
   /// Montgomery representation depends only on the modulus. The registry
-  /// is a small LRU (peers presenting many distinct CRSs cannot grow it
-  /// without bound; an evicted set stays alive while instances hold it),
-  /// and concurrent builders only serialize per CRS, never across
-  /// unrelated CRSs.
+  /// holds weak references, so a set lives exactly as long as some
+  /// instance that adopted it (a CRS no instance holds costs no memory,
+  /// however many distinct CRSs a process has seen), and concurrent
+  /// builders only serialize per CRS, never across unrelated CRSs.
   void precompute_fixed_bases(bool position_bases = true) const;
 
   /// Identity of the adopted shared table set (nullptr until
@@ -257,27 +280,29 @@ class QtmcScheme {
   std::size_t element_len() const { return n_len_; }
 
  private:
+  /// base^exponent through `table` when built, else a plain power.
+  Bignum pow(const Bignum& base, const ModExpContext::FixedBaseTable* table,
+             const Bignum& exponent) const;
   Bignum pow_g(const Bignum& exponent) const;
+  /// g^exponent for a signed exponent: negative ones power g^{-1}.
   Bignum pow_g_signed(const Bignum& exponent) const;
   Bignum pow_h(const Bignum& exponent) const;
   Bignum pow_h_tilde(const Bignum& exponent) const;
   Bignum pow_s(std::uint32_t pos, const Bignum& exponent) const;
-  const Bignum& u_base(std::uint32_t pos) const;
+  /// Λ_pos of a hard decommitment (shared by hard_open and tease_hard).
+  Bignum hard_lambda(const QtmcHardDecommit& dec, std::uint32_t pos) const;
+  /// Λ = g^{k0}·U_pos^{-m} of a soft tease (shared by tease_soft and the
+  /// simulator's fake_open).
+  Bignum soft_lambda(std::uint32_t pos, const Bignum& k0,
+                     const Bignum& m) const;
   // Lock-free fast-path readers for the adopted fixed-base tables; nullptr
   // until published. Analysis opt-out is sound: each pointer is written
   // exactly once, under fb_mu_, BEFORE the release store of fb_*_ready_;
   // the acquire load in these accessors orders the pointer read after that
   // publication, and the pointed-to tables are immutable from then on.
-  // Every unlocked fb_* access in the scheme funnels through these four.
-  const ModExpContext::FixedBaseTable* fb_g_table() const
-      DESWORD_NO_THREAD_SAFETY_ANALYSIS;
-  const ModExpContext::FixedBaseTable* fb_h_table() const
-      DESWORD_NO_THREAD_SAFETY_ANALYSIS;
-  const ModExpContext::FixedBaseTable* fb_h_tilde_table() const
-      DESWORD_NO_THREAD_SAFETY_ANALYSIS;
-  const std::vector<ModExpContext::FixedBaseTable>* fb_s_tables() const
-      DESWORD_NO_THREAD_SAFETY_ANALYSIS;
-  Bignum lambda_exponent(const QtmcHardDecommit& dec, std::uint32_t pos) const;
+  // Every unlocked fb_* access in the scheme funnels through these two.
+  const QtmcBaseTables* fb_base() const DESWORD_NO_THREAD_SAFETY_ANALYSIS;
+  const QtmcPositionTables* fb_pos() const DESWORD_NO_THREAD_SAFETY_ANALYSIS;
   /// Structural checks + emission of the main equation
   /// Λ^{e_pos}·S_pos^m·C1^τ == C0 shared by hard and soft openings.
   bool main_equation(const QtmcCommitment& com, std::uint32_t pos,
@@ -292,13 +317,15 @@ class QtmcScheme {
   std::unique_ptr<ModExpContext> mexp_;  // Montgomery context for N
   std::vector<Bignum> e_;      // primes e_1..e_q
   Bignum prod_all_;            // P = ∏ e_j
-  std::vector<Bignum> s_;      // S_i = g^{P/e_i}
+  std::vector<Bignum> p_;      // P_i = P/e_i
+  std::vector<Bignum> rho_;    // ρ_i = P_i mod e_i
+  std::vector<Bignum> s_;      // S_i = g^{P_i}
+  std::vector<Bignum> s_inv_;  // S_i^{-1}
+  std::vector<Bignum> t_;      // T_i = g^{Σ_{j≠i} P/(e_i·e_j)}
+  std::vector<Bignum> u_inv_;  // U_i^{-1}, U_i = g^{P_i div e_i}
+  Bignum w_;                   // W = ∏ S_i
+  Bignum g_inv_;               // g^{-1}
   Bignum h_tilde_;             // g^P
-  std::vector<Bignum> rho_;    // ρ_i = (P/e_i) mod e_i
-
-  mutable Mutex u_mutex_;
-  // U_i = g^{(P/e_i) div e_i}
-  mutable std::vector<std::optional<Bignum>> u_ DESWORD_GUARDED_BY(u_mutex_);
 
   // Fixed-base tables (precompute_fixed_bases), adopted from the process-
   // wide per-public-key registry. Written once under fb_mu_, then
@@ -307,14 +334,10 @@ class QtmcScheme {
   mutable Mutex fb_mu_;
   mutable std::atomic<bool> fb_ready_{false};
   mutable std::atomic<bool> fb_pos_ready_{false};
-  mutable std::shared_ptr<const ModExpContext::FixedBaseTable> fb_g_
+  mutable std::shared_ptr<const QtmcBaseTables> fb_base_
       DESWORD_GUARDED_BY(fb_mu_);
-  mutable std::shared_ptr<const ModExpContext::FixedBaseTable> fb_h_
+  mutable std::shared_ptr<const QtmcPositionTables> fb_pos_
       DESWORD_GUARDED_BY(fb_mu_);
-  mutable std::shared_ptr<const ModExpContext::FixedBaseTable> fb_h_tilde_
-      DESWORD_GUARDED_BY(fb_mu_);
-  mutable std::shared_ptr<const std::vector<ModExpContext::FixedBaseTable>>
-      fb_s_ DESWORD_GUARDED_BY(fb_mu_);
 };
 
 }  // namespace desword::mercurial

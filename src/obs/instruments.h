@@ -50,7 +50,6 @@
   X(protocol_query_completed,   "protocol.query.completed")           \
   X(protocol_proof_ownership,   "protocol.proof.ownership")           \
   X(protocol_proof_non_own,     "protocol.proof.non_ownership")       \
-  X(protocol_proof_memo_hits,   "protocol.proof.memo_hits")           \
   X(protocol_violation_detected,"protocol.violation.detected")        \
   X(protocol_reputation_events, "protocol.reputation.events")         \
   X(protocol_reputation_dropped,"protocol.reputation.dropped")        \

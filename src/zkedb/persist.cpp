@@ -38,8 +38,10 @@ Bytes EdbProver::serialize_state() const {
   for (const auto& [prefix, node] : inner_) {
     w.str(prefix);
     w.bytes(node.com.serialize(n));
-    w.varint(node.dec.messages.size());
-    for (const auto& m : node.dec.messages) w.bytes(m);
+    w.varint(node.dec.size());
+    for (std::size_t j = 0; j < node.dec.size(); ++j) {
+      w.bytes(node.dec.message(j));
+    }
     write_scalar(w, node.dec.z);
     write_scalar(w, node.dec.r0);
     write_scalar(w, node.dec.r1);
@@ -118,9 +120,13 @@ EdbProver EdbProver::load(EdbCrsPtr crs, BytesView state) {
     if (n_msgs != c.q()) {
       throw SerializationError("inner node message count mismatch");
     }
-    node.dec.messages.reserve(n_msgs);
+    node.dec.messages.reserve(n_msgs * mercurial::kMessageBytes);
     for (std::uint64_t j = 0; j < n_msgs; ++j) {
-      node.dec.messages.push_back(r.bytes());
+      const Bytes m = r.bytes();
+      if (m.size() != mercurial::kMessageBytes) {
+        throw SerializationError("inner node message is not 16 bytes");
+      }
+      append(node.dec.messages, m);
     }
     node.dec.z = read_scalar(r);
     node.dec.r0 = read_scalar(r);

@@ -449,7 +449,13 @@ void EdbProver::recommit_path(const std::vector<std::uint32_t>& digits,
                      digits.begin() + static_cast<long>(depth) + 1);
   prefix.pop_back();  // prefix of the node at `depth`
   for (std::uint32_t d = depth + 1; d-- > 0;) {
-    std::vector<Bytes> messages = inner_.at(prefix).dec.messages;
+    const mercurial::QtmcHardDecommit& dec = inner_.at(prefix).dec;
+    std::vector<Bytes> messages;
+    messages.reserve(dec.size());
+    for (std::size_t c = 0; c < dec.size(); ++c) {
+      const BytesView m = dec.message(c);
+      messages.emplace_back(m.begin(), m.end());
+    }
     messages[digits[d]] = digest;
     digest = commit_inner(prefix, std::move(messages));
     if (!prefix.empty()) prefix.pop_back();

@@ -362,5 +362,49 @@ INSTANTIATE_TEST_SUITE_P(SoftModes, ParallelEdbTest,
                          ::testing::Values(SoftMode::kShared,
                                            SoftMode::kPerChild));
 
+// A CRS fixed down to its last byte (RSA-512 modulus, bases, prime seed,
+// TMC base), so a seeded prover's output is a constant.
+EdbCrsPtr fixed_crs() {
+  EdbPublicParams params;
+  params.q = 4;
+  params.height = 8;
+  params.group_name = "p256";
+  params.soft_mode = SoftMode::kShared;
+  const GroupPtr group = group_by_name(params.group_name);
+  params.tmc_pk = mercurial::TmcPublicKey{
+      group->generator(), group->exp_g(Bignum::from_hex("5eed7a3c"))};
+  mercurial::QtmcPublicKey& pk = params.qtmc_pk;
+  pk.n = Bignum::from_hex(
+      "c84ae20622ca0d76f095eae3dc6cb408f2044a6e8b19f39dce2c1164abd2dce6"
+      "3a88b4eb5bcc5ddd9d8495e8300ee2ed963de7eedcb4a07510c62f85b9224355");
+  pk.g = Bignum::mod_exp(Bignum::from_hex("9e3779b97f4a7c15"), Bignum(2),
+                         pk.n);
+  pk.h = Bignum::mod_exp(pk.g, Bignum::from_hex("c0ffee0123456789"), pk.n);
+  pk.prime_seed = bytes_of("golden-prime-seed");
+  pk.q = params.q;
+  return std::make_shared<EdbCrs>(std::move(params));
+}
+
+// Pins the bytes a seeded prover emits — its commitment plus one
+// membership proof — so a change to HOW the prover computes (fixed-base
+// tables, algebraic rewrites of Λ and C0) cannot change WHAT it emits.
+// Proxies memoize verdicts by proof bytes, and deployed commitments must
+// keep verifying, so these bytes are part of the contract.
+TEST(SeededProverGoldenTest, CommitmentAndMembershipProofArePinned) {
+  const EdbCrsPtr crs = fixed_crs();
+  const auto entries = test_entries(*crs, 12);
+  const EdbKey key = key_of(*crs, "prod-3");
+  const auto digest = [&] {
+    const EdbProver prover(crs, entries, seeded(2));
+    return to_hex(sha256(concat({prover.commitment_bytes(),
+                                 prover.prove_membership(key).serialize(*crs)})));
+  };
+  constexpr const char* kGolden =
+      "ce3892f26a12dd3f9235338fde4da7fe8dde2964dcba3816051e6b001304428c";
+  EXPECT_EQ(digest(), kGolden) << "without fixed-base tables";
+  crs->qtmc().precompute_fixed_bases(/*position_bases=*/true);
+  EXPECT_EQ(digest(), kGolden) << "with fixed-base tables";
+}
+
 }  // namespace
 }  // namespace desword::zkedb

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/serial.h"
 #include "crypto/hash.h"
 #include "poc/poc.h"
 #include "supplychain/rfid.h"
@@ -101,6 +102,34 @@ TEST_F(PersistTest, CorruptedStateRejected) {
     const Bytes prefix(state.begin(), state.begin() + static_cast<long>(len));
     EXPECT_THROW(EdbProver::load(crs_, prefix), SerializationError) << len;
   }
+}
+
+TEST_F(PersistTest, InnerNodeMessageOfWrongWidthRejected) {
+  // Decommitments hold their q messages packed at 16 bytes each, so a
+  // stored message of any other width must fail the load, not shift the
+  // packing. Walk the layout to the root node's first message and cut it
+  // to 15 bytes.
+  const Bytes state = prover_->serialize_state();
+  BinaryReader r(state);
+  (void)r.u32();  // magic
+  (void)r.u8();   // version
+  for (std::uint64_t n = r.varint(); n > 0; --n) {
+    (void)r.bytes();  // key
+    (void)r.bytes();  // value
+  }
+  ASSERT_GT(r.varint(), 0u);  // inner nodes
+  (void)r.str();              // prefix
+  (void)r.bytes();            // commitment
+  ASSERT_EQ(r.varint(), test_config().q);
+  const std::size_t at = state.size() - r.remaining();
+  ASSERT_EQ(state[at], 16);  // length prefix of the first message
+  Bytes bad(state.begin(), state.begin() + static_cast<long>(at));
+  bad.push_back(15);
+  bad.insert(bad.end(), state.begin() + static_cast<long>(at) + 1,
+             state.begin() + static_cast<long>(at) + 16);
+  bad.insert(bad.end(), state.begin() + static_cast<long>(at) + 17,
+             state.end());
+  EXPECT_THROW(EdbProver::load(crs_, bad), SerializationError);
 }
 
 TEST_F(PersistTest, FabricatedNodesStoredWithoutTheirCommitments) {

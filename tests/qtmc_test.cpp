@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "crypto/hash.h"
+#include "crypto/primes.h"
+#include "crypto/randsource.h"
 #include "mercurial/qtmc.h"
 
 namespace desword::mercurial {
@@ -142,7 +149,7 @@ TEST_P(QtmcTest, HardAndSoftTeasesLookAlike) {
   const auto [hcom, hdec] = scheme_->hard_commit(make_messages(q_));
   const auto [scom, sdec] = scheme_->soft_commit();
   const QtmcTease th = scheme_->tease_hard(hdec, 0);
-  const QtmcTease ts = scheme_->tease_soft(sdec, 0, hdec.messages[0]);
+  const QtmcTease ts = scheme_->tease_soft(sdec, 0, hdec.message(0));
   EXPECT_EQ(th.serialize(keys_.pk.n).size(), ts.serialize(keys_.pk.n).size());
 }
 
@@ -210,12 +217,159 @@ TEST_P(QtmcTest, OpeningBitFlipFuzz) {
   }
 }
 
-TEST_P(QtmcTest, PrecomputeSoftBasesIsIdempotent) {
-  scheme_->precompute_soft_bases();
-  const auto [com, dec] = scheme_->soft_commit();
-  const QtmcTease t = scheme_->tease_soft(dec, q_ - 1, msg16(5));
-  EXPECT_TRUE(scheme_->verify_tease(com, t));
-  scheme_->precompute_soft_bases();
+// Reference values straight from the scheme's definition (Λ, C0 and the
+// tease Λ as one power of g each), with none of the prover's constants or
+// tables: the yardstick for the fixed-base prover's algebra.
+class Reference {
+ public:
+  explicit Reference(const QtmcPublicKey& pk)
+      : pk_(pk), e_(derive_primes(pk.prime_seed, pk.q, kPrimeBits)) {
+    for (const Bignum& e : e_) prod_ *= e;
+  }
+
+  Bignum p_i(std::uint32_t i) const { return prod_.divided_by(e_[i]); }
+
+  /// g^x for a signed x.
+  Bignum pow_g(const Bignum& x) const {
+    if (!x.is_negative()) return Bignum::mod_exp(pk_.g, x, pk_.n);
+    return Bignum::mod_inverse(Bignum::mod_exp(pk_.g, x.negated(), pk_.n),
+                               pk_.n);
+  }
+
+  /// g^{x / e_pos}, asserting exact divisibility.
+  Bignum pow_g_over(const Bignum& x, std::uint32_t pos) const {
+    Bignum rem;
+    const Bignum k = x.divided_by(e_[pos], &rem);
+    EXPECT_TRUE(rem.is_zero()) << "exponent not divisible by e_" << pos;
+    return pow_g(k);
+  }
+
+  /// Λ_pos = g^{(z·P + Σ_{j≠pos} m_j·P_j)/e_pos}.
+  Bignum lambda(const QtmcHardDecommit& dec, std::uint32_t pos) const {
+    Bignum x = dec.z * prod_;
+    for (std::uint32_t j = 0; j < pk_.q; ++j) {
+      if (j != pos) x += message_to_scalar(dec.message(j)) * p_i(j);
+    }
+    return pow_g_over(x, pos);
+  }
+
+  /// C0 = h̃^z · ∏ S_i^{m_i} · C1^{r0}.
+  Bignum c0(const QtmcHardDecommit& dec, const Bignum& c1) const {
+    Bignum x = dec.z * prod_;
+    for (std::uint32_t i = 0; i < pk_.q; ++i) {
+      x += message_to_scalar(dec.message(i)) * p_i(i);
+    }
+    return Bignum::mod_mul(pow_g(x), Bignum::mod_exp(c1, dec.r0, pk_.n),
+                           pk_.n);
+  }
+
+  /// A soft tease's Λ = g^{(r0 − τ·r1 − m·P_pos)/e_pos}.
+  Bignum tease_lambda(const QtmcSoftDecommit& dec, const QtmcTease& t) const {
+    const Bignum x = dec.r0 - t.tau * dec.r1 -
+                     message_to_scalar(t.message) * p_i(t.pos);
+    return pow_g_over(x, t.pos);
+  }
+
+ private:
+  QtmcPublicKey pk_;
+  std::vector<Bignum> e_;
+  Bignum prod_{1};
+};
+
+// The message layouts the prover's m* choices distinguish.
+std::vector<std::pair<std::string, std::vector<Bytes>>> layouts(
+    std::uint32_t q) {
+  const Bytes backing = msg16(500);
+  std::vector<Bytes> trie(q, backing);
+  trie[q / 2] = msg16(501);
+  std::vector<Bytes> two(q, backing);
+  two[0] = msg16(502);
+  two[q - 1] = msg16(503);  // the same position as two[0] at q = 1
+  return {{"trie", trie},
+          {"two_children", two},
+          {"distinct", make_messages(q)},
+          {"equal", std::vector<Bytes>(q, msg16(504))},
+          {"null", std::vector<Bytes>(q, null_message())}};
+}
+
+// Checks every prover output of `scheme` on every layout against the
+// reference: C0 and C1 of a DRBG commit, Λ of every hard opening and hard
+// tease, and Λ of a soft tease to each layout message.
+void expect_matches_reference(const QtmcScheme& scheme, const Reference& ref) {
+  const std::uint32_t q = scheme.arity();
+  const Bignum& n = scheme.public_key().n;
+  const auto [scom, sdec] = scheme.soft_commit();
+  for (const auto& [name, msgs] : layouts(q)) {
+    SCOPED_TRACE(name);
+    DrbgRandomSource rng(bytes_of("qtmc-reference-" + name));
+    const auto [com, dec] = scheme.hard_commit(msgs, rng);
+    EXPECT_EQ(com.c1, scheme.canonical(
+                          Bignum::mod_exp(scheme.public_key().h, dec.r1, n)));
+    EXPECT_EQ(com.c0, scheme.canonical(ref.c0(dec, com.c1)));
+    for (std::uint32_t i = 0; i < q; ++i) {
+      SCOPED_TRACE("pos " + std::to_string(i));
+      const Bignum expected = scheme.canonical(ref.lambda(dec, i));
+      const QtmcOpening op = scheme.hard_open(dec, i);
+      EXPECT_EQ(op.lambda, expected);
+      EXPECT_TRUE(scheme.verify_open(com, op));
+      const QtmcTease th = scheme.tease_hard(dec, i);
+      EXPECT_EQ(th.lambda, expected);
+      EXPECT_TRUE(scheme.verify_tease(com, th));
+      const QtmcTease ts = scheme.tease_soft(sdec, i, msgs[i]);
+      EXPECT_EQ(ts.lambda, scheme.canonical(ref.tease_lambda(sdec, ts)));
+      EXPECT_TRUE(scheme.verify_tease(scom, ts));
+    }
+  }
+}
+
+TEST_P(QtmcTest, ProverMatchesReferenceWithoutTables) {
+  expect_matches_reference(*scheme_, Reference(keys_.pk));
+}
+
+TEST_P(QtmcTest, ProverMatchesReferenceWithTables) {
+  scheme_->precompute_fixed_bases(/*position_bases=*/true);
+  ASSERT_NE(scheme_->fixed_base_tables_id(), nullptr);
+  expect_matches_reference(*scheme_, Reference(keys_.pk));
+}
+
+TEST_P(QtmcTest, ProvingRacesTheFirstTableBuild) {
+  // Provers on several threads while another thread builds the tables:
+  // each power reads either no table or a complete one, so every result
+  // equals the reference whichever it saw.
+  const Reference ref(keys_.pk);
+  const Bytes seed = bytes_of("qtmc-race");
+  const std::vector<Bytes> msgs = layouts(q_).front().second;  // trie
+  DrbgRandomSource rng(seed);
+  const auto [com, dec] = scheme_->hard_commit(msgs, rng);
+  const Bignum c0 = scheme_->canonical(ref.c0(dec, com.c1));
+  std::vector<Bignum> lambdas;
+  for (std::uint32_t i = 0; i < q_; ++i) {
+    lambdas.push_back(scheme_->canonical(ref.lambda(dec, i)));
+  }
+  const auto [scom, sdec] = scheme_->soft_commit();
+
+  constexpr int kProvers = 3;
+  constexpr int kRounds = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.emplace_back(
+      [&] { scheme_->precompute_fixed_bases(/*position_bases=*/true); });
+  for (int t = 0; t < kProvers; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const auto pos = static_cast<std::uint32_t>((t + r) % q_);
+        if (scheme_->hard_open(dec, pos).lambda != lambdas[pos]) ++mismatches;
+        const QtmcTease ts = scheme_->tease_soft(sdec, pos, msgs[pos]);
+        if (ts.lambda != scheme_->canonical(ref.tease_lambda(sdec, ts))) {
+          ++mismatches;
+        }
+        DrbgRandomSource replay(seed);
+        if (scheme_->hard_commit(msgs, replay).first.c0 != c0) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Arity, QtmcTest,
@@ -224,6 +378,26 @@ INSTANTIATE_TEST_SUITE_P(Arity, QtmcTest,
 TEST(QtmcKeygenTest, RejectsBadArity) {
   EXPECT_THROW(QtmcScheme::keygen(0, kTestRsaBits), Error);
   EXPECT_THROW(QtmcScheme::keygen(5000, kTestRsaBits), Error);
+}
+
+TEST(QtmcFixedBaseRegistryTest, AdoptersKeepTheSharedSetAlive) {
+  // The registry only holds weak references; each instance that adopted a
+  // set owns it. Once the first adopter is gone, the set must still be
+  // the one its remaining adopter uses — and a new instance of the same
+  // CRS must find it rather than build another.
+  const QtmcKeyPair keys = QtmcScheme::keygen(2, kTestRsaBits);
+  auto first = std::make_unique<QtmcScheme>(keys.pk);
+  first->precompute_fixed_bases(/*position_bases=*/true);
+  QtmcScheme second(keys.pk);
+  second.precompute_fixed_bases(/*position_bases=*/true);
+  const void* id = second.fixed_base_tables_id();
+  ASSERT_EQ(first->fixed_base_tables_id(), id);
+  first.reset();
+  QtmcScheme third(keys.pk);
+  third.precompute_fixed_bases(/*position_bases=*/true);
+  EXPECT_EQ(third.fixed_base_tables_id(), id);
+  const auto [com, dec] = third.hard_commit(make_messages(2));
+  EXPECT_TRUE(second.verify_open(com, second.hard_open(dec, 1)));
 }
 
 TEST(QtmcKeygenTest, TooManyMessagesRejected) {

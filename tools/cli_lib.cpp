@@ -209,8 +209,6 @@ void print_usage(std::ostream& err) {
          "                      --cache-capacity N cached verdicts]\n"
          "  serve-participant  run one participant daemon of a plan\n"
          "                     [--workers N crypto worker threads]\n"
-         "                     [--proof-memo 0|1 memoize repeated proofs,\n"
-         "                     default 1]\n"
          "  query              drive a running deployment (wait-ready /\n"
          "                     product query / report / shutdown)\n"
          "                     [--stats-json PATH fetches a metrics snapshot]\n"

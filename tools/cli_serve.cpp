@@ -553,7 +553,6 @@ int serve_participant_impl(const Flags& flags, std::ostream& out) {
   const std::string stats_path = flags.get("stats-json", "");
   const std::string fault_path = flags.get("fault-plan", "");
   const int workers = flags.get_int("workers", 0);
-  const int proof_memo = flags.get_int("proof-memo", 1);
   flags.reject_unknown();
   if (workers < 0) throw UsageError("--workers must be >= 0");
   const Plan plan = load_plan(plan_path);
@@ -571,7 +570,6 @@ int serve_participant_impl(const Flags& flags, std::ostream& out) {
   Participant participant(
       id, transport, plan.proxy_id,
       ParticipantDeps{.crs_cache = std::make_shared<CrsCache>()});
-  participant.set_proof_memo(proof_memo != 0);
   if (workers > 0) {
     obs::install_executor_metrics();
     participant.set_executor(
