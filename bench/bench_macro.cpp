@@ -48,10 +48,10 @@ MacroFixture& fixture_for(long depth) {
   if (it == cache.end()) {
     auto fx = std::make_unique<MacroFixture>();
     ScenarioConfig cfg;
-    cfg.edb = macro_edb();
+    cfg.proxy.edb = macro_edb();
     // Latency cases measure real verification work; the repeat-query
     // sweep below owns the cache measurement.
-    cfg.verify_cache = false;
+    cfg.proxy.verify.cache = false;
     fx->scenario = std::make_unique<Scenario>(
         supplychain::SupplyChainGraph::layered(
             static_cast<std::size_t>(depth), 3, 2),
@@ -71,8 +71,8 @@ void BM_DistributionPhase(benchmark::State& state) {
   const long depth = state.range(0);
   int task = 0;
   ScenarioConfig cfg;
-  cfg.edb = macro_edb();
-  cfg.verify_cache = false;
+  cfg.proxy.edb = macro_edb();
+  cfg.proxy.verify.cache = false;
   Scenario scenario(supplychain::SupplyChainGraph::layered(
                         static_cast<std::size_t>(depth), 3, 2),
                     cfg);
@@ -149,12 +149,12 @@ ThroughputFixture& throughput_fixture(unsigned workers, std::size_t in_flight) {
   if (it == cache.end()) {
     auto fx = std::make_unique<ThroughputFixture>();
     ScenarioConfig cfg;
-    cfg.edb = macro_edb();
+    cfg.proxy.edb = macro_edb();
     // The serial/concurrent speedup must compare verification work, not
     // cache hits.
-    cfg.verify_cache = false;
-    cfg.worker_threads = workers;
-    cfg.max_concurrent_queries = in_flight;
+    cfg.proxy.verify.cache = false;
+    cfg.proxy.verify.worker_threads = workers;
+    cfg.proxy.max_concurrent_queries = in_flight;
     fx->scenario = std::make_unique<Scenario>(
         supplychain::SupplyChainGraph::layered(4, 3, 2), cfg);
     supplychain::DistributionConfig dist;
@@ -216,12 +216,12 @@ std::vector<std::pair<long, long>> concurrency_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// Repeated-audit sweep (verification cache acceptance, ISSUE 10).
+// Repeated-audit sweep (verification cache acceptance).
 //
 // Recall campaigns re-query the same products over and over. The Cold
 // case runs with the verification cache disabled — every audit re-walks
-// the full proof chain; the Warm case enables the epoch-versioned cache
-// and takes one untimed warm-up pass so the timed region measures steady
+// the full proof chain; the Warm case enables the proxy's hop memo and
+// takes one untimed warm-up pass so the timed region measures steady
 // state. tools/run_bench.sh pairs the two queries_per_sec counters into
 // the "repeat_query" summary and --check gates the Warm hit_rate.
 // ---------------------------------------------------------------------------
@@ -237,8 +237,8 @@ RepeatFixture& repeat_fixture(bool cached) {
   if (it == cache.end()) {
     auto fx = std::make_unique<RepeatFixture>();
     ScenarioConfig cfg;
-    cfg.edb = macro_edb();
-    cfg.verify_cache = cached;
+    cfg.proxy.edb = macro_edb();
+    cfg.proxy.verify.cache = cached;
     fx->scenario = std::make_unique<Scenario>(
         supplychain::SupplyChainGraph::layered(3, 3, 2), cfg);
     supplychain::DistributionConfig dist;
@@ -315,8 +315,8 @@ FaultFixture& fault_fixture(long loss_permille) {
   if (it == cache.end()) {
     auto fx = std::make_unique<FaultFixture>();
     ScenarioConfig cfg;
-    cfg.edb = macro_edb();
-    cfg.verify_cache = false;
+    cfg.proxy.edb = macro_edb();
+    cfg.proxy.verify.cache = false;
     cfg.fault_plan.seed = 11;
     Scenario& scenario = *(fx->scenario = std::make_unique<Scenario>(
                                supplychain::SupplyChainGraph::layered(3, 3, 2),

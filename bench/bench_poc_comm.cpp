@@ -97,7 +97,7 @@ struct E2eResult {
 /// One good-product query through the Scenario harness (SimTransport).
 E2eResult e2e_sim() {
   ScenarioConfig config;
-  config.edb = e2e_edb();
+  config.proxy.edb = e2e_edb();
   Scenario scenario(SupplyChainGraph::paper_example(), config);
   const DistributionConfig dist = e2e_dist();
   scenario.run_task("bench-task", dist);

@@ -21,8 +21,9 @@ using namespace desword::protocol;
 
 int main() {
   ScenarioConfig config;
-  config.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
-  config.scores.weight_by_responsibility = true;
+  config.proxy.edb =
+      zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  config.proxy.scores.weight_by_responsibility = true;
   Scenario scenario(supplychain::SupplyChainGraph::paper_example(), config);
 
   // Three lots: two from v0, one from v1 (multi-task POC queues).

@@ -86,14 +86,12 @@ Proxy::Proxy(net::NodeId id, net::Transport& transport, ProxyDeps deps,
   crs_ = crs_cache_->put(crs_);
   ledger_.set_history_cap(config_.reputation_history_cap);
   const VerifyPolicy& policy = config_.verify;
-  zkedb::EdbVerifyOptions verify_opts;
-  verify_opts.batched = policy.batch_verify;
   if (policy.cache) {
-    verify_cache_ = std::make_shared<zkedb::VerifyCache>(
-        zkedb::VerifyCache::Config{.capacity = policy.cache_capacity});
-    verify_opts.cache = verify_cache_;
+    verify_cache_ =
+        std::make_unique<zkedb::VerifyCache>(policy.cache_capacity);
   }
-  scheme_ = std::make_unique<poc::PocScheme>(crs_, verify_opts);
+  scheme_ = std::make_unique<poc::PocScheme>(
+      crs_, zkedb::EdbVerifyOptions{.batched = policy.batch_verify});
   if (policy.worker_threads > 0) {
     obs::install_executor_metrics();
     executor_ = std::make_shared<Executor>(policy.worker_threads);
@@ -121,11 +119,6 @@ Proxy::~Proxy() {
 const poc::PocList* Proxy::task_list(const std::string& task_id) const {
   const auto it = lists_.find(task_id);
   return it == lists_.end() ? nullptr : it->second.get();
-}
-
-std::uint64_t Proxy::task_epoch(const std::string& task_id) const {
-  const auto it = task_generation_.find(task_id);
-  return it == task_generation_.end() ? 0 : it->second;
 }
 
 std::vector<Proxy::QueueEntry> Proxy::poc_queue(
@@ -204,11 +197,12 @@ void Proxy::on_poc_list_submit(const net::Envelope& env,
     return;
   }
   if (prev_digest != list_digests_.end()) {
-    // Replacement: a NEW distribution epoch for this task. Retire the old
+    // Replacement: a new distribution round for this task. Retire the old
     // list (in-flight sessions keep their shared_ptr and finish under the
-    // epoch they started in), flush its queue entries, and bump the
-    // generation so every hop-memo entry tagged with the old epoch is
-    // structurally unreachable (zkedb.cache.stale on next touch).
+    // list they started with) and flush its queue entries. The hop memo
+    // needs no flush: its key binds each hop's POC commitment, so a
+    // re-committed participant's hops get new keys, and an unchanged
+    // commitment keeps its verdict (DESIGN.md §12).
     lists_.erase(m.task_id);
     for (auto it = queues_.begin(); it != queues_.end();) {
       auto& queue = it->second;
@@ -217,7 +211,6 @@ void Proxy::on_poc_list_submit(const net::Envelope& env,
       });
       it = queue.empty() ? queues_.erase(it) : std::next(it);
     }
-    ++task_generation_[m.task_id];
   }
   const auto [it, inserted] = lists_.emplace(
       m.task_id, std::make_shared<const poc::PocList>(std::move(list)));
@@ -525,16 +518,16 @@ bool Proxy::absorb_ownership_result(Session& s, const std::string& hop,
 
 void Proxy::verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
                        Bytes proof_bytes, bool ownership, HopDone done) {
+  DESWORD_DCHECK_ON_LOOP(transport_);
   const supplychain::ProductId product = s.outcome.product;
-  // The key binds the FULL proof bytes (a tampered proof can never alias a
-  // cached acceptance); the epoch tag is the task's POC-list generation,
-  // so memo entries from before a list replacement are dead.
-  const std::uint64_t epoch = task_epoch(task_id);
+  // The key binds every input of check_hop — the POC commitment, product,
+  // FULL proof bytes and flavour — so a tampered proof or a re-committed
+  // POC can never alias a cached acceptance.
   Bytes key = zkedb::VerifyCache::hop_key(
       task_id, poc.participant, product, poc.commitment, proof_bytes,
       ownership ? "ownership" : "non_ownership");
   if (verify_cache_) {
-    if (const auto hit = verify_cache_->lookup(key, epoch)) {
+    if (const auto hit = verify_cache_->lookup(key)) {
       // Handler context: handle()'s exception policy covers `done`.
       done(s, *hit);
       return;
@@ -569,7 +562,7 @@ void Proxy::verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
   if (!executor_) {
     // Inline: complete in this call stack, so the serial event order is
     // byte-identical to a synchronous verify.
-    finish_hop_verify(key, epoch, check());
+    finish_hop_verify(key, check());
     return;
   }
   if (!s.strand) s.strand = std::make_shared<Strand>(executor_);
@@ -580,7 +573,7 @@ void Proxy::verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
   // verifier that is merely busy, not silent).
   transport_.add_work();
   std::weak_ptr<void> token = alive_;
-  s.strand->post([this, token, key = std::move(key), epoch, strand = s.strand,
+  s.strand->post([this, token, key = std::move(key), strand = s.strand,
                   check = std::move(check)]() mutable {
     // Worker context: the session's strand serializes this body, and
     // everything loop-owned (sessions_, the single-flight registry, timers,
@@ -589,24 +582,23 @@ void Proxy::verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
     DESWORD_DCHECK(strand->running_on_this_thread(),
                    "hop verify task escaped its session strand");
     HopResult result = check();
-    transport_.post([this, token, key = std::move(key), epoch,
+    transport_.post([this, token, key = std::move(key),
                      result = std::move(result)]() mutable {
       if (token.expired()) return;
-      finish_hop_verify(key, epoch, std::move(result));
+      finish_hop_verify(key, std::move(result));
     });
     transport_.remove_work();
   });
 }
 
-void Proxy::finish_hop_verify(const Bytes& key, std::uint64_t epoch,
-                              HopResult result) {
+void Proxy::finish_hop_verify(const Bytes& key, HopResult result) {
   DESWORD_DCHECK_ON_LOOP(transport_);
   // Unregister before anything can throw: a stale key would make later
   // identical hops join a verdict that never comes.
   auto node = hop_in_flight_.extract(key);
   if (result.error) std::rethrow_exception(result.error);
   const zkedb::VerifyOutcome& o = *result.outcome;
-  if (verify_cache_) verify_cache_->store(key, o, epoch);
+  if (verify_cache_) verify_cache_->store(key, o);
   if (node.empty()) return;
   for (HopWaiter& w : node.mapped()) {
     const auto it = sessions_.find(w.query_id);

@@ -54,18 +54,17 @@ struct VerifyPolicy {
   /// single-threaded behavior. With workers, `scheme().verify` runs on a
   /// per-session strand and its verdict is posted back to the loop thread.
   unsigned worker_threads = 0;
-  /// Memoize accepted verdicts at both layers: ZK-EDB proofs keyed on
-  /// digest(CRS ‖ commitment ‖ key ‖ full proof bytes), and whole
-  /// per-(task, participant, product, proof bytes) hops, epoch-versioned by
-  /// POC-list generation. See zkedb/verify_cache.h for why this is sound.
+  /// Memoize accepted hop verdicts (the hop memo), keyed on digest(task ‖
+  /// participant ‖ product ‖ POC commitment ‖ full proof bytes ‖ flavour).
+  /// See zkedb/verify_cache.h for why this is sound.
   bool cache = true;
-  /// Total entry budget of the verification cache shared by both layers.
+  /// Exact entry bound of the hop memo (one entry per accepted hop).
   std::size_t cache_capacity = 4096;
 };
 
 struct ProxyConfig {
   zkedb::EdbConfig edb;
-  ScorePolicy scores;
+  ScorePolicy scores{};
   int max_retries = 3;
   /// Base retransmission timeout in transport clock units (simulated ticks
   /// for SimTransport — where any value behaves the same, timers fire at
@@ -97,7 +96,7 @@ struct ProxyConfig {
   std::size_t reputation_history_cap = ReputationLedger::kDefaultHistoryCap;
   /// Verification policy: strategy, worker fan-out, cache knobs. Verdicts
   /// — and thus reputation penalties — are identical under every setting.
-  VerifyPolicy verify;
+  VerifyPolicy verify{};
   /// Query sessions allowed to drive the transport at once; further
   /// `begin_query` calls queue in the scheduler until a slot frees
   /// (0 is treated as 1).
@@ -174,8 +173,8 @@ class Proxy {
   /// this to participants so one worker pool serves the whole deployment.
   const std::shared_ptr<Executor>& executor() const { return executor_; }
 
-  /// The verification cache in use (null when caching is disabled).
-  const zkedb::VerifyCachePtr& verify_cache() const { return verify_cache_; }
+  /// The hop memo in use (null when caching is disabled).
+  const zkedb::VerifyCache* verify_cache() const { return verify_cache_.get(); }
 
   /// Outcome of a finished query (nullptr while in flight / unknown).
   const QueryOutcome* outcome(std::uint64_t query_id) const;
@@ -267,7 +266,7 @@ class Proxy {
     std::vector<Candidate> candidates;
     std::size_t candidate_idx = 0;
     // Walk state. The list is held by shared_ptr so an in-flight session
-    // keeps walking the epoch it started under even if a fresh POC-list
+    // keeps walking the list it started under even if a fresh POC-list
     // submission replaces the task's list mid-query.
     std::shared_ptr<const poc::PocList> list;
     std::string current;
@@ -342,8 +341,8 @@ class Proxy {
   /// Continuation of a hop verdict; always runs on the loop thread.
   using HopDone = std::function<void(Session&, const zkedb::VerifyOutcome&)>;
 
-  /// The one hop-verification route. A memo hit (caching on; epoch = the
-  /// current POC-list generation of `task_id`) runs `done` at once.
+  /// The one hop-verification route (loop thread only). A memo hit
+  /// (caching on) runs `done` at once.
   /// Otherwise the session registers under the hop key in
   /// `hop_in_flight_`: an identical in-flight hop just joins as a waiter,
   /// the first arrival dispatches check_hop — synchronously when there is
@@ -362,11 +361,7 @@ class Proxy {
   /// (before anything can throw), stores an accepted verdict when caching
   /// is on, and runs each live waiter's continuation under handle()'s
   /// policy — `Error` drops the continuation, `CheckError` rethrows.
-  void finish_hop_verify(const Bytes& key, std::uint64_t epoch,
-                         HopResult result);
-  /// POC-list generation of a task (0 before any submission). Bumped on
-  /// every list replacement so stale hop-memo entries die structurally.
-  std::uint64_t task_epoch(const std::string& task_id) const;
+  void finish_hop_verify(const Bytes& key, HopResult result);
 
   /// Verifies `s.current`'s ownership proof (a good walk response or a
   /// reveal). If the verdict is still owed on return, opens the lookahead:
@@ -416,12 +411,9 @@ class Proxy {
   /// replacement never dangles a walking query).
   std::map<std::string, std::shared_ptr<const poc::PocList>> lists_;
   std::map<std::string, std::vector<QueueEntry>> queues_;  // initial -> queue
-  /// task id -> POC-list generation: bumped whenever a submission replaces
-  /// the task's list (the hop memo's epoch tag). Absent = 0.
-  std::map<std::string, std::uint64_t> task_generation_;
   /// task id -> sha256 of the accepted serialized list, for idempotent
   /// resubmission detection (a retransmitted identical submit is a no-op;
-  /// different bytes mean a new epoch).
+  /// different bytes replace the list).
   std::map<std::string, Bytes> list_digests_;
 
   std::uint64_t next_query_id_ = 1;
@@ -434,9 +426,9 @@ class Proxy {
 
   std::shared_ptr<Executor> executor_;  // null = inline verification
   std::unique_ptr<QueryScheduler> scheduler_;
-  /// Verdict cache shared by the zkedb proof layer (via
-  /// EdbVerifyOptions::cache) and the proxy hop memo. Null = caching off.
-  zkedb::VerifyCachePtr verify_cache_;
+  /// The hop memo (loop-thread only: looked up in verify_hop, stored in
+  /// finish_hop_verify). Null = caching off.
+  std::unique_ptr<zkedb::VerifyCache> verify_cache_;
   /// Single-flight registry for hop verifications (loop-thread only):
   /// hop key -> sessions awaiting that verdict. The first arrival runs
   /// the check; identical concurrent hops join and are all resolved by

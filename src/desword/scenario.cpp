@@ -14,22 +14,9 @@ Scenario::Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config)
       crs_cache_(std::make_shared<CrsCache>()),
       sim_(network_),
       fault_(sim_, config_.fault_plan) {
-  ProxyConfig proxy_config;
-  proxy_config.edb = config_.edb;
-  proxy_config.scores = config_.scores;
-  proxy_config.max_retries = config_.max_retries;
-  proxy_config.verify.batch_verify = config_.batch_verify;
-  proxy_config.verify.worker_threads = config_.worker_threads;
-  proxy_config.verify.cache = config_.verify_cache;
-  proxy_config.max_concurrent_queries = config_.max_concurrent_queries;
-  proxy_config.query_deadline = config_.query_deadline;
-  proxy_config.retransmit_base = config_.retransmit_base;
-  proxy_config.retransmit_cap = config_.retransmit_cap;
-  proxy_config.backoff_factor = config_.backoff_factor;
-  proxy_config.backoff_seed = config_.backoff_seed;
   proxy_ = std::make_unique<Proxy>(kProxyId, fault_,
                                    ProxyDeps{.crs_cache = crs_cache_},
-                                   std::move(proxy_config));
+                                   config_.proxy);
   for (const ParticipantId& id : graph_.participants()) {
     auto p = std::make_unique<Participant>(
         id, fault_, kProxyId,

@@ -27,36 +27,16 @@
 namespace desword::protocol {
 
 struct ScenarioConfig {
-  zkedb::EdbConfig edb = {4, 6, 512, "p256", zkedb::SoftMode::kShared};
-  ScorePolicy scores;
-  int max_retries = 3;
-  /// Forwarded to VerifyPolicy::batch_verify (query-proof verification
-  /// strategy; verdicts identical either way).
-  bool batch_verify = true;
-  /// Forwarded to VerifyPolicy::cache — the proxy's epoch-versioned
-  /// verification cache. Verdicts and reputation are byte-identical either
-  /// way; the cache only skips recomputation of work whose result is
-  /// already determined.
-  bool verify_cache = true;
-  /// Crypto worker threads shared by the proxy and every participant
-  /// (forwarded to VerifyPolicy::worker_threads; the proxy's executor is
-  /// handed to each participant via set_executor). 0 = inline crypto,
-  /// byte-identical to the historical single-threaded deployment.
-  unsigned worker_threads = 0;
-  /// Forwarded to ProxyConfig::max_concurrent_queries.
-  std::size_t max_concurrent_queries = 8;
+  /// The proxy's configuration, passed through unchanged. Its
+  /// `verify.worker_threads` also sizes the one crypto executor the proxy
+  /// shares with every participant (0 = inline crypto). The default EDB
+  /// parameters are small enough for tests.
+  ProxyConfig proxy{.edb = {4, 6, 512, "p256", zkedb::SoftMode::kShared}};
   /// The plan of the FaultInjector every frame crosses. The default plan
   /// injects nothing. Losses during the distribution phase are healed by
   /// the participants' own retry timers; a distribution give-up surfaces
   /// as a ProtocolError naming the missing participants.
   net::FaultPlan fault_plan;
-  /// Forwarded to ProxyConfig::query_deadline (0 = no budget).
-  std::uint64_t query_deadline = 0;
-  /// Retransmission/backoff knobs forwarded to ProxyConfig.
-  std::uint64_t retransmit_base = 250;
-  std::uint64_t retransmit_cap = 4000;
-  double backoff_factor = 2.0;
-  std::uint64_t backoff_seed = 0x5eedull;
   /// Distribution-phase retry budget per participant (0 = library default).
   int max_distribution_retries = 0;
 };

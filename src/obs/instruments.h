@@ -24,7 +24,6 @@
   X(zkedb_cache_hit,            "zkedb.cache.hit")                    \
   X(zkedb_cache_miss,           "zkedb.cache.miss")                   \
   X(zkedb_cache_evict,          "zkedb.cache.evict")                  \
-  X(zkedb_cache_stale,          "zkedb.cache.stale")                  \
   X(zkedb_cache_joined,         "zkedb.cache.joined")                 \
   X(net_frame_sent,             "net.frame.sent")                     \
   X(net_frame_received,         "net.frame.received")                 \

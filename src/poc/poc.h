@@ -94,9 +94,6 @@ class PocScheme {
                      zkedb::EdbVerifyOptions verify_opts = {});
 
   const zkedb::EdbCrs& crs() const { return *crs_; }
-  const zkedb::EdbVerifyOptions& verify_options() const {
-    return verify_opts_;
-  }
 
   /// POC-Agg: commits `traces` (product id -> da) for `participant`.
   /// `options` tunes the underlying EDB-commit (thread count, seeded

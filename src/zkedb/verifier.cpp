@@ -185,37 +185,13 @@ bool verify_non_membership_scalar(const EdbCrs& crs,
   }
 }
 
-/// Cache key of a membership proof: CRS digest ‖ root commitment ‖ key ‖
-/// full serialized proof bytes, domain-separated by flavour. Throws Error
-/// on unserializable proof content (callers then verify uncached).
-Bytes membership_cache_key(const EdbCrs& crs,
-                           const mercurial::QtmcCommitment& root,
-                           const EdbKey& key,
-                           const EdbMembershipProof& proof) {
-  return VerifyCache::proof_key(crs.digest(),
-                                root.serialize(crs.params().qtmc_pk.n), key,
-                                proof.serialize(crs), "membership");
-}
+}  // namespace
 
-Bytes non_membership_cache_key(const EdbCrs& crs,
-                               const mercurial::QtmcCommitment& root,
-                               const EdbKey& key,
-                               const EdbNonMembershipProof& proof) {
-  return VerifyCache::proof_key(crs.digest(),
-                                root.serialize(crs.params().qtmc_pk.n), key,
-                                proof.serialize(crs), "non_membership");
-}
-
-/// Proof-level entries never go stale — a (commitment, proof bytes) pair
-/// is immutable — so the zkedb layer always uses epoch 0. The proxy's
-/// hop-level layer is where POC-list generations version entries.
-constexpr std::uint64_t kProofEpoch = 0;
-
-VerifyOutcome verify_membership_uncached(const EdbCrs& crs,
-                                         const mercurial::QtmcCommitment& root,
-                                         const EdbKey& key,
-                                         const EdbMembershipProof& proof,
-                                         const EdbVerifyOptions& opts) {
+VerifyOutcome edb_verify_membership(const EdbCrs& crs,
+                                    const mercurial::QtmcCommitment& root,
+                                    const EdbKey& key,
+                                    const EdbMembershipProof& proof,
+                                    const EdbVerifyOptions& opts) {
   const obs::ScopedTimer timer(verify_wall_ms());
   if (!opts.batched) {
     scalar_verifies().add();
@@ -237,10 +213,11 @@ VerifyOutcome verify_membership_uncached(const EdbCrs& crs,
   }
 }
 
-VerifyOutcome verify_non_membership_uncached(
-    const EdbCrs& crs, const mercurial::QtmcCommitment& root,
-    const EdbKey& key, const EdbNonMembershipProof& proof,
-    const EdbVerifyOptions& opts) {
+VerifyOutcome edb_verify_non_membership(const EdbCrs& crs,
+                                        const mercurial::QtmcCommitment& root,
+                                        const EdbKey& key,
+                                        const EdbNonMembershipProof& proof,
+                                        const EdbVerifyOptions& opts) {
   const obs::ScopedTimer timer(verify_wall_ms());
   if (!opts.batched) {
     scalar_verifies().add();
@@ -263,56 +240,6 @@ VerifyOutcome verify_non_membership_uncached(
   }
 }
 
-}  // namespace
-
-VerifyOutcome edb_verify_membership(const EdbCrs& crs,
-                                    const mercurial::QtmcCommitment& root,
-                                    const EdbKey& key,
-                                    const EdbMembershipProof& proof,
-                                    const EdbVerifyOptions& opts) {
-  Bytes cache_key;
-  if (opts.cache) {
-    try {
-      cache_key = membership_cache_key(crs, root, key, proof);
-      if (const auto hit = opts.cache->lookup(cache_key, kProofEpoch)) {
-        return *hit;
-      }
-    } catch (const Error&) {
-      cache_key.clear();  // unserializable proof: verify uncached
-    }
-  }
-  const VerifyOutcome out =
-      verify_membership_uncached(crs, root, key, proof, opts);
-  if (opts.cache && !cache_key.empty() && out.ok) {
-    opts.cache->store(cache_key, out, kProofEpoch);
-  }
-  return out;
-}
-
-VerifyOutcome edb_verify_non_membership(const EdbCrs& crs,
-                                        const mercurial::QtmcCommitment& root,
-                                        const EdbKey& key,
-                                        const EdbNonMembershipProof& proof,
-                                        const EdbVerifyOptions& opts) {
-  Bytes cache_key;
-  if (opts.cache) {
-    try {
-      cache_key = non_membership_cache_key(crs, root, key, proof);
-      if (const auto hit = opts.cache->lookup(cache_key, kProofEpoch)) {
-        return *hit;
-      }
-    } catch (const Error&) {
-      cache_key.clear();
-    }
-  }
-  const VerifyOutcome out =
-      verify_non_membership_uncached(crs, root, key, proof, opts);
-  if (opts.cache && !cache_key.empty() && out.ok) {
-    opts.cache->store(cache_key, out, kProofEpoch);
-  }
-  return out;
-}
-
 std::vector<VerifyOutcome> edb_verify_membership_many(
     const EdbCrs& crs, const mercurial::QtmcCommitment& root,
     const std::vector<EdbMembershipQuery>& queries,
@@ -320,42 +247,13 @@ std::vector<VerifyOutcome> edb_verify_membership_many(
   std::vector<VerifyOutcome> results(queries.size());
   ThreadPool* pool = ThreadPool::for_threads(opts.threads);
 
-  // Cache pre-pass: hits resolve before any shard is formed, so only
-  // misses pay for key digests twice. keys[i] stays empty when the proof
-  // was null, unserializable, or the cache is off; done[i] marks slots no
-  // verification strategy should touch again.
-  std::vector<Bytes> keys;
-  std::vector<char> done(queries.size(), 0);
-  if (opts.cache) {
-    keys.resize(queries.size());
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      if (queries[i].proof == nullptr) continue;  // stays rejected
-      try {
-        keys[i] =
-            membership_cache_key(crs, root, queries[i].key, *queries[i].proof);
-      } catch (const Error&) {
-        continue;
-      }
-      if (const auto hit = opts.cache->lookup(keys[i], kProofEpoch)) {
-        results[i] = *hit;
-        done[i] = 1;
-      }
-    }
-  }
-  const auto store_result = [&](std::size_t i) {
-    if (opts.cache && !keys.empty() && !keys[i].empty() && results[i].ok) {
-      opts.cache->store(keys[i], results[i], kProofEpoch);
-    }
-  };
-
   if (!opts.batched) {
     // Proof verification is pure (crs and root are only read), so queries
     // are embarrassingly parallel.
     parallel_for(pool, queries.size(), [&](std::size_t i) {
-      if (done[i] || queries[i].proof == nullptr) return;
-      results[i] = verify_membership_uncached(crs, root, queries[i].key,
-                                              *queries[i].proof, opts);
-      store_result(i);
+      if (queries[i].proof == nullptr) return;
+      results[i] = edb_verify_membership(crs, root, queries[i].key,
+                                         *queries[i].proof, opts);
     });
     return results;
   }
@@ -381,7 +279,7 @@ std::vector<VerifyOutcome> edb_verify_membership_many(
     };
     std::vector<Pending> pending;
     for (std::size_t i = begin; i < end; ++i) {
-      if (done[i] || queries[i].proof == nullptr) continue;
+      if (queries[i].proof == nullptr) continue;
       batched_verifies().add();
       const std::size_t unit = bv.begin_unit();
       bool ok = false;
@@ -407,7 +305,6 @@ std::vector<VerifyOutcome> edb_verify_membership_many(
         if (res.unit_ok[p.unit]) {
           results[p.query] =
               VerifyOutcome::accept_value(queries[p.query].proof->value);
-          store_result(p.query);
         }
       }
     } catch (const Error&) {

@@ -26,8 +26,9 @@ namespace desword::zkedb {
 
 /// Controls HOW verification executes, never WHAT it decides: the batched
 /// and scalar strategies accept/reject identically (batched falls back to
-/// exact scalar re-checks when a fold fails), and a cache hit replays a
-/// verdict the same bytes already earned.
+/// exact scalar re-checks when a fold fails). Every call does the full
+/// verification; memoizing verdicts is the proxy's job (its hop memo,
+/// zkedb/verify_cache.h).
 struct EdbVerifyOptions {
   bool batched = true;  // fold proof-chain equations into one multi-exp
   /// Worker threads: the *_many fan-out, and the chunks one batched
@@ -35,10 +36,6 @@ struct EdbVerifyOptions {
   /// (DESWORD_THREADS env var, else hardware_concurrency()), 1 = fully
   /// sequential.
   unsigned threads = 0;
-  /// Optional verdict cache. When set, each verification first looks up
-  /// digest(CRS ‖ commitment ‖ key ‖ full proof bytes) and skips the
-  /// multi-exp on a hit; accepted verdicts are stored back. Null = off.
-  VerifyCachePtr cache;
 };
 
 /// Verifies a membership proof against `root`. On success the outcome is
@@ -70,9 +67,8 @@ struct EdbMembershipQuery {
 /// what edb_verify_membership would return for it. With `opts.batched`,
 /// each worker folds its whole shard of proofs into one batch — the main
 /// throughput lever of this module (see bench_zkedb VerifyManyBatched).
-/// With `opts.cache`, hits are satisfied before sharding and only misses
-/// enter the fold. The shards already fill the pool, so each shard's fold
-/// runs unchunked on its worker.
+/// The shards already fill the pool, so each shard's fold runs unchunked
+/// on its worker.
 std::vector<VerifyOutcome> edb_verify_membership_many(
     const EdbCrs& crs, const mercurial::QtmcCommitment& root,
     const std::vector<EdbMembershipQuery>& queries,

@@ -24,92 +24,37 @@ obs::Counter& cache_evictions() {
   return c;
 }
 
-obs::Counter& cache_stale() {
-  static obs::Counter& c = obs::metric("zkedb.cache.stale");
-  return c;
-}
-
 }  // namespace
 
-VerifyCache::VerifyCache(Config config)
-    : per_shard_cap_(std::max<std::size_t>(
-          1, config.capacity / std::max<std::size_t>(1, config.shards))),
-      shards_(std::max<std::size_t>(1, config.shards)) {}
+VerifyCache::VerifyCache(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(1, capacity)) {}
 
-VerifyCache::Shard& VerifyCache::shard_of(const Bytes& key) {
-  const std::size_t b = key.empty() ? 0 : key[0];
-  return shards_[b % shards_.size()];
-}
-
-const VerifyCache::Shard& VerifyCache::shard_of(const Bytes& key) const {
-  const std::size_t b = key.empty() ? 0 : key[0];
-  return shards_[b % shards_.size()];
-}
-
-std::optional<VerifyOutcome> VerifyCache::lookup(const Bytes& key,
-                                                 std::uint64_t epoch) {
-  Shard& sh = shard_of(key);
-  MutexLock lock(sh.mu);
-  const auto it = sh.entries.find(key);
-  if (it == sh.entries.end()) {
+std::optional<VerifyOutcome> VerifyCache::lookup(const Bytes& key) {
+  const auto it = entries_.find(key);
+  if (it == entries_.end()) {
     cache_misses().add();
     return std::nullopt;
   }
-  if (it->second.epoch != epoch) {
-    // A fresh POC list superseded the entry's world: the verdict may still
-    // be cryptographically true, but the proxy must re-derive it against
-    // the new list's commitments. Drop it so it can never resurface.
-    sh.lru.erase(it->second.pos);
-    sh.entries.erase(it);
-    cache_stale().add();
-    cache_misses().add();
-    return std::nullopt;
-  }
-  sh.lru.splice(sh.lru.begin(), sh.lru, it->second.pos);
+  lru_.splice(lru_.begin(), lru_, it->second.pos);
   cache_hits().add();
   return it->second.outcome;
 }
 
-void VerifyCache::store(const Bytes& key, const VerifyOutcome& outcome,
-                        std::uint64_t epoch) {
+void VerifyCache::store(const Bytes& key, const VerifyOutcome& outcome) {
   if (!outcome.ok) return;  // never cache rejections (see header)
-  Shard& sh = shard_of(key);
-  MutexLock lock(sh.mu);
-  const auto it = sh.entries.find(key);
-  if (it != sh.entries.end()) {
+  const auto it = entries_.find(key);
+  if (it != entries_.end()) {
     it->second.outcome = outcome;
-    it->second.epoch = epoch;
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second.pos);
+    lru_.splice(lru_.begin(), lru_, it->second.pos);
     return;
   }
-  sh.lru.push_front(key);
-  sh.entries.emplace(key, Entry{outcome, epoch, sh.lru.begin()});
-  while (sh.entries.size() > per_shard_cap_) {
-    sh.entries.erase(sh.lru.back());
-    sh.lru.pop_back();
+  lru_.push_front(key);
+  entries_.emplace(key, Entry{outcome, lru_.begin()});
+  while (entries_.size() > capacity_) {
+    entries_.erase(lru_.back());
+    lru_.pop_back();
     cache_evictions().add();
   }
-}
-
-std::size_t VerifyCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& sh : shards_) {
-    MutexLock lock(sh.mu);
-    total += sh.entries.size();
-  }
-  return total;
-}
-
-Bytes VerifyCache::proof_key(const Bytes& crs_digest, BytesView commitment,
-                             BytesView key, BytesView proof_bytes,
-                             std::string_view kind) {
-  TaggedHasher h("zkedb/cache/proof");
-  h.add(crs_digest);
-  h.add(commitment);
-  h.add(key);
-  h.add(proof_bytes);
-  h.add_str(kind);
-  return h.digest();
 }
 
 Bytes VerifyCache::hop_key(std::string_view task_id,

@@ -1,24 +1,21 @@
-// Epoch-versioned verification cache (ISSUE 10 tentpole).
+// Verification cache: the proxy's hop memo.
 //
 // Repeated audit traffic re-walks the same proof chains: recall campaigns
 // and counterfeit audits query far more often than participants re-commit,
-// so the exact same (commitment, key, proof bytes) triple is verified over
-// and over. This cache memoizes the *verdict* of an accepted verification
-// so a hop whose exact proof bytes were already admitted under the same
-// commitment skips the multi-exponentiation entirely.
+// so the exact same (commitment, product, proof bytes) triple is verified
+// over and over. This cache memoizes the *verdict* of an accepted hop
+// verification so a hop whose exact proof bytes were already admitted
+// under the same commitment skips the multi-exponentiation entirely.
 //
-// Safety rests on two pillars:
-//
-//   * Keys bind the FULL proof bytes (plus CRS digest, commitment and
-//     key/position) through a domain-separated SHA-256 — see proof_key()
-//     / hop_key(). A tampered proof, however close to a cached one, hashes
-//     to a different key and can never alias a cached acceptance. The
-//     `cache-key` lint rule (tools/desword_lint.py) rejects key
-//     constructions that omit the proof bytes.
-//   * Entries are tagged with an epoch (the proxy's per-task POC-list
-//     generation). A lookup under a different epoch misses AND erases the
-//     stale entry, so acceptances from before a list replacement are
-//     structurally unreachable.
+// Safety rests on the key: hop_key() binds the task, the participant, the
+// product, the POC commitment, the FULL proof bytes and the check flavour
+// through a domain-separated SHA-256. Those are every input the verdict
+// depends on (the CRS is fixed per proxy), so an entry can never answer a
+// different question: a tampered proof, however close to a cached one,
+// hashes to a different key, and a replacement POC list that re-commits a
+// participant produces new keys. The `cache-key` lint rule
+// (tools/desword_lint.py) rejects key constructions that omit the proof
+// bytes.
 //
 // Only *accepted* verdicts are stored. Negative caching would be sound —
 // the key binds the exact rejected bytes — but every adversarial garbage
@@ -27,16 +24,13 @@
 // for the attacker and free for the cache. (DESIGN.md §12.)
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <list>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string_view>
-#include <vector>
 
 #include "common/bytes.h"
-#include "common/mutex.h"
 
 namespace desword::zkedb {
 
@@ -63,49 +57,31 @@ struct VerifyOutcome {
   static VerifyOutcome reject() { return VerifyOutcome{}; }
 };
 
-/// Sharded, capacity-bounded LRU of accepted verification verdicts.
+/// Capacity-bounded LRU of accepted verification verdicts, holding at most
+/// `capacity` entries.
 ///
-/// Thread safe: each shard owns an annotated Mutex; a lookup or store
-/// touches exactly one shard. Keys are 32-byte tagged digests (uniform),
-/// so the first key byte picks the shard without skew. Instrumented with
-/// zkedb.cache.{hit,miss,evict,stale}.
+/// Not thread safe: the proxy touches it from its loop thread only (the
+/// lookup in verify_hop, the store in finish_hop_verify). Instrumented
+/// with zkedb.cache.{hit,miss,evict}.
 class VerifyCache {
  public:
-  struct Config {
-    std::size_t capacity = 4096;  // total entries across all shards
-    std::size_t shards = 8;
-  };
-
-  // Two overloads instead of `Config config = {}`: a brace default for a
-  // nested aggregate with member initializers is ill-formed until the
-  // enclosing class is complete.
-  VerifyCache() : VerifyCache(Config{}) {}
-  explicit VerifyCache(Config config);
+  /// `capacity` is the exact entry bound (0 is treated as 1).
+  explicit VerifyCache(std::size_t capacity);
 
   VerifyCache(const VerifyCache&) = delete;
   VerifyCache& operator=(const VerifyCache&) = delete;
 
-  /// Returns the cached outcome iff `key` is present under exactly
-  /// `epoch`. A present entry under a different epoch is erased (counted
-  /// as zkedb.cache.stale) and reported as a miss.
-  std::optional<VerifyOutcome> lookup(const Bytes& key, std::uint64_t epoch);
+  /// Returns the cached outcome iff `key` is present, refreshing its LRU
+  /// position.
+  std::optional<VerifyOutcome> lookup(const Bytes& key);
 
-  /// Records an accepted outcome under (key, epoch). Rejections are
-  /// dropped (see file header on negative caching). Storing an existing
-  /// key refreshes its LRU position and overwrites its epoch.
-  void store(const Bytes& key, const VerifyOutcome& outcome,
-             std::uint64_t epoch);
+  /// Records an accepted outcome under `key`. Rejections are dropped (see
+  /// file header on negative caching). Storing an existing key refreshes
+  /// its LRU position.
+  void store(const Bytes& key, const VerifyOutcome& outcome);
 
-  /// Entries currently resident (sums shards; approximate under races).
-  std::size_t size() const;
-
-  /// Key for a ZK-EDB proof-level verdict. Binds the CRS (its params
-  /// digest), the root commitment, the key position, the FULL serialized
-  /// proof bytes and the proof flavour (`kind` = "membership" /
-  /// "non_membership").
-  static Bytes proof_key(const Bytes& crs_digest, BytesView commitment,
-                         BytesView key, BytesView proof_bytes,
-                         std::string_view kind);
+  /// Entries currently resident.
+  std::size_t size() const { return entries_.size(); }
 
   /// Key for a proxy-level hop verdict. Binds the task, the responding
   /// participant, the queried product id, the hop's POC commitment bytes,
@@ -118,24 +94,13 @@ class VerifyCache {
  private:
   struct Entry {
     VerifyOutcome outcome;
-    std::uint64_t epoch = 0;
-    std::list<Bytes>::iterator pos;  // position in the shard's LRU list
+    std::list<Bytes>::iterator pos;  // position in lru_
   };
 
-  struct Shard {
-    mutable Mutex mu;
-    std::map<Bytes, Entry> entries DESWORD_GUARDED_BY(mu);
-    /// Most-recently-used first; back() is the eviction victim.
-    std::list<Bytes> lru DESWORD_GUARDED_BY(mu);
-  };
-
-  Shard& shard_of(const Bytes& key);
-  const Shard& shard_of(const Bytes& key) const;
-
-  std::size_t per_shard_cap_;
-  std::vector<Shard> shards_;
+  std::size_t capacity_;
+  std::map<Bytes, Entry> entries_;
+  /// Most-recently-used first; back() is the eviction victim.
+  std::list<Bytes> lru_;
 };
-
-using VerifyCachePtr = std::shared_ptr<VerifyCache>;
 
 }  // namespace desword::zkedb

@@ -647,8 +647,9 @@ TEST_P(BatchVerifyReputationTest, PenaltyLandsOnCorruptingHop) {
   namespace proto = protocol;
 
   proto::ScenarioConfig cfg;
-  cfg.edb = zk::EdbConfig{4, 8, kTestRsaBits, "p256", zk::SoftMode::kShared};
-  cfg.batch_verify = GetParam();
+  cfg.proxy.edb =
+      zk::EdbConfig{4, 8, kTestRsaBits, "p256", zk::SoftMode::kShared};
+  cfg.proxy.verify.batch_verify = GetParam();
   proto::Scenario scenario(SupplyChainGraph::paper_example(), cfg);
 
   const auto products = supplychain::make_products(1, 2000, 8);

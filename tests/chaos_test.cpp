@@ -264,12 +264,11 @@ SweepRun run_cell(Cell cell, std::uint64_t seed, bool concurrent,
   plan.default_faults.drop_rate = cell == Cell::kLoss30 ? 0.30 : 0.10;
 
   ScenarioConfig cfg;
-  cfg.edb = zkedb::EdbConfig{4, 6, 512, "p256", zkedb::SoftMode::kShared};
   cfg.fault_plan = plan;
-  cfg.query_deadline = kQueryDeadline;
-  cfg.max_concurrent_queries = concurrent ? 8 : 1;
-  cfg.verify_cache = verify_cache;
-  cfg.worker_threads = workers;
+  cfg.proxy.query_deadline = kQueryDeadline;
+  cfg.proxy.max_concurrent_queries = concurrent ? 8 : 1;
+  cfg.proxy.verify.cache = verify_cache;
+  cfg.proxy.verify.worker_threads = workers;
   Scenario scenario(SupplyChainGraph::paper_example(), cfg);
 
   DistributionConfig dist;
@@ -417,7 +416,6 @@ TEST(ChaosDistributionTest, DarkParticipantProducesBoundedGiveUpNamingIt) {
   FaultPlan plan;
   plan.seed = 5;
   ScenarioConfig cfg;
-  cfg.edb = zkedb::EdbConfig{4, 6, 512, "p256", zkedb::SoftMode::kShared};
   cfg.fault_plan = plan;
   cfg.max_distribution_retries = 4;
   Scenario scenario(SupplyChainGraph::paper_example(), cfg);
@@ -463,7 +461,6 @@ TEST(ChaosDistributionTest, LostListSubmitIsResentUntilTheProxyHasIt) {
   plan.rules.push_back(net::FaultRule{"v0", "proxy", {}});
   plan.rules.back().faults.drop_rate = 0.6;  // ps requests + list submits
   ScenarioConfig cfg;
-  cfg.edb = zkedb::EdbConfig{4, 6, 512, "p256", zkedb::SoftMode::kShared};
   cfg.fault_plan = plan;
   Scenario scenario(SupplyChainGraph::paper_example(), cfg);
 

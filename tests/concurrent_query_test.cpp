@@ -27,13 +27,13 @@ using supplychain::SupplyChainGraph;
 
 ScenarioConfig fast_config() {
   ScenarioConfig cfg;
-  cfg.edb = zkedb::EdbConfig{4, 6, 512, "p256", zkedb::SoftMode::kShared};
   return cfg;
 }
 
 TEST(ConcurrentQueryTest, RetransmitJoinsInFlightProofGeneration) {
   ScenarioConfig cfg = fast_config();
-  cfg.worker_threads = 2;  // participants build proofs on their strands
+  // Participants build proofs on their strands.
+  cfg.proxy.verify.worker_threads = 2;
   Scenario scenario(SupplyChainGraph::paper_example(), cfg);
 
   DistributionConfig dist;
@@ -83,7 +83,7 @@ TEST(ConcurrentQueryTest, RetransmitJoinsInFlightProofGeneration) {
 
 TEST(ConcurrentQueryTest, SchedulerQueuesBeyondConcurrencyLimit) {
   ScenarioConfig cfg = fast_config();
-  cfg.max_concurrent_queries = 2;
+  cfg.proxy.max_concurrent_queries = 2;
   Scenario scenario(SupplyChainGraph::paper_example(), cfg);
 
   DistributionConfig dist;
@@ -111,7 +111,7 @@ TEST(ConcurrentQueryTest, SchedulerQueuesBeyondConcurrencyLimit) {
   }
   // ...but only the first two slots were free at begin time: the other
   // four queries all waited in the scheduler.
-  EXPECT_EQ(queued_spans, ids.size() - cfg.max_concurrent_queries);
+  EXPECT_EQ(queued_spans, ids.size() - cfg.proxy.max_concurrent_queries);
 }
 
 /// Compact comparable digest of a query outcome.
@@ -147,8 +147,8 @@ struct SweepResult {
 SweepResult run_sweep(unsigned worker_threads,
                       std::size_t max_concurrent_queries, bool batch) {
   ScenarioConfig cfg = fast_config();
-  cfg.worker_threads = worker_threads;
-  cfg.max_concurrent_queries = max_concurrent_queries;
+  cfg.proxy.verify.worker_threads = worker_threads;
+  cfg.proxy.max_concurrent_queries = max_concurrent_queries;
   Scenario scenario(SupplyChainGraph::layered(5, 4, 2), cfg);
 
   std::vector<std::vector<supplychain::ProductId>> lots;

@@ -48,8 +48,7 @@ struct WalkRun {
 WalkRun run_walk(unsigned workers, ProductQuality quality,
                  const Adversary& adversary) {
   ScenarioConfig cfg;
-  cfg.edb = zkedb::EdbConfig{4, 6, 512, "p256", zkedb::SoftMode::kShared};
-  cfg.worker_threads = workers;
+  cfg.proxy.verify.worker_threads = workers;
   Scenario scenario(SupplyChainGraph::layered(5, 2, 2), cfg);
 
   DistributionConfig dist;

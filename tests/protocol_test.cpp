@@ -16,7 +16,7 @@ using supplychain::SupplyChainGraph;
 
 ScenarioConfig fast_config() {
   ScenarioConfig cfg;
-  cfg.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  cfg.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
   return cfg;
 }
 
@@ -587,7 +587,7 @@ net::FaultPlan proxy_link_plan(const net::LinkFaults& faults) {
 
 TEST_F(ProtocolTest, QuerySurvivesLossyLinks) {
   ScenarioConfig cfg = fast_config();
-  cfg.max_retries = kLossyRetries;
+  cfg.proxy.max_retries = kLossyRetries;
   scenario_ = std::make_unique<Scenario>(SupplyChainGraph::paper_example(),
                                          cfg);
   run_task();
@@ -606,7 +606,7 @@ TEST_F(ProtocolTest, QuerySurvivesChaos) {
   // retransmission), not merely available. At 20% loss a round trip fails
   // with p = 0.36, well inside the lossy cells' budget.
   ScenarioConfig cfg = fast_config();
-  cfg.max_retries = kLossyRetries;
+  cfg.proxy.max_retries = kLossyRetries;
   scenario_ = std::make_unique<Scenario>(SupplyChainGraph::paper_example(),
                                          cfg);
   run_task();
@@ -732,8 +732,8 @@ TEST_F(ProtocolTest, DuplicatedRequestsServedFromReplyCache) {
 
 TEST_F(ProtocolTest, ResponsibilityWeightedScores) {
   ScenarioConfig cfg = fast_config();
-  cfg.scores.weight_by_responsibility = true;
-  cfg.scores.source_multiplier = 3.0;
+  cfg.proxy.scores.weight_by_responsibility = true;
+  cfg.proxy.scores.source_multiplier = 3.0;
   Scenario scenario(SupplyChainGraph::paper_example(), cfg);
   DistributionConfig dist;
   dist.initial = "v0";

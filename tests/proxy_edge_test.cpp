@@ -17,7 +17,7 @@ using supplychain::SupplyChainGraph;
 
 ScenarioConfig fast_config() {
   ScenarioConfig cfg;
-  cfg.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  cfg.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
   return cfg;
 }
 
@@ -207,7 +207,7 @@ TEST(ProxyEdgeTest, ActiveSessionCountTracksBeginFinishAndDeadline) {
   ScenarioConfig cfg = fast_config();
   // Expires at the first retransmission; queries that never retransmit
   // are never checked against it.
-  cfg.query_deadline = 1;
+  cfg.proxy.query_deadline = 1;
   Scenario scenario(SupplyChainGraph::paper_example(), cfg);
   Proxy& proxy = scenario.proxy();
 

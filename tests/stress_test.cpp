@@ -19,7 +19,7 @@ using supplychain::SupplyChainGraph;
 
 TEST(StressTest, MultiTaskMultiQuerySoak) {
   ScenarioConfig cfg;
-  cfg.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  cfg.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
   Scenario scenario(SupplyChainGraph::layered(5, 4, 2), cfg);
 
   // Three tasks from different initial participants.
@@ -182,7 +182,6 @@ TEST(StressTest, ScenarioNodesShareOneCrsInstance) {
   // in-process deployment holds exactly one EdbCrs (one set of qTMC power
   // tables).
   ScenarioConfig cfg;
-  cfg.edb = zkedb::EdbConfig{4, 6, 512, "p256", zkedb::SoftMode::kShared};
   Scenario scenario(SupplyChainGraph::paper_example(), cfg);
   EXPECT_EQ(scenario.crs_cache()->size(), 1u);
 

@@ -391,7 +391,8 @@ namespace {
 
 TEST(TransportProtocolTest, QuerySurvivesCrashedParticipant) {
   ScenarioConfig config;
-  config.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  config.proxy.edb =
+      zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
   Scenario scenario(supplychain::SupplyChainGraph::paper_example(), config);
 
   supplychain::DistributionConfig dist;

@@ -1,15 +1,15 @@
-// Verification-cache coverage (ISSUE 10): the epoch-versioned verdict
-// cache must be a pure accelerator — never a way to smuggle a bad proof
-// past the verifier, never a way to resurrect a verdict from a retired
-// POC-list epoch.
+// Verification-cache coverage: the proxy's hop memo must be a pure
+// accelerator — never a way to smuggle a bad proof past the verifier,
+// never a way to keep a verdict that a replacement POC list changed.
 //
-//   * unit: LRU eviction under a small cap, epoch invalidation, rejected
-//     verdicts never stored, bit-flipped proof bytes never alias a key;
-//   * verifier level: a warm cache returns the identical outcome and a
-//     tampered proof after a genuine hit is still rejected;
-//   * protocol level: a repeated product query hits the proxy's hop memo
-//     with an identical outcome, and a replacement POC-list submission
-//     bumps the task epoch so stale entries are erased on next touch.
+//   * unit: LRU eviction under a small cap, rejected verdicts never
+//     stored, bit-flipped proof bytes never alias a key;
+//   * protocol level: a repeated product query hits the hop memo with an
+//     identical outcome; a tampered proof after a genuine hit is booked;
+//     replacement POC lists give the same path, violations and reputation
+//     as a cache-off run; the memo holds at most `cache_capacity` hops;
+//   * concurrency: identical in-flight hops join one check and a repeat
+//     wave hits, with no lock in the memo (this suite runs under TSan).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,16 +19,12 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.h"
 #include "crypto/hash.h"
 #include "desword/messages.h"
 #include "desword/scenario.h"
-#include "net/network.h"
 #include "net/transport.h"
 #include "obs/metrics.h"
 #include "poc/poc_list.h"
-#include "zkedb/prover.h"
-#include "zkedb/verifier.h"
 #include "zkedb/verify_cache.h"
 
 namespace desword {
@@ -50,20 +46,21 @@ Bytes key_of(int i) {
 }
 
 std::uint64_t hits() { return obs::metric("zkedb.cache.hit").value(); }
+std::uint64_t misses() { return obs::metric("zkedb.cache.miss").value(); }
 std::uint64_t evictions() { return obs::metric("zkedb.cache.evict").value(); }
-std::uint64_t stales() { return obs::metric("zkedb.cache.stale").value(); }
+std::uint64_t joined() { return obs::metric("zkedb.cache.joined").value(); }
 
 // ---------------------------------------------------------------------------
 // VerifyCache unit coverage
 // ---------------------------------------------------------------------------
 
 TEST(VerifyCacheTest, HitReturnsStoredOutcome) {
-  VerifyCache cache;
+  VerifyCache cache(16);
   const Bytes key = key_of(1);
-  EXPECT_FALSE(cache.lookup(key, 0).has_value());
-  cache.store(key, VerifyOutcome::accept_value(bytes_of("v")), 0);
+  EXPECT_FALSE(cache.lookup(key).has_value());
+  cache.store(key, VerifyOutcome::accept_value(bytes_of("v")));
   const std::uint64_t h0 = hits();
-  const auto hit = cache.lookup(key, 0);
+  const auto hit = cache.lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->ok);
   EXPECT_EQ(**hit, bytes_of("v"));
@@ -73,159 +70,56 @@ TEST(VerifyCacheTest, HitReturnsStoredOutcome) {
 TEST(VerifyCacheTest, RejectionsAreNeverStored) {
   // Negative caching would let a flooder evict the legitimate working set
   // with free garbage proofs; rejections must stay uncached.
-  VerifyCache cache;
-  cache.store(key_of(1), VerifyOutcome::reject(), 0);
+  VerifyCache cache(16);
+  cache.store(key_of(1), VerifyOutcome::reject());
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(key_of(1), 0).has_value());
+  EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
 }
 
 TEST(VerifyCacheTest, LruEvictsOldestUnderSmallCap) {
-  VerifyCache cache(VerifyCache::Config{/*capacity=*/4, /*shards=*/1});
+  VerifyCache cache(4);
   const std::uint64_t e0 = evictions();
   for (int i = 0; i < 4; ++i) {
-    cache.store(key_of(i), VerifyOutcome::accept(), 0);
+    cache.store(key_of(i), VerifyOutcome::accept());
   }
   EXPECT_EQ(cache.size(), 4u);
   // Touch key 0 so key 1 becomes the LRU victim.
-  ASSERT_TRUE(cache.lookup(key_of(0), 0).has_value());
-  cache.store(key_of(4), VerifyOutcome::accept(), 0);
+  ASSERT_TRUE(cache.lookup(key_of(0)).has_value());
+  cache.store(key_of(4), VerifyOutcome::accept());
   EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(evictions(), e0 + 1);
-  EXPECT_FALSE(cache.lookup(key_of(1), 0).has_value());  // evicted
-  EXPECT_TRUE(cache.lookup(key_of(0), 0).has_value());   // kept (recently used)
-  EXPECT_TRUE(cache.lookup(key_of(4), 0).has_value());
-}
-
-TEST(VerifyCacheTest, EpochMismatchErasesStaleEntry) {
-  VerifyCache cache;
-  const Bytes key = key_of(7);
-  cache.store(key, VerifyOutcome::accept(), /*epoch=*/1);
-  const std::uint64_t s0 = stales();
-  EXPECT_FALSE(cache.lookup(key, /*epoch=*/2).has_value());
-  EXPECT_EQ(stales(), s0 + 1);
-  // The stale entry was erased, not just skipped: even its own epoch
-  // misses now.
-  EXPECT_FALSE(cache.lookup(key, /*epoch=*/1).has_value());
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.lookup(key_of(1)).has_value());  // evicted
+  EXPECT_TRUE(cache.lookup(key_of(0)).has_value());   // kept (recently used)
+  EXPECT_TRUE(cache.lookup(key_of(4)).has_value());
 }
 
 TEST(VerifyCacheTest, BitFlippedProofBytesNeverAliasAKey) {
   // Cache poisoning via key collision: a proof that shares every other
   // key component but differs in ONE bit of the proof bytes must map to a
   // different slot.
-  const Bytes crs_digest = key_of(1);
   const Bytes commitment = bytes_of("commitment");
-  const Bytes position = bytes_of("position");
+  const Bytes product = bytes_of("product");
   Bytes proof = bytes_of("proof-bytes");
-  const Bytes genuine = VerifyCache::proof_key(crs_digest, commitment,
-                                               position, proof, "membership");
-  proof[0] ^= 0x01;
-  const Bytes flipped = VerifyCache::proof_key(crs_digest, commitment,
-                                               position, proof, "membership");
-  EXPECT_NE(genuine, flipped);
-  // The flavour is bound too: a non-membership verdict can never answer a
-  // membership lookup for the same bytes.
-  proof[0] ^= 0x01;
-  EXPECT_NE(genuine, VerifyCache::proof_key(crs_digest, commitment, position,
-                                            proof, "non_membership"));
-
-  const Bytes hop = VerifyCache::hop_key("t0", "p1", position, commitment,
+  const Bytes hop = VerifyCache::hop_key("t0", "p1", product, commitment,
                                          proof, "ownership");
   proof[0] ^= 0x01;
-  EXPECT_NE(hop, VerifyCache::hop_key("t0", "p1", position, commitment, proof,
+  EXPECT_NE(hop, VerifyCache::hop_key("t0", "p1", product, commitment, proof,
                                       "ownership"));
+  // The flavour is bound too: a non-ownership verdict can never answer an
+  // ownership lookup for the same bytes.
+  proof[0] ^= 0x01;
+  EXPECT_NE(hop, VerifyCache::hop_key("t0", "p1", product, commitment, proof,
+                                      "non_ownership"));
 }
 
 // ---------------------------------------------------------------------------
-// Verifier integration
-// ---------------------------------------------------------------------------
-
-class VerifyCacheEdbTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    zk::EdbConfig cfg{4, 4, 512, "p256", zk::SoftMode::kShared};
-    crs_ = zk::generate_crs(cfg);
-    std::map<Bytes, Bytes> entries;
-    for (int i = 0; i < 4; ++i) {
-      entries[zk::key_for_identifier(*crs_, bytes_of("k" + std::to_string(i)))] =
-          bytes_of("value-" + std::to_string(i));
-    }
-    prover_ = std::make_unique<zk::EdbProver>(crs_, entries);
-  }
-
-  zk::EdbCrsPtr crs_;
-  std::unique_ptr<zk::EdbProver> prover_;
-};
-
-TEST_F(VerifyCacheEdbTest, WarmHitReturnsIdenticalOutcome) {
-  const zk::EdbKey key = zk::key_for_identifier(*crs_, bytes_of("k0"));
-  const auto proof = prover_->prove_membership(key);
-  zk::EdbVerifyOptions opts;
-  opts.cache = std::make_shared<VerifyCache>();
-
-  const auto cold =
-      zk::edb_verify_membership(*crs_, prover_->commitment(), key, proof, opts);
-  ASSERT_TRUE(cold.has_value());
-  const std::uint64_t h0 = hits();
-  const auto warm =
-      zk::edb_verify_membership(*crs_, prover_->commitment(), key, proof, opts);
-  EXPECT_EQ(hits(), h0 + 1);
-  EXPECT_TRUE(cold == warm);
-  EXPECT_EQ(*warm, bytes_of("value-0"));
-}
-
-TEST_F(VerifyCacheEdbTest, TamperedProofAfterGenuineHitIsRejected) {
-  const zk::EdbKey key = zk::key_for_identifier(*crs_, bytes_of("k0"));
-  const auto proof = prover_->prove_membership(key);
-  zk::EdbVerifyOptions opts;
-  opts.cache = std::make_shared<VerifyCache>();
-  ASSERT_TRUE(zk::edb_verify_membership(*crs_, prover_->commitment(), key,
-                                        proof, opts)
-                  .has_value());
-
-  // The genuine proof is cached. A tampered variant must neither hit the
-  // cached acceptance nor verify.
-  auto bad = proof;
-  bad.value = bytes_of("forged");
-  const std::uint64_t h0 = hits();
-  EXPECT_FALSE(zk::edb_verify_membership(*crs_, prover_->commitment(), key,
-                                         bad, opts)
-                   .ok);
-  EXPECT_EQ(hits(), h0);  // different proof bytes -> different key -> miss
-
-  auto bad_opening = proof;
-  bad_opening.openings[1].tau += Bignum(1);
-  EXPECT_FALSE(zk::edb_verify_membership(*crs_, prover_->commitment(), key,
-                                         bad_opening, opts)
-                   .ok);
-  EXPECT_EQ(hits(), h0);
-}
-
-TEST_F(VerifyCacheEdbTest, NonMembershipVerdictIsCachedToo) {
-  const zk::EdbKey ghost = zk::key_for_identifier(*crs_, bytes_of("ghost"));
-  const auto proof = prover_->prove_non_membership(ghost);
-  zk::EdbVerifyOptions opts;
-  opts.cache = std::make_shared<VerifyCache>();
-  ASSERT_TRUE(zk::edb_verify_non_membership(*crs_, prover_->commitment(),
-                                            ghost, proof, opts)
-                  .ok);
-  const std::uint64_t h0 = hits();
-  const auto warm = zk::edb_verify_non_membership(*crs_, prover_->commitment(),
-                                                  ghost, proof, opts);
-  EXPECT_EQ(hits(), h0 + 1);
-  EXPECT_TRUE(warm.ok);
-  EXPECT_FALSE(warm.has_value());  // non-membership proves no value
-}
-
-// ---------------------------------------------------------------------------
-// Protocol integration (proxy hop memo + epochs)
+// Protocol integration (proxy hop memo)
 // ---------------------------------------------------------------------------
 
 class VerifyCacheProtocolTest : public ::testing::Test {
  protected:
   void SetUp() override {
     proto::ScenarioConfig cfg;
-    cfg.edb = zk::EdbConfig{4, 6, 512, "p256", zk::SoftMode::kShared};
     scenario_ = std::make_unique<proto::Scenario>(
         SupplyChainGraph::paper_example(), cfg);
     dist_.initial = "v0";
@@ -333,54 +227,253 @@ TEST_F(ProofRegenerationTest, RepeatedBadQueryRecomputesIdenticalDenials) {
   EXPECT_EQ(first.violations.size(), second.violations.size());
 }
 
-TEST_F(VerifyCacheProtocolTest, ListReplacementBumpsEpochAndStalesEntries) {
+/// Sum of the reputation deltas `participant` received for query `qid`.
+double delta_for(const proto::Proxy& proxy, std::uint64_t qid,
+                 const std::string& participant) {
+  double total = 0.0;
+  for (const proto::ReputationEvent& e : proxy.ledger().history()) {
+    if (e.query_id == qid && e.participant == participant) total += e.delta;
+  }
+  return total;
+}
+
+TEST_F(VerifyCacheProtocolTest, TamperedProofAfterGenuineHitIsBooked) {
   const ProductId& product = dist_.products[0];
-  const auto first = query(product);
-  ASSERT_TRUE(first.complete);
-
-  // Build a replacement POC list for t0: same POCs, minus one edge that
-  // the queried product's path never crosses. Different bytes -> the
-  // proxy treats it as a NEW distribution epoch for the task.
-  const poc::PocList* orig = scenario_->proxy().task_list("t0");
-  ASSERT_NE(orig, nullptr);
   const auto& path = scenario_->truth("t0").paths.at(product);
-  const auto on_path = [&](const std::string& a, const std::string& b) {
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      if (path[i] == a && path[i + 1] == b) return true;
-    }
-    return false;
-  };
-  poc::PocList fresh(orig->ps());
-  for (const std::string& p : orig->participants()) {
-    fresh.add_poc(*orig->find(p));
+  ASSERT_GE(path.size(), 2u);
+  const auto first = query(product);
+  ASSERT_TRUE(first.complete);  // every genuine hop is memoized now
+
+  // path[1] tampers with the proof it already had accepted once: the
+  // memo keys the full bytes, so the tampered proof misses, is verified
+  // and rejected, while path[0]'s untouched proof still hits.
+  for (const bool corrupt : {true, false}) {
+    SCOPED_TRACE(corrupt ? "corrupt_proof" : "wrong_trace");
+    proto::QueryBehavior behavior;
+    (corrupt ? behavior.corrupt_proof : behavior.wrong_trace).insert(product);
+    scenario_->participant(path[1]).set_query_behavior(behavior);
+    const std::uint64_t h0 = hits();
+    const auto tampered = query(product);
+    EXPECT_EQ(hits() - h0, 1u) << "only the honest first hop may hit";
+    EXPECT_FALSE(tampered.complete);
+    EXPECT_EQ(tampered.path, std::vector<std::string>{path[0]});
+    EXPECT_TRUE(tampered.has_violation(
+        path[1], proto::ViolationType::kClaimProcessingInvalidProof));
+    EXPECT_LT(delta_for(scenario_->proxy(), tampered.query_id, path[1]), 0.0);
   }
-  bool dropped = false;
-  for (const std::string& parent : orig->participants()) {
-    for (const std::string& child : orig->children_of(parent)) {
-      if (!dropped && !on_path(parent, child)) {
-        dropped = true;  // omit exactly this edge
-        continue;
+
+  // The genuine entries were neither poisoned nor displaced.
+  scenario_->participant(path[1]).set_query_behavior({});
+  const std::uint64_t h0 = hits();
+  const auto honest = query(product);
+  EXPECT_EQ(hits() - h0, path.size());
+  EXPECT_EQ(digest(honest), digest(first));
+  EXPECT_TRUE(honest.violations.empty());
+}
+
+/// Observable result of one query: what a cache must never change.
+struct QueryDigest {
+  std::vector<std::string> path;
+  bool complete = false;
+  std::vector<proto::Violation> violations;
+  std::map<std::string, double> reputation;  // board right after the query
+
+  bool operator==(const QueryDigest&) const = default;
+};
+
+/// One deployment driven through the list-replacement steps, cache on or
+/// off. Task t1 redistributes t0's products, so every participant holds a
+/// second commitment to the same traces under fresh randomness — the POC
+/// a re-committing participant would submit.
+class ListReplacementRun {
+ public:
+  explicit ListReplacementRun(bool cache) {
+    proto::ScenarioConfig cfg;
+    cfg.proxy.verify.cache = cache;
+    scenario_ = std::make_unique<proto::Scenario>(
+        SupplyChainGraph::paper_example(), cfg);
+    DistributionConfig dist;
+    dist.initial = "v0";
+    dist.products = make_products(1, 0, 3);
+    dist.seed = 7;
+    scenario_->run_task("t0", dist);
+    scenario_->run_task("t1", dist);
+    product_ = dist.products[0];
+    path_ = scenario_->truth("t0").paths.at(product_);
+  }
+
+  const std::vector<std::string>& path() const { return path_; }
+
+  QueryDigest query() {
+    const auto o = scenario_->proxy().run_query(
+        product_, proto::ProductQuality::kGood, std::string("t0"));
+    return {o.path, o.complete, o.violations,
+            scenario_->proxy().reputation_snapshot()};
+  }
+
+  /// (a) t0's POCs minus one edge the product's path never crosses.
+  void replace_dropping_an_edge() {
+    const poc::PocList& orig = list("t0");
+    const auto on_path = [&](const std::string& a, const std::string& b) {
+      for (std::size_t i = 0; i + 1 < path_.size(); ++i) {
+        if (path_[i] == a && path_[i + 1] == b) return true;
       }
-      fresh.add_edge(parent, child);
+      return false;
+    };
+    poc::PocList fresh(orig.ps());
+    for (const std::string& p : orig.participants()) {
+      fresh.add_poc(*orig.find(p));
     }
+    bool dropped = false;
+    for (const std::string& parent : orig.participants()) {
+      for (const std::string& child : orig.children_of(parent)) {
+        if (!dropped && !on_path(parent, child)) {
+          dropped = true;  // omit exactly this edge
+          continue;
+        }
+        fresh.add_edge(parent, child);
+      }
+    }
+    ASSERT_TRUE(dropped) << "no off-path edge to drop; pick another product";
+    submit(fresh);
   }
-  ASSERT_TRUE(dropped) << "no off-path edge to drop; pick another product";
 
-  net::Transport& transport = scenario_->transport();
-  transport.send("v0", "proxy", proto::msg::kPocListSubmit,
-                 proto::PocListSubmit{"t0", fresh.serialize()}.serialize());
-  // One round delivers the queued submit. Draining to idle would also fire
-  // v0's list-submit retry timer, which re-sends the original list.
-  ASSERT_GT(transport.poll(), 0u);
-  ASSERT_NE(scenario_->proxy().task_list("t0"), nullptr);
+  /// (b) the current t0 list with path[1]'s POC swapped for its t1
+  /// re-commitment.
+  void replace_recommitting_path_hop() {
+    const poc::PocList& orig = list("t0");
+    const poc::Poc& recommitted = *list("t1").find(path_[1]);
+    ASSERT_NE(recommitted.commitment, orig.find(path_[1])->commitment);
+    poc::PocList fresh(orig.ps());
+    for (const std::string& p : orig.participants()) {
+      fresh.add_poc(p == path_[1] ? recommitted : *orig.find(p));
+    }
+    for (const std::string& parent : orig.participants()) {
+      for (const std::string& child : orig.children_of(parent)) {
+        fresh.add_edge(parent, child);
+      }
+    }
+    submit(fresh);
+  }
 
-  // The re-query re-walks the same hops; every memoized verdict carries
-  // the retired epoch, so each touch is a stale erase, never a hit.
-  const std::uint64_t s0 = stales();
-  const auto second = query(product);
-  EXPECT_GT(stales(), s0)
-      << "old-epoch entries must be erased on first touch";
-  EXPECT_EQ(digest(first), digest(second));
+ private:
+  const poc::PocList& list(const std::string& task_id) const {
+    const poc::PocList* l = scenario_->proxy().task_list(task_id);
+    EXPECT_NE(l, nullptr);
+    return *l;
+  }
+
+  void submit(const poc::PocList& fresh) {
+    const Bytes before = list("t0").serialize();
+    net::Transport& transport = scenario_->transport();
+    transport.send("v0", "proxy", proto::msg::kPocListSubmit,
+                   proto::PocListSubmit{"t0", fresh.serialize()}.serialize());
+    // One round delivers the queued submit. Draining to idle would also
+    // fire v0's list-submit retry timer, which re-sends the original list.
+    ASSERT_GT(transport.poll(), 0u);
+    ASSERT_NE(list("t0").serialize(), before) << "replacement not adopted";
+  }
+
+  std::unique_ptr<proto::Scenario> scenario_;
+  ProductId product_;
+  std::vector<std::string> path_;
+};
+
+TEST(VerifyCacheReplacementTest, ListReplacementMatchesCacheOffRun) {
+  ListReplacementRun on(/*cache=*/true);
+  ListReplacementRun off(/*cache=*/false);
+  const QueryDigest first = on.query();
+  ASSERT_TRUE(first.complete);
+  ASSERT_GE(on.path().size(), 2u);
+  EXPECT_EQ(first, off.query());
+
+  // (a) Every hop keeps its commitment, so every memoized verdict still
+  // answers its question and the re-query hits on every hop.
+  on.replace_dropping_an_edge();
+  off.replace_dropping_an_edge();
+  std::uint64_t h0 = hits();
+  const QueryDigest dropped = on.query();
+  EXPECT_EQ(hits() - h0, on.path().size());
+  EXPECT_EQ(dropped, off.query());
+
+  // (b) path[1] re-committed: its key changes with the commitment, so its
+  // proof is verified afresh; the other hops still hit.
+  on.replace_recommitting_path_hop();
+  off.replace_recommitting_path_hop();
+  h0 = hits();
+  const std::uint64_t m0 = misses();
+  const QueryDigest recommitted = on.query();
+  EXPECT_EQ(hits() - h0, on.path().size() - 1);
+  EXPECT_EQ(misses() - m0, 1u);
+  EXPECT_EQ(recommitted, off.query());
+  EXPECT_EQ(recommitted.path, first.path);
+}
+
+TEST(VerifyCacheCapacityTest, ProxyMemoHoldsAtMostCacheCapacityHops) {
+  proto::ScenarioConfig cfg;
+  cfg.proxy.verify.cache_capacity = 2;
+  proto::Scenario scenario(SupplyChainGraph::paper_example(), cfg);
+  DistributionConfig dist;
+  dist.initial = "v0";
+  dist.products = make_products(1, 0, 3);
+  dist.seed = 7;
+  scenario.run_task("t0", dist);
+
+  std::size_t accepted_hops = 0;
+  for (const ProductId& p : dist.products) {
+    const auto outcome =
+        scenario.proxy().run_query(p, proto::ProductQuality::kGood);
+    ASSERT_TRUE(outcome.complete);
+    accepted_hops += outcome.path.size();  // distinct: the product is keyed
+    EXPECT_LE(scenario.proxy().verify_cache()->size(), 2u);
+  }
+  ASSERT_GT(accepted_hops, 2u);
+  EXPECT_EQ(scenario.proxy().verify_cache()->size(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrency: the memo is loop-thread-only and takes no lock. Under TSan
+// any worker touching it would be reported.
+// ---------------------------------------------------------------------------
+
+TEST(VerifyCacheConcurrencyTest, JoinedAndMemoizedHopsMatchAnInlineRun) {
+  struct Run {
+    std::vector<QueryDigest> outcomes;  // reputation: the board at the end
+    std::uint64_t wave1_joined = 0;
+    std::uint64_t wave2_hits = 0;
+  };
+  const auto run = [](unsigned workers) {
+    proto::ScenarioConfig cfg;
+    cfg.proxy.verify.worker_threads = workers;
+    cfg.proxy.max_concurrent_queries = 4;
+    proto::Scenario scenario(SupplyChainGraph::paper_example(), cfg);
+    DistributionConfig dist;
+    dist.initial = "v0";
+    dist.products = make_products(1, 0, 3);
+    dist.seed = 7;
+    scenario.run_task("t0", dist);
+
+    // The same product in flight four times: identical proof bytes per hop.
+    const std::vector<ProductId> wave(4, dist.products[0]);
+    Run r;
+    for (int round = 0; round < 2; ++round) {
+      const std::uint64_t j0 = joined();
+      const std::uint64_t h0 = hits();
+      for (const auto& o : scenario.proxy().run_queries(
+               wave, proto::ProductQuality::kGood)) {
+        r.outcomes.push_back({o.path, o.complete, o.violations, {}});
+      }
+      if (round == 0) r.wave1_joined = joined() - j0;
+      if (round == 1) r.wave2_hits = hits() - h0;
+    }
+    r.outcomes.back().reputation = scenario.proxy().reputation_snapshot();
+    return r;
+  };
+  const Run inline_run = run(/*workers=*/0);
+  const Run pooled = run(/*workers=*/2);
+  EXPECT_GT(pooled.wave1_joined, 0u) << "identical in-flight hops must join";
+  EXPECT_GT(pooled.wave2_hits, 0u) << "the repeat wave must hit the memo";
+  EXPECT_EQ(pooled.outcomes, inline_run.outcomes);
 }
 
 // ---------------------------------------------------------------------------
@@ -391,8 +484,7 @@ TEST_F(VerifyCacheProtocolTest, ListReplacementBumpsEpochAndStalesEntries) {
 TEST(VerifyCacheEquivalenceTest, CacheOffReachesIdenticalOutcome) {
   const auto run = [](bool cache) {
     proto::ScenarioConfig cfg;
-    cfg.edb = zk::EdbConfig{4, 6, 512, "p256", zk::SoftMode::kShared};
-    cfg.verify_cache = cache;
+    cfg.proxy.verify.cache = cache;
     proto::Scenario scenario(SupplyChainGraph::paper_example(), cfg);
     DistributionConfig dist;
     dist.initial = "v0";

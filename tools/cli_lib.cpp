@@ -161,7 +161,8 @@ int cmd_inspect(const Flags& flags, std::ostream& out) {
 int cmd_demo(std::ostream& out) {
   using namespace desword::protocol;
   ScenarioConfig config;
-  config.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  config.proxy.edb =
+      zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
   Scenario scenario(supplychain::SupplyChainGraph::paper_example(), config);
 
   supplychain::DistributionConfig dist;

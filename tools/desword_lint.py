@@ -66,7 +66,8 @@ Rules (each can be waived on a specific line with a trailing
                 touched: ``transport_.send/set_timer/cancel_timer``,
                 ``sessions_``, ``in_flight_``, ``reply_cache_*``,
                 ``scheduler_``, ``finish_in_flight``, ``hop_in_flight_``,
-                ``finish_hop_verify``.
+                ``finish_hop_verify``, ``verify_cache_`` (the hop memo
+                takes no lock).
                 Results must travel back to the loop thread through a
                 nested ``transport_.post(...)`` (those nested spans are
                 exempt — they run on the loop). The runtime counterpart is
@@ -85,13 +86,12 @@ Rules (each can be waived on a specific line with a trailing
                 ``return ...set_timer(...)`` forwards ownership to the
                 caller and is exempt.
 
-  cache-key     Every verification-cache key construction — a
-                ``proof_key(...)`` / ``hop_key(...)`` call — must pass the
-                full proof bytes (an argument naming ``proof``). The cache
-                maps keys to *accepted* verdicts; a key that omits the
-                proof bytes would let a tampered proof alias a cached
-                acceptance and ride straight past the verifier
-                (src/zkedb/verify_cache.h, DESIGN.md §12).
+  cache-key     Every hop-memo key construction — a ``hop_key(...)``
+                call — must pass the full proof bytes (an argument naming
+                ``proof``). The memo maps keys to *accepted* verdicts; a
+                key that omits the proof bytes would let a tampered proof
+                alias a cached acceptance and ride straight past the
+                verifier (src/zkedb/verify_cache.h, DESIGN.md §12).
 
 Run:  tools/desword_lint.py [--root <repo root>]
 The root defaults to the repository containing this script, so the linter
@@ -201,7 +201,7 @@ RE_CANCEL_TIMER_ARGS = re.compile(r"\bcancel_timer\s*\(([^()]*)\)")
 
 # Verification-cache key constructions (rule cache-key). Call sites AND
 # the static definitions match; both must name the proof bytes.
-RE_CACHE_KEY = re.compile(r"\b(?:proof_key|hop_key)\s*\(")
+RE_CACHE_KEY = re.compile(r"\bhop_key\s*\(")
 RE_CACHE_KEY_PROOF_ARG = re.compile(r"proof")
 
 # Worker-context dispatch points (rule loop-affinity): posting to a strand
@@ -216,7 +216,8 @@ RE_LOOP_POST = re.compile(r"\btransport_?\s*(?:\.|->)\s*post\s*\(")
 RE_LOOP_OWNED = re.compile(
     r"\btransport_?\s*(?:\.|->)\s*(?:send|set_timer|cancel_timer)\s*\(|"
     r"\bsessions_\b|\bin_flight_\b|\breply_cache_\w*|\bscheduler_\b|"
-    r"\bfinish_in_flight\s*\(|\bhop_in_flight_\b|\bfinish_hop_verify\s*\(")
+    r"\bfinish_in_flight\s*\(|\bhop_in_flight_\b|\bfinish_hop_verify\s*\(|"
+    r"\bverify_cache_\b")
 
 
 def balance_parens(text: str, open_idx: int,
@@ -426,7 +427,7 @@ class Linter:
 
     def check_cache_key(self, rel: str, text: str,
                         lines: list[str]) -> None:
-        """Flags proof_key/hop_key constructions (call sites and
+        """Flags hop_key constructions (call sites and
         definitions alike) whose balanced argument span never names the
         proof bytes. Key components other than the proof are contextual;
         the proof bytes are the one ingredient whose omission turns the

@@ -5,25 +5,25 @@
 
 namespace desword::zkedb {
 
-Bytes lookup_keys(const Bytes& crs_digest, const Bytes& commitment,
-                  const Bytes& position, const Bytes& proof_bytes) {
+Bytes lookup_keys(const Bytes& product, const Bytes& commitment,
+                  const Bytes& proof_bytes) {
   // Clean: the proof bytes are part of the key.
-  const Bytes good = VerifyCache::proof_key(crs_digest, commitment, position,
-                                            proof_bytes, "membership");
-  // Violation: commitment + position alone — any forgery for this slot
+  const Bytes good = VerifyCache::hop_key("t0", "p1", product, commitment,
+                                          proof_bytes, "ownership");
+  // Violation: commitment + product alone — any forgery for this slot
   // would hit the same entry.
   const Bytes bad =
-      VerifyCache::proof_key(crs_digest, commitment, position, {},
-                             "membership");
-  // Violation: a hop key without the bytes as received.
-  const Bytes bad_hop = VerifyCache::hop_key("t0", "p1", position, commitment,
-                                             {}, "ownership");
+      VerifyCache::hop_key("t0", "p1", product, commitment, {},
+                           "non_ownership");
+  // Violation: the commitment passed twice in place of the bytes.
+  const Bytes bad_hop = VerifyCache::hop_key("t0", "p1", product, commitment,
+                                             commitment, "ownership");
   // Waived: migration shim measured separately.
   const Bytes waived = VerifyCache::hop_key(  // desword-lint: allow(cache-key)
-      "t0", "p1", position, commitment, {}, "ownership");
+      "t0", "p1", product, commitment, {}, "ownership");
   // Clean: multi-line call with the proof bytes on a later line.
   const Bytes wrapped = VerifyCache::hop_key(
-      "t0", "p1", position, commitment,
+      "t0", "p1", product, commitment,
       proof_bytes, "ownership");
   (void)good;
   (void)bad_hop;

@@ -11,11 +11,13 @@ void Proxy::verify_hop() {
     sessions_.erase(7);
     transport_.send(id_, peer_, type_, {});
     hop_in_flight_.erase(key_);
-    finish_hop_verify(key_, 0, {});
+    finish_hop_verify(key_, {});
+    verify_cache_->store(key_, {});
     scheduler_.finished(7);  // desword-lint: allow(loop-affinity)
     transport_.post([this] {
       finish_in_flight(key_, true, {});
-      finish_hop_verify(key_, 0, {});
+      finish_hop_verify(key_, {});
+      verify_cache_->store(key_, {});
     });
     transport_.remove_work();
   });
@@ -24,7 +26,7 @@ void Proxy::verify_hop() {
 void Proxy::good_path() {
   s.strand->post([this] {
     auto result = check();
-    transport_.post([this, result] { finish_hop_verify(key_, 0, result); });
+    transport_.post([this, result] { finish_hop_verify(key_, result); });
   });
 }
 

@@ -20,7 +20,7 @@
 #   * "repeat_query" pairs Macro/RepeatQueryCold (verification cache off)
 #     with Macro/RepeatQueryWarm (cache on, warmed) on queries_per_sec
 #     and carries the warm hit_rate — the acceptance metric for the
-#     epoch-versioned verification cache.
+#     proxy's hop memo.
 #
 # Usage: tools/run_bench.sh [--build-dir DIR] [--out FILE] [--check]
 #   --build-dir DIR  where the bench binaries live (default: build)
