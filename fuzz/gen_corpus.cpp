@@ -234,6 +234,10 @@ void gen_messages(const fs::path& dir, std::mt19937& rng) {
                      tagged(MessageType::kClientReportRequest,
                             ClientReportRequest{11}.serialize()),
                      rng);
+  write_with_mutants(dir, "stats_request",
+                     tagged(MessageType::kStatsRequest,
+                            StatsRequest{12}.serialize()),
+                     rng);
 }
 
 void gen_persist(const fs::path& corpus_root, const fs::path& dir,

@@ -96,6 +96,10 @@ void decode_one(MessageType type, BytesView payload) {
       require_canonical(payload,
                         ClientReportRequest::deserialize(payload).serialize());
       return;
+    case MessageType::kStatsRequest:
+      require_canonical(payload,
+                        StatsRequest::deserialize(payload).serialize());
+      return;
   }
 }
 
@@ -103,9 +107,10 @@ void decode_one(MessageType type, BytesView payload) {
 
 int run_messages(const std::uint8_t* data, std::size_t size) {
   if (size == 0) return 0;
-  // 19 enumerators (kUnknown .. kAdminShutdown); keep in sync with the enum.
+  // Every enumerator, kUnknown .. the last one (kStatsRequest); a type
+  // appended to the enum must move this bound.
   constexpr std::uint8_t kTypeCount =
-      static_cast<std::uint8_t>(MessageType::kAdminShutdown) + 1;
+      static_cast<std::uint8_t>(MessageType::kStatsRequest) + 1;
   const auto type = static_cast<MessageType>(data[0] % kTypeCount);
   BytesView payload(data + 1, size - 1);
   try {

@@ -211,6 +211,16 @@ bool BatchVerifier::fold_rsa(const std::vector<std::size_t>& unit_idxs,
     }
   }
   if (!any) return true;
+  // h leaves the multi-exp: its merged exponent (Σ r·r1 over E1 plus
+  // Σ r·r1·τ over E2', ~645 bits for a membership proof) would set the
+  // length of the shared squaring chain that the ≤ 264-bit Λ and S_i
+  // exponents ride on. One fixed-base power through h's table costs about
+  // a quarter of that width in multiplications and no squarings.
+  RsaTerm h_term{RsaTerm::Kind::kH, 0, Bignum(), Bignum()};
+  if (const auto it = lhs.find(rsa_base_key(h_term)); it != lhs.end()) {
+    h_term.exponent = std::move(it->second.exponent);
+    lhs.erase(it);
+  }
   std::vector<ModExpContext::ExpTerm> lhs_terms;
   lhs_terms.reserve(lhs.size());
   for (auto& [key, term] : lhs) lhs_terms.push_back(std::move(term));
@@ -226,8 +236,13 @@ bool BatchVerifier::fold_rsa(const std::vector<std::size_t>& unit_idxs,
   // even multiplier — while in the quotient −1 is the identity and no
   // other low-order element is computable without factoring N. Chunked
   // evaluation over `pool` multiplies partial products mod N, yielding the
-  // same residue, so the compare — and its soundness — is unchanged.
-  return qtmc_->canonical(mexp.multi_exp(lhs_terms, pool)) ==
+  // same residue, so the compare — and its soundness — is unchanged, as
+  // it is by multiplying the h power in after the multi-exp.
+  Bignum left = mexp.multi_exp(lhs_terms, pool);
+  if (!h_term.exponent.is_zero()) {
+    left = Bignum::mod_mul(left, qtmc_->eval_term(h_term), mexp.modulus());
+  }
+  return qtmc_->canonical(left) ==
          qtmc_->canonical(mexp.multi_exp(rhs_terms, pool));
 }
 

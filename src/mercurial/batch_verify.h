@@ -14,10 +14,12 @@
 // hard opening, S_i at position i, the commitment elements — merge, so the
 // whole batch costs one multi-exponentiation (crypto/modexp.h Pippenger /
 // Straus, Group::multi_exp) instead of 3–4 full exponentiations per
-// opening. Given a thread pool, each side of the RSA fold is evaluated as
-// concurrent multi-exponentiation chunks (ModExpContext::multi_exp) whose
-// partial products multiply to the same group element, so chunking changes
-// wall time only — never a fold's outcome.
+// opening. h's merged exponent, the widest, is evaluated apart from the
+// multi-exponentiation through h's fixed-base table. Given a thread pool,
+// each side of the RSA fold is evaluated as concurrent multi-exponentiation
+// chunks (ModExpContext::multi_exp) whose partial products multiply to the
+// same group element, so chunking changes wall time only — never a fold's
+// outcome.
 //
 // Multipliers are derived deterministically from a transcript hash of all
 // accumulated equations (Fiat–Shamir style), so verification stays

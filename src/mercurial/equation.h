@@ -7,8 +7,13 @@
 // across many proofs — into a single multi-exponentiation (see
 // batch_verify.h). Terms reference the CRS bases (h, h̃-free: verification
 // never uses h̃; S_i) symbolically so the fold can merge their exponents:
-// h appears in every hard opening and S_i in every equation at position i,
-// which is where most of the batching win comes from.
+// S_i appears in every equation at position i, which is where most of the
+// batching win comes from, and h in both equations of every hard opening —
+// h^{r1} == C1 and Λ^{e}·S^m·h^{r1·τ} == C0, the latter standing in for
+// the scheme's C1^τ factor (QtmcScheme::open_equations). A fold raises h
+// to its merged exponent once, through h's fixed-base table, outside the
+// multi-exponentiation, so only proof-supplied bases (Λ, and C1 in teases)
+// and the S_i share the squaring chain.
 #pragma once
 
 #include <cstdint>

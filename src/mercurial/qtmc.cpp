@@ -640,7 +640,7 @@ bool QtmcScheme::elements_coprime(const std::vector<RsaEquation>& eqs,
 
 bool QtmcScheme::main_equation(const QtmcCommitment& com, std::uint32_t pos,
                                BytesView msg, const Bignum& tau,
-                               const Bignum& lambda,
+                               const Bignum& lambda, const Bignum* r1,
                                std::vector<RsaEquation>& out) const {
   if (pos >= pk_.q || msg.size() != kMessageBytes) return false;
   // Canonical-form checks only; coprimality with N is enforced by the
@@ -659,7 +659,15 @@ bool QtmcScheme::main_equation(const QtmcCommitment& com, std::uint32_t pos,
   if (!m.is_zero()) {
     eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kS, pos, Bignum(), m});
   }
-  eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kGeneric, 0, com.c1, tau});
+  if (r1 != nullptr) {
+    // A hard opening's companion equation h^{r1} == C1 pins C1 to ±h^{r1},
+    // so C1^τ and h^{r1·τ} are the same element of Z_N*/{±1}: the pair
+    // holds iff the pair with C1^τ does (DESIGN.md §5.5), and h powers
+    // through its fixed-base table instead of a generic base.
+    eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kH, 0, Bignum(), *r1 * tau});
+  } else {
+    eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kGeneric, 0, com.c1, tau});
+  }
   eq.rhs = com.c0;
   out.push_back(std::move(eq));
   return true;
@@ -670,7 +678,8 @@ bool QtmcScheme::open_equations(const QtmcCommitment& com,
                                 std::vector<RsaEquation>& out) const {
   if (op.r1.is_negative() || op.r1.bits() > kMaxExponentBits) return false;
   const std::size_t mark = out.size();
-  if (!main_equation(com, op.pos, op.message, op.tau, op.lambda, out)) {
+  if (!main_equation(com, op.pos, op.message, op.tau, op.lambda, &op.r1,
+                     out)) {
     return false;
   }
   // h^{r1} == C1 — the check that distinguishes hard openings from teases.
@@ -685,7 +694,7 @@ bool QtmcScheme::tease_equations(const QtmcCommitment& com,
                                  const QtmcTease& tease,
                                  std::vector<RsaEquation>& out) const {
   return main_equation(com, tease.pos, tease.message, tease.tau, tease.lambda,
-                       out);
+                       nullptr, out);
 }
 
 const Bignum& QtmcScheme::term_base(const RsaTerm& term) const {

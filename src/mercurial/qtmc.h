@@ -16,6 +16,8 @@
 //     - hard open at i -> (m_i, τ=r0, Λ_i, r1) where
 //         Λ_i = g^{(z·P + Σ_{j≠i} m_j·P_j)/e_i}   (exactly divisible)
 //       check:  C1 = h^{r1}  and  Λ^{e_i} · S_i^{m_i} · C1^{τ} = C0
+//       (verified as the equivalent C1 = h^{r1} and
+//        Λ^{e_i} · S_i^{m_i} · h^{r1·τ} = C0; see open_equations)
 //     - soft open (tease) at i -> same without r1.
 //   Soft commit:  C1 = g^{r1} (gcd(r1, P) = 1),  C0 = g^{r0}
 //     - tease at any i to ANY m: pick τ ≡ (r0 − m·ρ_i)·r1^{-1} (mod e_i)
@@ -189,9 +191,13 @@ class QtmcScheme {
   /// Equation-accumulator flavour of verify_open: runs the structural
   /// checks (position/message/exponent ranges, elements canonical in
   /// [1, (N−1)/2]) and, when they pass, appends the two product equations
-  /// `h^{r1} == C1` and `Λ^{e_pos}·S_pos^m·C1^τ == C0` — both compared in
-  /// Z_N*/{±1} — to `out`. Returns false (appending nothing) on
-  /// structural failure. Coprimality of the proof-supplied
+  /// E1 `h^{r1} == C1` and E2' `Λ^{e_pos}·S_pos^m·h^{r1·τ} == C0` — both
+  /// compared in Z_N*/{±1} — to `out`. E2' stands in for the scheme's
+  /// `Λ^{e_pos}·S_pos^m·C1^τ == C0`: under E1, C1^τ and h^{r1·τ} name the
+  /// same quotient element, so E1 ∧ E2' holds exactly when the textbook
+  /// pair does, and the τ power runs on h's fixed-base table instead of a
+  /// proof-supplied base (DESIGN.md §5.5). Returns false (appending
+  /// nothing) on structural failure. Coprimality of the proof-supplied
   /// elements with N is NOT checked here — consumers enforce it in
   /// aggregate via elements_coprime (one gcd per opening in the scalar
   /// verifiers, one per fold in BatchVerifier). The opening is valid iff
@@ -200,7 +206,9 @@ class QtmcScheme {
   bool open_equations(const QtmcCommitment& com, const QtmcOpening& op,
                       std::vector<RsaEquation>& out) const;
 
-  /// Equation-accumulator flavour of verify_tease (one equation).
+  /// Equation-accumulator flavour of verify_tease: the one equation
+  /// `Λ^{e_pos}·S_pos^m·C1^τ == C0`. A tease reveals no r1, so C1 stays a
+  /// generic base.
   bool tease_equations(const QtmcCommitment& com, const QtmcTease& tease,
                        std::vector<RsaEquation>& out) const;
 
@@ -304,10 +312,12 @@ class QtmcScheme {
   const QtmcBaseTables* fb_base() const DESWORD_NO_THREAD_SAFETY_ANALYSIS;
   const QtmcPositionTables* fb_pos() const DESWORD_NO_THREAD_SAFETY_ANALYSIS;
   /// Structural checks + emission of the main equation
-  /// Λ^{e_pos}·S_pos^m·C1^τ == C0 shared by hard and soft openings.
+  /// Λ^{e_pos}·S_pos^m·C1^τ == C0 shared by hard and soft openings. With a
+  /// hard opening's `r1` the C1^τ factor is emitted as h^{r1·τ} (E2'); a
+  /// tease passes null.
   bool main_equation(const QtmcCommitment& com, std::uint32_t pos,
                      BytesView msg, const Bignum& tau, const Bignum& lambda,
-                     std::vector<RsaEquation>& out) const;
+                     const Bignum* r1, std::vector<RsaEquation>& out) const;
   /// x ∈ [1, (N−1)/2]: a nonzero canonical representative of Z_N*/{±1}.
   bool element_canonical(const Bignum& x) const;
 

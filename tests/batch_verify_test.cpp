@@ -218,6 +218,57 @@ TEST_F(QtmcBatchTest, SignFlipInLargeBatchRejectedRegardlessOfMultipliers) {
   }
 }
 
+// A hard opening is checked as E1 (h^{r1} == C1) and E2'
+// (Λ^e·S^m·h^{r1·τ} == C0); E2' says nothing about C1, so it stands in for
+// the scheme's Λ^e·S^m·C1^τ == C0 only beside E1. An opening whose C1 is
+// replaced while C0 stays canonical(Λ^e·S^m·h^{r1·τ}) keeps E2' true and
+// breaks E1 alone: verify_open, a one-unit fold and bisection inside a pile
+// of 64 must each reject it.
+TEST_F(QtmcBatchTest, ReplacedC1RejectedThoughE2PrimeHolds) {
+  constexpr std::size_t kUnits = 64;
+  constexpr std::size_t kBad = 23;
+  const auto [com, dec] = scheme_->hard_commit(make_messages(4));
+  const auto [other, other_dec] = scheme_->hard_commit(make_messages(4));
+  const QtmcOpening op = scheme_->hard_open(dec, 2);
+  mercurial::QtmcCommitment forged = com;
+  forged.c1 = other.c1;
+
+  std::vector<mercurial::RsaEquation> eqs;
+  ASSERT_TRUE(scheme_->open_equations(forged, op, eqs));
+  ASSERT_EQ(eqs.size(), 2u);
+  EXPECT_FALSE(scheme_->check_scalar(eqs[0]));  // E1: h^{r1} != C1
+  EXPECT_TRUE(scheme_->check_scalar(eqs[1]));   // E2' still holds
+
+  EXPECT_FALSE(scheme_->verify_open(forged, op));
+  {
+    BatchVerifier one(*scheme_);
+    one.begin_unit();
+    ASSERT_TRUE(one.add_open(forged, op));
+    EXPECT_FALSE(one.verify().all_ok);
+  }
+
+  BatchVerifier pile(*scheme_);
+  for (std::size_t i = 0; i < kUnits; ++i) {
+    pile.begin_unit();
+    const auto pos = static_cast<std::uint32_t>(i % scheme_->arity());
+    if (i == kBad) {
+      ASSERT_TRUE(pile.add_open(forged, op));
+    } else {
+      ASSERT_TRUE(pile.add_open(com, scheme_->hard_open(dec, pos)));
+    }
+  }
+  const std::uint64_t bisects_before =
+      obs::metric("crypto.batch_verify.bisect_steps").value();
+  const auto res = pile.verify();
+  EXPECT_GT(obs::metric("crypto.batch_verify.bisect_steps").value(),
+            bisects_before);
+  EXPECT_FALSE(res.all_ok);
+  ASSERT_EQ(res.unit_ok.size(), kUnits);
+  for (std::size_t i = 0; i < kUnits; ++i) {
+    EXPECT_EQ(res.unit_ok[i], i != kBad) << "unit " << i;
+  }
+}
+
 TEST_F(QtmcBatchTest, EmptyBatchAcceptsVacuously) {
   BatchVerifier bv(*scheme_);
   const auto res = bv.verify();
@@ -361,6 +412,44 @@ TEST_F(EdbDifferentialTest, MembershipValidAndTamperedAgree) {
   auto leaf_tampered = proof;
   leaf_tampered.leaf_opening.r0 += Bignum(1);
   EXPECT_FALSE(verify_both(key, leaf_tampered).has_value());
+}
+
+// Every qTMC level of a membership proof: the root commitment the verifier
+// holds and each child commitment the proof carries. A C1 swapped for
+// another h power is rejected by both strategies.
+TEST_F(EdbDifferentialTest, ReplacedC1RejectedAtEveryLevel) {
+  const EdbKey key = key_of(3);
+  const auto proof = prover_->prove_membership(key);
+  const Bignum& n = crs_->params().qtmc_pk.n;
+  const QtmcScheme& qtmc = crs_->qtmc();
+  const Bignum foreign_c1 = qtmc.canonical(
+      Bignum::mod_exp(crs_->params().qtmc_pk.h, Bignum(12345), n));
+
+  const auto rejected_by_both = [&](const mercurial::QtmcCommitment& root,
+                                    const zk::EdbMembershipProof& p) {
+    zk::EdbVerifyOptions scalar;
+    scalar.batched = false;
+    return !zk::edb_verify_membership(*crs_, root, key, p, scalar)
+                .has_value() &&
+           !zk::edb_verify_membership(*crs_, root, key, p).has_value();
+  };
+
+  mercurial::QtmcCommitment root = prover_->commitment();
+  ASSERT_NE(root.c1, foreign_c1);
+  root.c1 = foreign_c1;
+  EXPECT_TRUE(rejected_by_both(root, proof)) << "root";
+
+  // The last child commitment is the leaf's TMC commitment.
+  for (std::size_t d = 0; d + 1 < proof.child_commitments.size(); ++d) {
+    auto tampered = proof;
+    auto child = mercurial::QtmcCommitment::deserialize(
+        n, tampered.child_commitments[d]);
+    ASSERT_NE(child.c1, foreign_c1);
+    child.c1 = foreign_c1;
+    tampered.child_commitments[d] = child.serialize(n);
+    EXPECT_TRUE(rejected_by_both(prover_->commitment(), tampered))
+        << "child " << d;
+  }
 }
 
 TEST_F(EdbDifferentialTest, NonMembershipValidAndTamperedAgree) {

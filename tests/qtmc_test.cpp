@@ -11,6 +11,7 @@
 #include "crypto/hash.h"
 #include "crypto/primes.h"
 #include "crypto/randsource.h"
+#include "mercurial/batch_verify.h"
 #include "mercurial/qtmc.h"
 
 namespace desword::mercurial {
@@ -193,6 +194,12 @@ TEST_P(QtmcTest, TrapdoorEquivocation) {
   const QtmcOpening op2 = scheme_->fake_open(dec, keys_.trapdoor, 0, msg16(2));
   EXPECT_TRUE(scheme_->verify_open(com, op1));
   EXPECT_TRUE(scheme_->verify_open(com, op2));
+  // Both openings of the one commitment also fold clean together.
+  BatchVerifier bv(*scheme_);
+  bv.begin_unit();
+  EXPECT_TRUE(bv.add_open(com, op1));
+  EXPECT_TRUE(bv.add_open(com, op2));
+  EXPECT_TRUE(bv.verify().all_ok);
   if (q_ > 1) {
     const QtmcOpening op3 =
         scheme_->fake_open(dec, keys_.trapdoor, q_ - 1, msg16(3));
@@ -219,7 +226,8 @@ TEST_P(QtmcTest, OpeningBitFlipFuzz) {
 
 // Reference values straight from the scheme's definition (Λ, C0 and the
 // tease Λ as one power of g each), with none of the prover's constants or
-// tables: the yardstick for the fixed-base prover's algebra.
+// tables: the yardstick for the fixed-base prover's algebra — and, through
+// textbook_open, for the verifier's equations.
 class Reference {
  public:
   explicit Reference(const QtmcPublicKey& pk)
@@ -268,6 +276,44 @@ class Reference {
     const Bignum x = dec.r0 - t.tau * dec.r1 -
                      message_to_scalar(t.message) * p_i(t.pos);
     return pow_g_over(x, t.pos);
+  }
+
+  /// Λ^{e_pos} · S_pos^m · C1^τ with S_pos = g^{P_pos}: the left side of
+  /// the scheme's main equation.
+  Bignum main_lhs(const Bignum& c1, std::uint32_t pos, BytesView msg,
+                  const Bignum& tau, const Bignum& lambda) const {
+    Bignum acc = Bignum::mod_exp(lambda, e_[pos], pk_.n);
+    acc = Bignum::mod_mul(acc, pow_g(p_i(pos) * message_to_scalar(msg)),
+                          pk_.n);
+    return Bignum::mod_mul(acc, Bignum::mod_exp(c1, tau, pk_.n), pk_.n);
+  }
+
+  /// min(x, N−x): x's representative in Z_N*/{±1}.
+  Bignum canonical(const Bignum& x) const {
+    const Bignum y = x.mod(pk_.n);
+    const Bignum flipped = pk_.n - y;
+    return flipped < y ? flipped : y;
+  }
+
+  /// The textbook hard-opening check: position and message in range, r1
+  /// and τ non-negative within the 1024-bit structural bound, C0, C1 and
+  /// Λ canonical in Z_N*/{±1} and coprime to N, then h^{r1} == C1 and
+  /// Λ^{e_pos}·S_pos^m·C1^τ == C0, both compared in Z_N*/{±1}.
+  bool textbook_open(const QtmcCommitment& com, const QtmcOpening& op) const {
+    constexpr int kExponentBound = 1024;
+    if (op.pos >= pk_.q || op.message.size() != kMessageBytes) return false;
+    for (const Bignum* x : {&op.r1, &op.tau}) {
+      if (x->is_negative() || x->bits() > kExponentBound) return false;
+    }
+    for (const Bignum* x : {&com.c0, &com.c1, &op.lambda}) {
+      if (x->is_zero() || x->is_negative() || canonical(*x) != *x ||
+          !Bignum::gcd(*x, pk_.n).is_one()) {
+        return false;
+      }
+    }
+    return canonical(Bignum::mod_exp(pk_.h, op.r1, pk_.n)) == com.c1 &&
+           canonical(main_lhs(com.c1, op.pos, op.message, op.tau,
+                              op.lambda)) == com.c0;
   }
 
  private:
@@ -330,6 +376,114 @@ TEST_P(QtmcTest, ProverMatchesReferenceWithTables) {
   scheme_->precompute_fixed_bases(/*position_bases=*/true);
   ASSERT_NE(scheme_->fixed_base_tables_id(), nullptr);
   expect_matches_reference(*scheme_, Reference(keys_.pk));
+}
+
+// One opening checked by verify_open and by a one-unit fold.
+bool fold_one(const QtmcScheme& scheme, const QtmcCommitment& com,
+              const QtmcOpening& op) {
+  BatchVerifier bv(scheme);
+  bv.begin_unit();
+  bv.add_open(com, op);
+  return bv.verify().all_ok;
+}
+
+// The verifier emits E2' (Λ^e·S^m·h^{r1·τ} == C0) in place of the scheme's
+// Λ^e·S^m·C1^τ == C0. Against the textbook pair computed here, every
+// opening that probes one factor must draw the same verdict from
+// verify_open and from a one-unit fold.
+void expect_matches_textbook(const QtmcScheme& scheme, const Reference& ref,
+                             const Bignum& trapdoor) {
+  const std::uint32_t q = scheme.arity();
+  const Bignum& n = scheme.public_key().n;
+  const auto [com, dec] = scheme.hard_commit(make_messages(q));
+  const auto [other, other_dec] = scheme.hard_commit(make_messages(q));
+  const auto [fake, fake_dec] = scheme.fake_commit(trapdoor);
+  struct Case {
+    std::string name;
+    QtmcCommitment com;
+    QtmcOpening op;
+    bool valid;
+  };
+  std::vector<Case> cases;
+  for (const std::uint32_t pos : {0u, q - 1}) {
+    const QtmcOpening op = scheme.hard_open(dec, pos);
+    const std::string at = " pos " + std::to_string(pos);
+    cases.push_back({"honest" + at, com, op, true});
+    QtmcOpening tweaked = op;
+    tweaked.tau = op.tau + Bignum(1);
+    cases.push_back({"tau+1" + at, com, tweaked, false});
+    tweaked.tau = op.tau - Bignum(1);
+    cases.push_back({"tau-1" + at, com, tweaked, false});
+    tweaked = op;
+    tweaked.r1 = op.r1 + Bignum(1);
+    cases.push_back({"r1+1" + at, com, tweaked, false});
+    tweaked.r1 = op.r1 - Bignum(1);
+    cases.push_back({"r1-1" + at, com, tweaked, false});
+    QtmcCommitment swapped = com;
+    swapped.c1 = other.c1;
+    cases.push_back({"C1 swapped" + at, swapped, op, false});
+    tweaked = op;
+    tweaked.lambda = n - op.lambda;
+    cases.push_back({"lambda sign-flipped" + at, com, tweaked, false});
+    cases.push_back({"trapdoor" + at, fake,
+                     scheme.fake_open(fake_dec, trapdoor, pos, msg16(9)),
+                     true});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const bool textbook = ref.textbook_open(c.com, c.op);
+    EXPECT_EQ(textbook, c.valid);
+    EXPECT_EQ(scheme.verify_open(c.com, c.op), textbook);
+    EXPECT_EQ(fold_one(scheme, c.com, c.op), textbook);
+  }
+}
+
+TEST_P(QtmcTest, VerifierMatchesTextbookPairWithoutTables) {
+  expect_matches_textbook(*scheme_, Reference(keys_.pk), keys_.trapdoor);
+}
+
+TEST_P(QtmcTest, VerifierMatchesTextbookPairWithTables) {
+  scheme_->precompute_fixed_bases(/*position_bases=*/true);
+  ASSERT_NE(scheme_->fixed_base_tables_id(), nullptr);
+  expect_matches_textbook(*scheme_, Reference(keys_.pk), keys_.trapdoor);
+}
+
+// r1 and τ at the 1024-bit structural bound: r1·τ is past the 1024 bits
+// h's fixed-base table covers, so E2''s h power — in verify_open and in
+// the fold — takes ModExpContext's plain-power fallback, and must still
+// reach the textbook verdict. One bit wider is a structural rejection.
+TEST_P(QtmcTest, ExponentsAtTheBoundFallBackToPlainPowers) {
+  scheme_->precompute_fixed_bases(/*position_bases=*/true);
+  const Reference ref(keys_.pk);
+  const Bignum& n = keys_.pk.n;
+  QtmcOpening op;
+  op.pos = q_ - 1;
+  op.message = msg16(7);
+  op.r1 = Bignum::rand_bits(1024);
+  op.tau = Bignum::rand_bits(1024);
+  op.lambda = ref.canonical(
+      Bignum::mod_exp(keys_.pk.g, Bignum::rand_bits(kTestRsaBits), n));
+  QtmcCommitment com;
+  com.c1 = ref.canonical(Bignum::mod_exp(keys_.pk.h, op.r1, n));
+  com.c0 = ref.canonical(
+      ref.main_lhs(com.c1, op.pos, op.message, op.tau, op.lambda));
+  ASSERT_GT((op.r1 * op.tau).bits(), 1024);
+
+  ASSERT_TRUE(ref.textbook_open(com, op));
+  EXPECT_TRUE(scheme_->verify_open(com, op));
+  EXPECT_TRUE(fold_one(*scheme_, com, op));
+
+  QtmcOpening off = op;
+  off.tau = op.tau - Bignum(1);
+  ASSERT_FALSE(ref.textbook_open(com, off));
+  EXPECT_FALSE(scheme_->verify_open(com, off));
+  EXPECT_FALSE(fold_one(*scheme_, com, off));
+
+  QtmcOpening wide = op;
+  wide.r1 = op.r1 + op.r1;  // 1025 bits
+  ASSERT_FALSE(ref.textbook_open(com, wide));
+  EXPECT_FALSE(scheme_->verify_open(com, wide));
+  EXPECT_FALSE(fold_one(*scheme_, com, wide));
 }
 
 TEST_P(QtmcTest, ProvingRacesTheFirstTableBuild) {
