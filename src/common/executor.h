@@ -15,8 +15,9 @@
 //   * one strand per participant — proof generation is serialized per
 //     node (the prover memoizes into its decommitment state), while
 //     distinct participants prove concurrently;
-//   * one strand per proxy query session — a session's verifications are
-//     ordered, while distinct sessions verify concurrently.
+//   * none for the proxy — its hop checks are pure, so they go straight to
+//     the executor and the proxy commits their verdicts in hop order on
+//     its loop thread.
 //
 // An `Executor` constructed with 0 workers runs every task inline on the
 // posting thread, reproducing single-threaded behavior exactly — the

@@ -104,11 +104,10 @@ Proxy::Proxy(net::NodeId id, net::Transport& transport, ProxyDeps deps,
 }
 
 Proxy::~Proxy() {
-  // Drain before teardown: executor pending hitting zero implies every
-  // session strand is empty too (a strand with queued work always has a
-  // drainer task pending), so no worker still touches `this` or the
-  // transport. Verdict completions already posted but never polled expire
-  // against the aliveness token.
+  // Drain before teardown: once the executor's pending count hits zero no
+  // check task still runs, so no worker touches `this` or the transport.
+  // Verdict completions already posted but never polled expire against the
+  // aliveness token.
   if (executor_) executor_->drain();
   for (auto& [qid, s] : sessions_) {
     if (s.retrans_timer != 0) transport_.cancel_timer(s.retrans_timer);
@@ -520,6 +519,8 @@ void Proxy::verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
                        Bytes proof_bytes, bool ownership, HopDone done) {
   DESWORD_DCHECK_ON_LOOP(transport_);
   const supplychain::ProductId product = s.outcome.product;
+  const std::uint64_t seq = s.next_seq++;
+  s.owed.push_back(OwedVerdict{seq, std::move(done), std::nullopt});
   // The key binds every input of check_hop — the POC commitment, product,
   // FULL proof bytes and flavour — so a tampered proof or a re-committed
   // POC can never alias a cached acceptance.
@@ -528,8 +529,9 @@ void Proxy::verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
       ownership ? "ownership" : "non_ownership");
   if (verify_cache_) {
     if (const auto hit = verify_cache_->lookup(key)) {
-      // Handler context: handle()'s exception policy covers `done`.
-      done(s, *hit);
+      // Handler context: handle()'s exception policy covers the drain.
+      s.owed.back().outcome = *hit;
+      drain_owed(s);
       return;
     }
   }
@@ -538,9 +540,8 @@ void Proxy::verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
   // identical concurrent hops (other sessions racing the same proof bytes)
   // just enqueue a waiter — one multi-exp, N verdict deliveries, mirroring
   // the participant's reply-cache join.
-  s.verifying = true;
   const auto [it, inserted] = hop_in_flight_.try_emplace(key);
-  it->second.push_back(HopWaiter{s.outcome.query_id, std::move(done)});
+  it->second.push_back(HopWaiter{s.outcome.query_id, seq});
   if (!inserted) {
     hops_joined().add();
     return;
@@ -565,22 +566,19 @@ void Proxy::verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
     finish_hop_verify(key, check());
     return;
   }
-  if (!s.strand) s.strand = std::make_shared<Strand>(executor_);
   // Work-accounting bracket: add_work() here on the loop thread; the
   // worker posts the verdict completion BEFORE remove_work(), so the loop
   // never observes "no work pending" while a verdict is owed (SimTransport
   // would otherwise fire stall-scan retransmission timers against a
-  // verifier that is merely busy, not silent).
+  // verifier that is merely busy, not silent). check_hop is pure, so a
+  // session's checks run concurrently; drain_owed restores hop order.
   transport_.add_work();
   std::weak_ptr<void> token = alive_;
-  s.strand->post([this, token, key = std::move(key), strand = s.strand,
-                  check = std::move(check)]() mutable {
-    // Worker context: the session's strand serializes this body, and
-    // everything loop-owned (sessions_, the single-flight registry, timers,
-    // sends) stays out of it — the verdict travels back through
-    // transport_.post below.
-    DESWORD_DCHECK(strand->running_on_this_thread(),
-                   "hop verify task escaped its session strand");
+  executor_->post([this, token, key = std::move(key),
+                   check = std::move(check)]() mutable {
+    // Worker context: everything loop-owned (sessions_, the single-flight
+    // registry, timers, sends) stays out of this body — the verdict
+    // travels back through transport_.post below.
     HopResult result = check();
     transport_.post([this, token, key = std::move(key),
                      result = std::move(result)]() mutable {
@@ -600,14 +598,18 @@ void Proxy::finish_hop_verify(const Bytes& key, HopResult result) {
   const zkedb::VerifyOutcome& o = *result.outcome;
   if (verify_cache_) verify_cache_->store(key, o);
   if (node.empty()) return;
-  for (HopWaiter& w : node.mapped()) {
+  for (const HopWaiter& w : node.mapped()) {
     const auto it = sessions_.find(w.query_id);
     if (it == sessions_.end()) continue;
     Session& ws = it->second;
-    ws.verifying = false;
-    if (ws.phase == Phase::kDone) continue;
+    // The entry is gone when an earlier verdict rejected and dropped it.
+    const auto entry =
+        std::find_if(ws.owed.begin(), ws.owed.end(),
+                     [&](const OwedVerdict& v) { return v.seq == w.seq; });
+    if (ws.phase == Phase::kDone || entry == ws.owed.end()) continue;
+    entry->outcome = o;
     try {
-      w.done(ws, o);
+      drain_owed(ws);
     } catch (const CheckError&) {
       throw;  // internal bug: fail loudly, exactly like handle()
     } catch (const Error&) {
@@ -615,6 +617,31 @@ void Proxy::finish_hop_verify(const Bytes& key, HopResult result) {
       // continuation; the session's timers recover.
     }
   }
+}
+
+void Proxy::drain_owed(Session& s) {
+  while (!s.owed.empty() && s.owed.front().outcome) {
+    OwedVerdict v = std::move(s.owed.front());
+    s.owed.pop_front();
+    v.done(s, *v.outcome);
+    if (s.phase == Phase::kDone) return;
+  }
+  if (s.owed.empty() && s.deferred) {
+    SessionEnd end = std::move(*s.deferred);
+    s.deferred.reset();
+    conclude(s, std::move(end));
+  }
+}
+
+void Proxy::book_in_order(Session& s, const std::string& participant,
+                          ViolationType type) {
+  s.owed.push_back(OwedVerdict{
+      s.next_seq++,
+      [this, participant, type](Session& s, const zkedb::VerifyOutcome&) {
+        record_violation(s, participant, type);
+      },
+      zkedb::VerifyOutcome::accept()});
+  drain_owed(s);
 }
 
 void Proxy::verify_walk_hop(Session& s, Bytes proof,
@@ -625,33 +652,22 @@ void Proxy::verify_walk_hop(Session& s, Bytes proof,
                  Session& s, const zkedb::VerifyOutcome& o) {
                commit_walk_hop(s, hop, o, on_invalid);
              });
-  if (!s.verifying) return;  // the verdict already landed in this call
-  s.lookahead.emplace();
-  walk_overlapped().add();
+  if (s.phase == Phase::kDone) return;  // rejected within this call
+  if (!s.owed.empty()) walk_overlapped().add();
   request_next_hop(s);
 }
 
 void Proxy::commit_walk_hop(Session& s, const std::string& hop,
                             const zkedb::VerifyOutcome& o,
                             ViolationType on_invalid) {
-  if (!absorb_ownership_result(s, hop, o)) {
-    record_violation(s, hop, on_invalid);
-    finish(s, false);  // discards the lookahead, if any
-    return;
-  }
-  if (!s.lookahead) {
-    request_next_hop(s);
-    return;
-  }
-  const Lookahead ahead = std::move(*s.lookahead);
-  s.lookahead.reset();
-  if (ahead.deferred) {
-    conclude(s, *ahead.deferred);
-  } else if (ahead.parked) {
-    on_walk_response(s, *ahead.parked);
-  }
-  // Otherwise the lookahead's request is still outstanding and the walk
-  // goes on from its response.
+  if (absorb_ownership_result(s, hop, o)) return;
+  // Every step past this hop is one the serial walk never reaches: the
+  // verdicts behind it, the request in flight, a deferred decision.
+  const std::size_t ahead =
+      s.owed.size() + (s.awaiting ? 1 : 0) + (s.deferred ? 1 : 0);
+  if (ahead > 0) walk_discarded().add(ahead);
+  record_violation(s, hop, on_invalid);
+  finish(s, false);  // drops them
 }
 
 void Proxy::record_violation(Session& s, const std::string& participant,
@@ -663,11 +679,11 @@ void Proxy::record_violation(Session& s, const std::string& participant,
 }
 
 void Proxy::conclude(Session& s, SessionEnd end) {
-  if (s.lookahead) {
-    // Reached on the lookahead leg: the serial walk gets here only if the
-    // owed verdict accepts its hop, so hold the decision until it lands.
+  if (!s.owed.empty()) {
+    // Reached ahead of owed verdicts: the serial walk gets here only if
+    // they all accept, so hold the decision until they commit.
     settle(s);
-    s.lookahead->deferred = std::move(end);
+    s.deferred = std::move(end);
     return;
   }
   if (end.blame) record_violation(s, end.blame->participant, end.blame->type);
@@ -678,10 +694,8 @@ void Proxy::finish(Session& s, bool complete) {
   if (s.phase == Phase::kDone) return;
   s.phase = Phase::kDone;
   settle(s);
-  if (s.lookahead) {
-    walk_discarded().add();
-    s.lookahead.reset();
-  }
+  s.owed.clear();
+  s.deferred.reset();
   s.outcome.complete = complete;
   s.trace.record(transport_.now(), id_, obs::span::kFinished,
                  complete ? "complete" : "incomplete");
@@ -786,11 +800,6 @@ void Proxy::on_query_response(const net::Envelope& env,
   if (s.phase != Phase::kWalk || env.from != s.current) return;
   settle(s);
   record_incoming(s, env);
-  if (s.lookahead) {
-    // Park, don't nest: this hop verifies only after the owed verdict.
-    s.lookahead->parked = m;
-    return;
-  }
   on_walk_response(s, m);
 }
 
@@ -802,22 +811,25 @@ void Proxy::on_walk_response(Session& s, const QueryResponse& m) {
       return;
     }
     if (m.claims_processing) {
-      record_violation(s, s.current,
-                       ViolationType::kClaimProcessingInvalidProof);
-      finish(s, false);
+      conclude(s, SessionEnd{.blame = Violation{
+                                 s.current,
+                                 ViolationType::kClaimProcessingInvalidProof}});
       return;
     }
     // Denied in the good case: with a correct POC list this means the
     // previous hop misdirected us.
+    SessionEnd end;
     if (!s.previous.empty()) {
-      record_violation(s, s.previous,
-                       ViolationType::kWrongNextHopNotProcessed);
+      end.blame =
+          Violation{s.previous, ViolationType::kWrongNextHopNotProcessed};
     }
-    finish(s, false);
+    conclude(s, std::move(end));
     return;
   }
 
-  // Bad product walk.
+  // Bad product walk. A denial's next step depends on its verdict, so the
+  // walk waits for it (and `current` is still the denying hop when it
+  // commits).
   if (!m.claims_processing && m.proof.has_value()) {
     verify_hop(s, s.outcome.task_id, s.current_poc, *m.proof,
                /*ownership=*/false,
@@ -825,12 +837,12 @@ void Proxy::on_walk_response(Session& s, const QueryResponse& m) {
                  record_verify(s, s.current, o.ok, "non_ownership");
                  if (o.ok) {
                    // Really did not process the product: the referrer lied.
+                   SessionEnd end;
                    if (!s.previous.empty()) {
-                     record_violation(
-                         s, s.previous,
-                         ViolationType::kWrongNextHopNotProcessed);
+                     end.blame = Violation{
+                         s.previous, ViolationType::kWrongNextHopNotProcessed};
                    }
-                   finish(s, false);
+                   conclude(s, std::move(end));
                    return;
                  }
                  record_violation(
@@ -841,10 +853,8 @@ void Proxy::on_walk_response(Session& s, const QueryResponse& m) {
     return;
   }
   if (!m.claims_processing) {
-    record_violation(s, s.current,
-                     ViolationType::kClaimNonProcessingInvalidProof);
-    request_reveal(s);
-    return;
+    book_in_order(s, s.current,
+                  ViolationType::kClaimNonProcessingInvalidProof);
   }
   request_reveal(s);
 }
@@ -861,8 +871,8 @@ void Proxy::on_reveal_response(const net::Envelope& env,
   record_incoming(s, env);
 
   if (!m.proof.has_value()) {
-    record_violation(s, s.current, ViolationType::kRefusedReveal);
-    finish(s, false);
+    conclude(s, SessionEnd{.blame = Violation{s.current,
+                                              ViolationType::kRefusedReveal}});
     return;
   }
   verify_walk_hop(s, *m.proof, ViolationType::kInvalidReveal);
@@ -930,13 +940,10 @@ const char* Proxy::phase_name(Phase phase) {
   return "?";
 }
 
-std::string Proxy::lookahead_state(const Session& s) {
-  if (!s.lookahead) return "none";
-  if (s.lookahead->parked) return "parked";
-  if (!s.lookahead->deferred) return "overlapped";
-  const SessionEnd& end = *s.lookahead->deferred;
-  if (end.blame) return "deferred:" + to_string(end.blame->type);
-  return end.complete ? "deferred:complete" : "deferred:incomplete";
+std::string Proxy::deferred_state(const Session& s) {
+  if (!s.deferred) return "none";
+  if (s.deferred->blame) return to_string(s.deferred->blame->type);
+  return s.deferred->complete ? "complete" : "incomplete";
 }
 
 std::string Proxy::pump_stall_report() const {
@@ -955,8 +962,8 @@ std::string Proxy::pump_stall_report() const {
            " candidate=" + std::to_string(s.candidate_idx + 1) + "/" +
            std::to_string(s.candidates.size()) +
            " awaiting=" + (s.awaiting ? "1" : "0") +
-           " verifying=" + (s.verifying ? "1" : "0") +
-           " lookahead=" + lookahead_state(s) +
+           " owed=" + std::to_string(s.owed.size()) +
+           " deferred=" + deferred_state(s) +
            " retries=" + std::to_string(s.retries) + "]";
   }
   msg += " (" + std::to_string(active) + " active sessions, " +

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
 #include <map>
@@ -51,8 +52,8 @@ struct VerifyPolicy {
   bool batch_verify = true;
   /// Crypto worker threads. 0 (the default) keeps every verification
   /// inline in the transport loop — byte-identical to the historical
-  /// single-threaded behavior. With workers, `scheme().verify` runs on a
-  /// per-session strand and its verdict is posted back to the loop thread.
+  /// single-threaded behavior. With workers, `scheme().verify` runs on the
+  /// executor and its verdict is posted back to the loop thread.
   unsigned worker_threads = 0;
   /// Memoize accepted hop verdicts (the hop memo), keyed on digest(task ‖
   /// participant ‖ product ‖ POC commitment ‖ full proof bytes ‖ flavour).
@@ -248,15 +249,19 @@ class Proxy {
     bool complete = false;
   };
 
-  /// Pipelined walk (DESIGN.md §9): the walk's progress past a hop whose
-  /// ownership verdict is still owed. A session owes at most one verdict.
-  struct Lookahead {
-    /// The next hop's query response, settled and recorded; replayed
-    /// through the walk logic once the owed verdict accepts.
-    std::optional<QueryResponse> parked;
-    /// A decision the lookahead leg reached; applied only if the owed
-    /// verdict accepts.
-    std::optional<SessionEnd> deferred;
+  struct Session;
+  /// Continuation of a hop verdict; always runs on the loop thread.
+  using HopDone = std::function<void(Session&, const zkedb::VerifyOutcome&)>;
+
+  /// One step of a session the walk has dispatched but not yet committed
+  /// (DESIGN.md §9, pipelined walk): a hop verdict, or a violation found
+  /// on the walk's leading edge. Entries commit strictly in `seq` order.
+  struct OwedVerdict {
+    std::uint64_t seq = 0;
+    HopDone done;
+    /// Set once the verdict is known; the entry commits when it reaches
+    /// the front of the session's FIFO.
+    std::optional<zkedb::VerifyOutcome> outcome;
   };
 
   struct Session {
@@ -287,14 +292,13 @@ class Proxy {
     std::uint64_t backoff = 0;
     /// Absolute transport time the query budget runs out (0 = none).
     std::uint64_t deadline_at = 0;
-    // Hop verification: set while a verdict is owed. A session takes a
-    // response only while `awaiting` its one outstanding request, so while
-    // verifying it ignores protocol messages unless a lookahead sent one.
-    bool verifying = false;
-    std::shared_ptr<Strand> strand;  // serializes this session's verifies
-    /// Set while an ownership-verified walk hop's verdict is owed and the
-    /// walk has moved on without it.
-    std::optional<Lookahead> lookahead;
+    /// Dispatched steps not yet committed, in dispatch order. Verdicts
+    /// may resolve in any order; only the front ever commits.
+    std::deque<OwedVerdict> owed;
+    std::uint64_t next_seq = 0;
+    /// A terminal decision the walk reached while verdicts were owed;
+    /// applied once `owed` drains, dropped if one of them rejects.
+    std::optional<SessionEnd> deferred;
   };
 
   void handle(const net::Envelope& env);
@@ -303,8 +307,7 @@ class Proxy {
   void on_query_response(const net::Envelope& env, const QueryResponse& m);
   void on_reveal_response(const net::Envelope& env, const RevealResponse& m);
   void on_next_hop_response(const net::Envelope& env, const NextHopResponse& m);
-  /// A walk-phase query response, already settled and recorded: handled
-  /// live, or replayed after being parked behind an owed verdict.
+  /// A walk-phase query response, already settled and recorded.
   void on_walk_response(Session& s, const QueryResponse& m);
 
   void send_tracked(Session& s, const net::NodeId& to, const std::string& type,
@@ -338,17 +341,17 @@ class Proxy {
                                  const Bytes& proof_bytes,
                                  bool ownership) const;
 
-  /// Continuation of a hop verdict; always runs on the loop thread.
-  using HopDone = std::function<void(Session&, const zkedb::VerifyOutcome&)>;
-
-  /// The one hop-verification route (loop thread only). A memo hit
-  /// (caching on) runs `done` at once.
-  /// Otherwise the session registers under the hop key in
-  /// `hop_in_flight_`: an identical in-flight hop just joins as a waiter,
-  /// the first arrival dispatches check_hop — synchronously when there is
-  /// no executor (serial event order stays byte-identical), else on the
-  /// session's strand under the transport work-accounting bracket — and
-  /// finish_hop_verify resolves every waiter.
+  /// The one hop-verification route (loop thread only). Appends an entry
+  /// for `done` to the session's owed FIFO; `done` runs when the entry
+  /// reaches the front with its verdict (drain_owed). A memo hit (caching
+  /// on) appends the entry already resolved. Otherwise the session
+  /// registers `(query_id, seq)` under the hop key in `hop_in_flight_`:
+  /// an identical in-flight hop just joins as a waiter, the first arrival
+  /// dispatches check_hop — synchronously when there is no executor (the
+  /// entry resolves in this call, so serial event order stays
+  /// byte-identical), else straight onto the executor under the transport
+  /// work-accounting bracket — and finish_hop_verify resolves every
+  /// waiter's entry.
   void verify_hop(Session& s, const std::string& task_id, poc::Poc poc,
                   Bytes proof_bytes, bool ownership, HopDone done);
   /// A dispatched check's result: the verdict, or the internal failure
@@ -359,23 +362,31 @@ class Proxy {
   };
   /// Loop-thread completion of a dispatched check: unregisters `key`
   /// (before anything can throw), stores an accepted verdict when caching
-  /// is on, and runs each live waiter's continuation under handle()'s
-  /// policy — `Error` drops the continuation, `CheckError` rethrows.
+  /// is on, fills each live waiter's entry by `seq` and drains its FIFO
+  /// under handle()'s policy — `Error` drops the continuation,
+  /// `CheckError` rethrows.
   void finish_hop_verify(const Bytes& key, HopResult result);
+  /// Commits the resolved entries at the front of the session's FIFO, in
+  /// dispatch order, then applies the deferred decision once none is owed.
+  void drain_owed(Session& s);
+  /// Books a violation the walk found on its leading edge behind every
+  /// verdict still owed, so it lands in hop order and is dropped with the
+  /// rest of the walk if one of them rejects.
+  void book_in_order(Session& s, const std::string& participant,
+                     ViolationType type);
 
   /// Verifies `s.current`'s ownership proof (a good walk response or a
-  /// reveal). If the verdict is still owed on return, opens the lookahead:
-  /// the next-hop claim is checked against the POC-list edge, not against
-  /// the proof, so the next_hop_request goes out at once.
+  /// reveal) and moves the walk on at once: the next-hop claim is checked
+  /// against the POC-list edge, not against the proof, so the
+  /// next_hop_request goes out while the verdict is still owed.
   void verify_walk_hop(Session& s, Bytes proof, ViolationType on_invalid);
   /// Verdict continuation of verify_walk_hop for the hop it verified (not
-  /// `s.current`, which the lookahead may have advanced): commits the hop
-  /// and resumes the lookahead's parked response or deferred decision, or
-  /// books `on_invalid` against the hop and discards the lookahead.
+  /// `s.current`, which the walk may have advanced): commits the hop, or
+  /// books `on_invalid` against it and drops every step past it.
   void commit_walk_hop(Session& s, const std::string& hop,
                        const zkedb::VerifyOutcome& o, ViolationType on_invalid);
-  /// Ends the session per `end`; on an open lookahead, settles it and
-  /// defers `end` until the owed verdict lands instead.
+  /// Ends the session per `end`; while verdicts are owed, settles it and
+  /// defers `end` until they all commit instead.
   void conclude(Session& s, SessionEnd end);
 
   /// Records the ownership verify span for `hop` and, when accepted, the
@@ -392,7 +403,7 @@ class Proxy {
   /// Per-session diagnosis for the pump non-convergence error.
   std::string pump_stall_report() const;
   static const char* phase_name(Phase phase);
-  static std::string lookahead_state(const Session& s);
+  static std::string deferred_state(const Session& s);
 
   poc::PocScheme& scheme() { return *scheme_; }
   const poc::PocScheme& scheme() const { return *scheme_; }
@@ -435,12 +446,12 @@ class Proxy {
   /// finish_hop_verify (zkedb.cache.joined counts the joiners).
   struct HopWaiter {
     std::uint64_t query_id = 0;
-    HopDone done;
+    std::uint64_t seq = 0;  // the session's owed entry for this verdict
   };
   std::map<Bytes, std::vector<HopWaiter>> hop_in_flight_;
   /// Aliveness token for posted verdict completions: one that outlives the
   /// proxy (weak_ptr expired) becomes a no-op instead of a use-after-free.
-  /// The destructor drains the executor first, so strand workers never
+  /// The destructor drains the executor first, so check tasks never
   /// outlive the object either.
   std::shared_ptr<void> alive_ = std::make_shared<int>(0);
 };

@@ -1,15 +1,19 @@
-// Pipelined hop walk (DESIGN.md §9): with crypto workers the proxy sends
-// hop k's next_hop_request — and, when the POC-list edge checks out, hop
-// k+1's query_request — while hop k's ownership proof still verifies.
+// Pipelined hop walk (DESIGN.md §9): with crypto workers the proxy handles
+// each walk response on arrival — it dispatches a hop's verify and moves on
+// to the next hop while earlier verdicts are still owed — and commits the
+// verdicts in hop order.
 //
 // Every cell runs one query on two identical deployments: inline (no
-// executor, the serial walk) and with 2 workers (the pipelined walk). The
-// lookahead must be invisible in the verdict: equal outcome, violations
-// and reputation. Honest walks also produce the same transcript entry for
-// entry; the adversarial cells check that only the violation the serial
-// walk reaches is booked.
+// executor, the serial walk) and with 2 workers (the pipelined walk). Running
+// ahead must be invisible in the verdict: equal outcome, violations and
+// reputation, and verify spans in hop order. Honest walks also produce the
+// same transcript entry for entry; the adversarial cells check that only the
+// violation the serial walk reaches is booked. How far the walk runs ahead
+// of a failing verdict depends on timing, so those cells bound the
+// protocol.walk.{overlapped,discarded} counts instead of fixing them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -18,7 +22,9 @@
 #include <utility>
 #include <vector>
 
+#include "desword/messages.h"
 #include "desword/scenario.h"
+#include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -75,8 +81,28 @@ WalkRun run_walk(unsigned workers, ProductQuality quality,
   return run;
 }
 
+/// Position of `peer` on the ground-truth path (truth.size() if absent).
+std::size_t hop_of(const WalkRun& run, const std::string& peer) {
+  const auto it = std::find(run.truth.begin(), run.truth.end(), peer);
+  return static_cast<std::size_t>(it - run.truth.begin());
+}
+
+/// Verdicts commit in hop order, however they resolved.
+void expect_verify_spans_in_hop_order(const WalkRun& run) {
+  std::size_t last = 0;
+  for (const obs::TraceSpan& span : run.spans) {
+    if (span.event != obs::span::kVerifyOk &&
+        span.event != obs::span::kVerifyFail) {
+      continue;
+    }
+    const std::size_t hop = hop_of(run, span.peer);
+    EXPECT_GE(hop, last) << span.event << " on " << span.peer;
+    last = hop;
+  }
+}
+
 /// Runs the cell serially and pipelined, asserts equal verdict and
-/// reputation, and returns {serial, pipelined}.
+/// reputation and hop-ordered verify spans, and returns {serial, pipelined}.
 std::pair<WalkRun, WalkRun> run_both(ProductQuality quality,
                                      const Adversary& adversary = {}) {
   WalkRun serial = run_walk(/*workers=*/0, quality, adversary);
@@ -85,8 +111,10 @@ std::pair<WalkRun, WalkRun> run_both(ProductQuality quality,
   EXPECT_EQ(serial.outcome.path, pipelined.outcome.path);
   EXPECT_TRUE(serial.outcome.violations == pipelined.outcome.violations);
   EXPECT_EQ(serial.reputation, pipelined.reputation);
-  EXPECT_EQ(serial.overlapped, 0u) << "inline verdicts never owe a lookahead";
+  EXPECT_EQ(serial.overlapped, 0u) << "inline verdicts are never owed";
   EXPECT_EQ(serial.discarded, 0u);
+  expect_verify_spans_in_hop_order(serial);
+  expect_verify_spans_in_hop_order(pipelined);
   return {std::move(serial), std::move(pipelined)};
 }
 
@@ -154,7 +182,19 @@ TEST(PipelinedWalkTest, HonestBadWalkOverlapsEveryReveal) {
   EXPECT_EQ(pipelined.discarded, 0u);
 }
 
-TEST(PipelinedWalkTest, CorruptProofMidPathDiscardsTheLookahead) {
+/// A good walk whose `rejected`-th overlapped hop (1-based) fails: every
+/// hop dispatched past it is an owed verdict the rejection drops, plus the
+/// one request in flight or deferred decision the walk always holds.
+void expect_cut_at(const WalkRun& pipelined, std::uint64_t rejected,
+                   std::uint64_t max_overlapped) {
+  EXPECT_GE(pipelined.overlapped, rejected);
+  EXPECT_LE(pipelined.overlapped, max_overlapped);
+  EXPECT_EQ(pipelined.discarded, pipelined.overlapped - rejected + 1);
+}
+
+TEST(PipelinedWalkTest, CorruptProofMidPathCutsTheWalkAtItsHop) {
+  // Hop 1 verifies in full while hop 2's malformed proof rejects at once:
+  // hop 2's verdict may resolve first, but it commits second.
   const auto [serial, pipelined] = run_both(
       ProductQuality::kGood,
       at_hop(2, [](QueryBehavior& b, const ProductId& product) {
@@ -165,13 +205,153 @@ TEST(PipelinedWalkTest, CorruptProofMidPathDiscardsTheLookahead) {
   ASSERT_EQ(serial.outcome.violations.size(), 1u);
   EXPECT_TRUE(serial.outcome.has_violation(
       serial.truth[2], ViolationType::kClaimProcessingInvalidProof));
+  expect_cut_at(pipelined, /*rejected=*/2, serial.truth.size() - 1);
+}
+
+TEST(PipelinedWalkTest, MalformedProofBooksOnlyItsHopBeforeALaterDenial) {
+  // Hop 1's proof is malformed and hop 3 denies processing. The walk may
+  // reach the denial before hop 1's rejection commits; the serial walk
+  // never does, so hop 2 is not charged for misdirecting it.
+  const auto [serial, pipelined] = run_both(
+      ProductQuality::kGood,
+      [](Scenario& scenario, const ProductId& product,
+         const std::vector<std::string>& path) {
+        ASSERT_GT(path.size(), 3u);
+        QueryBehavior corrupt;
+        corrupt.corrupt_proof.insert(product);
+        scenario.participant(path[1]).set_query_behavior(corrupt);
+        QueryBehavior deny;
+        deny.claim_non_processing.insert(product);
+        scenario.participant(path[3]).set_query_behavior(deny);
+      });
+  EXPECT_FALSE(serial.outcome.complete);
+  EXPECT_EQ(serial.outcome.path, prefix(serial.truth, 1));
+  ASSERT_EQ(serial.outcome.violations.size(), 1u);
+  EXPECT_TRUE(serial.outcome.has_violation(
+      serial.truth[1], ViolationType::kClaimProcessingInvalidProof));
+  expect_cut_at(pipelined, /*rejected=*/1, /*max_overlapped=*/2);
+}
+
+TEST(PipelinedWalkTest, DenialWhileVerdictsAreOwedBlamesTheReferrerAfterThem) {
+  const auto [serial, pipelined] = run_both(
+      ProductQuality::kGood,
+      at_hop(3, [](QueryBehavior& b, const ProductId& product) {
+        b.claim_non_processing.insert(product);
+      }));
+  const std::string& referrer = serial.truth[2];
+  EXPECT_FALSE(serial.outcome.complete);
+  EXPECT_EQ(serial.outcome.path, prefix(serial.truth, 3));
+  ASSERT_EQ(serial.outcome.violations.size(), 1u);
+  EXPECT_TRUE(serial.outcome.has_violation(
+      referrer, ViolationType::kWrongNextHopNotProcessed));
+  // Hops 1 and 2 are owed when the denial arrives; the blame waits for
+  // both verdicts to accept.
   EXPECT_EQ(pipelined.overlapped, 2u);
-  EXPECT_EQ(pipelined.discarded, 1u);
+  EXPECT_EQ(pipelined.discarded, 0u);
+  const std::size_t booked =
+      span_index(pipelined, referrer, obs::span::kViolation);
+  ASSERT_LT(booked, pipelined.spans.size());
+  for (const std::size_t hop : {std::size_t{1}, std::size_t{2}}) {
+    EXPECT_LT(span_index(pipelined, serial.truth[hop], obs::span::kVerifyOk),
+              booked);
+  }
+}
+
+TEST(PipelinedWalkTest, BadWalkDenialWaitsBehindAnOwedReveal) {
+  // Hop 2 forges a denial while hop 1's reveal still verifies. The forgery
+  // rejects at once, but its violation and the reveal it triggers follow
+  // hop 1's commit.
+  const auto [serial, pipelined] = run_both(
+      ProductQuality::kBad,
+      at_hop(2, [](QueryBehavior& b, const ProductId& product) {
+        b.claim_non_processing.insert(product);
+      }));
+  const std::string& liar = serial.truth[2];
+  EXPECT_TRUE(serial.outcome.complete);
+  EXPECT_EQ(serial.outcome.path, serial.truth);
+  ASSERT_EQ(serial.outcome.violations.size(), 1u);
+  EXPECT_TRUE(serial.outcome.has_violation(
+      liar, ViolationType::kClaimNonProcessingInvalidProof));
+  expect_same_transcript(serial, pipelined);
+  EXPECT_EQ(pipelined.overlapped, serial.truth.size());
+  EXPECT_EQ(pipelined.discarded, 0u);
+  const std::size_t hop1 =
+      span_index(pipelined, serial.truth[1], obs::span::kVerifyOk);
+  const std::size_t denied =
+      span_index(pipelined, liar, obs::span::kVerifyFail);
+  const std::size_t booked =
+      span_index(pipelined, liar, obs::span::kViolation);
+  const std::size_t revealed =
+      span_index(pipelined, liar, obs::span::kVerifyOk);
+  ASSERT_LT(revealed, pipelined.spans.size());
+  EXPECT_LT(hop1, denied);
+  EXPECT_LT(denied, booked);
+  EXPECT_LT(booked, revealed);
+}
+
+/// Replaces participant `node` with a scripted endpoint that denies
+/// processing without any proof — a response no honest or configured
+/// participant sends — and ignores every other request.
+void deny_without_proof(Scenario& scenario, const std::string& node) {
+  net::Transport& transport = scenario.transport();
+  transport.unregister_node(node);
+  transport.register_node(node, [&transport, node](const net::Envelope& env) {
+    if (env.type != msg::kQueryRequest) return;
+    QueryResponse denial;
+    denial.query_id = QueryRequest::deserialize(env.payload).query_id;
+    denial.claims_processing = false;
+    transport.send(node, env.from, msg::kQueryResponse, denial.serialize());
+  });
+}
+
+TEST(PipelinedWalkTest, ProoflessDenialIsBookedBehindTheOwedReveal) {
+  // The denial books its violation through the verdict queue: after hop
+  // 1's reveal commits, before hop 2's silence on the reveal it demands.
+  const auto [serial, pipelined] = run_both(
+      ProductQuality::kBad,
+      [](Scenario& scenario, const ProductId&,
+         const std::vector<std::string>& path) {
+        ASSERT_GT(path.size(), 2u);
+        deny_without_proof(scenario, path[2]);
+      });
+  const std::string& liar = serial.truth[2];
+  EXPECT_FALSE(serial.outcome.complete);
+  EXPECT_EQ(serial.outcome.path, prefix(serial.truth, 2));
+  ASSERT_EQ(serial.outcome.violations.size(), 2u);
+  EXPECT_TRUE(serial.outcome.has_violation(
+      liar, ViolationType::kClaimNonProcessingInvalidProof));
+  EXPECT_TRUE(serial.outcome.has_violation(liar, ViolationType::kNoResponse));
+  const std::size_t hop1 =
+      span_index(pipelined, serial.truth[1], obs::span::kVerifyOk);
+  ASSERT_LT(hop1, pipelined.spans.size());
+  EXPECT_LT(hop1, span_index(pipelined, liar, obs::span::kViolation));
+}
+
+TEST(PipelinedWalkTest, ProoflessDenialBehindARejectedRevealIsDropped) {
+  // Hop 1's reveal carries a tampered trace; the walk may reach hop 2's
+  // denial first, but the serial walk never does.
+  const auto [serial, pipelined] = run_both(
+      ProductQuality::kBad,
+      [](Scenario& scenario, const ProductId& product,
+         const std::vector<std::string>& path) {
+        ASSERT_GT(path.size(), 2u);
+        QueryBehavior tamper;
+        tamper.wrong_trace.insert(product);
+        scenario.participant(path[1]).set_query_behavior(tamper);
+        deny_without_proof(scenario, path[2]);
+      });
+  EXPECT_FALSE(serial.outcome.complete);
+  EXPECT_EQ(serial.outcome.path, prefix(serial.truth, 1));
+  ASSERT_EQ(serial.outcome.violations.size(), 1u);
+  EXPECT_TRUE(serial.outcome.has_violation(serial.truth[1],
+                                           ViolationType::kInvalidReveal));
+  EXPECT_GE(pipelined.discarded, 1u);
 }
 
 TEST(PipelinedWalkTest, CorruptProofAndWrongNextBookOnlyTheProof) {
-  // The lookahead may see the bogus next hop (a revisit, so not a child)
-  // before the proof's verdict; the serial walk never gets that far.
+  // The walk may see the bogus next hop (a revisit, so not a child) before
+  // the proof's verdict; the serial walk never gets that far. The walk
+  // stops there, so the counts are exact.
   const auto [serial, pipelined] = run_both(
       ProductQuality::kGood,
       [](Scenario& scenario, const ProductId& product,
@@ -215,8 +395,9 @@ TEST(PipelinedWalkTest, FalseTerminationIsBookedAfterTheVerdict) {
 
 TEST(PipelinedWalkTest, FailedVerdictNeverChargesTheSilentNextHop) {
   // Hop 1 returns a tampered trace and hop 2 never answers. The serial
-  // walk stops at hop 1's invalid proof; the lookahead may already have
-  // queried hop 2, whose silence must not become a no-response violation.
+  // walk stops at hop 1's invalid proof; the pipelined walk may already
+  // have queried hop 2, whose silence must not become a no-response
+  // violation.
   const auto [serial, pipelined] = run_both(
       ProductQuality::kGood,
       [](Scenario& scenario, const ProductId& product,

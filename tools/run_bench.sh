@@ -27,7 +27,10 @@
 #   --out FILE       consolidated JSON path (default: BENCH_zkedb.json)
 #   --check          exit non-zero if any batched configuration is slower
 #                    than its scalar counterpart, or if the warm repeat-
-#                    query cache hit rate drops below 0.8 (CI perf smoke)
+#                    query cache hit rate drops below 0.8 (CI perf smoke).
+#                    Refuses up front, running and writing nothing, when the
+#                    existing --out file records a different cpu_count than
+#                    this host: re-baseline with a plain run first.
 #
 # Env: DESWORD_BENCH_QUICK / DESWORD_BENCH_RSA_BITS shrink the run
 # (see bench/bench_util.h).
@@ -46,6 +49,27 @@ while [ $# -gt 0 ]; do
     *) echo "run_bench.sh: unknown argument: $1" >&2; exit 2 ;;
   esac
 done
+
+# Numbers recorded on a different core count are not comparable (the
+# query_throughput gate depends on it), so --check refuses them before
+# spending a bench run.
+if [ "$CHECK" = 1 ] && [ -f "$OUT" ]; then
+  python3 - "$OUT" <<'PY' || exit 1
+import json
+import os
+import sys
+
+path = sys.argv[1]
+with open(path, encoding="utf-8") as fh:
+    recorded = json.load(fh).get("cpu_count")
+here = os.cpu_count() or 1
+if recorded is not None and recorded != here:
+    print(f"run_bench.sh: --check refused: {path} records cpu_count "
+          f"{recorded}, this host has {here}; re-baseline without --check",
+          file=sys.stderr)
+    sys.exit(1)
+PY
+fi
 
 BENCHES=(bench_qtmc_micro bench_zkedb bench_poc_comp bench_macro)
 LINES="$(mktemp)"
