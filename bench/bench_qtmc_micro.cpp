@@ -7,15 +7,22 @@
 //              shared soft digest elsewhere): those are flat in q.
 //   Fig. 4(b): algorithms touching soft commitments — qSCom and
 //              qSOpen-of-a-soft-commitment — are constant in q, as is
-//              verification.
+//              verification (Fig4x, on the fixed-base tables every
+//              deployment builds).
+//   MultiExp:  one single-threaded ModExpContext::multi_exp at the shapes
+//              a membership fold evaluates (bases × exponent bits).
 //
 // The paper runs the pairing-based Libert–Yung scheme on jPBC; this build
 // runs the strong-RSA instantiation (DESIGN.md §2), so absolute numbers
 // differ while the q-scaling shape is the comparison target.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "bench_util.h"
 #include "common/rng.h"
+#include "crypto/modexp.h"
 
 namespace {
 
@@ -128,6 +135,7 @@ void BM_qSOpen_soft(benchmark::State& state) {
 void BM_qVerOpen(benchmark::State& state) {
   const auto q = static_cast<std::uint32_t>(state.range(0));
   QtmcScheme& scheme = qtmc_for(q);
+  scheme.precompute_fixed_bases();
   const auto msgs = bench_messages(q);
   const auto [com, dec] = scheme.hard_commit(msgs);
   const auto op = scheme.hard_open(dec, q / 2);
@@ -139,6 +147,7 @@ void BM_qVerOpen(benchmark::State& state) {
 void BM_qVerTease(benchmark::State& state) {
   const auto q = static_cast<std::uint32_t>(state.range(0));
   QtmcScheme& scheme = qtmc_for(q);
+  scheme.precompute_fixed_bases();
   const auto msgs = bench_messages(q);
   const auto [com, dec] = scheme.hard_commit(msgs);
   const auto tease = scheme.tease_hard(dec, q / 2);
@@ -147,7 +156,29 @@ void BM_qVerTease(benchmark::State& state) {
   }
 }
 
+/// n random bases under the benchmark modulus, each with a random
+/// exponent of exactly `bits` bits: 47 × 264 and 64 × 128 are the LHS and
+/// RHS of a q = 16, h = 32 ownership fold, 80 × 384 a wider fold.
+void BM_MultiExp(benchmark::State& state, std::size_t n, int bits) {
+  const desword::ModExpContext& mexp = qtmc_for(8).modexp_context();
+  std::vector<desword::ModExpContext::ExpTerm> terms;
+  for (std::size_t i = 0; i < n; ++i) {
+    terms.push_back({desword::Bignum::rand_range(mexp.modulus()),
+                     desword::Bignum::rand_bits(bits)});
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mexp.multi_exp(terms));
+  }
+}
+
 void register_all() {
+  for (const auto& [n, bits] : std::vector<std::pair<std::size_t, int>>{
+           {47, 264}, {64, 128}, {80, 384}}) {
+    benchmark::RegisterBenchmark(
+        ("MultiExp/" + std::to_string(n) + "x" + std::to_string(bits)).c_str(),
+        BM_MultiExp, n, bits)
+        ->Unit(benchmark::kMillisecond);
+  }
   for (const std::uint32_t q : q_sweep()) {
     const auto arg = static_cast<long>(q);
     // Fig 4(a): hard-commitment algorithms (linear in q).

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "crypto/group.h"
@@ -74,81 +76,51 @@ class P256Group final : public Group {
     return encode(r.get(), ctx.get());
   }
 
-  /// Straus interleaved multi-scalar multiplication: one shared doubling
-  /// chain over the widest scalar, per-point window tables of kWindow bits.
-  /// Variable-time, which is fine here — the scalars are verification
-  /// equation coefficients, not secrets. (EC_POINTs_mul would do this but
-  /// is deprecated in OpenSSL 3.0+.)
+  /// One EC_POINT_mul per non-generator term, summed. Generator terms
+  /// merge into a single g_scalar, which OpenSSL evaluates on the curve's
+  /// precomputed generator table; the first point rides in the same call.
+  /// Each point runs OpenSSL's own P-256 scalar multiplication, which beats
+  /// a generic EC_POINT_add/dbl Straus chain at the handful of points a
+  /// leaf fold carries. (EC_POINTs_mul would take every point in one call
+  /// but is deprecated in OpenSSL 3.0+.)
   Bytes multi_exp(
       const std::vector<std::pair<Bytes, Bignum>>& terms) const override {
-    constexpr int kWindow = 4;
-    constexpr std::size_t kRow = (std::size_t{1} << kWindow) - 1;
     BnCtxPtr ctx(BN_CTX_new());
-
-    std::vector<EcPointPtr> table;  // [point][digit-1] = point·digit
-    std::vector<Bignum> scalars;
-    int max_bits = 0;
+    Bignum g_scalar;
+    std::vector<std::pair<EcPointPtr, Bignum>> points;
     for (const auto& [elem, scalar] : terms) {
       Bignum s = scalar.mod(order_);
       if (s.is_zero()) continue;  // identity contribution
-      const EcPointPtr p = decode(elem, ctx.get());
-      const std::size_t base = table.size();
-      table.resize(base + kRow);
-      for (std::size_t k = 1; k <= kRow; ++k) {
-        EcPointPtr& entry = table[base + k - 1];
-        entry.reset(EC_POINT_new(group_.get()));
-        if (entry == nullptr) throw CryptoError("EC_POINT_new failed");
-        int rc;
-        if (k == 1) {
-          rc = EC_POINT_copy(entry.get(), p.get());
-        } else if (k == 2) {
-          rc = EC_POINT_dbl(group_.get(), entry.get(), p.get(), ctx.get());
-        } else {
-          rc = EC_POINT_add(group_.get(), entry.get(),
-                            table[base + k - 2].get(), p.get(), ctx.get());
-        }
-        if (rc != 1) throw CryptoError("p256 table build failed");
+      if (elem == generator_) {
+        g_scalar = (g_scalar + s).mod(order_);
+      } else {
+        points.emplace_back(decode(elem, ctx.get()), std::move(s));
       }
-      max_bits = std::max(max_bits, s.bits());
-      scalars.push_back(std::move(s));
-    }
-    if (scalars.empty()) {
-      throw CryptoError("p256 multi_exp: identity product");
     }
 
     EcPointPtr acc(EC_POINT_new(group_.get()));
-    if (acc == nullptr ||
-        EC_POINT_set_to_infinity(group_.get(), acc.get()) != 1) {
-      throw CryptoError("EC_POINT_set_to_infinity failed");
+    EcPointPtr term(EC_POINT_new(group_.get()));
+    if (acc == nullptr || term == nullptr) {
+      throw CryptoError("EC_POINT_new failed");
     }
-    bool have_acc = false;
-    const int blocks = (max_bits + kWindow - 1) / kWindow;
-    for (int j = blocks - 1; j >= 0; --j) {
-      if (have_acc) {
-        for (int s = 0; s < kWindow; ++s) {
-          if (EC_POINT_dbl(group_.get(), acc.get(), acc.get(), ctx.get()) !=
-              1) {
-            throw CryptoError("EC_POINT_dbl failed");
-          }
-        }
-      }
-      for (std::size_t i = 0; i < scalars.size(); ++i) {
-        unsigned digit = 0;
-        for (int b = 0; b < kWindow; ++b) {
-          if (BN_is_bit_set(scalars[i].raw(), j * kWindow + b)) {
-            digit |= 1u << b;
-          }
-        }
-        if (digit == 0) continue;
-        if (EC_POINT_add(group_.get(), acc.get(), acc.get(),
-                         table[i * kRow + (digit - 1)].get(),
-                         ctx.get()) != 1) {
-          throw CryptoError("EC_POINT_add failed");
-        }
-        have_acc = true;
+    const BIGNUM* g = g_scalar.is_zero() ? nullptr : g_scalar.raw();
+    const EC_POINT* p0 = points.empty() ? nullptr : points[0].first.get();
+    const BIGNUM* s0 = points.empty() ? nullptr : points[0].second.raw();
+    if (EC_POINT_mul(group_.get(), acc.get(), g, p0, s0, ctx.get()) != 1) {
+      throw CryptoError("EC_POINT_mul failed");
+    }
+    for (std::size_t i = 1; i < points.size(); ++i) {
+      if (EC_POINT_mul(group_.get(), term.get(), nullptr,
+                       points[i].first.get(), points[i].second.raw(),
+                       ctx.get()) != 1 ||
+          EC_POINT_add(group_.get(), acc.get(), acc.get(), term.get(),
+                       ctx.get()) != 1) {
+        throw CryptoError("EC_POINT_mul failed");
       }
     }
-    return encode(acc.get(), ctx.get());  // throws if identity
+    // An identity product (every scalar zero, or terms that cancel) is the
+    // point at infinity, which encode refuses with a CryptoError.
+    return encode(acc.get(), ctx.get());
   }
 
   Bytes inverse(BytesView a) const override {

@@ -44,9 +44,10 @@ class Group {
 
   /// ∏ elem_i ^ scalar_i (scalars taken mod order; must be non-negative).
   /// Terms whose scalar reduces to 0 contribute the identity and are
-  /// skipped. Backends override this with genuine multi-scalar
-  /// multiplication sharing one doubling chain; the default multiplies
-  /// per-term exp() results. Throws CryptoError if the product is the
+  /// skipped. Backends override this with a faster evaluation (MODP: one
+  /// shared squaring chain; P-256: OpenSSL's scalar multiplication with
+  /// the generator terms merged); the default multiplies per-term exp()
+  /// results. Throws CryptoError if the product is the
   /// identity (it has no serialization on the EC backend) — batched
   /// verification equations avoid the identity with overwhelming
   /// probability, and verifiers treat the throw as a mismatch.

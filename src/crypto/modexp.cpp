@@ -1,6 +1,7 @@
 #include "crypto/modexp.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 
 #include "common/error.h"
@@ -168,6 +169,25 @@ Bignum ModExpContext::exp_signed(const FixedBaseTable& table,
   return Bignum::mod_inverse(exp(table, exponent.negated()), modulus_);
 }
 
+void ModExpContext::mont_mul_into(Bignum& acc, const Bignum& x) const {
+  // BN_mod_mul_montgomery wants both operands in [0, N); acc stays there.
+  Bignum reduced;
+  const BIGNUM* y = x.raw();
+  if (x.is_negative() || x >= modulus_) {
+    reduced = x.mod(modulus_);
+    y = reduced.raw();
+  }
+  if (BN_mod_mul_montgomery(acc.raw(), acc.raw(), y, mont_, scratch()) != 1) {
+    throw CryptoError("BN_mod_mul_montgomery failed");
+  }
+}
+
+bool ModExpContext::coprime(const Bignum& x) const {
+  const int symbol = BN_kronecker(x.raw(), modulus_.raw(), scratch());
+  if (symbol == -2) throw CryptoError("BN_kronecker failed");
+  return symbol != 0;
+}
+
 namespace {
 
 /// Bits [w·j, w·j + w) of `e` as an unsigned digit.
@@ -179,12 +199,38 @@ unsigned window_digit(const BIGNUM* e, int j, int window) {
   return digit;
 }
 
-/// Multiplication-count estimate for Straus at window w: per-base tables
-/// (2^w − 1 entries each) + the shared squaring chain + one multiply per
-/// non-zero digit (≈ L/w per base).
+/// Sliding-window recoding of `e` at width w, scanned from the top bit:
+/// each window starts at a set bit, spans at most w bits and is trimmed to
+/// end on a set bit, so its value d is odd. Writes d at the window's lowest
+/// bit position b — digits[b · stride] — and leaves every other position
+/// untouched (the caller zero-fills), so that e = Σ d_b · 2^b.
+void sliding_digits(const BIGNUM* e, int window, std::uint8_t* digits,
+                    std::size_t stride) {
+  for (int top = BN_num_bits(e) - 1; top >= 0;) {
+    if (BN_is_bit_set(e, top) == 0) {
+      --top;
+      continue;
+    }
+    int low = std::max(top - window + 1, 0);
+    while (BN_is_bit_set(e, low) == 0) ++low;
+    unsigned d = 0;
+    for (int b = top; b >= low; --b) {
+      d = (d << 1) | static_cast<unsigned>(BN_is_bit_set(e, b));
+    }
+    digits[static_cast<std::size_t>(low) * stride] =
+        static_cast<std::uint8_t>(d);
+    top = low - 1;
+  }
+}
+
+/// Multiplication-count estimate for sliding-window Straus at window w:
+/// per-base odd-power tables (2^{w−1} products each: one squaring, then
+/// 2^{w−1} − 1 multiplies) + the shared squaring chain + one multiply per
+/// window (≈ L/(w+1) per base: a window covers w bits plus, on average,
+/// the one zero bit that separates it from the next).
 double straus_cost(std::size_t n, int bits, int w) {
   const double nd = static_cast<double>(n);
-  return nd * static_cast<double>((1 << w) - 1) + bits + nd * bits / w;
+  return nd * static_cast<double>(1 << (w - 1)) + bits + nd * bits / (w + 1);
 }
 
 /// Pippenger at window w: no per-base tables; every window pays one bucket
@@ -289,40 +335,50 @@ Bignum ModExpContext::multi_exp_live(const std::vector<const ExpTerm*>& terms,
 Bignum ModExpContext::multi_exp_straus(const std::vector<const ExpTerm*>& terms,
                                        int max_bits, int window) const {
   BN_CTX* ctx = scratch();
-  const std::size_t row = (std::size_t{1} << window) - 1;
-  // Per-base odd-and-even power tables: table[i][k-1] = base_i^k (Montgomery).
-  std::vector<Bignum> table(terms.size() * row);
-  for (std::size_t i = 0; i < terms.size(); ++i) {
+  const std::size_t n = terms.size();
+  const std::size_t row = std::size_t{1} << (window - 1);
+  // Per-base odd-power tables: table[i][k] = base_i^{2k+1} (Montgomery).
+  std::vector<Bignum> table(n * row);
+  Bignum square;
+  for (std::size_t i = 0; i < n; ++i) {
     Bignum* t = &table[i * row];
     const Bignum reduced = terms[i]->base.mod(modulus_);
     if (BN_to_montgomery(t[0].raw(), reduced.raw(), mont_, ctx) != 1) {
       throw CryptoError("BN_to_montgomery failed");
     }
-    for (std::size_t k = 2; k <= row; ++k) {
-      if (BN_mod_mul_montgomery(t[k - 1].raw(), t[k - 2].raw(), t[0].raw(),
+    if (row == 1) continue;
+    if (BN_mod_mul_montgomery(square.raw(), t[0].raw(), t[0].raw(), mont_,
+                              ctx) != 1) {
+      throw CryptoError("BN_mod_mul_montgomery failed");
+    }
+    for (std::size_t k = 1; k < row; ++k) {
+      if (BN_mod_mul_montgomery(t[k].raw(), t[k - 1].raw(), square.raw(),
                                 mont_, ctx) != 1) {
         throw CryptoError("BN_mod_mul_montgomery failed");
       }
     }
   }
 
-  // One squaring chain over the widest exponent, all bases interleaved.
-  const int blocks = (max_bits + window - 1) / window;
+  // digits[b·n + i]: the odd window of exponent i that ends at bit b, or 0.
+  // Bit-major, so the chain's scan over one bit reads a contiguous row.
+  std::vector<std::uint8_t> digits(static_cast<std::size_t>(max_bits) * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sliding_digits(terms[i]->exponent.raw(), window, &digits[i], n);
+  }
+
+  // One squaring chain over the widest exponent, all bases interleaved:
+  // each window multiplies in at its lowest set bit.
   Bignum acc;
   bool have_acc = false;
-  for (int j = blocks - 1; j >= 0; --j) {
-    if (have_acc) {
-      for (int s = 0; s < window; ++s) {
-        if (BN_mod_mul_montgomery(acc.raw(), acc.raw(), acc.raw(), mont_,
-                                  ctx) != 1) {
-          throw CryptoError("BN_mod_mul_montgomery failed");
-        }
-      }
+  for (int b = max_bits - 1; b >= 0; --b) {
+    if (have_acc && BN_mod_mul_montgomery(acc.raw(), acc.raw(), acc.raw(),
+                                          mont_, ctx) != 1) {
+      throw CryptoError("BN_mod_mul_montgomery failed");
     }
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      const unsigned digit = window_digit(terms[i]->exponent.raw(), j, window);
-      if (digit == 0) continue;
-      const Bignum& entry = table[i * row + (digit - 1)];
+    const std::uint8_t* at = &digits[static_cast<std::size_t>(b) * n];
+    for (std::size_t i = 0; i < n; ++i) {
+      if (at[i] == 0) continue;
+      const Bignum& entry = table[i * row + (at[i] >> 1)];
       if (!have_acc) {
         acc = entry;
         have_acc = true;

@@ -20,12 +20,22 @@
 // Multi-exponentiation: verification equations are products of powers
 // ∏ b_i^{x_i} under one modulus. multi_exp() evaluates the whole product
 // with a SINGLE shared squaring chain (the dominant cost of any
-// exponentiation) instead of one chain per base: Straus interleaving for
-// small batches (per-base window tables), Pippenger bucket aggregation for
-// large ones (per-window digit buckets, no per-base tables). The crossover
-// is picked from a multiplication-count model over the batch size and the
-// widest exponent. Given a thread pool, a large product is split into
-// chunks evaluated concurrently (see multi_exp).
+// exponentiation) instead of one chain per base: sliding-window Straus
+// interleaving for small batches, Pippenger bucket aggregation for large
+// ones (per-window digit buckets, no per-base tables). Straus recodes each
+// exponent into odd windows of at most w bits, so a base's table holds
+// only its odd powers b^1, b^3, …, b^{2^w−1} (2^{w−1} residues) and each
+// window multiplies in once, at its lowest set bit — about L/(w+1)
+// multiplies per base instead of the L/w of fixed windows over a table
+// twice the size. The crossover and window are picked from a
+// multiplication-count model over the batch size and the widest exponent.
+// Given a thread pool, a large product is split into chunks evaluated
+// concurrently (see multi_exp).
+//
+// Coprimality: verifiers must reject proof elements that share a factor
+// with N. mont_mul_into folds elements into one product with Montgomery
+// multiplies and coprime() tests the product once with the Jacobi symbol
+// (QtmcScheme::elements_coprime, DESIGN.md §5.5).
 #pragma once
 
 #include <openssl/bn.h>
@@ -100,6 +110,18 @@ class ModExpContext {
 
   /// Signed-exponent variant of the table path.
   Bignum exp_signed(const FixedBaseTable& table, const Bignum& exponent) const;
+
+  /// acc ← acc · x · R^{-1} mod modulus: one Montgomery product of plain
+  /// residues (R = 2^{word bits · words of N}). `acc` must lie in [0, N);
+  /// `x` is reduced when it does not. Each call leaves a factor R^{-1} in
+  /// the product, a unit, so gcd(acc, N) is the gcd of the plain product —
+  /// enough for a coprimality test, and cheaper than a reduced mod_mul.
+  void mont_mul_into(Bignum& acc, const Bignum& x) const;
+
+  /// gcd(x, N) == 1, tested as Jacobi(x, N) ≠ 0: for odd N the symbol is 0
+  /// exactly when some prime factor of N divides x. Variable time — x and
+  /// N must be public (proof elements and the RSA modulus are).
+  bool coprime(const Bignum& x) const;
 
   /// ∏ terms[i].base ^ terms[i].exponent mod modulus, sharing one squaring
   /// chain across all bases. Zero exponents contribute 1 and are skipped;

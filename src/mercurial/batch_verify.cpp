@@ -170,10 +170,11 @@ bool BatchVerifier::fold_rsa(const std::vector<std::size_t>& unit_idxs,
                              ThreadPool* pool) const {
   // Aggregated coprimality check: emission only canonical-form-checks the
   // proof-supplied elements; the gcd(x, N) = 1 requirement of the scalar
-  // verifiers is enforced here with ONE gcd over the product of every
-  // element in the fold. A non-coprime element fails the fold, bisection
-  // isolates its unit, and scalar_unit re-applies the check per unit — so
-  // verdicts still match verify_open/verify_tease exactly.
+  // verifiers is enforced here with ONE Jacobi-symbol test over the
+  // Montgomery product of every element in the fold. A non-coprime
+  // element fails the fold, bisection isolates its unit, and scalar_unit
+  // re-applies the check per unit — so verdicts still match
+  // verify_open/verify_tease exactly.
   {
     Bignum elem_acc(1);
     for (std::size_t u : unit_idxs) {

@@ -33,10 +33,10 @@
 // on the units that are re-checked, and a fold that spuriously failed (it
 // cannot, for honest proofs) would still converge to the scalar answer.
 //
-// RSA-side coprimality with N is likewise aggregated: one gcd over the
-// product of a fold's proof-supplied elements replaces one gcd per element
-// (see QtmcScheme::elements_coprime), with bisection leaves re-applying the
-// per-unit check so verdicts stay exact.
+// RSA-side coprimality with N is likewise aggregated: one Jacobi-symbol
+// test over the product of a fold's proof-supplied elements replaces one
+// gcd per element (see QtmcScheme::elements_coprime), with bisection
+// leaves re-applying the per-unit check so verdicts stay exact.
 #pragma once
 
 #include <cstddef>

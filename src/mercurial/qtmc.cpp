@@ -620,15 +620,15 @@ void QtmcScheme::accumulate_elements(const std::vector<RsaEquation>& eqs,
   for (std::size_t i = begin; i < end; ++i) {
     for (const RsaTerm& term : eqs[i].lhs) {
       if (term.kind == RsaTerm::Kind::kGeneric) {
-        acc = Bignum::mod_mul(acc, term.base, pk_.n);
+        mexp_->mont_mul_into(acc, term.base);
       }
     }
-    acc = Bignum::mod_mul(acc, eqs[i].rhs, pk_.n);
+    mexp_->mont_mul_into(acc, eqs[i].rhs);
   }
 }
 
 bool QtmcScheme::product_coprime(const Bignum& acc) const {
-  return Bignum::gcd(acc, pk_.n).is_one();
+  return mexp_->coprime(acc);
 }
 
 bool QtmcScheme::elements_coprime(const std::vector<RsaEquation>& eqs,
@@ -644,8 +644,8 @@ bool QtmcScheme::main_equation(const QtmcCommitment& com, std::uint32_t pos,
                                std::vector<RsaEquation>& out) const {
   if (pos >= pk_.q || msg.size() != kMessageBytes) return false;
   // Canonical-form checks only; coprimality with N is enforced by the
-  // consumer via elements_coprime (one aggregated gcd instead of one per
-  // element).
+  // consumer via elements_coprime (one aggregated Jacobi symbol instead of
+  // one gcd per element).
   if (!element_canonical(com.c0) || !element_canonical(com.c1) ||
       !element_canonical(lambda)) {
     return false;

@@ -199,7 +199,7 @@ class QtmcScheme {
   /// proof-supplied base (DESIGN.md §5.5). Returns false (appending
   /// nothing) on structural failure. Coprimality of the proof-supplied
   /// elements with N is NOT checked here — consumers enforce it in
-  /// aggregate via elements_coprime (one gcd per opening in the scalar
+  /// aggregate via elements_coprime (one test per opening in the scalar
   /// verifiers, one per fold in BatchVerifier). The opening is valid iff
   /// this returns true AND elements_coprime holds AND every appended
   /// equation holds.
@@ -230,18 +230,20 @@ class QtmcScheme {
   Bignum canonical(const Bignum& x) const;
 
   /// Folds every untrusted element of eqs[begin..end) — generic term bases
-  /// and equation RHS values — into `acc` (mod N). Together with
-  /// product_coprime this enforces gcd(x, N) = 1 for all of them at the
-  /// cost of ONE gcd: gcd(∏ x mod N, N) = 1 iff every factor is coprime
-  /// (any prime divisor of N dividing some x divides the product). A gcd
-  /// is ~50× a modular multiplication, so verifiers aggregate the check —
-  /// per opening in verify_open/verify_tease, per fold in BatchVerifier —
-  /// instead of paying it per element.
+  /// and equation RHS values — into `acc` (in [0, N); start it at 1) with
+  /// one Montgomery product each (ModExpContext::mont_mul_into). `acc` is
+  /// then ∏ x · R^{-k} mod N, and R is a unit, so together with
+  /// product_coprime this enforces gcd(x, N) = 1 for all of them with ONE
+  /// test: a prime divisor of N divides the product iff it divides some
+  /// x. Verifiers aggregate the check — per opening in
+  /// verify_open/verify_tease, per fold in BatchVerifier — instead of
+  /// paying it per element.
   void accumulate_elements(const std::vector<RsaEquation>& eqs,
                            std::size_t begin, std::size_t end,
                            Bignum& acc) const;
 
-  /// gcd(acc, N) == 1 — the single-gcd tail of accumulate_elements.
+  /// gcd(acc, N) == 1, tested as Jacobi(acc, N) ≠ 0 (ModExpContext::
+  /// coprime) — the single-test tail of accumulate_elements.
   bool product_coprime(const Bignum& acc) const;
 
   /// accumulate_elements + product_coprime over one contiguous range.

@@ -18,8 +18,10 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "crypto/hash.h"
+#include "crypto/rsa.h"
 #include "desword/scenario.h"
 #include "mercurial/batch_verify.h"
 #include "obs/metrics.h"
@@ -288,6 +290,70 @@ TEST_F(QtmcBatchTest, FixedBaseTablesSharedAcrossInstancesOfSameKey) {
   QtmcScheme unrelated(fresh.pk);
   unrelated.precompute_fixed_bases(/*position_bases=*/false);
   EXPECT_NE(unrelated.fixed_base_tables_id(), scheme_->fixed_base_tables_id());
+}
+
+// An element sharing a factor with N is rejected by the coprimality test
+// alone. With N's factors known, a hard opening is forged whose Λ is the
+// canonical form of k·p and whose C0 is recomputed from it, so every
+// equation holds mod N and only the aggregated Jacobi test (scalar path
+// and fold) can reject it.
+TEST(QtmcCoprimalityTest, OpeningWithAFactorOfNRejectedByEveryPath) {
+  const RsaModulus mod =
+      generate_rsa_modulus(kTestRsaBits, /*keep_factors=*/true);
+  mercurial::QtmcPublicKey pk;
+  pk.n = mod.n;
+  pk.g = random_quadratic_residue(pk.n);
+  pk.h = Bignum::mod_exp(pk.g, Bignum::rand_bits(256), pk.n);
+  pk.prime_seed = random_bytes(32);
+  pk.q = 4;
+  const QtmcScheme scheme(pk);
+  const auto [com, dec] = scheme.hard_commit(make_messages(4));
+
+  QtmcOpening forged_op = scheme.hard_open(dec, 1);
+  forged_op.lambda = scheme.canonical(
+      Bignum::mod_mul(Bignum(std::uint64_t{7}), *mod.p, pk.n));
+  mercurial::QtmcCommitment forged{Bignum(1), com.c1};
+  std::vector<mercurial::RsaEquation> eqs;
+  ASSERT_TRUE(scheme.open_equations(forged, forged_op, eqs));
+  ASSERT_EQ(eqs.size(), 2u);
+  Bignum c0(1);
+  for (const mercurial::RsaTerm& t : eqs[1].lhs) {
+    c0 = Bignum::mod_mul(c0, scheme.eval_term(t), pk.n);
+  }
+  forged.c0 = scheme.canonical(c0);
+  eqs.clear();
+  ASSERT_TRUE(scheme.open_equations(forged, forged_op, eqs));
+  for (const mercurial::RsaEquation& eq : eqs) {
+    ASSERT_TRUE(scheme.check_scalar(eq));  // only coprimality fails
+  }
+  EXPECT_FALSE(scheme.elements_coprime(eqs, 0, eqs.size()));
+  EXPECT_FALSE(scheme.verify_open(forged, forged_op));
+
+  BatchVerifier one(scheme);
+  one.begin_unit();
+  ASSERT_TRUE(one.add_open(forged, forged_op));
+  const auto one_res = one.verify();
+  EXPECT_FALSE(one_res.all_ok);
+  EXPECT_FALSE(one_res.unit_ok[0]);
+
+  constexpr std::size_t kUnits = 16;
+  constexpr std::size_t kBad = 9;
+  BatchVerifier many(scheme);
+  for (std::size_t i = 0; i < kUnits; ++i) {
+    many.begin_unit();
+    if (i == kBad) {
+      ASSERT_TRUE(many.add_open(forged, forged_op));
+    } else {
+      ASSERT_TRUE(many.add_open(
+          com, scheme.hard_open(dec, static_cast<std::uint32_t>(i % 4))));
+    }
+  }
+  const auto res = many.verify();
+  EXPECT_FALSE(res.all_ok);
+  ASSERT_EQ(res.unit_ok.size(), kUnits);
+  for (std::size_t i = 0; i < kUnits; ++i) {
+    EXPECT_EQ(res.unit_ok[i], i != kBad) << "unit " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------

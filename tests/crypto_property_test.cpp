@@ -3,7 +3,11 @@
 // path with the reference implementation, and cross-CRS rejection.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "crypto/bignum.h"
 #include "crypto/hash.h"
 #include "crypto/modexp.h"
@@ -90,6 +94,110 @@ TEST(ModExpContextTest, SignedExponentInverts) {
 TEST(ModExpContextTest, RejectsEvenModulus) {
   EXPECT_THROW(ModExpContext(Bignum(100)), CryptoError);
   EXPECT_THROW(ModExpContext(Bignum(1)), CryptoError);
+}
+
+// multi_exp against the product of single exp calls, across batch sizes
+// and exponent widths that reach every sliding-window Straus width the
+// cost model picks (w = 1 at 1 bit, 2 at 16, 3 at 63, 4 at 128, 5 at
+// 264/384, 6 at 1100, 7 at 2000, 8 at 5000) and Pippenger (200 × 63). A
+// 4-wide pool cuts the larger batches into chunks, each with its own
+// window choice; both paths must return the same residue.
+Bignum product_of_exps(const ModExpContext& ctx,
+                       const std::vector<ModExpContext::ExpTerm>& terms) {
+  Bignum acc(1);
+  for (const ModExpContext::ExpTerm& t : terms) {
+    acc = Bignum::mod_mul(acc, ctx.exp(t.base, t.exponent), ctx.modulus());
+  }
+  return acc;
+}
+
+Bignum pow2(int k) {
+  Bignum p(1);
+  for (int i = 0; i < k; ++i) p += p;
+  return p;
+}
+
+TEST(MultiExpPropertyTest, MatchesProductOfSingleExps) {
+  const RsaModulus mod = generate_rsa_modulus(512);
+  const ModExpContext ctx(mod.n);
+  ThreadPool four(4);
+  for (const int bits : {1, 16, 63, 128, 264, 384, 1100, 2000, 5000}) {
+    for (const std::size_t n : {2, 3, 8, 17, 47, 64, 80, 200}) {
+      std::vector<ModExpContext::ExpTerm> terms;
+      for (std::size_t i = 0; i < n; ++i) {
+        // Edge exponents first — 1, a lone top bit 2^{L−1}, all ones
+        // 2^L − 1, a lone low bit 2^{L/2} — then random L-bit ones. The
+        // last base is left unreduced (≥ N).
+        Bignum e = i == 0   ? Bignum(1)
+                   : i == 1 ? pow2(bits - 1)
+                   : i == 2 ? pow2(bits) - Bignum(1)
+                   : i == 3 ? pow2(bits / 2)
+                            : random_bn(bits);
+        Bignum base = random_bn(500).mod(mod.n);
+        if (i + 1 == n) base += mod.n;
+        terms.push_back({std::move(base), std::move(e)});
+      }
+      const Bignum expected = product_of_exps(ctx, terms);
+      const std::string where =
+          "n=" + std::to_string(n) + " bits=" + std::to_string(bits);
+      EXPECT_EQ(ctx.multi_exp(terms), expected) << where;
+      EXPECT_EQ(ctx.multi_exp(terms, &four), expected) << where << " pooled";
+    }
+  }
+}
+
+TEST(MultiExpPropertyTest, OneWideTermAmongNarrowOnes) {
+  // The widest exponent sets the window and the chain length; the narrow
+  // ones must still land at their own bit positions.
+  const RsaModulus mod = generate_rsa_modulus(512);
+  const ModExpContext ctx(mod.n);
+  ThreadPool four(4);
+  for (const std::size_t n : {2, 3, 8, 17, 47, 64, 80, 200}) {
+    for (const int wide : {63, 264, 1100}) {
+      std::vector<ModExpContext::ExpTerm> terms;
+      for (std::size_t i = 0; i < n; ++i) {
+        terms.push_back({random_bn(500).mod(mod.n),
+                         i == n / 2 ? random_bn(wide) : random_bn(8)});
+      }
+      const Bignum expected = product_of_exps(ctx, terms);
+      const std::string where =
+          "n=" + std::to_string(n) + " wide=" + std::to_string(wide);
+      EXPECT_EQ(ctx.multi_exp(terms), expected) << where;
+      EXPECT_EQ(ctx.multi_exp(terms, &four), expected) << where << " pooled";
+    }
+  }
+}
+
+// The aggregated coprimality test (Jacobi symbol) against gcd, on a
+// modulus whose factors are known: 0, 1, p, q, multiples of p and random
+// residues, alone and folded through Montgomery products.
+TEST(CoprimePropertyTest, JacobiTestAgreesWithGcd) {
+  const RsaModulus mod = generate_rsa_modulus(512, /*keep_factors=*/true);
+  ASSERT_TRUE(mod.p.has_value() && mod.q.has_value());
+  const ModExpContext ctx(mod.n);
+  std::vector<Bignum> xs = {Bignum(std::uint64_t{0}), Bignum(1), *mod.p,
+                            *mod.q, mod.n - Bignum(1)};
+  for (int k = 2; k < 12; ++k) {
+    xs.push_back(Bignum::mod_mul(Bignum(static_cast<std::uint64_t>(k)),
+                                 *mod.p, mod.n));
+    xs.push_back(Bignum::mod_mul(random_bn(300), *mod.q, mod.n));
+  }
+  for (int i = 0; i < 200; ++i) xs.push_back(random_bn(511).mod(mod.n));
+  for (const Bignum& x : xs) {
+    const bool expected = Bignum::gcd(x, mod.n).is_one();
+    EXPECT_EQ(ctx.coprime(x), expected) << x.to_hex();
+    // Folded after a unit through Montgomery products (each leaves a unit
+    // factor R^{-1}), x alone decides the product's coprimality. x + N
+    // takes the operand-reduction path.
+    Bignum unit = random_bn(511).mod(mod.n);
+    while (!Bignum::gcd(unit, mod.n).is_one()) {
+      unit = random_bn(511).mod(mod.n);
+    }
+    Bignum acc(1);
+    ctx.mont_mul_into(acc, unit);
+    ctx.mont_mul_into(acc, x + mod.n);
+    EXPECT_EQ(ctx.coprime(acc), expected) << x.to_hex();
+  }
 }
 
 // Proofs generated under one CRS must never verify under another, even

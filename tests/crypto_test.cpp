@@ -247,6 +247,64 @@ TEST_P(GroupConformance, ExpReducesScalarModOrder) {
   EXPECT_EQ(g->exp_g(a), g->exp_g(a + g->order()));
 }
 
+// multi_exp against the product of per-term exp calls: the generator
+// twice (its terms merge on the P-256 backend), a scalar ≥ order, a zero
+// scalar, and the term mixes each backend evaluates differently —
+// generator only, points only, one point, both.
+TEST_P(GroupConformance, MultiExpMatchesProductOfExps) {
+  const GroupPtr g = make();
+  const Bytes gen = g->generator();
+  const Bytes x = g->exp_g(g->random_scalar());
+  const Bytes y = g->hash_to_element(bytes_of("multi-exp-y"));
+  const Bytes z = g->hash_to_element(bytes_of("multi-exp-z"));
+  const Bignum a = g->random_scalar();
+  const Bignum b = g->random_scalar();
+  const Bignum c = g->random_scalar();
+  const Bignum d = g->random_scalar();
+  const auto product = [&g](const std::vector<std::pair<Bytes, Bignum>>& t) {
+    Bytes acc;
+    for (const auto& [elem, scalar] : t) {
+      if (scalar.mod(g->order()).is_zero()) continue;
+      const Bytes f = g->exp(elem, scalar);
+      acc = acc.empty() ? f : g->mul(acc, f);
+    }
+    return acc;
+  };
+  const std::vector<std::vector<std::pair<Bytes, Bignum>>> cases = {
+      {{gen, a}, {x, b}, {gen, c}, {y, d + g->order()}, {z, Bignum()}},
+      {{gen, a}, {gen, b}},
+      {{x, a}, {y, b}, {z, c}},
+      {{y, d + g->order() + g->order()}},
+      {{gen, a}},
+      {{z, Bignum()}, {x, c}, {gen, d}},
+  };
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(g->multi_exp(cases[i]), product(cases[i])) << "case " << i;
+  }
+}
+
+TEST(P256MultiExpTest, IdentityProductThrows) {
+  const GroupPtr g = make_p256_group();
+  const Bytes gen = g->generator();
+  const Bytes x = g->exp_g(g->random_scalar());
+  const Bignum a = g->random_scalar();
+  // Every scalar zero (mod the order).
+  EXPECT_THROW(g->multi_exp({{x, Bignum()}, {gen, g->order()}}), CryptoError);
+  EXPECT_THROW(g->multi_exp({}), CryptoError);
+  // Generator terms that cancel once merged.
+  EXPECT_THROW(g->multi_exp({{gen, a}, {gen, g->order() - a}}), CryptoError);
+  // Points that cancel: x^a · (x^{-1})^a, with and without a generator
+  // term that cancels alongside.
+  const Bytes x_inv = g->inverse(x);
+  EXPECT_THROW(g->multi_exp({{x, a}, {x_inv, a}}), CryptoError);
+  EXPECT_THROW(
+      g->multi_exp({{gen, a}, {x, a}, {x_inv, a}, {gen, g->order() - a}}),
+      CryptoError);
+  // The generator cancelling a point: g^a · (g^a)^{-1}.
+  EXPECT_THROW(g->multi_exp({{gen, a}, {g->inverse(g->exp_g(a)), Bignum(1)}}),
+               CryptoError);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, GroupConformance,
                          ::testing::Values("p256", "modp512"));
 
