@@ -25,36 +25,34 @@ obs::Counter& bisect_count() {
   return c;
 }
 
-/// Identity key for merging exponents of repeated RSA bases. LHS and RHS
-/// accumulators are kept separate, so merging never needs inverses (the
-/// group order is hidden); the key only has to be injective per side.
-Bytes rsa_base_key(const RsaTerm& term) {
-  Bytes key;
+/// Identity of a base whose exponents a fold merges: the CRS base a term
+/// names, or a generic base or RHS by value. LHS and RHS accumulators are
+/// kept separate, so merging never needs inverses (the group order is
+/// hidden); the key only has to be injective per side. It points into the
+/// verifier's equations, which outlive the fold.
+struct RsaBaseKey {
+  RsaTerm::Kind kind = RsaTerm::Kind::kGeneric;
+  std::uint32_t pos = 0;          // kS only
+  const Bignum* value = nullptr;  // kGeneric only
+
+  bool operator<(const RsaBaseKey& o) const {
+    if (kind != o.kind) return kind < o.kind;
+    if (pos != o.pos) return pos < o.pos;
+    // One kind carries a value on every key or on none.
+    return value != nullptr && *value < *o.value;
+  }
+};
+
+RsaBaseKey rsa_base_key(const RsaTerm& term) {
   switch (term.kind) {
     case RsaTerm::Kind::kH:
-      key.push_back(1);
-      return key;
+      return RsaBaseKey{term.kind, 0, nullptr};
     case RsaTerm::Kind::kS:
-      key.push_back(2);
-      for (int shift = 24; shift >= 0; shift -= 8) {
-        key.push_back(static_cast<std::uint8_t>(term.pos >> shift));
-      }
-      return key;
+      return RsaBaseKey{term.kind, term.pos, nullptr};
     case RsaTerm::Kind::kGeneric:
-      key.push_back(0);
       break;
   }
-  const Bytes b = term.base.to_bytes();
-  key.insert(key.end(), b.begin(), b.end());
-  return key;
-}
-
-Bytes rsa_rhs_key(const Bignum& rhs) {
-  Bytes key;
-  key.push_back(0);
-  const Bytes b = rhs.to_bytes();
-  key.insert(key.end(), b.begin(), b.end());
-  return key;
+  return RsaBaseKey{term.kind, 0, &term.base};
 }
 
 }  // namespace
@@ -186,14 +184,14 @@ bool BatchVerifier::fold_rsa(const std::vector<std::size_t>& unit_idxs,
   }
   // Exponents are merged per distinct base as plain integers — over the
   // hidden-order RSA group they must never be reduced.
-  std::map<Bytes, ModExpContext::ExpTerm> lhs;
-  std::map<Bytes, ModExpContext::ExpTerm> rhs;
-  const auto accumulate = [](std::map<Bytes, ModExpContext::ExpTerm>& acc,
-                             Bytes key, const Bignum& base, Bignum contrib) {
+  using Merged = std::map<RsaBaseKey, ModExpContext::ExpTerm>;
+  Merged lhs;
+  Merged rhs;
+  const auto accumulate = [](Merged& acc, const RsaBaseKey& key,
+                             const Bignum& base, Bignum contrib) {
     auto it = acc.find(key);
     if (it == acc.end()) {
-      acc.emplace(std::move(key),
-                  ModExpContext::ExpTerm{base, std::move(contrib)});
+      acc.emplace(key, ModExpContext::ExpTerm{base, std::move(contrib)});
     } else {
       it->second.exponent += contrib;
     }
@@ -208,7 +206,8 @@ bool BatchVerifier::fold_rsa(const std::vector<std::size_t>& unit_idxs,
       for (const RsaTerm& t : eq.lhs) {
         accumulate(lhs, rsa_base_key(t), qtmc_->term_base(t), t.exponent * r);
       }
-      accumulate(rhs, rsa_rhs_key(eq.rhs), eq.rhs, r);
+      accumulate(rhs, RsaBaseKey{RsaTerm::Kind::kGeneric, 0, &eq.rhs},
+                 eq.rhs, r);
     }
   }
   if (!any) return true;

@@ -114,12 +114,16 @@ void invert_all(std::vector<Bignum*>& xs, const Bignum& n) {
   *xs[0] = std::move(inv);
 }
 
-// Index of the most frequent message of `dec` and its count. Ties go to
-// the lowest message, so the choice is deterministic (the commitment does
-// not depend on it).
-std::pair<std::size_t, std::size_t> mode_of(const QtmcHardDecommit& dec) {
-  std::vector<std::size_t> order(dec.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+// Index of the most frequent message of `dec` outside the `skip` positions
+// and its count. Ties go to the lowest message, so the choice is
+// deterministic (the commitment does not depend on it).
+std::pair<std::size_t, std::size_t> mode_of(const QtmcHardDecommit& dec,
+                                            const std::vector<bool>& skip) {
+  std::vector<std::size_t> order;
+  order.reserve(dec.size());
+  for (std::size_t i = 0; i < dec.size(); ++i) {
+    if (!skip[i]) order.push_back(i);
+  }
   const auto less = [&](std::size_t x, std::size_t y) {
     const BytesView a = dec.message(x);
     const BytesView b = dec.message(y);
@@ -342,16 +346,34 @@ std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
 
 std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
     const std::vector<Bytes>& messages, RandomSource& rng) const {
+  return hard_commit_bind(hard_commit_draft(messages, {}, rng), {});
+}
+
+QtmcCommitDraft QtmcScheme::hard_commit_draft(
+    const std::vector<Bytes>& messages, std::vector<std::uint32_t> pending,
+    RandomSource& rng) const {
   if (messages.size() > pk_.q) {
     throw CryptoError("qTMC: more messages than arity");
   }
-  QtmcHardDecommit dec;
+  std::vector<bool> is_pending(pk_.q, false);
+  for (const std::uint32_t pos : pending) {
+    if (pos >= pk_.q || is_pending[pos]) {
+      throw CryptoError("qTMC: bad pending position");
+    }
+    is_pending[pos] = true;
+  }
+  QtmcCommitDraft draft;
+  QtmcHardDecommit& dec = draft.dec;
   dec.messages.reserve(pk_.q * kMessageBytes);
-  for (const Bytes& m : messages) {
-    if (m.size() != kMessageBytes) {
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    if (is_pending[i]) {
+      dec.messages.resize(dec.messages.size() + kMessageBytes, 0);
+      continue;
+    }
+    if (messages[i].size() != kMessageBytes) {
       throw CryptoError("mercurial message must be exactly 16 bytes");
     }
-    append(dec.messages, m);
+    append(dec.messages, messages[i]);
   }
   dec.messages.resize(pk_.q * kMessageBytes, 0);  // null-message tail
   dec.z = rng.rand_bits(kRandomizerBits);
@@ -359,33 +381,51 @@ std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
   dec.r1 = rng.rand_bits(kRandomizerBits);
 
   // ∏_i S_i^{m_i} = W^{m*} · ∏_{m_i≠m*} S_i^{m_i−m*} with m* the most
-  // frequent message (null when none repeats): a ZK-EDB node commits the
-  // shared soft-backing digest at every absent child, so this is one
-  // 128-bit power per distinct message besides m*. Negative differences
-  // power S_i^{-1}.
-  const QtmcPositionTables* tables = fb_pos();
-  const auto [star, count] = mode_of(dec);
-  const Bignum m_star =
-      count > 1 ? message_to_scalar(dec.message(star)) : Bignum();
-  Bignum acc = pow_h_tilde(dec.z);
-  if (!m_star.is_zero()) {
-    acc = Bignum::mod_mul(acc, pow(w_, tables ? &tables->w : nullptr, m_star),
-                          pk_.n);
+  // frequent known message (null when none repeats): a ZK-EDB node commits
+  // the shared soft-backing digest at every absent child, so this is one
+  // 128-bit power per distinct message besides m*.
+  const auto [star, count] = mode_of(dec, is_pending);
+  if (count > 1) draft.m_star = message_to_scalar(dec.message(star));
+  draft.acc = pow_h_tilde(dec.z);
+  if (!draft.m_star.is_zero()) {
+    const QtmcPositionTables* tables = fb_pos();
+    draft.acc = Bignum::mod_mul(
+        draft.acc, pow(w_, tables ? &tables->w : nullptr, draft.m_star),
+        pk_.n);
   }
   for (std::uint32_t i = 0; i < pk_.q; ++i) {
-    const Bignum d = message_to_scalar(dec.message(i)) - m_star;
+    if (is_pending[i]) continue;
+    const Bignum d = message_to_scalar(dec.message(i)) - draft.m_star;
     if (d.is_zero()) continue;
-    const Bignum factor =
-        d.is_negative()
-            ? pow(s_inv_[i], tables ? &tables->s_inv[i] : nullptr, d.negated())
-            : pow_s(i, d);
-    acc = Bignum::mod_mul(acc, factor, pk_.n);
+    draft.acc = Bignum::mod_mul(draft.acc, pow_s_signed(i, d), pk_.n);
   }
-  const Bignum c1 = canonical(pow_h(dec.r1));
+  draft.c1 = canonical(pow_h(dec.r1));
   // C1^{r0} = (±h^{r1})^{r0} = ±h^{r1·r0}; canonical() absorbs the sign.
-  Bignum c0 =
-      canonical(Bignum::mod_mul(acc, pow_h(dec.r1 * dec.r0), pk_.n));
-  return {QtmcCommitment{std::move(c0), c1}, std::move(dec)};
+  draft.acc = Bignum::mod_mul(draft.acc, pow_h(dec.r1 * dec.r0), pk_.n);
+  draft.pending = std::move(pending);
+  return draft;
+}
+
+std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit_bind(
+    QtmcCommitDraft draft, const std::vector<Bytes>& messages) const {
+  if (messages.size() != draft.pending.size()) {
+    throw CryptoError("qTMC: bind needs one message per pending position");
+  }
+  for (std::size_t k = 0; k < messages.size(); ++k) {
+    const Bytes& m = messages[k];
+    if (m.size() != kMessageBytes) {
+      throw CryptoError("mercurial message must be exactly 16 bytes");
+    }
+    const std::uint32_t pos = draft.pending[k];
+    std::copy(m.begin(), m.end(),
+              draft.dec.messages.begin() +
+                  static_cast<std::ptrdiff_t>(pos * kMessageBytes));
+    const Bignum d = message_to_scalar(m) - draft.m_star;
+    if (d.is_zero()) continue;
+    draft.acc = Bignum::mod_mul(draft.acc, pow_s_signed(pos, d), pk_.n);
+  }
+  return {QtmcCommitment{canonical(draft.acc), std::move(draft.c1)},
+          std::move(draft.dec)};
 }
 
 Bignum QtmcScheme::hard_lambda(const QtmcHardDecommit& dec,
@@ -568,6 +608,12 @@ Bignum QtmcScheme::pow_h_tilde(const Bignum& exponent) const {
 Bignum QtmcScheme::pow_s(std::uint32_t pos, const Bignum& exponent) const {
   const QtmcPositionTables* t = fb_pos();
   return pow(s_[pos], t ? &t->s[pos] : nullptr, exponent);
+}
+
+Bignum QtmcScheme::pow_s_signed(std::uint32_t pos, const Bignum& d) const {
+  if (!d.is_negative()) return pow_s(pos, d);
+  const QtmcPositionTables* t = fb_pos();
+  return pow(s_inv_[pos], t ? &t->s_inv[pos] : nullptr, d.negated());
 }
 
 Bignum QtmcScheme::soft_lambda(std::uint32_t pos, const Bignum& k0,

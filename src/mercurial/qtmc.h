@@ -108,6 +108,17 @@ struct QtmcHardDecommit {
   }
 };
 
+/// A hard commitment between QtmcScheme::hard_commit_draft and
+/// hard_commit_bind: the randomizers are drawn and every factor of C0 that
+/// does not wait on a pending position's message is multiplied in.
+struct QtmcCommitDraft {
+  QtmcHardDecommit dec;                // null at the pending positions
+  std::vector<std::uint32_t> pending;  // positions hard_commit_bind fills
+  Bignum m_star;  // each S_i factor is S_i^{m_i − m*}, m* over the known m_i
+  Bignum acc;     // C0 but for the pending positions' factors; not canonical
+  Bignum c1;      // final (canonical) C1
+};
+
 struct QtmcSoftDecommit {
   Bignum r0;
   Bignum r1;
@@ -160,6 +171,26 @@ class QtmcScheme {
       const std::vector<Bytes>& messages) const;
   std::pair<QtmcCommitment, QtmcHardDecommit> hard_commit(
       const std::vector<Bytes>& messages, RandomSource& rng) const;
+
+  /// qHCom in two halves, for a committer that learns some messages late
+  /// (a ZK-EDB node waits on its present children's digests; DESIGN.md
+  /// §5.4). The draft validates `messages` as hard_commit does, except
+  /// that the entries at the `pending` positions are ignored (they may be
+  /// empty or missing), draws z, r0, r1 from `rng` in hard_commit's order
+  /// and computes h̃^z, h^{r1·r0}, C1 and W^{m*}·∏ S_i^{m_i−m*} over the
+  /// known positions, with m* their most frequent message. That is all of
+  /// qHCom's randomizer work and all but one power per pending position.
+  QtmcCommitDraft hard_commit_draft(const std::vector<Bytes>& messages,
+                                    std::vector<std::uint32_t> pending,
+                                    RandomSource& rng) const;
+
+  /// Finishes a draft with `messages[k]` at draft.pending[k]: one
+  /// S_i^{m_i−m*} power each, then canonical C0. The commitment and
+  /// decommitment equal hard_commit's on the full vector with the same
+  /// randomness: ∏ S_i^{m_i} = W^{m*}·∏ S_i^{m_i−m*} for any m*, so the
+  /// residue does not depend on which m* the draft picked.
+  std::pair<QtmcCommitment, QtmcHardDecommit> hard_commit_bind(
+      QtmcCommitDraft draft, const std::vector<Bytes>& messages) const;
 
   /// qHOpen at `pos`.
   QtmcOpening hard_open(const QtmcHardDecommit& dec, std::uint32_t pos) const;
@@ -299,6 +330,8 @@ class QtmcScheme {
   Bignum pow_h(const Bignum& exponent) const;
   Bignum pow_h_tilde(const Bignum& exponent) const;
   Bignum pow_s(std::uint32_t pos, const Bignum& exponent) const;
+  /// S_pos^d for a signed d: negative ones power S_pos^{-1}.
+  Bignum pow_s_signed(std::uint32_t pos, const Bignum& d) const;
   /// Λ_pos of a hard decommitment (shared by hard_open and tease_hard).
   Bignum hard_lambda(const QtmcHardDecommit& dec, std::uint32_t pos) const;
   /// Λ = g^{k0}·U_pos^{-m} of a soft tease (shared by tease_soft and the

@@ -46,42 +46,12 @@ EdbProver::EdbProver(EdbCrsPtr crs, const std::map<Bytes, Bytes>& entries,
                                }),
                 "ZK-EDB build entries not in digit order");
 
-  const unsigned threads =
-      opts_.threads != 0 ? opts_.threads : ThreadPool::default_threads();
-  ThreadPool* pool =
-      threads > 1 ? &ThreadPool::with_threads(threads) : nullptr;
-  (void)build(build_entries, std::string(), 0, build_entries.size(), pool);
-  root_com_ = inner_.at(std::string()).com;
+  std::vector<PlanNode> plan;
+  (void)plan_subtree(build_entries, std::string(), 0, build_entries.size(),
+                     plan);
+  commit_plan(plan);
   static obs::Counter& commit_nodes = obs::metric("zkedb.commit.nodes");
   commit_nodes.add(inner_.size() + leaves_.size());
-}
-
-EdbProver::EdbProver(EdbProver&& other) noexcept
-    : crs_(std::move(other.crs_)),
-      opts_(std::move(other.opts_)),
-      epoch_(other.epoch_),
-      fabrication_counter_(other.fabrication_counter_),
-      inner_(std::move(other.inner_)),
-      leaves_(std::move(other.leaves_)),
-      soft_backing_(std::move(other.soft_backing_)),
-      soft_nodes_(std::move(other.soft_nodes_)),
-      values_(std::move(other.values_)),
-      root_com_(std::move(other.root_com_)) {}
-
-EdbProver& EdbProver::operator=(EdbProver&& other) noexcept {
-  if (this != &other) {
-    crs_ = std::move(other.crs_);
-    opts_ = std::move(other.opts_);
-    epoch_ = other.epoch_;
-    fabrication_counter_ = other.fabrication_counter_;
-    inner_ = std::move(other.inner_);
-    leaves_ = std::move(other.leaves_);
-    soft_backing_ = std::move(other.soft_backing_);
-    soft_nodes_ = std::move(other.soft_nodes_);
-    values_ = std::move(other.values_);
-    root_com_ = std::move(other.root_com_);
-  }
-  return *this;
 }
 
 Bytes EdbProver::node_seed(char role, std::string_view id) const {
@@ -91,6 +61,12 @@ Bytes EdbProver::node_seed(char role, std::string_view id) const {
   h.add_u64(epoch_);
   h.add_str(id);
   return h.digest();
+}
+
+std::unique_ptr<RandomSource> EdbProver::node_rng(char role,
+                                                  std::string_view id) const {
+  if (opts_.seed) return std::make_unique<DrbgRandomSource>(node_seed(role, id));
+  return std::make_unique<SystemRandomSource>();
 }
 
 Bytes EdbProver::commitment_bytes() const {
@@ -138,104 +114,115 @@ Bytes EdbProver::soft_commitment_bytes(const SoftNode& node) const {
   return std::get<SoftLeaf>(node).com.serialize();
 }
 
-Bytes EdbProver::backing_digest(const std::string& prefix,
-                                std::uint32_t digit) {
+std::size_t EdbProver::plan_subtree(const std::vector<BuildEntry>& entries,
+                                     const std::string& prefix, std::size_t lo,
+                                     std::size_t hi,
+                                     std::vector<PlanNode>& plan) const {
   const std::uint32_t depth = static_cast<std::uint32_t>(prefix.size());
-  const std::string backing_key =
-      crs_->params().soft_mode == SoftMode::kShared
-          ? prefix
-          : child_prefix(prefix, digit);
-  {
-    MutexLock lock(state_mu_);
-    const auto it = soft_backing_.find(backing_key);
-    if (it != soft_backing_.end()) return soft_digest(it->second);
-  }
-  // Each backing key belongs to exactly one trie node, and that node's
-  // build/update runs on one thread, so no other thread can be creating
-  // this key concurrently; the lock only protects the containers.
-  std::optional<DrbgRandomSource> drbg;
-  if (opts_.seed) drbg.emplace(node_seed('s', backing_key));
-  RandomSource& rng =
-      drbg ? static_cast<RandomSource&>(*drbg) : system_random();
-  auto [node, digest] = soft_node(depth + 1, rng);
-  MutexLock lock(state_mu_);
-  soft_backing_.emplace(backing_key, soft_nodes_.size());
-  soft_nodes_.push_back(std::move(node));
-  return digest;
-}
-
-Bytes EdbProver::commit_inner(const std::string& prefix,
-                              std::vector<Bytes> messages) {
-  std::optional<DrbgRandomSource> drbg;
-  if (opts_.seed) drbg.emplace(node_seed('i', prefix));
-  RandomSource& rng =
-      drbg ? static_cast<RandomSource&>(*drbg) : system_random();
-  auto [com, dec] = crs_->qtmc().hard_commit(messages, rng);
-  Bytes digest = crs_->digest_inner(com);
-  MutexLock lock(state_mu_);
-  inner_.insert_or_assign(prefix, InnerNode{std::move(com), std::move(dec)});
-  return digest;
-}
-
-Bytes EdbProver::build(const std::vector<BuildEntry>& entries,
-                       const std::string& prefix, std::size_t lo,
-                       std::size_t hi, ThreadPool* pool) {
-  const std::uint32_t depth = static_cast<std::uint32_t>(prefix.size());
+  PlanNode node;
+  node.prefix = prefix;
   if (depth == crs_->height()) {
     DESWORD_CHECK(hi - lo == 1, "duplicate ZK-EDB keys in one leaf");
-    const Bytes& value = entries[lo].second;
-    std::optional<DrbgRandomSource> drbg;
-    if (opts_.seed) drbg.emplace(node_seed('l', prefix));
-    RandomSource& rng =
-        drbg ? static_cast<RandomSource&>(*drbg) : system_random();
-    auto [com, dec] = crs_->tmc().hard_commit(leaf_value_digest(value), rng);
-    Bytes digest = crs_->digest_leaf(com);
-    MutexLock lock(state_mu_);
-    leaves_.emplace(prefix, LeafNode{std::move(com), std::move(dec)});
-    return digest;
-  }
-
-  const std::uint32_t q = crs_->q();
-  std::vector<Bytes> messages(q);
-  std::vector<bool> present(q, false);
-
-  // Entries are sorted by digit vectors, so children form contiguous runs.
-  // Collect the runs (and fill `present`, which is bit-packed and must not
-  // be written concurrently) before fanning the child builds out.
-  struct Run {
-    std::uint32_t digit;
-    std::size_t lo;
-    std::size_t hi;
-  };
-  std::vector<Run> runs;
-  std::size_t run_lo = lo;
-  while (run_lo < hi) {
-    const std::uint32_t digit = entries[run_lo].first[depth];
-    std::size_t run_hi = run_lo;
-    while (run_hi < hi && entries[run_hi].first[depth] == digit) {
-      ++run_hi;
+    node.value = &entries[lo].second;
+  } else {
+    node.messages.resize(crs_->q());
+    // Entries are sorted by digit vectors, so children form contiguous runs.
+    std::size_t run_lo = lo;
+    while (run_lo < hi) {
+      const std::uint32_t digit = entries[run_lo].first[depth];
+      std::size_t run_hi = run_lo;
+      while (run_hi < hi && entries[run_hi].first[depth] == digit) {
+        ++run_hi;
+      }
+      node.children.emplace_back(
+          digit, plan_subtree(entries, child_prefix(prefix, digit), run_lo,
+                              run_hi, plan));
+      run_lo = run_hi;
     }
-    runs.push_back(Run{digit, run_lo, run_hi});
-    present[digit] = true;
-    run_lo = run_hi;
   }
+  plan.push_back(std::move(node));
+  return plan.size() - 1;
+}
 
-  // Child subtrees are independent: each task writes a distinct
-  // messages[digit] slot. Nested parallel_for is deadlock-free (a blocked
-  // caller drains its own batch), so the recursion fans out at every level
-  // and degrades to sequential once all workers are busy.
-  parallel_for(pool, runs.size(), [&](std::size_t i) {
-    const Run& r = runs[i];
-    messages[r.digit] =
-        build(entries, child_prefix(prefix, r.digit), r.lo, r.hi, pool);
+void EdbProver::back_absent_children(PlanNode& node) const {
+  const bool shared = crs_->params().soft_mode == SoftMode::kShared;
+  const std::uint32_t depth = static_cast<std::uint32_t>(node.prefix.size());
+  std::vector<bool> is_child(node.messages.size(), false);
+  for (const auto& [digit, index] : node.children) is_child[digit] = true;
+  Bytes shared_digest;
+  for (std::uint32_t c = 0; c < node.messages.size(); ++c) {
+    if (is_child[c] || !node.messages[c].empty()) continue;
+    if (shared && !shared_digest.empty()) {
+      node.messages[c] = shared_digest;
+      continue;
+    }
+    std::string key = shared ? node.prefix : child_prefix(node.prefix, c);
+    Bytes digest;
+    if (const auto it = soft_backing_.find(key); it != soft_backing_.end()) {
+      digest = soft_digest(it->second);
+    } else {
+      auto [soft, soft_dig] = soft_node(depth + 1, *node_rng('s', key));
+      digest = std::move(soft_dig);
+      node.new_backings.emplace_back(std::move(key), std::move(soft));
+    }
+    if (shared) shared_digest = digest;
+    node.messages[c] = std::move(digest);
+  }
+}
+
+void EdbProver::commit_plan(std::vector<PlanNode>& plan) {
+  ThreadPool* pool = ThreadPool::for_threads(opts_.threads);
+  const std::uint32_t h = crs_->height();
+  // Pass 1: everything that does not wait on a child's digest.
+  parallel_for(pool, plan.size(), [&](std::size_t i) {
+    PlanNode& node = plan[i];
+    if (node.value != nullptr) {
+      auto [com, dec] = crs_->tmc().hard_commit(leaf_value_digest(*node.value),
+                                                *node_rng('l', node.prefix));
+      node.digest = crs_->digest_leaf(com);
+      node.node = LeafNode{std::move(com), std::move(dec)};
+      return;
+    }
+    back_absent_children(node);
+    std::vector<std::uint32_t> pending;
+    for (const auto& [digit, index] : node.children) pending.push_back(digit);
+    node.draft = crs_->qtmc().hard_commit_draft(node.messages,
+                                                std::move(pending),
+                                                *node_rng('i', node.prefix));
   });
-
-  // Back absent children with soft commitments.
-  for (std::uint32_t c = 0; c < q; ++c) {
-    if (!present[c]) messages[c] = backing_digest(prefix, c);
+  // Pass 2: a node's children sit one level below it, so each level binds
+  // in parallel once the level below is done.
+  std::vector<std::vector<std::size_t>> levels(h);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    if (plan[i].draft) levels[plan[i].prefix.size()].push_back(i);
   }
-
-  return commit_inner(prefix, std::move(messages));
+  for (std::uint32_t d = h; d-- > 0;) {
+    parallel_for(pool, levels[d].size(), [&](std::size_t k) {
+      PlanNode& node = plan[levels[d][k]];
+      std::vector<Bytes> child_digests;
+      child_digests.reserve(node.children.size());
+      for (const auto& [digit, index] : node.children) {
+        child_digests.push_back(plan[index].digest);
+      }
+      auto [com, dec] =
+          crs_->qtmc().hard_commit_bind(std::move(*node.draft), child_digests);
+      node.digest = crs_->digest_inner(com);
+      node.node = InnerNode{std::move(com), std::move(dec)};
+    });
+  }
+  for (PlanNode& node : plan) {
+    for (auto& [key, soft] : node.new_backings) {
+      soft_backing_.emplace(std::move(key), soft_nodes_.size());
+      soft_nodes_.push_back(std::move(soft));
+    }
+    if (auto* inner = std::get_if<InnerNode>(&node.node)) {
+      inner_.insert_or_assign(node.prefix, std::move(*inner));
+    } else {
+      leaves_.insert_or_assign(node.prefix,
+                               std::move(std::get<LeafNode>(node.node)));
+    }
+  }
+  root_com_ = inner_.at(std::string()).com;
 }
 
 EdbMembershipProof EdbProver::prove_membership(const EdbKey& key) const {
@@ -382,21 +369,18 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
     proof.teases[level] = crs_->qtmc().tease_soft(
         std::get<SoftInner>(parent).dec, digits[level], fresh[k].second);
   });
-  {
-    MutexLock lock(state_mu_);
-    for (std::size_t k = 0; k < tail; ++k) {
-      const std::uint32_t level = first + static_cast<std::uint32_t>(k);
-      const std::size_t child_id = soft_nodes_.size();
-      // soft_nodes_ is a deque: appending never invalidates `parent`.
-      auto& parent = std::get<SoftInner>(soft_nodes_[soft_id]);
-      parent.teases.emplace(digits[level],
-                            std::make_pair(proof.teases[level], child_id));
-      if (auto* inner = std::get_if<SoftInner>(&fresh[k].first)) {
-        inner->com.reset();  // derived from dec on a replay
-      }
-      soft_nodes_.push_back(std::move(fresh[k].first));
-      soft_id = child_id;
+  for (std::size_t k = 0; k < tail; ++k) {
+    const std::uint32_t level = first + static_cast<std::uint32_t>(k);
+    const std::size_t child_id = soft_nodes_.size();
+    // soft_nodes_ is a deque: appending never invalidates `parent`.
+    auto& parent = std::get<SoftInner>(soft_nodes_[soft_id]);
+    parent.teases.emplace(digits[level],
+                          std::make_pair(proof.teases[level], child_id));
+    if (auto* inner = std::get_if<SoftInner>(&fresh[k].first)) {
+      inner->com.reset();  // derived from dec on a replay
     }
+    soft_nodes_.push_back(std::move(fresh[k].first));
+    soft_id = child_id;
   }
 
   const auto& leaf = std::get<SoftLeaf>(soft_nodes_[soft_id]);
@@ -409,58 +393,38 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
 // Incremental updates
 // ---------------------------------------------------------------------------
 
-Bytes EdbProver::grow_branch(const std::vector<std::uint32_t>& digits,
-                             std::uint32_t from_depth, const Bytes& value) {
+void EdbProver::grow_branch(const std::vector<std::uint32_t>& digits,
+                            std::uint32_t from_depth, const Bytes& value,
+                            std::vector<PlanNode>& plan) const {
   const std::uint32_t h = crs_->height();
-  // Leaf first.
-  std::string prefix;
-  for (std::uint32_t d = 0; d < h; ++d) {
-    prefix = child_prefix(prefix, digits[d]);
-  }
-  std::optional<DrbgRandomSource> drbg;
-  if (opts_.seed) drbg.emplace(node_seed('l', prefix));
-  RandomSource& rng =
-      drbg ? static_cast<RandomSource&>(*drbg) : system_random();
-  auto [leaf_com, leaf_dec] =
-      crs_->tmc().hard_commit(leaf_value_digest(value), rng);
-  Bytes digest = crs_->digest_leaf(leaf_com);
-  leaves_.emplace(prefix, LeafNode{std::move(leaf_com), std::move(leaf_dec)});
-
-  // Inner nodes from depth h-1 down to from_depth, each with exactly one
-  // trie child (the one just created) and soft backing elsewhere.
+  PlanNode leaf;
+  leaf.prefix.assign(digits.begin(), digits.end());
+  leaf.value = &value;
+  plan.push_back(std::move(leaf));
   for (std::uint32_t d = h; d-- > from_depth;) {
-    prefix.pop_back();
-    const std::uint32_t q = crs_->q();
-    std::vector<Bytes> messages(q);
-    for (std::uint32_t c = 0; c < q; ++c) {
-      messages[c] = (c == digits[d]) ? digest : backing_digest(prefix, c);
-    }
-    digest = commit_inner(prefix, std::move(messages));
+    PlanNode node;
+    node.prefix.assign(digits.begin(), digits.begin() + d);
+    node.messages.resize(crs_->q());
+    node.children.emplace_back(digits[d], plan.size() - 1);
+    plan.push_back(std::move(node));
   }
-  return digest;
 }
 
 void EdbProver::recommit_path(const std::vector<std::uint32_t>& digits,
-                              std::uint32_t depth, const Bytes& child_digest) {
-  // Update nodes from `depth` (whose child digest at digits[depth]
-  // changed) up to the root, re-hard-committing each.
-  Bytes digest = child_digest;
-  std::string prefix(digits.begin(),
-                     digits.begin() + static_cast<long>(depth) + 1);
-  prefix.pop_back();  // prefix of the node at `depth`
+                              std::uint32_t depth,
+                              std::vector<PlanNode>& plan) const {
   for (std::uint32_t d = depth + 1; d-- > 0;) {
-    const mercurial::QtmcHardDecommit& dec = inner_.at(prefix).dec;
-    std::vector<Bytes> messages;
-    messages.reserve(dec.size());
+    PlanNode node;
+    node.prefix.assign(digits.begin(), digits.begin() + d);
+    const mercurial::QtmcHardDecommit& dec = inner_.at(node.prefix).dec;
     for (std::size_t c = 0; c < dec.size(); ++c) {
       const BytesView m = dec.message(c);
-      messages.emplace_back(m.begin(), m.end());
+      node.messages.emplace_back(m.begin(), m.end());
     }
-    messages[digits[d]] = digest;
-    digest = commit_inner(prefix, std::move(messages));
-    if (!prefix.empty()) prefix.pop_back();
+    node.messages[digits[d]].clear();
+    if (!plan.empty()) node.children.emplace_back(digits[d], plan.size() - 1);
+    plan.push_back(std::move(node));
   }
-  root_com_ = inner_.at(std::string()).com;
 }
 
 void EdbProver::insert(const EdbKey& key, const Bytes& value) {
@@ -485,9 +449,11 @@ void EdbProver::insert(const EdbKey& key, const Bytes& value) {
 
   // Grow the missing branch below depth d+1 and splice it into the node
   // at depth d, then recommit up to the root.
-  const Bytes branch_digest = grow_branch(digits, d + 1, value);
+  std::vector<PlanNode> plan;
+  grow_branch(digits, d + 1, value, plan);
+  recommit_path(digits, d, plan);
+  commit_plan(plan);
   values_.emplace(key, value);
-  recommit_path(digits, d, branch_digest);
 }
 
 void EdbProver::erase(const EdbKey& key) {
@@ -501,28 +467,28 @@ void EdbProver::erase(const EdbKey& key) {
   leaves_.erase(prefix);
   values_.erase(key);
 
-  // Prune childless inner nodes bottom-up (never the root).
-  std::uint32_t d = h;  // depth of the removed node's parent + 1
-  while (d > 1) {
+  // Prune childless inner nodes bottom-up (never the root); d ends at the
+  // lowest surviving node on the path, which gets soft backing at the
+  // removed position.
+  const auto has_trie_child = [&](std::uint32_t depth) {
+    for (std::uint32_t c = 0; c < crs_->q(); ++c) {
+      const std::string next = child_prefix(prefix, c);
+      if (depth + 1 < h ? inner_.count(next) != 0 : leaves_.count(next) != 0) {
+        return true;
+      }
+    }
+    return false;
+  };
+  std::uint32_t d = h - 1;
+  prefix.pop_back();
+  while (d > 0 && !has_trie_child(d)) {
+    inner_.erase(prefix);
     prefix.pop_back();
     --d;
-    // Does this node still have any trie child?
-    bool has_child = false;
-    for (std::uint32_t c = 0; c < crs_->q() && !has_child; ++c) {
-      const std::string next = child_prefix(prefix, c);
-      has_child = (d + 1 < h) ? (inner_.find(next) != inner_.end())
-                              : (leaves_.find(next) != leaves_.end());
-    }
-    if (has_child) {
-      // Replace the removed child's digest with soft backing, recommit.
-      recommit_path(digits, d, backing_digest(prefix, digits[d]));
-      return;
-    }
-    inner_.erase(prefix);
   }
-  // Everything below the root vanished: recommit the root with soft
-  // backing at the removed position.
-  recommit_path(digits, 0, backing_digest(std::string(), digits[0]));
+  std::vector<PlanNode> plan;
+  recommit_path(digits, d, plan);
+  commit_plan(plan);
 }
 
 }  // namespace desword::zkedb

@@ -15,29 +15,26 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
 
-#include "common/mutex.h"
 #include "crypto/randsource.h"
 #include "zkedb/proof.h"
-
-namespace desword {
-class ThreadPool;
-}
 
 namespace desword::zkedb {
 
 /// Knobs for EDB-commit (and later updates) on an EdbProver.
 struct EdbProverOptions {
-  /// Worker threads for the bottom-up trie build and for the per-level
-  /// openings of each proof: 0 = default (DESWORD_THREADS env var, else
-  /// hardware_concurrency()), 1 = fully sequential. Commitments and
-  /// membership proofs are identical at any thread count when `seed` is
-  /// set; without a seed the CSPRNG makes every build unique anyway.
+  /// Worker threads for EDB-commit and insert/erase (DESIGN.md §5.4) and
+  /// for the per-level openings of each proof: 0 = default
+  /// (DESWORD_THREADS env var, else hardware_concurrency()), 1 = fully
+  /// sequential. Commitments and membership proofs are identical at any
+  /// thread count when `seed` is set; without a seed the CSPRNG makes every
+  /// build unique anyway.
   unsigned threads = 0;
   /// Deterministic commitment randomness. When set, every node draws its
   /// randomizers from a DRBG keyed by H(seed, role, node position), so the
@@ -53,10 +50,9 @@ class EdbProver {
   EdbProver(EdbCrsPtr crs, const std::map<Bytes, Bytes>& entries,
             const EdbProverOptions& options = {});
 
-  // Movable (the internal mutex is not moved; moving a prover that other
-  // threads are using is undefined anyway).
-  EdbProver(EdbProver&& other) noexcept;
-  EdbProver& operator=(EdbProver&& other) noexcept;
+  // Movable (moving a prover that other threads are using is undefined).
+  EdbProver(EdbProver&& other) noexcept = default;
+  EdbProver& operator=(EdbProver&& other) noexcept = default;
 
   /// Com: the root qTMC commitment.
   const mercurial::QtmcCommitment& commitment() const { return root_com_; }
@@ -133,34 +129,62 @@ class EdbProver {
 
   using BuildEntry = std::pair<std::vector<std::uint32_t>, Bytes>;
 
-  // Builds the subtree for entries[lo, hi) under `prefix`; returns the
-  // digest of the subtree root. Child runs fan out over `pool` (nullptr =
-  // sequential); map mutations are serialized on state_mu_, crypto runs
-  // outside the lock.
-  Bytes build(const std::vector<BuildEntry>& entries,
-              const std::string& prefix, std::size_t lo, std::size_t hi,
-              ThreadPool* pool);
+  // One trie node that an EDB-commit, insert or erase (re)commits. A plan
+  // lists its nodes children before parents and commit_plan commits them
+  // in two passes (DESIGN.md §5.4).
+  struct PlanNode {
+    std::string prefix;  // its length is the node depth
+    const Bytes* value = nullptr;  // leaf: the committed value (caller's)
+    // Inner: the q child digests. Slots at `children` (digit, plan index)
+    // are bound to the digests of those plan nodes; the other empty slots
+    // are backed by soft nodes.
+    std::vector<Bytes> messages;
+    std::vector<std::pair<std::uint32_t, std::size_t>> children;
+    // Filled by commit_plan.
+    std::vector<std::pair<std::string, SoftNode>> new_backings;
+    std::optional<mercurial::QtmcCommitDraft> draft;
+    std::variant<std::monostate, InnerNode, LeafNode> node;
+    Bytes digest;
+  };
 
-  /// Creates the chain of nodes for `digits` from depth `from_depth` down
-  /// to the leaf (all with exactly one trie child); returns the digest of
-  /// the node at `from_depth`.
-  Bytes grow_branch(const std::vector<std::uint32_t>& digits,
-                    std::uint32_t from_depth, const Bytes& value);
+  /// Appends the subtree over entries[lo, hi) under `prefix` to `plan` and
+  /// returns the subtree root's plan index.
+  std::size_t plan_subtree(const std::vector<BuildEntry>& entries,
+                           const std::string& prefix, std::size_t lo,
+                           std::size_t hi, std::vector<PlanNode>& plan) const;
 
-  /// Digest of the soft node backing absent children of the trie node at
-  /// `prefix` (child depth = prefix depth + 1), creating it if needed.
-  /// Thread safe during parallel builds.
-  Bytes backing_digest(const std::string& prefix, std::uint32_t digit);
+  /// Appends the new leaf for `digits` and its chain of new inner nodes up
+  /// to depth `from_depth` (each with exactly one trie child) to `plan`.
+  void grow_branch(const std::vector<std::uint32_t>& digits,
+                   std::uint32_t from_depth, const Bytes& value,
+                   std::vector<PlanNode>& plan) const;
 
-  /// Re-hard-commits the node at `prefix` with one child digest replaced,
-  /// then propagates digest changes up to the root.
+  /// Appends the committed nodes from `depth` up to the root to `plan`,
+  /// each keeping its child digests except at digits[d]: the node at
+  /// `depth` binds there to the last node of `plan` (insert) or, when
+  /// `plan` is empty, to soft backing (erase); each node above to the node
+  /// below it.
   void recommit_path(const std::vector<std::uint32_t>& digits,
-                     std::uint32_t depth, const Bytes& child_digest);
+                     std::uint32_t depth, std::vector<PlanNode>& plan) const;
+
+  /// Commits every node of `plan`. Pass 1, one parallel_for over all
+  /// nodes: leaves hard-commit, inner nodes resolve their soft backing and
+  /// draft their commitment. Pass 2, level by level from the deepest: each
+  /// inner node binds its children's digests. Then the nodes, new backing
+  /// nodes (in plan order) and the root commitment are published. Plan
+  /// nodes are distinct trie nodes, and no container is written before
+  /// both passes joined, so the passes share no mutable state.
+  void commit_plan(std::vector<PlanNode>& plan);
+
+  /// Fills the empty slots of the inner `node` outside its children with
+  /// soft-backing digests: an existing backing node's, or a new one's,
+  /// which is kept in node.new_backings for commit_plan to publish.
+  void back_absent_children(PlanNode& node) const;
 
   // Computes a soft node whose *node depth* is `depth` (leaf iff ==
   // height), drawing its randomness from `rng`; returns (node, digest).
   // Pure crypto that touches no container, so it runs in parallel; callers
-  // append the node to soft_nodes_ themselves, under state_mu_.
+  // append the node to soft_nodes_ themselves.
   std::pair<SoftNode, Bytes> soft_node(std::uint32_t depth,
                                        RandomSource& rng) const;
 
@@ -178,10 +202,9 @@ class EdbProver {
   /// recommits of the same prefix get fresh randomness.
   Bytes node_seed(char role, std::string_view id) const;
 
-  /// Commits `messages` at the inner node `prefix` with the right
-  /// randomness source (seeded DRBG or CSPRNG) and records it. Returns the
-  /// node digest. Thread safe.
-  Bytes commit_inner(const std::string& prefix, std::vector<Bytes> messages);
+  /// The randomness for the node (role, id): a DRBG on node_seed when
+  /// seeded, else the CSPRNG.
+  std::unique_ptr<RandomSource> node_rng(char role, std::string_view id) const;
 
   static std::string child_prefix(const std::string& prefix,
                                   std::uint32_t digit);
@@ -193,16 +216,10 @@ class EdbProver {
   std::uint64_t epoch_ = 0;
   // Names fabricated soft nodes in seeded mode (role 'f').
   std::uint64_t fabrication_counter_ = 0;
-  // Serializes map/deque mutations during the parallel build. Never held
-  // while doing modular exponentiations. The containers below deliberately
-  // carry no DESWORD_GUARDED_BY: they are phase-disciplined, not
-  // lock-disciplined — shared (and locked) only while build() fans out
-  // over the pool, then read lock-free on the prove/update paths, whose
-  // per-level fan-outs only read them (proofs mutate the soft-node store
-  // serially, after the fan-out joined). That phase split is outside the
-  // capability model; the parallel phases are covered dynamically by
-  // parallel_edb_test under TSan.
-  mutable Mutex state_mu_;
+  // The containers below are written only on the calling thread: commit
+  // passes and proof fan-outs read them, and their results are published
+  // after the fan-out joined. Parallel phases are covered dynamically by
+  // parallel_edb_test and zkedb_update_test under TSan.
   // Trie nodes addressed by digit-prefix strings (one byte per digit).
   std::map<std::string, InnerNode> inner_;
   std::map<std::string, LeafNode> leaves_;

@@ -153,6 +153,43 @@ TEST_F(QtmcBatchTest, BisectionPinpointsSingleCorruptedUnitOf64) {
   }
 }
 
+// Units that open one commitment share its C0 and C1, so the fold merges
+// those RHS values (and the repeated CRS bases) into one exponent each. The
+// merged fold still accepts the honest pair, and a tampered third unit is
+// pinpointed on the fixed schedule: the failing 3-unit fold splits into
+// [0] and [1, 2], and [1, 2] into [1] and [2] — 5 folds, 2 bisections.
+TEST_F(QtmcBatchTest, UnitsSharingACommitmentMergeAndStillPinpoint) {
+  const auto [com, dec] = scheme_->hard_commit(make_messages(4));
+  const auto folds = [] {
+    return obs::metric("crypto.batch_verify.folds").value();
+  };
+  const auto bisections = [] {
+    return obs::metric("crypto.batch_verify.bisect_steps").value();
+  };
+  BatchVerifier bv(*scheme_);
+  for (const std::uint32_t pos : {0u, 2u}) {
+    bv.begin_unit();
+    ASSERT_TRUE(bv.add_open(com, scheme_->hard_open(dec, pos)));
+  }
+  std::uint64_t folds_before = folds();
+  std::uint64_t bisections_before = bisections();
+  EXPECT_TRUE(bv.verify().all_ok);
+  EXPECT_EQ(folds() - folds_before, 1u);
+  EXPECT_EQ(bisections() - bisections_before, 0u);
+
+  QtmcOpening bad = scheme_->hard_open(dec, 3);
+  bad.message = msg16(777);
+  bv.begin_unit();
+  ASSERT_TRUE(bv.add_open(com, bad));
+  folds_before = folds();
+  bisections_before = bisections();
+  const auto res = bv.verify();
+  EXPECT_FALSE(res.all_ok);
+  EXPECT_EQ(res.unit_ok, (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(folds() - folds_before, 5u);
+  EXPECT_EQ(bisections() - bisections_before, 2u);
+}
+
 // Equations are compared in Z_N*/{±1} and proof elements must be the
 // canonical representative min(x, N−x): replacing Λ by N−Λ (same quotient
 // element, non-canonical encoding, coprimality-invisible since

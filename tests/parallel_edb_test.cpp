@@ -364,12 +364,12 @@ INSTANTIATE_TEST_SUITE_P(SoftModes, ParallelEdbTest,
 
 // A CRS fixed down to its last byte (RSA-512 modulus, bases, prime seed,
 // TMC base), so a seeded prover's output is a constant.
-EdbCrsPtr fixed_crs() {
+EdbCrsPtr fixed_crs(SoftMode mode = SoftMode::kShared) {
   EdbPublicParams params;
   params.q = 4;
   params.height = 8;
   params.group_name = "p256";
-  params.soft_mode = SoftMode::kShared;
+  params.soft_mode = mode;
   const GroupPtr group = group_by_name(params.group_name);
   params.tmc_pk = mercurial::TmcPublicKey{
       group->generator(), group->exp_g(Bignum::from_hex("5eed7a3c"))};
@@ -404,6 +404,45 @@ TEST(SeededProverGoldenTest, CommitmentAndMembershipProofArePinned) {
   EXPECT_EQ(digest(), kGolden) << "without fixed-base tables";
   crs->qtmc().precompute_fixed_bases(/*position_bases=*/true);
   EXPECT_EQ(digest(), kGolden) << "with fixed-base tables";
+}
+
+// Pins the update path the same way: a seeded prover's commitment after
+// each step of an insert/erase sequence, then one membership proof. The
+// sequence grows a fresh branch, prunes one, regrows it where the earlier
+// build left soft backing behind, and erases back down to soft backing.
+TEST(SeededProverGoldenTest, InsertEraseSequenceIsPinned) {
+  const std::map<SoftMode, const char*> golden{
+      {SoftMode::kShared,
+       "91a8196c0c1580304ccb8d226bf9884636d500bd684a7803859b02492d0025fe"},
+      {SoftMode::kPerChild,
+       "3b3098b577833f250c67b797e0c43ebfaec4116dee7a09f189cc73941f59c175"}};
+  for (const auto& [mode, expected] : golden) {
+    const EdbCrsPtr crs = fixed_crs(mode);
+    const auto entries = test_entries(*crs, 12);
+    const EdbKey late = key_of(*crs, "late-arrival");
+    const EdbKey first = key_of(*crs, "prod-0");
+    const auto digest = [&](unsigned threads) {
+      EdbProver prover(crs, entries, seeded(threads));
+      Bytes transcript;
+      const auto step = [&] { append(transcript, prover.commitment_bytes()); };
+      prover.insert(late, bytes_of("late"));
+      step();
+      prover.erase(first);
+      step();
+      prover.insert(first, bytes_of("back"));
+      step();
+      prover.erase(late);
+      step();
+      append(transcript, prover.prove_membership(first).serialize(*crs));
+      return to_hex(sha256(transcript));
+    };
+    for (const unsigned threads : {1u, 4u}) {
+      EXPECT_EQ(digest(threads), expected)
+          << "without fixed-base tables, threads=" << threads;
+    }
+    crs->qtmc().precompute_fixed_bases(/*position_bases=*/true);
+    EXPECT_EQ(digest(4), expected) << "with fixed-base tables";
+  }
 }
 
 }  // namespace

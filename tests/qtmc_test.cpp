@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "crypto/hash.h"
 #include "crypto/primes.h"
@@ -376,6 +377,99 @@ TEST_P(QtmcTest, ProverMatchesReferenceWithTables) {
   scheme_->precompute_fixed_bases(/*position_bases=*/true);
   ASSERT_NE(scheme_->fixed_base_tables_id(), nullptr);
   expect_matches_reference(*scheme_, Reference(keys_.pk));
+}
+
+// hard_commit_draft + hard_commit_bind against the one-shot commitment and
+// the textbook C0 = h̃^z·∏ S_i^{m_i}·C1^{r0}, on the layouts a ZK-EDB commit
+// produces and the m* choices they force: whichever positions are pending,
+// the commitment and decommitment equal hard_commit's under the same
+// randomness.
+void expect_draft_bind_matches_textbook(const QtmcScheme& scheme,
+                                        const Reference& ref) {
+  const std::uint32_t q = scheme.arity();
+  const Bignum& n = scheme.public_key().n;
+  const Bytes backing = msg16(600);
+  std::vector<Bytes> trie(q, backing);
+  trie[q / 2] = msg16(601);
+  std::vector<Bytes> tie(q, msg16(602));
+  for (std::uint32_t i = 0; i < q / 2; ++i) tie[i] = msg16(603);
+  std::vector<Bytes> one_absent = make_messages(q);
+  one_absent[0] = backing;
+  std::vector<std::uint32_t> all;
+  std::vector<std::uint32_t> evens;
+  std::vector<std::uint32_t> all_but_first;
+  for (std::uint32_t i = 0; i < q; ++i) {
+    all.push_back(i);
+    if (i % 2 == 0) evens.push_back(i);
+    if (i > 0) all_but_first.push_back(i);
+  }
+  struct Shape {
+    std::string name;
+    std::vector<Bytes> messages;
+    std::vector<std::uint32_t> pending;
+  };
+  const std::vector<Shape> shapes{
+      {"trie", trie, {q / 2}},
+      {"trie, nothing pending", trie, {}},
+      {"trie, all pending", trie, all},
+      {"distinct, all pending", make_messages(q), all},
+      {"distinct, evens pending", make_messages(q), evens},
+      {"null", std::vector<Bytes>(q, null_message()), {0}},
+      {"mode tie", tie, {}},
+      {"mode tie, last pending", tie, {q - 1}},
+      {"one absent child", one_absent, all_but_first}};
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    const Bytes seed = bytes_of("qtmc-draft-" + shape.name);
+    DrbgRandomSource one_shot_rng(seed);
+    const auto [com, dec] = scheme.hard_commit(shape.messages, one_shot_rng);
+    EXPECT_EQ(com.c0, scheme.canonical(ref.c0(dec, com.c1)));
+
+    // Pending entries are ignored by the draft: clear them to prove it.
+    std::vector<Bytes> known = shape.messages;
+    std::vector<Bytes> late;
+    for (const std::uint32_t pos : shape.pending) {
+      late.push_back(shape.messages[pos]);
+      known[pos].clear();
+    }
+    DrbgRandomSource rng(seed);
+    const auto [bound, bound_dec] = scheme.hard_commit_bind(
+        scheme.hard_commit_draft(known, shape.pending, rng), late);
+    EXPECT_EQ(bound.c1, scheme.canonical(Bignum::mod_exp(
+                            scheme.public_key().h, bound_dec.r1, n)));
+    EXPECT_EQ(bound.c0, scheme.canonical(ref.c0(bound_dec, bound.c1)));
+    EXPECT_EQ(bound, com);
+    EXPECT_EQ(bound_dec.messages, dec.messages);
+    EXPECT_EQ(bound_dec.z, dec.z);
+    EXPECT_EQ(bound_dec.r0, dec.r0);
+    EXPECT_EQ(bound_dec.r1, dec.r1);
+    for (std::uint32_t i = 0; i < q; ++i) {
+      const BytesView m = bound_dec.message(i);
+      EXPECT_EQ(Bytes(m.begin(), m.end()), shape.messages[i]) << "pos " << i;
+    }
+  }
+}
+
+TEST_P(QtmcTest, DraftThenBindMatchesTextbookWithoutTables) {
+  expect_draft_bind_matches_textbook(*scheme_, Reference(keys_.pk));
+}
+
+TEST_P(QtmcTest, DraftThenBindMatchesTextbookWithTables) {
+  scheme_->precompute_fixed_bases(/*position_bases=*/true);
+  ASSERT_NE(scheme_->fixed_base_tables_id(), nullptr);
+  expect_draft_bind_matches_textbook(*scheme_, Reference(keys_.pk));
+}
+
+TEST_P(QtmcTest, DraftAndBindRejectMalformedPositions) {
+  const auto msgs = make_messages(q_);
+  DrbgRandomSource rng(bytes_of("qtmc-draft-malformed"));
+  EXPECT_THROW(scheme_->hard_commit_draft(msgs, {q_}, rng), CryptoError);
+  EXPECT_THROW(scheme_->hard_commit_draft(msgs, {0, 0}, rng), CryptoError);
+  const QtmcCommitDraft draft = scheme_->hard_commit_draft(msgs, {0}, rng);
+  EXPECT_THROW(scheme_->hard_commit_bind(draft, {}), CryptoError);
+  EXPECT_THROW(scheme_->hard_commit_bind(draft, {msgs[0], msgs[0]}),
+               CryptoError);
+  EXPECT_THROW(scheme_->hard_commit_bind(draft, {Bytes(3, 0)}), CryptoError);
 }
 
 // One opening checked by verify_open and by a one-unit fold.
