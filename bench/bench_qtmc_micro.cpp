@@ -11,6 +11,9 @@
 //              deployment builds).
 //   MultiExp:  one single-threaded ModExpContext::multi_exp at the shapes
 //              a membership fold evaluates (bases × exponent bits).
+//   MontMul, FixedBaseExp: one Montgomery product, and one fixed-base power
+//              at the S_i (256-bit) and g (2440-bit, q = 16) widths, on
+//              each ModExpContext backend (OpenSSL BN, AVX-512 IFMA).
 //
 // The paper runs the pairing-based Libert–Yung scheme on jPBC; this build
 // runs the strong-RSA instantiation (DESIGN.md §2), so absolute numbers
@@ -23,6 +26,7 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "crypto/modexp.h"
+#include "crypto/mont_ifma.h"
 
 namespace {
 
@@ -171,7 +175,68 @@ void BM_MultiExp(benchmark::State& state, std::size_t n, int bits) {
   }
 }
 
+using Backend = desword::ModExpContext::Backend;
+
+/// A chain of Montgomery products x ← x·y at the benchmark modulus, each
+/// waiting on the one before: OpenSSL's BN_mod_mul_montgomery (through
+/// ModExpContext::mont_mul_into), or the IFMA kernel on its limb arrays.
+void BM_MontMul(benchmark::State& state, Backend backend) {
+  const desword::Bignum& n = qtmc_for(8).modexp_context().modulus();
+  if (!desword::ModExpContext::available(backend, n)) {
+    state.SkipWithError("AVX-512 IFMA unavailable on this CPU");
+    return;
+  }
+  const desword::Bignum x = desword::Bignum::rand_range(n);
+  const desword::Bignum y = desword::Bignum::rand_range(n);
+  if (backend == Backend::kIfma) {
+    const auto m = desword::IfmaMontgomery::create(n);
+    desword::LimbBuffer acc(m->limbs());
+    desword::LimbBuffer mul(m->limbs());
+    m->to_mont(acc.data(), x);
+    m->to_mont(mul.data(), y);
+    for (auto _ : state) {
+      m->mul(acc.data(), acc.data(), mul.data());
+      benchmark::DoNotOptimize(acc.data());
+    }
+    return;
+  }
+  const desword::ModExpContext ctx(n, Backend::kBn);
+  desword::Bignum acc = x;
+  for (auto _ : state) {
+    ctx.mont_mul_into(acc, y);
+    benchmark::DoNotOptimize(acc.raw());
+  }
+}
+
+/// One fixed-base power through a 4-bit table at `bits`-bit exponents.
+void BM_FixedBaseExp(benchmark::State& state, Backend backend, int bits) {
+  const desword::Bignum& n = qtmc_for(8).modexp_context().modulus();
+  if (!desword::ModExpContext::available(backend, n)) {
+    state.SkipWithError("AVX-512 IFMA unavailable on this CPU");
+    return;
+  }
+  const desword::ModExpContext ctx(n, backend);
+  const auto table = ctx.precompute(desword::Bignum::rand_range(n), bits);
+  std::vector<desword::Bignum> exps;
+  for (int i = 0; i < 16; ++i) exps.push_back(desword::Bignum::rand_bits(bits));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.exp(table, exps[i++ % exps.size()]));
+  }
+}
+
 void register_all() {
+  for (const Backend backend : {Backend::kBn, Backend::kIfma}) {
+    const std::string name = desword::ModExpContext::backend_name(backend);
+    benchmark::RegisterBenchmark(("MontMul/" + name).c_str(), BM_MontMul,
+                                 backend);
+    for (const int bits : {256, 2440}) {
+      benchmark::RegisterBenchmark(
+          ("FixedBaseExp/" + std::to_string(bits) + "/" + name).c_str(),
+          BM_FixedBaseExp, backend, bits)
+          ->Unit(benchmark::kMicrosecond);
+    }
+  }
   for (const auto& [n, bits] : std::vector<std::pair<std::size_t, int>>{
            {47, 264}, {64, 128}, {80, 384}}) {
     benchmark::RegisterBenchmark(

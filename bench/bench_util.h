@@ -147,6 +147,11 @@ class JsonLineReporter final : public benchmark::ConsoleReporter {
     benchmark::ConsoleReporter::ReportRuns(reports);
     for (const Run& run : reports) {
       if (run.error_occurred || run.iterations == 0) continue;
+      // A repeated case's coefficient of variation is a ratio, not a time.
+      if (run.run_type == Run::RT_Aggregate &&
+          run.aggregate_unit == benchmark::kPercentage) {
+        continue;
+      }
       const double ns_per_op = run.real_accumulated_time /
                                static_cast<double>(run.iterations) * 1e9;
       // Flatten user counters with rate semantics already applied, the

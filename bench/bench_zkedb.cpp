@@ -193,10 +193,14 @@ void register_all() {
   if (hw > 1) proof_threads.push_back(hw);
   for (const long n : sizes) {
     for (const long t : thread_counts) {
+      // Five repetitions: one two-iteration sample is too noisy to decide
+      // a cell, so the record keeps their mean, median and spread.
       benchmark::RegisterBenchmark("ZkEdb/Commit", BM_Commit)
           ->Args({n, t})
           ->Unit(benchmark::kMillisecond)
-          ->Iterations(2);
+          ->Iterations(2)
+          ->Repetitions(5)
+          ->ReportAggregatesOnly(true);
     }
     // Per-proof fan-out: threads = 1 is the sequential anchor.
     for (const long t : proof_threads) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -40,153 +41,6 @@ BN_CTX* scratch() {
 
 }  // namespace
 
-ModExpContext::ModExpContext(const Bignum& modulus)
-    : modulus_(modulus), mont_(BN_MONT_CTX_new()) {
-  if (!modulus.is_odd() || modulus <= Bignum(1)) {
-    BN_MONT_CTX_free(mont_);
-    throw CryptoError("ModExpContext requires an odd modulus > 1");
-  }
-  if (mont_ == nullptr ||
-      BN_MONT_CTX_set(mont_, modulus_.raw(), scratch()) != 1) {
-    BN_MONT_CTX_free(mont_);
-    throw CryptoError("BN_MONT_CTX_set failed");
-  }
-}
-
-ModExpContext::~ModExpContext() { BN_MONT_CTX_free(mont_); }
-
-Bignum ModExpContext::exp(const Bignum& base, const Bignum& exponent) const {
-  if (exponent.is_negative()) {
-    throw CryptoError("ModExpContext::exp: negative exponent");
-  }
-  modexp_calls().add();
-  Bignum out;
-  // Reduce the base first: BN_mod_exp_mont requires base < modulus.
-  const Bignum reduced = base.mod(modulus_);
-  if (BN_mod_exp_mont(out.raw(), reduced.raw(), exponent.raw(),
-                      modulus_.raw(), scratch(), mont_) != 1) {
-    throw CryptoError("BN_mod_exp_mont failed");
-  }
-  return out;
-}
-
-Bignum ModExpContext::exp_signed(const Bignum& base,
-                                 const Bignum& exponent) const {
-  if (!exponent.is_negative()) return exp(base, exponent);
-  return Bignum::mod_inverse(exp(base, exponent.negated()), modulus_);
-}
-
-ModExpContext::FixedBaseTable ModExpContext::precompute(const Bignum& base,
-                                                        int max_bits,
-                                                        int window) const {
-  if (max_bits <= 0) {
-    throw CryptoError("ModExpContext::precompute: max_bits must be > 0");
-  }
-  if (window < 1 || window > 8) {
-    throw CryptoError("ModExpContext::precompute: window out of [1, 8]");
-  }
-  FixedBaseTable t;
-  t.base_ = base.mod(modulus_);
-  t.window_ = window;
-  t.max_bits_ = max_bits;
-  t.row_ = (std::size_t{1} << window) - 1;
-  const int blocks = (max_bits + window - 1) / window;
-  t.table_.resize(static_cast<std::size_t>(blocks) * t.row_);
-
-  BN_CTX* ctx = scratch();
-  // cur = base^(2^{w·j}) in Montgomery form, advanced block by block.
-  Bignum cur;
-  if (BN_to_montgomery(cur.raw(), t.base_.raw(), mont_, ctx) != 1) {
-    throw CryptoError("BN_to_montgomery failed");
-  }
-  for (int j = 0; j < blocks; ++j) {
-    Bignum* row = &t.table_[static_cast<std::size_t>(j) * t.row_];
-    row[0] = cur;
-    for (std::size_t k = 2; k <= t.row_; ++k) {
-      // row[k-1] = base^(k·2^{wj}) = row[k-2] · cur.
-      if (BN_mod_mul_montgomery(row[k - 1].raw(), row[k - 2].raw(), cur.raw(),
-                                mont_, ctx) != 1) {
-        throw CryptoError("BN_mod_mul_montgomery failed");
-      }
-    }
-    if (j + 1 < blocks) {
-      for (int s = 0; s < window; ++s) {
-        if (BN_mod_mul_montgomery(cur.raw(), cur.raw(), cur.raw(), mont_,
-                                  ctx) != 1) {
-          throw CryptoError("BN_mod_mul_montgomery failed");
-        }
-      }
-    }
-  }
-  return t;
-}
-
-Bignum ModExpContext::exp(const FixedBaseTable& table,
-                          const Bignum& exponent) const {
-  if (exponent.is_negative()) {
-    throw CryptoError("ModExpContext::exp: negative exponent");
-  }
-  if (exponent.bits() > table.max_bits_) {
-    return exp(table.base_, exponent);  // oversized: plain path (counted there)
-  }
-  modexp_calls().add();
-  fixed_base_hits().add();
-  if (exponent.is_zero()) return Bignum(1);
-
-  BN_CTX* ctx = scratch();
-  const int window = table.window_;
-  const int blocks = (exponent.bits() + window - 1) / window;
-  Bignum acc;
-  bool have_acc = false;
-  for (int j = 0; j < blocks; ++j) {
-    unsigned digit = 0;
-    for (int b = 0; b < window; ++b) {
-      if (BN_is_bit_set(exponent.raw(), j * window + b)) digit |= 1u << b;
-    }
-    if (digit == 0) continue;
-    const Bignum& entry =
-        table.table_[static_cast<std::size_t>(j) * table.row_ + (digit - 1)];
-    if (!have_acc) {
-      acc = entry;
-      have_acc = true;
-      continue;
-    }
-    if (BN_mod_mul_montgomery(acc.raw(), acc.raw(), entry.raw(), mont_,
-                              ctx) != 1) {
-      throw CryptoError("BN_mod_mul_montgomery failed");
-    }
-  }
-  Bignum out;
-  if (BN_from_montgomery(out.raw(), acc.raw(), mont_, ctx) != 1) {
-    throw CryptoError("BN_from_montgomery failed");
-  }
-  return out;
-}
-
-Bignum ModExpContext::exp_signed(const FixedBaseTable& table,
-                                 const Bignum& exponent) const {
-  if (!exponent.is_negative()) return exp(table, exponent);
-  return Bignum::mod_inverse(exp(table, exponent.negated()), modulus_);
-}
-
-void ModExpContext::mont_mul_into(Bignum& acc, const Bignum& x) const {
-  // BN_mod_mul_montgomery wants both operands in [0, N); acc stays there.
-  Bignum reduced;
-  const BIGNUM* y = x.raw();
-  if (x.is_negative() || x >= modulus_) {
-    reduced = x.mod(modulus_);
-    y = reduced.raw();
-  }
-  if (BN_mod_mul_montgomery(acc.raw(), acc.raw(), y, mont_, scratch()) != 1) {
-    throw CryptoError("BN_mod_mul_montgomery failed");
-  }
-}
-
-bool ModExpContext::coprime(const Bignum& x) const {
-  const int symbol = BN_kronecker(x.raw(), modulus_.raw(), scratch());
-  if (symbol == -2) throw CryptoError("BN_kronecker failed");
-  return symbol != 0;
-}
 
 namespace {
 
@@ -197,6 +51,123 @@ unsigned window_digit(const BIGNUM* e, int j, int window) {
     if (BN_is_bit_set(e, j * window + b)) digit |= 1u << b;
   }
   return digit;
+}
+
+// The Montgomery-arithmetic interface the algorithms below are written
+// over. A backend provides a buffer of residues (`Buf`), handles to one
+// residue (`Ref`, `CRef`), and to_mont / mul / copy / from_mont. `mul` may
+// alias its output with either input; residues between to_mont and
+// from_mont are only ever fed back into mul.
+
+/// OpenSSL's Montgomery product: one BIGNUM per residue, R = 2^{64·words}.
+class BnArith {
+ public:
+  using Buf = std::vector<Bignum>;
+  using Ref = Bignum*;
+  using CRef = const Bignum*;
+
+  explicit BnArith(BN_MONT_CTX* mont) : mont_(mont), ctx_(scratch()) {}
+
+  static Buf alloc(std::size_t count) { return Buf(count); }
+  static Ref at(Buf& buf, std::size_t i) { return &buf[i]; }
+  static CRef at(const Buf& buf, std::size_t i) { return &buf[i]; }
+  static void copy(Ref r, CRef a) { *r = *a; }
+
+  /// r ← x in Montgomery form, for x in [0, N).
+  void to_mont(Ref r, const Bignum& x) const {
+    if (BN_to_montgomery(r->raw(), x.raw(), mont_, ctx_) != 1) {
+      throw CryptoError("BN_to_montgomery failed");
+    }
+  }
+  void mul(Ref r, CRef a, CRef b) const {
+    if (BN_mod_mul_montgomery(r->raw(), a->raw(), b->raw(), mont_, ctx_) !=
+        1) {
+      throw CryptoError("BN_mod_mul_montgomery failed");
+    }
+  }
+  Bignum from_mont(CRef a) const {
+    Bignum out;
+    if (BN_from_montgomery(out.raw(), a->raw(), mont_, ctx_) != 1) {
+      throw CryptoError("BN_from_montgomery failed");
+    }
+    return out;
+  }
+
+ private:
+  BN_MONT_CTX* mont_;
+  BN_CTX* ctx_;
+};
+
+/// The AVX-512 IFMA product: L limbs per residue in one flat aligned
+/// array, R = 2^{52·L}.
+class IfmaArith {
+ public:
+  using Buf = LimbBuffer;
+  using Ref = std::uint64_t*;
+  using CRef = const std::uint64_t*;
+
+  explicit IfmaArith(const IfmaMontgomery& m) : m_(m), limbs_(m.limbs()) {}
+
+  Buf alloc(std::size_t count) const { return LimbBuffer(count * limbs_); }
+  Ref at(Buf& buf, std::size_t i) const { return buf.data() + i * limbs_; }
+  CRef at(const Buf& buf, std::size_t i) const {
+    return buf.data() + i * limbs_;
+  }
+  void copy(Ref r, CRef a) const { std::copy_n(a, limbs_, r); }
+
+  void to_mont(Ref r, const Bignum& x) const { m_.to_mont(r, x); }
+  void mul(Ref r, CRef a, CRef b) const { m_.mul(r, a, b); }
+  Bignum from_mont(CRef a) const { return m_.from_mont(a); }
+
+ private:
+  const IfmaMontgomery& m_;
+  std::size_t limbs_;
+};
+
+/// Fixed-base rows: entry [j][k−1] = base^(k·2^{wj}) for k in [1, 2^w).
+template <class A>
+typename A::Buf fixed_base_rows(const A& ar, const Bignum& reduced_base,
+                                int blocks, int window, std::size_t row) {
+  typename A::Buf table = ar.alloc(static_cast<std::size_t>(blocks) * row);
+  // cur = base^(2^{w·j}), advanced block by block.
+  typename A::Buf cur = ar.alloc(1);
+  const auto c = ar.at(cur, 0);
+  ar.to_mont(c, reduced_base);
+  for (int j = 0; j < blocks; ++j) {
+    const std::size_t first = static_cast<std::size_t>(j) * row;
+    ar.copy(ar.at(table, first), c);
+    for (std::size_t k = 2; k <= row; ++k) {
+      // [j][k−1] = [j][k−2] · cur.
+      ar.mul(ar.at(table, first + k - 1), ar.at(table, first + k - 2), c);
+    }
+    if (j + 1 < blocks) {
+      for (int s = 0; s < window; ++s) ar.mul(c, c, c);
+    }
+  }
+  return table;
+}
+
+/// base^e from the rows: one product per non-zero w-bit digit of e > 0.
+template <class A>
+Bignum fixed_base_exp(const A& ar, const typename A::Buf& table,
+                      std::size_t row, int window, const Bignum& e) {
+  const int blocks = (e.bits() + window - 1) / window;
+  typename A::Buf acc_buf = ar.alloc(1);
+  const auto acc = ar.at(acc_buf, 0);
+  typename A::CRef so_far = nullptr;  // the first entry, until a product
+  for (int j = 0; j < blocks; ++j) {
+    const unsigned digit = window_digit(e.raw(), j, window);
+    if (digit == 0) continue;
+    const auto entry =
+        ar.at(table, static_cast<std::size_t>(j) * row + (digit - 1));
+    if (so_far == nullptr) {
+      so_far = entry;
+      continue;
+    }
+    ar.mul(acc, so_far, entry);
+    so_far = acc;
+  }
+  return ar.from_mont(so_far);
 }
 
 /// Sliding-window recoding of `e` at width w, scanned from the top bit:
@@ -242,7 +213,265 @@ double pippenger_cost(std::size_t n, int bits, int w) {
   return nd + bits + blocks * (nd + 2.0 * static_cast<double>((1 << w) - 1));
 }
 
+using Terms = std::vector<const ModExpContext::ExpTerm*>;
+
+/// Sliding-window Straus: per-base odd-power tables and one shared
+/// squaring chain over the widest exponent.
+template <class A>
+Bignum multi_exp_straus(const A& ar, const Bignum& modulus,
+                        const Terms& terms, int max_bits, int window) {
+  const std::size_t n = terms.size();
+  const std::size_t row = std::size_t{1} << (window - 1);
+  // Per-base odd-power tables: table[i][k] = base_i^{2k+1} (Montgomery).
+  typename A::Buf table = ar.alloc(n * row);
+  typename A::Buf temps = ar.alloc(2);
+  const auto square = ar.at(temps, 0);
+  const auto acc = ar.at(temps, 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto t0 = ar.at(table, i * row);
+    ar.to_mont(t0, terms[i]->base.mod(modulus));
+    if (row == 1) continue;
+    ar.mul(square, t0, t0);
+    for (std::size_t k = 1; k < row; ++k) {
+      ar.mul(ar.at(table, i * row + k), ar.at(table, i * row + k - 1),
+             square);
+    }
+  }
+
+  // digits[b·n + i]: the odd window of exponent i that ends at bit b, or 0.
+  // Bit-major, so the chain's scan over one bit reads a contiguous row.
+  std::vector<std::uint8_t> digits(static_cast<std::size_t>(max_bits) * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sliding_digits(terms[i]->exponent.raw(), window, &digits[i], n);
+  }
+
+  // One squaring chain over the widest exponent, all bases interleaved:
+  // each window multiplies in at its lowest set bit.
+  bool have_acc = false;
+  for (int b = max_bits - 1; b >= 0; --b) {
+    if (have_acc) ar.mul(acc, acc, acc);
+    const std::uint8_t* at = &digits[static_cast<std::size_t>(b) * n];
+    for (std::size_t i = 0; i < n; ++i) {
+      if (at[i] == 0) continue;
+      const auto entry = ar.at(table, i * row + (at[i] >> 1));
+      if (!have_acc) {
+        ar.copy(acc, entry);
+        have_acc = true;
+        continue;
+      }
+      ar.mul(acc, acc, entry);
+    }
+  }
+  if (!have_acc) return Bignum(1);  // unreachable: exponents are non-zero
+  return ar.from_mont(acc);
+}
+
+/// Pippenger: per-window digit buckets, collapsed by suffix products.
+template <class A>
+Bignum multi_exp_pippenger(const A& ar, const Bignum& modulus,
+                           const Terms& terms, int max_bits, int window) {
+  // Montgomery form of each base, converted once.
+  typename A::Buf bases = ar.alloc(terms.size());
+  for (std::size_t i = 0; i < terms.size(); ++i) {
+    ar.to_mont(ar.at(bases, i), terms[i]->base.mod(modulus));
+  }
+
+  const std::size_t buckets = (std::size_t{1} << window) - 1;
+  typename A::Buf bucket = ar.alloc(buckets);
+  std::vector<bool> bucket_set(buckets);
+  typename A::Buf temps = ar.alloc(3);
+  const auto acc = ar.at(temps, 0);
+  const auto suffix = ar.at(temps, 1);
+  const auto window_sum = ar.at(temps, 2);
+  const int blocks = (max_bits + window - 1) / window;
+  bool have_acc = false;
+  for (int j = blocks - 1; j >= 0; --j) {
+    if (have_acc) {
+      for (int s = 0; s < window; ++s) ar.mul(acc, acc, acc);
+    }
+    // bucket[d-1] = product of every base whose j-th window digit is d.
+    std::fill(bucket_set.begin(), bucket_set.end(), false);
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      const unsigned digit = window_digit(terms[i]->exponent.raw(), j, window);
+      if (digit == 0) continue;
+      const auto b = ar.at(bucket, digit - 1);
+      if (!bucket_set[digit - 1]) {
+        ar.copy(b, ar.at(bases, i));
+        bucket_set[digit - 1] = true;
+      } else {
+        ar.mul(b, b, ar.at(bases, i));
+      }
+    }
+    // ∑ d·bucket[d] via running suffix products: S = ∏_{k>=d} bucket[k],
+    // T = ∏_d S_d = ∏_d bucket[d]^d, both with plain multiplies.
+    bool have_suffix = false;
+    bool have_sum = false;
+    for (std::size_t d = buckets; d >= 1; --d) {
+      if (bucket_set[d - 1]) {
+        if (!have_suffix) {
+          ar.copy(suffix, ar.at(bucket, d - 1));
+          have_suffix = true;
+        } else {
+          ar.mul(suffix, suffix, ar.at(bucket, d - 1));
+        }
+      }
+      if (have_suffix) {
+        if (!have_sum) {
+          ar.copy(window_sum, suffix);
+          have_sum = true;
+        } else {
+          ar.mul(window_sum, window_sum, suffix);
+        }
+      }
+    }
+    if (have_sum) {
+      if (!have_acc) {
+        ar.copy(acc, window_sum);
+        have_acc = true;
+      } else {
+        ar.mul(acc, acc, window_sum);
+      }
+    }
+  }
+  if (!have_acc) return Bignum(1);  // unreachable: exponents are non-zero
+  return ar.from_mont(acc);
+}
+
 }  // namespace
+
+template <class F>
+decltype(auto) ModExpContext::with_arith(F&& f) const {
+  if (ifma_) return f(IfmaArith(*ifma_));
+  return f(BnArith(mont_.get()));
+}
+
+bool ModExpContext::available(Backend backend, const Bignum& modulus) {
+  return backend == Backend::kBn || (IfmaMontgomery::cpu_supported() &&
+                                     IfmaMontgomery::zmm_for(modulus) != 0);
+}
+
+const char* ModExpContext::backend_name(Backend backend) {
+  return backend == Backend::kIfma ? "ifma" : "bn";
+}
+
+ModExpContext::ModExpContext(const Bignum& modulus)
+    : ModExpContext(modulus, available(Backend::kIfma, modulus)
+                                 ? Backend::kIfma
+                                 : Backend::kBn) {}
+
+ModExpContext::ModExpContext(const Bignum& modulus, Backend backend)
+    : modulus_(modulus) {
+  if (!modulus.is_odd() || modulus <= Bignum(1)) {
+    throw CryptoError("ModExpContext requires an odd modulus > 1");
+  }
+  mont_.reset(BN_MONT_CTX_new());
+  if (mont_ == nullptr ||
+      BN_MONT_CTX_set(mont_.get(), modulus_.raw(), scratch()) != 1) {
+    throw CryptoError("BN_MONT_CTX_set failed");
+  }
+  if (backend == Backend::kIfma) {
+    ifma_ = IfmaMontgomery::create(modulus_);
+    if (ifma_ == nullptr) {
+      throw CryptoError(
+          "ModExpContext: the AVX-512 IFMA backend is not available for "
+          "this CPU or modulus");
+    }
+  }
+}
+
+ModExpContext::~ModExpContext() = default;
+
+void ModExpContext::MontFree::operator()(BN_MONT_CTX* m) const {
+  BN_MONT_CTX_free(m);
+}
+
+Bignum ModExpContext::exp(const Bignum& base, const Bignum& exponent) const {
+  if (exponent.is_negative()) {
+    throw CryptoError("ModExpContext::exp: negative exponent");
+  }
+  modexp_calls().add();
+  Bignum out;
+  // Reduce the base first: BN_mod_exp_mont requires base < modulus.
+  const Bignum reduced = base.mod(modulus_);
+  if (BN_mod_exp_mont(out.raw(), reduced.raw(), exponent.raw(),
+                      modulus_.raw(), scratch(), mont_.get()) != 1) {
+    throw CryptoError("BN_mod_exp_mont failed");
+  }
+  return out;
+}
+
+Bignum ModExpContext::exp_signed(const Bignum& base,
+                                 const Bignum& exponent) const {
+  if (!exponent.is_negative()) return exp(base, exponent);
+  return Bignum::mod_inverse(exp(base, exponent.negated()), modulus_);
+}
+
+ModExpContext::FixedBaseTable ModExpContext::precompute(const Bignum& base,
+                                                        int max_bits,
+                                                        int window) const {
+  if (max_bits <= 0) {
+    throw CryptoError("ModExpContext::precompute: max_bits must be > 0");
+  }
+  if (window < 1 || window > 8) {
+    throw CryptoError("ModExpContext::precompute: window out of [1, 8]");
+  }
+  FixedBaseTable t;
+  t.base_ = base.mod(modulus_);
+  t.window_ = window;
+  t.max_bits_ = max_bits;
+  t.row_ = (std::size_t{1} << window) - 1;
+  const int blocks = (max_bits + window - 1) / window;
+  with_arith([&](const auto& ar) {
+    t.entries_ = fixed_base_rows(ar, t.base_, blocks, window, t.row_);
+  });
+  return t;
+}
+
+Bignum ModExpContext::exp(const FixedBaseTable& table,
+                          const Bignum& exponent) const {
+  if (exponent.is_negative()) {
+    throw CryptoError("ModExpContext::exp: negative exponent");
+  }
+  DESWORD_CHECK(table.backend() == backend(),
+                "fixed-base table used under another ModExpContext backend");
+  if (exponent.bits() > table.max_bits_) {
+    return exp(table.base_, exponent);  // oversized: plain path (counted there)
+  }
+  modexp_calls().add();
+  fixed_base_hits().add();
+  if (exponent.is_zero()) return Bignum(1);
+  return with_arith([&](const auto& ar) {
+    using Buf = typename std::decay_t<decltype(ar)>::Buf;
+    return fixed_base_exp(ar, std::get<Buf>(table.entries_), table.row_,
+                          table.window_, exponent);
+  });
+}
+
+Bignum ModExpContext::exp_signed(const FixedBaseTable& table,
+                                 const Bignum& exponent) const {
+  if (!exponent.is_negative()) return exp(table, exponent);
+  return Bignum::mod_inverse(exp(table, exponent.negated()), modulus_);
+}
+
+void ModExpContext::mont_mul_into(Bignum& acc, const Bignum& x) const {
+  // BN_mod_mul_montgomery wants both operands in [0, N); acc stays there.
+  Bignum reduced;
+  const BIGNUM* y = x.raw();
+  if (x.is_negative() || x >= modulus_) {
+    reduced = x.mod(modulus_);
+    y = reduced.raw();
+  }
+  if (BN_mod_mul_montgomery(acc.raw(), acc.raw(), y, mont_.get(),
+                            scratch()) != 1) {
+    throw CryptoError("BN_mod_mul_montgomery failed");
+  }
+}
+
+bool ModExpContext::coprime(const Bignum& x) const {
+  const int symbol = BN_kronecker(x.raw(), modulus_.raw(), scratch());
+  if (symbol == -2) throw CryptoError("BN_kronecker failed");
+  return symbol != 0;
+}
 
 Bignum ModExpContext::multi_exp(const std::vector<ExpTerm>& terms,
                                 ThreadPool* pool) const {
@@ -328,153 +557,11 @@ Bignum ModExpContext::multi_exp_live(const std::vector<const ExpTerm*>& terms,
       use_pippenger = true;
     }
   }
-  return use_pippenger ? multi_exp_pippenger(terms, max_bits, best_w)
-                       : multi_exp_straus(terms, max_bits, best_w);
-}
-
-Bignum ModExpContext::multi_exp_straus(const std::vector<const ExpTerm*>& terms,
-                                       int max_bits, int window) const {
-  BN_CTX* ctx = scratch();
-  const std::size_t n = terms.size();
-  const std::size_t row = std::size_t{1} << (window - 1);
-  // Per-base odd-power tables: table[i][k] = base_i^{2k+1} (Montgomery).
-  std::vector<Bignum> table(n * row);
-  Bignum square;
-  for (std::size_t i = 0; i < n; ++i) {
-    Bignum* t = &table[i * row];
-    const Bignum reduced = terms[i]->base.mod(modulus_);
-    if (BN_to_montgomery(t[0].raw(), reduced.raw(), mont_, ctx) != 1) {
-      throw CryptoError("BN_to_montgomery failed");
-    }
-    if (row == 1) continue;
-    if (BN_mod_mul_montgomery(square.raw(), t[0].raw(), t[0].raw(), mont_,
-                              ctx) != 1) {
-      throw CryptoError("BN_mod_mul_montgomery failed");
-    }
-    for (std::size_t k = 1; k < row; ++k) {
-      if (BN_mod_mul_montgomery(t[k].raw(), t[k - 1].raw(), square.raw(),
-                                mont_, ctx) != 1) {
-        throw CryptoError("BN_mod_mul_montgomery failed");
-      }
-    }
-  }
-
-  // digits[b·n + i]: the odd window of exponent i that ends at bit b, or 0.
-  // Bit-major, so the chain's scan over one bit reads a contiguous row.
-  std::vector<std::uint8_t> digits(static_cast<std::size_t>(max_bits) * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    sliding_digits(terms[i]->exponent.raw(), window, &digits[i], n);
-  }
-
-  // One squaring chain over the widest exponent, all bases interleaved:
-  // each window multiplies in at its lowest set bit.
-  Bignum acc;
-  bool have_acc = false;
-  for (int b = max_bits - 1; b >= 0; --b) {
-    if (have_acc && BN_mod_mul_montgomery(acc.raw(), acc.raw(), acc.raw(),
-                                          mont_, ctx) != 1) {
-      throw CryptoError("BN_mod_mul_montgomery failed");
-    }
-    const std::uint8_t* at = &digits[static_cast<std::size_t>(b) * n];
-    for (std::size_t i = 0; i < n; ++i) {
-      if (at[i] == 0) continue;
-      const Bignum& entry = table[i * row + (at[i] >> 1)];
-      if (!have_acc) {
-        acc = entry;
-        have_acc = true;
-        continue;
-      }
-      if (BN_mod_mul_montgomery(acc.raw(), acc.raw(), entry.raw(), mont_,
-                                ctx) != 1) {
-        throw CryptoError("BN_mod_mul_montgomery failed");
-      }
-    }
-  }
-  if (!have_acc) return Bignum(1);  // unreachable: exponents are non-zero
-  Bignum out;
-  if (BN_from_montgomery(out.raw(), acc.raw(), mont_, ctx) != 1) {
-    throw CryptoError("BN_from_montgomery failed");
-  }
-  return out;
-}
-
-Bignum ModExpContext::multi_exp_pippenger(
-    const std::vector<const ExpTerm*>& terms, int max_bits, int window) const {
-  BN_CTX* ctx = scratch();
-  // Montgomery form of each base, converted once.
-  std::vector<Bignum> bases(terms.size());
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    const Bignum reduced = terms[i]->base.mod(modulus_);
-    if (BN_to_montgomery(bases[i].raw(), reduced.raw(), mont_, ctx) != 1) {
-      throw CryptoError("BN_to_montgomery failed");
-    }
-  }
-
-  const std::size_t buckets = (std::size_t{1} << window) - 1;
-  std::vector<Bignum> bucket(buckets);
-  std::vector<bool> bucket_set(buckets);
-  const int blocks = (max_bits + window - 1) / window;
-  Bignum acc;
-  bool have_acc = false;
-  auto mont_mul_into = [&](Bignum& dst, const Bignum& a, const Bignum& b) {
-    if (BN_mod_mul_montgomery(dst.raw(), a.raw(), b.raw(), mont_, ctx) != 1) {
-      throw CryptoError("BN_mod_mul_montgomery failed");
-    }
-  };
-  for (int j = blocks - 1; j >= 0; --j) {
-    if (have_acc) {
-      for (int s = 0; s < window; ++s) mont_mul_into(acc, acc, acc);
-    }
-    // bucket[d-1] = product of every base whose j-th window digit is d.
-    std::fill(bucket_set.begin(), bucket_set.end(), false);
-    for (std::size_t i = 0; i < terms.size(); ++i) {
-      const unsigned digit = window_digit(terms[i]->exponent.raw(), j, window);
-      if (digit == 0) continue;
-      Bignum& b = bucket[digit - 1];
-      if (!bucket_set[digit - 1]) {
-        b = bases[i];
-        bucket_set[digit - 1] = true;
-      } else {
-        mont_mul_into(b, b, bases[i]);
-      }
-    }
-    // ∑ d·bucket[d] via running suffix products: S = ∏_{k>=d} bucket[k],
-    // T = ∏_d S_d = ∏_d bucket[d]^d, both with plain multiplies.
-    Bignum suffix, window_sum;
-    bool have_suffix = false, have_sum = false;
-    for (std::size_t d = buckets; d >= 1; --d) {
-      if (bucket_set[d - 1]) {
-        if (!have_suffix) {
-          suffix = bucket[d - 1];
-          have_suffix = true;
-        } else {
-          mont_mul_into(suffix, suffix, bucket[d - 1]);
-        }
-      }
-      if (have_suffix) {
-        if (!have_sum) {
-          window_sum = suffix;
-          have_sum = true;
-        } else {
-          mont_mul_into(window_sum, window_sum, suffix);
-        }
-      }
-    }
-    if (have_sum) {
-      if (!have_acc) {
-        acc = window_sum;
-        have_acc = true;
-      } else {
-        mont_mul_into(acc, acc, window_sum);
-      }
-    }
-  }
-  if (!have_acc) return Bignum(1);  // unreachable: exponents are non-zero
-  Bignum out;
-  if (BN_from_montgomery(out.raw(), acc.raw(), mont_, ctx) != 1) {
-    throw CryptoError("BN_from_montgomery failed");
-  }
-  return out;
+  return with_arith([&](const auto& ar) {
+    return use_pippenger
+               ? multi_exp_pippenger(ar, modulus_, terms, max_bits, best_w)
+               : multi_exp_straus(ar, modulus_, terms, max_bits, best_w);
+  });
 }
 
 }  // namespace desword

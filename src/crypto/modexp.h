@@ -36,13 +36,23 @@
 // with N. mont_mul_into folds elements into one product with Montgomery
 // multiplies and coprime() tests the product once with the Jacobi symbol
 // (QtmcScheme::elements_coprime, DESIGN.md §5.5).
+//
+// Backends: every fixed-base and multi-exp algorithm below is written once,
+// over a small Montgomery-arithmetic interface, and runs on one of two
+// products chosen in the constructor: the AVX-512 IFMA radix-2^52 kernel
+// (crypto/mont_ifma.h) when the CPU has it and the modulus fits, else
+// OpenSSL's BN_mod_mul_montgomery. Both return the same residues. Plain
+// exp(), mont_mul_into() and coprime() always run on OpenSSL.
 #pragma once
 
 #include <openssl/bn.h>
 
+#include <memory>
+#include <variant>
 #include <vector>
 
 #include "crypto/bignum.h"
+#include "crypto/mont_ifma.h"
 
 namespace desword {
 
@@ -50,11 +60,18 @@ class ThreadPool;
 
 class ModExpContext {
  public:
+  /// The Montgomery product the fixed-base and multi-exp paths run on.
+  enum class Backend {
+    kBn,    // OpenSSL BN_mod_mul_montgomery
+    kIfma,  // AVX-512 IFMA radix-2^52 kernel (crypto/mont_ifma.h)
+  };
+
   /// Precomputed fixed-base table (build via `precompute`). Movable,
   /// read-only afterwards, safe to share across threads. Valid with any
-  /// ModExpContext over the same modulus (the Montgomery representation
-  /// depends only on the modulus), which lets one CRS-wide table set serve
-  /// every scheme instance derived from the same public key.
+  /// ModExpContext over the same modulus and backend (the Montgomery
+  /// representation depends only on those), which lets one CRS-wide table
+  /// set serve every scheme instance derived from the same public key.
+  /// Using it under the other backend throws CheckError.
   class FixedBaseTable {
    public:
     FixedBaseTable(FixedBaseTable&&) noexcept = default;
@@ -62,18 +79,22 @@ class ModExpContext {
 
     int max_bits() const { return max_bits_; }
     int window() const { return window_; }
-    /// Table footprint in residues (diagnostics / memory accounting).
-    std::size_t entries() const { return table_.size(); }
+    /// The backend whose Montgomery domain the entries are in.
+    Backend backend() const {
+      return entries_.index() == 0 ? Backend::kBn : Backend::kIfma;
+    }
 
    private:
     friend class ModExpContext;
     FixedBaseTable() = default;
 
-    Bignum base_;                // reduced base (for oversized fallback)
-    int window_ = 0;             // digit width w
-    int max_bits_ = 0;           // largest exponent the table covers
-    std::size_t row_ = 0;        // 2^w - 1 entries per block
-    std::vector<Bignum> table_;  // [block][digit-1], Montgomery form
+    Bignum base_;           // reduced base (for oversized fallback)
+    int window_ = 0;        // digit width w
+    int max_bits_ = 0;      // largest exponent the table covers
+    std::size_t row_ = 0;   // 2^w - 1 entries per block
+    // [block][digit-1] in the backend's Montgomery form: one BIGNUM per
+    // entry (kBn) or one flat 64-byte-aligned limb array (kIfma).
+    std::variant<std::vector<Bignum>, LimbBuffer> entries_;
   };
 
   /// One b^x factor of a multi-exponentiation product.
@@ -83,14 +104,25 @@ class ModExpContext {
   };
 
   /// Builds the Montgomery context for `modulus` (must be odd and > 1 —
-  /// RSA moduli always are). Throws CryptoError otherwise.
+  /// RSA moduli always are) on the fastest available backend: kIfma when
+  /// the CPU supports it and the modulus fits, else kBn. Throws
+  /// CryptoError on a bad modulus.
   explicit ModExpContext(const Bignum& modulus);
+  /// The same on an explicit backend (tests, benches); throws CryptoError
+  /// when `backend` is not available for `modulus` on this CPU.
+  ModExpContext(const Bignum& modulus, Backend backend);
   ~ModExpContext();
 
   ModExpContext(const ModExpContext&) = delete;
   ModExpContext& operator=(const ModExpContext&) = delete;
 
+  /// Whether `backend` can serve `modulus` on this CPU (kBn always can).
+  static bool available(Backend backend, const Bignum& modulus);
+  /// "bn" or "ifma".
+  static const char* backend_name(Backend backend);
+
   const Bignum& modulus() const { return modulus_; }
+  Backend backend() const { return ifma_ ? Backend::kIfma : Backend::kBn; }
 
   /// (base ^ exponent) mod modulus; exponent must be >= 0.
   Bignum exp(const Bignum& base, const Bignum& exponent) const;
@@ -106,6 +138,8 @@ class ModExpContext {
 
   /// (base ^ exponent) via the table; exponent must be >= 0. Exponents
   /// wider than table.max_bits() transparently fall back to plain exp().
+  /// The table must come from a context on the same backend (CheckError
+  /// otherwise).
   Bignum exp(const FixedBaseTable& table, const Bignum& exponent) const;
 
   /// Signed-exponent variant of the table path.
@@ -138,17 +172,22 @@ class ModExpContext {
                    ThreadPool* pool = nullptr) const;
 
  private:
+  /// Calls f(arith) with the backend's Montgomery arithmetic (modexp.cpp).
+  template <class F>
+  decltype(auto) with_arith(F&& f) const;
+
   /// Evaluates the product of `terms` (non-empty, non-zero exponents of at
   /// most `max_bits` bits) with the cheaper of Straus and Pippenger.
   Bignum multi_exp_live(const std::vector<const ExpTerm*>& terms,
                         int max_bits) const;
-  Bignum multi_exp_straus(const std::vector<const ExpTerm*>& terms,
-                          int max_bits, int window) const;
-  Bignum multi_exp_pippenger(const std::vector<const ExpTerm*>& terms,
-                             int max_bits, int window) const;
+
+  struct MontFree {
+    void operator()(BN_MONT_CTX* m) const;
+  };
 
   Bignum modulus_;
-  BN_MONT_CTX* mont_;
+  std::unique_ptr<BN_MONT_CTX, MontFree> mont_;
+  std::unique_ptr<const IfmaMontgomery> ifma_;  // null on kBn
 };
 
 }  // namespace desword

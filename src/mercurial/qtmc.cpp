@@ -1,6 +1,7 @@
 #include "mercurial/qtmc.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <mutex>  // desword-lint: allow(raw-mutex) — std::once_flag/call_once
 
@@ -32,7 +33,6 @@ struct QtmcPositionTables {
 
 namespace {
 
-constexpr int kRandomizerBits = 256;
 // Sanity cap on attacker-supplied exponents (honest values are ~256 bits;
 // the cap only bounds verification work, not security).
 constexpr int kMaxExponentBits = 1024;
@@ -347,6 +347,41 @@ std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
 std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
     const std::vector<Bytes>& messages, RandomSource& rng) const {
   return hard_commit_bind(hard_commit_draft(messages, {}, rng), {});
+}
+
+namespace {
+
+/// Hands back a decommitment's randomizers in the order hard_commit_draft
+/// draws them: z, r0, r1.
+class ReplayRandomSource final : public RandomSource {
+ public:
+  explicit ReplayRandomSource(const QtmcHardDecommit& dec)
+      : values_{&dec.z, &dec.r0, &dec.r1} {}
+
+  Bignum rand_bits(int /*bits*/) override {
+    DESWORD_CHECK(next_ < values_.size(), "qTMC replay drew too often");
+    return *values_[next_++];
+  }
+  Bignum rand_range(const Bignum& /*bound*/) override {
+    throw CheckError("qTMC replay: hard_commit_draft draws no ranges");
+  }
+
+ private:
+  std::array<const Bignum*, 3> values_;
+  std::size_t next_ = 0;
+};
+
+}  // namespace
+
+QtmcCommitment QtmcScheme::hard_commitment(const QtmcHardDecommit& dec) const {
+  std::vector<Bytes> messages;
+  messages.reserve(dec.size());
+  for (std::size_t i = 0; i < dec.size(); ++i) {
+    const BytesView m = dec.message(i);
+    messages.emplace_back(m.begin(), m.end());
+  }
+  ReplayRandomSource replay(dec);
+  return hard_commit_bind(hard_commit_draft(messages, {}, replay), {}).first;
 }
 
 QtmcCommitDraft QtmcScheme::hard_commit_draft(

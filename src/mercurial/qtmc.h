@@ -95,6 +95,10 @@ struct QtmcCommitment {
   static QtmcCommitment deserialize(const Bignum& modulus, BytesView data);
 };
 
+/// Width of the randomizers z, r0, r1 (hard) and r0, r1 (soft): drawn with
+/// rand_bits, so exactly this many bits.
+inline constexpr int kRandomizerBits = 256;
+
 struct QtmcHardDecommit {
   Bytes messages;  // the q committed messages, kMessageBytes each, packed
   Bignum z;
@@ -191,6 +195,13 @@ class QtmcScheme {
   /// residue does not depend on which m* the draft picked.
   std::pair<QtmcCommitment, QtmcHardDecommit> hard_commit_bind(
       QtmcCommitDraft draft, const std::vector<Bytes>& messages) const;
+
+  /// The commitment `dec` opens: qHCom's computation on dec's messages
+  /// with dec's randomizers in place of fresh ones, so it equals what
+  /// hard_commit returned alongside `dec`. About five fixed-base powers;
+  /// lets a holder of many decommitments keep 16-byte digests instead of
+  /// commitments (zkedb::EdbProver).
+  QtmcCommitment hard_commitment(const QtmcHardDecommit& dec) const;
 
   /// qHOpen at `pos`.
   QtmcOpening hard_open(const QtmcHardDecommit& dec, std::uint32_t pos) const;

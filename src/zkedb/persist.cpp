@@ -1,6 +1,11 @@
 // EdbProver state (de)serialization — the durable form of the paper's
 // DPOC. Format versioned with a magic header so stored credentials fail
 // loudly rather than misparse after upgrades.
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
 #include "common/serial.h"
 #include "zkedb/prover.h"
@@ -10,8 +15,11 @@ namespace desword::zkedb {
 namespace {
 
 constexpr std::uint32_t kStateMagic = 0x44504f43;  // "DPOC"
-// Version 2 adds soft-node tag 2 (a fabricated inner node stored without
-// its derivable commitment); version 1 blobs still load.
+// Version 2 adds soft-node tag 2: an inner soft node stored without its
+// commitment, which is derived from the decommitment. Every inner soft
+// node is written that way; tag 0 (commitment stored too) is still read,
+// and its commitment dropped, so version 1 blobs and older version 2
+// blobs load.
 constexpr std::uint8_t kStateVersion = 2;
 
 void write_scalar(BinaryWriter& w, const Bignum& v) { w.bytes(v.to_bytes()); }
@@ -33,18 +41,19 @@ Bytes EdbProver::serialize_state() const {
     w.bytes(value);
   }
 
-  // Inner trie nodes.
+  // Inner trie nodes, with the commitment and messages the prover derives
+  // rather than stores.
   w.varint(inner_.size());
-  for (const auto& [prefix, node] : inner_) {
+  for (const auto& entry : inner_) {
+    const std::string& prefix = entry.first;
+    const mercurial::QtmcHardDecommit dec = inner_dec(prefix);
     w.str(prefix);
-    w.bytes(node.com.serialize(n));
-    w.varint(node.dec.size());
-    for (std::size_t j = 0; j < node.dec.size(); ++j) {
-      w.bytes(node.dec.message(j));
-    }
-    write_scalar(w, node.dec.z);
-    write_scalar(w, node.dec.r0);
-    write_scalar(w, node.dec.r1);
+    w.bytes(inner_commitment_bytes(dec));
+    w.varint(dec.size());
+    for (std::size_t j = 0; j < dec.size(); ++j) w.bytes(dec.message(j));
+    write_scalar(w, dec.z);
+    write_scalar(w, dec.r0);
+    write_scalar(w, dec.r1);
   }
 
   // Leaves.
@@ -68,8 +77,7 @@ Bytes EdbProver::serialize_state() const {
   w.varint(soft_nodes_.size());
   for (const SoftNode& node : soft_nodes_) {
     if (const auto* inner = std::get_if<SoftInner>(&node)) {
-      w.u8(inner->com ? 0 : 2);
-      if (inner->com) w.bytes(inner->com->serialize(n));
+      w.u8(2);
       write_scalar(w, inner->dec.r0);
       write_scalar(w, inner->dec.r1);
       w.varint(inner->teases.size());
@@ -111,27 +119,39 @@ EdbProver EdbProver::load(EdbCrsPtr crs, BytesView state) {
     prover.values_.emplace(std::move(key), std::move(value));
   }
 
+  // Inner nodes keep their digest and randomizers; the stored commitment
+  // and messages are checked against what the loaded trie derives, below.
+  std::map<std::string, std::pair<Bytes, std::vector<Bytes>>> stored;
   const std::uint64_t n_inner = r.varint();
   for (std::uint64_t i = 0; i < n_inner; ++i) {
     std::string prefix = r.str();
-    InnerNode node;
-    node.com = mercurial::QtmcCommitment::deserialize(n, r.bytes());
+    const mercurial::QtmcCommitment com =
+        mercurial::QtmcCommitment::deserialize(n, r.bytes());
     const std::uint64_t n_msgs = r.varint();
     if (n_msgs != c.q()) {
       throw SerializationError("inner node message count mismatch");
     }
-    node.dec.messages.reserve(n_msgs * mercurial::kMessageBytes);
+    std::vector<Bytes> messages;
     for (std::uint64_t j = 0; j < n_msgs; ++j) {
-      const Bytes m = r.bytes();
-      if (m.size() != mercurial::kMessageBytes) {
+      messages.push_back(r.bytes());
+      if (messages.back().size() != mercurial::kMessageBytes) {
         throw SerializationError("inner node message is not 16 bytes");
       }
-      append(node.dec.messages, m);
     }
-    node.dec.z = read_scalar(r);
-    node.dec.r0 = read_scalar(r);
-    node.dec.r1 = read_scalar(r);
-    prover.inner_.emplace(std::move(prefix), std::move(node));
+    InnerNode node{};
+    try {
+      node.z = to_randomizer(read_scalar(r));
+      node.r0 = to_randomizer(read_scalar(r));
+      node.r1 = to_randomizer(read_scalar(r));
+    } catch (const CryptoError&) {
+      throw SerializationError("inner node randomizer too wide");
+    }
+    node.digest = to_digest(c.digest_inner(com));
+    if (!prover.inner_.emplace(prefix, node).second) {
+      throw SerializationError("duplicate inner node");
+    }
+    stored.emplace(std::move(prefix),
+                   std::make_pair(com.serialize(n), std::move(messages)));
   }
 
   const std::uint64_t n_leaves = r.varint();
@@ -158,10 +178,12 @@ EdbProver EdbProver::load(EdbCrsPtr crs, BytesView state) {
     if (tag == 0 || (tag == 2 && version >= 2)) {
       SoftInner inner;
       if (tag == 0) {
-        inner.com = mercurial::QtmcCommitment::deserialize(n, r.bytes());
+        (void)mercurial::QtmcCommitment::deserialize(n, r.bytes());
       }
       inner.dec.r0 = read_scalar(r);
       inner.dec.r1 = read_scalar(r);
+      inner.digest =
+          to_digest(c.digest_inner(c.qtmc().soft_commitment(inner.dec)));
       const std::uint64_t n_teases = r.varint();
       for (std::uint64_t j = 0; j < n_teases; ++j) {
         const std::uint32_t digit = r.u32();
@@ -199,11 +221,24 @@ EdbProver EdbProver::load(EdbCrsPtr crs, BytesView state) {
     }
   }
 
-  const auto root = prover.inner_.find(std::string());
-  if (root == prover.inner_.end()) {
+  // Every inner node's messages must be its children's digests (or its
+  // soft backing's) and its commitment must follow from them and its
+  // randomizers: the prover re-derives both for every proof.
+  for (const auto& [prefix, com_and_messages] : stored) {
+    const auto& [com, messages] = com_and_messages;
+    if (prover.inner_messages(prefix) != messages) {
+      throw SerializationError("inner node messages do not match the trie");
+    }
+    if (prover.inner_commitment_bytes(prover.inner_dec(prefix)) != com) {
+      throw SerializationError("inner node commitment does not match");
+    }
+  }
+  const auto root = stored.find(std::string());
+  if (root == stored.end()) {
     throw SerializationError("DPOC state has no root node");
   }
-  prover.root_com_ = root->second.com;
+  prover.root_com_ =
+      mercurial::QtmcCommitment::deserialize(n, root->second.first);
   return prover;
 }
 

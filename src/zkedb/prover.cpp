@@ -19,6 +19,25 @@ obs::Histogram& prove_wall_ms() {
 
 }  // namespace
 
+EdbProver::Digest EdbProver::to_digest(BytesView digest) {
+  DESWORD_CHECK(digest.size() == mercurial::kMessageBytes,
+                "node digest of the wrong size");
+  Digest out{};
+  std::copy(digest.begin(), digest.end(), out.begin());
+  return out;
+}
+
+EdbProver::Randomizer EdbProver::to_randomizer(const Bignum& x) {
+  const Bytes be = x.to_bytes_padded(kRandomizerBytes);
+  Randomizer out{};
+  std::copy(be.begin(), be.end(), out.begin());
+  return out;
+}
+
+Bignum EdbProver::to_bignum(const Randomizer& r) {
+  return Bignum::from_bytes(BytesView(r.data(), r.size()));
+}
+
 std::string EdbProver::child_prefix(const std::string& prefix,
                                     std::uint32_t digit) {
   std::string out = prefix;
@@ -92,24 +111,69 @@ std::pair<EdbProver::SoftNode, Bytes> EdbProver::soft_node(
   }
   auto [com, dec] = crs_->qtmc().soft_commit(rng);
   Bytes digest = crs_->digest_inner(com);
-  return {SoftInner{std::move(com), std::move(dec), {}}, std::move(digest)};
+  return {SoftInner{to_digest(digest), std::move(dec), {}},
+          std::move(digest)};
 }
 
 Bytes EdbProver::soft_digest(std::size_t id) const {
   DESWORD_DCHECK(id < soft_nodes_.size(), "soft node id out of range");
   const SoftNode& node = soft_nodes_.at(id);
   if (const auto* inner = std::get_if<SoftInner>(&node)) {
-    // Only backing nodes are digested here; they keep their commitment.
-    return crs_->digest_inner(inner->com.value());
+    return Bytes(inner->digest.begin(), inner->digest.end());
   }
   return crs_->digest_leaf(std::get<SoftLeaf>(node).com);
 }
 
+std::vector<Bytes> EdbProver::inner_messages(const std::string& prefix) const {
+  const std::uint32_t q = crs_->q();
+  const bool leaf_children = prefix.size() + 1 == crs_->height();
+  const bool shared = crs_->params().soft_mode == SoftMode::kShared;
+  std::vector<Bytes> messages(q);
+  std::string next = child_prefix(prefix, 0);
+  for (std::uint32_t c = 0; c < q; ++c) {
+    next.back() = static_cast<char>(static_cast<unsigned char>(c));
+    if (leaf_children) {
+      if (const auto it = leaves_.find(next); it != leaves_.end()) {
+        messages[c] = crs_->digest_leaf(it->second.com);
+      }
+    } else if (const auto it = inner_.find(next); it != inner_.end()) {
+      messages[c].assign(it->second.digest.begin(), it->second.digest.end());
+    }
+    if (!messages[c].empty()) continue;
+    const auto backing = soft_backing_.find(shared ? prefix : next);
+    if (backing != soft_backing_.end()) {
+      messages[c] = soft_digest(backing->second);
+    }
+  }
+  return messages;
+}
+
+mercurial::QtmcHardDecommit EdbProver::inner_dec(
+    const std::string& prefix) const {
+  const InnerNode& node = inner_.at(prefix);
+  mercurial::QtmcHardDecommit dec;
+  dec.messages.reserve(crs_->q() * mercurial::kMessageBytes);
+  for (const Bytes& m : inner_messages(prefix)) {
+    DESWORD_CHECK(m.size() == mercurial::kMessageBytes,
+                  "committed inner node with an unbacked child");
+    append(dec.messages, m);
+  }
+  dec.z = to_bignum(node.z);
+  dec.r0 = to_bignum(node.r0);
+  dec.r1 = to_bignum(node.r1);
+  return dec;
+}
+
+Bytes EdbProver::inner_commitment_bytes(
+    const mercurial::QtmcHardDecommit& dec) const {
+  return crs_->qtmc().hard_commitment(dec).serialize(
+      crs_->params().qtmc_pk.n);
+}
+
 Bytes EdbProver::soft_commitment_bytes(const SoftNode& node) const {
   if (const auto* inner = std::get_if<SoftInner>(&node)) {
-    const Bignum& n = crs_->params().qtmc_pk.n;
-    return inner->com ? inner->com->serialize(n)
-                      : crs_->qtmc().soft_commitment(inner->dec).serialize(n);
+    return crs_->qtmc().soft_commitment(inner->dec).serialize(
+        crs_->params().qtmc_pk.n);
   }
   return std::get<SoftLeaf>(node).com.serialize();
 }
@@ -192,6 +256,7 @@ void EdbProver::commit_plan(std::vector<PlanNode>& plan) {
   });
   // Pass 2: a node's children sit one level below it, so each level binds
   // in parallel once the level below is done.
+  std::optional<mercurial::QtmcCommitment> root;
   std::vector<std::vector<std::size_t>> levels(h);
   for (std::size_t i = 0; i < plan.size(); ++i) {
     if (plan[i].draft) levels[plan[i].prefix.size()].push_back(i);
@@ -207,7 +272,9 @@ void EdbProver::commit_plan(std::vector<PlanNode>& plan) {
       auto [com, dec] =
           crs_->qtmc().hard_commit_bind(std::move(*node.draft), child_digests);
       node.digest = crs_->digest_inner(com);
-      node.node = InnerNode{std::move(com), std::move(dec)};
+      node.node = InnerNode{to_digest(node.digest), to_randomizer(dec.z),
+                            to_randomizer(dec.r0), to_randomizer(dec.r1)};
+      if (node.prefix.empty()) root = std::move(com);  // the one root task
     });
   }
   for (PlanNode& node : plan) {
@@ -222,7 +289,8 @@ void EdbProver::commit_plan(std::vector<PlanNode>& plan) {
                                std::move(std::get<LeafNode>(node.node)));
     }
   }
-  root_com_ = inner_.at(std::string()).com;
+  DESWORD_CHECK(root.has_value(), "commit plan without the root");
+  root_com_ = std::move(*root);
 }
 
 EdbMembershipProof EdbProver::prove_membership(const EdbKey& key) const {
@@ -232,33 +300,34 @@ EdbMembershipProof EdbProver::prove_membership(const EdbKey& key) const {
   const obs::ScopedTimer timer(prove_wall_ms());
   const std::vector<std::uint32_t> digits = crs_->digits_of(key);
   const std::uint32_t h = crs_->height();
-  const Bignum& n = crs_->params().qtmc_pk.n;
 
-  // Walk the path first (map lookups only), then compute the h openings
-  // plus the leaf opening — independent given the committed tree — into
-  // their slots over the pool.
-  std::vector<const mercurial::QtmcHardDecommit*> decs(h);
+  // Walk the path first (map lookups and digest copies only), then compute
+  // the h openings, the h − 1 inner child commitments and the leaf opening
+  // — independent given the decommitments — into their slots over the
+  // pool.
+  std::vector<mercurial::QtmcHardDecommit> decs;
+  decs.reserve(h);
   EdbMembershipProof proof;
   proof.openings.resize(h);
-  proof.child_commitments.reserve(h);
+  proof.child_commitments.resize(h);
   std::string prefix;
   for (std::uint32_t d = 0; d < h; ++d) {
-    decs[d] = &inner_.at(prefix).dec;
+    decs.push_back(inner_dec(prefix));
     prefix = child_prefix(prefix, digits[d]);
-    if (d + 1 < h) {
-      proof.child_commitments.push_back(inner_.at(prefix).com.serialize(n));
-    } else {
-      proof.child_commitments.push_back(leaves_.at(prefix).com.serialize());
-    }
   }
   const LeafNode& leaf = leaves_.at(prefix);
-  parallel_for(ThreadPool::for_threads(opts_.threads), h + 1,
-               [&](std::size_t d) {
-                 if (d == h) {
-                   proof.leaf_opening = crs_->tmc().hard_open(leaf.dec);
+  proof.child_commitments[h - 1] = leaf.com.serialize();
+  parallel_for(ThreadPool::for_threads(opts_.threads), 2 * h,
+               [&](std::size_t i) {
+                 if (i < h) {
+                   proof.openings[i] =
+                       crs_->qtmc().hard_open(decs[i], digits[i]);
+                 } else if (i + 1 < 2 * h) {
+                   // The commitment of the node below level i − h.
+                   proof.child_commitments[i - h] =
+                       inner_commitment_bytes(decs[i - h + 1]);
                  } else {
-                   proof.openings[d] =
-                       crs_->qtmc().hard_open(*decs[d], digits[d]);
+                   proof.leaf_opening = crs_->tmc().hard_open(leaf.dec);
                  }
                });
   proof.value = values_.at(key);
@@ -272,7 +341,6 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
   const obs::ScopedTimer timer(prove_wall_ms());
   const std::vector<std::uint32_t> digits = crs_->digits_of(key);
   const std::uint32_t h = crs_->height();
-  const Bignum& n = crs_->params().qtmc_pk.n;
 
   // Every level d gets teases[d] and child_commitments[d] (the node at
   // depth d+1); the per-level crypto fills its slots in parallel below.
@@ -283,11 +351,11 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
   // Phase 1: walk committed trie nodes (lookups only; the tease_hard at
   // each joins the fan-out below) until the path falls off the trie onto a
   // soft backing node.
-  std::vector<const mercurial::QtmcHardDecommit*> hard;
+  std::vector<mercurial::QtmcHardDecommit> hard;
   std::string prefix;
   std::size_t soft_id = 0;
   while (true) {
-    hard.push_back(&inner_.at(prefix).dec);
+    hard.push_back(inner_dec(prefix));
     const std::uint32_t d = static_cast<std::uint32_t>(prefix.size());
     const std::string next = child_prefix(prefix, digits[d]);
     const bool child_in_trie =
@@ -304,8 +372,7 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
       // Walked into a committed leaf — the key is present after all.
       throw ProtocolError("non-membership walk reached a committed leaf");
     }
-    proof.child_commitments[d] = inner_.at(next).com.serialize(n);
-    prefix = next;
+    prefix = next;  // its commitment is computed in the fan-out
   }
 
   // Phase 2: replay memoized fabrications (soft_id is the soft node at
@@ -344,7 +411,10 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
   // joined, so reading it here and in pass 2 is race-free.
   parallel_for(pool, hard.size() + replayed.size() + tail, [&](std::size_t i) {
     if (i < hard.size()) {
-      proof.teases[i] = crs_->qtmc().tease_hard(*hard[i], digits[i]);
+      proof.teases[i] = crs_->qtmc().tease_hard(hard[i], digits[i]);
+      if (i + 1 < hard.size()) {
+        proof.child_commitments[i] = inner_commitment_bytes(hard[i + 1]);
+      }
       return;
     }
     i -= hard.size();
@@ -376,9 +446,6 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
     auto& parent = std::get<SoftInner>(soft_nodes_[soft_id]);
     parent.teases.emplace(digits[level],
                           std::make_pair(proof.teases[level], child_id));
-    if (auto* inner = std::get_if<SoftInner>(&fresh[k].first)) {
-      inner->com.reset();  // derived from dec on a replay
-    }
     soft_nodes_.push_back(std::move(fresh[k].first));
     soft_id = child_id;
   }
@@ -416,11 +483,7 @@ void EdbProver::recommit_path(const std::vector<std::uint32_t>& digits,
   for (std::uint32_t d = depth + 1; d-- > 0;) {
     PlanNode node;
     node.prefix.assign(digits.begin(), digits.begin() + d);
-    const mercurial::QtmcHardDecommit& dec = inner_.at(node.prefix).dec;
-    for (std::size_t c = 0; c < dec.size(); ++c) {
-      const BytesView m = dec.message(c);
-      node.messages.emplace_back(m.begin(), m.end());
-    }
+    node.messages = inner_messages(node.prefix);
     node.messages[digits[d]].clear();
     if (!plan.empty()) node.children.emplace_back(digits[d], plan.size() - 1);
     plan.push_back(std::move(node));

@@ -12,6 +12,7 @@
 // `commitment()` is Com, the internal state is Dec.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -23,6 +24,8 @@
 #include <vector>
 
 #include "crypto/randsource.h"
+#include "mercurial/message.h"
+#include "mercurial/qtmc.h"
 #include "zkedb/proof.h"
 
 namespace desword::zkedb {
@@ -99,20 +102,39 @@ class EdbProver {
   static EdbProver load(EdbCrsPtr crs, BytesView state);
 
  private:
+  /// A node digest (EdbCrs::digest_inner / digest_leaf), stored inline.
+  using Digest = std::array<std::uint8_t, mercurial::kMessageBytes>;
+  /// One qTMC randomizer as fixed-width big-endian bytes.
+  static constexpr std::size_t kRandomizerBytes =
+      mercurial::kRandomizerBits / 8;
+  using Randomizer = std::array<std::uint8_t, kRandomizerBytes>;
+
+  // An inner trie node keeps only what nothing else determines: its
+  // randomizers, and its digest (which its parent commits to). Its
+  // messages are its children's digests, or its soft backing's at absent
+  // children (inner_dec), and its commitment follows from both
+  // (QtmcScheme::hard_commitment, recomputed when a proof or
+  // serialize_state needs it). Storing them would triple the node's
+  // memory, and every committed task keeps h nodes per key.
   struct InnerNode {
-    mercurial::QtmcCommitment com;
-    mercurial::QtmcHardDecommit dec;
+    Digest digest;
+    Randomizer z, r0, r1;
   };
+  static Digest to_digest(BytesView digest);
+  /// Throws CryptoError when `x` is wider than a randomizer.
+  static Randomizer to_randomizer(const Bignum& x);
+  static Bignum to_bignum(const Randomizer& r);
   struct LeafNode {
     mercurial::TmcCommitment com;
     mercurial::TmcHardDecommit dec;
   };
   struct SoftInner {
-    // Set on backing nodes, which every walk that falls off the trie there
-    // serializes. Empty on fabricated nodes: the commitment is a function
-    // of `dec` (QtmcScheme::soft_commitment), recomputed on the rare
-    // replay, and dropping it saves ~40% of a fabricated node's memory.
-    std::optional<mercurial::QtmcCommitment> com;
+    // Its digest, which the parent commits to, but no commitment: that is
+    // a function of `dec` (QtmcScheme::soft_commitment, two fixed-base
+    // powers), recomputed when a walk serializes it. Storing it would cost
+    // ~40% of the node's memory, and every committed task leaves backing
+    // nodes behind.
+    Digest digest;
     mercurial::QtmcSoftDecommit dec;
     // digit -> (memoized tease, child soft-node id)
     std::map<std::uint32_t, std::pair<mercurial::QtmcTease, std::size_t>>
@@ -191,8 +213,20 @@ class EdbProver {
   // Digest of a soft node by id.
   Bytes soft_digest(std::size_t id) const;
 
-  // Commitment of a soft node in wire form (recomputed for a fabricated
-  // inner node, which does not store it).
+  // The q messages of the inner trie node at `prefix`: at each digit the
+  // child's digest, else the soft backing's, else (an erase's just-pruned
+  // child in per-child mode, which recommit_path rebinds) empty.
+  std::vector<Bytes> inner_messages(const std::string& prefix) const;
+
+  // The decommitment of the inner trie node at `prefix`: inner_messages
+  // plus its stored randomizers.
+  mercurial::QtmcHardDecommit inner_dec(const std::string& prefix) const;
+
+  // Wire form of the commitment an inner decommitment opens.
+  Bytes inner_commitment_bytes(const mercurial::QtmcHardDecommit& dec) const;
+
+  // Commitment of a soft node in wire form (recomputed for an inner node,
+  // which does not store it).
   Bytes soft_commitment_bytes(const SoftNode& node) const;
 
   /// DRBG seed for the node identified by (role, id): role 'i' = inner

@@ -3,14 +3,17 @@
 // path with the reference implementation, and cross-CRS rejection.
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "crypto/bignum.h"
 #include "crypto/hash.h"
 #include "crypto/modexp.h"
+#include "crypto/mont_ifma.h"
 #include "crypto/primes.h"
 #include "crypto/rsa.h"
 #include "mercurial/qtmc.h"
@@ -20,6 +23,26 @@ namespace desword {
 namespace {
 
 Bignum random_bn(int bits) { return Bignum::rand_bits(bits); }
+
+using Backend = ModExpContext::Backend;
+
+// Skips a backend cell the host cannot run, with the reason in the log.
+#define SKIP_UNLESS_AVAILABLE(backend, modulus)                          \
+  do {                                                                   \
+    if (!ModExpContext::available((backend), (modulus))) {               \
+      GTEST_SKIP() << "backend " << ModExpContext::backend_name(backend) \
+                   << " unavailable: this CPU lacks AVX-512 IFMA or the " \
+                   << (modulus).bits() << "-bit modulus does not fit";   \
+    }                                                                    \
+  } while (false)
+
+class MultiExpPropertyTest : public ::testing::TestWithParam<Backend> {};
+class FixedBasePropertyTest : public ::testing::TestWithParam<Backend> {};
+
+std::string backend_param_name(
+    const ::testing::TestParamInfo<Backend>& info) {
+  return ModExpContext::backend_name(info.param);
+}
 
 TEST(BignumPropertyTest, RingLaws) {
   for (int i = 0; i < 25; ++i) {
@@ -101,7 +124,8 @@ TEST(ModExpContextTest, RejectsEvenModulus) {
 // cost model picks (w = 1 at 1 bit, 2 at 16, 3 at 63, 4 at 128, 5 at
 // 264/384, 6 at 1100, 7 at 2000, 8 at 5000) and Pippenger (200 × 63). A
 // 4-wide pool cuts the larger batches into chunks, each with its own
-// window choice; both paths must return the same residue.
+// window choice; both paths must return the same residue, on either
+// Montgomery backend.
 Bignum product_of_exps(const ModExpContext& ctx,
                        const std::vector<ModExpContext::ExpTerm>& terms) {
   Bignum acc(1);
@@ -117,9 +141,10 @@ Bignum pow2(int k) {
   return p;
 }
 
-TEST(MultiExpPropertyTest, MatchesProductOfSingleExps) {
+TEST_P(MultiExpPropertyTest, MatchesProductOfSingleExps) {
   const RsaModulus mod = generate_rsa_modulus(512);
-  const ModExpContext ctx(mod.n);
+  SKIP_UNLESS_AVAILABLE(GetParam(), mod.n);
+  const ModExpContext ctx(mod.n, GetParam());
   ThreadPool four(4);
   for (const int bits : {1, 16, 63, 128, 264, 384, 1100, 2000, 5000}) {
     for (const std::size_t n : {2, 3, 8, 17, 47, 64, 80, 200}) {
@@ -146,11 +171,12 @@ TEST(MultiExpPropertyTest, MatchesProductOfSingleExps) {
   }
 }
 
-TEST(MultiExpPropertyTest, OneWideTermAmongNarrowOnes) {
+TEST_P(MultiExpPropertyTest, OneWideTermAmongNarrowOnes) {
   // The widest exponent sets the window and the chain length; the narrow
   // ones must still land at their own bit positions.
   const RsaModulus mod = generate_rsa_modulus(512);
-  const ModExpContext ctx(mod.n);
+  SKIP_UNLESS_AVAILABLE(GetParam(), mod.n);
+  const ModExpContext ctx(mod.n, GetParam());
   ThreadPool four(4);
   for (const std::size_t n : {2, 3, 8, 17, 47, 64, 80, 200}) {
     for (const int wide : {63, 264, 1100}) {
@@ -166,6 +192,224 @@ TEST(MultiExpPropertyTest, OneWideTermAmongNarrowOnes) {
       EXPECT_EQ(ctx.multi_exp(terms, &four), expected) << where << " pooled";
     }
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, MultiExpPropertyTest,
+                         ::testing::Values(Backend::kBn, Backend::kIfma),
+                         backend_param_name);
+
+// Fixed-base tables against BN_mod_exp: window widths 1, 4 and 8, table
+// widths from one bit to the 2440-bit g table of a q = 16 CRS, exponents
+// 0, 1, all ones, a lone top bit, random ones, and one wider than the table
+// (the plain-power fallback).
+TEST_P(FixedBasePropertyTest, MatchesPlainExp) {
+  for (const int modulus_bits : {512, 2048}) {
+    const Bignum n = generate_rsa_modulus(modulus_bits).n;
+    SKIP_UNLESS_AVAILABLE(GetParam(), n);
+    const ModExpContext ctx(n, GetParam());
+    const Bignum base = random_bn(modulus_bits + 7);  // unreduced
+    for (const int window : {1, 4, 8}) {
+      for (const int max_bits : {1, 63, 256, 2440}) {
+        if (window == 1 && max_bits == 2440) continue;  // 2440 squarings
+        const auto table = ctx.precompute(base, max_bits, window);
+        EXPECT_EQ(table.backend(), GetParam());
+        std::vector<Bignum> exps = {Bignum(std::uint64_t{0}), Bignum(1),
+                                    pow2(max_bits) - Bignum(1),
+                                    pow2(max_bits - 1), random_bn(max_bits),
+                                    random_bn(max_bits + 9)};
+        for (const Bignum& e : exps) {
+          EXPECT_EQ(ctx.exp(table, e), Bignum::mod_exp(base.mod(n), e, n))
+              << modulus_bits << "-bit N, w=" << window
+              << " max_bits=" << max_bits << " e=" << e.to_hex();
+        }
+      }
+    }
+  }
+}
+
+TEST_P(FixedBasePropertyTest, TableFromTheOtherBackendIsRejected) {
+  const Bignum n = generate_rsa_modulus(512).n;
+  SKIP_UNLESS_AVAILABLE(Backend::kIfma, n);
+  const Backend other =
+      GetParam() == Backend::kBn ? Backend::kIfma : Backend::kBn;
+  const ModExpContext ctx(n, GetParam());
+  const ModExpContext foreign(n, other);
+  const auto table = foreign.precompute(random_bn(500), 64);
+  EXPECT_THROW((void)ctx.exp(table, random_bn(60)), CheckError);
+  EXPECT_THROW((void)ctx.exp(table, random_bn(100)), CheckError);  // oversized
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, FixedBasePropertyTest,
+                         ::testing::Values(Backend::kBn, Backend::kIfma),
+                         backend_param_name);
+
+// The IFMA kernel against OpenSSL: AMM(a, b) must be a·b·2^{−52L} mod N and
+// stay below 2N for a and b in [0, 2N), with R = 2^{52L} > 4N.
+class IfmaKernelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (!IfmaMontgomery::cpu_supported()) {
+      GTEST_SKIP() << "this CPU lacks AVX-512 IFMA (or the OS does not "
+                      "save zmm state); the kernel cannot run here";
+    }
+  }
+
+  /// A random odd modulus of exactly `bits` bits.
+  static Bignum odd_modulus(int bits) {
+    Bignum n = random_bn(bits);
+    return n.is_odd() ? n : n + Bignum(1);
+  }
+
+  /// AMM(a, b) through the kernel, as an integer (unreduced).
+  static Bignum amm(const IfmaMontgomery& m, const Bignum& a,
+                    const Bignum& b) {
+    LimbBuffer x(m.limbs());
+    LimbBuffer y(m.limbs());
+    m.load(x.data(), a);
+    m.load(y.data(), b);
+    m.mul(x.data(), x.data(), y.data());
+    return m.store(x.data());
+  }
+
+  /// 2^{−52L} mod n.
+  static Bignum r_inverse(const IfmaMontgomery& m, const Bignum& n) {
+    return Bignum::mod_inverse(
+        pow2(static_cast<int>(52 * m.limbs())).mod(n), n);
+  }
+
+  // 512–3072-bit moduli and odd sizes on both sides of a register
+  // boundary (414/415 bits: 1/2 zmm; 3326 bits fills 8).
+  static constexpr int kModulusBits[] = {64,   414,  415,  512,  521, 1000,
+                                         1024, 1536, 2047, 2048, 2049,
+                                         3072, 3326};
+};
+
+TEST_F(IfmaKernelTest, ProductIsBnProductTimesRInverse) {
+  for (const int bits : kModulusBits) {
+    const Bignum n = odd_modulus(bits);
+    const auto m = IfmaMontgomery::create(n);
+    ASSERT_NE(m, nullptr) << bits;
+    EXPECT_EQ(m->zmm(), IfmaMontgomery::zmm_for(n));
+    const Bignum two_n = n + n;
+    const Bignum r_inv = r_inverse(*m, n);
+    for (int i = 0; i < 40; ++i) {
+      const Bignum a = Bignum::rand_range(two_n);
+      const Bignum b = Bignum::rand_range(two_n);
+      const Bignum got = amm(*m, a, b);
+      EXPECT_LT(got, two_n) << bits;
+      EXPECT_EQ(got.mod(n), Bignum::mod_mul(Bignum::mod_mul(a, b, n), r_inv, n))
+          << bits << "-bit N, a=" << a.to_hex() << " b=" << b.to_hex();
+    }
+  }
+}
+
+TEST_F(IfmaKernelTest, EdgeOperands) {
+  for (const int bits : kModulusBits) {
+    const Bignum n = odd_modulus(bits);
+    const auto m = IfmaMontgomery::create(n);
+    ASSERT_NE(m, nullptr) << bits;
+    const Bignum two_n = n + n;
+    const Bignum r_inv = r_inverse(*m, n);
+    const std::vector<Bignum> edges = {
+        Bignum(std::uint64_t{0}), Bignum(1), n - Bignum(1), n,
+        n + Bignum(1), two_n - Bignum(1), n + Bignum::rand_range(n)};
+    for (const Bignum& a : edges) {
+      for (const Bignum& b : edges) {
+        const Bignum got = amm(*m, a, b);
+        EXPECT_LT(got, two_n) << bits;
+        EXPECT_EQ(got.mod(n),
+                  Bignum::mod_mul(Bignum::mod_mul(a, b, n), r_inv, n))
+            << bits << "-bit N, a=" << a.to_hex() << " b=" << b.to_hex();
+      }
+      // Into the domain and out again is the identity on [0, N); a raw
+      // value in [N, 2N) leaves fully reduced.
+      LimbBuffer x(m->limbs());
+      if (a < n) {
+        m->to_mont(x.data(), a);
+        EXPECT_EQ(m->from_mont(x.data()), a) << bits;
+      }
+      m->load(x.data(), a);
+      EXPECT_EQ(m->from_mont(x.data()), Bignum::mod_mul(a, r_inv, n)) << bits;
+    }
+  }
+}
+
+TEST_F(IfmaKernelTest, AllOnesModuliCarryThroughEveryLane) {
+  // N = 2^k − 1 has all-ones limbs, so N·y_i contributes 2^52 − 1 to a
+  // lane and small operands leave lanes at exactly 2^52 − 1 when the last
+  // carry arrives: the normalization's ripple must run through them.
+  for (const int bits : {414, 830, 2046, 3326}) {
+    const Bignum n = pow2(bits) - Bignum(1);
+    const auto m = IfmaMontgomery::create(n);
+    ASSERT_NE(m, nullptr) << bits;
+    const Bignum two_n = n + n;
+    const Bignum r_inv = r_inverse(*m, n);
+    const std::vector<Bignum> operands = {
+        Bignum(1),     Bignum(2),         Bignum(3),  n - Bignum(1),
+        n + Bignum(1), two_n - Bignum(1), pow2(52),   pow2(bits / 2) - Bignum(1),
+        pow2(52) - Bignum(1)};
+    for (const Bignum& a : operands) {
+      for (const Bignum& b : operands) {
+        const Bignum got = amm(*m, a, b);
+        EXPECT_LT(got, two_n) << bits;
+        EXPECT_EQ(got.mod(n),
+                  Bignum::mod_mul(Bignum::mod_mul(a, b, n), r_inv, n))
+            << bits << "-bit all-ones N, a=" << a.to_hex()
+            << " b=" << b.to_hex();
+      }
+    }
+  }
+}
+
+TEST_F(IfmaKernelTest, TenThousandProductChainsStayBelowTwoN) {
+  for (const int bits : {512, 2048, 3072}) {
+    const Bignum n = odd_modulus(bits);
+    const auto m = IfmaMontgomery::create(n);
+    ASSERT_NE(m, nullptr) << bits;
+    const Bignum two_n = n + n;
+    const Bignum r_inv = r_inverse(*m, n);
+    // Multipliers from the top of [N, 2N) and a random one, so the chain
+    // runs as close to the 2N bound as the inputs allow.
+    for (const Bignum& y : {two_n - Bignum(1), n + Bignum::rand_range(n)}) {
+      LimbBuffer acc(m->limbs());
+      LimbBuffer mul(m->limbs());
+      Bignum expected = two_n - Bignum(2);
+      m->load(acc.data(), expected);
+      m->load(mul.data(), y);
+      bool bounded = true;
+      for (int i = 0; i < 10000 && bounded; ++i) {
+        m->mul(acc.data(), acc.data(), mul.data());
+        expected = Bignum::mod_mul(Bignum::mod_mul(expected, y, n), r_inv, n);
+        bounded = m->store(acc.data()) < two_n;
+        EXPECT_TRUE(bounded) << bits << "-bit N, step " << i;
+      }
+      EXPECT_EQ(m->store(acc.data()).mod(n), expected) << bits;
+    }
+  }
+}
+
+TEST_F(IfmaKernelTest, RejectsModuliThatDoNotFit) {
+  EXPECT_EQ(IfmaMontgomery::zmm_for(pow2(3326) - Bignum(1)), 8);
+  EXPECT_EQ(IfmaMontgomery::zmm_for(pow2(3327) - Bignum(1)), 0);
+  EXPECT_EQ(IfmaMontgomery::create(pow2(4096) - Bignum(1)), nullptr);
+  EXPECT_FALSE(ModExpContext::available(Backend::kIfma, pow2(4096) - Bignum(1)));
+  EXPECT_THROW(ModExpContext(pow2(4096) - Bignum(1), Backend::kIfma),
+               CryptoError);
+  EXPECT_EQ(ModExpContext(pow2(4096) - Bignum(1)).backend(), Backend::kBn);
+}
+
+// Names the backend this host runs, so a log shows whether the IFMA cells
+// above ran or skipped.
+TEST(ModExpBackendReport, ActiveBackendIsLogged) {
+  const Bignum n = pow2(2047) + Bignum(1);
+  const ModExpContext ctx(n);
+  std::cout << "[ modexp   ] AVX-512 IFMA "
+            << (IfmaMontgomery::cpu_supported() ? "available" : "absent")
+            << "; RSA-2048 ModExpContext backend: "
+            << ModExpContext::backend_name(ctx.backend()) << std::endl;
+  RecordProperty("modexp_backend", ModExpContext::backend_name(ctx.backend()));
+  EXPECT_EQ(ctx.backend(), IfmaMontgomery::cpu_supported() ? Backend::kIfma
+                                                           : Backend::kBn);
 }
 
 // The aggregated coprimality test (Jacobi symbol) against gcd, on a

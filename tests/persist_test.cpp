@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <map>
+#include <string>
 
 #include "common/serial.h"
 #include "crypto/hash.h"
@@ -132,10 +134,39 @@ TEST_F(PersistTest, InnerNodeMessageOfWrongWidthRejected) {
   EXPECT_THROW(EdbProver::load(crs_, bad), SerializationError);
 }
 
+TEST_F(PersistTest, InnerNodeInconsistentWithTheTrieRejected) {
+  // The prover keeps an inner node's digest and randomizers only and
+  // re-derives its messages and commitment from the trie, so a blob whose
+  // stored ones disagree must fail the load. Walk to the root node's
+  // commitment and to its first message, and flip one byte of each.
+  const Bytes state = prover_->serialize_state();
+  BinaryReader r(state);
+  (void)r.u32();  // magic
+  (void)r.u8();   // version
+  for (std::uint64_t n = r.varint(); n > 0; --n) {
+    (void)r.bytes();  // key
+    (void)r.bytes();  // value
+  }
+  ASSERT_GT(r.varint(), 0u);  // inner nodes
+  (void)r.str();              // prefix
+  const std::size_t com_end = state.size() - r.remaining();
+  (void)r.bytes();  // commitment
+  const std::size_t com_last = state.size() - r.remaining() - 1;
+  ASSERT_GT(com_last, com_end);
+  ASSERT_EQ(r.varint(), test_config().q);
+  const std::size_t message_at = state.size() - r.remaining() + 1;
+  for (const std::size_t at : {com_last, message_at}) {
+    Bytes bad = state;
+    bad[at] ^= 0x01;
+    EXPECT_THROW(EdbProver::load(crs_, bad), SerializationError) << at;
+  }
+  EXPECT_EQ(EdbProver::load(crs_, state).commitment(), prover_->commitment());
+}
+
 TEST_F(PersistTest, FabricatedNodesStoredWithoutTheirCommitments) {
-  // Version 2 stores a fabricated inner soft node as its decommitment
-  // only; the commitment is recomputed on a replay, so the reloaded chain
-  // is byte-identical.
+  // Version 2 stores an inner soft node (backing or fabricated) as its
+  // decommitment only; the commitment is recomputed on a replay, so the
+  // reloaded chain is byte-identical.
   const EdbKey ghost = key("ghost");
   const auto proof = prover_->prove_non_membership(ghost);
   const Bytes state = prover_->serialize_state();
@@ -143,7 +174,7 @@ TEST_F(PersistTest, FabricatedNodesStoredWithoutTheirCommitments) {
     return std::search(state.begin(), state.end(), needle.begin(),
                        needle.end()) != state.end();
   };
-  // The root's child is a trie or backing node, stored with its
+  // The ghost's path leaves the root through a trie node, stored with its
   // commitment; with 4 entries the walk falls off the trie long before the
   // last inner level, whose node was fabricated.
   const std::size_t h = test_config().height;
@@ -154,22 +185,83 @@ TEST_F(PersistTest, FabricatedNodesStoredWithoutTheirCommitments) {
             proof.serialize(*crs_));
 }
 
+// A CRS fixed down to its last byte (RSA-512 modulus, bases, prime seed,
+// TMC base) and a seeded prover over two entries: the prover state is a
+// constant, so a blob an older build wrote for it must load in this one.
+EdbCrsPtr fixture_crs() {
+  EdbPublicParams params;
+  params.q = 4;
+  params.height = 4;
+  params.group_name = "p256";
+  const GroupPtr group = group_by_name(params.group_name);
+  params.tmc_pk = mercurial::TmcPublicKey{
+      group->generator(), group->exp_g(Bignum::from_hex("5eed7a3c"))};
+  mercurial::QtmcPublicKey& pk = params.qtmc_pk;
+  pk.n = Bignum::from_hex(
+      "c84ae20622ca0d76f095eae3dc6cb408f2044a6e8b19f39dce2c1164abd2dce6"
+      "3a88b4eb5bcc5ddd9d8495e8300ee2ed963de7eedcb4a07510c62f85b9224355");
+  pk.g = Bignum::mod_exp(Bignum::from_hex("9e3779b97f4a7c15"), Bignum(2),
+                         pk.n);
+  pk.h = Bignum::mod_exp(pk.g, Bignum::from_hex("c0ffee0123456789"), pk.n);
+  pk.prime_seed = bytes_of("golden-prime-seed");
+  pk.q = params.q;
+  return std::make_shared<EdbCrs>(std::move(params));
+}
+
+std::map<Bytes, Bytes> fixture_entries(const EdbCrs& crs) {
+  std::map<Bytes, Bytes> entries;
+  for (int i = 0; i < 2; ++i) {
+    entries[key_for_identifier(crs, bytes_of("prod-" + std::to_string(i)))] =
+        bytes_of("value-" + std::to_string(i));
+  }
+  return entries;
+}
+
+EdbProverOptions fixture_options() {
+  EdbProverOptions opts;
+  opts.threads = 1;
+  opts.seed = bytes_of("dpoc-v1-fixture");
+  return opts;
+}
+
+Bytes read_hex_file(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::string hex;
+  for (std::string line; std::getline(in, line);) hex += line;
+  return from_hex(hex);
+}
+
 TEST_F(PersistTest, VersionOneStateStillLoads) {
-  // Before any fabrication every soft node is a backing node stored with
-  // its commitment, which is exactly the version 1 layout.
-  Bytes state = prover_->serialize_state();
-  ASSERT_EQ(state[4], 2);
-  state[4] = 1;
-  EdbProver reloaded = EdbProver::load(crs_, state);
-  EXPECT_EQ(reloaded.commitment(), prover_->commitment());
-  const EdbKey ghost = key("ghost");
-  EXPECT_TRUE(edb_verify_non_membership(*crs_, prover_->commitment(), ghost,
+  // tests/data/dpoc_state_v1.hex is the fixture prover's state in the
+  // version 1 layout, recorded by an earlier build whose writer still
+  // stored soft commitments: every soft node a backing node, inner ones
+  // with their commitment (tag 0), version byte 1.
+  const EdbCrsPtr crs = fixture_crs();
+  const Bytes v1 =
+      read_hex_file(std::string(DESWORD_TEST_DATA_DIR) + "/dpoc_state_v1.hex");
+  ASSERT_GT(v1.size(), 5u);
+  ASSERT_EQ(v1[4], 1);
+  const EdbProver fresh(crs, fixture_entries(*crs), fixture_options());
+  EdbProver reloaded = EdbProver::load(crs, v1);
+  EXPECT_EQ(reloaded.commitment(), fresh.commitment());
+  for (const auto& [key, value] : fixture_entries(*crs)) {
+    const auto got = edb_verify_membership(*crs, fresh.commitment(), key,
+                                           reloaded.prove_membership(key));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, value);
+  }
+  const EdbKey ghost = key_for_identifier(*crs, bytes_of("ghost"));
+  EXPECT_TRUE(edb_verify_non_membership(*crs, fresh.commitment(), ghost,
                                         reloaded.prove_non_membership(ghost)));
-  // A version 1 blob cannot carry a commitment-less node.
-  (void)prover_->prove_non_membership(ghost);
-  Bytes fabricated = prover_->serialize_state();
-  fabricated[4] = 1;
-  EXPECT_THROW(EdbProver::load(crs_, fabricated), SerializationError);
+  // Written back, every inner soft node drops its commitment (tag 2), and
+  // a version 1 blob cannot carry such a node.
+  Bytes rewritten = reloaded.serialize_state();
+  ASSERT_EQ(rewritten[4], 2);
+  EXPECT_LT(rewritten.size(), v1.size());
+  EXPECT_EQ(EdbProver::load(crs, rewritten).commitment(), fresh.commitment());
+  rewritten[4] = 1;
+  EXPECT_THROW(EdbProver::load(crs, rewritten), SerializationError);
 }
 
 TEST_F(PersistTest, PocDecommitmentRoundTrip) {

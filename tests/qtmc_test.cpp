@@ -460,6 +460,27 @@ TEST_P(QtmcTest, DraftThenBindMatchesTextbookWithTables) {
   expect_draft_bind_matches_textbook(*scheme_, Reference(keys_.pk));
 }
 
+// hard_commitment rebuilds the commitment a decommitment opens, bit for
+// bit, for distinct vectors, trie-shaped ones (one real child, the shared
+// backing digest elsewhere), a short vector and the all-null one, with and
+// without the fixed-base tables: a ZK-EDB prover stores decommitments only
+// and recomputes commitments for its proofs.
+TEST_P(QtmcTest, HardCommitmentRecomputesTheCommitment) {
+  std::vector<std::vector<Bytes>> shapes = {make_messages(q_),
+                                            make_messages(q_ / 2), {}};
+  std::vector<Bytes> trie(q_, msg16(7));
+  trie[q_ - 1] = msg16(8);
+  shapes.push_back(trie);
+  for (const bool tables : {false, true}) {
+    if (tables) scheme_->precompute_fixed_bases(/*position_bases=*/true);
+    for (std::size_t k = 0; k < shapes.size(); ++k) {
+      const auto [com, dec] = scheme_->hard_commit(shapes[k]);
+      EXPECT_EQ(scheme_->hard_commitment(dec), com)
+          << "shape " << k << (tables ? " with tables" : "");
+    }
+  }
+}
+
 TEST_P(QtmcTest, DraftAndBindRejectMalformedPositions) {
   const auto msgs = make_messages(q_);
   DrbgRandomSource rng(bytes_of("qtmc-draft-malformed"));

@@ -12,13 +12,18 @@
 //     wave hits, with no lock in the memo (this suite runs under TSan).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/executor.h"
+#include "common/thread_pool.h"
 #include "crypto/hash.h"
 #include "desword/messages.h"
 #include "desword/scenario.h"
@@ -436,6 +441,23 @@ TEST(VerifyCacheCapacityTest, ProxyMemoHoldsAtMostCacheCapacityHops) {
 // any worker touching it would be reported.
 // ---------------------------------------------------------------------------
 
+/// Posts one task per worker of `executor` that returns once `ready()`
+/// holds, so every task posted behind them waits until then. A minute's
+/// deadline turns a premise that never comes true into failed assertions
+/// instead of a hang.
+void hold_workers(Executor& executor, unsigned workers,
+                  const std::function<bool()>& ready) {
+  for (unsigned i = 0; i < workers; ++i) {
+    executor.post([ready] {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::minutes(1);
+      while (!ready() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+  }
+}
+
 TEST(VerifyCacheConcurrencyTest, JoinedAndMemoizedHopsMatchAnInlineRun) {
   struct Run {
     std::vector<QueryDigest> outcomes;  // reputation: the board at the end
@@ -446,7 +468,17 @@ TEST(VerifyCacheConcurrencyTest, JoinedAndMemoizedHopsMatchAnInlineRun) {
     proto::ScenarioConfig cfg;
     cfg.proxy.verify.worker_threads = workers;
     cfg.proxy.max_concurrent_queries = 4;
+    // Participants prove on a pool of their own, so holding the proxy's
+    // verify workers below never holds up a proof.
+    ThreadPool prover_pool(3);
     proto::Scenario scenario(SupplyChainGraph::paper_example(), cfg);
+    const std::shared_ptr<Executor> verifier = scenario.proxy().executor();
+    if (verifier) {
+      const auto provers = std::make_shared<Executor>(prover_pool);
+      for (const std::string& id : scenario.graph().participants()) {
+        scenario.participant(id).set_executor(provers);
+      }
+    }
     DistributionConfig dist;
     dist.initial = "v0";
     dist.products = make_products(1, 0, 3);
@@ -459,6 +491,11 @@ TEST(VerifyCacheConcurrencyTest, JoinedAndMemoizedHopsMatchAnInlineRun) {
     for (int round = 0; round < 2; ++round) {
       const std::uint64_t j0 = joined();
       const std::uint64_t h0 = hits();
+      if (round == 0 && verifier) {
+        // The first of the four first-hop responses dispatches the hop's
+        // check, which cannot finish before the other three joined it.
+        hold_workers(*verifier, workers, [j0] { return joined() - j0 >= 3; });
+      }
       for (const auto& o : scenario.proxy().run_queries(
                wave, proto::ProductQuality::kGood)) {
         r.outcomes.push_back({o.path, o.complete, o.violations, {}});
