@@ -1,9 +1,8 @@
 // Ablation (extension) — design choices called out in DESIGN.md.
 //
-//   1. SoftMode: kShared backs all absent children of a trie node with ONE
-//      soft commitment; kPerChild (the literal CFM/CHLMR construction)
-//      creates one per absent child. Measures the commit-time cost of
-//      faithfulness and confirms proof costs are unchanged.
+//   1. Soft backing: every trie node backs all its absent children with ONE
+//      shared soft commitment (DESIGN.md §5.3). The `shared` cells record
+//      its aggregation and ownership-proof cost.
 //   2. TMC group backend: P-256 vs RFC 3526 MODP-2048 as the leaf-level
 //      commitment group inside the full ZK-EDB.
 #include <benchmark/benchmark.h>
@@ -16,9 +15,9 @@ namespace {
 
 using namespace desword;
 
-zkedb::EdbCrsPtr ablation_crs(zkedb::SoftMode mode, const char* group) {
-  static std::map<std::pair<int, std::string>, zkedb::EdbCrsPtr> cache;
-  const auto key = std::make_pair(static_cast<int>(mode), std::string(group));
+zkedb::EdbCrsPtr ablation_crs(const char* group) {
+  static std::map<std::string, zkedb::EdbCrsPtr> cache;
+  const std::string key = group;
   auto it = cache.find(key);
   if (it == cache.end()) {
     zkedb::EdbConfig cfg;
@@ -26,7 +25,6 @@ zkedb::EdbCrsPtr ablation_crs(zkedb::SoftMode mode, const char* group) {
     cfg.height = benchutil::quick_mode() ? 8 : 32;
     cfg.rsa_bits = benchutil::quick_mode() ? 512 : benchutil::rsa_bits();
     cfg.group_name = group;
-    cfg.soft_mode = mode;
     it = cache.emplace(key, zkedb::generate_crs(cfg)).first;
   }
   return it->second;
@@ -41,8 +39,8 @@ std::map<Bytes, Bytes> traces_of(std::size_t n) {
   return traces;
 }
 
-void BM_AggregateSoftMode(benchmark::State& state, zkedb::SoftMode mode) {
-  const zkedb::EdbCrsPtr crs = ablation_crs(mode, "p256");
+void BM_Aggregate(benchmark::State& state) {
+  const zkedb::EdbCrsPtr crs = ablation_crs("p256");
   poc::PocScheme scheme(crs);
   const auto traces = traces_of(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -51,8 +49,8 @@ void BM_AggregateSoftMode(benchmark::State& state, zkedb::SoftMode mode) {
   }
 }
 
-void BM_ProveSoftMode(benchmark::State& state, zkedb::SoftMode mode) {
-  const zkedb::EdbCrsPtr crs = ablation_crs(mode, "p256");
+void BM_OwnProofGen(benchmark::State& state) {
+  const zkedb::EdbCrsPtr crs = ablation_crs("p256");
   poc::PocScheme scheme(crs);
   auto [p, dpoc] =
       scheme.aggregate("v1", traces_of(static_cast<std::size_t>(state.range(0))));
@@ -63,8 +61,7 @@ void BM_ProveSoftMode(benchmark::State& state, zkedb::SoftMode mode) {
 }
 
 void BM_AggregateGroup(benchmark::State& state, const char* group) {
-  const zkedb::EdbCrsPtr crs =
-      ablation_crs(zkedb::SoftMode::kShared, group);
+  const zkedb::EdbCrsPtr crs = ablation_crs(group);
   poc::PocScheme scheme(crs);
   const auto traces = traces_of(8);
   for (auto _ : state) {
@@ -74,37 +71,12 @@ void BM_AggregateGroup(benchmark::State& state, const char* group) {
 }
 
 void register_all() {
-  for (const long n : {4L, 16L}) {
-    benchmark::RegisterBenchmark(
-        "Ablation/Aggregate/shared",
-        [](benchmark::State& st) {
-          BM_AggregateSoftMode(st, zkedb::SoftMode::kShared);
-        })
-        ->Arg(n)
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(3);
-    benchmark::RegisterBenchmark(
-        "Ablation/Aggregate/per_child",
-        [](benchmark::State& st) {
-          BM_AggregateSoftMode(st, zkedb::SoftMode::kPerChild);
-        })
-        ->Arg(n)
-        ->Unit(benchmark::kMillisecond)
-        ->Iterations(3);
-  }
-  benchmark::RegisterBenchmark(
-      "Ablation/OwnProofGen/shared",
-      [](benchmark::State& st) {
-        BM_ProveSoftMode(st, zkedb::SoftMode::kShared);
-      })
-      ->Arg(8)
+  benchmark::RegisterBenchmark("Ablation/Aggregate/shared", BM_Aggregate)
+      ->Arg(4)
+      ->Arg(16)
       ->Unit(benchmark::kMillisecond)
-      ->Iterations(5);
-  benchmark::RegisterBenchmark(
-      "Ablation/OwnProofGen/per_child",
-      [](benchmark::State& st) {
-        BM_ProveSoftMode(st, zkedb::SoftMode::kPerChild);
-      })
+      ->Iterations(3);
+  benchmark::RegisterBenchmark("Ablation/OwnProofGen/shared", BM_OwnProofGen)
       ->Arg(8)
       ->Unit(benchmark::kMillisecond)
       ->Iterations(5);

@@ -26,10 +26,9 @@ using namespace desword::protocol;
 
 zkedb::EdbConfig macro_edb() {
   if (benchutil::quick_mode()) {
-    return zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+    return zkedb::EdbConfig{4, 8, 512, "p256"};
   }
-  return zkedb::EdbConfig{16, 32, benchutil::rsa_bits(), "p256",
-                          zkedb::SoftMode::kShared};
+  return zkedb::EdbConfig{16, 32, benchutil::rsa_bits(), "p256"};
 }
 
 std::vector<long> depth_sweep() {

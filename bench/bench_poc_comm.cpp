@@ -76,8 +76,7 @@ using namespace desword::protocol;
 using namespace desword::supplychain;
 
 zkedb::EdbConfig e2e_edb() {
-  return zkedb::EdbConfig{4, 8, benchutil::rsa_bits(), "p256",
-                          zkedb::SoftMode::kShared};
+  return zkedb::EdbConfig{4, 8, benchutil::rsa_bits(), "p256"};
 }
 
 DistributionConfig e2e_dist() {

@@ -20,8 +20,7 @@ using namespace desword::protocol;
 int main() {
   // The paper's Figure 1 topology: v0/v1 initial, v5/v7/v8/v9 leaves.
   ScenarioConfig config;
-  config.proxy.edb =
-      zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  config.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256"};
   config.proxy.scores.weight_by_responsibility = true;  // source pays double
   Scenario scenario(supplychain::SupplyChainGraph::paper_example(), config);
 

@@ -36,8 +36,7 @@ void print_outcome(const char* label, const QueryOutcome& outcome) {
 
 int main() {
   ScenarioConfig config;
-  config.proxy.edb =
-      zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  config.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256"};
   Scenario scenario(supplychain::SupplyChainGraph::paper_example(), config);
 
   // Two independent lots from the two initial participants.

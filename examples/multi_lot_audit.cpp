@@ -21,8 +21,7 @@ using namespace desword::protocol;
 
 int main() {
   ScenarioConfig config;
-  config.proxy.edb =
-      zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  config.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256"};
   config.proxy.scores.weight_by_responsibility = true;
   Scenario scenario(supplychain::SupplyChainGraph::paper_example(), config);
 

@@ -24,8 +24,7 @@ int main() {
   //    participant, and a simulated network. The EdbConfig picks the
   //    ZK-EDB shape: q-ary tree of the given height over an RSA modulus.
   ScenarioConfig config;
-  config.proxy.edb =
-      zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  config.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256"};
   Scenario scenario(graph, config);
 
   // 3. One distribution task: 6 tagged products leave the manufacturer.

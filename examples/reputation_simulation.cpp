@@ -33,8 +33,7 @@ int main() {
   graph.add_edge("shady-dist", "retail-2");
 
   ScenarioConfig config;
-  config.proxy.edb =
-      zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  config.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256"};
   Scenario scenario(graph, config);
   SimRng rng(20260707);
 

@@ -141,10 +141,13 @@ void gen_wire(const fs::path& dir, std::mt19937& rng) {
   write_with_mutants(dir, "big_payload",
                      frame("a", "b", "x", Bytes(512, 0xa5)), rng);
   // Length prefix lies: claims more than the body that follows.
-  Bytes partial = frame("v1", "proxy", msg::kPsRequest,
-                        PsRequest{"task-2"}.serialize());
-  partial.resize(partial.size() - 3);
-  write_file(dir, "short_body.bin", partial);
+  const Bytes whole = frame("v1", "proxy", msg::kPsRequest,
+                           PsRequest{"task-2"}.serialize());
+  if (whole.size() <= 3) {
+    std::cerr << "frame too short to cut its body\n";
+    std::exit(1);
+  }
+  write_file(dir, "short_body.bin", BytesView(whole.data(), whole.size() - 3));
   // Oversized length prefix (> kMaxFrameBytes): must throw, not allocate.
   write_file(dir, "huge_len.bin", Bytes{0xff, 0xff, 0xff, 0xff, 0x00});
   // Zero-length frame (empty envelope body is malformed).

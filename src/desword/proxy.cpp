@@ -90,8 +90,7 @@ Proxy::Proxy(net::NodeId id, net::Transport& transport, ProxyDeps deps,
     verify_cache_ =
         std::make_unique<zkedb::VerifyCache>(policy.cache_capacity);
   }
-  scheme_ = std::make_unique<poc::PocScheme>(
-      crs_, zkedb::EdbVerifyOptions{.batched = policy.batch_verify});
+  scheme_ = std::make_unique<poc::PocScheme>(crs_);
   if (policy.worker_threads > 0) {
     obs::install_executor_metrics();
     executor_ = std::make_shared<Executor>(policy.worker_threads);

@@ -43,13 +43,11 @@
 
 namespace desword::protocol {
 
-/// How the proxy verifies proofs: execution strategy, worker fan-out and
-/// the verification cache. Grouped so deployments tune one knob cluster
-/// (ProxyConfig::verify); none of these fields ever changes verdicts.
+/// How the proxy verifies proofs: worker fan-out and the verification
+/// cache. Grouped so deployments tune one knob cluster (ProxyConfig::verify);
+/// none of these fields ever changes verdicts. Query proofs are always
+/// verified with the batched multi-exponentiation engine.
 struct VerifyPolicy {
-  /// Verify query proofs with the batched multi-exponentiation engine
-  /// (scalar per-opening checks when false).
-  bool batch_verify = true;
   /// Crypto worker threads. 0 (the default) keeps every verification
   /// inline in the transport loop — byte-identical to the historical
   /// single-threaded behavior. With workers, `scheme().verify` runs on the
@@ -95,7 +93,7 @@ struct ProxyConfig {
   /// Bound on the reputation ledger's retained event history (ring buffer;
   /// 0 = unbounded). Scores are never affected, only the audit trail depth.
   std::size_t reputation_history_cap = ReputationLedger::kDefaultHistoryCap;
-  /// Verification policy: strategy, worker fan-out, cache knobs. Verdicts
+  /// Verification policy: worker fan-out, cache knobs. Verdicts
   /// — and thus reputation penalties — are identical under every setting.
   VerifyPolicy verify{};
   /// Query sessions allowed to drive the transport at once; further

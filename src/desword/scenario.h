@@ -31,7 +31,7 @@ struct ScenarioConfig {
   /// `verify.worker_threads` also sizes the one crypto executor the proxy
   /// shares with every participant (0 = inline crypto). The default EDB
   /// parameters are small enough for tests.
-  ProxyConfig proxy{.edb = {4, 6, 512, "p256", zkedb::SoftMode::kShared}};
+  ProxyConfig proxy{.edb = {4, 6, 512, "p256"}};
   /// The plan of the FaultInjector every frame crosses. The default plan
   /// injects nothing. Losses during the distribution phase are healed by
   /// the participants' own retry timers; a distribution give-up surfaces

@@ -11,7 +11,7 @@ Bytes EdbPublicParams::serialize() const {
   w.u32(q);
   w.u32(height);
   w.str(group_name);
-  w.u8(static_cast<std::uint8_t>(soft_mode));
+  w.u8(0);  // soft-backing mode: shared, the only one
   w.bytes(tmc_pk.serialize());
   w.bytes(qtmc_pk.serialize());
   return w.take();
@@ -23,9 +23,7 @@ EdbPublicParams EdbPublicParams::deserialize(BytesView data) {
   p.q = r.u32();
   p.height = r.u32();
   p.group_name = r.str();
-  const std::uint8_t mode = r.u8();
-  if (mode > 1) throw SerializationError("bad soft mode");
-  p.soft_mode = static_cast<SoftMode>(mode);
+  if (r.u8() != 0) throw SerializationError("bad soft-backing mode");
   const Bytes tmc_ser = r.bytes();
   const Bytes qtmc_ser = r.bytes();
   r.expect_done();
@@ -108,7 +106,6 @@ EdbCrsPtr generate_crs(const EdbConfig& config) {
   params.q = config.q;
   params.height = config.height;
   params.group_name = config.group_name;
-  params.soft_mode = config.soft_mode;
   params.tmc_pk = std::move(tmc_keys.pk);
   params.qtmc_pk = std::move(qtmc_keys.pk);
   // Trapdoors go out of scope here: the CRS generator (the proxy) never

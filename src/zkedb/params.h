@@ -27,31 +27,25 @@ namespace desword::zkedb {
 inline constexpr std::size_t kKeyBytes = 16;
 using EdbKey = Bytes;
 
-/// How absent children of committed (trie) nodes are backed.
-enum class SoftMode : std::uint8_t {
-  /// One shared soft commitment per trie node covers every absent child.
-  /// Much cheaper to commit; reveals that sibling absences share a node
-  /// (documented deviation, see DESIGN.md).
-  kShared = 0,
-  /// One soft commitment per absent child — the faithful CFM/CHLMR
-  /// construction; commit cost grows by a factor of ~q.
-  kPerChild = 1,
-};
+/// Kept only so that existing `EdbConfig{q, h, bits, group, kShared}`
+/// initializers compile; every absent child is backed by its trie node's
+/// one shared soft commitment (DESIGN.md §5.3).
+enum class SoftMode : std::uint8_t { kShared = 0 };
 
 struct EdbConfig {
   std::uint32_t q = 16;
   std::uint32_t height = 32;
   int rsa_bits = 2048;
   std::string group_name = "p256";  // "p256" | "modp2048" | "modp512-test"
-  SoftMode soft_mode = SoftMode::kShared;
+  SoftMode soft_mode = SoftMode::kShared;  // read by nothing; see SoftMode
 };
 
-/// Serializable public parameters (the "ps" of the paper's Table I).
+/// Serializable public parameters (the "ps" of the paper's Table I). The
+/// wire form keeps a soft-backing byte after the group name, always 0.
 struct EdbPublicParams {
   std::uint32_t q = 0;
   std::uint32_t height = 0;
   std::string group_name;
-  SoftMode soft_mode = SoftMode::kShared;
   mercurial::TmcPublicKey tmc_pk;
   mercurial::QtmcPublicKey qtmc_pk;
 

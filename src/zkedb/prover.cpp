@@ -127,7 +127,10 @@ Bytes EdbProver::soft_digest(std::size_t id) const {
 std::vector<Bytes> EdbProver::inner_messages(const std::string& prefix) const {
   const std::uint32_t q = crs_->q();
   const bool leaf_children = prefix.size() + 1 == crs_->height();
-  const bool shared = crs_->params().soft_mode == SoftMode::kShared;
+  const auto backing = soft_backing_.find(prefix);
+  const Bytes soft = backing != soft_backing_.end()
+                         ? soft_digest(backing->second)
+                         : Bytes();
   std::vector<Bytes> messages(q);
   std::string next = child_prefix(prefix, 0);
   for (std::uint32_t c = 0; c < q; ++c) {
@@ -139,11 +142,7 @@ std::vector<Bytes> EdbProver::inner_messages(const std::string& prefix) const {
     } else if (const auto it = inner_.find(next); it != inner_.end()) {
       messages[c].assign(it->second.digest.begin(), it->second.digest.end());
     }
-    if (!messages[c].empty()) continue;
-    const auto backing = soft_backing_.find(shared ? prefix : next);
-    if (backing != soft_backing_.end()) {
-      messages[c] = soft_digest(backing->second);
-    }
+    if (messages[c].empty()) messages[c] = soft;
   }
   return messages;
 }
@@ -209,28 +208,24 @@ std::size_t EdbProver::plan_subtree(const std::vector<BuildEntry>& entries,
 }
 
 void EdbProver::back_absent_children(PlanNode& node) const {
-  const bool shared = crs_->params().soft_mode == SoftMode::kShared;
   const std::uint32_t depth = static_cast<std::uint32_t>(node.prefix.size());
   std::vector<bool> is_child(node.messages.size(), false);
   for (const auto& [digit, index] : node.children) is_child[digit] = true;
-  Bytes shared_digest;
+  Bytes digest;  // the node's backing, resolved at its first absent child
   for (std::uint32_t c = 0; c < node.messages.size(); ++c) {
     if (is_child[c] || !node.messages[c].empty()) continue;
-    if (shared && !shared_digest.empty()) {
-      node.messages[c] = shared_digest;
-      continue;
+    if (digest.empty()) {
+      if (const auto it = soft_backing_.find(node.prefix);
+          it != soft_backing_.end()) {
+        digest = soft_digest(it->second);
+      } else {
+        auto [soft, soft_dig] =
+            soft_node(depth + 1, *node_rng('s', node.prefix));
+        digest = std::move(soft_dig);
+        node.new_backing = std::move(soft);
+      }
     }
-    std::string key = shared ? node.prefix : child_prefix(node.prefix, c);
-    Bytes digest;
-    if (const auto it = soft_backing_.find(key); it != soft_backing_.end()) {
-      digest = soft_digest(it->second);
-    } else {
-      auto [soft, soft_dig] = soft_node(depth + 1, *node_rng('s', key));
-      digest = std::move(soft_dig);
-      node.new_backings.emplace_back(std::move(key), std::move(soft));
-    }
-    if (shared) shared_digest = digest;
-    node.messages[c] = std::move(digest);
+    node.messages[c] = digest;
   }
 }
 
@@ -278,9 +273,9 @@ void EdbProver::commit_plan(std::vector<PlanNode>& plan) {
     });
   }
   for (PlanNode& node : plan) {
-    for (auto& [key, soft] : node.new_backings) {
-      soft_backing_.emplace(std::move(key), soft_nodes_.size());
-      soft_nodes_.push_back(std::move(soft));
+    if (node.new_backing) {
+      soft_backing_.emplace(node.prefix, soft_nodes_.size());
+      soft_nodes_.push_back(std::move(*node.new_backing));
     }
     if (auto* inner = std::get_if<InnerNode>(&node.node)) {
       inner_.insert_or_assign(node.prefix, std::move(*inner));
@@ -362,9 +357,7 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
         (d + 1 < h) ? (inner_.find(next) != inner_.end())
                     : (leaves_.find(next) != leaves_.end());
     if (!child_in_trie) {
-      const std::string backing_key =
-          crs_->params().soft_mode == SoftMode::kShared ? prefix : next;
-      soft_id = soft_backing_.at(backing_key);
+      soft_id = soft_backing_.at(prefix);
       proof.child_commitments[d] = soft_commitment_bytes(soft_nodes_[soft_id]);
       break;
     }

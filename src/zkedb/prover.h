@@ -3,10 +3,11 @@
 //
 // Committing builds the trie of committed keys bottom-up: leaves are TMC
 // hard commitments to H(value); every inner trie node is a qTMC hard
-// commitment over its q child digests, where absent children point at soft
-// commitments (shared or per-child, see SoftMode). Non-membership proofs
-// fabricate soft nodes lazily below the committed trie; fabrications are
-// memoized so repeated queries present a consistent view.
+// commitment over its q child digests, where every absent child points at
+// the node's one soft backing commitment (DESIGN.md §5.3: siblings'
+// absences share a digest). Non-membership proofs fabricate soft nodes
+// lazily below the committed trie; fabrications are memoized so repeated
+// queries present a consistent view.
 //
 // The prover object *is* the (Com, Dec) pair of the paper's EDB-commit:
 // `commitment()` is Com, the internal state is Dec.
@@ -163,7 +164,7 @@ class EdbProver {
     std::vector<Bytes> messages;
     std::vector<std::pair<std::uint32_t, std::size_t>> children;
     // Filled by commit_plan.
-    std::vector<std::pair<std::string, SoftNode>> new_backings;
+    std::optional<SoftNode> new_backing;
     std::optional<mercurial::QtmcCommitDraft> draft;
     std::variant<std::monostate, InnerNode, LeafNode> node;
     Bytes digest;
@@ -199,8 +200,8 @@ class EdbProver {
   void commit_plan(std::vector<PlanNode>& plan);
 
   /// Fills the empty slots of the inner `node` outside its children with
-  /// soft-backing digests: an existing backing node's, or a new one's,
-  /// which is kept in node.new_backings for commit_plan to publish.
+  /// its soft backing's digest: the existing backing node's, or a new
+  /// one's, which is kept in node.new_backing for commit_plan to publish.
   void back_absent_children(PlanNode& node) const;
 
   // Computes a soft node whose *node depth* is `depth` (leaf iff ==
@@ -214,8 +215,9 @@ class EdbProver {
   Bytes soft_digest(std::size_t id) const;
 
   // The q messages of the inner trie node at `prefix`: at each digit the
-  // child's digest, else the soft backing's, else (an erase's just-pruned
-  // child in per-child mode, which recommit_path rebinds) empty.
+  // child's digest, else the node's soft backing's, else (a node without
+  // backing yet: an erase's just-pruned child, which recommit_path
+  // rebinds) empty.
   std::vector<Bytes> inner_messages(const std::string& prefix) const;
 
   // The decommitment of the inner trie node at `prefix`: inner_messages
@@ -231,7 +233,8 @@ class EdbProver {
 
   /// DRBG seed for the node identified by (role, id): role 'i' = inner
   /// node keyed by prefix, 'l' = leaf keyed by prefix, 's' = soft backing
-  /// keyed by backing key, 'f' = fabricated soft node keyed by a counter.
+  /// keyed by the prefix of the node it backs, 'f' = fabricated soft node
+  /// keyed by a counter.
   /// Only meaningful when opts_.seed is set; epoch_ folds updates in so
   /// recommits of the same prefix get fresh randomness.
   Bytes node_seed(char role, std::string_view id) const;
@@ -257,8 +260,8 @@ class EdbProver {
   // Trie nodes addressed by digit-prefix strings (one byte per digit).
   std::map<std::string, InnerNode> inner_;
   std::map<std::string, LeafNode> leaves_;
-  // Soft backing of absent children: trie prefix (shared mode) or trie
-  // prefix + digit (per-child mode) -> soft node id.
+  // Soft backing of absent children, keyed by the trie prefix of the node
+  // whose absent children it backs -> soft node id.
   std::map<std::string, std::size_t> soft_backing_;
   // Deque: stable references across push_back, so fabricating a child soft
   // node cannot invalidate the parent reference mid-update (and parallel

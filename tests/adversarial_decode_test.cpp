@@ -295,6 +295,21 @@ TEST_F(AdversarialPersist, PublicParamsMutation) {
     (void)zkedb::EdbPublicParams::deserialize(data);
   });
   bitflip_sweep(params, decode);
+  // The soft-backing byte after the group name must be 0 (shared backing):
+  // a blob that names any other backing is refused.
+  BinaryWriter head;
+  head.u32(crs().params().q);
+  head.u32(crs().params().height);
+  head.str(crs().params().group_name);
+  const std::size_t mode_at = head.take().size();
+  ASSERT_EQ(params.at(mode_at), 0);
+  for (const std::uint8_t mode : {1, 2}) {
+    Bytes mutated = params;
+    mutated[mode_at] = mode;
+    EXPECT_THROW((void)zkedb::EdbPublicParams::deserialize(mutated),
+                 SerializationError)
+        << int{mode};
+  }
 }
 
 }  // namespace

@@ -827,21 +827,17 @@ TEST_F(ChunkedFoldTest, VerifyManyPileOf64) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol level: a corrupted query proof costs the corrupting hop its
-// reputation under BOTH verification strategies.
+// Protocol level: a corrupted query proof that the proxy's batched verify
+// rejects costs the corrupting hop its reputation.
 
-class BatchVerifyReputationTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(BatchVerifyReputationTest, PenaltyLandsOnCorruptingHop) {
+TEST(BatchVerifyReputationTest, PenaltyLandsOnCorruptingHop) {
   using supplychain::DistributionConfig;
   using supplychain::ProductId;
   using supplychain::SupplyChainGraph;
   namespace proto = protocol;
 
   proto::ScenarioConfig cfg;
-  cfg.proxy.edb =
-      zk::EdbConfig{4, 8, kTestRsaBits, "p256", zk::SoftMode::kShared};
-  cfg.proxy.verify.batch_verify = GetParam();
+  cfg.proxy.edb = zk::EdbConfig{4, 8, kTestRsaBits, "p256"};
   proto::Scenario scenario(SupplyChainGraph::paper_example(), cfg);
 
   const auto products = supplychain::make_products(1, 2000, 8);
@@ -873,12 +869,5 @@ TEST_P(BatchVerifyReputationTest, PenaltyLandsOnCorruptingHop) {
       cheater, proto::ViolationType::kClaimProcessingInvalidProof));
   EXPECT_LT(scenario.proxy().reputation(cheater), 0.0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Strategies, BatchVerifyReputationTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Batched" : "Scalar";
-                         });
-
 }  // namespace
 }  // namespace desword

@@ -124,6 +124,9 @@ TEST_F(CliTest, UsageErrors) {
   EXPECT_EQ(run_cli({"ps-gen"}), 2);  // missing --out
   EXPECT_EQ(run_cli({"ps-gen", "--out"}), 2);  // flag without value
   EXPECT_EQ(run_cli({"ps-gen", "--out", path("x"), "--bogus", "1"}), 2);
+  // ps-gen has no soft-backing flag: backing is always shared.
+  EXPECT_EQ(run_cli({"ps-gen", "--out", path("x"), "--soft-mode", "per-child"}),
+            2);
   EXPECT_EQ(run_cli({"inspect"}), 2);
   EXPECT_FALSE(err_.str().empty());
 }

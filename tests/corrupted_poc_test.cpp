@@ -20,7 +20,7 @@ using supplychain::SupplyChainGraph;
 
 ScenarioConfig fast_config() {
   ScenarioConfig cfg;
-  cfg.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  cfg.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256"};
   return cfg;
 }
 

@@ -142,7 +142,7 @@ TEST(MessagesTest, QualityToString) {
 
 TEST(CrsCacheTest, SameBytesYieldSameInstance) {
   CrsCache cache;
-  zkedb::EdbConfig cfg{4, 6, 512, "p256", zkedb::SoftMode::kShared};
+  zkedb::EdbConfig cfg{4, 6, 512, "p256"};
   const zkedb::EdbCrsPtr crs = zkedb::generate_crs(cfg);
   const Bytes ps = crs->params().serialize();
   const zkedb::EdbCrsPtr a = cache.get(ps);
@@ -153,7 +153,7 @@ TEST(CrsCacheTest, SameBytesYieldSameInstance) {
 
 TEST(CrsCacheTest, PutPreseedsInstance) {
   CrsCache cache;
-  zkedb::EdbConfig cfg{4, 6, 512, "p256", zkedb::SoftMode::kShared};
+  zkedb::EdbConfig cfg{4, 6, 512, "p256"};
   const zkedb::EdbCrsPtr crs = zkedb::generate_crs(cfg);
   cache.put(crs);
   const zkedb::EdbCrsPtr got = cache.get(crs->params().serialize());

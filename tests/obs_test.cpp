@@ -193,8 +193,7 @@ class ObsProtocolTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ScenarioConfig cfg;
-    cfg.proxy.edb =
-        zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+    cfg.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256"};
     scenario_ = std::make_unique<Scenario>(chain_graph(8), cfg);
     products_ = make_products(1, 1, 2);
     DistributionConfig dist;

@@ -24,13 +24,12 @@
 namespace desword::zkedb {
 namespace {
 
-EdbConfig test_config(SoftMode mode = SoftMode::kShared) {
+EdbConfig test_config() {
   EdbConfig cfg;
   cfg.q = 4;
   cfg.height = 6;
   cfg.rsa_bits = 512;
   cfg.group_name = "p256";
-  cfg.soft_mode = mode;
   return cfg;
 }
 
@@ -54,13 +53,13 @@ EdbProverOptions seeded(unsigned threads) {
   return opts;
 }
 
-class ParallelEdbTest : public ::testing::TestWithParam<SoftMode> {
+class ParallelEdbTest : public ::testing::Test {
  protected:
-  void SetUp() override { crs_ = generate_crs(test_config(GetParam())); }
+  void SetUp() override { crs_ = generate_crs(test_config()); }
   EdbCrsPtr crs_;
 };
 
-TEST_P(ParallelEdbTest, SeededCommitIdenticalAcrossThreadCounts) {
+TEST_F(ParallelEdbTest, SeededCommitIdenticalAcrossThreadCounts) {
   const auto entries = test_entries(*crs_, 12);
   EdbProver seq(crs_, entries, seeded(1));
   for (const unsigned threads : {2u, 4u, 8u}) {
@@ -70,7 +69,7 @@ TEST_P(ParallelEdbTest, SeededCommitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_P(ParallelEdbTest, SeededProofsIdenticalAcrossThreadCounts) {
+TEST_F(ParallelEdbTest, SeededProofsIdenticalAcrossThreadCounts) {
   const auto entries = test_entries(*crs_, 12);
   EdbProver seq(crs_, entries, seeded(1));
   EdbProver par(crs_, entries, seeded(4));
@@ -105,7 +104,7 @@ TEST_P(ParallelEdbTest, SeededProofsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST_P(ParallelEdbTest, ParallelCommitVerifies) {
+TEST_F(ParallelEdbTest, ParallelCommitVerifies) {
   const auto entries = test_entries(*crs_, 12);
   EdbProverOptions opts;
   opts.threads = 4;  // CSPRNG randomness, parallel build
@@ -122,7 +121,7 @@ TEST_P(ParallelEdbTest, ParallelCommitVerifies) {
                                         prover.prove_non_membership(ghost)));
 }
 
-TEST_P(ParallelEdbTest, DifferentSeedsDifferentCommitments) {
+TEST_F(ParallelEdbTest, DifferentSeedsDifferentCommitments) {
   const auto entries = test_entries(*crs_, 4);
   EdbProverOptions a = seeded(1);
   EdbProverOptions b = seeded(1);
@@ -134,7 +133,7 @@ TEST_P(ParallelEdbTest, DifferentSeedsDifferentCommitments) {
             EdbProver(crs_, entries).commitment_bytes());
 }
 
-TEST_P(ParallelEdbTest, SeededUpdatesStayDeterministic) {
+TEST_F(ParallelEdbTest, SeededUpdatesStayDeterministic) {
   const auto entries = test_entries(*crs_, 6);
   EdbProver a(crs_, entries, seeded(1));
   EdbProver b(crs_, entries, seeded(4));
@@ -147,7 +146,7 @@ TEST_P(ParallelEdbTest, SeededUpdatesStayDeterministic) {
   EXPECT_EQ(a.commitment_bytes(), b.commitment_bytes());
 }
 
-TEST_P(ParallelEdbTest, ManyFabricationsKeepEarlierProofsStable) {
+TEST_F(ParallelEdbTest, ManyFabricationsKeepEarlierProofsStable) {
   // Regression: fabricating a ghost path appends child soft nodes to the
   // store while the updater still holds a reference to the parent soft
   // node. With a vector store, enough growth reallocates and the parent
@@ -185,7 +184,7 @@ TEST_P(ParallelEdbTest, ManyFabricationsKeepEarlierProofsStable) {
                                         ghosts.front(), again));
 }
 
-TEST_P(ParallelEdbTest, VerifyManySweep) {
+TEST_F(ParallelEdbTest, VerifyManySweep) {
   const auto entries = test_entries(*crs_, 8);
   EdbProver prover(crs_, entries, seeded(4));
   std::vector<EdbMembershipProof> proofs;
@@ -263,7 +262,7 @@ std::vector<EdbKey> ghost_keys(const EdbCrs& crs,
   return ghosts;
 }
 
-TEST_P(ParallelEdbTest, SeededMembershipProofsIdenticalAtAnyFanOut) {
+TEST_F(ParallelEdbTest, SeededMembershipProofsIdenticalAtAnyFanOut) {
   const auto entries = test_entries(*crs_, 12);
   EdbProver base(crs_, entries, seeded(1));
   for (const unsigned threads : {2u, 4u}) {
@@ -276,7 +275,7 @@ TEST_P(ParallelEdbTest, SeededMembershipProofsIdenticalAtAnyFanOut) {
   }
 }
 
-TEST_P(ParallelEdbTest, SeededFabricationsIdenticalAtAnyFanOut) {
+TEST_F(ParallelEdbTest, SeededFabricationsIdenticalAtAnyFanOut) {
   const auto entries = test_entries(*crs_, 12);
   EdbProver seq(crs_, entries, seeded(1));
   EdbProver par(crs_, entries, seeded(4));
@@ -294,7 +293,7 @@ TEST_P(ParallelEdbTest, SeededFabricationsIdenticalAtAnyFanOut) {
             par.prove_non_membership(again).child_commitments);
 }
 
-TEST_P(ParallelEdbTest, SharedFabricatedPrefixReusesMemoizedTeases) {
+TEST_F(ParallelEdbTest, SharedFabricatedPrefixReusesMemoizedTeases) {
   const auto entries = low_entries(*crs_, 5);
   EdbProver prover(crs_, entries, seeded(4));
   const std::uint32_t h = crs_->height();
@@ -319,7 +318,7 @@ TEST_P(ParallelEdbTest, SharedFabricatedPrefixReusesMemoizedTeases) {
       edb_verify_non_membership(*crs_, prover.commitment(), second, b));
 }
 
-TEST_P(ParallelEdbTest, RepeatProofsByteIdenticalAfterStateRoundTrip) {
+TEST_F(ParallelEdbTest, RepeatProofsByteIdenticalAfterStateRoundTrip) {
   const auto entries = test_entries(*crs_, 12);
   EdbProver prover(crs_, entries, seeded(4));
   const EdbKey member = entries.begin()->first;
@@ -338,7 +337,7 @@ TEST_P(ParallelEdbTest, RepeatProofsByteIdenticalAfterStateRoundTrip) {
             ghost_proof);
 }
 
-TEST_P(ParallelEdbTest, ConcurrentMembershipProofsAgree) {
+TEST_F(ParallelEdbTest, ConcurrentMembershipProofsAgree) {
   const auto entries = test_entries(*crs_, 12);
   const EdbProver prover(crs_, entries, seeded(4));
   const EdbKey key = entries.begin()->first;
@@ -358,18 +357,13 @@ TEST_P(ParallelEdbTest, ConcurrentMembershipProofsAgree) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(SoftModes, ParallelEdbTest,
-                         ::testing::Values(SoftMode::kShared,
-                                           SoftMode::kPerChild));
-
 // A CRS fixed down to its last byte (RSA-512 modulus, bases, prime seed,
 // TMC base), so a seeded prover's output is a constant.
-EdbCrsPtr fixed_crs(SoftMode mode = SoftMode::kShared) {
+EdbCrsPtr fixed_crs() {
   EdbPublicParams params;
   params.q = 4;
   params.height = 8;
   params.group_name = "p256";
-  params.soft_mode = mode;
   const GroupPtr group = group_by_name(params.group_name);
   params.tmc_pk = mercurial::TmcPublicKey{
       group->generator(), group->exp_g(Bignum::from_hex("5eed7a3c"))};
@@ -406,43 +400,49 @@ TEST(SeededProverGoldenTest, CommitmentAndMembershipProofArePinned) {
   EXPECT_EQ(digest(), kGolden) << "with fixed-base tables";
 }
 
+// Pins the public parameters' wire form and so EdbCrs::digest(), the CRS
+// identity that verification-cache keys bind. The soft-backing byte stays
+// in the blob as a constant 0, so neither moves.
+TEST(SeededProverGoldenTest, PublicParamsBytesArePinned) {
+  constexpr const char* kGolden =
+      "1cb5c79febf8963d9d77d1b0b8ed3a5c7ca876bb18eb6a2b5ca8845507cbfbb9";
+  const EdbCrsPtr crs = fixed_crs();
+  EXPECT_EQ(to_hex(sha256(crs->params().serialize())), kGolden);
+  EXPECT_EQ(to_hex(crs->digest()), kGolden);
+}
+
 // Pins the update path the same way: a seeded prover's commitment after
 // each step of an insert/erase sequence, then one membership proof. The
 // sequence grows a fresh branch, prunes one, regrows it where the earlier
 // build left soft backing behind, and erases back down to soft backing.
 TEST(SeededProverGoldenTest, InsertEraseSequenceIsPinned) {
-  const std::map<SoftMode, const char*> golden{
-      {SoftMode::kShared,
-       "91a8196c0c1580304ccb8d226bf9884636d500bd684a7803859b02492d0025fe"},
-      {SoftMode::kPerChild,
-       "3b3098b577833f250c67b797e0c43ebfaec4116dee7a09f189cc73941f59c175"}};
-  for (const auto& [mode, expected] : golden) {
-    const EdbCrsPtr crs = fixed_crs(mode);
-    const auto entries = test_entries(*crs, 12);
-    const EdbKey late = key_of(*crs, "late-arrival");
-    const EdbKey first = key_of(*crs, "prod-0");
-    const auto digest = [&](unsigned threads) {
-      EdbProver prover(crs, entries, seeded(threads));
-      Bytes transcript;
-      const auto step = [&] { append(transcript, prover.commitment_bytes()); };
-      prover.insert(late, bytes_of("late"));
-      step();
-      prover.erase(first);
-      step();
-      prover.insert(first, bytes_of("back"));
-      step();
-      prover.erase(late);
-      step();
-      append(transcript, prover.prove_membership(first).serialize(*crs));
-      return to_hex(sha256(transcript));
-    };
-    for (const unsigned threads : {1u, 4u}) {
-      EXPECT_EQ(digest(threads), expected)
-          << "without fixed-base tables, threads=" << threads;
-    }
-    crs->qtmc().precompute_fixed_bases(/*position_bases=*/true);
-    EXPECT_EQ(digest(4), expected) << "with fixed-base tables";
+  constexpr const char* kGolden =
+      "91a8196c0c1580304ccb8d226bf9884636d500bd684a7803859b02492d0025fe";
+  const EdbCrsPtr crs = fixed_crs();
+  const auto entries = test_entries(*crs, 12);
+  const EdbKey late = key_of(*crs, "late-arrival");
+  const EdbKey first = key_of(*crs, "prod-0");
+  const auto digest = [&](unsigned threads) {
+    EdbProver prover(crs, entries, seeded(threads));
+    Bytes transcript;
+    const auto step = [&] { append(transcript, prover.commitment_bytes()); };
+    prover.insert(late, bytes_of("late"));
+    step();
+    prover.erase(first);
+    step();
+    prover.insert(first, bytes_of("back"));
+    step();
+    prover.erase(late);
+    step();
+    append(transcript, prover.prove_membership(first).serialize(*crs));
+    return to_hex(sha256(transcript));
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    EXPECT_EQ(digest(threads), kGolden)
+        << "without fixed-base tables, threads=" << threads;
   }
+  crs->qtmc().precompute_fixed_bases(/*position_bases=*/true);
+  EXPECT_EQ(digest(4), kGolden) << "with fixed-base tables";
 }
 
 }  // namespace

@@ -264,6 +264,26 @@ TEST_F(PersistTest, VersionOneStateStillLoads) {
   EXPECT_THROW(EdbProver::load(crs, rewritten), SerializationError);
 }
 
+TEST_F(PersistTest, PerChildBackedStateRejected) {
+  // tests/data/dpoc_state_per_child.hex is the fixture prover's state as an
+  // earlier build wrote it when asked to back every absent child with a
+  // soft node of its own, keyed by the child's prefix. Backing is now keyed
+  // by the trie node's prefix, so the stored messages do not match what
+  // the loaded trie derives: the load itself must fail, before any proof.
+  const Bytes state = read_hex_file(std::string(DESWORD_TEST_DATA_DIR) +
+                                    "/dpoc_state_per_child.hex");
+  ASSERT_GT(state.size(), 5u);
+  try {
+    (void)EdbProver::load(fixture_crs(), state);
+    ADD_FAILURE() << "a state with child-keyed backing loaded";
+  } catch (const SerializationError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "inner node messages do not match the trie"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(PersistTest, PocDecommitmentRoundTrip) {
   poc::PocScheme scheme(crs_);
   std::map<Bytes, Bytes> traces;

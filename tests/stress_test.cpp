@@ -19,7 +19,7 @@ using supplychain::SupplyChainGraph;
 
 TEST(StressTest, MultiTaskMultiQuerySoak) {
   ScenarioConfig cfg;
-  cfg.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  cfg.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256"};
   Scenario scenario(SupplyChainGraph::layered(5, 4, 2), cfg);
 
   // Three tasks from different initial participants.
@@ -76,7 +76,7 @@ TEST(StressTest, MultiTaskMultiQuerySoak) {
 TEST(StressTest, RepeatedNonMembershipQueriesBoundedGrowth) {
   // Repeatedly querying the same absent products must reuse memoized
   // fabrications rather than growing state per query.
-  zkedb::EdbConfig cfg{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  zkedb::EdbConfig cfg{4, 8, 512, "p256"};
   const zkedb::EdbCrsPtr crs = zkedb::generate_crs(cfg);
   poc::PocScheme scheme(crs);
   std::map<Bytes, Bytes> traces;

@@ -391,8 +391,7 @@ namespace {
 
 TEST(TransportProtocolTest, QuerySurvivesCrashedParticipant) {
   ScenarioConfig config;
-  config.proxy.edb =
-      zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  config.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256"};
   Scenario scenario(supplychain::SupplyChainGraph::paper_example(), config);
 
   supplychain::DistributionConfig dist;
@@ -431,7 +430,7 @@ TEST(TransportProtocolTest, DeadPeerFastFailsOverSockets) {
   net::SocketTransport socket{net::SocketTransportOptions{}};
   const auto crs_cache = std::make_shared<CrsCache>();
   ProxyConfig config;
-  config.edb = zkedb::EdbConfig{4, 6, 512, "p256", zkedb::SoftMode::kShared};
+  config.edb = zkedb::EdbConfig{4, 6, 512, "p256"};
   config.retransmit_base = 400;
   config.retransmit_cap = 400;
   config.max_retries = 5;

@@ -11,13 +11,12 @@ namespace desword::zkedb {
 namespace {
 
 // Small tree (q=4, h=6 => 4096-key space) over fast test-sized crypto.
-EdbConfig test_config(SoftMode mode = SoftMode::kShared) {
+EdbConfig test_config() {
   EdbConfig cfg;
   cfg.q = 4;
   cfg.height = 6;
   cfg.rsa_bits = 512;
   cfg.group_name = "p256";
-  cfg.soft_mode = mode;
   return cfg;
 }
 
@@ -25,10 +24,10 @@ EdbKey key_of(const EdbCrs& crs, const std::string& id) {
   return key_for_identifier(crs, bytes_of(id));
 }
 
-class ZkEdbTest : public ::testing::TestWithParam<SoftMode> {
+class ZkEdbTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    crs_ = generate_crs(test_config(GetParam()));
+    crs_ = generate_crs(test_config());
     std::map<Bytes, Bytes> entries;
     for (const char* id : {"prod-1", "prod-2", "prod-3", "prod-4", "prod-5"}) {
       entries[key_of(*crs_, id)] = bytes_of(std::string("trace of ") + id);
@@ -40,7 +39,7 @@ class ZkEdbTest : public ::testing::TestWithParam<SoftMode> {
   std::unique_ptr<EdbProver> prover_;
 };
 
-TEST_P(ZkEdbTest, MembershipRoundTripAllKeys) {
+TEST_F(ZkEdbTest, MembershipRoundTripAllKeys) {
   for (const char* id : {"prod-1", "prod-2", "prod-3", "prod-4", "prod-5"}) {
     const EdbKey key = key_of(*crs_, id);
     ASSERT_TRUE(prover_->contains(key)) << id;
@@ -52,7 +51,7 @@ TEST_P(ZkEdbTest, MembershipRoundTripAllKeys) {
   }
 }
 
-TEST_P(ZkEdbTest, NonMembershipRoundTrip) {
+TEST_F(ZkEdbTest, NonMembershipRoundTrip) {
   for (const char* id : {"ghost-1", "ghost-2", "ghost-3"}) {
     const EdbKey key = key_of(*crs_, id);
     ASSERT_FALSE(prover_->contains(key)) << id;
@@ -63,7 +62,7 @@ TEST_P(ZkEdbTest, NonMembershipRoundTrip) {
   }
 }
 
-TEST_P(ZkEdbTest, RepeatedNonMembershipQueriesAreConsistent) {
+TEST_F(ZkEdbTest, RepeatedNonMembershipQueriesAreConsistent) {
   // Memoized fabrication: the digest chain must be identical across
   // repeated queries for the same key (the teases may re-randomize).
   const EdbKey key = key_of(*crs_, "ghost");
@@ -77,7 +76,7 @@ TEST_P(ZkEdbTest, RepeatedNonMembershipQueriesAreConsistent) {
       edb_verify_non_membership(*crs_, prover_->commitment(), key, p2));
 }
 
-TEST_P(ZkEdbTest, MembershipProofRejectedForWrongKey) {
+TEST_F(ZkEdbTest, MembershipProofRejectedForWrongKey) {
   const EdbKey k1 = key_of(*crs_, "prod-1");
   const EdbKey k2 = key_of(*crs_, "prod-2");
   const auto proof = prover_->prove_membership(k1);
@@ -86,7 +85,7 @@ TEST_P(ZkEdbTest, MembershipProofRejectedForWrongKey) {
           .has_value());
 }
 
-TEST_P(ZkEdbTest, MembershipProofRejectedForWrongRoot) {
+TEST_F(ZkEdbTest, MembershipProofRejectedForWrongRoot) {
   std::map<Bytes, Bytes> other;
   other[key_of(*crs_, "prod-1")] = bytes_of("different value");
   EdbProver other_prover(crs_, other);
@@ -97,7 +96,7 @@ TEST_P(ZkEdbTest, MembershipProofRejectedForWrongRoot) {
           .has_value());
 }
 
-TEST_P(ZkEdbTest, TamperedValueRejected) {
+TEST_F(ZkEdbTest, TamperedValueRejected) {
   const EdbKey key = key_of(*crs_, "prod-1");
   auto proof = prover_->prove_membership(key);
   proof.value = bytes_of("forged trace");
@@ -105,7 +104,7 @@ TEST_P(ZkEdbTest, TamperedValueRejected) {
                    .has_value());
 }
 
-TEST_P(ZkEdbTest, NonMembershipRejectedForPresentKey) {
+TEST_F(ZkEdbTest, NonMembershipRejectedForPresentKey) {
   // A malicious prover cannot even construct the proof through the API;
   // simulate a cheater by verifying a ghost's proof against a present key.
   const EdbKey present = key_of(*crs_, "prod-1");
@@ -115,14 +114,14 @@ TEST_P(ZkEdbTest, NonMembershipRejectedForPresentKey) {
                                          present, proof));
 }
 
-TEST_P(ZkEdbTest, ProverApiGuards) {
+TEST_F(ZkEdbTest, ProverApiGuards) {
   EXPECT_THROW(prover_->prove_membership(key_of(*crs_, "ghost")),
                ProtocolError);
   EXPECT_THROW(prover_->prove_non_membership(key_of(*crs_, "prod-1")),
                ProtocolError);
 }
 
-TEST_P(ZkEdbTest, EmptyDatabaseProvesAllKeysAbsent) {
+TEST_F(ZkEdbTest, EmptyDatabaseProvesAllKeysAbsent) {
   EdbProver empty(crs_, {});
   EXPECT_EQ(empty.size(), 0u);
   const EdbKey key = key_of(*crs_, "anything");
@@ -131,7 +130,7 @@ TEST_P(ZkEdbTest, EmptyDatabaseProvesAllKeysAbsent) {
                                         proof));
 }
 
-TEST_P(ZkEdbTest, ProofSerializationRoundTrips) {
+TEST_F(ZkEdbTest, ProofSerializationRoundTrips) {
   const EdbKey present = key_of(*crs_, "prod-3");
   const auto mproof = prover_->prove_membership(present);
   const auto mproof2 =
@@ -148,7 +147,7 @@ TEST_P(ZkEdbTest, ProofSerializationRoundTrips) {
       edb_verify_non_membership(*crs_, prover_->commitment(), ghost, nproof2));
 }
 
-TEST_P(ZkEdbTest, MembershipProofBitFlipFuzz) {
+TEST_F(ZkEdbTest, MembershipProofBitFlipFuzz) {
   const EdbKey key = key_of(*crs_, "prod-2");
   const auto proof = prover_->prove_membership(key);
   const Bytes ser = proof.serialize(*crs_);
@@ -169,7 +168,7 @@ TEST_P(ZkEdbTest, MembershipProofBitFlipFuzz) {
   }
 }
 
-TEST_P(ZkEdbTest, StructurallyManipulatedProofsRejected) {
+TEST_F(ZkEdbTest, StructurallyManipulatedProofsRejected) {
   const EdbKey key = key_of(*crs_, "prod-1");
   const auto good = prover_->prove_membership(key);
 
@@ -206,7 +205,7 @@ TEST_P(ZkEdbTest, StructurallyManipulatedProofsRejected) {
   }
 }
 
-TEST_P(ZkEdbTest, MixedProofPartsRejected) {
+TEST_F(ZkEdbTest, MixedProofPartsRejected) {
   // A non-membership tease chain cannot be dressed up with a membership
   // ending or vice versa.
   const EdbKey ghost = key_of(*crs_, "ghost");
@@ -216,7 +215,7 @@ TEST_P(ZkEdbTest, MixedProofPartsRejected) {
       edb_verify_non_membership(*crs_, prover_->commitment(), ghost, nproof));
 }
 
-TEST_P(ZkEdbTest, CommitmentIsCompact) {
+TEST_F(ZkEdbTest, CommitmentIsCompact) {
   // The commitment size is independent of the database size.
   std::map<Bytes, Bytes> big;
   for (int i = 0; i < 32; ++i) {
@@ -227,10 +226,6 @@ TEST_P(ZkEdbTest, CommitmentIsCompact) {
   EXPECT_EQ(big_prover.commitment_bytes().size(),
             prover_->commitment_bytes().size());
 }
-
-INSTANTIATE_TEST_SUITE_P(SoftModes, ZkEdbTest,
-                         ::testing::Values(SoftMode::kShared,
-                                           SoftMode::kPerChild));
 
 TEST(ZkEdbParamsTest, DigitsRoundTrip) {
   EdbConfig cfg = test_config();

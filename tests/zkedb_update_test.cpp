@@ -12,7 +12,7 @@
 namespace desword::zkedb {
 namespace {
 
-class ZkEdbUpdateTest : public ::testing::TestWithParam<SoftMode> {
+class ZkEdbUpdateTest : public ::testing::Test {
  protected:
   void SetUp() override {
     EdbConfig cfg;
@@ -20,7 +20,6 @@ class ZkEdbUpdateTest : public ::testing::TestWithParam<SoftMode> {
     cfg.height = 8;
     cfg.rsa_bits = 512;
     cfg.group_name = "p256";
-    cfg.soft_mode = GetParam();
     crs_ = generate_crs(cfg);
     std::map<Bytes, Bytes> entries;
     for (int i = 0; i < 3; ++i) {
@@ -51,7 +50,7 @@ class ZkEdbUpdateTest : public ::testing::TestWithParam<SoftMode> {
   std::unique_ptr<EdbProver> prover_;
 };
 
-TEST_P(ZkEdbUpdateTest, InsertMakesKeyProvable) {
+TEST_F(ZkEdbUpdateTest, InsertMakesKeyProvable) {
   const EdbKey k = key("new-entry");
   expect_non_member(k);
   const auto old_root = prover_->commitment();
@@ -65,7 +64,7 @@ TEST_P(ZkEdbUpdateTest, InsertMakesKeyProvable) {
   expect_non_member(key("still-absent"));
 }
 
-TEST_P(ZkEdbUpdateTest, OldProofsRejectedAfterUpdate) {
+TEST_F(ZkEdbUpdateTest, OldProofsRejectedAfterUpdate) {
   const EdbKey base = key("base-0");
   const auto old_proof = prover_->prove_membership(base);
   prover_->insert(key("new-entry"), bytes_of("v"));
@@ -75,7 +74,7 @@ TEST_P(ZkEdbUpdateTest, OldProofsRejectedAfterUpdate) {
           .has_value());
 }
 
-TEST_P(ZkEdbUpdateTest, EraseMakesKeyDeniable) {
+TEST_F(ZkEdbUpdateTest, EraseMakesKeyDeniable) {
   const EdbKey k = key("base-1");
   const auto old_root = prover_->commitment();
   prover_->erase(k);
@@ -86,7 +85,7 @@ TEST_P(ZkEdbUpdateTest, EraseMakesKeyDeniable) {
   expect_member(key("base-2"), bytes_of("base-value"));
 }
 
-TEST_P(ZkEdbUpdateTest, EraseToEmptyAndRefill) {
+TEST_F(ZkEdbUpdateTest, EraseToEmptyAndRefill) {
   for (int i = 0; i < 3; ++i) prover_->erase(key("base-" + std::to_string(i)));
   EXPECT_EQ(prover_->size(), 0u);
   expect_non_member(key("base-0"));
@@ -96,13 +95,13 @@ TEST_P(ZkEdbUpdateTest, EraseToEmptyAndRefill) {
   expect_member(key("reborn"), bytes_of("v2"));
 }
 
-TEST_P(ZkEdbUpdateTest, InsertEraseGuards) {
+TEST_F(ZkEdbUpdateTest, InsertEraseGuards) {
   EXPECT_THROW(prover_->insert(key("base-0"), bytes_of("dup")),
                ProtocolError);
   EXPECT_THROW(prover_->erase(key("never-there")), ProtocolError);
 }
 
-TEST_P(ZkEdbUpdateTest, ManySequentialUpdatesStayConsistent) {
+TEST_F(ZkEdbUpdateTest, ManySequentialUpdatesStayConsistent) {
   // Interleaved inserts and erases; verify the final state exhaustively.
   for (int i = 0; i < 8; ++i) {
     prover_->insert(key("bulk-" + std::to_string(i)),
@@ -121,7 +120,7 @@ TEST_P(ZkEdbUpdateTest, ManySequentialUpdatesStayConsistent) {
   }
 }
 
-TEST_P(ZkEdbUpdateTest, UpdatedProverSurvivesPersistence) {
+TEST_F(ZkEdbUpdateTest, UpdatedProverSurvivesPersistence) {
   prover_->insert(key("added"), bytes_of("av"));
   prover_->erase(key("base-0"));
   const Bytes state = prover_->serialize_state();
@@ -132,10 +131,6 @@ TEST_P(ZkEdbUpdateTest, UpdatedProverSurvivesPersistence) {
                                     key("added"), proof)
                   .has_value());
 }
-
-INSTANTIATE_TEST_SUITE_P(SoftModes, ZkEdbUpdateTest,
-                         ::testing::Values(SoftMode::kShared,
-                                           SoftMode::kPerChild));
 
 }  // namespace
 }  // namespace desword::zkedb

@@ -28,14 +28,6 @@ int cmd_ps_gen(const Flags& flags, std::ostream& out) {
   cfg.height = static_cast<std::uint32_t>(flags.get_int("height", 32));
   cfg.rsa_bits = flags.get_int("rsa-bits", 2048);
   cfg.group_name = flags.get("group", "p256");
-  const std::string mode = flags.get("soft-mode", "shared");
-  if (mode == "shared") {
-    cfg.soft_mode = zkedb::SoftMode::kShared;
-  } else if (mode == "per-child") {
-    cfg.soft_mode = zkedb::SoftMode::kPerChild;
-  } else {
-    throw UsageError("--soft-mode must be shared or per-child");
-  }
   const std::string path = flags.require("out");
   flags.reject_unknown();
 
@@ -142,10 +134,7 @@ int cmd_inspect(const Flags& flags, std::ostream& out) {
         zkedb::EdbPublicParams::deserialize(read_file(ps_path));
     out << "public parameters:\n  q=" << params.q
         << " height=" << params.height << " group=" << params.group_name
-        << "\n  rsa bits=" << params.qtmc_pk.n.bits() << " soft-mode="
-        << (params.soft_mode == zkedb::SoftMode::kShared ? "shared"
-                                                         : "per-child")
-        << "\n";
+        << "\n  rsa bits=" << params.qtmc_pk.n.bits() << "\n";
     return 0;
   }
   if (!poc_path.empty()) {
@@ -161,8 +150,7 @@ int cmd_inspect(const Flags& flags, std::ostream& out) {
 int cmd_demo(std::ostream& out) {
   using namespace desword::protocol;
   ScenarioConfig config;
-  config.proxy.edb =
-      zkedb::EdbConfig{4, 8, 512, "p256", zkedb::SoftMode::kShared};
+  config.proxy.edb = zkedb::EdbConfig{4, 8, 512, "p256"};
   Scenario scenario(supplychain::SupplyChainGraph::paper_example(), config);
 
   supplychain::DistributionConfig dist;

@@ -4,7 +4,7 @@
 // drive every command in-process. Commands:
 //
 //   desword ps-gen     --out ps.bin [--q 16 --height 32 --rsa-bits 2048
-//                      --group p256 --soft-mode shared]
+//                      --group p256]
 //   desword aggregate  --ps ps.bin --participant v1 --traces traces.json
 //                      --poc v1.poc --dpoc v1.dpoc
 //   desword prove      --ps ps.bin --dpoc v1.dpoc --product <hex-epc>

@@ -102,7 +102,6 @@ Plan load_plan(const std::string& path) {
   plan.edb.height = static_cast<std::uint32_t>(edb.at("height").as_int());
   plan.edb.rsa_bits = static_cast<int>(edb.at("rsa_bits").as_int());
   plan.edb.group_name = edb.at("group").as_string();
-  plan.edb.soft_mode = zkedb::SoftMode::kShared;
   plan.max_retries = static_cast<int>(doc.at("max_retries").as_int());
   plan.retransmit_ms =
       static_cast<std::uint64_t>(doc.at("retransmit_ms").as_int());
@@ -280,7 +279,6 @@ int plan_impl(const Flags& flags, std::ostream& out) {
   edb.height = static_cast<std::uint32_t>(flags.get_int("height", 8));
   edb.rsa_bits = flags.get_int("rsa-bits", 512);
   edb.group_name = flags.get("group", "p256");
-  edb.soft_mode = zkedb::SoftMode::kShared;
   const int seed = flags.get_int("seed", 7);
   flags.reject_unknown();
   if (n < 2) throw UsageError("--participants must be >= 2");
