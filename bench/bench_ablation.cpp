@@ -71,29 +71,34 @@ void BM_AggregateGroup(benchmark::State& state, const char* group) {
 }
 
 void register_all() {
-  benchmark::RegisterBenchmark("Ablation/Aggregate/shared", BM_Aggregate)
-      ->Arg(4)
-      ->Arg(16)
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(3);
-  benchmark::RegisterBenchmark("Ablation/OwnProofGen/shared", BM_OwnProofGen)
-      ->Arg(8)
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(5);
-  benchmark::RegisterBenchmark(
-      "Ablation/Aggregate/leaf_p256",
-      [](benchmark::State& st) { BM_AggregateGroup(st, "p256"); })
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(3);
-  benchmark::RegisterBenchmark(
-      "Ablation/Aggregate/leaf_modp2048",
-      [](benchmark::State& st) {
-        BM_AggregateGroup(
-            st, desword::benchutil::quick_mode() ? "modp512-test"
-                                                 : "modp2048");
-      })
-      ->Unit(benchmark::kMillisecond)
-      ->Iterations(3);
+  // Three repetitions with aggregates only, as ZkEdb/Commit: a single run
+  // of the first cell would also time the process's one-time warm-up.
+  const auto cell = [](benchmark::internal::Benchmark* b, int iterations) {
+    b->Unit(benchmark::kMillisecond)
+        ->Iterations(iterations)
+        ->Repetitions(3)
+        ->ReportAggregatesOnly(true);
+  };
+  cell(benchmark::RegisterBenchmark("Ablation/Aggregate/shared", BM_Aggregate)
+           ->Arg(4)
+           ->Arg(16),
+       3);
+  cell(benchmark::RegisterBenchmark("Ablation/OwnProofGen/shared",
+                                    BM_OwnProofGen)
+           ->Arg(8),
+       5);
+  cell(benchmark::RegisterBenchmark(
+           "Ablation/Aggregate/leaf_p256",
+           [](benchmark::State& st) { BM_AggregateGroup(st, "p256"); }),
+       3);
+  cell(benchmark::RegisterBenchmark(
+           "Ablation/Aggregate/leaf_modp2048",
+           [](benchmark::State& st) {
+             BM_AggregateGroup(st, desword::benchutil::quick_mode()
+                                       ? "modp512-test"
+                                       : "modp2048");
+           }),
+       3);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +35,9 @@ inline int rsa_bits() {
   }
   return 2048;
 }
+
+/// Bytes the process heap holds allocated right now (all malloc arenas).
+inline std::size_t heap_bytes() { return mallinfo2().uordblks; }
 
 inline bool quick_mode() {
   const char* env = std::getenv("DESWORD_BENCH_QUICK");

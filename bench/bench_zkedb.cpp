@@ -60,15 +60,24 @@ EdbProver& prover_for(std::size_t n, unsigned threads = 0) {
   return *it->second;
 }
 
+// Also reports KiB_per_key: the heap a prover keeps per committed key,
+// the live-bytes delta around its construction (tools/run_bench.sh gates
+// it).
 void BM_Commit(benchmark::State& state) {
   const EdbCrsPtr crs = bench_crs();
   const auto entries = entries_of(*crs, static_cast<std::size_t>(state.range(0)));
   EdbProverOptions opts;
   opts.threads = static_cast<unsigned>(state.range(1));
+  double kib_per_key = 0;
   for (auto _ : state) {
+    const std::size_t before = benchutil::heap_bytes();
     EdbProver prover(crs, entries, opts);
+    kib_per_key = (static_cast<double>(benchutil::heap_bytes()) -
+                   static_cast<double>(before)) /
+                  1024.0 / static_cast<double>(entries.size());
     benchmark::DoNotOptimize(prover.commitment_bytes());
   }
+  state.counters["KiB_per_key"] = kib_per_key;
 }
 
 void BM_BatchProve(benchmark::State& state) {

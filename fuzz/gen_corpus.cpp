@@ -8,11 +8,15 @@
 // truncation and bit-flip mutants (fixed mt19937 seed), so regenerating
 // the corpus is reproducible except for the randomness inside fresh
 // commitments — which is itself pinned by EdbProverOptions::seed and the
-// checked-in CRS.
+// checked-in CRS. The persist seeds are built over the CRS already in
+// <output_dir>/persist_crs.bin when there is one (a fresh small CRS
+// otherwise), so regenerating them after a format change rewrites only
+// the seeds whose encoding changed.
 
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -245,12 +249,21 @@ void gen_messages(const fs::path& dir, std::mt19937& rng) {
 
 void gen_persist(const fs::path& corpus_root, const fs::path& dir,
                  std::mt19937& rng) {
-  zkedb::EdbConfig config;
-  config.q = 4;
-  config.height = 8;
-  config.rsa_bits = 512;
-  config.group_name = "modp512-test";
-  zkedb::EdbCrsPtr crs = zkedb::generate_crs(config);
+  zkedb::EdbCrsPtr crs;
+  if (std::ifstream in(corpus_root / "persist_crs.bin", std::ios::binary);
+      in) {
+    const Bytes blob((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    crs = std::make_shared<zkedb::EdbCrs>(
+        zkedb::EdbPublicParams::deserialize(blob));
+  } else {
+    zkedb::EdbConfig config;
+    config.q = 4;
+    config.height = 8;
+    config.rsa_bits = 512;
+    config.group_name = "modp512-test";
+    crs = zkedb::generate_crs(config);
+  }
   write_file(corpus_root, "persist_crs.bin", crs->params().serialize());
 
   auto sel = [](std::uint8_t selector, const Bytes& blob) {

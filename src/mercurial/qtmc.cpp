@@ -1,7 +1,6 @@
 #include "mercurial/qtmc.h"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <mutex>  // desword-lint: allow(raw-mutex) — std::once_flag/call_once
 
@@ -349,39 +348,8 @@ std::pair<QtmcCommitment, QtmcHardDecommit> QtmcScheme::hard_commit(
   return hard_commit_bind(hard_commit_draft(messages, {}, rng), {});
 }
 
-namespace {
-
-/// Hands back a decommitment's randomizers in the order hard_commit_draft
-/// draws them: z, r0, r1.
-class ReplayRandomSource final : public RandomSource {
- public:
-  explicit ReplayRandomSource(const QtmcHardDecommit& dec)
-      : values_{&dec.z, &dec.r0, &dec.r1} {}
-
-  Bignum rand_bits(int /*bits*/) override {
-    DESWORD_CHECK(next_ < values_.size(), "qTMC replay drew too often");
-    return *values_[next_++];
-  }
-  Bignum rand_range(const Bignum& /*bound*/) override {
-    throw CheckError("qTMC replay: hard_commit_draft draws no ranges");
-  }
-
- private:
-  std::array<const Bignum*, 3> values_;
-  std::size_t next_ = 0;
-};
-
-}  // namespace
-
-QtmcCommitment QtmcScheme::hard_commitment(const QtmcHardDecommit& dec) const {
-  std::vector<Bytes> messages;
-  messages.reserve(dec.size());
-  for (std::size_t i = 0; i < dec.size(); ++i) {
-    const BytesView m = dec.message(i);
-    messages.emplace_back(m.begin(), m.end());
-  }
-  ReplayRandomSource replay(dec);
-  return hard_commit_bind(hard_commit_draft(messages, {}, replay), {}).first;
+Bignum QtmcScheme::hard_c1(const Bignum& r1) const {
+  return canonical(pow_h(r1));
 }
 
 QtmcCommitDraft QtmcScheme::hard_commit_draft(
@@ -434,7 +402,7 @@ QtmcCommitDraft QtmcScheme::hard_commit_draft(
     if (d.is_zero()) continue;
     draft.acc = Bignum::mod_mul(draft.acc, pow_s_signed(i, d), pk_.n);
   }
-  draft.c1 = canonical(pow_h(dec.r1));
+  draft.c1 = hard_c1(dec.r1);
   // C1^{r0} = (±h^{r1})^{r0} = ±h^{r1·r0}; canonical() absorbs the sign.
   draft.acc = Bignum::mod_mul(draft.acc, pow_h(dec.r1 * dec.r0), pk_.n);
   draft.pending = std::move(pending);

@@ -196,12 +196,11 @@ class QtmcScheme {
   std::pair<QtmcCommitment, QtmcHardDecommit> hard_commit_bind(
       QtmcCommitDraft draft, const std::vector<Bytes>& messages) const;
 
-  /// The commitment `dec` opens: qHCom's computation on dec's messages
-  /// with dec's randomizers in place of fresh ones, so it equals what
-  /// hard_commit returned alongside `dec`. About five fixed-base powers;
-  /// lets a holder of many decommitments keep 16-byte digests instead of
-  /// commitments (zkedb::EdbProver).
-  QtmcCommitment hard_commitment(const QtmcHardDecommit& dec) const;
+  /// C1 = h^{r1} of a hard commitment, canonical: what hard_commit put
+  /// next to C0 for a decommitment with this r1. One fixed-base power, so
+  /// a holder of many decommitments can keep C0 and rebuild the rest of
+  /// the commitment on demand (zkedb::EdbProver).
+  Bignum hard_c1(const Bignum& r1) const;
 
   /// qHOpen at `pos`.
   QtmcOpening hard_open(const QtmcHardDecommit& dec, std::uint32_t pos) const;

@@ -1,8 +1,15 @@
 #include "zkedb/prover.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "crypto/hash.h"
 #include "mercurial/message.h"
@@ -17,7 +24,55 @@ obs::Histogram& prove_wall_ms() {
   return h;
 }
 
+/// Hands back stored randomizers in the order a commit draws them: the
+/// randomness of a node loaded from a state that stored it
+/// (EdbProver::node_rng).
+class ReplayRandomSource final : public RandomSource {
+ public:
+  explicit ReplayRandomSource(const std::vector<Bignum>& values)
+      : values_(values) {}
+
+  Bignum rand_bits(int /*bits*/) override { return next(); }
+  Bignum rand_range(const Bignum& /*bound*/) override { return next(); }
+
+ private:
+  Bignum next() {
+    if (next_ >= values_.size()) {
+      throw CryptoError("stored node randomizers exhausted");
+    }
+    return values_[next_++];
+  }
+
+  const std::vector<Bignum>& values_;
+  std::size_t next_ = 0;
+};
+
+/// Hands the malloc arenas' free pages back to the OS, at most once a
+/// second process-wide. A build frees its transient memory (plan, drafts,
+/// backing draws) between blocks that stay live, and glibc keeps such
+/// pages resident: in perfbench's `campaign` the arenas' free bytes grew
+/// ~1.8 MB a round against ~1.2 MB of live ones. One malloc_trim walks
+/// every arena (~1 ms there) and the pages it releases fault back in on
+/// reuse, so a participant committing many tasks a second trims once.
+void release_free_pages() {
+#if defined(__GLIBC__)
+  static std::atomic<std::int64_t> last_ns{0};
+  const std::int64_t now = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                               std::chrono::steady_clock::now().time_since_epoch())
+                               .count();
+  std::int64_t last = last_ns.load(std::memory_order_relaxed);
+  if (now - last >= 1'000'000'000 &&
+      last_ns.compare_exchange_strong(last, now, std::memory_order_relaxed)) {
+    malloc_trim(0);
+  }
+#endif
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// Node storage and randomness
+// ---------------------------------------------------------------------------
 
 EdbProver::Digest EdbProver::to_digest(BytesView digest) {
   DESWORD_CHECK(digest.size() == mercurial::kMessageBytes,
@@ -27,17 +82,6 @@ EdbProver::Digest EdbProver::to_digest(BytesView digest) {
   return out;
 }
 
-EdbProver::Randomizer EdbProver::to_randomizer(const Bignum& x) {
-  const Bytes be = x.to_bytes_padded(kRandomizerBytes);
-  Randomizer out{};
-  std::copy(be.begin(), be.end(), out.begin());
-  return out;
-}
-
-Bignum EdbProver::to_bignum(const Randomizer& r) {
-  return Bignum::from_bytes(BytesView(r.data(), r.size()));
-}
-
 std::string EdbProver::child_prefix(const std::string& prefix,
                                     std::uint32_t digit) {
   std::string out = prefix;
@@ -45,9 +89,89 @@ std::string EdbProver::child_prefix(const std::string& prefix,
   return out;
 }
 
+std::optional<std::uint32_t> EdbProver::child_of(std::uint32_t parent,
+                                                 std::uint32_t digit) const {
+  const auto it = children_.find(child_key(parent, digit));
+  if (it == children_.end()) return std::nullopt;
+  return it->second;
+}
+
+std::optional<std::uint32_t> EdbProver::find_inner(
+    std::string_view prefix) const {
+  if (inner_.empty() || prefix.size() >= crs_->height()) return std::nullopt;
+  std::uint32_t slot = 0;
+  for (const char c : prefix) {
+    const auto child =
+        child_of(slot, static_cast<unsigned char>(c));
+    if (!child) return std::nullopt;
+    slot = *child;
+  }
+  return slot;
+}
+
+bool EdbProver::has_trie_child(std::uint32_t slot) const {
+  for (std::uint32_t c = 0; c < crs_->q(); ++c) {
+    if (child_of(slot, c)) return true;
+  }
+  return false;
+}
+
+BytesView EdbProver::c0_of(std::uint32_t slot) const {
+  const std::size_t len = crs_->qtmc().element_len();
+  return BytesView(c0_).subspan(slot * len, len);
+}
+
+std::uint32_t EdbProver::take_inner_slot() {
+  if (!free_inner_.empty()) {
+    const std::uint32_t slot = free_inner_.back();
+    free_inner_.pop_back();
+    return slot;
+  }
+  inner_.emplace_back();
+  c0_.resize(c0_.size() + crs_->qtmc().element_len());
+  return static_cast<std::uint32_t>(inner_.size() - 1);
+}
+
+std::uint32_t EdbProver::take_leaf_slot() {
+  if (!free_leaves_.empty()) {
+    const std::uint32_t slot = free_leaves_.back();
+    free_leaves_.pop_back();
+    return slot;
+  }
+  leaves_.emplace_back();
+  return static_cast<std::uint32_t>(leaves_.size() - 1);
+}
+
+Bytes EdbProver::node_seed(char role, std::uint64_t epoch,
+                           std::string_view id) const {
+  TaggedHasher h("desword/edb-node-rng");
+  h.add(key_);
+  h.add_u64(static_cast<std::uint64_t>(static_cast<unsigned char>(role)));
+  h.add_u64(epoch);
+  h.add_str(id);
+  return h.digest();
+}
+
+std::unique_ptr<RandomSource> EdbProver::node_rng(
+    char role, std::uint64_t epoch, const std::string& prefix) const {
+  if (!legacy_.empty()) {
+    if (const auto it = legacy_.find({role, prefix}); it != legacy_.end()) {
+      return std::make_unique<ReplayRandomSource>(it->second);
+    }
+  }
+  return std::make_unique<DrbgRandomSource>(node_seed(role, epoch, prefix));
+}
+
+// ---------------------------------------------------------------------------
+// Commit
+// ---------------------------------------------------------------------------
+
 EdbProver::EdbProver(EdbCrsPtr crs, const std::map<Bytes, Bytes>& entries,
                      const EdbProverOptions& options)
-    : crs_(std::move(crs)), opts_(options) {
+    : crs_(std::move(crs)),
+      opts_(options),
+      key_(options.seed ? *options.seed : random_bytes(32)) {
+  opts_.seed.reset();  // key_ holds it
   static obs::Histogram& commit_wall_ms =
       obs::histogram_metric("zkedb.commit.wall_ms");
   const obs::ScopedTimer commit_timer(commit_wall_ms);
@@ -71,21 +195,7 @@ EdbProver::EdbProver(EdbCrsPtr crs, const std::map<Bytes, Bytes>& entries,
   commit_plan(plan);
   static obs::Counter& commit_nodes = obs::metric("zkedb.commit.nodes");
   commit_nodes.add(inner_.size() + leaves_.size());
-}
-
-Bytes EdbProver::node_seed(char role, std::string_view id) const {
-  TaggedHasher h("desword/edb-node-rng");
-  h.add(*opts_.seed);
-  h.add_u64(static_cast<std::uint64_t>(static_cast<unsigned char>(role)));
-  h.add_u64(epoch_);
-  h.add_str(id);
-  return h.digest();
-}
-
-std::unique_ptr<RandomSource> EdbProver::node_rng(char role,
-                                                  std::string_view id) const {
-  if (opts_.seed) return std::make_unique<DrbgRandomSource>(node_seed(role, id));
-  return std::make_unique<SystemRandomSource>();
+  release_free_pages();
 }
 
 Bytes EdbProver::commitment_bytes() const {
@@ -102,17 +212,29 @@ std::optional<Bytes> EdbProver::value_of(const EdbKey& key) const {
   return it->second;
 }
 
-std::pair<EdbProver::SoftNode, Bytes> EdbProver::soft_node(
-    std::uint32_t depth, RandomSource& rng) const {
+EdbProver::DrawnSoft EdbProver::soft_node(std::uint32_t depth,
+                                          RandomSource& rng) const {
   if (depth == crs_->height()) {
     auto [com, dec] = crs_->tmc().soft_commit(rng);
     Bytes digest = crs_->digest_leaf(com);
-    return {SoftLeaf{std::move(com), std::move(dec)}, std::move(digest)};
+    Bytes wire = com.serialize();
+    return {SoftLeaf{std::move(com), std::move(dec)}, std::move(digest),
+            std::move(wire)};
   }
   auto [com, dec] = crs_->qtmc().soft_commit(rng);
   Bytes digest = crs_->digest_inner(com);
-  return {SoftInner{to_digest(digest), std::move(dec), {}},
-          std::move(digest)};
+  Bytes wire = com.serialize(crs_->params().qtmc_pk.n);
+  return {SoftInner{to_digest(digest), std::move(dec), {}}, std::move(digest),
+          std::move(wire)};
+}
+
+EdbProver::DrawnSoft EdbProver::derive_backing(
+    std::uint32_t slot, const std::string& prefix) const {
+  const InnerNode& node = inner_[slot];
+  DESWORD_CHECK(node.backing_epoch != kNoBacking,
+                "trie node without soft backing");
+  return soft_node(static_cast<std::uint32_t>(prefix.size()) + 1,
+                   *node_rng('s', node.backing_epoch, prefix));
 }
 
 Bytes EdbProver::soft_digest(std::size_t id) const {
@@ -124,49 +246,53 @@ Bytes EdbProver::soft_digest(std::size_t id) const {
   return crs_->digest_leaf(std::get<SoftLeaf>(node).com);
 }
 
-std::vector<Bytes> EdbProver::inner_messages(const std::string& prefix) const {
+std::vector<Bytes> EdbProver::inner_messages(std::uint32_t slot,
+                                             std::uint32_t depth) const {
   const std::uint32_t q = crs_->q();
-  const bool leaf_children = prefix.size() + 1 == crs_->height();
-  const auto backing = soft_backing_.find(prefix);
-  const Bytes soft = backing != soft_backing_.end()
-                         ? soft_digest(backing->second)
-                         : Bytes();
+  const bool leaf_children = depth + 1 == crs_->height();
+  const InnerNode& node = inner_[slot];
+  Bytes soft;
+  if (node.backing_epoch != kNoBacking) {
+    soft.assign(node.backing.begin(), node.backing.end());
+  }
   std::vector<Bytes> messages(q);
-  std::string next = child_prefix(prefix, 0);
   for (std::uint32_t c = 0; c < q; ++c) {
-    next.back() = static_cast<char>(static_cast<unsigned char>(c));
-    if (leaf_children) {
-      if (const auto it = leaves_.find(next); it != leaves_.end()) {
-        messages[c] = crs_->digest_leaf(it->second.com);
-      }
-    } else if (const auto it = inner_.find(next); it != inner_.end()) {
-      messages[c].assign(it->second.digest.begin(), it->second.digest.end());
+    const auto child = child_of(slot, c);
+    if (!child) {
+      messages[c] = soft;
+    } else if (leaf_children) {
+      messages[c] = crs_->digest_leaf(leaves_[*child].com);
+    } else {
+      messages[c].assign(inner_[*child].digest.begin(),
+                         inner_[*child].digest.end());
     }
-    if (messages[c].empty()) messages[c] = soft;
   }
   return messages;
 }
 
 mercurial::QtmcHardDecommit EdbProver::inner_dec(
-    const std::string& prefix) const {
-  const InnerNode& node = inner_.at(prefix);
+    std::uint32_t slot, const std::string& prefix) const {
   mercurial::QtmcHardDecommit dec;
   dec.messages.reserve(crs_->q() * mercurial::kMessageBytes);
-  for (const Bytes& m : inner_messages(prefix)) {
+  for (const Bytes& m :
+       inner_messages(slot, static_cast<std::uint32_t>(prefix.size()))) {
     DESWORD_CHECK(m.size() == mercurial::kMessageBytes,
                   "committed inner node with an unbacked child");
     append(dec.messages, m);
   }
-  dec.z = to_bignum(node.z);
-  dec.r0 = to_bignum(node.r0);
-  dec.r1 = to_bignum(node.r1);
+  // hard_commit_draft's draws, in its order.
+  const auto rng = node_rng('i', inner_[slot].epoch, prefix);
+  dec.z = rng->rand_bits(mercurial::kRandomizerBits);
+  dec.r0 = rng->rand_bits(mercurial::kRandomizerBits);
+  dec.r1 = rng->rand_bits(mercurial::kRandomizerBits);
   return dec;
 }
 
-Bytes EdbProver::inner_commitment_bytes(
-    const mercurial::QtmcHardDecommit& dec) const {
-  return crs_->qtmc().hard_commitment(dec).serialize(
-      crs_->params().qtmc_pk.n);
+Bytes EdbProver::inner_commitment_bytes(std::uint32_t slot,
+                                        const Bignum& r1) const {
+  return mercurial::QtmcCommitment{Bignum::from_bytes(c0_of(slot)),
+                                   crs_->qtmc().hard_c1(r1)}
+      .serialize(crs_->params().qtmc_pk.n);
 }
 
 Bytes EdbProver::soft_commitment_bytes(const SoftNode& node) const {
@@ -184,6 +310,7 @@ std::size_t EdbProver::plan_subtree(const std::vector<BuildEntry>& entries,
   const std::uint32_t depth = static_cast<std::uint32_t>(prefix.size());
   PlanNode node;
   node.prefix = prefix;
+  node.epoch = epoch_;
   if (depth == crs_->height()) {
     DESWORD_CHECK(hi - lo == 1, "duplicate ZK-EDB keys in one leaf");
     node.value = &entries[lo].second;
@@ -209,45 +336,45 @@ std::size_t EdbProver::plan_subtree(const std::vector<BuildEntry>& entries,
 
 void EdbProver::back_absent_children(PlanNode& node) const {
   const std::uint32_t depth = static_cast<std::uint32_t>(node.prefix.size());
-  std::vector<bool> is_child(node.messages.size(), false);
-  for (const auto& [digit, index] : node.children) is_child[digit] = true;
-  Bytes digest;  // the node's backing, resolved at its first absent child
+  std::vector<bool> absent(node.messages.size(), false);
   for (std::uint32_t c = 0; c < node.messages.size(); ++c) {
-    if (is_child[c] || !node.messages[c].empty()) continue;
-    if (digest.empty()) {
-      if (const auto it = soft_backing_.find(node.prefix);
-          it != soft_backing_.end()) {
-        digest = soft_digest(it->second);
-      } else {
-        auto [soft, soft_dig] =
-            soft_node(depth + 1, *node_rng('s', node.prefix));
-        digest = std::move(soft_dig);
-        node.new_backing = std::move(soft);
-      }
-    }
-    node.messages[c] = digest;
+    absent[c] = node.messages[c].empty();
+  }
+  for (const auto& [digit, index] : node.children) absent[digit] = false;
+  const bool any_absent =
+      std::find(absent.begin(), absent.end(), true) != absent.end();
+  if (node.backing.empty() && (any_absent || node.backing_epoch != kNoBacking)) {
+    if (node.backing_epoch == kNoBacking) node.backing_epoch = node.epoch;
+    node.backing =
+        soft_node(depth + 1, *node_rng('s', node.backing_epoch, node.prefix))
+            .digest;
+  }
+  for (std::uint32_t c = 0; c < node.messages.size(); ++c) {
+    if (absent[c]) node.messages[c] = node.backing;
   }
 }
 
 void EdbProver::commit_plan(std::vector<PlanNode>& plan) {
   ThreadPool* pool = ThreadPool::for_threads(opts_.threads);
   const std::uint32_t h = crs_->height();
+  const std::size_t len = crs_->qtmc().element_len();
   // Pass 1: everything that does not wait on a child's digest.
   parallel_for(pool, plan.size(), [&](std::size_t i) {
     PlanNode& node = plan[i];
     if (node.value != nullptr) {
-      auto [com, dec] = crs_->tmc().hard_commit(leaf_value_digest(*node.value),
-                                                *node_rng('l', node.prefix));
+      auto [com, dec] = crs_->tmc().hard_commit(
+          leaf_value_digest(*node.value),
+          *node_rng('l', node.epoch, node.prefix));
       node.digest = crs_->digest_leaf(com);
-      node.node = LeafNode{std::move(com), std::move(dec)};
+      node.leaf = LeafNode{std::move(com), std::move(dec), node.epoch};
       return;
     }
     back_absent_children(node);
     std::vector<std::uint32_t> pending;
     for (const auto& [digit, index] : node.children) pending.push_back(digit);
-    node.draft = crs_->qtmc().hard_commit_draft(node.messages,
-                                                std::move(pending),
-                                                *node_rng('i', node.prefix));
+    node.draft = crs_->qtmc().hard_commit_draft(
+        node.messages, std::move(pending),
+        *node_rng('i', node.epoch, node.prefix));
   });
   // Pass 2: a node's children sit one level below it, so each level binds
   // in parallel once the level below is done.
@@ -267,26 +394,62 @@ void EdbProver::commit_plan(std::vector<PlanNode>& plan) {
       auto [com, dec] =
           crs_->qtmc().hard_commit_bind(std::move(*node.draft), child_digests);
       node.digest = crs_->digest_inner(com);
-      node.node = InnerNode{to_digest(node.digest), to_randomizer(dec.z),
-                            to_randomizer(dec.r0), to_randomizer(dec.r1)};
+      node.c0 = com.c0.to_bytes_padded(len);
       if (node.prefix.empty()) root = std::move(com);  // the one root task
     });
   }
-  for (PlanNode& node : plan) {
-    if (node.new_backing) {
-      soft_backing_.emplace(node.prefix, soft_nodes_.size());
-      soft_nodes_.push_back(std::move(*node.new_backing));
-    }
-    if (auto* inner = std::get_if<InnerNode>(&node.node)) {
-      inner_.insert_or_assign(node.prefix, std::move(*inner));
-    } else {
-      leaves_.insert_or_assign(node.prefix,
-                               std::move(std::get<LeafNode>(node.node)));
-    }
-  }
   DESWORD_CHECK(root.has_value(), "commit plan without the root");
+
+  // Publish parents first: the reverse of the plan's order. A fresh build
+  // sizes every container exactly, once.
+  if (inner_.empty()) {
+    const std::size_t n_leaves = static_cast<std::size_t>(std::count_if(
+        plan.begin(), plan.end(),
+        [](const PlanNode& node) { return node.value != nullptr; }));
+    inner_.reserve(plan.size() - n_leaves);
+    c0_.reserve((plan.size() - n_leaves) * len);
+    leaves_.reserve(n_leaves);
+    children_.reserve(plan.size());
+  }
+  std::vector<std::size_t> parent(plan.size(), kNoParent);
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    for (const auto& [digit, index] : plan[i].children) parent[index] = i;
+  }
+  std::vector<std::uint32_t> slot(plan.size());
+  for (std::size_t i = plan.size(); i-- > 0;) {
+    PlanNode& node = plan[i];
+    if (node.prefix.empty()) {
+      if (inner_.empty()) (void)take_inner_slot();
+      slot[i] = 0;
+    } else {
+      DESWORD_CHECK(parent[i] != kNoParent, "plan node without its parent");
+      const std::uint32_t up = slot[parent[i]];
+      const std::uint32_t digit =
+          static_cast<unsigned char>(node.prefix.back());
+      const auto existing = child_of(up, digit);
+      slot[i] = existing ? *existing
+                         : (node.value != nullptr ? take_leaf_slot()
+                                                  : take_inner_slot());
+      children_.insert_or_assign(child_key(up, digit), slot[i]);
+    }
+    if (node.value != nullptr) {
+      leaves_[slot[i]] = std::move(node.leaf);
+      continue;
+    }
+    InnerNode& inner = inner_[slot[i]];
+    inner.digest = to_digest(node.digest);
+    inner.epoch = node.epoch;
+    inner.backing_epoch = node.backing_epoch;
+    inner.backing = node.backing.empty() ? Digest{} : to_digest(node.backing);
+    std::copy(node.c0.begin(), node.c0.end(),
+              c0_.begin() + static_cast<std::ptrdiff_t>(slot[i] * len));
+  }
   root_com_ = std::move(*root);
 }
+
+// ---------------------------------------------------------------------------
+// Proofs
+// ---------------------------------------------------------------------------
 
 EdbMembershipProof EdbProver::prove_membership(const EdbKey& key) const {
   if (!contains(key)) {
@@ -296,21 +459,27 @@ EdbMembershipProof EdbProver::prove_membership(const EdbKey& key) const {
   const std::vector<std::uint32_t> digits = crs_->digits_of(key);
   const std::uint32_t h = crs_->height();
 
-  // Walk the path first (map lookups and digest copies only), then compute
-  // the h openings, the h − 1 inner child commitments and the leaf opening
-  // — independent given the decommitments — into their slots over the
-  // pool.
+  // Walk the path first (index lookups, digest copies and the randomizer
+  // derivations), then compute the h openings, the h − 1 inner child
+  // commitments' C1 and the leaf opening — independent given the
+  // decommitments — into their slots over the pool.
   std::vector<mercurial::QtmcHardDecommit> decs;
   decs.reserve(h);
+  std::vector<std::uint32_t> slots(h);
   EdbMembershipProof proof;
   proof.openings.resize(h);
   proof.child_commitments.resize(h);
   std::string prefix;
+  std::uint32_t slot = 0;
   for (std::uint32_t d = 0; d < h; ++d) {
-    decs.push_back(inner_dec(prefix));
+    slots[d] = slot;
+    decs.push_back(inner_dec(slot, prefix));
+    const auto child = child_of(slot, digits[d]);
+    DESWORD_CHECK(child.has_value(), "committed key without its trie path");
+    slot = *child;
     prefix = child_prefix(prefix, digits[d]);
   }
-  const LeafNode& leaf = leaves_.at(prefix);
+  const LeafNode& leaf = leaves_[slot];
   proof.child_commitments[h - 1] = leaf.com.serialize();
   parallel_for(ThreadPool::for_threads(opts_.threads), 2 * h,
                [&](std::size_t i) {
@@ -319,8 +488,8 @@ EdbMembershipProof EdbProver::prove_membership(const EdbKey& key) const {
                        crs_->qtmc().hard_open(decs[i], digits[i]);
                  } else if (i + 1 < 2 * h) {
                    // The commitment of the node below level i − h.
-                   proof.child_commitments[i - h] =
-                       inner_commitment_bytes(decs[i - h + 1]);
+                   proof.child_commitments[i - h] = inner_commitment_bytes(
+                       slots[i - h + 1], decs[i - h + 1].r1);
                  } else {
                    proof.leaf_opening = crs_->tmc().hard_open(leaf.dec);
                  }
@@ -343,37 +512,40 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
   proof.teases.resize(h);
   proof.child_commitments.resize(h);
 
-  // Phase 1: walk committed trie nodes (lookups only; the tease_hard at
-  // each joins the fan-out below) until the path falls off the trie onto a
-  // soft backing node.
+  // Phase 1: walk committed trie nodes (lookups and derivations only; the
+  // tease_hard at each joins the fan-out below) until the path falls off
+  // the trie at node `slot`, onto its soft backing.
   std::vector<mercurial::QtmcHardDecommit> hard;
+  std::vector<std::uint32_t> slots;
   std::string prefix;
-  std::size_t soft_id = 0;
+  std::uint32_t slot = 0;
   while (true) {
-    hard.push_back(inner_dec(prefix));
+    slots.push_back(slot);
+    hard.push_back(inner_dec(slot, prefix));
     const std::uint32_t d = static_cast<std::uint32_t>(prefix.size());
-    const std::string next = child_prefix(prefix, digits[d]);
-    const bool child_in_trie =
-        (d + 1 < h) ? (inner_.find(next) != inner_.end())
-                    : (leaves_.find(next) != leaves_.end());
-    if (!child_in_trie) {
-      soft_id = soft_backing_.at(prefix);
-      proof.child_commitments[d] = soft_commitment_bytes(soft_nodes_[soft_id]);
-      break;
-    }
+    const auto child = child_of(slot, digits[d]);
+    if (!child) break;
     if (d + 1 == h) {
       // Walked into a committed leaf — the key is present after all.
       throw ProtocolError("non-membership walk reached a committed leaf");
     }
-    prefix = next;  // its commitment is computed in the fan-out
+    prefix = child_prefix(prefix, digits[d]);
+    slot = *child;
   }
+  const std::size_t off = hard.size() - 1;  // depth of that node
+  // The backing is its memo root when an earlier proof fabricated below
+  // it, else re-derived in the fan-out.
+  const auto memo = soft_backing_.find(prefix);
+  const bool memoized = memo != soft_backing_.end();
+  std::optional<DrawnSoft> backing;
 
   // Phase 2: replay memoized fabrications (soft_id is the soft node at
   // depth d) until a level has no memoized tease yet. The replayed nodes'
   // commitments are recomputed in the fan-out.
+  std::size_t soft_id = memoized ? memo->second : 0;
   std::vector<std::size_t> replayed;
   std::uint32_t d = static_cast<std::uint32_t>(hard.size());
-  for (; d < h; ++d) {
+  for (; memoized && d < h; ++d) {
     const auto& cur = std::get<SoftInner>(soft_nodes_[soft_id]);
     const auto it = cur.teases.find(digits[d]);
     if (it == cur.teases.end()) break;
@@ -383,55 +555,71 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
   }
 
   // Phase 3: fabricate the unmemoized tail [d, h). Level k's tease opens
-  // its parent (the memoized node for k == d, else the node fabricated for
-  // level k−1) to the digest of the node fabricated below it. Seeds are
-  // drawn in level order here and nodes are appended in level order after
-  // the fan-out, so soft-node ids, the memo and serialize_state() never
-  // depend on scheduling.
+  // its parent (the memoized node or the backing for k == d, else the
+  // node fabricated for level k−1) to the digest of the node fabricated
+  // below it. Seeds are drawn in level order here and nodes are appended
+  // in level order after the fan-out, so soft-node ids, the memo and
+  // serialize_state() never depend on scheduling.
   const std::size_t first_replayed = hard.size();
   const std::uint32_t first = d;
   const std::size_t tail = h - first;
-  std::vector<std::optional<Bytes>> seeds(tail);
-  if (opts_.seed) {
-    for (auto& seed : seeds) {
-      seed = node_seed('f', std::to_string(fabrication_counter_++));
-    }
+  std::vector<Bytes> seeds(tail);
+  for (Bytes& seed : seeds) {
+    seed = node_seed('f', epoch_, std::to_string(fabrication_counter_++));
   }
-  std::vector<std::pair<SoftNode, Bytes>> fresh(tail);
+  std::vector<DrawnSoft> fresh(tail);
   ThreadPool* pool = ThreadPool::for_threads(opts_.threads);
-  // Pass 1: the phase-1 hard teases, the replayed nodes' commitments and
-  // the tail's soft nodes. soft_nodes_ is not mutated until both passes
-  // joined, so reading it here and in pass 2 is race-free.
-  parallel_for(pool, hard.size() + replayed.size() + tail, [&](std::size_t i) {
+  // Pass 1: the phase-1 hard teases and child commitments, the backing,
+  // the replayed nodes' commitments and the tail's soft nodes. soft_nodes_
+  // is not mutated until both passes joined, so reading it here and in
+  // pass 2 is race-free.
+  parallel_for(pool, hard.size() + 1 + replayed.size() + tail,
+               [&](std::size_t i) {
     if (i < hard.size()) {
       proof.teases[i] = crs_->qtmc().tease_hard(hard[i], digits[i]);
       if (i + 1 < hard.size()) {
-        proof.child_commitments[i] = inner_commitment_bytes(hard[i + 1]);
+        proof.child_commitments[i] =
+            inner_commitment_bytes(slots[i + 1], hard[i + 1].r1);
       }
       return;
     }
     i -= hard.size();
+    if (i == 0) {
+      if (memoized) {
+        proof.child_commitments[off] =
+            soft_commitment_bytes(soft_nodes_[memo->second]);
+      } else {
+        backing = derive_backing(slot, prefix);
+        proof.child_commitments[off] = backing->commitment;
+      }
+      return;
+    }
+    --i;
     if (i < replayed.size()) {
       proof.child_commitments[first_replayed + i] =
           soft_commitment_bytes(soft_nodes_[replayed[i]]);
       return;
     }
     const std::size_t k = i - replayed.size();
-    std::optional<DrbgRandomSource> drbg;
-    if (seeds[k]) drbg.emplace(*seeds[k]);
-    RandomSource& rng =
-        drbg ? static_cast<RandomSource&>(*drbg) : system_random();
+    DrbgRandomSource rng(seeds[k]);
     fresh[k] = soft_node(first + static_cast<std::uint32_t>(k) + 1, rng);
-    proof.child_commitments[first + k] =
-        soft_commitment_bytes(fresh[k].first);
+    proof.child_commitments[first + k] = fresh[k].commitment;
   });
   // Pass 2: the tail's soft teases.
   parallel_for(pool, tail, [&](std::size_t k) {
-    const SoftNode& parent = k == 0 ? soft_nodes_[soft_id] : fresh[k - 1].first;
+    const SoftNode& parent = k > 0      ? fresh[k - 1].node
+                             : memoized ? soft_nodes_[soft_id]
+                                        : backing->node;
     const std::uint32_t level = first + static_cast<std::uint32_t>(k);
     proof.teases[level] = crs_->qtmc().tease_soft(
-        std::get<SoftInner>(parent).dec, digits[level], fresh[k].second);
+        std::get<SoftInner>(parent).dec, digits[level], fresh[k].digest);
   });
+  // Memoize: a backing that was fabricated below becomes a memo root.
+  if (tail > 0 && !memoized) {
+    soft_id = soft_nodes_.size();
+    soft_backing_.emplace(prefix, soft_id);
+    soft_nodes_.push_back(std::move(backing->node));
+  }
   for (std::size_t k = 0; k < tail; ++k) {
     const std::uint32_t level = first + static_cast<std::uint32_t>(k);
     const std::size_t child_id = soft_nodes_.size();
@@ -439,13 +627,14 @@ EdbNonMembershipProof EdbProver::prove_non_membership(const EdbKey& key) {
     auto& parent = std::get<SoftInner>(soft_nodes_[soft_id]);
     parent.teases.emplace(digits[level],
                           std::make_pair(proof.teases[level], child_id));
-    soft_nodes_.push_back(std::move(fresh[k].first));
+    soft_nodes_.push_back(std::move(fresh[k].node));
     soft_id = child_id;
   }
 
-  const auto& leaf = std::get<SoftLeaf>(soft_nodes_[soft_id]);
-  proof.leaf_tease =
-      crs_->tmc().tease_soft(leaf.dec, mercurial::null_message());
+  const SoftNode& last =
+      tail > 0 || memoized ? soft_nodes_[soft_id] : backing->node;
+  proof.leaf_tease = crs_->tmc().tease_soft(std::get<SoftLeaf>(last).dec,
+                                            mercurial::null_message());
   return proof;
 }
 
@@ -459,11 +648,13 @@ void EdbProver::grow_branch(const std::vector<std::uint32_t>& digits,
   const std::uint32_t h = crs_->height();
   PlanNode leaf;
   leaf.prefix.assign(digits.begin(), digits.end());
+  leaf.epoch = epoch_;
   leaf.value = &value;
   plan.push_back(std::move(leaf));
   for (std::uint32_t d = h; d-- > from_depth;) {
     PlanNode node;
     node.prefix.assign(digits.begin(), digits.begin() + d);
+    node.epoch = epoch_;
     node.messages.resize(crs_->q());
     node.children.emplace_back(digits[d], plan.size() - 1);
     plan.push_back(std::move(node));
@@ -473,32 +664,50 @@ void EdbProver::grow_branch(const std::vector<std::uint32_t>& digits,
 void EdbProver::recommit_path(const std::vector<std::uint32_t>& digits,
                               std::uint32_t depth,
                               std::vector<PlanNode>& plan) const {
+  std::vector<std::uint32_t> slots(depth + 1, 0);
+  for (std::uint32_t d = 1; d <= depth; ++d) {
+    slots[d] = *child_of(slots[d - 1], digits[d - 1]);
+  }
   for (std::uint32_t d = depth + 1; d-- > 0;) {
+    const InnerNode& committed = inner_[slots[d]];
     PlanNode node;
     node.prefix.assign(digits.begin(), digits.begin() + d);
-    node.messages = inner_messages(node.prefix);
+    node.epoch = epoch_;
+    node.messages = inner_messages(slots[d], d);
     node.messages[digits[d]].clear();
+    node.backing_epoch = committed.backing_epoch;
+    if (committed.backing_epoch != kNoBacking) {
+      node.backing.assign(committed.backing.begin(), committed.backing.end());
+    }
     if (!plan.empty()) node.children.emplace_back(digits[d], plan.size() - 1);
     plan.push_back(std::move(node));
   }
 }
 
+void EdbProver::recommit(std::vector<PlanNode>& plan) {
+  // A recommitted node draws fresh randomness under epoch_, never the
+  // randomizers it was loaded with.
+  if (!legacy_.empty()) {
+    for (const PlanNode& node : plan) {
+      legacy_.erase({node.value != nullptr ? 'l' : 'i', node.prefix});
+    }
+  }
+  commit_plan(plan);
+}
+
 void EdbProver::insert(const EdbKey& key, const Bytes& value) {
   if (contains(key)) throw ProtocolError("insert: key already present");
-  ++epoch_;  // recommitted nodes must draw fresh seeded randomness
+  ++epoch_;  // recommitted nodes must draw fresh randomness
   const std::vector<std::uint32_t> digits = crs_->digits_of(key);
   const std::uint32_t h = crs_->height();
 
   // Find the deepest existing ancestor.
-  std::string prefix;
+  std::uint32_t slot = 0;
   std::uint32_t d = 0;
   while (d < h) {
-    const std::string next = child_prefix(prefix, digits[d]);
-    const bool child_in_trie =
-        (d + 1 < h) ? (inner_.find(next) != inner_.end())
-                    : (leaves_.find(next) != leaves_.end());
-    if (!child_in_trie) break;
-    prefix = next;
+    const auto child = child_of(slot, digits[d]);
+    if (!child) break;
+    slot = *child;
     ++d;
   }
   if (d == h) throw ProtocolError("insert: leaf already exists");
@@ -508,43 +717,71 @@ void EdbProver::insert(const EdbKey& key, const Bytes& value) {
   std::vector<PlanNode> plan;
   grow_branch(digits, d + 1, value, plan);
   recommit_path(digits, d, plan);
-  commit_plan(plan);
+  recommit(plan);
   values_.emplace(key, value);
 }
 
 void EdbProver::erase(const EdbKey& key) {
   if (!contains(key)) throw ProtocolError("erase: key not present");
-  ++epoch_;  // recommitted nodes must draw fresh seeded randomness
+  ++epoch_;  // recommitted nodes must draw fresh randomness
   const std::vector<std::uint32_t> digits = crs_->digits_of(key);
   const std::uint32_t h = crs_->height();
+  std::vector<std::uint32_t> slots(h, 0);
+  for (std::uint32_t d = 1; d < h; ++d) {
+    slots[d] = *child_of(slots[d - 1], digits[d - 1]);
+  }
 
   // Remove the leaf.
   std::string prefix(digits.begin(), digits.end());
-  leaves_.erase(prefix);
+  const std::uint32_t leaf = *child_of(slots[h - 1], digits[h - 1]);
+  children_.erase(child_key(slots[h - 1], digits[h - 1]));
+  leaves_[leaf] = LeafNode{};
+  free_leaves_.push_back(leaf);
+  legacy_.erase({'l', prefix});
   values_.erase(key);
 
-  // Prune childless inner nodes bottom-up (never the root); d ends at the
-  // lowest surviving node on the path, which gets soft backing at the
+  // Prune childless inner nodes bottom-up (never the root), with whatever
+  // their prefix still holds: a memo root, loaded randomizers. d ends at
+  // the lowest surviving node on the path, which gets soft backing at the
   // removed position.
-  const auto has_trie_child = [&](std::uint32_t depth) {
-    for (std::uint32_t c = 0; c < crs_->q(); ++c) {
-      const std::string next = child_prefix(prefix, c);
-      if (depth + 1 < h ? inner_.count(next) != 0 : leaves_.count(next) != 0) {
-        return true;
-      }
-    }
-    return false;
-  };
   std::uint32_t d = h - 1;
   prefix.pop_back();
-  while (d > 0 && !has_trie_child(d)) {
-    inner_.erase(prefix);
+  bool dropped_memo = false;
+  while (d > 0 && !has_trie_child(slots[d])) {
+    children_.erase(child_key(slots[d - 1], digits[d - 1]));
+    inner_[slots[d]] = InnerNode{};
+    free_inner_.push_back(slots[d]);
+    dropped_memo |= soft_backing_.erase(prefix) > 0;
+    legacy_.erase({'i', prefix});
+    legacy_.erase({'s', prefix});
     prefix.pop_back();
     --d;
   }
+  if (dropped_memo) compact_soft_nodes();
   std::vector<PlanNode> plan;
   recommit_path(digits, d, plan);
-  commit_plan(plan);
+  recommit(plan);
+}
+
+void EdbProver::compact_soft_nodes() {
+  std::deque<SoftNode> kept;
+  std::vector<std::size_t> moved(soft_nodes_.size(), kNoParent);
+  // Depth-first from each memo root; `moved` also stops a cycle.
+  const auto keep = [&](const auto& self, std::size_t id) -> std::size_t {
+    if (moved[id] != kNoParent) return moved[id];
+    const std::size_t at = kept.size();
+    moved[id] = at;
+    kept.push_back(std::move(soft_nodes_[id]));
+    // kept is a deque: appending below never invalidates `inner`.
+    if (auto* inner = std::get_if<SoftInner>(&kept[at])) {
+      for (auto& [digit, entry] : inner->teases) {
+        entry.second = self(self, entry.second);
+      }
+    }
+    return at;
+  };
+  for (auto& [prefix, id] : soft_backing_) id = keep(keep, id);
+  soft_nodes_ = std::move(kept);
 }
 
 }  // namespace desword::zkedb

@@ -9,6 +9,11 @@
 // lazily below the committed trie; fabrications are memoized so repeated
 // queries present a consistent view.
 //
+// Every prover holds a secret key, and every node's randomizers are a DRBG
+// on (key, role, epoch, position): a trie node keeps its digest, C0 and the
+// epochs it and its backing were drawn under, and re-derives the rest when
+// a proof needs it (DESIGN.md §5.4, "Trie-node storage").
+//
 // The prover object *is* the (Com, Dec) pair of the paper's EDB-commit:
 // `commitment()` is Com, the internal state is Dec.
 #pragma once
@@ -21,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -36,14 +42,14 @@ struct EdbProverOptions {
   /// Worker threads for EDB-commit and insert/erase (DESIGN.md §5.4) and
   /// for the per-level openings of each proof: 0 = default
   /// (DESWORD_THREADS env var, else hardware_concurrency()), 1 = fully
-  /// sequential. Commitments and membership proofs are identical at any
-  /// thread count when `seed` is set; without a seed the CSPRNG makes every
-  /// build unique anyway.
+  /// sequential. Commitments and proofs do not depend on it.
   unsigned threads = 0;
-  /// Deterministic commitment randomness. When set, every node draws its
-  /// randomizers from a DRBG keyed by H(seed, role, node position), so the
-  /// commitment (and all proofs) are byte-identical across runs and thread
-  /// counts. Leave unset for production use (CSPRNG).
+  /// Source of the prover's secret key, which every node's randomizers are
+  /// derived from (a DRBG on H(key, role, epoch, node position)). Unset,
+  /// the key is 32 CSPRNG bytes; set, it is these bytes, so the commitment
+  /// and every proof are byte-identical across runs (tests, fixtures,
+  /// reproducible corpora). Either way the derivation is the same, and
+  /// the key is as secret as the decommitment.
   std::optional<Bytes> seed;
 };
 
@@ -92,49 +98,47 @@ class EdbProver {
   /// ProtocolError if the key is absent.
   void erase(const EdbKey& key);
 
-  /// Serializes the full prover state (Dec): commitments, decommitments,
-  /// soft backing nodes and memoized fabrications. Participants persist
-  /// this across sessions — rebuilding from the entries alone would
-  /// resample randomness and change the commitment.
+  /// Serializes the full prover state (Dec): the entries, the key, every
+  /// node's epochs and the memoized fabrications. Participants persist
+  /// this across sessions — rebuilding from the entries alone would draw
+  /// a new key and change the commitment.
   Bytes serialize_state() const;
 
-  /// Restores a prover from `serialize_state` output. The resulting
-  /// prover produces proofs valid under the original commitment.
+  /// Restores a prover from `serialize_state` output, re-deriving every
+  /// node; throws SerializationError unless that reproduces the stored
+  /// root commitment. The resulting prover produces proofs valid under
+  /// the original commitment.
   static EdbProver load(EdbCrsPtr crs, BytesView state);
 
  private:
   /// A node digest (EdbCrs::digest_inner / digest_leaf), stored inline.
   using Digest = std::array<std::uint8_t, mercurial::kMessageBytes>;
-  /// One qTMC randomizer as fixed-width big-endian bytes.
-  static constexpr std::size_t kRandomizerBytes =
-      mercurial::kRandomizerBits / 8;
-  using Randomizer = std::array<std::uint8_t, kRandomizerBytes>;
+  /// InnerNode::backing_epoch of a node without soft backing.
+  static constexpr std::uint64_t kNoBacking = ~std::uint64_t{0};
 
-  // An inner trie node keeps only what nothing else determines: its
-  // randomizers, and its digest (which its parent commits to). Its
-  // messages are its children's digests, or its soft backing's at absent
-  // children (inner_dec), and its commitment follows from both
-  // (QtmcScheme::hard_commitment, recomputed when a proof or
-  // serialize_state needs it). Storing them would triple the node's
-  // memory, and every committed task keeps h nodes per key.
+  // An inner trie node keeps what nothing else gives back cheaply: its
+  // digest (which its parent commits to), its soft backing's digest, the
+  // epochs it and its backing were drawn under, and C0, which lives in
+  // c0_ at the node's slot. Its messages are its children's digests, or
+  // the backing's at absent children (inner_messages); z, r0, r1 and the
+  // backing's decommitment are re-derived from the key (node_rng), and a
+  // proof rebuilds C1 = h^{r1} with one fixed-base power.
   struct InnerNode {
-    Digest digest;
-    Randomizer z, r0, r1;
+    Digest digest{};
+    Digest backing{};  // meaningful iff backing_epoch != kNoBacking
+    std::uint64_t epoch = 0;
+    std::uint64_t backing_epoch = kNoBacking;
   };
   static Digest to_digest(BytesView digest);
-  /// Throws CryptoError when `x` is wider than a randomizer.
-  static Randomizer to_randomizer(const Bignum& x);
-  static Bignum to_bignum(const Randomizer& r);
   struct LeafNode {
     mercurial::TmcCommitment com;
     mercurial::TmcHardDecommit dec;
+    std::uint64_t epoch = 0;
   };
   struct SoftInner {
     // Its digest, which the parent commits to, but no commitment: that is
     // a function of `dec` (QtmcScheme::soft_commitment, two fixed-base
-    // powers), recomputed when a walk serializes it. Storing it would cost
-    // ~40% of the node's memory, and every committed task leaves backing
-    // nodes behind.
+    // powers), recomputed when a walk serializes it.
     Digest digest;
     mercurial::QtmcSoftDecommit dec;
     // digit -> (memoized tease, child soft-node id)
@@ -146,27 +150,41 @@ class EdbProver {
     mercurial::TmcSoftDecommit dec;
   };
   using SoftNode = std::variant<SoftInner, SoftLeaf>;
+  /// A freshly drawn soft node with its digest and wire commitment.
+  struct DrawnSoft {
+    SoftNode node;
+    Bytes digest;
+    Bytes commitment;
+  };
 
   /// Uninitialized shell used by `load`.
   explicit EdbProver(EdbCrsPtr crs) : crs_(std::move(crs)) {}
 
   using BuildEntry = std::pair<std::vector<std::uint32_t>, Bytes>;
+  static constexpr std::size_t kNoParent = ~std::size_t{0};
 
-  // One trie node that an EDB-commit, insert or erase (re)commits. A plan
-  // lists its nodes children before parents and commit_plan commits them
-  // in two passes (DESIGN.md §5.4).
+  // One trie node that an EDB-commit, insert, erase or load (re)commits.
+  // A plan lists its nodes children before parents, and every node but the
+  // root has its parent in the plan; commit_plan commits them in two
+  // passes (DESIGN.md §5.4).
   struct PlanNode {
     std::string prefix;  // its length is the node depth
+    std::uint64_t epoch = 0;  // the epoch its randomness is drawn under
     const Bytes* value = nullptr;  // leaf: the committed value (caller's)
     // Inner: the q child digests. Slots at `children` (digit, plan index)
     // are bound to the digests of those plan nodes; the other empty slots
     // are backed by soft nodes.
     std::vector<Bytes> messages;
     std::vector<std::pair<std::uint32_t, std::size_t>> children;
+    // Inner: its soft backing, kept from the committed node it recommits
+    // (digest known) or drawn in pass 1 at backing_epoch (the node's own
+    // epoch when it has none yet).
+    std::uint64_t backing_epoch = kNoBacking;
+    Bytes backing;
     // Filled by commit_plan.
-    std::optional<SoftNode> new_backing;
     std::optional<mercurial::QtmcCommitDraft> draft;
-    std::variant<std::monostate, InnerNode, LeafNode> node;
+    Bytes c0;  // inner: fixed-width C0
+    LeafNode leaf;
     Bytes digest;
   };
 
@@ -183,90 +201,130 @@ class EdbProver {
                    std::vector<PlanNode>& plan) const;
 
   /// Appends the committed nodes from `depth` up to the root to `plan`,
-  /// each keeping its child digests except at digits[d]: the node at
-  /// `depth` binds there to the last node of `plan` (insert) or, when
-  /// `plan` is empty, to soft backing (erase); each node above to the node
-  /// below it.
+  /// each keeping its child digests and backing except at digits[d]: the
+  /// node at `depth` binds there to the last node of `plan` (insert) or,
+  /// when `plan` is empty, to soft backing (erase); each node above to the
+  /// node below it.
   void recommit_path(const std::vector<std::uint32_t>& digits,
                      std::uint32_t depth, std::vector<PlanNode>& plan) const;
 
   /// Commits every node of `plan`. Pass 1, one parallel_for over all
   /// nodes: leaves hard-commit, inner nodes resolve their soft backing and
   /// draft their commitment. Pass 2, level by level from the deepest: each
-  /// inner node binds its children's digests. Then the nodes, new backing
-  /// nodes (in plan order) and the root commitment are published. Plan
-  /// nodes are distinct trie nodes, and no container is written before
-  /// both passes joined, so the passes share no mutable state.
+  /// inner node binds its children's digests. Then the nodes are published
+  /// parents first (a new node takes a free slot) and the root commitment
+  /// is set. Plan nodes are distinct trie nodes, and no container is
+  /// written before both passes joined, so the passes share no mutable
+  /// state.
   void commit_plan(std::vector<PlanNode>& plan);
 
+  /// commit_plan for an insert or erase: the plan's nodes first retire
+  /// their loaded randomizers, so they draw fresh ones under epoch_.
+  void recommit(std::vector<PlanNode>& plan);
+
   /// Fills the empty slots of the inner `node` outside its children with
-  /// its soft backing's digest: the existing backing node's, or a new
-  /// one's, which is kept in node.new_backing for commit_plan to publish.
+  /// its soft backing's digest, drawing the backing first when the node
+  /// does not carry one.
   void back_absent_children(PlanNode& node) const;
 
   // Computes a soft node whose *node depth* is `depth` (leaf iff ==
-  // height), drawing its randomness from `rng`; returns (node, digest).
-  // Pure crypto that touches no container, so it runs in parallel; callers
-  // append the node to soft_nodes_ themselves.
-  std::pair<SoftNode, Bytes> soft_node(std::uint32_t depth,
-                                       RandomSource& rng) const;
+  // height), drawing its randomness from `rng`. Pure crypto that touches
+  // no container, so it runs in parallel.
+  DrawnSoft soft_node(std::uint32_t depth, RandomSource& rng) const;
+
+  // The soft backing of the inner node at (slot, prefix), re-derived.
+  DrawnSoft derive_backing(std::uint32_t slot, const std::string& prefix) const;
 
   // Digest of a soft node by id.
   Bytes soft_digest(std::size_t id) const;
 
-  // The q messages of the inner trie node at `prefix`: at each digit the
-  // child's digest, else the node's soft backing's, else (a node without
-  // backing yet: an erase's just-pruned child, which recommit_path
-  // rebinds) empty.
-  std::vector<Bytes> inner_messages(const std::string& prefix) const;
+  // The q messages of the inner trie node at `slot` (depth `depth`): at
+  // each digit the child's digest, else the node's soft backing's, else (a
+  // node without backing yet) empty.
+  std::vector<Bytes> inner_messages(std::uint32_t slot,
+                                    std::uint32_t depth) const;
 
-  // The decommitment of the inner trie node at `prefix`: inner_messages
-  // plus its stored randomizers.
-  mercurial::QtmcHardDecommit inner_dec(const std::string& prefix) const;
+  // The decommitment of the inner trie node at (slot, prefix):
+  // inner_messages plus its re-derived randomizers.
+  mercurial::QtmcHardDecommit inner_dec(std::uint32_t slot,
+                                        const std::string& prefix) const;
 
-  // Wire form of the commitment an inner decommitment opens.
-  Bytes inner_commitment_bytes(const mercurial::QtmcHardDecommit& dec) const;
+  // Wire form of the commitment of the inner node at `slot`: its stored C0
+  // and C1 = h^{r1}.
+  Bytes inner_commitment_bytes(std::uint32_t slot, const Bignum& r1) const;
 
   // Commitment of a soft node in wire form (recomputed for an inner node,
   // which does not store it).
   Bytes soft_commitment_bytes(const SoftNode& node) const;
 
-  /// DRBG seed for the node identified by (role, id): role 'i' = inner
-  /// node keyed by prefix, 'l' = leaf keyed by prefix, 's' = soft backing
-  /// keyed by the prefix of the node it backs, 'f' = fabricated soft node
-  /// keyed by a counter.
-  /// Only meaningful when opts_.seed is set; epoch_ folds updates in so
-  /// recommits of the same prefix get fresh randomness.
-  Bytes node_seed(char role, std::string_view id) const;
+  /// DRBG seed for the node identified by (role, epoch, id): role 'i' =
+  /// inner node keyed by prefix, 'l' = leaf keyed by prefix, 's' = soft
+  /// backing keyed by the prefix of the node it backs, 'f' = fabricated
+  /// soft node keyed by a counter. `epoch` is the update count the node
+  /// was drawn at, so recommits of the same prefix get fresh randomness.
+  Bytes node_seed(char role, std::uint64_t epoch, std::string_view id) const;
 
-  /// The randomness for the node (role, id): a DRBG on node_seed when
-  /// seeded, else the CSPRNG.
-  std::unique_ptr<RandomSource> node_rng(char role, std::string_view id) const;
+  /// The randomness of the node (role, prefix) drawn at `epoch`: its
+  /// loaded legacy randomizers when it has some, else a DRBG on node_seed.
+  std::unique_ptr<RandomSource> node_rng(char role, std::uint64_t epoch,
+                                         const std::string& prefix) const;
 
   static std::string child_prefix(const std::string& prefix,
                                   std::uint32_t digit);
 
+  /// children_'s key for the child at `digit` of inner slot `parent`.
+  static std::uint64_t child_key(std::uint32_t parent, std::uint32_t digit) {
+    return (std::uint64_t{parent} << 32) | digit;
+  }
+  /// The slot of that child (in inner_, or in leaves_ below depth h − 1).
+  std::optional<std::uint32_t> child_of(std::uint32_t parent,
+                                        std::uint32_t digit) const;
+  /// The inner slot at `prefix`, if committed.
+  std::optional<std::uint32_t> find_inner(std::string_view prefix) const;
+  /// Whether the inner node at `slot` has a trie child.
+  bool has_trie_child(std::uint32_t slot) const;
+  BytesView c0_of(std::uint32_t slot) const;
+  /// A free (or new) slot for an inner node / a leaf.
+  std::uint32_t take_inner_slot();
+  std::uint32_t take_leaf_slot();
+  /// Drops fabricated soft nodes no memo root reaches, renumbering the
+  /// rest.
+  void compact_soft_nodes();
+
   EdbCrsPtr crs_;
   EdbProverOptions opts_;
-  // Bumped on every insert/erase so recommitted nodes draw fresh
-  // deterministic randomness (seeded mode only).
+  // The secret every node's randomness is derived from.
+  Bytes key_;
+  // Bumped on every insert/erase; recommitted nodes draw under the new
+  // value.
   std::uint64_t epoch_ = 0;
-  // Names fabricated soft nodes in seeded mode (role 'f').
+  // Names fabricated soft nodes (role 'f').
   std::uint64_t fabrication_counter_ = 0;
   // The containers below are written only on the calling thread: commit
   // passes and proof fan-outs read them, and their results are published
   // after the fan-out joined. Parallel phases are covered dynamically by
   // parallel_edb_test and zkedb_update_test under TSan.
-  // Trie nodes addressed by digit-prefix strings (one byte per digit).
-  std::map<std::string, InnerNode> inner_;
-  std::map<std::string, LeafNode> leaves_;
-  // Soft backing of absent children, keyed by the trie prefix of the node
-  // whose absent children it backs -> soft node id.
+  //
+  // Trie nodes in flat slot arrays (DESIGN.md §5.4). Slot 0 of inner_ is
+  // the root; inner slot s keeps its C0 at c0_[s·len, (s+1)·len), len the
+  // modulus width. Pruned slots go on the free lists for reuse. children_
+  // maps child_key(parent slot, digit) to the child's slot.
+  std::vector<InnerNode> inner_;
+  Bytes c0_;
+  std::vector<LeafNode> leaves_;
+  std::vector<std::uint32_t> free_inner_, free_leaves_;
+  std::unordered_map<std::uint64_t, std::uint32_t> children_;
+  // Memo roots: the materialized soft backing of a trie node below which a
+  // non-membership proof fabricated, keyed by the node's prefix -> soft
+  // node id. Every other backing is re-derived when a proof needs it.
   std::map<std::string, std::size_t> soft_backing_;
   // Deque: stable references across push_back, so fabricating a child soft
-  // node cannot invalidate the parent reference mid-update (and parallel
-  // builders can hold digests while others append).
+  // node cannot invalidate the parent reference mid-update.
   std::deque<SoftNode> soft_nodes_;
+  // Randomizers of nodes loaded from a version 1 or 2 state, which drew
+  // them from no key: (role, prefix) -> the values node_rng replays. A
+  // recommit or prune retires a node's entry.
+  std::map<std::pair<char, std::string>, std::vector<Bignum>> legacy_;
   std::map<Bytes, Bytes> values_;
   mercurial::QtmcCommitment root_com_;
 };

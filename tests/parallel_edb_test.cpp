@@ -413,11 +413,12 @@ TEST(SeededProverGoldenTest, PublicParamsBytesArePinned) {
 
 // Pins the update path the same way: a seeded prover's commitment after
 // each step of an insert/erase sequence, then one membership proof. The
-// sequence grows a fresh branch, prunes one, regrows it where the earlier
-// build left soft backing behind, and erases back down to soft backing.
+// sequence grows a fresh branch, prunes one, regrows it (with fresh soft
+// backing: a pruned prefix keeps nothing), and erases back down to soft
+// backing.
 TEST(SeededProverGoldenTest, InsertEraseSequenceIsPinned) {
   constexpr const char* kGolden =
-      "91a8196c0c1580304ccb8d226bf9884636d500bd684a7803859b02492d0025fe";
+      "6802f7fd131e9e3e15307bfce817dd267148c2d24c8c73bb52db29473893e15b";
   const EdbCrsPtr crs = fixed_crs();
   const auto entries = test_entries(*crs, 12);
   const EdbKey late = key_of(*crs, "late-arrival");

@@ -47,6 +47,53 @@ class PersistTest : public ::testing::Test {
   std::unique_ptr<EdbProver> prover_;
 };
 
+// A CRS fixed down to its last byte (RSA-512 modulus, bases, prime seed,
+// TMC base) and a seeded prover over two entries: the prover state is a
+// constant, so a blob an older build wrote for it must load in this one.
+EdbCrsPtr fixture_crs() {
+  EdbPublicParams params;
+  params.q = 4;
+  params.height = 4;
+  params.group_name = "p256";
+  const GroupPtr group = group_by_name(params.group_name);
+  params.tmc_pk = mercurial::TmcPublicKey{
+      group->generator(), group->exp_g(Bignum::from_hex("5eed7a3c"))};
+  mercurial::QtmcPublicKey& pk = params.qtmc_pk;
+  pk.n = Bignum::from_hex(
+      "c84ae20622ca0d76f095eae3dc6cb408f2044a6e8b19f39dce2c1164abd2dce6"
+      "3a88b4eb5bcc5ddd9d8495e8300ee2ed963de7eedcb4a07510c62f85b9224355");
+  pk.g = Bignum::mod_exp(Bignum::from_hex("9e3779b97f4a7c15"), Bignum(2),
+                         pk.n);
+  pk.h = Bignum::mod_exp(pk.g, Bignum::from_hex("c0ffee0123456789"), pk.n);
+  pk.prime_seed = bytes_of("golden-prime-seed");
+  pk.q = params.q;
+  return std::make_shared<EdbCrs>(std::move(params));
+}
+
+std::map<Bytes, Bytes> fixture_entries(const EdbCrs& crs) {
+  std::map<Bytes, Bytes> entries;
+  for (int i = 0; i < 2; ++i) {
+    entries[key_for_identifier(crs, bytes_of("prod-" + std::to_string(i)))] =
+        bytes_of("value-" + std::to_string(i));
+  }
+  return entries;
+}
+
+EdbProverOptions fixture_options() {
+  EdbProverOptions opts;
+  opts.threads = 1;
+  opts.seed = bytes_of("dpoc-v1-fixture");
+  return opts;
+}
+
+Bytes read_hex_file(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << path;
+  std::string hex;
+  for (std::string line; std::getline(in, line);) hex += line;
+  return from_hex(hex);
+}
+
 TEST_F(PersistTest, ReloadedProverKeepsCommitment) {
   const Bytes state = prover_->serialize_state();
   EdbProver reloaded = EdbProver::load(crs_, state);
@@ -107,14 +154,15 @@ TEST_F(PersistTest, CorruptedStateRejected) {
 }
 
 TEST_F(PersistTest, InnerNodeMessageOfWrongWidthRejected) {
-  // Decommitments hold their q messages packed at 16 bytes each, so a
-  // stored message of any other width must fail the load, not shift the
-  // packing. Walk the layout to the root node's first message and cut it
-  // to 15 bytes.
-  const Bytes state = prover_->serialize_state();
+  // A version 2 blob stores each inner node's q messages at 16 bytes
+  // each, so a stored message of any other width must fail the load, not
+  // shift the packing. Walk the layout to the root node's first message
+  // and cut it to 15 bytes.
+  const Bytes state = read_hex_file(std::string(DESWORD_TEST_DATA_DIR) +
+                                    "/dpoc_state_v2.hex");
   BinaryReader r(state);
   (void)r.u32();  // magic
-  (void)r.u8();   // version
+  ASSERT_EQ(r.u8(), 2);
   for (std::uint64_t n = r.varint(); n > 0; --n) {
     (void)r.bytes();  // key
     (void)r.bytes();  // value
@@ -131,18 +179,21 @@ TEST_F(PersistTest, InnerNodeMessageOfWrongWidthRejected) {
              state.begin() + static_cast<long>(at) + 16);
   bad.insert(bad.end(), state.begin() + static_cast<long>(at) + 17,
              state.end());
-  EXPECT_THROW(EdbProver::load(crs_, bad), SerializationError);
+  EXPECT_THROW(EdbProver::load(fixture_crs(), bad), SerializationError);
 }
 
 TEST_F(PersistTest, InnerNodeInconsistentWithTheTrieRejected) {
-  // The prover keeps an inner node's digest and randomizers only and
-  // re-derives its messages and commitment from the trie, so a blob whose
-  // stored ones disagree must fail the load. Walk to the root node's
-  // commitment and to its first message, and flip one byte of each.
-  const Bytes state = prover_->serialize_state();
+  // A version 2 blob stores each inner node's commitment and messages,
+  // which the loaded prover re-derives from the trie and the stored
+  // randomizers instead, so a blob whose stored ones disagree must fail
+  // the load. Walk to the root node's commitment and to its first
+  // message, and flip one byte of each.
+  const EdbCrsPtr crs = fixture_crs();
+  const Bytes state = read_hex_file(std::string(DESWORD_TEST_DATA_DIR) +
+                                    "/dpoc_state_v2.hex");
   BinaryReader r(state);
   (void)r.u32();  // magic
-  (void)r.u8();   // version
+  ASSERT_EQ(r.u8(), 2);
   for (std::uint64_t n = r.varint(); n > 0; --n) {
     (void)r.bytes();  // key
     (void)r.bytes();  // value
@@ -158,15 +209,16 @@ TEST_F(PersistTest, InnerNodeInconsistentWithTheTrieRejected) {
   for (const std::size_t at : {com_last, message_at}) {
     Bytes bad = state;
     bad[at] ^= 0x01;
-    EXPECT_THROW(EdbProver::load(crs_, bad), SerializationError) << at;
+    EXPECT_THROW(EdbProver::load(crs, bad), SerializationError) << at;
   }
-  EXPECT_EQ(EdbProver::load(crs_, state).commitment(), prover_->commitment());
+  const EdbProver fresh(crs, fixture_entries(*crs), fixture_options());
+  EXPECT_EQ(EdbProver::load(crs, state).commitment(), fresh.commitment());
 }
 
 TEST_F(PersistTest, FabricatedNodesStoredWithoutTheirCommitments) {
-  // Version 2 stores an inner soft node (backing or fabricated) as its
-  // decommitment only; the commitment is recomputed on a replay, so the
-  // reloaded chain is byte-identical.
+  // Version 3 stores no node's commitment but the root's: trie nodes and
+  // backings are re-derived from the key, and a fabricated inner soft node
+  // is stored as its decommitment. A replay after reload is byte-identical.
   const EdbKey ghost = key("ghost");
   const auto proof = prover_->prove_non_membership(ghost);
   const Bytes state = prover_->serialize_state();
@@ -174,62 +226,16 @@ TEST_F(PersistTest, FabricatedNodesStoredWithoutTheirCommitments) {
     return std::search(state.begin(), state.end(), needle.begin(),
                        needle.end()) != state.end();
   };
-  // The ghost's path leaves the root through a trie node, stored with its
-  // commitment; with 4 entries the walk falls off the trie long before the
-  // last inner level, whose node was fabricated.
+  // The ghost's path leaves the root through a trie node; with 4 entries
+  // the walk falls off the trie long before the last inner level, whose
+  // node was fabricated.
   const std::size_t h = test_config().height;
-  EXPECT_TRUE(stored(proof.child_commitments[0]));
+  EXPECT_TRUE(stored(prover_->commitment_bytes()));
+  EXPECT_FALSE(stored(proof.child_commitments[0]));
   EXPECT_FALSE(stored(proof.child_commitments[h - 2]));
   EdbProver reloaded = EdbProver::load(crs_, state);
   EXPECT_EQ(reloaded.prove_non_membership(ghost).serialize(*crs_),
             proof.serialize(*crs_));
-}
-
-// A CRS fixed down to its last byte (RSA-512 modulus, bases, prime seed,
-// TMC base) and a seeded prover over two entries: the prover state is a
-// constant, so a blob an older build wrote for it must load in this one.
-EdbCrsPtr fixture_crs() {
-  EdbPublicParams params;
-  params.q = 4;
-  params.height = 4;
-  params.group_name = "p256";
-  const GroupPtr group = group_by_name(params.group_name);
-  params.tmc_pk = mercurial::TmcPublicKey{
-      group->generator(), group->exp_g(Bignum::from_hex("5eed7a3c"))};
-  mercurial::QtmcPublicKey& pk = params.qtmc_pk;
-  pk.n = Bignum::from_hex(
-      "c84ae20622ca0d76f095eae3dc6cb408f2044a6e8b19f39dce2c1164abd2dce6"
-      "3a88b4eb5bcc5ddd9d8495e8300ee2ed963de7eedcb4a07510c62f85b9224355");
-  pk.g = Bignum::mod_exp(Bignum::from_hex("9e3779b97f4a7c15"), Bignum(2),
-                         pk.n);
-  pk.h = Bignum::mod_exp(pk.g, Bignum::from_hex("c0ffee0123456789"), pk.n);
-  pk.prime_seed = bytes_of("golden-prime-seed");
-  pk.q = params.q;
-  return std::make_shared<EdbCrs>(std::move(params));
-}
-
-std::map<Bytes, Bytes> fixture_entries(const EdbCrs& crs) {
-  std::map<Bytes, Bytes> entries;
-  for (int i = 0; i < 2; ++i) {
-    entries[key_for_identifier(crs, bytes_of("prod-" + std::to_string(i)))] =
-        bytes_of("value-" + std::to_string(i));
-  }
-  return entries;
-}
-
-EdbProverOptions fixture_options() {
-  EdbProverOptions opts;
-  opts.threads = 1;
-  opts.seed = bytes_of("dpoc-v1-fixture");
-  return opts;
-}
-
-Bytes read_hex_file(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << path;
-  std::string hex;
-  for (std::string line; std::getline(in, line);) hex += line;
-  return from_hex(hex);
 }
 
 TEST_F(PersistTest, VersionOneStateStillLoads) {
@@ -254,14 +260,95 @@ TEST_F(PersistTest, VersionOneStateStillLoads) {
   const EdbKey ghost = key_for_identifier(*crs, bytes_of("ghost"));
   EXPECT_TRUE(edb_verify_non_membership(*crs, fresh.commitment(), ghost,
                                         reloaded.prove_non_membership(ghost)));
-  // Written back, every inner soft node drops its commitment (tag 2), and
-  // a version 1 blob cannot carry such a node.
+  // Written back as version 3, the nodes keep the randomizers they were
+  // loaded with but no commitment or message, and an older version byte
+  // cannot carry that layout.
   Bytes rewritten = reloaded.serialize_state();
-  ASSERT_EQ(rewritten[4], 2);
+  ASSERT_EQ(rewritten[4], 3);
   EXPECT_LT(rewritten.size(), v1.size());
   EXPECT_EQ(EdbProver::load(crs, rewritten).commitment(), fresh.commitment());
-  rewritten[4] = 1;
-  EXPECT_THROW(EdbProver::load(crs, rewritten), SerializationError);
+  for (const std::uint8_t older : {1, 2}) {
+    rewritten[4] = older;
+    EXPECT_THROW(EdbProver::load(crs, rewritten), SerializationError);
+  }
+}
+
+TEST_F(PersistTest, VersionTwoStateStillLoads) {
+  // tests/data/dpoc_state_v2.hex is the fixture prover's state after one
+  // non-membership proof for "ghost", in the version 2 layout: every inner
+  // node with its commitment, messages and randomizers, every backing a
+  // soft node, the fabricated path memoized below one of them.
+  const EdbCrsPtr crs = fixture_crs();
+  const Bytes v2 =
+      read_hex_file(std::string(DESWORD_TEST_DATA_DIR) + "/dpoc_state_v2.hex");
+  ASSERT_GT(v2.size(), 5u);
+  ASSERT_EQ(v2[4], 2);
+  EdbProver fresh(crs, fixture_entries(*crs), fixture_options());
+  const EdbKey ghost = key_for_identifier(*crs, bytes_of("ghost"));
+  const EdbNonMembershipProof fresh_ghost = fresh.prove_non_membership(ghost);
+  EdbProver reloaded = EdbProver::load(crs, v2);
+  EXPECT_EQ(reloaded.commitment(), fresh.commitment());
+  for (const auto& [key, value] : fixture_entries(*crs)) {
+    EXPECT_EQ(reloaded.prove_membership(key).serialize(*crs),
+              fresh.prove_membership(key).serialize(*crs));
+  }
+  // The stored fabrication replays: the chain the seeded prover derives,
+  // with the memoized teases (a tease draws fresh lift randomness, so
+  // only a replay repeats one).
+  const EdbNonMembershipProof replay = reloaded.prove_non_membership(ghost);
+  EXPECT_EQ(replay.child_commitments, fresh_ghost.child_commitments);
+  EXPECT_TRUE(
+      edb_verify_non_membership(*crs, fresh.commitment(), ghost, replay));
+  EXPECT_EQ(reloaded.prove_non_membership(ghost).serialize(*crs),
+            replay.serialize(*crs));
+  const EdbKey other = key_for_identifier(*crs, bytes_of("other-ghost"));
+  EXPECT_TRUE(edb_verify_non_membership(*crs, fresh.commitment(), other,
+                                        reloaded.prove_non_membership(other)));
+  // Updates after the load draw from the loaded prover's fresh key.
+  const EdbKey late = key_for_identifier(*crs, bytes_of("late"));
+  reloaded.insert(late, bytes_of("late-value"));
+  const auto got = edb_verify_membership(*crs, reloaded.commitment(), late,
+                                         reloaded.prove_membership(late));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, bytes_of("late-value"));
+  const Bytes rewritten = reloaded.serialize_state();
+  ASSERT_EQ(rewritten[4], 3);
+  EdbProver again = EdbProver::load(crs, rewritten);
+  EXPECT_EQ(again.commitment(), reloaded.commitment());
+  EXPECT_EQ(again.serialize_state(), rewritten);
+}
+
+TEST_F(PersistTest, VersionThreeKeyOrEpochFlipRejected) {
+  // A version 3 blob stores the key and each node's epochs, from which the
+  // load re-derives every node: flipping a byte of either yields other
+  // randomizers, hence another root than the stored one.
+  const EdbCrsPtr crs = fixture_crs();
+  EdbProver prover(crs, fixture_entries(*crs), fixture_options());
+  prover.insert(key_for_identifier(*crs, bytes_of("late")), bytes_of("v"));
+  const Bytes state = prover.serialize_state();
+  BinaryReader r(state);
+  (void)r.u32();  // magic
+  ASSERT_EQ(r.u8(), 3);
+  const std::size_t key_at = state.size() - r.remaining() + 1;
+  ASSERT_EQ(r.bytes(), fixture_options().seed);
+  ASSERT_EQ(r.varint(), 1u);  // epoch: one insert
+  (void)r.varint();           // fabrication counter
+  for (std::uint64_t n = r.varint(); n > 0; --n) {
+    (void)r.bytes();  // key
+    (void)r.bytes();  // value
+  }
+  (void)r.bytes();            // root commitment
+  ASSERT_GT(r.varint(), 0u);  // inner nodes
+  ASSERT_EQ(r.str(), "");     // the root
+  const std::size_t root_epoch_at = state.size() - r.remaining();
+  ASSERT_EQ(r.varint(), 1u);  // recommitted by the insert
+  ASSERT_EQ(r.varint(), 1u);  // backing drawn at commit, epoch 0
+  for (const std::size_t at : {key_at, root_epoch_at, root_epoch_at + 1}) {
+    Bytes bad = state;
+    bad[at] ^= 0x01;
+    EXPECT_THROW(EdbProver::load(crs, bad), SerializationError) << at;
+  }
+  EXPECT_EQ(EdbProver::load(crs, state).commitment(), prover.commitment());
 }
 
 TEST_F(PersistTest, PerChildBackedStateRejected) {

@@ -460,12 +460,12 @@ TEST_P(QtmcTest, DraftThenBindMatchesTextbookWithTables) {
   expect_draft_bind_matches_textbook(*scheme_, Reference(keys_.pk));
 }
 
-// hard_commitment rebuilds the commitment a decommitment opens, bit for
-// bit, for distinct vectors, trie-shaped ones (one real child, the shared
-// backing digest elsewhere), a short vector and the all-null one, with and
-// without the fixed-base tables: a ZK-EDB prover stores decommitments only
-// and recomputes commitments for its proofs.
-TEST_P(QtmcTest, HardCommitmentRecomputesTheCommitment) {
+// C0 and hard_c1(r1) are the whole commitment a decommitment opens, bit
+// for bit, for distinct vectors, trie-shaped ones (one real child, the
+// shared backing digest elsewhere), a short vector and the all-null one,
+// with and without the fixed-base tables: a ZK-EDB prover stores C0 only
+// and rebuilds C1 for its proofs.
+TEST_P(QtmcTest, HardC1RebuildsTheCommitmentFromC0) {
   std::vector<std::vector<Bytes>> shapes = {make_messages(q_),
                                             make_messages(q_ / 2), {}};
   std::vector<Bytes> trie(q_, msg16(7));
@@ -475,7 +475,7 @@ TEST_P(QtmcTest, HardCommitmentRecomputesTheCommitment) {
     if (tables) scheme_->precompute_fixed_bases(/*position_bases=*/true);
     for (std::size_t k = 0; k < shapes.size(); ++k) {
       const auto [com, dec] = scheme_->hard_commit(shapes[k]);
-      EXPECT_EQ(scheme_->hard_commitment(dec), com)
+      EXPECT_EQ((QtmcCommitment{com.c0, scheme_->hard_c1(dec.r1)}), com)
           << "shape " << k << (tables ? " with tables" : "");
     }
   }

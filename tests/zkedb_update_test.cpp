@@ -4,6 +4,8 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "crypto/hash.h"
 #include "zkedb/prover.h"
@@ -30,6 +32,13 @@ class ZkEdbUpdateTest : public ::testing::Test {
 
   EdbKey key(const std::string& id) const {
     return key_for_identifier(*crs_, bytes_of(id));
+  }
+
+  /// The key whose base-q digits (most significant first) are `digits`.
+  EdbKey key_of_digits(const std::vector<std::uint32_t>& digits) const {
+    Bignum v;
+    for (const std::uint32_t d : digits) v = v * Bignum(crs_->q()) + Bignum(d);
+    return v.to_bytes_padded(16);
   }
 
   void expect_member(const EdbKey& k, const Bytes& value) {
@@ -130,6 +139,37 @@ TEST_F(ZkEdbUpdateTest, UpdatedProverSurvivesPersistence) {
   EXPECT_TRUE(edb_verify_membership(*crs_, prover_->commitment(),
                                     key("added"), proof)
                   .has_value());
+}
+
+TEST_F(ZkEdbUpdateTest, PrunedBranchesLeaveNoState) {
+  // Three rounds of inserting 20 fresh keys, proving ghosts that fall off
+  // four of the fresh branches two levels above the leaf (each proof
+  // memoizes a fabrication below the branch's node), then erasing the
+  // fresh keys: the pruned nodes take their memo roots and fabrications
+  // with them, so the state returns to its starting size. Epochs and
+  // counters stay below 128, one varint byte, throughout.
+  expect_non_member(key("ghost"));  // a memo root that survives
+  const std::size_t start = prover_->serialize_state().size();
+  const std::uint32_t h = crs_->height();
+  for (int round = 0; round < 3; ++round) {
+    std::vector<EdbKey> fresh;
+    for (int i = 0; i < 20; ++i) {
+      fresh.push_back(
+          key("round-" + std::to_string(round) + "-" + std::to_string(i)));
+      prover_->insert(fresh.back(), bytes_of("v"));
+    }
+    for (int i = 0; i < 4; ++i) {
+      std::vector<std::uint32_t> digits = crs_->digits_of(fresh[i]);
+      digits[h - 3] = (digits[h - 3] + 1) % crs_->q();
+      const EdbKey ghost = key_of_digits(digits);
+      ASSERT_FALSE(prover_->contains(ghost));
+      expect_non_member(ghost);
+    }
+    EXPECT_GT(prover_->serialize_state().size(), start);
+    for (const EdbKey& k : fresh) prover_->erase(k);
+    EXPECT_EQ(prover_->serialize_state().size(), start) << "round " << round;
+  }
+  expect_non_member(key("ghost"));
 }
 
 }  // namespace

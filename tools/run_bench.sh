@@ -20,14 +20,19 @@
 #   * "repeat_query" pairs Macro/RepeatQueryCold (verification cache off)
 #     with Macro/RepeatQueryWarm (cache on, warmed) on queries_per_sec
 #     and carries the warm hit_rate — the acceptance metric for the
-#     proxy's hop memo.
+#     proxy's hop memo;
+#   * "prover_memory" carries every ZkEdb/Commit case's KiB_per_key (the
+#     heap a ZK-EDB prover keeps per committed key, median of the
+#     repetitions) — the acceptance metric for trie-node storage.
 #
 # Usage: tools/run_bench.sh [--build-dir DIR] [--out FILE] [--check]
 #   --build-dir DIR  where the bench binaries live (default: build)
 #   --out FILE       consolidated JSON path (default: BENCH_zkedb.json)
 #   --check          exit non-zero if any batched configuration is slower
-#                    than its scalar counterpart, or if the warm repeat-
-#                    query cache hit rate drops below 0.8 (CI perf smoke).
+#                    than its scalar counterpart, if the warm repeat-
+#                    query cache hit rate drops below 0.8, or if a prover
+#                    keeps more than PROVER_KIB_PER_KEY_MAX KiB per key in
+#                    the largest ZkEdb/Commit cases (CI perf smoke).
 #                    Refuses up front, running and writing nothing, when the
 #                    existing --out file records a different cpu_count than
 #                    this host: re-baseline with a plain run first.
@@ -71,6 +76,14 @@ if recorded is not None and recorded != here:
 PY
 fi
 
+# Bound on ZkEdb/Commit KiB_per_key at the largest database size. Set
+# for the CI's reduced parameters (DESWORD_BENCH_QUICK=1, RSA-1024: q = 4,
+# h = 8, 8 keys), where a prover keeps 1.85 KiB per key (3.49 before trie
+# nodes kept C0 and derived their randomizers). Heap bytes do not depend
+# on the host's speed, so the bound holds on any machine; at full
+# parameters (q = 16, h = 32, RSA-2048) the figure is 10.9 KiB.
+PROVER_KIB_PER_KEY_MAX=2.5
+
 BENCHES=(bench_qtmc_micro bench_zkedb bench_poc_comp bench_macro)
 LINES="$(mktemp)"
 trap 'rm -f "$LINES"' EXIT
@@ -91,12 +104,13 @@ for bench in "${BENCHES[@]}"; do
   }
 done
 
-python3 - "$LINES" "$OUT" "$CHECK" <<'PY'
+python3 - "$LINES" "$OUT" "$CHECK" "$PROVER_KIB_PER_KEY_MAX" <<'PY'
 import json
 import os
 import sys
 
 lines_path, out_path, check = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
+kib_per_key_max = float(sys.argv[4])
 cpu_count = os.cpu_count() or 1
 results = []
 with open(lines_path, encoding="utf-8") as fh:
@@ -200,6 +214,18 @@ if cold_repeat and warm_repeat:
         "warm_hit_rate": warm_repeat.get("counters", {}).get("hit_rate"),
     }
 
+# Every ZkEdb/Commit/<n>/<threads> case's KiB_per_key, from the median
+# aggregate.
+prover_memory = []
+for r in results:
+    case = r.get("case", "")
+    kib = r.get("counters", {}).get("KiB_per_key")
+    if case.startswith("ZkEdb/Commit/") and case.endswith("_median") \
+            and kib is not None:
+        n, threads = case.split("/")[2:4]
+        prover_memory.append({"keys": int(n), "threads": int(threads),
+                              "kib_per_key": kib})
+
 summary = {
     "generated_by": "tools/run_bench.sh",
     "cpu_count": cpu_count,
@@ -208,6 +234,7 @@ summary = {
     "query_throughput": query_configs,
     "fault_resilience": fault_configs,
     "repeat_query": repeat_query,
+    "prover_memory": prover_memory,
     "results": results,
 }
 with open(out_path, "w", encoding="utf-8") as fh:
@@ -229,6 +256,9 @@ for c in fault_configs:
           "{baseline_ms_per_query:.2f}ms -> {faulted_ms_per_query:.2f}ms "
           "({latency_overhead:.2f}x), {retransmits_per_query:.1f} "
           "retransmits/query, success {success_rate:.2f}".format(**c))
+for c in prover_memory:
+    print("  prover_memory {keys} keys, {threads} thread(s): "
+          "{kib_per_key:.2f} KiB/key".format(**c))
 if repeat_query:
     print("  repeat_query: cold {cold_queries_per_sec:.2f}/s warm "
           "{warm_queries_per_sec:.2f}/s speedup {speedup:.2f}x "
@@ -284,5 +314,20 @@ if check:
     if hit_rate is None or hit_rate < 0.8:
         print(f"run_bench.sh: warm repeat-query hit rate too low "
               f"({hit_rate})", file=sys.stderr)
+        sys.exit(1)
+    # A prover's heap per committed key, at the largest database size
+    # (the smaller ones carry the per-prover constant).
+    if not prover_memory:
+        print("run_bench.sh: --check but no ZkEdb/Commit KiB_per_key found",
+              file=sys.stderr)
+        sys.exit(1)
+    largest = max(c["keys"] for c in prover_memory)
+    heavy = [c for c in prover_memory
+             if c["keys"] == largest and c["kib_per_key"] > kib_per_key_max]
+    if heavy:
+        for c in heavy:
+            print(f"run_bench.sh: prover keeps {c['kib_per_key']:.2f} KiB "
+                  f"per key at {c['keys']} keys, {c['threads']} thread(s) "
+                  f"(bound {kib_per_key_max})", file=sys.stderr)
         sys.exit(1)
 PY
