@@ -57,7 +57,9 @@ unsigned window_digit(const BIGNUM* e, int j, int window) {
 // over. A backend provides a buffer of residues (`Buf`), handles to one
 // residue (`Ref`, `CRef`), and to_mont / mul / copy / from_mont. `mul` may
 // alias its output with either input; residues between to_mont and
-// from_mont are only ever fed back into mul.
+// from_mont are only ever fed back into mul. load / store move a plain
+// residue in and out unconverted (the coprimality fold needs no
+// Montgomery form: each product leaves a unit factor R^{-1}).
 
 /// OpenSSL's Montgomery product: one BIGNUM per residue, R = 2^{64·words}.
 class BnArith {
@@ -92,6 +94,10 @@ class BnArith {
     }
     return out;
   }
+  /// r ← x, for x in [0, N).
+  static void load(Ref r, const Bignum& x) { *r = x; }
+  /// The residue a holds, in [0, N).
+  static Bignum store(CRef a) { return *a; }
 
  private:
   BN_MONT_CTX* mont_;
@@ -118,6 +124,10 @@ class IfmaArith {
   void to_mont(Ref r, const Bignum& x) const { m_.to_mont(r, x); }
   void mul(Ref r, CRef a, CRef b) const { m_.mul(r, a, b); }
   Bignum from_mont(CRef a) const { return m_.from_mont(a); }
+  /// r ← x, for x in [0, N).
+  void load(Ref r, const Bignum& x) const { m_.load(r, x); }
+  /// The value a holds, in [0, 2N): the residue or the residue plus N.
+  Bignum store(CRef a) const { return m_.store(a); }
 
  private:
   const IfmaMontgomery& m_;
@@ -390,6 +400,13 @@ Bignum ModExpContext::exp(const Bignum& base, const Bignum& exponent) const {
     throw CryptoError("ModExpContext::exp: negative exponent");
   }
   modexp_calls().add();
+  if (ifma_) {
+    // On the kernel a plain power is a one-term multi-exp: the cost model
+    // picks sliding-window Straus (w = 5 for a 256-bit exponent).
+    if (exponent.is_zero()) return Bignum(1);
+    const ExpTerm term{base, exponent};
+    return multi_exp_live({&term}, exponent.bits());
+  }
   Bignum out;
   // Reduce the base first: BN_mod_exp_mont requires base < modulus.
   const Bignum reduced = base.mod(modulus_);
@@ -453,22 +470,29 @@ Bignum ModExpContext::exp_signed(const FixedBaseTable& table,
   return Bignum::mod_inverse(exp(table, exponent.negated()), modulus_);
 }
 
-void ModExpContext::mont_mul_into(Bignum& acc, const Bignum& x) const {
-  // BN_mod_mul_montgomery wants both operands in [0, N); acc stays there.
-  Bignum reduced;
-  const BIGNUM* y = x.raw();
-  if (x.is_negative() || x >= modulus_) {
-    reduced = x.mod(modulus_);
-    y = reduced.raw();
-  }
-  if (BN_mod_mul_montgomery(acc.raw(), acc.raw(), y, mont_.get(),
-                            scratch()) != 1) {
-    throw CryptoError("BN_mod_mul_montgomery failed");
-  }
-}
-
-bool ModExpContext::coprime(const Bignum& x) const {
-  const int symbol = BN_kronecker(x.raw(), modulus_.raw(), scratch());
+bool ModExpContext::all_coprime(const std::vector<const Bignum*>& xs) const {
+  if (xs.empty()) return true;
+  const Bignum fold = with_arith([&](const auto& ar) {
+    auto buf = ar.alloc(2);
+    const auto acc = ar.at(buf, 0);
+    const auto next = ar.at(buf, 1);
+    // Both backends' products want operands in [0, N).
+    const auto load = [&](auto r, const Bignum& x) {
+      if (x.is_negative() || x >= modulus_) {
+        ar.load(r, x.mod(modulus_));
+      } else {
+        ar.load(r, x);
+      }
+    };
+    load(acc, *xs[0]);
+    for (std::size_t k = 1; k < xs.size(); ++k) {
+      load(next, *xs[k]);
+      ar.mul(acc, acc, next);
+    }
+    return ar.store(acc);
+  });
+  // The kernel leaves the fold in [0, 2N); N and 0 name the same residue.
+  const int symbol = BN_kronecker(fold.raw(), modulus_.raw(), scratch());
   if (symbol == -2) throw CryptoError("BN_kronecker failed");
   return symbol != 0;
 }

@@ -33,16 +33,18 @@
 // concurrently (see multi_exp).
 //
 // Coprimality: verifiers must reject proof elements that share a factor
-// with N. mont_mul_into folds elements into one product with Montgomery
-// multiplies and coprime() tests the product once with the Jacobi symbol
+// with N. all_coprime() folds the elements into one product with
+// Montgomery multiplies and tests the product once with the Jacobi symbol
 // (QtmcScheme::elements_coprime, DESIGN.md §5.5).
 //
-// Backends: every fixed-base and multi-exp algorithm below is written once,
-// over a small Montgomery-arithmetic interface, and runs on one of two
-// products chosen in the constructor: the AVX-512 IFMA radix-2^52 kernel
+// Backends: every algorithm below — plain and fixed-base powers, the
+// multi-exp and the coprimality fold — is written once, over a small
+// Montgomery-arithmetic interface, and runs on one of two products chosen
+// in the constructor: the AVX-512 IFMA radix-2^52 kernel
 // (crypto/mont_ifma.h) when the CPU has it and the modulus fits, else
-// OpenSSL's BN_mod_mul_montgomery. Both return the same residues. Plain
-// exp(), mont_mul_into() and coprime() always run on OpenSSL.
+// OpenSSL's BN_mod_mul_montgomery. Both return the same residues. On
+// OpenSSL a plain exp() is BN_mod_exp_mont; on the kernel it is a
+// one-term sliding-window Straus.
 #pragma once
 
 #include <openssl/bn.h>
@@ -124,7 +126,8 @@ class ModExpContext {
   const Bignum& modulus() const { return modulus_; }
   Backend backend() const { return ifma_ ? Backend::kIfma : Backend::kBn; }
 
-  /// (base ^ exponent) mod modulus; exponent must be >= 0.
+  /// (base ^ exponent) mod modulus; exponent must be >= 0. Variable time
+  /// in the exponent on both backends.
   Bignum exp(const Bignum& base, const Bignum& exponent) const;
 
   /// Signed-exponent variant: negative exponents invert the result
@@ -145,17 +148,14 @@ class ModExpContext {
   /// Signed-exponent variant of the table path.
   Bignum exp_signed(const FixedBaseTable& table, const Bignum& exponent) const;
 
-  /// acc ← acc · x · R^{-1} mod modulus: one Montgomery product of plain
-  /// residues (R = 2^{word bits · words of N}). `acc` must lie in [0, N);
-  /// `x` is reduced when it does not. Each call leaves a factor R^{-1} in
-  /// the product, a unit, so gcd(acc, N) is the gcd of the plain product —
-  /// enough for a coprimality test, and cheaper than a reduced mod_mul.
-  void mont_mul_into(Bignum& acc, const Bignum& x) const;
-
-  /// gcd(x, N) == 1, tested as Jacobi(x, N) ≠ 0: for odd N the symbol is 0
-  /// exactly when some prime factor of N divides x. Variable time — x and
-  /// N must be public (proof elements and the RSA modulus are).
-  bool coprime(const Bignum& x) const;
+  /// gcd(x, N) == 1 for every x in `xs` (true when empty). The elements
+  /// (reduced mod N first when they are not in [0, N)) are folded with one
+  /// Montgomery product each on the backend, x_1·…·x_k·R^{1−k} mod N, and
+  /// the fold is tested once as Jacobi(·, N) ≠ 0: for odd N the symbol is
+  /// 0 exactly when some prime factor of N divides the fold, and R is a
+  /// unit, so exactly when one divides some x. Variable time — the x and N
+  /// must be public (proof elements and the RSA modulus are).
+  bool all_coprime(const std::vector<const Bignum*>& xs) const;
 
   /// ∏ terms[i].base ^ terms[i].exponent mod modulus, sharing one squaring
   /// chain across all bases. Zero exponents contribute 1 and are skipped;

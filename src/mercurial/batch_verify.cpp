@@ -68,10 +68,11 @@ std::size_t BatchVerifier::begin_unit() {
   return units_.size() - 1;
 }
 
-bool BatchVerifier::add_open(const QtmcCommitment& com, const QtmcOpening& op) {
+bool BatchVerifier::add_open(const QtmcCommitment& com, const QtmcOpening& op,
+                             C1Origin origin) {
   DESWORD_CHECK(!units_.empty(), "BatchVerifier: begin_unit before add_open");
   UnitRange& u = units_.back();
-  if (!qtmc_->open_equations(com, op, rsa_eqs_)) {
+  if (!qtmc_->open_equations(com, op, rsa_eqs_, origin)) {
     u.failed = true;
     return false;
   }
@@ -174,13 +175,13 @@ bool BatchVerifier::fold_rsa(const std::vector<std::size_t>& unit_idxs,
   // re-applies the check per unit — so verdicts still match
   // verify_open/verify_tease exactly.
   {
-    Bignum elem_acc(1);
+    std::vector<const Bignum*> elems;
     for (std::size_t u : unit_idxs) {
       const UnitRange& range = units_[u];
-      qtmc_->accumulate_elements(rsa_eqs_, range.rsa_begin, range.rsa_end,
-                                 elem_acc);
+      qtmc_->collect_elements(rsa_eqs_, range.rsa_begin, range.rsa_end,
+                              elems);
     }
-    if (!qtmc_->product_coprime(elem_acc)) return false;
+    if (!qtmc_->modexp_context().all_coprime(elems)) return false;
   }
   // Exponents are merged per distinct base as plain integers — over the
   // hidden-order RSA group they must never be reduced.
@@ -211,8 +212,8 @@ bool BatchVerifier::fold_rsa(const std::vector<std::size_t>& unit_idxs,
     }
   }
   if (!any) return true;
-  // h leaves the multi-exp: its merged exponent (Σ r·r1 over E1 plus
-  // Σ r·r1·τ over E2', ~645 bits for a membership proof) would set the
+  // h leaves the multi-exp: its merged exponent (Σ r·r1·τ over E2' plus
+  // Σ r·r1 over any E1, ~645 bits for a membership proof) would set the
   // length of the shared squaring chain that the ≤ 264-bit Λ and S_i
   // exponents ride on. One fixed-base power through h's table costs about
   // a quarter of that width in multiplications and no squarings.

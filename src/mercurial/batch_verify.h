@@ -75,8 +75,10 @@ class BatchVerifier {
   /// Accumulate a qTMC hard opening / tease into the current unit. Returns
   /// false — and marks the unit failed — when the structural checks reject;
   /// the equations are then not accumulated (matching the scalar verifier,
-  /// which never evaluates them either).
-  bool add_open(const QtmcCommitment& com, const QtmcOpening& op);
+  /// which never evaluates them either). `origin` as in
+  /// QtmcScheme::open_equations: a derived C1 adds no E1.
+  bool add_open(const QtmcCommitment& com, const QtmcOpening& op,
+                C1Origin origin = C1Origin::kReceived);
   bool add_tease(const QtmcCommitment& com, const QtmcTease& tease);
 
   /// Accumulate a TMC (leaf) opening / tease. Requires a non-null `tmc`.

@@ -32,10 +32,6 @@ struct QtmcPositionTables {
 
 namespace {
 
-// Sanity cap on attacker-supplied exponents (honest values are ~256 bits;
-// the cap only bounds verification work, not security).
-constexpr int kMaxExponentBits = 1024;
-
 // Divide-and-conquer power tree over the primes: each node covers a range
 // X of positions and carries three powers of g,
 //   s = g^{O},  t = g^{σ(O)},  u = g^{⌊P/Π_X²⌋},
@@ -352,6 +348,10 @@ Bignum QtmcScheme::hard_c1(const Bignum& r1) const {
   return canonical(pow_h(r1));
 }
 
+bool QtmcScheme::exponent_in_range(const Bignum& x) {
+  return !x.is_negative() && x.bits() <= kMaxExponentBits;
+}
+
 QtmcCommitDraft QtmcScheme::hard_commit_draft(
     const std::vector<Bytes>& messages, std::vector<std::uint32_t> pending,
     RandomSource& rng) const {
@@ -495,12 +495,8 @@ std::pair<QtmcCommitment, QtmcSoftDecommit> QtmcScheme::soft_commit(
     RandomSource& rng) const {
   Bignum r0 = rng.rand_bits(kRandomizerBits);
   Bignum r1 = rng.rand_bits(kRandomizerBits);
-  // Teasing needs r1 invertible modulo every e_i: gcd(r1, P) must be 1.
-  // Reduce P mod r1 first so the gcd runs on 256-bit operands and the
-  // whole operation stays constant in q (Figure 4(b) behaviour).
-  while (!Bignum::gcd(r1, prod_all_.mod(r1)).is_one()) {
-    r1 = rng.rand_bits(kRandomizerBits);
-  }
+  // Teasing needs r1 invertible modulo every e_i.
+  while (!coprime_to_primes(r1)) r1 = rng.rand_bits(kRandomizerBits);
   QtmcSoftDecommit dec{std::move(r0), std::move(r1)};
   QtmcCommitment com = soft_commitment(dec);
   return {std::move(com), std::move(dec)};
@@ -663,28 +659,33 @@ bool QtmcScheme::element_canonical(const Bignum& x) const {
   return !x.is_zero() && !x.is_negative() && x <= n_half_;
 }
 
-void QtmcScheme::accumulate_elements(const std::vector<RsaEquation>& eqs,
-                                     std::size_t begin, std::size_t end,
-                                     Bignum& acc) const {
-  for (std::size_t i = begin; i < end; ++i) {
-    for (const RsaTerm& term : eqs[i].lhs) {
-      if (term.kind == RsaTerm::Kind::kGeneric) {
-        mexp_->mont_mul_into(acc, term.base);
-      }
-    }
-    mexp_->mont_mul_into(acc, eqs[i].rhs);
+bool QtmcScheme::coprime_to_primes(const Bignum& r1) const {
+  // gcd(r1, P) = 1 iff no prime factor of P = ∏ e_j divides r1, and the
+  // e_j are those factors, so this accepts exactly the r1 that
+  // gcd(r1, P mod r1) = 1 accepts, without the gcd. Each remainder is a
+  // variable-time BN division involving r1, as P mod r1 is.
+  for (const Bignum& e : e_) {
+    if (r1.mod(e).is_zero()) return false;
   }
+  return true;
 }
 
-bool QtmcScheme::product_coprime(const Bignum& acc) const {
-  return mexp_->coprime(acc);
+void QtmcScheme::collect_elements(const std::vector<RsaEquation>& eqs,
+                                  std::size_t begin, std::size_t end,
+                                  std::vector<const Bignum*>& out) const {
+  for (std::size_t i = begin; i < end; ++i) {
+    for (const RsaTerm& term : eqs[i].lhs) {
+      if (term.kind == RsaTerm::Kind::kGeneric) out.push_back(&term.base);
+    }
+    out.push_back(&eqs[i].rhs);
+  }
 }
 
 bool QtmcScheme::elements_coprime(const std::vector<RsaEquation>& eqs,
                                   std::size_t begin, std::size_t end) const {
-  Bignum acc(1);
-  accumulate_elements(eqs, begin, end, acc);
-  return product_coprime(acc);
+  std::vector<const Bignum*> elems;
+  collect_elements(eqs, begin, end, elems);
+  return mexp_->all_coprime(elems);
 }
 
 bool QtmcScheme::main_equation(const QtmcCommitment& com, std::uint32_t pos,
@@ -699,7 +700,7 @@ bool QtmcScheme::main_equation(const QtmcCommitment& com, std::uint32_t pos,
       !element_canonical(lambda)) {
     return false;
   }
-  if (tau.is_negative() || tau.bits() > kMaxExponentBits) return false;
+  if (!exponent_in_range(tau)) return false;
   // Λ^{e_pos} · S_pos^m · C1^τ == C0 (the S term drops for the null
   // message, matching the scalar verifier).
   RsaEquation eq;
@@ -724,13 +725,15 @@ bool QtmcScheme::main_equation(const QtmcCommitment& com, std::uint32_t pos,
 
 bool QtmcScheme::open_equations(const QtmcCommitment& com,
                                 const QtmcOpening& op,
-                                std::vector<RsaEquation>& out) const {
-  if (op.r1.is_negative() || op.r1.bits() > kMaxExponentBits) return false;
+                                std::vector<RsaEquation>& out,
+                                C1Origin origin) const {
+  if (!exponent_in_range(op.r1)) return false;
   const std::size_t mark = out.size();
   if (!main_equation(com, op.pos, op.message, op.tau, op.lambda, &op.r1,
                      out)) {
     return false;
   }
+  if (origin == C1Origin::kDerived) return true;  // C1 = ±h^{r1} already
   // h^{r1} == C1 — the check that distinguishes hard openings from teases.
   RsaEquation eq;
   eq.lhs.push_back(RsaTerm{RsaTerm::Kind::kH, 0, Bignum(), op.r1});
@@ -787,11 +790,11 @@ bool QtmcScheme::check_scalar(const RsaEquation& eq) const {
   return have_acc && canonical(acc) == eq.rhs;
 }
 
-bool QtmcScheme::verify_open(const QtmcCommitment& com,
-                             const QtmcOpening& op) const {
+bool QtmcScheme::verify_open(const QtmcCommitment& com, const QtmcOpening& op,
+                             C1Origin origin) const {
   try {
     std::vector<RsaEquation> eqs;
-    if (!open_equations(com, op, eqs)) return false;
+    if (!open_equations(com, op, eqs, origin)) return false;
     if (!elements_coprime(eqs, 0, eqs.size())) return false;
     for (const RsaEquation& eq : eqs) {
       if (!check_scalar(eq)) return false;
@@ -822,9 +825,7 @@ std::pair<QtmcCommitment, QtmcSoftDecommit> QtmcScheme::fake_commit(
   (void)trapdoor;  // needed only at fake_open time
   Bignum k = Bignum::rand_bits(kRandomizerBits);
   Bignum r1 = Bignum::rand_bits(kRandomizerBits);
-  while (!Bignum::gcd(r1, prod_all_.mod(r1)).is_one()) {
-    r1 = Bignum::rand_bits(kRandomizerBits);
-  }
+  while (!coprime_to_primes(r1)) r1 = Bignum::rand_bits(kRandomizerBits);
   QtmcCommitment com{canonical(pow_g(k)), canonical(pow_h(r1))};
   return {std::move(com), QtmcSoftDecommit{std::move(k), std::move(r1)}};
 }

@@ -99,6 +99,20 @@ struct QtmcCommitment {
 /// rand_bits, so exactly this many bits.
 inline constexpr int kRandomizerBits = 256;
 
+/// Cap on the proof-supplied exponents τ and r1 a verifier accepts (honest
+/// ones are ~256 bits). It bounds verification work, not security: wider
+/// values are rejected before any power is taken.
+inline constexpr int kMaxExponentBits = 1024;
+
+/// Where the C1 of a commitment being hard-opened came from.
+///   kReceived: next to C0, from the committer (a POC's root), so the
+///     verifier checks E1 `h^{r1} == C1`.
+///   kDerived: the verifier computed C1 = hard_c1(op.r1) from the opening
+///     itself, so E1 holds by construction and is not checked again. A
+///     ZK-EDB membership proof ships only C0 for its inner nodes
+///     (DESIGN.md §5.5).
+enum class C1Origin : std::uint8_t { kReceived, kDerived };
+
 struct QtmcHardDecommit {
   Bytes messages;  // the q committed messages, kMessageBytes each, packed
   Bignum z;
@@ -202,6 +216,12 @@ class QtmcScheme {
   /// the commitment on demand (zkedb::EdbProver).
   Bignum hard_c1(const Bignum& r1) const;
 
+  /// Whether a proof-supplied exponent (τ, r1) is in the range
+  /// open_equations and tease_equations accept: non-negative and at most
+  /// kMaxExponentBits wide. A verifier that was sent only C0 checks an
+  /// opening's r1 with it before taking hard_c1(r1).
+  static bool exponent_in_range(const Bignum& x);
+
   /// qHOpen at `pos`.
   QtmcOpening hard_open(const QtmcHardDecommit& dec, std::uint32_t pos) const;
 
@@ -224,28 +244,31 @@ class QtmcScheme {
 
   /// Verifies a hard opening. Never throws on bad input. Equivalent to
   /// emitting open_equations and checking each equation scalar-wise.
-  bool verify_open(const QtmcCommitment& com, const QtmcOpening& op) const;
+  bool verify_open(const QtmcCommitment& com, const QtmcOpening& op,
+                   C1Origin origin = C1Origin::kReceived) const;
 
   /// Verifies a tease. Never throws on bad input.
   bool verify_tease(const QtmcCommitment& com, const QtmcTease& tease) const;
 
   /// Equation-accumulator flavour of verify_open: runs the structural
   /// checks (position/message/exponent ranges, elements canonical in
-  /// [1, (N−1)/2]) and, when they pass, appends the two product equations
+  /// [1, (N−1)/2]) and, when they pass, appends the product equations
   /// E1 `h^{r1} == C1` and E2' `Λ^{e_pos}·S_pos^m·h^{r1·τ} == C0` — both
   /// compared in Z_N*/{±1} — to `out`. E2' stands in for the scheme's
   /// `Λ^{e_pos}·S_pos^m·C1^τ == C0`: under E1, C1^τ and h^{r1·τ} name the
   /// same quotient element, so E1 ∧ E2' holds exactly when the textbook
   /// pair does, and the τ power runs on h's fixed-base table instead of a
-  /// proof-supplied base (DESIGN.md §5.5). Returns false (appending
-  /// nothing) on structural failure. Coprimality of the proof-supplied
-  /// elements with N is NOT checked here — consumers enforce it in
-  /// aggregate via elements_coprime (one test per opening in the scalar
-  /// verifiers, one per fold in BatchVerifier). The opening is valid iff
-  /// this returns true AND elements_coprime holds AND every appended
-  /// equation holds.
+  /// proof-supplied base (DESIGN.md §5.5). With C1Origin::kDerived the
+  /// caller guarantees com.c1 == hard_c1(op.r1), so E1 holds already and
+  /// only E2' is appended. Returns false (appending nothing) on structural
+  /// failure. Coprimality of the proof-supplied elements with N is NOT
+  /// checked here — consumers enforce it in aggregate via elements_coprime
+  /// (one test per opening in the scalar verifiers, one per fold in
+  /// BatchVerifier). The opening is valid iff this returns true AND
+  /// elements_coprime holds AND every appended equation holds.
   bool open_equations(const QtmcCommitment& com, const QtmcOpening& op,
-                      std::vector<RsaEquation>& out) const;
+                      std::vector<RsaEquation>& out,
+                      C1Origin origin = C1Origin::kReceived) const;
 
   /// Equation-accumulator flavour of verify_tease: the one equation
   /// `Λ^{e_pos}·S_pos^m·C1^τ == C0`. A tease reveals no r1, so C1 stays a
@@ -270,24 +293,19 @@ class QtmcScheme {
   /// equations (scalar and folded) compare canonical representatives.
   Bignum canonical(const Bignum& x) const;
 
-  /// Folds every untrusted element of eqs[begin..end) — generic term bases
-  /// and equation RHS values — into `acc` (in [0, N); start it at 1) with
-  /// one Montgomery product each (ModExpContext::mont_mul_into). `acc` is
-  /// then ∏ x · R^{-k} mod N, and R is a unit, so together with
-  /// product_coprime this enforces gcd(x, N) = 1 for all of them with ONE
-  /// test: a prime divisor of N divides the product iff it divides some
-  /// x. Verifiers aggregate the check — per opening in
-  /// verify_open/verify_tease, per fold in BatchVerifier — instead of
-  /// paying it per element.
-  void accumulate_elements(const std::vector<RsaEquation>& eqs,
-                           std::size_t begin, std::size_t end,
-                           Bignum& acc) const;
+  /// Appends every untrusted element of eqs[begin..end) — generic term
+  /// bases and equation RHS values — to `out`, for one aggregated
+  /// coprimality test (ModExpContext::all_coprime): a prime divisor of N
+  /// divides their product iff it divides some element. Verifiers
+  /// aggregate the check — per opening in verify_open/verify_tease, per
+  /// fold in BatchVerifier — instead of paying it per element. The
+  /// pointers alias `eqs`.
+  void collect_elements(const std::vector<RsaEquation>& eqs,
+                        std::size_t begin, std::size_t end,
+                        std::vector<const Bignum*>& out) const;
 
-  /// gcd(acc, N) == 1, tested as Jacobi(acc, N) ≠ 0 (ModExpContext::
-  /// coprime) — the single-test tail of accumulate_elements.
-  bool product_coprime(const Bignum& acc) const;
-
-  /// accumulate_elements + product_coprime over one contiguous range.
+  /// collect_elements + ModExpContext::all_coprime over one contiguous
+  /// range.
   bool elements_coprime(const std::vector<RsaEquation>& eqs,
                         std::size_t begin, std::size_t end) const;
 
@@ -365,6 +383,9 @@ class QtmcScheme {
                      const Bignum* r1, std::vector<RsaEquation>& out) const;
   /// x ∈ [1, (N−1)/2]: a nonzero canonical representative of Z_N*/{±1}.
   bool element_canonical(const Bignum& x) const;
+  /// gcd(r1, P) == 1, tested as "no e_i divides r1": a soft C1 = g^{r1}
+  /// must be invertible in every position's exponent group.
+  bool coprime_to_primes(const Bignum& r1) const;
 
   QtmcPublicKey pk_;
   std::size_t n_len_ = 0;

@@ -44,6 +44,10 @@ EdbBatchMembershipProof EdbBatchMembershipProof::deserialize(
     if (step.prefix.size() >= crs.height()) {
       throw SerializationError("batch step prefix too deep");
     }
+    if (step.prefix.size() + 1 < crs.height() &&
+        step.child_commitment.size() != crs.qtmc().element_len()) {
+      throw SerializationError("batch step child C0 has wrong width");
+    }
     proof.steps.push_back(std::move(step));
   }
   const std::uint64_t n_leaves = r.varint();
@@ -108,7 +112,6 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
     const EdbVerifyOptions& opts) {
   try {
     const std::uint32_t h = crs.height();
-    const Bignum& n = crs.params().qtmc_pk.n;
 
     // Index the deduplicated material.
     std::map<std::pair<Bytes, std::uint32_t>, const EdbBatchStep*> steps;
@@ -119,13 +122,23 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
     for (const EdbBatchLeaf& l : proof.leaves) leaves[l.key] = &l;
 
     // Phase 1 (sequential, no modular arithmetic): walk every chain,
-    // checking structure, and collect each unique (prefix, digit) edge
-    // together with the commitment it must be verified against. Chains
-    // sharing an edge share the identical reconstruction, so verifying it
-    // once is sound — and the edges are independent, so they fan out.
+    // checking structure, and collect each unique trie node and each
+    // unique (prefix, digit) edge on the chains. An inner node's C1 is
+    // derived from the r1 its openings reveal, so every step at one prefix
+    // must reveal the same r1: then each node has one commitment, chains
+    // sharing an edge share the identical reconstruction, and verifying
+    // the edge once is sound — and the edges are independent, so they fan
+    // out.
+    struct PathNode {
+      mercurial::QtmcCommitment com;  // C1 derived after the walk (not root)
+      const Bignum* r1 = nullptr;     // what this node's openings reveal
+    };
+    std::vector<PathNode> nodes{PathNode{root, nullptr}};
+    std::map<Bytes, std::size_t> node_at;  // non-root prefix -> nodes index
     struct EdgeCheck {
       const EdbBatchStep* step;
-      mercurial::QtmcCommitment parent;
+      std::size_t parent;  // into nodes
+      std::size_t child;   // into nodes; unused at leaf depth
       bool at_leaf_depth;
     };
     std::vector<EdgeCheck> edges;
@@ -140,7 +153,7 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
     for (const EdbKey& key : keys) {
       if (values.find(key) != values.end()) continue;  // duplicate request
       const std::vector<std::uint32_t> digits = crs.digits_of(key);
-      mercurial::QtmcCommitment cur = root;
+      std::size_t cur = 0;
       Bytes prefix;
       const EdbBatchStep* last_step = nullptr;
       for (std::uint32_t d = 0; d < h; ++d) {
@@ -148,15 +161,34 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
         if (it == steps.end()) return std::nullopt;
         const EdbBatchStep* step = it->second;
         if (step->opening.pos != digits[d]) return std::nullopt;
-        if (edge_seen.insert({prefix, digits[d]}).second) {
-          edges.push_back(EdgeCheck{step, cur, d + 1 == h});
+        if (d > 0) {
+          const Bignum*& r1 = nodes[cur].r1;
+          if (r1 == nullptr) {
+            r1 = &step->opening.r1;
+          } else if (*r1 != step->opening.r1) {
+            return std::nullopt;
+          }
         }
-        if (d + 1 < h) {
-          cur = mercurial::QtmcCommitment::deserialize(
-              n, step->child_commitment);
-        }
-        last_step = step;
+        const bool fresh_edge = edge_seen.insert({prefix, digits[d]}).second;
         prefix.push_back(static_cast<std::uint8_t>(digits[d]));
+        std::size_t child = 0;
+        if (d + 1 < h) {
+          const auto [at, fresh] = node_at.emplace(prefix, nodes.size());
+          if (fresh) {
+            if (step->child_commitment.size() != crs.qtmc().element_len()) {
+              return std::nullopt;
+            }
+            nodes.push_back(PathNode{
+                {Bignum::from_bytes(step->child_commitment), Bignum()},
+                nullptr});
+          }
+          child = at->second;
+        }
+        if (fresh_edge) {
+          edges.push_back(EdgeCheck{step, cur, child, d + 1 == h});
+        }
+        cur = child;
+        last_step = step;
       }
       const auto leaf_it = leaves.find(key);
       if (leaf_it == leaves.end()) return std::nullopt;
@@ -164,11 +196,22 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
       values.emplace(key, leaf_it->second->value);
     }
 
+    // Every inner node but the root gets C1 = h^{r1} (range-checked before
+    // any power is taken); the powers fan out.
+    for (std::size_t i = 1; i < nodes.size(); ++i) {
+      if (!mercurial::QtmcScheme::exponent_in_range(*nodes[i].r1)) {
+        return std::nullopt;
+      }
+    }
+    ThreadPool* pool = ThreadPool::for_threads(opts.threads);
+    parallel_for(pool, nodes.size() - 1, [&](std::size_t i) {
+      nodes[i + 1].com.c1 = crs.qtmc().hard_c1(*nodes[i + 1].r1);
+    });
+
     // Phase 2 (parallel): the expensive opening verifications. Failures
     // only flip the flag, so order does not matter; remaining checks keep
     // running but the batch is rejected as a whole (all-or-nothing).
     std::atomic<bool> ok{true};
-    ThreadPool* pool = ThreadPool::for_threads(opts.threads);
     // Contiguous shards so the batched strategy can fold a whole shard
     // into one multi-exponentiation per worker.
     const auto run_sharded = [&](std::size_t count, auto&& shard_fn) {
@@ -185,13 +228,17 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
     };
 
     // The opened message of an edge must be the digest of its revealed
-    // child; throws on malformed child bytes.
+    // child; throws on malformed leaf bytes.
     const auto edge_digest = [&](const EdgeCheck& e) {
       return e.at_leaf_depth
                  ? crs.digest_leaf(mercurial::TmcCommitment::deserialize(
                        crs.group(), e.step->child_commitment))
-                 : crs.digest_inner(mercurial::QtmcCommitment::deserialize(
-                       n, e.step->child_commitment));
+                 : crs.digest_inner(nodes[e.child].com);
+    };
+    // Only the root's C1 was received; the others were derived.
+    const auto origin = [](const EdgeCheck& e) {
+      return e.parent == 0 ? mercurial::C1Origin::kReceived
+                           : mercurial::C1Origin::kDerived;
     };
 
     if (opts.batched) {
@@ -203,7 +250,8 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
           const EdgeCheck& e = edges[i];
           bv.begin_unit();
           try {
-            if (!bv.add_open(e.parent, e.step->opening) ||
+            if (!bv.add_open(nodes[e.parent].com, e.step->opening,
+                             origin(e)) ||
                 edge_digest(e) != e.step->opening.message) {
               shard_ok = false;
             }
@@ -264,7 +312,8 @@ std::optional<std::map<EdbKey, Bytes>> edb_verify_membership_batch(
       if (!ok.load(std::memory_order_relaxed)) return;
       const EdgeCheck& e = edges[i];
       try {
-        if (!crs.qtmc().verify_open(e.parent, e.step->opening)) {
+        if (!crs.qtmc().verify_open(nodes[e.parent].com, e.step->opening,
+                                    origin(e))) {
           ok.store(false, std::memory_order_relaxed);
           return;
         }

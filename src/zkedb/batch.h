@@ -21,7 +21,10 @@ class EdbProver;
 
 /// One deduplicated step: the opening of the node reached by `prefix`
 /// (digit path from the root, one byte per digit) at position
-/// `opening.pos`, plus the serialized commitment of the child it reveals.
+/// `opening.pos`, plus the child it reveals as in EdbMembershipProof: C0
+/// of an inner child (its C1 is h^{r1} of the child's own openings, which
+/// must all reveal the same r1), or the leaf's serialized TMC commitment
+/// at the last level.
 struct EdbBatchStep {
   Bytes prefix;  // digits of the node's path (empty = root)
   mercurial::QtmcOpening opening;

@@ -42,6 +42,10 @@ EdbMembershipProof EdbMembershipProof::deserialize(const EdbCrs& crs,
   proof.child_commitments.reserve(n_child);
   for (std::uint64_t i = 0; i < n_child; ++i) {
     proof.child_commitments.push_back(r.bytes());
+    if (i + 1 < n_child &&
+        proof.child_commitments.back().size() != crs.qtmc().element_len()) {
+      throw SerializationError("membership proof child C0 has wrong width");
+    }
   }
   proof.leaf_opening =
       mercurial::TmcOpening::deserialize(crs.group(), r.bytes());

@@ -459,20 +459,22 @@ EdbMembershipProof EdbProver::prove_membership(const EdbKey& key) const {
   const std::vector<std::uint32_t> digits = crs_->digits_of(key);
   const std::uint32_t h = crs_->height();
 
-  // Walk the path first (index lookups, digest copies and the randomizer
-  // derivations), then compute the h openings, the h − 1 inner child
-  // commitments' C1 and the leaf opening — independent given the
-  // decommitments — into their slots over the pool.
+  // Walk the path first (index lookups, the stored C0s and the randomizer
+  // derivations), then compute the h openings and the leaf opening —
+  // independent given the decommitments — into their slots over the pool.
+  // An inner child's C1 is not sent: its opening's r1 pins it.
   std::vector<mercurial::QtmcHardDecommit> decs;
   decs.reserve(h);
-  std::vector<std::uint32_t> slots(h);
   EdbMembershipProof proof;
   proof.openings.resize(h);
-  proof.child_commitments.resize(h);
+  proof.child_commitments.reserve(h);
   std::string prefix;
   std::uint32_t slot = 0;
   for (std::uint32_t d = 0; d < h; ++d) {
-    slots[d] = slot;
+    if (d > 0) {
+      const BytesView c0 = c0_of(slot);
+      proof.child_commitments.emplace_back(c0.begin(), c0.end());
+    }
     decs.push_back(inner_dec(slot, prefix));
     const auto child = child_of(slot, digits[d]);
     DESWORD_CHECK(child.has_value(), "committed key without its trie path");
@@ -480,16 +482,12 @@ EdbMembershipProof EdbProver::prove_membership(const EdbKey& key) const {
     prefix = child_prefix(prefix, digits[d]);
   }
   const LeafNode& leaf = leaves_[slot];
-  proof.child_commitments[h - 1] = leaf.com.serialize();
-  parallel_for(ThreadPool::for_threads(opts_.threads), 2 * h,
+  proof.child_commitments.push_back(leaf.com.serialize());
+  parallel_for(ThreadPool::for_threads(opts_.threads), h + 1,
                [&](std::size_t i) {
                  if (i < h) {
                    proof.openings[i] =
                        crs_->qtmc().hard_open(decs[i], digits[i]);
-                 } else if (i + 1 < 2 * h) {
-                   // The commitment of the node below level i − h.
-                   proof.child_commitments[i - h] = inner_commitment_bytes(
-                       slots[i - h + 1], decs[i - h + 1].r1);
                  } else {
                    proof.leaf_opening = crs_->tmc().hard_open(leaf.dec);
                  }

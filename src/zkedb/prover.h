@@ -121,8 +121,10 @@ class EdbProver {
   // epochs it and its backing were drawn under, and C0, which lives in
   // c0_ at the node's slot. Its messages are its children's digests, or
   // the backing's at absent children (inner_messages); z, r0, r1 and the
-  // backing's decommitment are re-derived from the key (node_rng), and a
-  // proof rebuilds C1 = h^{r1} with one fixed-base power.
+  // backing's decommitment are re-derived from the key (node_rng). A
+  // membership proof sends C0 alone (the verifier derives C1 = h^{r1}
+  // from the opening); a non-membership proof rebuilds C1 with one
+  // fixed-base power.
   struct InnerNode {
     Digest digest{};
     Digest backing{};  // meaningful iff backing_epoch != kNoBacking

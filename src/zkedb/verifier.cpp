@@ -1,6 +1,7 @@
 #include "zkedb/verifier.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
@@ -46,6 +47,59 @@ std::optional<Bytes> child_digest(const EdbCrs& crs, BytesView serialized,
   }
 }
 
+/// The commitments a membership proof opens, root first: `root` as
+/// received (from the POC), then each inner node's shipped C0 with
+/// C1 = h^{r1} of its own opening. nullopt — before any power is taken —
+/// when the proof has the wrong shape, opens off the key's digits, ships
+/// a C0 that is not one modulus-width element, or carries an r1 outside
+/// QtmcScheme::exponent_in_range. The h − 1 powers fan out over `pool`.
+std::optional<std::vector<mercurial::QtmcCommitment>> opened_commitments(
+    const EdbCrs& crs, const mercurial::QtmcCommitment& root,
+    const EdbKey& key, const EdbMembershipProof& proof, ThreadPool* pool) {
+  const std::uint32_t h = crs.height();
+  if (proof.openings.size() != h || proof.child_commitments.size() != h) {
+    return std::nullopt;
+  }
+  const mercurial::QtmcScheme& qtmc = crs.qtmc();
+  const std::vector<std::uint32_t> digits = crs.digits_of(key);
+  std::vector<mercurial::QtmcCommitment> coms(h);
+  coms[0] = root;
+  for (std::uint32_t d = 0; d < h; ++d) {
+    if (proof.openings[d].pos != digits[d]) return std::nullopt;
+    if (d == 0) continue;
+    const Bytes& c0 = proof.child_commitments[d - 1];
+    if (c0.size() != qtmc.element_len() ||
+        !mercurial::QtmcScheme::exponent_in_range(proof.openings[d].r1)) {
+      return std::nullopt;
+    }
+    coms[d].c0 = Bignum::from_bytes(c0);
+  }
+  parallel_for(pool, h - 1, [&](std::size_t i) {
+    coms[i + 1].c1 = qtmc.hard_c1(proof.openings[i + 1].r1);
+  });
+  return coms;
+}
+
+/// Whether step d's opened message is the digest of the node below it:
+/// the next opened commitment, or the shipped leaf commitment at the last
+/// step. May throw Error on malformed leaf bytes (callers catch).
+bool opens_to_child(const EdbCrs& crs,
+                    const std::vector<mercurial::QtmcCommitment>& coms,
+                    const EdbMembershipProof& proof, std::uint32_t d) {
+  if (d + 1 < crs.height()) {
+    return crs.digest_inner(coms[d + 1]) == proof.openings[d].message;
+  }
+  return crs.digest_leaf(mercurial::TmcCommitment::deserialize(
+             crs.group(), proof.child_commitments[d])) ==
+         proof.openings[d].message;
+}
+
+/// The root's C1 arrives with it; every other level's was derived.
+mercurial::C1Origin c1_origin(std::uint32_t depth) {
+  return depth == 0 ? mercurial::C1Origin::kReceived
+                    : mercurial::C1Origin::kDerived;
+}
+
 /// Walks a membership chain, accumulating every opening into `bv` (one
 /// already-begun unit) and running all non-equation checks: digit
 /// positions, chain digests, the leaf value digest. Returns false — the
@@ -55,23 +109,14 @@ std::optional<Bytes> child_digest(const EdbCrs& crs, BytesView serialized,
 bool add_membership_chain(const EdbCrs& crs,
                           const mercurial::QtmcCommitment& root,
                           const EdbKey& key, const EdbMembershipProof& proof,
-                          mercurial::BatchVerifier& bv) {
+                          mercurial::BatchVerifier& bv, ThreadPool* pool) {
+  const auto coms = opened_commitments(crs, root, key, proof, pool);
+  if (!coms.has_value()) return false;
   const std::uint32_t h = crs.height();
-  if (proof.openings.size() != h || proof.child_commitments.size() != h) {
-    return false;
-  }
-  const std::vector<std::uint32_t> digits = crs.digits_of(key);
-
-  mercurial::QtmcCommitment cur = root;
   for (std::uint32_t d = 0; d < h; ++d) {
-    const mercurial::QtmcOpening& op = proof.openings[d];
-    if (op.pos != digits[d]) return false;
-    if (!bv.add_open(cur, op)) return false;
-    const auto digest = child_digest(crs, proof.child_commitments[d], d + 1);
-    if (!digest.has_value() || *digest != op.message) return false;
-    if (d + 1 < h) {
-      cur = mercurial::QtmcCommitment::deserialize(crs.params().qtmc_pk.n,
-                                                   proof.child_commitments[d]);
+    if (!bv.add_open((*coms)[d], proof.openings[d], c1_origin(d)) ||
+        !opens_to_child(crs, *coms, proof, d)) {
+      return false;
     }
   }
   const mercurial::TmcCommitment leaf_com = mercurial::TmcCommitment::deserialize(
@@ -114,27 +159,17 @@ bool add_non_membership_chain(const EdbCrs& crs,
 VerifyOutcome verify_membership_scalar(const EdbCrs& crs,
                                        const mercurial::QtmcCommitment& root,
                                        const EdbKey& key,
-                                       const EdbMembershipProof& proof) {
+                                       const EdbMembershipProof& proof,
+                                       ThreadPool* pool) {
   try {
+    const auto coms = opened_commitments(crs, root, key, proof, pool);
+    if (!coms.has_value()) return VerifyOutcome::reject();
     const std::uint32_t h = crs.height();
-    if (proof.openings.size() != h || proof.child_commitments.size() != h) {
-      return VerifyOutcome::reject();
-    }
-    const std::vector<std::uint32_t> digits = crs.digits_of(key);
-
-    mercurial::QtmcCommitment cur = root;
     for (std::uint32_t d = 0; d < h; ++d) {
-      const mercurial::QtmcOpening& op = proof.openings[d];
-      if (op.pos != digits[d]) return VerifyOutcome::reject();
-      if (!crs.qtmc().verify_open(cur, op)) return VerifyOutcome::reject();
-      const auto digest =
-          child_digest(crs, proof.child_commitments[d], d + 1);
-      if (!digest.has_value() || *digest != op.message) {
+      if (!crs.qtmc().verify_open((*coms)[d], proof.openings[d],
+                                  c1_origin(d)) ||
+          !opens_to_child(crs, *coms, proof, d)) {
         return VerifyOutcome::reject();
-      }
-      if (d + 1 < h) {
-        cur = mercurial::QtmcCommitment::deserialize(
-            crs.params().qtmc_pk.n, proof.child_commitments[d]);
       }
     }
     const mercurial::TmcCommitment leaf_com =
@@ -193,18 +228,19 @@ VerifyOutcome edb_verify_membership(const EdbCrs& crs,
                                     const EdbMembershipProof& proof,
                                     const EdbVerifyOptions& opts) {
   const obs::ScopedTimer timer(verify_wall_ms());
+  ThreadPool* pool = ThreadPool::for_threads(opts.threads);
   if (!opts.batched) {
     scalar_verifies().add();
-    return verify_membership_scalar(crs, root, key, proof);
+    return verify_membership_scalar(crs, root, key, proof, pool);
   }
   batched_verifies().add();
   try {
     mercurial::BatchVerifier bv(crs.qtmc(), &crs.tmc());
     bv.begin_unit();
-    if (!add_membership_chain(crs, root, key, proof, bv)) {
+    if (!add_membership_chain(crs, root, key, proof, bv, pool)) {
       return VerifyOutcome::reject();
     }
-    if (!bv.verify(ThreadPool::for_threads(opts.threads)).all_ok) {
+    if (!bv.verify(pool).all_ok) {
       return VerifyOutcome::reject();
     }
     return VerifyOutcome::accept_value(proof.value);
@@ -285,7 +321,7 @@ std::vector<VerifyOutcome> edb_verify_membership_many(
       bool ok = false;
       try {
         ok = add_membership_chain(crs, root, queries[i].key,
-                                  *queries[i].proof, bv);
+                                  *queries[i].proof, bv, nullptr);
       } catch (const Error&) {
         ok = false;
       }

@@ -18,10 +18,12 @@
 #include "common/serial.h"
 #include "desword/messages.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "poc/poc.h"
 #include "zkedb/params.h"
 #include "zkedb/proof.h"
 #include "zkedb/prover.h"
+#include "zkedb/verifier.h"
 
 namespace desword {
 namespace {
@@ -266,6 +268,94 @@ TEST_F(AdversarialPersist, MembershipProofMutation) {
     expect_decode_or_error([&] { decode(BytesView(proof.data(), cut)); });
   }
   bitflip_sweep(proof, decode, stride);
+}
+
+// A membership proof ships C0 alone for its inner children; the verifier
+// derives each C1 = h^{r1} from the child's opening. An r1 past the
+// exponent cap is refused before any power is taken, by both strategies.
+TEST_F(AdversarialPersist, MembershipProofWideR1RejectedBeforeAnyPower) {
+  zkedb::EdbProver prover = make_prover();
+  const zkedb::EdbKey key =
+      zkedb::key_for_identifier(crs(), bytes_of("prod-1"));
+  zkedb::EdbMembershipProof proof = prover.prove_membership(key);
+  // 2^kMaxExponentBits: one bit past the cap.
+  proof.openings[1].r1 = Bignum::from_hex(
+      "1" + std::string(mercurial::kMaxExponentBits / 4, '0'));
+  ASSERT_FALSE(mercurial::QtmcScheme::exponent_in_range(proof.openings[1].r1));
+  // The decoder carries it; the verifier refuses it.
+  proof = zkedb::EdbMembershipProof::deserialize(crs(), proof.serialize(crs()));
+  obs::Counter& powers = obs::metric("crypto.modexp.calls");
+  obs::Counter& multi_exps = obs::metric("crypto.multi_exp.calls");
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "scalar");
+    zkedb::EdbVerifyOptions opts;
+    opts.batched = batched;
+    opts.threads = 1;
+    const std::uint64_t powers_before = powers.value();
+    const std::uint64_t multi_before = multi_exps.value();
+    EXPECT_FALSE(zkedb::edb_verify_membership(crs(), prover.commitment(), key,
+                                              proof, opts)
+                     .ok);
+    EXPECT_EQ(powers.value(), powers_before);
+    EXPECT_EQ(multi_exps.value(), multi_before);
+  }
+}
+
+// The layout with both halves of every inner child (C0‖C1, as Table II
+// sizes it) is not a second accepted encoding: the decoder refuses it.
+TEST_F(AdversarialPersist, MembershipProofWithC1IsASerializationError) {
+  zkedb::EdbProver prover = make_prover();
+  const zkedb::EdbKey key =
+      zkedb::key_for_identifier(crs(), bytes_of("prod-2"));
+  zkedb::EdbMembershipProof proof = prover.prove_membership(key);
+  const Bignum& n = crs().params().qtmc_pk.n;
+  for (std::size_t d = 0; d + 1 < proof.child_commitments.size(); ++d) {
+    ASSERT_EQ(proof.child_commitments[d].size(), crs().qtmc().element_len());
+    proof.child_commitments[d] =
+        mercurial::QtmcCommitment{
+            Bignum::from_bytes(proof.child_commitments[d]),
+            crs().qtmc().hard_c1(proof.openings[d + 1].r1)}
+            .serialize(n);
+  }
+  EXPECT_THROW((void)zkedb::EdbMembershipProof::deserialize(
+                   crs(), proof.serialize(crs())),
+               SerializationError);
+}
+
+// A flipped C0 byte, or r1 values swapped between two levels, still
+// decode, and both strategies reject them.
+TEST_F(AdversarialPersist, MembershipProofFlippedC0OrSwappedR1Rejected) {
+  zkedb::EdbProver prover = make_prover();
+  const zkedb::EdbKey key =
+      zkedb::key_for_identifier(crs(), bytes_of("prod-0"));
+  const zkedb::EdbMembershipProof proof = prover.prove_membership(key);
+  const auto rejected = [&](const zkedb::EdbMembershipProof& p) {
+    const zkedb::EdbMembershipProof decoded =
+        zkedb::EdbMembershipProof::deserialize(crs(), p.serialize(crs()));
+    zkedb::EdbVerifyOptions scalar;
+    scalar.batched = false;
+    return !zkedb::edb_verify_membership(crs(), prover.commitment(), key,
+                                         decoded)
+                .ok &&
+           !zkedb::edb_verify_membership(crs(), prover.commitment(), key,
+                                         decoded, scalar)
+                .ok;
+  };
+  ASSERT_FALSE(rejected(proof));
+  for (const std::size_t d : {std::size_t{0}, std::size_t{3}, std::size_t{6}}) {
+    for (const std::size_t byte : {std::size_t{0}, std::size_t{17},
+                                   crs().qtmc().element_len() - 1}) {
+      zkedb::EdbMembershipProof flipped = proof;
+      flipped.child_commitments[d][byte] ^= 0x10;
+      EXPECT_TRUE(rejected(flipped)) << "C0 " << d << " byte " << byte;
+    }
+  }
+  for (const std::size_t d : {std::size_t{0}, std::size_t{1}, std::size_t{5}}) {
+    zkedb::EdbMembershipProof swapped = proof;
+    ASSERT_NE(swapped.openings[d].r1, swapped.openings[d + 1].r1);
+    std::swap(swapped.openings[d].r1, swapped.openings[d + 1].r1);
+    EXPECT_TRUE(rejected(swapped)) << "r1 of levels " << d << ", " << d + 1;
+  }
 }
 
 TEST_F(AdversarialPersist, NonMembershipProofMutation) {

@@ -108,6 +108,48 @@ TEST_F(BatchTest, WrongRootRejected) {
                    .has_value());
 }
 
+// A trie node's C1 is derived from the r1 its openings reveal, so every
+// step that opens one node must reveal the same r1. A step at a shared
+// node rewritten to r1' = r1·τ, τ' = 1 leaves E2' (Λ^e·S^m·h^{r1·τ} == C0)
+// exactly as it was; only that rule rejects it.
+TEST_F(BatchTest, StepsDisagreeingOnANodesR1Rejected) {
+  auto batch = edb_prove_membership_batch(*prover_, keys_);
+  ASSERT_TRUE(edb_verify_membership_batch(*crs_, prover_->commitment(), keys_,
+                                          batch)
+                  .has_value());
+  // The verifier walks keys in order: a non-root node's r1 comes from the
+  // first step that reaches it. Forge a later step at the same node.
+  std::map<Bytes, std::uint32_t> first_position;
+  EdbBatchStep* forged = nullptr;
+  for (const EdbKey& key : keys_) {
+    const std::vector<std::uint32_t> digits = crs_->digits_of(key);
+    Bytes prefix;
+    for (std::uint32_t d = 0; d < crs_->height() && forged == nullptr; ++d) {
+      const auto [first, fresh] = first_position.emplace(prefix, digits[d]);
+      if (!fresh && d > 0 && first->second != digits[d]) {
+        for (EdbBatchStep& step : batch.steps) {
+          if (step.prefix == prefix && step.opening.pos == digits[d]) {
+            forged = &step;
+          }
+        }
+      }
+      prefix.push_back(static_cast<std::uint8_t>(digits[d]));
+    }
+    if (forged != nullptr) break;
+  }
+  ASSERT_NE(forged, nullptr);
+  forged->opening.r1 = forged->opening.r1 * forged->opening.tau;
+  forged->opening.tau = Bignum(1);
+  for (const bool batched : {true, false}) {
+    EdbVerifyOptions opts;
+    opts.batched = batched;
+    EXPECT_FALSE(edb_verify_membership_batch(*crs_, prover_->commitment(),
+                                             keys_, batch, opts)
+                     .has_value())
+        << (batched ? "batched" : "scalar");
+  }
+}
+
 TEST_F(BatchTest, SerializationRoundTrip) {
   const auto batch = edb_prove_membership_batch(*prover_, keys_);
   const auto back =

@@ -518,8 +518,10 @@ TEST_F(EdbDifferentialTest, MembershipValidAndTamperedAgree) {
 }
 
 // Every qTMC level of a membership proof: the root commitment the verifier
-// holds and each child commitment the proof carries. A C1 swapped for
-// another h power is rejected by both strategies.
+// holds, and each inner child, whose C1 the verifier derives from the r1
+// its opening reveals. A root C1 swapped for another h power, an inner
+// r1 swapped for another value, and a child shipped in the old C0‖C1 form
+// are each rejected by both strategies.
 TEST_F(EdbDifferentialTest, ReplacedC1RejectedAtEveryLevel) {
   const EdbKey key = key_of(3);
   const auto proof = prover_->prove_membership(key);
@@ -544,14 +546,20 @@ TEST_F(EdbDifferentialTest, ReplacedC1RejectedAtEveryLevel) {
 
   // The last child commitment is the leaf's TMC commitment.
   for (std::size_t d = 0; d + 1 < proof.child_commitments.size(); ++d) {
-    auto tampered = proof;
-    auto child = mercurial::QtmcCommitment::deserialize(
-        n, tampered.child_commitments[d]);
-    ASSERT_NE(child.c1, foreign_c1);
-    child.c1 = foreign_c1;
-    tampered.child_commitments[d] = child.serialize(n);
-    EXPECT_TRUE(rejected_by_both(prover_->commitment(), tampered))
-        << "child " << d;
+    auto swapped = proof;
+    ASSERT_NE(swapped.openings[d + 1].r1, Bignum(12345));
+    swapped.openings[d + 1].r1 = Bignum(12345);
+    EXPECT_TRUE(rejected_by_both(prover_->commitment(), swapped))
+        << "r1 of child " << d;
+
+    auto old_layout = proof;
+    old_layout.child_commitments[d] =
+        mercurial::QtmcCommitment{
+            Bignum::from_bytes(proof.child_commitments[d]),
+            qtmc.hard_c1(proof.openings[d + 1].r1)}
+            .serialize(n);
+    EXPECT_TRUE(rejected_by_both(prover_->commitment(), old_layout))
+        << "C0 and C1 of child " << d;
   }
 }
 
@@ -690,12 +698,18 @@ class ChunkedFoldTest : public ::testing::Test {
   }
 
   /// Adds a membership chain's equations as one unit, checking opening d
-  /// against `coms[d - 1]` (the root for d = 0) exactly as the verifier's
-  /// chain walk does.
+  /// exactly as the verifier's chain walk does: against the root for
+  /// d = 0, else against the shipped C0 with C1 derived from its r1.
   static void add_chain(BatchVerifier& bv, const zk::EdbMembershipProof& p) {
     bv.begin_unit();
     for (std::uint32_t d = 0; d < kHeight; ++d) {
-      if (!bv.add_open(child(p.child_commitments, d), p.openings[d])) return;
+      const bool added =
+          d == 0 ? bv.add_open(prover_->commitment(), p.openings[d])
+                 : bv.add_open(
+                       {Bignum::from_bytes(p.child_commitments[d - 1]),
+                        qtmc().hard_c1(p.openings[d].r1)},
+                       p.openings[d], mercurial::C1Origin::kDerived);
+      if (!added) return;
     }
     bv.add_leaf_open(mercurial::TmcCommitment::deserialize(
                          crs()->group(), p.child_commitments[kHeight - 1]),

@@ -239,6 +239,81 @@ TEST_P(FixedBasePropertyTest, TableFromTheOtherBackendIsRejected) {
   EXPECT_THROW((void)ctx.exp(table, random_bn(100)), CheckError);  // oversized
 }
 
+// Plain powers against BN_mod_exp: on kIfma a one-term sliding-window
+// Straus, on kBn BN_mod_exp_mont. Bases 0, 1, N − 1 and unreduced random
+// ones; exponents 0, 1, all ones, a lone top bit and random widths up to
+// a g-table's 2440 bits.
+TEST_P(FixedBasePropertyTest, PlainExpMatchesBnModExp) {
+  for (const int modulus_bits : {512, 2048}) {
+    const Bignum n = generate_rsa_modulus(modulus_bits).n;
+    SKIP_UNLESS_AVAILABLE(GetParam(), n);
+    const ModExpContext ctx(n, GetParam());
+    const std::vector<Bignum> bases = {Bignum(std::uint64_t{0}), Bignum(1),
+                                       n - Bignum(1),
+                                       random_bn(modulus_bits + 7)};
+    std::vector<Bignum> exps = {Bignum(std::uint64_t{0}), Bignum(1),
+                                Bignum(2), pow2(256) - Bignum(1), pow2(255),
+                                pow2(2440) - Bignum(1)};
+    for (const int bits : {7, 128, 256, 512, 1024, 2440}) {
+      exps.push_back(random_bn(bits));
+    }
+    for (const Bignum& base : bases) {
+      for (const Bignum& e : exps) {
+        EXPECT_EQ(ctx.exp(base, e), Bignum::mod_exp(base.mod(n), e, n))
+            << modulus_bits << "-bit N, base=" << base.to_hex()
+            << " e=" << e.to_hex();
+      }
+    }
+  }
+}
+
+// The aggregated coprimality test (one fold, one Jacobi symbol) against
+// gcd, on a modulus whose factors are known: 0, 1, p, q, multiples of p
+// and q and random residues, alone and folded after a unit. x + N and −x
+// take the operand-reduction path.
+TEST_P(FixedBasePropertyTest, CoprimeFoldAgreesWithGcd) {
+  const RsaModulus mod = generate_rsa_modulus(512, /*keep_factors=*/true);
+  ASSERT_TRUE(mod.p.has_value() && mod.q.has_value());
+  SKIP_UNLESS_AVAILABLE(GetParam(), mod.n);
+  const ModExpContext ctx(mod.n, GetParam());
+  EXPECT_TRUE(ctx.all_coprime({}));
+  std::vector<Bignum> xs = {Bignum(std::uint64_t{0}), Bignum(1), *mod.p,
+                            *mod.q, mod.n - Bignum(1), mod.n};
+  for (int k = 2; k < 12; ++k) {
+    xs.push_back(Bignum::mod_mul(Bignum(static_cast<std::uint64_t>(k)),
+                                 *mod.p, mod.n));
+    xs.push_back(Bignum::mod_mul(random_bn(300), *mod.q, mod.n));
+  }
+  for (int i = 0; i < 200; ++i) xs.push_back(random_bn(511).mod(mod.n));
+  std::vector<Bignum> units;
+  for (int i = 0; i < 8; ++i) {
+    Bignum unit = random_bn(511).mod(mod.n);
+    while (!Bignum::gcd(unit, mod.n).is_one()) {
+      unit = random_bn(511).mod(mod.n);
+    }
+    units.push_back(std::move(unit));
+  }
+  bool all = true;
+  std::vector<const Bignum*> everything;
+  for (const Bignum& u : units) everything.push_back(&u);
+  for (const Bignum& x : xs) {
+    const bool expected = Bignum::gcd(x, mod.n).is_one();
+    all = all && expected;
+    everything.push_back(&x);
+    EXPECT_EQ(ctx.all_coprime({&x}), expected) << x.to_hex();
+    const Bignum wide = x + mod.n;
+    const Bignum negated = x.negated();
+    EXPECT_EQ(ctx.all_coprime({&units[0], &wide, &units[1]}), expected)
+        << x.to_hex();
+    EXPECT_EQ(ctx.all_coprime({&negated, &units[2]}), expected)
+        << x.to_hex();
+  }
+  EXPECT_TRUE(ctx.all_coprime(
+      std::vector<const Bignum*>(everything.begin(), everything.begin() + 8)));
+  EXPECT_EQ(ctx.all_coprime(everything), all);
+  EXPECT_FALSE(all);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, FixedBasePropertyTest,
                          ::testing::Values(Backend::kBn, Backend::kIfma),
                          backend_param_name);
@@ -410,38 +485,6 @@ TEST(ModExpBackendReport, ActiveBackendIsLogged) {
   RecordProperty("modexp_backend", ModExpContext::backend_name(ctx.backend()));
   EXPECT_EQ(ctx.backend(), IfmaMontgomery::cpu_supported() ? Backend::kIfma
                                                            : Backend::kBn);
-}
-
-// The aggregated coprimality test (Jacobi symbol) against gcd, on a
-// modulus whose factors are known: 0, 1, p, q, multiples of p and random
-// residues, alone and folded through Montgomery products.
-TEST(CoprimePropertyTest, JacobiTestAgreesWithGcd) {
-  const RsaModulus mod = generate_rsa_modulus(512, /*keep_factors=*/true);
-  ASSERT_TRUE(mod.p.has_value() && mod.q.has_value());
-  const ModExpContext ctx(mod.n);
-  std::vector<Bignum> xs = {Bignum(std::uint64_t{0}), Bignum(1), *mod.p,
-                            *mod.q, mod.n - Bignum(1)};
-  for (int k = 2; k < 12; ++k) {
-    xs.push_back(Bignum::mod_mul(Bignum(static_cast<std::uint64_t>(k)),
-                                 *mod.p, mod.n));
-    xs.push_back(Bignum::mod_mul(random_bn(300), *mod.q, mod.n));
-  }
-  for (int i = 0; i < 200; ++i) xs.push_back(random_bn(511).mod(mod.n));
-  for (const Bignum& x : xs) {
-    const bool expected = Bignum::gcd(x, mod.n).is_one();
-    EXPECT_EQ(ctx.coprime(x), expected) << x.to_hex();
-    // Folded after a unit through Montgomery products (each leaves a unit
-    // factor R^{-1}), x alone decides the product's coprimality. x + N
-    // takes the operand-reduction path.
-    Bignum unit = random_bn(511).mod(mod.n);
-    while (!Bignum::gcd(unit, mod.n).is_one()) {
-      unit = random_bn(511).mod(mod.n);
-    }
-    Bignum acc(1);
-    ctx.mont_mul_into(acc, unit);
-    ctx.mont_mul_into(acc, x + mod.n);
-    EXPECT_EQ(ctx.coprime(acc), expected) << x.to_hex();
-  }
 }
 
 // Proofs generated under one CRS must never verify under another, even

@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "crypto/hash.h"
@@ -379,25 +380,51 @@ EdbCrsPtr fixed_crs() {
   return std::make_shared<EdbCrs>(std::move(params));
 }
 
+// A membership proof in the layout of Table II, where every inner child
+// entry is a serialized commitment: C0 and, re-inserted, the C1 = h^{r1}
+// the child's opening pins. The wire layout leaves C1 out (DESIGN.md §5.5).
+Bytes with_derived_c1(const EdbCrs& crs, EdbMembershipProof proof) {
+  for (std::size_t d = 0; d + 1 < proof.child_commitments.size(); ++d) {
+    proof.child_commitments[d] =
+        mercurial::QtmcCommitment{
+            Bignum::from_bytes(proof.child_commitments[d]),
+            crs.qtmc().hard_c1(proof.openings[d + 1].r1)}
+            .serialize(crs.params().qtmc_pk.n);
+  }
+  return proof.serialize(crs);
+}
+
 // Pins the bytes a seeded prover emits — its commitment plus one
 // membership proof — so a change to HOW the prover computes (fixed-base
 // tables, algebraic rewrites of Λ and C0) cannot change WHAT it emits.
 // Proxies memoize verdicts by proof bytes, and deployed commitments must
-// keep verifying, so these bytes are part of the contract.
+// keep verifying, so these bytes are part of the contract. With the
+// derived C1s re-inserted, the proof is byte for byte the one sent when
+// inner children shipped both halves (kWithC1, that layout's golden).
 TEST(SeededProverGoldenTest, CommitmentAndMembershipProofArePinned) {
   const EdbCrsPtr crs = fixed_crs();
   const auto entries = test_entries(*crs, 12);
   const EdbKey key = key_of(*crs, "prod-3");
-  const auto digest = [&] {
+  const auto digests = [&] {
     const EdbProver prover(crs, entries, seeded(2));
-    return to_hex(sha256(concat({prover.commitment_bytes(),
-                                 prover.prove_membership(key).serialize(*crs)})));
+    const EdbMembershipProof proof = prover.prove_membership(key);
+    return std::make_pair(
+        to_hex(sha256(concat({prover.commitment_bytes(),
+                              proof.serialize(*crs)}))),
+        to_hex(sha256(concat({prover.commitment_bytes(),
+                              with_derived_c1(*crs, proof)}))));
   };
   constexpr const char* kGolden =
+      "ecba35f3f1430e644d4e57419bb6e9d8f8bf69fa44d8af04a976191f6a0f8323";
+  constexpr const char* kWithC1 =
       "ce3892f26a12dd3f9235338fde4da7fe8dde2964dcba3816051e6b001304428c";
-  EXPECT_EQ(digest(), kGolden) << "without fixed-base tables";
+  EXPECT_EQ(digests(), std::make_pair(std::string(kGolden),
+                                      std::string(kWithC1)))
+      << "without fixed-base tables";
   crs->qtmc().precompute_fixed_bases(/*position_bases=*/true);
-  EXPECT_EQ(digest(), kGolden) << "with fixed-base tables";
+  EXPECT_EQ(digests(), std::make_pair(std::string(kGolden),
+                                      std::string(kWithC1)))
+      << "with fixed-base tables";
 }
 
 // Pins the public parameters' wire form and so EdbCrs::digest(), the CRS
@@ -418,12 +445,14 @@ TEST(SeededProverGoldenTest, PublicParamsBytesArePinned) {
 // backing.
 TEST(SeededProverGoldenTest, InsertEraseSequenceIsPinned) {
   constexpr const char* kGolden =
+      "17f53762286bbac72297dd435d4c2cf70f8292d34fa2ee4ed8f6391273d0bad6";
+  constexpr const char* kWithC1 =
       "6802f7fd131e9e3e15307bfce817dd267148c2d24c8c73bb52db29473893e15b";
   const EdbCrsPtr crs = fixed_crs();
   const auto entries = test_entries(*crs, 12);
   const EdbKey late = key_of(*crs, "late-arrival");
   const EdbKey first = key_of(*crs, "prod-0");
-  const auto digest = [&](unsigned threads) {
+  const auto digests = [&](unsigned threads) {
     EdbProver prover(crs, entries, seeded(threads));
     Bytes transcript;
     const auto step = [&] { append(transcript, prover.commitment_bytes()); };
@@ -435,15 +464,19 @@ TEST(SeededProverGoldenTest, InsertEraseSequenceIsPinned) {
     step();
     prover.erase(late);
     step();
-    append(transcript, prover.prove_membership(first).serialize(*crs));
-    return to_hex(sha256(transcript));
+    const EdbMembershipProof proof = prover.prove_membership(first);
+    return std::make_pair(
+        to_hex(sha256(concat({transcript, proof.serialize(*crs)}))),
+        to_hex(sha256(concat({transcript, with_derived_c1(*crs, proof)}))));
   };
+  const auto pinned =
+      std::make_pair(std::string(kGolden), std::string(kWithC1));
   for (const unsigned threads : {1u, 4u}) {
-    EXPECT_EQ(digest(threads), kGolden)
+    EXPECT_EQ(digests(threads), pinned)
         << "without fixed-base tables, threads=" << threads;
   }
   crs->qtmc().precompute_fixed_bases(/*position_bases=*/true);
-  EXPECT_EQ(digest(4), kGolden) << "with fixed-base tables";
+  EXPECT_EQ(digests(4), pinned) << "with fixed-base tables";
 }
 
 }  // namespace

@@ -114,6 +114,39 @@ TEST_F(PersistTest, ReloadedMembershipProofsVerifyUnderOriginalRoot) {
   }
 }
 
+// A reloaded prover's membership proof ships C0 alone for every inner
+// child, at the modulus width, round-trips its wire form and verifies
+// under the original root; the same proof with any one child's C1
+// re-inserted next to its C0 does not decode.
+TEST_F(PersistTest, ReloadedMembershipProofShipsOnlyC0) {
+  EdbProver reloaded = EdbProver::load(crs_, prover_->serialize_state());
+  const EdbKey k = key("prod-2");
+  const EdbMembershipProof proof = reloaded.prove_membership(k);
+  const std::uint32_t h = crs_->height();
+  ASSERT_EQ(proof.child_commitments.size(), h);
+  for (std::uint32_t d = 0; d + 1 < h; ++d) {
+    EXPECT_EQ(proof.child_commitments[d].size(), crs_->qtmc().element_len())
+        << d;
+  }
+  const Bytes wire = proof.serialize(*crs_);
+  const EdbMembershipProof decoded = EdbMembershipProof::deserialize(*crs_, wire);
+  EXPECT_EQ(decoded.serialize(*crs_), wire);
+  EXPECT_TRUE(edb_verify_membership(*crs_, prover_->commitment(), k, decoded)
+                  .has_value());
+  for (const std::uint32_t d : {0u, h / 2, h - 2}) {
+    EdbMembershipProof with_c1 = proof;
+    with_c1.child_commitments[d] =
+        mercurial::QtmcCommitment{
+            Bignum::from_bytes(proof.child_commitments[d]),
+            crs_->qtmc().hard_c1(proof.openings[d + 1].r1)}
+            .serialize(crs_->params().qtmc_pk.n);
+    EXPECT_THROW(
+        (void)EdbMembershipProof::deserialize(*crs_, with_c1.serialize(*crs_)),
+        SerializationError)
+        << d;
+  }
+}
+
 TEST_F(PersistTest, MemoizedFabricationsSurviveReload) {
   // Fabricate a soft path before saving; afterwards the reloaded prover
   // must present the SAME digest chain for that key (consistency of the

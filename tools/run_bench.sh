@@ -23,7 +23,10 @@
 #     proxy's hop memo;
 #   * "prover_memory" carries every ZkEdb/Commit case's KiB_per_key (the
 #     heap a ZK-EDB prover keeps per committed key, median of the
-#     repetitions) — the acceptance metric for trie-node storage.
+#     repetitions) — the acceptance metric for trie-node storage;
+#   * "proof_size" carries every ZkEdb/ProveMember case's proof_KB (the
+#     wire size of one membership proof) — the acceptance metric for the
+#     proof layout.
 #
 # Usage: tools/run_bench.sh [--build-dir DIR] [--out FILE] [--check]
 #   --build-dir DIR  where the bench binaries live (default: build)
@@ -32,7 +35,8 @@
 #                    than its scalar counterpart, if the warm repeat-
 #                    query cache hit rate drops below 0.8, or if a prover
 #                    keeps more than PROVER_KIB_PER_KEY_MAX KiB per key in
-#                    the largest ZkEdb/Commit cases (CI perf smoke).
+#                    the largest ZkEdb/Commit cases, or if a membership
+#                    proof exceeds PROOF_KB_MAX KiB (CI perf smoke).
 #                    Refuses up front, running and writing nothing, when the
 #                    existing --out file records a different cpu_count than
 #                    this host: re-baseline with a plain run first.
@@ -84,6 +88,12 @@ fi
 # parameters (q = 16, h = 32, RSA-2048) the figure is 10.9 KiB.
 PROVER_KIB_PER_KEY_MAX=2.5
 
+# Bound on ZkEdb/ProveMember proof_KB, for the same reduced parameters:
+# a membership proof is 2.73 KiB there (3.64 while it shipped each inner
+# child's C1 next to its C0). Proof bytes depend only on q, h and the
+# modulus width; at full parameters the figure is 18.72 KiB (26.59).
+PROOF_KB_MAX=3.2
+
 BENCHES=(bench_qtmc_micro bench_zkedb bench_poc_comp bench_macro)
 LINES="$(mktemp)"
 trap 'rm -f "$LINES"' EXIT
@@ -104,13 +114,15 @@ for bench in "${BENCHES[@]}"; do
   }
 done
 
-python3 - "$LINES" "$OUT" "$CHECK" "$PROVER_KIB_PER_KEY_MAX" <<'PY'
+python3 - "$LINES" "$OUT" "$CHECK" "$PROVER_KIB_PER_KEY_MAX" \
+    "$PROOF_KB_MAX" <<'PY'
 import json
 import os
 import sys
 
 lines_path, out_path, check = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
 kib_per_key_max = float(sys.argv[4])
+proof_kb_max = float(sys.argv[5])
 cpu_count = os.cpu_count() or 1
 results = []
 with open(lines_path, encoding="utf-8") as fh:
@@ -226,6 +238,16 @@ for r in results:
         prover_memory.append({"keys": int(n), "threads": int(threads),
                               "kib_per_key": kib})
 
+# Every ZkEdb/ProveMember/<n>/<threads> case's proof_KB.
+proof_size = []
+for r in results:
+    case = r.get("case", "")
+    kb = r.get("counters", {}).get("proof_KB")
+    if case.startswith("ZkEdb/ProveMember/") and kb is not None:
+        n, threads = case.split("/")[2:4]
+        proof_size.append({"keys": int(n), "threads": int(threads),
+                           "proof_kb": kb})
+
 summary = {
     "generated_by": "tools/run_bench.sh",
     "cpu_count": cpu_count,
@@ -235,6 +257,7 @@ summary = {
     "fault_resilience": fault_configs,
     "repeat_query": repeat_query,
     "prover_memory": prover_memory,
+    "proof_size": proof_size,
     "results": results,
 }
 with open(out_path, "w", encoding="utf-8") as fh:
@@ -259,6 +282,9 @@ for c in fault_configs:
 for c in prover_memory:
     print("  prover_memory {keys} keys, {threads} thread(s): "
           "{kib_per_key:.2f} KiB/key".format(**c))
+for c in proof_size:
+    print("  proof_size {keys} keys, {threads} thread(s): "
+          "{proof_kb:.2f} KiB".format(**c))
 if repeat_query:
     print("  repeat_query: cold {cold_queries_per_sec:.2f}/s warm "
           "{warm_queries_per_sec:.2f}/s speedup {speedup:.2f}x "
@@ -329,5 +355,17 @@ if check:
             print(f"run_bench.sh: prover keeps {c['kib_per_key']:.2f} KiB "
                   f"per key at {c['keys']} keys, {c['threads']} thread(s) "
                   f"(bound {kib_per_key_max})", file=sys.stderr)
+        sys.exit(1)
+    # Membership proof bytes on the wire.
+    if not proof_size:
+        print("run_bench.sh: --check but no ZkEdb/ProveMember proof_KB found",
+              file=sys.stderr)
+        sys.exit(1)
+    large = [c for c in proof_size if c["proof_kb"] > proof_kb_max]
+    if large:
+        for c in large:
+            print(f"run_bench.sh: membership proof is {c['proof_kb']:.2f} "
+                  f"KiB at {c['keys']} keys, {c['threads']} thread(s) "
+                  f"(bound {proof_kb_max})", file=sys.stderr)
         sys.exit(1)
 PY
