@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -96,6 +97,22 @@ inline zkedb::EdbCrsPtr crs_for(std::uint32_t q, std::uint32_t h) {
     it = cache.emplace(key, zkedb::generate_crs(cfg)).first;
   }
   return it->second;
+}
+
+/// Keeps every thread of the pool `threads` selects busy for ~0.3 s, so
+/// the scheduler has spread them over the cores before a cell times short
+/// fork-joins on them. Under a cpuset that does not load-balance, a worker
+/// that only ever runs sub-millisecond bursts stays on the core it was
+/// created on — its creator's — and a pooled cell would time one core.
+inline void spread_pool(unsigned threads) {
+  ThreadPool* pool = ThreadPool::for_threads(threads);
+  if (pool == nullptr) return;
+  parallel_for(pool, pool->concurrency(), [](std::size_t) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  });
 }
 
 /// Worker count the parallel stages will use (the JSON "threads" field).

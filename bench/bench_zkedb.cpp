@@ -60,6 +60,16 @@ EdbProver& prover_for(std::size_t n, unsigned threads = 0) {
   return *it->second;
 }
 
+/// The parameters the per-key and per-proof byte counts scale with: q, h
+/// and the qTMC modulus width in bytes (tools/run_bench.sh normalizes its
+/// byte bounds by them).
+void report_parameters(benchmark::State& state, const EdbCrs& crs) {
+  state.counters["q"] = crs.params().q;
+  state.counters["h"] = crs.height();
+  state.counters["modulus_bytes"] =
+      static_cast<double>(crs.qtmc().element_len());
+}
+
 // Also reports KiB_per_key: the heap a prover keeps per committed key,
 // the live-bytes delta around its construction (tools/run_bench.sh gates
 // it).
@@ -78,6 +88,7 @@ void BM_Commit(benchmark::State& state) {
     benchmark::DoNotOptimize(prover.commitment_bytes());
   }
   state.counters["KiB_per_key"] = kib_per_key;
+  report_parameters(state, *crs);
 }
 
 void BM_BatchProve(benchmark::State& state) {
@@ -127,6 +138,7 @@ void BM_ProveMember(benchmark::State& state) {
       prover.prove_membership(key).serialize(prover.crs()).size()) / 1024.0;
   state.counters["com_B"] =
       static_cast<double>(prover.commitment_bytes().size());
+  report_parameters(state, prover.crs());
 }
 
 void BM_VerifyMember(benchmark::State& state) {
@@ -135,10 +147,38 @@ void BM_VerifyMember(benchmark::State& state) {
   const auto proof = prover.prove_membership(key);
   EdbVerifyOptions opts;
   opts.threads = static_cast<unsigned>(state.range(1));
+  benchutil::spread_pool(opts.threads);
   for (auto _ : state) {
     auto value = edb_verify_membership(prover.crs(), prover.commitment(), key,
                                        proof, opts);
     if (!value.has_value()) {
+      state.SkipWithError("verification failed");
+      return;
+    }
+  }
+}
+
+// The bad-product scan's verify: a non-membership proof for an absent
+// key. Proofs for kAbsent fresh absent keys are built up front and
+// verified in turn.
+void BM_VerifyNonMember(benchmark::State& state) {
+  constexpr std::uint64_t kAbsent = 8;
+  EdbProver& prover = prover_for(static_cast<std::size_t>(state.range(0)));
+  std::vector<std::pair<EdbKey, EdbNonMembershipProof>> proofs;
+  for (std::uint64_t i = 0; proofs.size() < kAbsent; ++i) {
+    const EdbKey key = key_for_identifier(prover.crs(), be64(~i));
+    if (prover.contains(key)) continue;
+    proofs.emplace_back(key, prover.prove_non_membership(key));
+  }
+  EdbVerifyOptions opts;
+  opts.threads = static_cast<unsigned>(state.range(1));
+  benchutil::spread_pool(opts.threads);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    const auto& [key, proof] = proofs[next++ % proofs.size()];
+    if (!edb_verify_non_membership(prover.crs(), prover.commitment(), key,
+                                   proof, opts)
+             .ok) {
       state.SkipWithError("verification failed");
       return;
     }
@@ -211,16 +251,27 @@ void register_all() {
           ->Repetitions(5)
           ->ReportAggregatesOnly(true);
     }
-    // Per-proof fan-out: threads = 1 is the sequential anchor.
+    // Per-proof fan-out: threads = 1 is the sequential anchor. Five
+    // repetitions each, as for ZkEdb/Commit.
     for (const long t : proof_threads) {
       benchmark::RegisterBenchmark("ZkEdb/ProveMember", BM_ProveMember)
           ->Args({n, t})
           ->Unit(benchmark::kMillisecond)
-          ->Iterations(5);
+          ->Iterations(5)
+          ->Repetitions(5)
+          ->ReportAggregatesOnly(true);
       benchmark::RegisterBenchmark("ZkEdb/VerifyMember", BM_VerifyMember)
           ->Args({n, t})
           ->Unit(benchmark::kMillisecond)
-          ->Iterations(10);
+          ->Iterations(10)
+          ->Repetitions(5)
+          ->ReportAggregatesOnly(true);
+      benchmark::RegisterBenchmark("ZkEdb/VerifyNonMember", BM_VerifyNonMember)
+          ->Args({n, t})
+          ->Unit(benchmark::kMillisecond)
+          ->Iterations(10)
+          ->Repetitions(5)
+          ->ReportAggregatesOnly(true);
     }
     benchmark::RegisterBenchmark("ZkEdb/IncrementalInsert",
                                  BM_IncrementalInsert)

@@ -81,10 +81,15 @@ Bignum Bignum::from_hex(std::string_view hex) {
 }
 
 Bytes Bignum::to_bytes() const {
-  if (is_negative()) throw CryptoError("to_bytes on negative value");
-  Bytes out(static_cast<std::size_t>(BN_num_bytes(bn_)));
-  if (!out.empty()) BN_bn2bin(bn_, out.data());
+  Bytes out;
+  to_bytes(out);
   return out;
+}
+
+void Bignum::to_bytes(Bytes& out) const {
+  if (is_negative()) throw CryptoError("to_bytes on negative value");
+  out.resize(static_cast<std::size_t>(BN_num_bytes(bn_)));
+  if (!out.empty()) BN_bn2bin(bn_, out.data());
 }
 
 Bytes Bignum::to_bytes_padded(std::size_t len) const {

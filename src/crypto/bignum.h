@@ -42,6 +42,8 @@ class Bignum {
 
   /// Minimal big-endian magnitude (empty for zero). Requires value >= 0.
   Bytes to_bytes() const;
+  /// The same bytes into `out` (resized to fit), reusing its storage.
+  void to_bytes(Bytes& out) const;
   /// Big-endian magnitude left-padded with zeros to exactly `len` bytes.
   /// Throws if the value does not fit. Requires value >= 0.
   Bytes to_bytes_padded(std::size_t len) const;

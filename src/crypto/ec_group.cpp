@@ -7,11 +7,13 @@
 #include <openssl/obj_mac.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/mutex.h"
 #include "crypto/group.h"
 #include "crypto/hash.h"
 
@@ -76,51 +78,42 @@ class P256Group final : public Group {
     return encode(r.get(), ctx.get());
   }
 
-  /// One EC_POINT_mul per non-generator term, summed. Generator terms
-  /// merge into a single g_scalar, which OpenSSL evaluates on the curve's
-  /// precomputed generator table; the first point rides in the same call.
-  /// Each point runs OpenSSL's own P-256 scalar multiplication, which beats
-  /// a generic EC_POINT_add/dbl Straus chain at the handful of points a
-  /// leaf fold carries. (EC_POINTs_mul would take every point in one call
-  /// but is deprecated in OpenSSL 3.0+.)
+  /// One EC_POINT_mul per non-generator term, summed (see sum()). An
+  /// identity product (every scalar zero, or terms that cancel) is the
+  /// point at infinity, which encode refuses with a CryptoError.
   Bytes multi_exp(
       const std::vector<std::pair<Bytes, Bignum>>& terms) const override {
     BnCtxPtr ctx(BN_CTX_new());
-    Bignum g_scalar;
-    std::vector<std::pair<EcPointPtr, Bignum>> points;
-    for (const auto& [elem, scalar] : terms) {
-      Bignum s = scalar.mod(order_);
-      if (s.is_zero()) continue;  // identity contribution
-      if (elem == generator_) {
-        g_scalar = (g_scalar + s).mod(order_);
-      } else {
-        points.emplace_back(decode(elem, ctx.get()), std::move(s));
-      }
-    }
-
-    EcPointPtr acc(EC_POINT_new(group_.get()));
-    EcPointPtr term(EC_POINT_new(group_.get()));
-    if (acc == nullptr || term == nullptr) {
-      throw CryptoError("EC_POINT_new failed");
-    }
-    const BIGNUM* g = g_scalar.is_zero() ? nullptr : g_scalar.raw();
-    const EC_POINT* p0 = points.empty() ? nullptr : points[0].first.get();
-    const BIGNUM* s0 = points.empty() ? nullptr : points[0].second.raw();
-    if (EC_POINT_mul(group_.get(), acc.get(), g, p0, s0, ctx.get()) != 1) {
-      throw CryptoError("EC_POINT_mul failed");
-    }
-    for (std::size_t i = 1; i < points.size(); ++i) {
-      if (EC_POINT_mul(group_.get(), term.get(), nullptr,
-                       points[i].first.get(), points[i].second.raw(),
-                       ctx.get()) != 1 ||
-          EC_POINT_add(group_.get(), acc.get(), acc.get(), term.get(),
-                       ctx.get()) != 1) {
-        throw CryptoError("EC_POINT_mul failed");
-      }
-    }
-    // An identity product (every scalar zero, or terms that cancel) is the
-    // point at infinity, which encode refuses with a CryptoError.
+    Decoded decoded;
+    const EcPointPtr acc = sum(terms, decoded, ctx.get());
     return encode(acc.get(), ctx.get());
+  }
+
+  /// Both sides share one set of decoded points and are compared as
+  /// points, without encoding either.
+  bool multi_exp_equal(
+      const std::vector<std::pair<Bytes, Bignum>>& lhs,
+      const std::vector<std::pair<Bytes, Bignum>>& rhs) const override {
+    BnCtxPtr ctx(BN_CTX_new());
+    Decoded decoded;
+    const EcPointPtr l = sum(lhs, decoded, ctx.get());
+    const EcPointPtr r = sum(rhs, decoded, ctx.get());
+    if (EC_POINT_is_at_infinity(group_.get(), l.get()) != 0 ||
+        EC_POINT_is_at_infinity(group_.get(), r.get()) != 0) {
+      return false;
+    }
+    const int cmp = EC_POINT_cmp(group_.get(), l.get(), r.get(), ctx.get());
+    if (cmp < 0) throw CryptoError("EC_POINT_cmp failed");
+    return cmp == 0;
+  }
+
+  /// Keeps `elem` decoded: multi_exp and multi_exp_equal then skip its
+  /// point decompression. Thread safe.
+  void precompute_base(BytesView elem) const override {
+    BnCtxPtr ctx(BN_CTX_new());
+    EcPointPtr p = decode(elem, ctx.get());
+    WriterMutexLock lk(bases_mu_);
+    bases_.try_emplace(Bytes(elem.begin(), elem.end()), std::move(p));
   }
 
   Bytes inverse(BytesView a) const override {
@@ -171,6 +164,70 @@ class P256Group final : public Group {
     return out;
   }
 
+  /// The points one evaluation decoded, by encoding: each distinct
+  /// element is decompressed once. Kept bases are not copied in.
+  using Decoded = std::map<Bytes, EcPointPtr>;
+
+  /// `elem` as a point: a kept base (precompute_base), else decoded once
+  /// into `decoded`.
+  const EC_POINT* point(const Bytes& elem, Decoded& decoded,
+                        BN_CTX* ctx) const {
+    {
+      // Kept bases are never erased, and std::map nodes do not move, so
+      // the point outlives the lock.
+      ReaderMutexLock lk(bases_mu_);
+      const auto it = bases_.find(elem);
+      if (it != bases_.end()) return it->second.get();
+    }
+    auto it = decoded.find(elem);
+    if (it == decoded.end()) it = decoded.emplace(elem, decode(elem, ctx)).first;
+    return it->second.get();
+  }
+
+  /// ∏ elem^scalar as a point (possibly the point at infinity): one
+  /// EC_POINT_mul per non-generator term. Generator terms merge into a
+  /// single g_scalar, which OpenSSL evaluates on the curve's precomputed
+  /// generator table; the first point rides in the same call. Each point
+  /// runs OpenSSL's own P-256 scalar multiplication, which beats a generic
+  /// EC_POINT_add/dbl Straus chain at the handful of points a leaf fold
+  /// carries. (EC_POINTs_mul would take every point in one call but is
+  /// deprecated in OpenSSL 3.0+.)
+  EcPointPtr sum(const std::vector<std::pair<Bytes, Bignum>>& terms,
+                 Decoded& decoded, BN_CTX* ctx) const {
+    Bignum g_scalar;
+    std::vector<std::pair<const EC_POINT*, Bignum>> points;
+    for (const auto& [elem, scalar] : terms) {
+      Bignum s = scalar.mod(order_);
+      if (s.is_zero()) continue;  // identity contribution
+      if (elem == generator_) {
+        g_scalar = (g_scalar + s).mod(order_);
+      } else {
+        points.emplace_back(point(elem, decoded, ctx), std::move(s));
+      }
+    }
+
+    EcPointPtr acc(EC_POINT_new(group_.get()));
+    EcPointPtr term(EC_POINT_new(group_.get()));
+    if (acc == nullptr || term == nullptr) {
+      throw CryptoError("EC_POINT_new failed");
+    }
+    const BIGNUM* g = g_scalar.is_zero() ? nullptr : g_scalar.raw();
+    const EC_POINT* p0 = points.empty() ? nullptr : points[0].first;
+    const BIGNUM* s0 = points.empty() ? nullptr : points[0].second.raw();
+    if (EC_POINT_mul(group_.get(), acc.get(), g, p0, s0, ctx) != 1) {
+      throw CryptoError("EC_POINT_mul failed");
+    }
+    for (std::size_t i = 1; i < points.size(); ++i) {
+      if (EC_POINT_mul(group_.get(), term.get(), nullptr, points[i].first,
+                       points[i].second.raw(), ctx) != 1 ||
+          EC_POINT_add(group_.get(), acc.get(), acc.get(), term.get(),
+                       ctx) != 1) {
+        throw CryptoError("EC_POINT_mul failed");
+      }
+    }
+    return acc;
+  }
+
   EcPointPtr decode(BytesView e, BN_CTX* ctx) const {
     if (e.size() != kCompressedPointSize) {
       throw CryptoError("p256 element has wrong size");
@@ -209,6 +266,10 @@ class P256Group final : public Group {
   EcGroupPtr group_;
   Bignum order_;
   Bytes generator_;
+
+  // Bases kept decoded (precompute_base); never erased.
+  mutable SharedMutex bases_mu_;
+  mutable std::map<Bytes, EcPointPtr> bases_ DESWORD_GUARDED_BY(bases_mu_);
 };
 
 }  // namespace

@@ -67,6 +67,19 @@ class Group {
     return acc;
   }
 
+  /// Whether multi_exp(lhs) == multi_exp(rhs); false when either side is
+  /// the identity (multi_exp throws there). Backends may share work
+  /// between the sides: P-256 decodes each distinct element once.
+  virtual bool multi_exp_equal(
+      const std::vector<std::pair<Bytes, Bignum>>& lhs,
+      const std::vector<std::pair<Bytes, Bignum>>& rhs) const {
+    try {
+      return multi_exp(lhs) == multi_exp(rhs);
+    } catch (const CryptoError&) {
+      return false;
+    }
+  }
+
   /// Group inverse.
   virtual Bytes inverse(BytesView a) const = 0;
 
@@ -79,9 +92,10 @@ class Group {
   virtual Bytes hash_to_element(BytesView seed) const = 0;
 
   /// Hint that `elem` will be exponentiated many times (a CRS generator):
-  /// backends may build a fixed-base precomputation table for it. Optional
-  /// — the default is a no-op. Call before sharing the group across
-  /// threads, or rely on the backend's own locking.
+  /// backends may build a fixed-base precomputation table for it (MODP)
+  /// or keep it decoded (P-256). Optional — the default is a no-op. Call
+  /// before sharing the group across threads, or rely on the backend's own
+  /// locking.
   virtual void precompute_base(BytesView elem) const { (void)elem; }
 
   /// Serialized element size in bytes (fixed per backend).

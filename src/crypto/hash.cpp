@@ -37,12 +37,15 @@ TaggedHasher::TaggedHasher(std::string_view tag) {
 }
 
 TaggedHasher& TaggedHasher::add(BytesView part) {
-  auto* ctx = static_cast<EVP_MD_CTX*>(md_ctx_);
   BinaryWriter w;
   w.varint(part.size());
-  const Bytes prefix = w.take();
-  if (EVP_DigestUpdate(ctx, prefix.data(), prefix.size()) != 1 ||
-      EVP_DigestUpdate(ctx, part.data(), part.size()) != 1) {
+  add_framed(w.view());
+  return add_framed(part);
+}
+
+TaggedHasher& TaggedHasher::add_framed(BytesView framed) {
+  auto* ctx = static_cast<EVP_MD_CTX*>(md_ctx_);
+  if (EVP_DigestUpdate(ctx, framed.data(), framed.size()) != 1) {
     throw CryptoError("EVP_DigestUpdate failed");
   }
   return *this;

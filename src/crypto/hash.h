@@ -26,6 +26,10 @@ class TaggedHasher {
  public:
   explicit TaggedHasher(std::string_view tag);
   TaggedHasher& add(BytesView part);
+  /// Adds parts already framed as add() frames them — each a varint
+  /// length and then the part, as BinaryWriter::bytes writes it — in one
+  /// update: the digest adding each part would give.
+  TaggedHasher& add_framed(BytesView framed);
   TaggedHasher& add_str(std::string_view part);
   TaggedHasher& add_u64(std::uint64_t v);
   /// Finalizes and returns the 32-byte digest. The hasher must not be

@@ -6,7 +6,6 @@
 #include <type_traits>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace desword {
@@ -223,7 +222,7 @@ double pippenger_cost(std::size_t n, int bits, int w) {
   return nd + bits + blocks * (nd + 2.0 * static_cast<double>((1 << w) - 1));
 }
 
-using Terms = std::vector<const ModExpContext::ExpTerm*>;
+using Terms = std::span<const ModExpContext::ExpTerm* const>;
 
 /// Sliding-window Straus: per-base odd-power tables and one shared
 /// squaring chain over the widest exponent.
@@ -405,7 +404,8 @@ Bignum ModExpContext::exp(const Bignum& base, const Bignum& exponent) const {
     // picks sliding-window Straus (w = 5 for a 256-bit exponent).
     if (exponent.is_zero()) return Bignum(1);
     const ExpTerm term{base, exponent};
-    return multi_exp_live({&term}, exponent.bits());
+    const ExpTerm* const one = &term;
+    return multi_exp_live({&one, 1}, exponent.bits());
   }
   Bignum out;
   // Reduce the base first: BN_mod_exp_mont requires base < modulus.
@@ -497,94 +497,97 @@ bool ModExpContext::all_coprime(const std::vector<const Bignum*>& xs) const {
   return symbol != 0;
 }
 
-Bignum ModExpContext::multi_exp(const std::vector<ExpTerm>& terms,
-                                ThreadPool* pool) const {
-  std::vector<const ExpTerm*> live;
+namespace {
+
+/// The live (non-zero-exponent) terms of a product, in input order;
+/// throws on a negative exponent.
+std::vector<const ModExpContext::ExpTerm*> live_terms(
+    const std::vector<ModExpContext::ExpTerm>& terms) {
+  std::vector<const ModExpContext::ExpTerm*> live;
   live.reserve(terms.size());
-  int max_bits = 0;
-  for (const ExpTerm& t : terms) {
+  for (const ModExpContext::ExpTerm& t : terms) {
     if (t.exponent.is_negative()) {
       throw CryptoError("ModExpContext::multi_exp: negative exponent");
     }
-    if (t.exponent.is_zero()) continue;  // b^0 = 1
-    max_bits = std::max(max_bits, t.exponent.bits());
-    live.push_back(&t);
+    if (!t.exponent.is_zero()) live.push_back(&t);  // b^0 = 1
   }
+  return live;
+}
+
+int widest(std::span<const ModExpContext::ExpTerm* const> terms) {
+  int max_bits = 0;
+  for (const ModExpContext::ExpTerm* t : terms) {
+    max_bits = std::max(max_bits, t->exponent.bits());
+  }
+  return max_bits;
+}
+
+}  // namespace
+
+Bignum ModExpContext::multi_exp(const std::vector<ExpTerm>& terms) const {
+  const std::vector<const ExpTerm*> live = live_terms(terms);
   if (live.empty()) return Bignum(1);
   if (live.size() == 1) return exp(live[0]->base, live[0]->exponent);
   multi_exp_calls().add();
+  return multi_exp_live(live, widest(live));
+}
 
-  // Below kMinChunkTerms terms per chunk the duplicated squaring chains
-  // and table set-ups outweigh the parallel speedup.
-  constexpr std::size_t kMinChunkTerms = 8;
-  const std::size_t chunks =
-      pool == nullptr
-          ? 1
-          : std::min<std::size_t>(pool->concurrency(),
-                                  live.size() / kMinChunkTerms);
-  if (chunks <= 1) return multi_exp_live(live, max_bits);
-
-  // Widest exponents first, so each chunk's squaring chain serves terms of
-  // similar width; cut where the running bit total crosses the next
-  // multiple of total / chunks.
+std::vector<const ModExpContext::ExpTerm*> ModExpContext::multi_exp_terms(
+    const std::vector<ExpTerm>& terms) const {
+  std::vector<const ExpTerm*> live = live_terms(terms);
+  if (live.size() == 1) modexp_calls().add();
+  if (live.size() > 1) multi_exp_calls().add();
   std::stable_sort(live.begin(), live.end(),
                    [](const ExpTerm* a, const ExpTerm* b) {
                      return a->exponent.bits() > b->exponent.bits();
                    });
-  std::uint64_t total_bits = 0;
-  for (const ExpTerm* t : live) {
-    total_bits += static_cast<std::uint64_t>(t->exponent.bits());
-  }
-  std::vector<std::size_t> cut{0};
-  std::uint64_t running = 0;
-  for (std::size_t i = 0; i + 1 < live.size() && cut.size() < chunks; ++i) {
-    running += static_cast<std::uint64_t>(live[i]->exponent.bits());
-    if (running * chunks >= total_bits * cut.size()) cut.push_back(i + 1);
-  }
-  cut.push_back(live.size());
-
-  std::vector<Bignum> partial(cut.size() - 1);
-  parallel_for(pool, partial.size(), [&](std::size_t c) {
-    const std::vector<const ExpTerm*> part(
-        live.begin() + static_cast<std::ptrdiff_t>(cut[c]),
-        live.begin() + static_cast<std::ptrdiff_t>(cut[c + 1]));
-    partial[c] = multi_exp_live(part, part.front()->exponent.bits());
-  });
-  Bignum out = std::move(partial[0]);
-  for (std::size_t c = 1; c < partial.size(); ++c) {
-    out = Bignum::mod_mul(out, partial[c], modulus_);
-  }
-  return out;
+  return live;
 }
 
-Bignum ModExpContext::multi_exp_live(const std::vector<const ExpTerm*>& terms,
-                                     int max_bits) const {
-  // Pick the algorithm/window pair with the lowest estimated multiplication
-  // count. Straus windows are capped at 8 (table memory is n·2^w residues);
-  // Pippenger buckets at 12 (2^w residues, amortized over many bases).
-  double best_cost = straus_cost(terms.size(), max_bits, 1);
-  bool use_pippenger = false;
-  int best_w = 1;
+Bignum ModExpContext::multi_exp_part(
+    std::span<const ExpTerm* const> part) const {
+  DESWORD_CHECK(!part.empty(), "ModExpContext::multi_exp_part: empty part");
+  return multi_exp_live(part, widest(part));
+}
+
+namespace {
+
+/// The algorithm and window multi_exp evaluates a product with.
+struct MultiExpPlan {
+  double cost;  // estimated multiplications
+  int window;
+  bool pippenger;
+};
+
+/// The algorithm/window pair with the lowest estimated multiplication
+/// count. Straus windows are capped at 8 (table memory is n·2^w residues);
+/// Pippenger buckets at 12 (2^w residues, amortized over many bases).
+MultiExpPlan cheapest_plan(std::size_t n, int max_bits) {
+  MultiExpPlan best{straus_cost(n, max_bits, 1), 1, false};
   for (int w = 1; w <= 12; ++w) {
     if (w <= 8) {
-      const double c = straus_cost(terms.size(), max_bits, w);
-      if (c < best_cost) {
-        best_cost = c;
-        best_w = w;
-        use_pippenger = false;
-      }
+      const double c = straus_cost(n, max_bits, w);
+      if (c < best.cost) best = {c, w, false};
     }
-    const double c = pippenger_cost(terms.size(), max_bits, w);
-    if (c < best_cost) {
-      best_cost = c;
-      best_w = w;
-      use_pippenger = true;
-    }
+    const double c = pippenger_cost(n, max_bits, w);
+    if (c < best.cost) best = {c, w, true};
   }
+  return best;
+}
+
+}  // namespace
+
+double ModExpContext::multi_exp_cost(std::size_t n, int max_bits) {
+  return cheapest_plan(n, max_bits).cost;
+}
+
+Bignum ModExpContext::multi_exp_live(std::span<const ExpTerm* const> terms,
+                                     int max_bits) const {
+  const MultiExpPlan plan = cheapest_plan(terms.size(), max_bits);
   return with_arith([&](const auto& ar) {
-    return use_pippenger
-               ? multi_exp_pippenger(ar, modulus_, terms, max_bits, best_w)
-               : multi_exp_straus(ar, modulus_, terms, max_bits, best_w);
+    return plan.pippenger
+               ? multi_exp_pippenger(ar, modulus_, terms, max_bits, plan.window)
+               : multi_exp_straus(ar, modulus_, terms, max_bits, plan.window);
   });
 }
 

@@ -29,8 +29,9 @@
 // multiplies per base instead of the L/w of fixed windows over a table
 // twice the size. The crossover and window are picked from a
 // multiplication-count model over the batch size and the widest exponent.
-// Given a thread pool, a large product is split into chunks evaluated
-// concurrently (see multi_exp).
+// A caller that evaluates one product on several threads (BatchVerifier's
+// verification pass) cuts it into parts with multi_exp_terms and
+// multi_exp_part, sized by the same model (multi_exp_cost).
 //
 // Coprimality: verifiers must reject proof elements that share a factor
 // with N. all_coprime() folds the elements into one product with
@@ -50,6 +51,7 @@
 #include <openssl/bn.h>
 
 #include <memory>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -57,8 +59,6 @@
 #include "crypto/mont_ifma.h"
 
 namespace desword {
-
-class ThreadPool;
 
 class ModExpContext {
  public:
@@ -160,16 +160,27 @@ class ModExpContext {
   /// ∏ terms[i].base ^ terms[i].exponent mod modulus, sharing one squaring
   /// chain across all bases. Zero exponents contribute 1 and are skipped;
   /// an empty (or all-zero-exponent) product returns 1. Negative exponents
-  /// throw CryptoError.
-  ///
-  /// With a `pool` of concurrency > 1, a product of enough terms is split
-  /// into up to pool->concurrency() chunks evaluated on the pool, and the
-  /// partial products are multiplied mod the modulus — the same residue.
-  /// Terms are sorted by exponent width and cut into contiguous chunks of
-  /// equal total exponent bits, so each chunk's squaring chain serves terms
-  /// of similar width. Either way the call counts as ONE multi-exp.
-  Bignum multi_exp(const std::vector<ExpTerm>& terms,
-                   ThreadPool* pool = nullptr) const;
+  /// throw CryptoError. Counts as one crypto.multi_exp.calls; a single
+  /// live term is one plain exp() and counts as that.
+  Bignum multi_exp(const std::vector<ExpTerm>& terms) const;
+
+  /// For a caller that evaluates one product in parts: the live
+  /// (non-zero-exponent) terms of multi_exp(terms), widest exponent first.
+  /// The multi_exp_part products of any cut of them into contiguous runs
+  /// multiply to multi_exp(terms) mod the modulus. Counts the product
+  /// once, as multi_exp would, however many parts evaluate it. Negative
+  /// exponents throw CryptoError. The pointers alias `terms`.
+  std::vector<const ExpTerm*> multi_exp_terms(
+      const std::vector<ExpTerm>& terms) const;
+
+  /// ∏ over a non-empty run of multi_exp_terms' output, by the algorithm
+  /// and window multi_exp picks for it. Counted in no metric.
+  Bignum multi_exp_part(std::span<const ExpTerm* const> part) const;
+
+  /// Estimated Montgomery products of a multi_exp over `n` live terms
+  /// whose widest exponent has `max_bits` bits: the cheapest Straus or
+  /// Pippenger window under the model multi_exp picks by.
+  static double multi_exp_cost(std::size_t n, int max_bits);
 
  private:
   /// Calls f(arith) with the backend's Montgomery arithmetic (modexp.cpp).
@@ -178,7 +189,7 @@ class ModExpContext {
 
   /// Evaluates the product of `terms` (non-empty, non-zero exponents of at
   /// most `max_bits` bits) with the cheaper of Straus and Pippenger.
-  Bignum multi_exp_live(const std::vector<const ExpTerm*>& terms,
+  Bignum multi_exp_live(std::span<const ExpTerm* const> terms,
                         int max_bits) const;
 
   struct MontFree {

@@ -15,11 +15,19 @@
 // whole batch costs one multi-exponentiation (crypto/modexp.h Pippenger /
 // Straus, Group::multi_exp) instead of 3–4 full exponentiations per
 // opening. h's merged exponent, the widest, is evaluated apart from the
-// multi-exponentiation through h's fixed-base table. Given a thread pool,
-// each side of the RSA fold is evaluated as concurrent multi-exponentiation
-// chunks (ModExpContext::multi_exp) whose partial products multiply to the
-// same group element, so chunking changes wall time only — never a fold's
-// outcome.
+// multi-exponentiation through h's fixed-base table.
+//
+// Each fold is one pass over independent jobs: the coprimality fold and
+// its Jacobi symbol, the EC fold, h's fixed-base power and contiguous
+// parts of both RSA multi-exponentiations, sized together so that the
+// longest job is about the pass's total work divided by the pool's
+// concurrency (plus, in the first pass, the C1 derivations queued with
+// derive_c1). Given a thread pool the jobs run on it; without one they
+// run in order on the calling thread. Each job writes only its own
+// result; the caller multiplies the parts together and compares once,
+// after the pass. The parts multiply to the same group element as one
+// multi-exponentiation, so the pool changes wall time only — never a
+// fold's outcome or the bisection.
 //
 // Multipliers are derived deterministically from a transcript hash of all
 // accumulated equations (Fiat–Shamir style), so verification stays
@@ -85,6 +93,14 @@ class BatchVerifier {
   bool add_leaf_open(const TmcCommitment& com, const TmcOpening& op);
   bool add_leaf_tease(const TmcCommitment& com, const TmcTease& tease);
 
+  /// Queues C1 = QtmcScheme::hard_c1(r1) of a commitment whose hard opening
+  /// was added with C1Origin::kDerived — no equation reads that C1 — for
+  /// verify()'s first pass, where it runs next to the fold's own jobs.
+  /// Each verify() call writes it to `*c1`, once, before it returns, also
+  /// when the fold bisects; `c1` must outlive the verify() calls. `r1` must
+  /// be in QtmcScheme::exponent_in_range (add_open checked it).
+  void derive_c1(const Bignum& r1, Bignum* c1);
+
   /// Marks the current unit rejected because of a caller-side check outside
   /// the equations (e.g. a chain digest mismatch). Its equations are
   /// excluded from the fold so they cannot trigger needless bisection.
@@ -92,11 +108,17 @@ class BatchVerifier {
 
   std::size_t units() const { return units_.size(); }
 
+  /// The Fiat–Shamir seed the batching multipliers are drawn from: the
+  /// tagged digest of every accumulated equation, each field
+  /// length-prefixed as TaggedHasher::add frames it (kind, position, base
+  /// and exponent of each term, then the right-hand side).
+  Bytes transcript_digest() const;
+
   /// Folds and checks everything accumulated so far. On fold failure,
   /// bisects to per-unit verdicts (scalar-exact at the leaves). Idempotent:
   /// multipliers are transcript-derived, so repeated calls agree. `pool`
-  /// (null = this thread) evaluates each RSA fold in chunks; verdicts and
-  /// bisection steps are the same with or without it.
+  /// (null = this thread) runs each fold's jobs; verdicts and bisection
+  /// steps are the same with or without it.
   Result verify(ThreadPool* pool = nullptr) const;
 
  private:
@@ -106,11 +128,19 @@ class BatchVerifier {
     bool failed = false;  // structural rejection at add_* time
   };
 
+  struct C1Derivation {
+    Bignum r1;
+    Bignum* c1;
+  };
+
+  /// The fold's RSA terms, exponents merged per base, h's apart.
+  struct MergedRsa;
+  MergedRsa merge_rsa(const std::vector<std::size_t>& unit_idxs,
+                      const std::vector<Bignum>& rsa_r) const;
+  /// One fold as one pass of jobs; `derive` adds the queued C1s to it.
   bool fold(const std::vector<std::size_t>& unit_idxs,
             const std::vector<Bignum>& rsa_r, const std::vector<Bignum>& ec_r,
-            ThreadPool* pool) const;
-  bool fold_rsa(const std::vector<std::size_t>& unit_idxs,
-                const std::vector<Bignum>& rsa_r, ThreadPool* pool) const;
+            ThreadPool* pool, bool derive) const;
   bool fold_ec(const std::vector<std::size_t>& unit_idxs,
                const std::vector<Bignum>& ec_r) const;
   bool scalar_unit(std::size_t unit) const;
@@ -122,6 +152,16 @@ class BatchVerifier {
   std::vector<RsaEquation> rsa_eqs_;
   std::vector<EcEquation> ec_eqs_;
   std::vector<UnitRange> units_;
+  std::vector<C1Derivation> c1s_;
 };
+
+/// Cuts `live` — a product's live terms, widest exponent first
+/// (ModExpContext::multi_exp_terms) — into at most `parts` contiguous runs
+/// of about equal total exponent bits, so each run's squaring chain serves
+/// terms of similar width. Returns the run boundaries: 0, each cut, then
+/// live.size() ({0}, no run, when `live` is empty). The runs'
+/// ModExpContext::multi_exp_part products multiply to the whole product.
+std::vector<std::size_t> cut_multi_exp(
+    const std::vector<const ModExpContext::ExpTerm*>& live, std::size_t parts);
 
 }  // namespace desword::mercurial

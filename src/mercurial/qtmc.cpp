@@ -695,11 +695,8 @@ bool QtmcScheme::main_equation(const QtmcCommitment& com, std::uint32_t pos,
   if (pos >= pk_.q || msg.size() != kMessageBytes) return false;
   // Canonical-form checks only; coprimality with N is enforced by the
   // consumer via elements_coprime (one aggregated Jacobi symbol instead of
-  // one gcd per element).
-  if (!element_canonical(com.c0) || !element_canonical(com.c1) ||
-      !element_canonical(lambda)) {
-    return false;
-  }
+  // one gcd per element). C1 is checked by the callers that read it.
+  if (!element_canonical(com.c0) || !element_canonical(lambda)) return false;
   if (!exponent_in_range(tau)) return false;
   // Λ^{e_pos} · S_pos^m · C1^τ == C0 (the S term drops for the null
   // message, matching the scalar verifier).
@@ -728,6 +725,11 @@ bool QtmcScheme::open_equations(const QtmcCommitment& com,
                                 std::vector<RsaEquation>& out,
                                 C1Origin origin) const {
   if (!exponent_in_range(op.r1)) return false;
+  // A derived C1 is canonical(h^{r1}) by construction, and nothing below
+  // reads it: the caller may fill it in after emission.
+  if (origin == C1Origin::kReceived && !element_canonical(com.c1)) {
+    return false;
+  }
   const std::size_t mark = out.size();
   if (!main_equation(com, op.pos, op.message, op.tau, op.lambda, &op.r1,
                      out)) {
@@ -745,6 +747,7 @@ bool QtmcScheme::open_equations(const QtmcCommitment& com,
 bool QtmcScheme::tease_equations(const QtmcCommitment& com,
                                  const QtmcTease& tease,
                                  std::vector<RsaEquation>& out) const {
+  if (!element_canonical(com.c1)) return false;
   return main_equation(com, tease.pos, tease.message, tease.tau, tease.lambda,
                        nullptr, out);
 }

@@ -260,11 +260,12 @@ class QtmcScheme {
   /// pair does, and the τ power runs on h's fixed-base table instead of a
   /// proof-supplied base (DESIGN.md §5.5). With C1Origin::kDerived the
   /// caller guarantees com.c1 == hard_c1(op.r1), so E1 holds already and
-  /// only E2' is appended. Returns false (appending nothing) on structural
-  /// failure. Coprimality of the proof-supplied elements with N is NOT
-  /// checked here — consumers enforce it in aggregate via elements_coprime
-  /// (one test per opening in the scalar verifiers, one per fold in
-  /// BatchVerifier). The opening is valid iff this returns true AND
+  /// only E2' is appended; com.c1 is not read, so it may be derived after
+  /// emission (BatchVerifier::derive_c1). Returns false (appending
+  /// nothing) on structural failure. Coprimality of the proof-supplied
+  /// elements with N is NOT checked here — consumers enforce it in
+  /// aggregate via elements_coprime (one test per opening in the scalar
+  /// verifiers, one per fold in BatchVerifier). The opening is valid iff this returns true AND
   /// elements_coprime holds AND every appended equation holds.
   bool open_equations(const QtmcCommitment& com, const QtmcOpening& op,
                       std::vector<RsaEquation>& out,

@@ -31,39 +31,33 @@ obs::Counter& scalar_verifies() {
   return c;
 }
 
-/// Digest of a serialized child commitment at depth `child_depth`
-/// (leaf iff == height). Returns nullopt on malformed bytes.
-std::optional<Bytes> child_digest(const EdbCrs& crs, BytesView serialized,
-                                  std::uint32_t child_depth) {
-  try {
-    if (child_depth == crs.height()) {
-      return crs.digest_leaf(
-          mercurial::TmcCommitment::deserialize(crs.group(), serialized));
-    }
-    return crs.digest_inner(mercurial::QtmcCommitment::deserialize(
-        crs.params().qtmc_pk.n, serialized));
-  } catch (const Error&) {
-    return std::nullopt;
-  }
-}
+/// A membership proof's commitments, decoded: `inner` is the root as
+/// received (from the POC), then each inner child's shipped C0 with its C1
+/// left for the verifier to derive as h^{r1} of the child's own opening;
+/// `leaf` is the shipped leaf commitment.
+struct OpenedChain {
+  std::vector<mercurial::QtmcCommitment> inner;
+  mercurial::TmcCommitment leaf;
+};
 
-/// The commitments a membership proof opens, root first: `root` as
-/// received (from the POC), then each inner node's shipped C0 with
-/// C1 = h^{r1} of its own opening. nullopt — before any power is taken —
-/// when the proof has the wrong shape, opens off the key's digits, ships
-/// a C0 that is not one modulus-width element, or carries an r1 outside
-/// QtmcScheme::exponent_in_range. The h − 1 powers fan out over `pool`.
-std::optional<std::vector<mercurial::QtmcCommitment>> opened_commitments(
-    const EdbCrs& crs, const mercurial::QtmcCommitment& root,
-    const EdbKey& key, const EdbMembershipProof& proof, ThreadPool* pool) {
+/// Decodes a membership proof's commitments after every structural check
+/// that needs no power: nullopt when the proof has the wrong shape, opens
+/// off the key's digits, ships a C0 that is not one modulus-width element,
+/// or carries an r1 outside QtmcScheme::exponent_in_range. May throw Error
+/// on malformed leaf bytes (callers catch).
+std::optional<OpenedChain> decode_chain(const EdbCrs& crs,
+                                        const mercurial::QtmcCommitment& root,
+                                        const EdbKey& key,
+                                        const EdbMembershipProof& proof) {
   const std::uint32_t h = crs.height();
   if (proof.openings.size() != h || proof.child_commitments.size() != h) {
     return std::nullopt;
   }
   const mercurial::QtmcScheme& qtmc = crs.qtmc();
   const std::vector<std::uint32_t> digits = crs.digits_of(key);
-  std::vector<mercurial::QtmcCommitment> coms(h);
-  coms[0] = root;
+  OpenedChain chain;
+  chain.inner.resize(h);
+  chain.inner[0] = root;
   for (std::uint32_t d = 0; d < h; ++d) {
     if (proof.openings[d].pos != digits[d]) return std::nullopt;
     if (d == 0) continue;
@@ -72,61 +66,67 @@ std::optional<std::vector<mercurial::QtmcCommitment>> opened_commitments(
         !mercurial::QtmcScheme::exponent_in_range(proof.openings[d].r1)) {
       return std::nullopt;
     }
-    coms[d].c0 = Bignum::from_bytes(c0);
+    chain.inner[d].c0 = Bignum::from_bytes(c0);
   }
-  parallel_for(pool, h - 1, [&](std::size_t i) {
-    coms[i + 1].c1 = qtmc.hard_c1(proof.openings[i + 1].r1);
-  });
-  return coms;
+  chain.leaf = mercurial::TmcCommitment::deserialize(
+      crs.group(), proof.child_commitments[h - 1]);
+  return chain;
 }
 
 /// Whether step d's opened message is the digest of the node below it:
-/// the next opened commitment, or the shipped leaf commitment at the last
-/// step. May throw Error on malformed leaf bytes (callers catch).
-bool opens_to_child(const EdbCrs& crs,
-                    const std::vector<mercurial::QtmcCommitment>& coms,
+/// the next inner commitment (its C1 derived by then), or the leaf.
+bool opens_to_child(const EdbCrs& crs, const OpenedChain& chain,
                     const EdbMembershipProof& proof, std::uint32_t d) {
-  if (d + 1 < crs.height()) {
-    return crs.digest_inner(coms[d + 1]) == proof.openings[d].message;
-  }
-  return crs.digest_leaf(mercurial::TmcCommitment::deserialize(
-             crs.group(), proof.child_commitments[d])) ==
-         proof.openings[d].message;
+  const Bytes digest = d + 1 < crs.height()
+                           ? crs.digest_inner(chain.inner[d + 1])
+                           : crs.digest_leaf(chain.leaf);
+  return digest == proof.openings[d].message;
 }
 
-/// The root's C1 arrives with it; every other level's was derived.
+/// opens_to_child at every step.
+bool chain_digests_match(const EdbCrs& crs, const OpenedChain& chain,
+                         const EdbMembershipProof& proof) {
+  for (std::uint32_t d = 0; d < crs.height(); ++d) {
+    if (!opens_to_child(crs, chain, proof, d)) return false;
+  }
+  return true;
+}
+
+/// The root's C1 arrives with it; every other level's is derived.
 mercurial::C1Origin c1_origin(std::uint32_t depth) {
   return depth == 0 ? mercurial::C1Origin::kReceived
                     : mercurial::C1Origin::kDerived;
 }
 
-/// Walks a membership chain, accumulating every opening into `bv` (one
-/// already-begun unit) and running all non-equation checks: digit
-/// positions, chain digests, the leaf value digest. Returns false — the
-/// caller must then fail the unit — when any of them rejects; the proof is
-/// valid iff this returns true AND the unit's equations verify. May throw
+/// Accumulates a decoded membership chain into `bv` (one already-begun
+/// unit) — every opening, the leaf opening, and the derivation of each
+/// inner C1 for bv's pass — and checks the leaf's value digest. Returns
+/// false, the caller then failing the unit, when a check rejects. The
+/// proof is valid iff this returns true AND the unit's equations verify
+/// AND, once verify() derived the C1s, chain_digests_match. May throw
 /// Error on malformed bytes (callers catch).
-bool add_membership_chain(const EdbCrs& crs,
-                          const mercurial::QtmcCommitment& root,
-                          const EdbKey& key, const EdbMembershipProof& proof,
-                          mercurial::BatchVerifier& bv, ThreadPool* pool) {
-  const auto coms = opened_commitments(crs, root, key, proof, pool);
-  if (!coms.has_value()) return false;
+bool add_membership_chain(const EdbCrs& crs, OpenedChain& chain,
+                          const EdbMembershipProof& proof,
+                          mercurial::BatchVerifier& bv) {
   const std::uint32_t h = crs.height();
   for (std::uint32_t d = 0; d < h; ++d) {
-    if (!bv.add_open((*coms)[d], proof.openings[d], c1_origin(d)) ||
-        !opens_to_child(crs, *coms, proof, d)) {
+    if (!bv.add_open(chain.inner[d], proof.openings[d], c1_origin(d))) {
       return false;
     }
   }
-  const mercurial::TmcCommitment leaf_com = mercurial::TmcCommitment::deserialize(
-      crs.group(), proof.child_commitments[h - 1]);
-  if (!bv.add_leaf_open(leaf_com, proof.leaf_opening)) return false;
-  return proof.leaf_opening.message == leaf_value_digest(proof.value);
+  if (!bv.add_leaf_open(chain.leaf, proof.leaf_opening)) return false;
+  if (proof.leaf_opening.message != leaf_value_digest(proof.value)) {
+    return false;
+  }
+  for (std::uint32_t d = 1; d < h; ++d) {
+    bv.derive_c1(proof.openings[d].r1, &chain.inner[d].c1);
+  }
+  return true;
 }
 
 /// Non-membership analogue of add_membership_chain (teases instead of
-/// openings, null message at the leaf).
+/// openings, null message at the leaf). A tease reveals no r1, so every
+/// child commitment is shipped whole and its digest is checked here.
 bool add_non_membership_chain(const EdbCrs& crs,
                               const mercurial::QtmcCommitment& root,
                               const EdbKey& key,
@@ -139,19 +139,20 @@ bool add_non_membership_chain(const EdbCrs& crs,
   const std::vector<std::uint32_t> digits = crs.digits_of(key);
 
   mercurial::QtmcCommitment cur = root;
-  for (std::uint32_t d = 0; d < h; ++d) {
+  for (std::uint32_t d = 0; d + 1 < h; ++d) {
     const mercurial::QtmcTease& tease = proof.teases[d];
     if (tease.pos != digits[d]) return false;
     if (!bv.add_tease(cur, tease)) return false;
-    const auto digest = child_digest(crs, proof.child_commitments[d], d + 1);
-    if (!digest.has_value() || *digest != tease.message) return false;
-    if (d + 1 < h) {
-      cur = mercurial::QtmcCommitment::deserialize(crs.params().qtmc_pk.n,
-                                                   proof.child_commitments[d]);
-    }
+    cur = mercurial::QtmcCommitment::deserialize(crs.params().qtmc_pk.n,
+                                                 proof.child_commitments[d]);
+    if (crs.digest_inner(cur) != tease.message) return false;
   }
+  const mercurial::QtmcTease& last = proof.teases[h - 1];
+  if (last.pos != digits[h - 1]) return false;
+  if (!bv.add_tease(cur, last)) return false;
   const mercurial::TmcCommitment leaf_com = mercurial::TmcCommitment::deserialize(
       crs.group(), proof.child_commitments[h - 1]);
+  if (crs.digest_leaf(leaf_com) != last.message) return false;
   if (!bv.add_leaf_tease(leaf_com, proof.leaf_tease)) return false;
   return proof.leaf_tease.message == mercurial::null_message();
 }
@@ -162,20 +163,20 @@ VerifyOutcome verify_membership_scalar(const EdbCrs& crs,
                                        const EdbMembershipProof& proof,
                                        ThreadPool* pool) {
   try {
-    const auto coms = opened_commitments(crs, root, key, proof, pool);
-    if (!coms.has_value()) return VerifyOutcome::reject();
+    auto chain = decode_chain(crs, root, key, proof);
+    if (!chain.has_value()) return VerifyOutcome::reject();
     const std::uint32_t h = crs.height();
+    parallel_for(pool, h - 1, [&](std::size_t i) {
+      chain->inner[i + 1].c1 = crs.qtmc().hard_c1(proof.openings[i + 1].r1);
+    });
     for (std::uint32_t d = 0; d < h; ++d) {
-      if (!crs.qtmc().verify_open((*coms)[d], proof.openings[d],
+      if (!crs.qtmc().verify_open(chain->inner[d], proof.openings[d],
                                   c1_origin(d)) ||
-          !opens_to_child(crs, *coms, proof, d)) {
+          !opens_to_child(crs, *chain, proof, d)) {
         return VerifyOutcome::reject();
       }
     }
-    const mercurial::TmcCommitment leaf_com =
-        mercurial::TmcCommitment::deserialize(crs.group(),
-                                              proof.child_commitments[h - 1]);
-    if (!crs.tmc().verify_open(leaf_com, proof.leaf_opening)) {
+    if (!crs.tmc().verify_open(chain->leaf, proof.leaf_opening)) {
       return VerifyOutcome::reject();
     }
     if (proof.leaf_opening.message != leaf_value_digest(proof.value)) {
@@ -199,20 +200,21 @@ bool verify_non_membership_scalar(const EdbCrs& crs,
     const std::vector<std::uint32_t> digits = crs.digits_of(key);
 
     mercurial::QtmcCommitment cur = root;
-    for (std::uint32_t d = 0; d < h; ++d) {
+    for (std::uint32_t d = 0; d + 1 < h; ++d) {
       const mercurial::QtmcTease& tease = proof.teases[d];
       if (tease.pos != digits[d]) return false;
       if (!crs.qtmc().verify_tease(cur, tease)) return false;
-      const auto digest = child_digest(crs, proof.child_commitments[d], d + 1);
-      if (!digest.has_value() || *digest != tease.message) return false;
-      if (d + 1 < h) {
-        cur = mercurial::QtmcCommitment::deserialize(
-            crs.params().qtmc_pk.n, proof.child_commitments[d]);
-      }
+      cur = mercurial::QtmcCommitment::deserialize(crs.params().qtmc_pk.n,
+                                                   proof.child_commitments[d]);
+      if (crs.digest_inner(cur) != tease.message) return false;
     }
+    const mercurial::QtmcTease& last = proof.teases[h - 1];
+    if (last.pos != digits[h - 1]) return false;
+    if (!crs.qtmc().verify_tease(cur, last)) return false;
     const mercurial::TmcCommitment leaf_com =
         mercurial::TmcCommitment::deserialize(crs.group(),
                                               proof.child_commitments[h - 1]);
+    if (crs.digest_leaf(leaf_com) != last.message) return false;
     if (!crs.tmc().verify_tease(leaf_com, proof.leaf_tease)) return false;
     return proof.leaf_tease.message == mercurial::null_message();
   } catch (const Error&) {
@@ -235,12 +237,14 @@ VerifyOutcome edb_verify_membership(const EdbCrs& crs,
   }
   batched_verifies().add();
   try {
+    // Every power-free check first; then one pass takes the fold's powers
+    // and derives the inner C1s; then the digest chain, which reads them.
+    auto chain = decode_chain(crs, root, key, proof);
+    if (!chain.has_value()) return VerifyOutcome::reject();
     mercurial::BatchVerifier bv(crs.qtmc(), &crs.tmc());
     bv.begin_unit();
-    if (!add_membership_chain(crs, root, key, proof, bv, pool)) {
-      return VerifyOutcome::reject();
-    }
-    if (!bv.verify(pool).all_ok) {
+    if (!add_membership_chain(crs, *chain, proof, bv) ||
+        !bv.verify(pool).all_ok || !chain_digests_match(crs, *chain, proof)) {
       return VerifyOutcome::reject();
     }
     return VerifyOutcome::accept_value(proof.value);
@@ -312,35 +316,40 @@ std::vector<VerifyOutcome> edb_verify_membership_many(
     struct Pending {
       std::size_t query;
       std::size_t unit;
+      OpenedChain chain;  // bv derives its C1s in place
     };
+    // Reserved up front: bv holds pointers into the chains' commitments.
     std::vector<Pending> pending;
+    pending.reserve(end - begin);
     for (std::size_t i = begin; i < end; ++i) {
       if (queries[i].proof == nullptr) continue;
       batched_verifies().add();
       const std::size_t unit = bv.begin_unit();
+      const EdbMembershipProof& proof = *queries[i].proof;
       bool ok = false;
       try {
-        ok = add_membership_chain(crs, root, queries[i].key,
-                                  *queries[i].proof, bv, nullptr);
+        auto chain = decode_chain(crs, root, queries[i].key, proof);
+        if (chain.has_value()) {
+          pending.push_back({i, unit, std::move(*chain)});
+          ok = add_membership_chain(crs, pending.back().chain, proof, bv);
+          if (!ok) pending.pop_back();
+        }
       } catch (const Error&) {
         ok = false;
       }
-      if (!ok) {
-        bv.fail_unit();
-        continue;  // rejected before the equations; stays rejected
-      }
-      pending.push_back({i, unit});
+      if (!ok) bv.fail_unit();  // rejected before the equations; stays so
     }
     // Same exception discipline as the scalar verifiers: a verify() throw
     // (BN_* failure, internal check) rejects the shard's pending units —
     // their results stay rejected — instead of escaping the pool worker.
-    // No pool for the fold: the shards already occupy it.
+    // No pool for the fold: the shards already occupy it, so each pass
+    // runs its jobs in order on this worker.
     try {
       const mercurial::BatchVerifier::Result res = bv.verify();
       for (const Pending& p : pending) {
-        if (res.unit_ok[p.unit]) {
-          results[p.query] =
-              VerifyOutcome::accept_value(queries[p.query].proof->value);
+        const EdbMembershipProof& proof = *queries[p.query].proof;
+        if (res.unit_ok[p.unit] && chain_digests_match(crs, p.chain, proof)) {
+          results[p.query] = VerifyOutcome::accept_value(proof.value);
         }
       }
     } catch (const Error&) {

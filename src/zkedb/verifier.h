@@ -31,8 +31,9 @@ namespace desword::zkedb {
 /// zkedb/verify_cache.h).
 struct EdbVerifyOptions {
   bool batched = true;  // fold proof-chain equations into one multi-exp
-  /// Worker threads: the *_many fan-out, and the chunks one batched
-  /// proof's fold is evaluated in (see BatchVerifier::verify). 0 = default
+  /// Worker threads: the *_many fan-out, and the pool one batched
+  /// proof's verification pass runs its jobs on (see
+  /// BatchVerifier::verify). 0 = default
   /// (DESWORD_THREADS env var, else hardware_concurrency()), 1 = fully
   /// sequential.
   unsigned threads = 0;
@@ -67,8 +68,8 @@ struct EdbMembershipQuery {
 /// what edb_verify_membership would return for it. With `opts.batched`,
 /// each worker folds its whole shard of proofs into one batch — the main
 /// throughput lever of this module (see bench_zkedb VerifyManyBatched).
-/// The shards already fill the pool, so each shard's fold runs unchunked
-/// on its worker.
+/// The shards already fill the pool, so each shard's verification pass
+/// runs its jobs in order on its worker.
 std::vector<VerifyOutcome> edb_verify_membership_many(
     const EdbCrs& crs, const mercurial::QtmcCommitment& root,
     const std::vector<EdbMembershipQuery>& queries,

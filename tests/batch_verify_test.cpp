@@ -5,12 +5,14 @@
 // the bisection must pinpoint exactly the corrupted unit inside a large
 // batch. Also covers the fixed-base table registry shared across scheme
 // instances, the protocol-level reputation outcome under both
-// verification strategies, and the chunked fold: evaluating the fold on a
-// thread pool must not move a verdict or a bisection step.
+// verification strategies, and the verification pass: running a fold's
+// jobs on a thread pool must not move a verdict, a bisection step or a
+// derived C1.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -625,16 +627,18 @@ TEST_F(EdbDifferentialTest, VerifyManyPinpointsTamperedProof) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked fold: a pool splits each side of the RSA fold into concurrent
-// multi-exponentiation chunks. Same residues, so the same verdicts and the
-// same bisection, with no pool, a 1-wide pool and a 4-wide pool.
+// The verification pass: each fold runs its coprimality test, EC fold, h
+// power, multi-exp parts and (in the first pass) the queued C1 derivations
+// as one pass of jobs, on a pool when given one. The parts multiply to the
+// same residues, so the verdicts, the bisection steps and the derived C1s
+// are the same with no pool, a 1-wide pool and a 4-wide pool.
 
 std::uint64_t counter(const char* name) { return obs::metric(name).value(); }
 
-TEST(ChunkedMultiExpTest, ChunksMultiplyToTheSerialProduct) {
+TEST(PassPlanTest, PartsMultiplyToTheWholeProduct) {
   const QtmcKeyPair keys = QtmcScheme::keygen(/*q=*/2, kTestRsaBits);
   const ModExpContext mexp(keys.pk.n);
-  DrbgRandomSource rng(bytes_of("chunked-multi-exp"));
+  DrbgRandomSource rng(bytes_of("pass-plan"));
   std::vector<ModExpContext::ExpTerm> terms;
   for (int i = 0; i < 70; ++i) {
     // Mixed widths (and one zero exponent) exercise the width-sorted cuts.
@@ -643,21 +647,71 @@ TEST(ChunkedMultiExpTest, ChunksMultiplyToTheSerialProduct) {
     Bignum exp = bits == 0 ? Bignum(std::uint64_t{0}) : rng.rand_bits(bits);
     terms.push_back({std::move(base), std::move(exp)});
   }
-  const Bignum serial = mexp.multi_exp(terms);
-  ThreadPool four(4);
+  const Bignum whole = mexp.multi_exp(terms);
   const std::uint64_t calls = counter("crypto.multi_exp.calls");
   const std::uint64_t modexps = counter("crypto.modexp.calls");
-  EXPECT_EQ(mexp.multi_exp(terms, &four), serial);
-  // One logical multi-exp, however many chunks evaluated it.
+  const std::vector<const ModExpContext::ExpTerm*> live =
+      mexp.multi_exp_terms(terms);
+  ASSERT_EQ(live.size(), terms.size() - 1);  // the zero exponent drops
+  for (std::size_t i = 1; i < live.size(); ++i) {
+    EXPECT_GE(live[i - 1]->exponent.bits(), live[i]->exponent.bits());
+  }
+  for (std::size_t parts = 1; parts <= 8; ++parts) {
+    const std::vector<std::size_t> cut = mercurial::cut_multi_exp(live, parts);
+    ASSERT_EQ(cut.size(), parts + 1);
+    EXPECT_EQ(cut.front(), 0u);
+    EXPECT_EQ(cut.back(), live.size());
+    Bignum product(1);
+    for (std::size_t p = 0; p < parts; ++p) {
+      ASSERT_LT(cut[p], cut[p + 1]);
+      product = Bignum::mod_mul(
+          product,
+          mexp.multi_exp_part({live.data() + cut[p], cut[p + 1] - cut[p]}),
+          keys.pk.n);
+    }
+    EXPECT_EQ(product, whole) << parts << " parts";
+  }
+  // One logical multi-exp, however many parts evaluated it.
   EXPECT_EQ(counter("crypto.multi_exp.calls"), calls + 1);
   EXPECT_EQ(counter("crypto.modexp.calls"), modexps);
-  // Too few terms to split: the serial path, same answer.
-  const std::vector<ModExpContext::ExpTerm> few(terms.begin(),
-                                                terms.begin() + 9);
-  EXPECT_EQ(mexp.multi_exp(few, &four), mexp.multi_exp(few));
 }
 
-class ChunkedFoldTest : public ::testing::Test {
+/// What one verify() of a pile decides: the per-unit verdicts, the
+/// bisection steps it took and the C1s its first pass derived.
+struct PassRun {
+  BatchVerifier::Result result;
+  std::uint64_t bisect_steps = 0;
+  std::vector<Bignum> derived;
+};
+
+/// Verifies `bv` with no pool, a 1-wide and a 4-wide pool, clearing the
+/// C1 slots it derives into (`derived`) before each run; asserts that the
+/// three runs agree on every verdict, on the bisection step count and on
+/// every derived C1. Returns the first.
+PassRun verify_everywhere(const BatchVerifier& bv,
+                          const std::vector<Bignum*>& derived = {}) {
+  ThreadPool one(1);
+  ThreadPool four(4);
+  std::vector<PassRun> runs;
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+    for (Bignum* c1 : derived) *c1 = Bignum();
+    const std::uint64_t before = counter("crypto.batch_verify.bisect_steps");
+    PassRun run;
+    run.result = bv.verify(pool);
+    run.bisect_steps = counter("crypto.batch_verify.bisect_steps") - before;
+    for (const Bignum* c1 : derived) run.derived.push_back(*c1);
+    runs.push_back(std::move(run));
+  }
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].result.all_ok, runs[0].result.all_ok) << "pool " << i;
+    EXPECT_EQ(runs[i].result.unit_ok, runs[0].result.unit_ok) << "pool " << i;
+    EXPECT_EQ(runs[i].bisect_steps, runs[0].bisect_steps) << "pool " << i;
+    EXPECT_EQ(runs[i].derived, runs[0].derived) << "pool " << i;
+  }
+  return runs[0];
+}
+
+class VerifyPassTest : public ::testing::Test {
  protected:
   static constexpr std::uint32_t kHeight = 32;
 
@@ -673,7 +727,7 @@ class ChunkedFoldTest : public ::testing::Test {
       entries[member(i)] = bytes_of("value-" + std::to_string(i));
     }
     zk::EdbProverOptions opts;
-    opts.seed = bytes_of("chunked-fold");
+    opts.seed = bytes_of("verify-pass");
     prover_ = new zk::EdbProver(crs(), entries, opts);
   }
 
@@ -690,153 +744,352 @@ class ChunkedFoldTest : public ::testing::Test {
     return zk::key_for_identifier(*crs(), bytes_of("m" + std::to_string(i)));
   }
 
-  static mercurial::QtmcCommitment child(const std::vector<Bytes>& coms,
-                                         std::uint32_t d) {
-    return d == 0 ? prover_->commitment()
-                  : mercurial::QtmcCommitment::deserialize(modulus(),
-                                                           coms[d - 1]);
-  }
-
-  /// Adds a membership chain's equations as one unit, checking opening d
-  /// exactly as the verifier's chain walk does: against the root for
-  /// d = 0, else against the shipped C0 with C1 derived from its r1.
-  static void add_chain(BatchVerifier& bv, const zk::EdbMembershipProof& p) {
-    bv.begin_unit();
-    for (std::uint32_t d = 0; d < kHeight; ++d) {
-      const bool added =
-          d == 0 ? bv.add_open(prover_->commitment(), p.openings[d])
-                 : bv.add_open(
-                       {Bignum::from_bytes(p.child_commitments[d - 1]),
-                        qtmc().hard_c1(p.openings[d].r1)},
-                       p.openings[d], mercurial::C1Origin::kDerived);
-      if (!added) return;
-    }
-    bv.add_leaf_open(mercurial::TmcCommitment::deserialize(
-                         crs()->group(), p.child_commitments[kHeight - 1]),
-                     p.leaf_opening);
-  }
-
-  static void add_chain(BatchVerifier& bv,
-                        const zk::EdbNonMembershipProof& p) {
-    bv.begin_unit();
-    for (std::uint32_t d = 0; d < kHeight; ++d) {
-      if (!bv.add_tease(child(p.child_commitments, d), p.teases[d])) return;
-    }
-    bv.add_leaf_tease(mercurial::TmcCommitment::deserialize(
-                          crs()->group(), p.child_commitments[kHeight - 1]),
-                      p.leaf_tease);
-  }
-
-  struct Run {
-    BatchVerifier::Result result;
-    std::uint64_t bisect_steps = 0;
-  };
-
-  /// Verifies `bv` with no pool, a 1-wide and a 4-wide pool; asserts the
-  /// three agree on every verdict and on the bisection step count.
-  static Run verify_everywhere(const BatchVerifier& bv) {
-    ThreadPool one(1);
-    ThreadPool four(4);
-    std::vector<Run> runs;
-    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
-      const std::uint64_t before =
-          counter("crypto.batch_verify.bisect_steps");
-      Run run;
-      run.result = bv.verify(pool);
-      run.bisect_steps =
-          counter("crypto.batch_verify.bisect_steps") - before;
-      runs.push_back(run);
-    }
-    for (std::size_t i = 1; i < runs.size(); ++i) {
-      EXPECT_EQ(runs[i].result.all_ok, runs[0].result.all_ok) << "pool " << i;
-      EXPECT_EQ(runs[i].result.unit_ok, runs[0].result.unit_ok)
-          << "pool " << i;
-      EXPECT_EQ(runs[i].bisect_steps, runs[0].bisect_steps) << "pool " << i;
-    }
-    return runs[0];
-  }
-
-  /// Honest membership chain, `proof` (the case under test), honest
-  /// non-membership chain — so a rejected case also exercises bisection.
-  static Run verify_case(const zk::EdbMembershipProof& proof) {
-    BatchVerifier bv(qtmc(), &crs()->tmc());
-    add_chain(bv, prover_->prove_membership(member(1)));
-    add_chain(bv, proof);
-    add_chain(bv, prover_->prove_non_membership(absent()));
-    return verify_everywhere(bv);
-  }
-
   static EdbKey absent() {
     return zk::key_for_identifier(*crs(), bytes_of("absent"));
   }
 
-  static void expect_only_case_rejected(const Run& run) {
-    EXPECT_FALSE(run.result.all_ok);
-    EXPECT_EQ(run.result.unit_ok, (std::vector<bool>{true, false, true}));
+  /// A pile of proof chains, each one unit, added as zkedb's verifier adds
+  /// them: a membership chain opens its root as received and every inner
+  /// child on its shipped C0 with C1Origin::kDerived, its C1 queued for
+  /// the pass; its digests are checked after the pass (digests_ok).
+  class Pile {
+   public:
+    void add(const zk::EdbMembershipProof& p) {
+      bv_.begin_unit();
+      Chain& chain = chains_.emplace_back();
+      chain.proof = p;
+      chain.inner.resize(kHeight);
+      chain.inner[0] = prover_->commitment();
+      for (std::uint32_t d = 0; d < kHeight; ++d) {
+        if (d > 0) {
+          chain.inner[d].c0 = Bignum::from_bytes(p.child_commitments[d - 1]);
+        }
+        if (!bv_.add_open(chain.inner[d], p.openings[d],
+                          d == 0 ? mercurial::C1Origin::kReceived
+                                 : mercurial::C1Origin::kDerived)) {
+          return;
+        }
+      }
+      if (!bv_.add_leaf_open(leaf_of(p.child_commitments), p.leaf_opening)) {
+        return;
+      }
+      for (std::uint32_t d = 1; d < kHeight; ++d) {
+        bv_.derive_c1(p.openings[d].r1, &chain.inner[d].c1);
+        derived_.push_back(&chain.inner[d].c1);
+      }
+      chain.derived = true;
+    }
+
+    void add(const zk::EdbNonMembershipProof& p) {
+      bv_.begin_unit();
+      chains_.emplace_back();
+      for (std::uint32_t d = 0; d < kHeight; ++d) {
+        const mercurial::QtmcCommitment com =
+            d == 0 ? prover_->commitment()
+                   : mercurial::QtmcCommitment::deserialize(
+                         modulus(), p.child_commitments[d - 1]);
+        if (!bv_.add_tease(com, p.teases[d])) return;
+      }
+      bv_.add_leaf_tease(leaf_of(p.child_commitments), p.leaf_tease);
+    }
+
+    const BatchVerifier& verifier() const { return bv_; }
+
+    /// verify_everywhere over the pile; then checks every derived C1
+    /// against hard_c1 of its opening's r1.
+    PassRun verify() const {
+      PassRun run = verify_everywhere(bv_, derived_);
+      std::size_t k = 0;
+      for (const Chain& chain : chains_) {
+        if (!chain.derived) continue;
+        for (std::uint32_t d = 1; d < kHeight; ++d, ++k) {
+          EXPECT_EQ(run.derived.at(k),
+                    qtmc().hard_c1(chain.proof.openings[d].r1))
+              << "level " << d;
+        }
+      }
+      return run;
+    }
+
+    /// Whether unit u's opened messages are its children's digests (true
+    /// for non-membership units, whose digests the harness leaves alone).
+    bool digests_ok(std::size_t u) const {
+      const Chain& chain = chains_.at(u);
+      if (!chain.derived) return true;
+      for (std::uint32_t d = 0; d + 1 < kHeight; ++d) {
+        if (crs()->digest_inner(chain.inner[d + 1]) !=
+            chain.proof.openings[d].message) {
+          return false;
+        }
+      }
+      return crs()->digest_leaf(leaf_of(chain.proof.child_commitments)) ==
+             chain.proof.openings[kHeight - 1].message;
+    }
+
+   private:
+    struct Chain {
+      zk::EdbMembershipProof proof;
+      std::vector<mercurial::QtmcCommitment> inner;
+      bool derived = false;
+    };
+
+    static mercurial::TmcCommitment leaf_of(const std::vector<Bytes>& coms) {
+      return mercurial::TmcCommitment::deserialize(crs()->group(),
+                                                   coms[kHeight - 1]);
+    }
+
+    BatchVerifier bv_{qtmc(), &crs()->tmc()};
+    std::deque<Chain> chains_;  // stable: bv_ derives into their C1s
+    std::vector<Bignum*> derived_;
+  };
+
+  /// Honest membership chain, `proof` (the case under test), honest
+  /// non-membership chain — so a rejected case also exercises bisection.
+  /// Verdicts combine each unit's fold verdict with its digests.
+  static std::vector<bool> verify_case(const zk::EdbMembershipProof& proof) {
+    Pile pile;
+    pile.add(prover_->prove_membership(member(1)));
+    pile.add(proof);
+    pile.add(prover_->prove_non_membership(absent()));
+    const PassRun run = pile.verify();
+    std::vector<bool> verdicts = run.result.unit_ok;
+    for (std::size_t u = 0; u < verdicts.size(); ++u) {
+      verdicts[u] = verdicts[u] && pile.digests_ok(u);
+    }
+    return verdicts;
+  }
+
+  /// The case end to end through zkedb's verifier, on one thread and on
+  /// four: both must reject.
+  static void expect_verifier_rejects(const zk::EdbMembershipProof& proof) {
+    for (const unsigned threads : {1u, 4u}) {
+      zk::EdbVerifyOptions opts;
+      opts.threads = threads;
+      EXPECT_FALSE(zk::edb_verify_membership(*crs(), prover_->commitment(),
+                                             member(0), proof, opts)
+                       .ok)
+          << threads << " thread(s)";
+    }
+  }
+
+  static void expect_only_case_rejected(const zk::EdbMembershipProof& proof) {
+    EXPECT_EQ(verify_case(proof), (std::vector<bool>{true, false, true}));
+    expect_verifier_rejects(proof);
   }
 
   static zk::EdbCrsPtr* crs_;
   static zk::EdbProver* prover_;
 };
 
-zk::EdbCrsPtr* ChunkedFoldTest::crs_ = nullptr;
-zk::EdbProver* ChunkedFoldTest::prover_ = nullptr;
+zk::EdbCrsPtr* VerifyPassTest::crs_ = nullptr;
+zk::EdbProver* VerifyPassTest::prover_ = nullptr;
 
-TEST_F(ChunkedFoldTest, HonestChainsAccepted) {
-  const Run run = verify_case(prover_->prove_membership(member(0)));
+TEST_F(VerifyPassTest, HonestPileAccepted) {
+  Pile pile;
+  pile.add(prover_->prove_membership(member(0)));
+  pile.add(prover_->prove_membership(member(1)));
+  pile.add(prover_->prove_non_membership(absent()));
+  const PassRun run = pile.verify();
   EXPECT_TRUE(run.result.all_ok);
   EXPECT_EQ(run.bisect_steps, 0u);
+  for (std::size_t u = 0; u < 3; ++u) EXPECT_TRUE(pile.digests_ok(u));
+  for (const unsigned threads : {1u, 4u}) {
+    zk::EdbVerifyOptions opts;
+    opts.threads = threads;
+    EXPECT_TRUE(zk::edb_verify_membership(*crs(), prover_->commitment(),
+                                          member(0),
+                                          prover_->prove_membership(member(0)),
+                                          opts)
+                    .ok);
+    EXPECT_TRUE(zk::edb_verify_non_membership(
+                    *crs(), prover_->commitment(), absent(),
+                    prover_->prove_non_membership(absent()), opts)
+                    .ok);
+  }
 }
 
-TEST_F(ChunkedFoldTest, TamperedLambdaRejectedAtAnyLevel) {
+TEST_F(VerifyPassTest, TamperedLambdaRejectedAtAnyLevel) {
   for (const std::uint32_t level : {0u, 16u, 31u}) {
     auto proof = prover_->prove_membership(member(0));
     auto& lambda = proof.openings[level].lambda;
     lambda = qtmc().canonical(Bignum::mod_mul(lambda, Bignum(4), modulus()));
     SCOPED_TRACE(level);
-    expect_only_case_rejected(verify_case(proof));
+    expect_only_case_rejected(proof);
   }
 }
 
-TEST_F(ChunkedFoldTest, TauOffByOneRejected) {
+TEST_F(VerifyPassTest, TauOffByOneRejected) {
   auto proof = prover_->prove_membership(member(0));
   proof.openings[9].tau += Bignum(1);
-  expect_only_case_rejected(verify_case(proof));
+  expect_only_case_rejected(proof);
 }
 
-TEST_F(ChunkedFoldTest, WrongChildDigestRejected) {
+TEST_F(VerifyPassTest, WrongChildDigestRejected) {
   // Level 12's child is swapped for another member's node at that depth:
   // level 13's opening is then checked against the wrong commitment.
   auto proof = prover_->prove_membership(member(0));
   const auto other = prover_->prove_membership(member(2));
   ASSERT_NE(proof.child_commitments[12], other.child_commitments[12]);
   proof.child_commitments[12] = other.child_commitments[12];
-  expect_only_case_rejected(verify_case(proof));
+  expect_only_case_rejected(proof);
 }
 
-TEST_F(ChunkedFoldTest, SignFlipForgeryRejected) {
+TEST_F(VerifyPassTest, SignFlippedLambdaRejected) {
   auto proof = prover_->prove_membership(member(0));
   proof.openings[20].lambda = modulus() - proof.openings[20].lambda;
-  expect_only_case_rejected(verify_case(proof));
+  expect_only_case_rejected(proof);
 }
 
-TEST_F(ChunkedFoldTest, VerifyManyPileOf64) {
-  constexpr std::size_t kProofs = 64;
-  const std::vector<std::size_t> bad = {5, 40};
-  BatchVerifier bv(qtmc(), &crs()->tmc());
+TEST_F(VerifyPassTest, BadEcLeafRejected) {
+  auto proof = prover_->prove_membership(member(0));
+  proof.leaf_opening.r0 += Bignum(1);
+  expect_only_case_rejected(proof);
+}
+
+// An inner C0 with one byte flipped: E2' of the child it belongs to fails
+// in the fold, and its parent's digest, checked after the pass, no longer
+// matches.
+TEST_F(VerifyPassTest, FlippedInnerC0ByteRejected) {
+  auto proof = prover_->prove_membership(member(0));
+  Bytes& c0 = proof.child_commitments[7];
+  c0.back() ^= 0x01;
+  expect_only_case_rejected(proof);
+}
+
+// Two levels' r1s exchanged: both stay in range, so each level's C1 is
+// derived from the other's r1 and both E2's and both parents' digests
+// fail.
+TEST_F(VerifyPassTest, R1sSwappedBetweenLevelsRejected) {
+  auto proof = prover_->prove_membership(member(0));
+  ASSERT_NE(proof.openings[3].r1, proof.openings[11].r1);
+  std::swap(proof.openings[3].r1, proof.openings[11].r1);
+  expect_only_case_rejected(proof);
+}
+
+// The first fold of a 16-unit pile fails, so verify() bisects; every
+// unit's C1s were derived once, in the first pass, and are still exact.
+TEST_F(VerifyPassTest, PileOf16WithAFailingFirstFold) {
+  constexpr std::size_t kProofs = 16;
+  const std::vector<std::size_t> bad = {5, 12};
+  Pile pile;
   for (std::size_t i = 0; i < kProofs; ++i) {
     auto proof = prover_->prove_membership(member(static_cast<int>(i % 4)));
     if (std::find(bad.begin(), bad.end(), i) != bad.end()) {
-      proof.openings[i % kHeight].tau += Bignum(1);
+      proof.openings[(i * 7) % kHeight].tau += Bignum(1);
     }
-    add_chain(bv, proof);
+    pile.add(proof);
   }
-  const Run run = verify_everywhere(bv);
+  const std::uint64_t folds = counter("crypto.batch_verify.folds");
+  const PassRun run = pile.verify();
+  EXPECT_GT(counter("crypto.batch_verify.folds") - folds, 3u);
   EXPECT_FALSE(run.result.all_ok);
   EXPECT_GT(run.bisect_steps, 0u);
   for (std::size_t i = 0; i < kProofs; ++i) {
     const bool is_bad = std::find(bad.begin(), bad.end(), i) != bad.end();
     EXPECT_EQ(run.result.unit_ok[i], !is_bad) << "proof " << i;
+    EXPECT_TRUE(pile.digests_ok(i)) << "proof " << i;
+  }
+}
+
+// The Fiat–Shamir transcript is every field of every accumulated equation
+// in order, each framed as TaggedHasher::add frames it: recomputed here
+// one add() per field from the same equations, the digest must match.
+TEST(TranscriptTest, DigestFramesEveryFieldAsTaggedHasherAdds) {
+  const QtmcKeyPair qkeys = QtmcScheme::keygen(/*q=*/4, kTestRsaBits);
+  const QtmcScheme qtmc(qkeys.pk);
+  const GroupPtr group = make_p256_group();
+  const TmcKeyPair tkeys = TmcScheme::keygen(group);
+  const TmcScheme tmc(group, tkeys.pk);
+  const auto [com, dec] = qtmc.hard_commit(make_messages(4));
+  const auto [leaf, leaf_dec] = tmc.hard_commit(msg16(9));
+  const QtmcOpening op = qtmc.hard_open(dec, 2);
+  const QtmcTease tease = qtmc.tease_hard(dec, 1);
+  const TmcOpening leaf_op = tmc.hard_open(leaf_dec);
+  const TmcTease leaf_tease = tmc.tease_hard(leaf_dec);
+
+  BatchVerifier bv(qtmc, &tmc);
+  bv.begin_unit();
+  ASSERT_TRUE(bv.add_open(com, op));
+  ASSERT_TRUE(bv.add_tease(com, tease));
+  bv.begin_unit();
+  ASSERT_TRUE(bv.add_leaf_open(leaf, leaf_op));
+  ASSERT_TRUE(bv.add_leaf_tease(leaf, leaf_tease));
+
+  std::vector<mercurial::RsaEquation> rsa;
+  ASSERT_TRUE(qtmc.open_equations(com, op, rsa));
+  ASSERT_TRUE(qtmc.tease_equations(com, tease, rsa));
+  std::vector<mercurial::EcEquation> ec;
+  ASSERT_TRUE(tmc.open_equations(leaf, leaf_op, ec));
+  ASSERT_TRUE(tmc.tease_equations(leaf, leaf_tease, ec));
+  TaggedHasher h("desword/batch-verify");
+  h.add_u64(rsa.size());
+  for (const mercurial::RsaEquation& eq : rsa) {
+    h.add_u64(eq.lhs.size());
+    for (const mercurial::RsaTerm& t : eq.lhs) {
+      h.add_u64(static_cast<std::uint64_t>(t.kind));
+      h.add_u64(t.pos);
+      h.add(t.base.to_bytes());
+      h.add(t.exponent.to_bytes());
+    }
+    h.add(eq.rhs.to_bytes());
+  }
+  h.add_u64(ec.size());
+  for (const mercurial::EcEquation& eq : ec) {
+    h.add_u64(eq.lhs.size());
+    for (const mercurial::EcTerm& t : eq.lhs) {
+      h.add_u64(static_cast<std::uint64_t>(t.kind));
+      h.add(t.elem);
+      h.add(t.scalar.to_bytes());
+    }
+    h.add(eq.rhs);
+  }
+  EXPECT_EQ(bv.transcript_digest(), h.digest());
+}
+
+// The QtmcCoprimalityTest forgery — every equation holds mod N, only the
+// Jacobi job can reject it — alone and at unit 9 of a 16-unit pile.
+TEST(VerifyPassCoprimalityTest, NonCoprimeForgeryRejectedOnEveryPool) {
+  const RsaModulus mod =
+      generate_rsa_modulus(kTestRsaBits, /*keep_factors=*/true);
+  mercurial::QtmcPublicKey pk;
+  pk.n = mod.n;
+  pk.g = random_quadratic_residue(pk.n);
+  pk.h = Bignum::mod_exp(pk.g, Bignum::rand_bits(256), pk.n);
+  pk.prime_seed = random_bytes(32);
+  pk.q = 4;
+  const QtmcScheme scheme(pk);
+  const auto [com, dec] = scheme.hard_commit(make_messages(4));
+  QtmcOpening forged_op = scheme.hard_open(dec, 1);
+  forged_op.lambda = scheme.canonical(
+      Bignum::mod_mul(Bignum(std::uint64_t{7}), *mod.p, pk.n));
+  mercurial::QtmcCommitment forged{Bignum(1), com.c1};
+  std::vector<mercurial::RsaEquation> eqs;
+  ASSERT_TRUE(scheme.open_equations(forged, forged_op, eqs));
+  Bignum c0(1);
+  for (const mercurial::RsaTerm& t : eqs[1].lhs) {
+    c0 = Bignum::mod_mul(c0, scheme.eval_term(t), pk.n);
+  }
+  forged.c0 = scheme.canonical(c0);
+
+  BatchVerifier one(scheme);
+  one.begin_unit();
+  ASSERT_TRUE(one.add_open(forged, forged_op));
+  EXPECT_EQ(verify_everywhere(one).result.unit_ok, std::vector<bool>{false});
+
+  constexpr std::size_t kUnits = 16;
+  constexpr std::size_t kBad = 9;
+  BatchVerifier many(scheme);
+  for (std::size_t i = 0; i < kUnits; ++i) {
+    many.begin_unit();
+    ASSERT_TRUE(i == kBad ? many.add_open(forged, forged_op)
+                          : many.add_open(com, scheme.hard_open(
+                                                   dec, static_cast<std::uint32_t>(
+                                                            i % 4))));
+  }
+  const PassRun run = verify_everywhere(many);
+  EXPECT_GT(run.bisect_steps, 0u);
+  for (std::size_t i = 0; i < kUnits; ++i) {
+    EXPECT_EQ(run.result.unit_ok[i], i != kBad) << "unit " << i;
   }
 }
 

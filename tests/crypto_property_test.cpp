@@ -9,13 +9,13 @@
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "crypto/bignum.h"
 #include "crypto/hash.h"
 #include "crypto/modexp.h"
 #include "crypto/mont_ifma.h"
 #include "crypto/primes.h"
 #include "crypto/rsa.h"
+#include "mercurial/batch_verify.h"
 #include "mercurial/qtmc.h"
 #include "mercurial/tmc.h"
 
@@ -122,10 +122,10 @@ TEST(ModExpContextTest, RejectsEvenModulus) {
 // multi_exp against the product of single exp calls, across batch sizes
 // and exponent widths that reach every sliding-window Straus width the
 // cost model picks (w = 1 at 1 bit, 2 at 16, 3 at 63, 4 at 128, 5 at
-// 264/384, 6 at 1100, 7 at 2000, 8 at 5000) and Pippenger (200 × 63). A
-// 4-wide pool cuts the larger batches into chunks, each with its own
-// window choice; both paths must return the same residue, on either
-// Montgomery backend.
+// 264/384, 6 at 1100, 7 at 2000, 8 at 5000) and Pippenger (200 × 63).
+// Cut into 1–8 parts as a verification pass plans a fold side, each part
+// picks its own window; every cut must multiply to the same residue, on
+// either Montgomery backend.
 Bignum product_of_exps(const ModExpContext& ctx,
                        const std::vector<ModExpContext::ExpTerm>& terms) {
   Bignum acc(1);
@@ -133,6 +133,30 @@ Bignum product_of_exps(const ModExpContext& ctx,
     acc = Bignum::mod_mul(acc, ctx.exp(t.base, t.exponent), ctx.modulus());
   }
   return acc;
+}
+
+/// Every cut of `terms` into 1–8 parts (mercurial::cut_multi_exp, as
+/// BatchVerifier's pass plans a fold side) multiplies back to `expected`.
+void expect_parts_multiply_to(const ModExpContext& ctx,
+                              const std::vector<ModExpContext::ExpTerm>& terms,
+                              const Bignum& expected,
+                              const std::string& where) {
+  const std::vector<const ModExpContext::ExpTerm*> live =
+      ctx.multi_exp_terms(terms);
+  for (std::size_t parts = 1; parts <= 8; ++parts) {
+    const std::vector<std::size_t> cut = mercurial::cut_multi_exp(live, parts);
+    ASSERT_GE(cut.size(), 2u) << where;
+    EXPECT_LE(cut.size() - 1, parts) << where;
+    Bignum product(1);
+    for (std::size_t p = 0; p + 1 < cut.size(); ++p) {
+      ASSERT_LT(cut[p], cut[p + 1]) << where << " parts=" << parts;
+      product = Bignum::mod_mul(
+          product,
+          ctx.multi_exp_part({live.data() + cut[p], cut[p + 1] - cut[p]}),
+          ctx.modulus());
+    }
+    EXPECT_EQ(product, expected) << where << " parts=" << parts;
+  }
 }
 
 Bignum pow2(int k) {
@@ -145,7 +169,6 @@ TEST_P(MultiExpPropertyTest, MatchesProductOfSingleExps) {
   const RsaModulus mod = generate_rsa_modulus(512);
   SKIP_UNLESS_AVAILABLE(GetParam(), mod.n);
   const ModExpContext ctx(mod.n, GetParam());
-  ThreadPool four(4);
   for (const int bits : {1, 16, 63, 128, 264, 384, 1100, 2000, 5000}) {
     for (const std::size_t n : {2, 3, 8, 17, 47, 64, 80, 200}) {
       std::vector<ModExpContext::ExpTerm> terms;
@@ -166,7 +189,7 @@ TEST_P(MultiExpPropertyTest, MatchesProductOfSingleExps) {
       const std::string where =
           "n=" + std::to_string(n) + " bits=" + std::to_string(bits);
       EXPECT_EQ(ctx.multi_exp(terms), expected) << where;
-      EXPECT_EQ(ctx.multi_exp(terms, &four), expected) << where << " pooled";
+      expect_parts_multiply_to(ctx, terms, expected, where);
     }
   }
 }
@@ -177,7 +200,6 @@ TEST_P(MultiExpPropertyTest, OneWideTermAmongNarrowOnes) {
   const RsaModulus mod = generate_rsa_modulus(512);
   SKIP_UNLESS_AVAILABLE(GetParam(), mod.n);
   const ModExpContext ctx(mod.n, GetParam());
-  ThreadPool four(4);
   for (const std::size_t n : {2, 3, 8, 17, 47, 64, 80, 200}) {
     for (const int wide : {63, 264, 1100}) {
       std::vector<ModExpContext::ExpTerm> terms;
@@ -189,7 +211,7 @@ TEST_P(MultiExpPropertyTest, OneWideTermAmongNarrowOnes) {
       const std::string where =
           "n=" + std::to_string(n) + " wide=" + std::to_string(wide);
       EXPECT_EQ(ctx.multi_exp(terms), expected) << where;
-      EXPECT_EQ(ctx.multi_exp(terms, &four), expected) << where << " pooled";
+      expect_parts_multiply_to(ctx, terms, expected, where);
     }
   }
 }

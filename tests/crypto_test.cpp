@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "common/serial.h"
 #include "crypto/bignum.h"
 #include "crypto/group.h"
 #include "crypto/hash.h"
 #include "crypto/primes.h"
+#include "crypto/randsource.h"
 #include "crypto/rsa.h"
 #include "crypto/schnorr.h"
 
@@ -122,6 +124,48 @@ TEST(HashTest, TaggedHasherMatchesOneShot) {
   TaggedHasher h("t");
   h.add(bytes_of("x")).add(bytes_of("y"));
   EXPECT_EQ(h.digest(), hash_tagged("t", {bytes_of("x"), bytes_of("y")}));
+}
+
+// The transcript framing: the tag, then each part, each behind its LEB128
+// length (BinaryWriter::bytes) — one-, two- and three-byte lengths and an
+// empty part — whether the parts go in one add() at a time or framed in
+// one buffer through add_framed().
+TEST(HashTest, TaggedHasherFramesPartsAsBinaryWriterBytes) {
+  const std::vector<Bytes> parts = {Bytes(), bytes_of("x"),
+                                    Bytes(200, 0xab), Bytes(20000, 0x5c)};
+  BinaryWriter all;
+  all.bytes(bytes_of("tag"));
+  BinaryWriter framed;
+  TaggedHasher one_by_one("tag");
+  for (const Bytes& p : parts) {
+    all.bytes(p);
+    framed.bytes(p);
+    one_by_one.add(p);
+  }
+  const Bytes expected = sha256(all.view());
+  EXPECT_EQ(one_by_one.digest(), expected);
+  TaggedHasher at_once("tag");
+  at_once.add_framed(framed.view());
+  EXPECT_EQ(at_once.digest(), expected);
+}
+
+TEST(HashTest, DrbgStreamDoesNotDependOnReadSizes) {
+  DrbgRandomSource whole(bytes_of("seed"));
+  DrbgRandomSource pieces(bytes_of("seed"));
+  const Bytes stream = whole.bytes(16 * 7);
+  Bytes read;
+  for (int i = 0; i < 7; ++i) append(read, pieces.bytes(16));
+  EXPECT_EQ(read, stream);
+}
+
+TEST(BignumTest, ToBytesIntoReusedBuffer) {
+  Bytes out(300, 0xff);
+  for (const Bignum& x : {Bignum::from_hex("0102030405060708090a0b0c0d0e0f10"),
+                          Bignum(std::uint64_t{7}), Bignum()}) {
+    x.to_bytes(out);
+    EXPECT_EQ(out, x.to_bytes());
+  }
+  EXPECT_THROW(Bignum(std::uint64_t{3}).negated().to_bytes(out), CryptoError);
 }
 
 TEST(HashTest, HashTo128Width) {

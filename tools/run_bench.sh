@@ -27,6 +27,11 @@
 #   * "proof_size" carries every ZkEdb/ProveMember case's proof_KB (the
 #     wire size of one membership proof) — the acceptance metric for the
 #     proof layout.
+#   Both also carry their figure per level per modulus byte: bytes
+#   divided by h times the qTMC modulus width, the parameters (with q)
+#   that bench_zkedb reports next to it. Per-key storage and proof bytes
+#   are one C0 and about one opening per trie level, so the normalized
+#   figure is about the same at any parameters, and the gates bound it.
 #
 # Usage: tools/run_bench.sh [--build-dir DIR] [--out FILE] [--check]
 #   --build-dir DIR  where the bench binaries live (default: build)
@@ -34,9 +39,11 @@
 #   --check          exit non-zero if any batched configuration is slower
 #                    than its scalar counterpart, if the warm repeat-
 #                    query cache hit rate drops below 0.8, or if a prover
-#                    keeps more than PROVER_KIB_PER_KEY_MAX KiB per key in
-#                    the largest ZkEdb/Commit cases, or if a membership
-#                    proof exceeds PROOF_KB_MAX KiB (CI perf smoke).
+#                    keeps more than PROVER_BYTES_PER_LEVEL_MAX bytes per
+#                    key per level per modulus byte in the largest
+#                    ZkEdb/Commit cases, or if a membership proof exceeds
+#                    PROOF_BYTES_PER_LEVEL_MAX bytes per level per modulus
+#                    byte (CI perf smoke, at any parameters).
 #                    Refuses up front, running and writing nothing, when the
 #                    existing --out file records a different cpu_count than
 #                    this host: re-baseline with a plain run first.
@@ -80,19 +87,22 @@ if recorded is not None and recorded != here:
 PY
 fi
 
-# Bound on ZkEdb/Commit KiB_per_key at the largest database size. Set
-# for the CI's reduced parameters (DESWORD_BENCH_QUICK=1, RSA-1024: q = 4,
-# h = 8, 8 keys), where a prover keeps 1.85 KiB per key (3.49 before trie
-# nodes kept C0 and derived their randomizers). Heap bytes do not depend
-# on the host's speed, so the bound holds on any machine; at full
-# parameters (q = 16, h = 32, RSA-2048) the figure is 10.9 KiB.
-PROVER_KIB_PER_KEY_MAX=2.5
+# Bound on ZkEdb/Commit KiB_per_key at the largest database size, per
+# trie level per modulus byte: KiB_per_key · 1024 / (h · modulus bytes).
+# A prover keeps 1.85 there at the CI's reduced parameters
+# (DESWORD_BENCH_QUICK=1, RSA-1024: q = 4, h = 8, 8 keys; 3.49 before trie
+# nodes kept C0 and derived their randomizers) and 1.36 at full ones
+# (q = 16, h = 32, RSA-2048: 10.9 KiB per key); the per-node constant
+# weighs less against a wider C0. Heap bytes do not depend on the host's
+# speed, so the bound holds on any machine.
+PROVER_BYTES_PER_LEVEL_MAX=2.5
 
-# Bound on ZkEdb/ProveMember proof_KB, for the same reduced parameters:
-# a membership proof is 2.73 KiB there (3.64 while it shipped each inner
-# child's C1 next to its C0). Proof bytes depend only on q, h and the
-# modulus width; at full parameters the figure is 18.72 KiB (26.59).
-PROOF_KB_MAX=3.2
+# Bound on ZkEdb/ProveMember proof_KB, normalized the same way: a
+# membership proof is 2.73 at the reduced parameters (2.73 KiB) and 2.34
+# at full ones (18.72 KiB); 3.64 and 3.32 while it shipped each inner
+# child's C1 next to its C0. Proof bytes depend only on q, h and the
+# modulus width.
+PROOF_BYTES_PER_LEVEL_MAX=3.2
 
 BENCHES=(bench_qtmc_micro bench_zkedb bench_poc_comp bench_macro)
 LINES="$(mktemp)"
@@ -114,15 +124,15 @@ for bench in "${BENCHES[@]}"; do
   }
 done
 
-python3 - "$LINES" "$OUT" "$CHECK" "$PROVER_KIB_PER_KEY_MAX" \
-    "$PROOF_KB_MAX" <<'PY'
+python3 - "$LINES" "$OUT" "$CHECK" "$PROVER_BYTES_PER_LEVEL_MAX" \
+    "$PROOF_BYTES_PER_LEVEL_MAX" <<'PY'
 import json
 import os
 import sys
 
 lines_path, out_path, check = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
-kib_per_key_max = float(sys.argv[4])
-proof_kb_max = float(sys.argv[5])
+prover_per_level_max = float(sys.argv[4])
+proof_per_level_max = float(sys.argv[5])
 cpu_count = os.cpu_count() or 1
 results = []
 with open(lines_path, encoding="utf-8") as fh:
@@ -226,27 +236,44 @@ if cold_repeat and warm_repeat:
         "warm_hit_rate": warm_repeat.get("counters", {}).get("hit_rate"),
     }
 
-# Every ZkEdb/Commit/<n>/<threads> case's KiB_per_key, from the median
-# aggregate.
-prover_memory = []
-for r in results:
-    case = r.get("case", "")
-    kib = r.get("counters", {}).get("KiB_per_key")
-    if case.startswith("ZkEdb/Commit/") and case.endswith("_median") \
-            and kib is not None:
-        n, threads = case.split("/")[2:4]
-        prover_memory.append({"keys": int(n), "threads": int(threads),
-                              "kib_per_key": kib})
+def per_level(kib, counters):
+    """KiB as bytes per trie level per qTMC modulus byte, or None when the
+    case did not report its parameters."""
+    h = counters.get("h")
+    width = counters.get("modulus_bytes")
+    if not h or not width:
+        return None
+    return round(kib * 1024 / (h * width), 3)
+
+
+def median_cases(prefix, counter):
+    """(keys, threads, value, counters) of every <prefix><n>/<threads>
+    case's median aggregate that reports `counter`."""
+    out = []
+    for r in results:
+        case = r.get("case", "")
+        counters = r.get("counters", {})
+        value = counters.get(counter)
+        if case.startswith(prefix) and case.endswith("_median") \
+                and value is not None:
+            n, threads = case[len(prefix):].split("/")[0:2]
+            out.append((int(n), int(threads), value, counters))
+    return out
+
+
+# Every ZkEdb/Commit/<n>/<threads> case's KiB_per_key.
+prover_memory = [
+    {"keys": n, "threads": threads, "kib_per_key": kib,
+     "bytes_per_level_per_modulus_byte": per_level(kib, counters)}
+    for n, threads, kib, counters in median_cases("ZkEdb/Commit/",
+                                                  "KiB_per_key")]
 
 # Every ZkEdb/ProveMember/<n>/<threads> case's proof_KB.
-proof_size = []
-for r in results:
-    case = r.get("case", "")
-    kb = r.get("counters", {}).get("proof_KB")
-    if case.startswith("ZkEdb/ProveMember/") and kb is not None:
-        n, threads = case.split("/")[2:4]
-        proof_size.append({"keys": int(n), "threads": int(threads),
-                           "proof_kb": kb})
+proof_size = [
+    {"keys": n, "threads": threads, "proof_kb": kb,
+     "bytes_per_level_per_modulus_byte": per_level(kb, counters)}
+    for n, threads, kb, counters in median_cases("ZkEdb/ProveMember/",
+                                                 "proof_KB")]
 
 summary = {
     "generated_by": "tools/run_bench.sh",
@@ -281,10 +308,12 @@ for c in fault_configs:
           "retransmits/query, success {success_rate:.2f}".format(**c))
 for c in prover_memory:
     print("  prover_memory {keys} keys, {threads} thread(s): "
-          "{kib_per_key:.2f} KiB/key".format(**c))
+          "{kib_per_key:.2f} KiB/key, {bytes_per_level_per_modulus_byte} "
+          "per level per modulus byte".format(**c))
 for c in proof_size:
     print("  proof_size {keys} keys, {threads} thread(s): "
-          "{proof_kb:.2f} KiB".format(**c))
+          "{proof_kb:.2f} KiB, {bytes_per_level_per_modulus_byte} "
+          "per level per modulus byte".format(**c))
 if repeat_query:
     print("  repeat_query: cold {cold_queries_per_sec:.2f}/s warm "
           "{warm_queries_per_sec:.2f}/s speedup {speedup:.2f}x "
@@ -348,24 +377,31 @@ if check:
               file=sys.stderr)
         sys.exit(1)
     largest = max(c["keys"] for c in prover_memory)
-    heavy = [c for c in prover_memory
-             if c["keys"] == largest and c["kib_per_key"] > kib_per_key_max]
+    heavy = [c for c in prover_memory if c["keys"] == largest and (
+        c["bytes_per_level_per_modulus_byte"] is None
+        or c["bytes_per_level_per_modulus_byte"] > prover_per_level_max)]
     if heavy:
         for c in heavy:
             print(f"run_bench.sh: prover keeps {c['kib_per_key']:.2f} KiB "
-                  f"per key at {c['keys']} keys, {c['threads']} thread(s) "
-                  f"(bound {kib_per_key_max})", file=sys.stderr)
+                  f"per key at {c['keys']} keys, {c['threads']} thread(s): "
+                  f"{c['bytes_per_level_per_modulus_byte']} bytes per level "
+                  f"per modulus byte (bound {prover_per_level_max})",
+                  file=sys.stderr)
         sys.exit(1)
     # Membership proof bytes on the wire.
     if not proof_size:
         print("run_bench.sh: --check but no ZkEdb/ProveMember proof_KB found",
               file=sys.stderr)
         sys.exit(1)
-    large = [c for c in proof_size if c["proof_kb"] > proof_kb_max]
+    large = [c for c in proof_size if (
+        c["bytes_per_level_per_modulus_byte"] is None
+        or c["bytes_per_level_per_modulus_byte"] > proof_per_level_max)]
     if large:
         for c in large:
             print(f"run_bench.sh: membership proof is {c['proof_kb']:.2f} "
-                  f"KiB at {c['keys']} keys, {c['threads']} thread(s) "
-                  f"(bound {proof_kb_max})", file=sys.stderr)
+                  f"KiB at {c['keys']} keys, {c['threads']} thread(s): "
+                  f"{c['bytes_per_level_per_modulus_byte']} bytes per level "
+                  f"per modulus byte (bound {proof_per_level_max})",
+                  file=sys.stderr)
         sys.exit(1)
 PY
