@@ -5,8 +5,8 @@
 //   * ownership proof verification (grows with h only)
 //   * non-ownership proof generation / verification ("similar" per the
 //     paper — included for completeness). Generation proves a fresh absent
-//     id per iteration, so it pays for the fabricated soft nodes;
-//     NOwnProofGenRepeat times the memoized replay of one absent id.
+//     id per iteration; a repeat of one id does the same work, since every
+//     fabricated soft node is re-derived from the prover key.
 //   * POC aggregation (extension: the distribution-phase commit cost)
 //
 // The proof cases take a third argument: the prover / verifier thread
@@ -117,16 +117,6 @@ void BM_NOwnProofGen(benchmark::State& state) {
   }
 }
 
-void BM_NOwnProofGenRepeat(benchmark::State& state) {
-  PocFixture& fx = proof_fixture(state);
-  for (auto _ : state) {
-    // The fixture already proved ghost_id: this replays the memoized
-    // fabrication (hard teases of committed nodes are recomputed).
-    auto proof = fx.scheme->prove(*fx.dpoc, fx.ghost_id);
-    benchmark::DoNotOptimize(proof.zk_proof);
-  }
-}
-
 void BM_NOwnProofVerify(benchmark::State& state) {
   PocFixture& fx = proof_fixture(state);
   const poc::PocProof proof = poc::PocProof::deserialize(fx.nown_proof);
@@ -189,7 +179,6 @@ void register_all() {
       add("Fig5/OwnProofGen", BM_OwnProofGen, 5, {ql, hl, t});
       add("Fig5/OwnProofVerify", BM_OwnProofVerify, 20, {ql, hl, t});
       add("Fig5/NOwnProofGen", BM_NOwnProofGen, 5, {ql, hl, t});
-      add("Fig5/NOwnProofGenRepeat", BM_NOwnProofGenRepeat, 5, {ql, hl, t});
       add("Fig5/NOwnProofVerify", BM_NOwnProofVerify, 20, {ql, hl, t});
     }
     add("Ext/PocAggregate", BM_PocAggregate, 3, {ql, hl});

@@ -132,7 +132,7 @@ void BM_qSOpen_soft(benchmark::State& state) {
   const auto msgs = bench_messages(q);
   std::uint32_t pos = 0;
   for (auto _ : state) {
-    auto tease = scheme.tease_soft(dec, pos, msgs[pos]);
+    auto tease = scheme.tease_soft(dec, pos, msgs[pos], desword::system_random());
     pos = (pos + 1) % q;
     benchmark::DoNotOptimize(tease.lambda);
   }

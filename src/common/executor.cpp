@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <functional>
-#include <thread>
 #include <utility>
 
 #include "common/timing.h"
@@ -73,72 +72,6 @@ void Executor::drain() {
 std::size_t Executor::pending() const {
   MutexLock lk(mu_);
   return pending_;
-}
-
-Strand::Strand(std::shared_ptr<Executor> executor)
-    : executor_(std::move(executor)), state_(std::make_shared<State>()) {}
-
-void Strand::post(std::function<void()> fn) {
-  if (!fn) return;
-  bool start_drainer = false;
-  {
-    MutexLock lk(state_->mu);
-    state_->queue.push_back(std::move(fn));
-    if (!state_->running) {
-      state_->running = true;
-      start_drainer = true;
-    }
-  }
-  if (start_drainer) {
-    // The drainer holds the state alive by shared_ptr; on an inline
-    // executor it runs (and empties the queue) before post() returns.
-    auto state = state_;
-    executor_->post([state] { run_queue(state); });
-  }
-}
-
-void Strand::run_queue(const std::shared_ptr<State>& state) {
-  const std::size_t self_hash =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lk(state->mu);
-      if (state->queue.empty()) {
-        state->running = false;
-        state->idle_cv.notify_all();
-        return;
-      }
-      task = std::move(state->queue.front());
-      state->queue.pop_front();
-    }
-    state->executing_thread_hash.store(self_hash, std::memory_order_relaxed);
-    try {
-      task();
-    } catch (...) {
-      // Same fire-and-forget contract as Executor::post.
-    }
-    state->executing_thread_hash.store(0, std::memory_order_relaxed);
-  }
-}
-
-void Strand::drain() {
-  MutexLock lk(state_->mu);
-  while (!(state_->queue.empty() && !state_->running)) {
-    state_->idle_cv.wait(lk);
-  }
-}
-
-std::size_t Strand::pending() const {
-  MutexLock lk(state_->mu);
-  return state_->queue.size() + (state_->running ? 1 : 0);
-}
-
-bool Strand::running_on_this_thread() const {
-  const std::size_t self_hash =
-      std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return state_->executing_thread_hash.load(std::memory_order_relaxed) ==
-         self_hash;
 }
 
 }  // namespace desword

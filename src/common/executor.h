@@ -7,17 +7,11 @@
 // fire-and-forget task queue backed by the shared `ThreadPool` — and
 // receive the result back on the loop thread via `net::Transport::post()`.
 //
-// Ordering is provided by `Strand`, a serial sub-executor in the asio
-// tradition: tasks posted to one strand run one at a time, in post order,
-// but different strands run concurrently on the underlying pool. The
-// protocol maps state onto strands as:
-//
-//   * one strand per participant — proof generation is serialized per
-//     node (the prover memoizes into its decommitment state), while
-//     distinct participants prove concurrently;
-//   * none for the proxy — its hop checks are pure, so they go straight to
-//     the executor and the proxy commits their verdicts in hop order on
-//     its loop thread.
+// Neither endpoint needs a serial sub-executor: proof generation only
+// reads the participant's decommitment state (a non-membership proof is a
+// function of the prover key), so a participant's builds run concurrently,
+// and the proxy's hop checks are pure, so it commits their verdicts in hop
+// order on its loop thread. Both post straight to the executor.
 //
 // An `Executor` constructed with 0 workers runs every task inline on the
 // posting thread, reproducing single-threaded behavior exactly — the
@@ -25,16 +19,13 @@
 // path and an inline executor only ever appears in tests.
 //
 // Lifetime rule: tasks capture raw pointers to their owner, so the owner
-// MUST `drain()` its strands/executor before destruction (the protocol
+// MUST `drain()` its executor before destruction (the protocol
 // destructors do). `drain()` blocks until every in-flight and queued task
 // finished; it must not be called from inside a task.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
 
 #include "common/mutex.h"
 #include "common/thread_pool.h"
@@ -93,51 +84,6 @@ class Executor {
   mutable Mutex mu_;
   CondVar idle_cv_;
   std::size_t pending_ DESWORD_GUARDED_BY(mu_) = 0;
-};
-
-/// Serial sub-executor: tasks run in post order, never concurrently with
-/// each other. Internally keeps a queue and at most one "drainer" task on
-/// the executor which runs queued entries until the queue empties.
-///
-/// The queue state is held by shared_ptr so a drainer scheduled on the
-/// pool stays valid even if the Strand object itself is destroyed — but
-/// the *tasks* still reference their owner, so owners drain before death.
-class Strand {
- public:
-  explicit Strand(std::shared_ptr<Executor> executor);
-
-  /// Enqueues `fn` behind every previously posted task of this strand.
-  void post(std::function<void()> fn);
-
-  /// Blocks until the strand's queue is empty and no task is running.
-  void drain();
-
-  /// Tasks posted to this strand but not yet finished.
-  std::size_t pending() const;
-
-  /// True iff the calling thread is currently executing a task posted to
-  /// this strand. Used by debug affinity assertions inside strand
-  /// continuations (DESIGN.md §10); false from any other thread,
-  /// including between this strand's tasks.
-  bool running_on_this_thread() const;
-
- private:
-  struct State {
-    Mutex mu;
-    CondVar idle_cv;
-    std::deque<std::function<void()>> queue DESWORD_GUARDED_BY(mu);
-    bool running DESWORD_GUARDED_BY(mu) = false;  // a drainer owns the strand
-    // Hash of the thread id currently running a task of this strand (0 =
-    // none). Written by the drainer around each task, read lock-free by
-    // running_on_this_thread(); plain relaxed atomics suffice because the
-    // only reader that can observe its own id is the executing thread.
-    std::atomic<std::size_t> executing_thread_hash{0};
-  };
-
-  static void run_queue(const std::shared_ptr<State>& state);
-
-  std::shared_ptr<Executor> executor_;
-  std::shared_ptr<State> state_;
 };
 
 }  // namespace desword

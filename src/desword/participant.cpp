@@ -73,7 +73,7 @@ Participant::~Participant() {
   // Finish in-flight proof builds first: after the drain no worker touches
   // this object again. Completions already posted to the loop guard
   // themselves with the aliveness token.
-  if (strand_) strand_->drain();
+  if (executor_) executor_->drain();
   for (auto& [task_id, task] : tasks_) {
     if (task.ps_retry_timer != 0) transport_.cancel_timer(task.ps_retry_timer);
     if (task.report_retry_timer != 0) {
@@ -84,9 +84,8 @@ Participant::~Participant() {
 }
 
 void Participant::set_executor(std::shared_ptr<Executor> executor) {
-  if (strand_) strand_->drain();
+  if (executor_) executor_->drain();
   executor_ = std::move(executor);
-  strand_ = executor_ ? std::make_unique<Strand>(executor_) : nullptr;
 }
 
 void Participant::load_database(supplychain::TraceDatabase db) {
@@ -588,7 +587,7 @@ void Participant::respond_cached(const net::Envelope& env,
   }
   const auto inflight = in_flight_.find(key);
   if (inflight != in_flight_.end()) {
-    // The original request's proof is still being generated on the strand:
+    // The original request's proof is still being generated on a worker:
     // attach to that job instead of re-running it. Each arrival still gets
     // its own response delivery when the build lands.
     stats_.duplicate_requests_served += 1;
@@ -598,7 +597,7 @@ void Participant::respond_cached(const net::Envelope& env,
   }
   reply_cache_misses().add();
   in_flight_.emplace(key, InFlight{resp_type, {env.from}});
-  if (!strand_) {
+  if (!executor_) {
     // Inline: build and complete in the handler. A throwing build clears
     // its entry before the handler drops the request, so a retransmission
     // recomputes instead of joining a build that will never land.
@@ -614,14 +613,10 @@ void Participant::respond_cached(const net::Envelope& env,
   }
   transport_.add_work();
   std::weak_ptr<void> token = alive_;
-  // Raw Strand pointer is safe: the destructor (and rebind) drain the
-  // strand before releasing it, so the task never outlives *strand.
-  Strand* strand = strand_.get();
-  strand_->post([this, token, key, strand, compute = std::move(compute)] {
+  // `this` is safe: the destructor (and rebind) drain the executor first.
+  executor_->post([this, token, key, compute = std::move(compute)] {
     // Worker context: reply_cache_/in_flight_ are loop-owned and must not
     // be touched here — results travel back through transport_.post.
-    DESWORD_DCHECK(strand->running_on_this_thread(),
-                   "proof task escaped its participant strand");
     Bytes payload;
     bool ok = true;
     try {
@@ -662,7 +657,7 @@ void Participant::on_query_request(const net::Envelope& env,
                                    const QueryRequest& m) {
   if (query_behavior_.unresponsive) return;
   // Resolve the proving context here (contexts_ is loop-thread state) and
-  // hand the builder a copy: the strand job must not touch the map.
+  // hand the builder a copy: the worker job must not touch the map.
   std::optional<ProofContext> ctx;
   if (const ProofContext* found = context_for(m.poc)) ctx = *found;
   respond_cached(env, msg::kQueryResponse, [this, m, ctx]() -> Bytes {

@@ -123,11 +123,11 @@ class Participant {
   const Stats& stats() const { return stats_; }
 
   /// Attaches an executor: query/reveal/next-hop responses are then built
-  /// on a per-participant strand (proof generation serialized per node,
-  /// concurrent across nodes) and sent from the loop thread via
-  /// `Transport::post()`. Without an executor (the default) every response
-  /// is computed inline in the handler, byte-identically to the historical
-  /// behavior. Must be called before query traffic arrives.
+  /// on its workers, concurrently (a proof only reads the DPOC), and sent
+  /// from the loop thread via `Transport::post()`. Without an executor (the
+  /// default) every response is computed inline in the handler. Either
+  /// way the response bytes are the same. Rebinding drains the old
+  /// executor first. Must be called before query traffic arrives.
   void set_executor(std::shared_ptr<Executor> executor);
 
   /// Rebounds the query-phase reply cache (LRU; 0 = unbounded). Shrinks
@@ -216,13 +216,13 @@ class Participant {
   Bytes make_ownership_proof(const ProofContext& ctx,
                              const supplychain::ProductId& product);
   /// The one gateway to `PocScheme::prove`, counted in
-  /// `stats_.proofs_generated`. Every request proves afresh: an ownership
-  /// proof reveals stored randomness and a repeated non-ownership proof
-  /// replays the prover's fabrication memo, so a repeat is byte-identical
-  /// (the proxy's hop memo, keyed by the proof bytes, still hits) and
-  /// costs a few milliseconds (DESIGN.md §12). Behaviour deviations
-  /// (tampering, relabelling, corruption) apply on the returned proof at
-  /// the call sites. Safe from strand workers.
+  /// `stats_.proofs_generated`. Every request proves afresh: both proof
+  /// kinds are a function of the prover key and the committed trie, so a
+  /// repeat is byte-identical (the proxy's hop memo, keyed by the proof
+  /// bytes, still hits) and costs a few milliseconds (DESIGN.md §12).
+  /// Behaviour deviations (tampering, relabelling, corruption) apply on
+  /// the returned proof at the call sites. Safe from concurrent executor
+  /// workers.
   poc::PocProof prove_poc(const ProofContext& ctx,
                           const supplychain::ProductId& product);
   /// Applies the corrupt_proof deviation (bit-flips the serialized proof)
@@ -237,8 +237,9 @@ class Participant {
   /// Every miss registers an `in_flight_` entry that finish_in_flight
   /// completes. Inline (no executor), `compute` runs in the handler and
   /// completes in the same call stack. With an executor, `compute` runs on
-  /// the participant's strand and completes from a posted loop-thread
-  /// continuation; a duplicate request arriving meanwhile joins the entry
+  /// a worker and completes from a posted loop-thread continuation (builds
+  /// for different requests may finish in any order); a duplicate request
+  /// arriving meanwhile joins the entry
   /// (one proof generation, one response delivery per request arrival).
   /// `compute` must be self-contained (by-value captures only).
   void respond_cached(const net::Envelope& env, const std::string& resp_type,
@@ -288,11 +289,10 @@ class Participant {
   Stats stats_;
   net::Handler fallback_;
 
-  std::shared_ptr<Executor> executor_;  // null = inline (legacy) mode
-  std::unique_ptr<Strand> strand_;      // per-participant proof ordering
+  std::shared_ptr<Executor> executor_;  // null = inline mode
   /// Aliveness token for posted completions: a completion that outlives
   /// this participant (weak_ptr expired) becomes a no-op instead of a
-  /// use-after-free. The destructor drains the strand first, so workers
+  /// use-after-free. The destructor drains the executor first, so workers
   /// never outlive the object either.
   std::shared_ptr<void> alive_ = std::make_shared<int>(0);
 };

@@ -1,7 +1,7 @@
 // Admission control for concurrent query sessions.
 //
 // The proxy can drive many query state machines over one transport, but
-// each in-flight session costs retransmission timers, strand slots, and
+// each in-flight session costs retransmission timers, executor tasks, and
 // participant-side proof work. The scheduler bounds how many sessions are
 // active at once: `submit` either launches a query immediately or parks it
 // in a FIFO queue; `finished` frees the slot and admits the
@@ -14,7 +14,7 @@
 // proxy's entry points via DESWORD_DCHECK_ON_LOOP (DESIGN.md §10) rather
 // than by capability annotations — there is deliberately no mutex here to
 // annotate, and the `loop-affinity` lint rule keeps scheduler_ touches out
-// of worker-context strand continuations.
+// of worker-context executor tasks.
 #pragma once
 
 #include <cstddef>

@@ -25,7 +25,7 @@ Scenario::Scenario(supplychain::SupplyChainGraph graph, ScenarioConfig config)
       p->set_max_distribution_retries(config_.max_distribution_retries);
     }
     // One worker pool serves the whole deployment: proxy verifies and
-    // participant proofs share the executor, each behind its own strand.
+    // participant proofs share the executor.
     if (proxy_->executor()) p->set_executor(proxy_->executor());
     participants_.emplace(id, std::move(p));
   }

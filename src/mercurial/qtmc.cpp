@@ -497,13 +497,8 @@ std::pair<QtmcCommitment, QtmcSoftDecommit> QtmcScheme::soft_commit(
   Bignum r1 = rng.rand_bits(kRandomizerBits);
   // Teasing needs r1 invertible modulo every e_i.
   while (!coprime_to_primes(r1)) r1 = rng.rand_bits(kRandomizerBits);
-  QtmcSoftDecommit dec{std::move(r0), std::move(r1)};
-  QtmcCommitment com = soft_commitment(dec);
-  return {std::move(com), std::move(dec)};
-}
-
-QtmcCommitment QtmcScheme::soft_commitment(const QtmcSoftDecommit& dec) const {
-  return QtmcCommitment{canonical(pow_g(dec.r0)), canonical(pow_g(dec.r1))};
+  QtmcCommitment com{canonical(pow_g(r0)), canonical(pow_g(r1))};
+  return {std::move(com), QtmcSoftDecommit{std::move(r0), std::move(r1)}};
 }
 
 void QtmcScheme::precompute_fixed_bases(bool position_bases) const {
@@ -627,7 +622,8 @@ Bignum QtmcScheme::soft_lambda(std::uint32_t pos, const Bignum& k0,
 }
 
 QtmcTease QtmcScheme::tease_soft(const QtmcSoftDecommit& dec,
-                                 std::uint32_t pos, BytesView msg) const {
+                                 std::uint32_t pos, BytesView msg,
+                                 RandomSource& rng) const {
   if (pos >= pk_.q) throw CryptoError("qTMC tease_soft: bad position");
   const Bignum m = message_to_scalar(msg);
   const Bignum& e = e_[pos];
@@ -635,7 +631,7 @@ QtmcTease QtmcScheme::tease_soft(const QtmcSoftDecommit& dec,
   // are distributed like hard ones.
   const Bignum inv_r1 = Bignum::mod_inverse(dec.r1.mod(e), e);
   const Bignum t = Bignum::mod_mul((dec.r0 - m * rho_[pos]).mod(e), inv_r1, e);
-  Bignum tau = t + Bignum::rand_bits(kRandomizerBits - kPrimeBits) * e;
+  Bignum tau = t + rng.rand_bits(kRandomizerBits - kPrimeBits) * e;
 
   Bignum a = dec.r0 - tau * dec.r1 - m * rho_[pos];
   Bignum rem;

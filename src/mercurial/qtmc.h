@@ -233,14 +233,11 @@ class QtmcScheme {
   std::pair<QtmcCommitment, QtmcSoftDecommit> soft_commit(
       RandomSource& rng) const;
 
-  /// The soft commitment (C0, C1) = (g^{r0}, g^{r1}) that `dec` opens: lets
-  /// a holder of many soft decommitments store them without their
-  /// commitments and recompute one on demand (two fixed-base powers).
-  QtmcCommitment soft_commitment(const QtmcSoftDecommit& dec) const;
-
   /// qSOpen of a soft commitment: tease position `pos` to arbitrary `msg`.
+  /// τ's lift (so soft teases are distributed like hard ones) is drawn from
+  /// `rng`: a DRBG makes the tease a function of (dec, pos, msg, seed).
   QtmcTease tease_soft(const QtmcSoftDecommit& dec, std::uint32_t pos,
-                       BytesView msg) const;
+                       BytesView msg, RandomSource& rng) const;
 
   /// Verifies a hard opening. Never throws on bad input. Equivalent to
   /// emitting open_equations and checking each equation scalar-wise.

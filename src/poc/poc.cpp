@@ -112,7 +112,8 @@ std::pair<Poc, std::unique_ptr<PocDecommitment>> PocScheme::aggregate(
   return {std::move(poc), std::move(dpoc)};
 }
 
-PocProof PocScheme::prove(PocDecommitment& dpoc, BytesView product_id) const {
+PocProof PocScheme::prove(const PocDecommitment& dpoc,
+                          BytesView product_id) const {
   const zkedb::EdbKey key = zkedb::key_for_identifier(*crs_, product_id);
   PocProof proof;
   if (dpoc.owns(product_id)) {

@@ -49,7 +49,7 @@ class PocDecommitment {
 
   bool owns(BytesView product_id) const;
   std::size_t trace_count() const { return traces_.size(); }
-  zkedb::EdbProver& prover() { return *prover_; }
+  const zkedb::EdbProver& prover() const { return *prover_; }
   const std::map<Bytes, Bytes>& traces() const { return traces_; }
   const zkedb::EdbCrs& crs() const { return *crs_; }
 
@@ -103,8 +103,9 @@ class PocScheme {
       const zkedb::EdbProverOptions& options = {}) const;
 
   /// POC-Proof: ownership proof if the participant holds a trace for
-  /// `product_id`, otherwise a non-ownership proof.
-  PocProof prove(PocDecommitment& dpoc, BytesView product_id) const;
+  /// `product_id`, otherwise a non-ownership proof. Read-only: a repeat is
+  /// byte-identical, and calls on one DPOC may overlap.
+  PocProof prove(const PocDecommitment& dpoc, BytesView product_id) const;
 
   /// POC-Verify.
   PocVerifyResult verify(const Poc& poc, BytesView product_id,

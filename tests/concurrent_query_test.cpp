@@ -32,7 +32,7 @@ ScenarioConfig fast_config() {
 
 TEST(ConcurrentQueryTest, RetransmitJoinsInFlightProofGeneration) {
   ScenarioConfig cfg = fast_config();
-  // Participants build proofs on their strands.
+  // Participants build proofs on the executor's workers.
   cfg.proxy.verify.worker_threads = 2;
   Scenario scenario(SupplyChainGraph::paper_example(), cfg);
 
@@ -65,7 +65,7 @@ TEST(ConcurrentQueryTest, RetransmitJoinsInFlightProofGeneration) {
           .serialize();
   // Back-to-back identical requests: both deliver in the same poll round,
   // so the second necessarily arrives while the first's proof generation
-  // is still in flight on the strand — the deterministic join race.
+  // is still in flight on a worker — the deterministic join race.
   transport.send("probe", first_hop, msg::kQueryRequest, request);
   transport.send("probe", first_hop, msg::kQueryRequest, request);
 

@@ -1,14 +1,10 @@
-// Executor / Strand unit tests: task accounting, drain semantics, strand
-// serialization, inline mode, and the metric hooks.
+// Executor unit tests: task accounting, drain semantics, inline mode, and
+// the metric hooks.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <memory>
-#include <mutex>
-#include <set>
+#include <stdexcept>
 #include <thread>
-#include <vector>
 
 #include "common/executor.h"
 #include "common/thread_pool.h"
@@ -63,107 +59,6 @@ TEST(ExecutorTest, MetricHooksObserveSubmissionAndCompletion) {
   exec.drain();
   EXPECT_EQ(submitted.value() - before_submitted, 10u);
   EXPECT_EQ(completed.value() - before_completed, 10u);
-}
-
-TEST(StrandTest, SerializesTasksInFifoOrder) {
-  auto exec = std::make_shared<Executor>(4);
-  Strand strand(exec);
-  constexpr int kN = 300;
-  std::vector<int> order;  // no lock: the strand is the lock
-  std::atomic<int> overlap{0};
-  std::atomic<bool> in_task{false};
-  for (int i = 0; i < kN; ++i) {
-    strand.post([&, i] {
-      if (in_task.exchange(true)) overlap.fetch_add(1);
-      order.push_back(i);
-      in_task.store(false);
-    });
-  }
-  strand.drain();
-  exec->drain();
-  EXPECT_EQ(overlap.load(), 0);
-  ASSERT_EQ(order.size(), static_cast<std::size_t>(kN));
-  for (int i = 0; i < kN; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(StrandTest, IndependentStrandsRunConcurrently) {
-  auto exec = std::make_shared<Executor>(4);
-  Strand a(exec);
-  Strand b(exec);
-  // If a and b were serialized against each other this would deadlock-free
-  // but never overlap; with 4 workers the rendezvous below must succeed.
-  std::atomic<bool> a_entered{false};
-  std::atomic<bool> b_entered{false};
-  std::atomic<bool> overlapped{false};
-  const auto spin_until = [](std::atomic<bool>& flag) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    return flag.load();
-  };
-  a.post([&] {
-    a_entered.store(true);
-    if (spin_until(b_entered)) overlapped.store(true);
-  });
-  b.post([&] {
-    b_entered.store(true);
-    if (spin_until(a_entered)) overlapped.store(true);
-  });
-  a.drain();
-  b.drain();
-  exec->drain();
-  EXPECT_TRUE(overlapped.load());
-}
-
-TEST(StrandTest, DrainWaitsForQueuedTasks) {
-  auto exec = std::make_shared<Executor>(2);
-  Strand strand(exec);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 50; ++i) {
-    strand.post([&ran] {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      ran.fetch_add(1);
-    });
-  }
-  strand.drain();
-  EXPECT_EQ(ran.load(), 50);
-  EXPECT_EQ(strand.pending(), 0u);
-  exec->drain();
-}
-
-TEST(StrandTest, StrandTaskExceptionDoesNotStopSuccessors) {
-  auto exec = std::make_shared<Executor>(2);
-  Strand strand(exec);
-  std::atomic<int> ran{0};
-  strand.post([] { throw std::runtime_error("strand boom"); });
-  strand.post([&ran] { ran.fetch_add(1); });
-  strand.drain();
-  exec->drain();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ExecutorTest, ManyStrandsManyTasksStress) {
-  auto exec = std::make_shared<Executor>(4);
-  constexpr int kStrands = 8;
-  constexpr int kTasksPerStrand = 100;
-  std::vector<std::unique_ptr<Strand>> strands;
-  std::vector<std::atomic<int>> counters(kStrands);
-  for (int sidx = 0; sidx < kStrands; ++sidx) {
-    strands.push_back(std::make_unique<Strand>(exec));
-  }
-  for (int t = 0; t < kTasksPerStrand; ++t) {
-    for (int sidx = 0; sidx < kStrands; ++sidx) {
-      strands[static_cast<std::size_t>(sidx)]->post(
-          [&counters, sidx] { counters[sidx].fetch_add(1); });
-    }
-  }
-  for (auto& strand : strands) strand->drain();
-  exec->drain();
-  for (int sidx = 0; sidx < kStrands; ++sidx) {
-    EXPECT_EQ(counters[sidx].load(), kTasksPerStrand);
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Locking-discipline regression suite (ISSUE 8).
 //
 // Covers the annotated synchronization wrappers (common/mutex.h), the
-// loop-thread affinity tagging (net/transport.h, common/executor.h), and
+// loop-thread affinity tagging (net/transport.h), and
 // the three under-locked-read fixes that rode along with the annotation
 // sweep:
 //   * Network::stats() must not materialize map entries on reads of
@@ -25,7 +25,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/executor.h"
 #include "common/mutex.h"
 #include "net/network.h"
 #include "net/transport.h"
@@ -253,27 +252,6 @@ TEST(TransportTest, PollBindsTheLoopThread) {
   // Re-polling from the bound thread keeps the binding (first wins).
   transport.poll();
   EXPECT_TRUE(transport.on_loop_thread());
-}
-
-TEST(StrandTest, RunningOnThisThreadTracksExecution) {
-  auto executor = std::make_shared<Executor>(2u);
-  Strand strand(executor);
-
-  EXPECT_FALSE(strand.running_on_this_thread());
-
-  std::atomic<bool> inside_sees_it{false};
-  std::atomic<bool> ran{false};
-  strand.post([&] {
-    inside_sees_it.store(strand.running_on_this_thread());
-    ran.store(true);
-  });
-  strand.drain();
-  ASSERT_TRUE(ran.load());
-  EXPECT_TRUE(inside_sees_it.load())
-      << "a task posted to the strand does not see itself running on it";
-  // Between tasks the slot clears again.
-  EXPECT_FALSE(strand.running_on_this_thread());
-  executor->drain();
 }
 
 }  // namespace

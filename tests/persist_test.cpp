@@ -1,12 +1,14 @@
 // DPOC persistence: a reloaded prover must keep producing proofs that
-// verify under the ORIGINAL commitment, including previously memoized
-// non-membership fabrications.
+// verify under the ORIGINAL commitment, byte for byte the original's, and
+// the state must not grow with the proofs made.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <map>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/serial.h"
 #include "crypto/hash.h"
@@ -49,7 +51,7 @@ class PersistTest : public ::testing::Test {
 
 // A CRS fixed down to its last byte (RSA-512 modulus, bases, prime seed,
 // TMC base) and a seeded prover over two entries: the prover state is a
-// constant, so a blob an older build wrote for it must load in this one.
+// constant, which blobs older builds wrote for it were recorded from.
 EdbCrsPtr fixture_crs() {
   EdbPublicParams params;
   params.q = 4;
@@ -147,19 +149,15 @@ TEST_F(PersistTest, ReloadedMembershipProofShipsOnlyC0) {
   }
 }
 
-TEST_F(PersistTest, MemoizedFabricationsSurviveReload) {
-  // Fabricate a soft path before saving; afterwards the reloaded prover
-  // must present the SAME digest chain for that key (consistency of the
-  // simulated view across restarts).
+TEST_F(PersistTest, NonMembershipProofsSurviveReload) {
+  // A non-membership proof is a function of the key and the committed
+  // trie, so a reloaded prover presents the SAME proof for a key proven
+  // before the save (consistency of the simulated view across restarts).
   const EdbKey ghost = key("ghost");
   const auto before = prover_->prove_non_membership(ghost);
-  const Bytes state = prover_->serialize_state();
-  EdbProver reloaded = EdbProver::load(crs_, state);
+  EdbProver reloaded = EdbProver::load(crs_, prover_->serialize_state());
   const auto after = reloaded.prove_non_membership(ghost);
-  ASSERT_EQ(before.child_commitments.size(), after.child_commitments.size());
-  for (std::size_t i = 0; i < before.child_commitments.size(); ++i) {
-    EXPECT_EQ(before.child_commitments[i], after.child_commitments[i]) << i;
-  }
+  EXPECT_EQ(after.serialize(*crs_), before.serialize(*crs_));
   EXPECT_TRUE(edb_verify_non_membership(*crs_, prover_->commitment(), ghost,
                                         after));
 }
@@ -186,174 +184,93 @@ TEST_F(PersistTest, CorruptedStateRejected) {
   }
 }
 
-TEST_F(PersistTest, InnerNodeMessageOfWrongWidthRejected) {
-  // A version 2 blob stores each inner node's q messages at 16 bytes
-  // each, so a stored message of any other width must fail the load, not
-  // shift the packing. Walk the layout to the root node's first message
-  // and cut it to 15 bytes.
-  const Bytes state = read_hex_file(std::string(DESWORD_TEST_DATA_DIR) +
-                                    "/dpoc_state_v2.hex");
-  BinaryReader r(state);
-  (void)r.u32();  // magic
-  ASSERT_EQ(r.u8(), 2);
-  for (std::uint64_t n = r.varint(); n > 0; --n) {
-    (void)r.bytes();  // key
-    (void)r.bytes();  // value
-  }
-  ASSERT_GT(r.varint(), 0u);  // inner nodes
-  (void)r.str();              // prefix
-  (void)r.bytes();            // commitment
-  ASSERT_EQ(r.varint(), test_config().q);
-  const std::size_t at = state.size() - r.remaining();
-  ASSERT_EQ(state[at], 16);  // length prefix of the first message
-  Bytes bad(state.begin(), state.begin() + static_cast<long>(at));
-  bad.push_back(15);
-  bad.insert(bad.end(), state.begin() + static_cast<long>(at) + 1,
-             state.begin() + static_cast<long>(at) + 16);
-  bad.insert(bad.end(), state.begin() + static_cast<long>(at) + 17,
-             state.end());
-  EXPECT_THROW(EdbProver::load(fixture_crs(), bad), SerializationError);
-}
-
-TEST_F(PersistTest, InnerNodeInconsistentWithTheTrieRejected) {
-  // A version 2 blob stores each inner node's commitment and messages,
-  // which the loaded prover re-derives from the trie and the stored
-  // randomizers instead, so a blob whose stored ones disagree must fail
-  // the load. Walk to the root node's commitment and to its first
-  // message, and flip one byte of each.
-  const EdbCrsPtr crs = fixture_crs();
-  const Bytes state = read_hex_file(std::string(DESWORD_TEST_DATA_DIR) +
-                                    "/dpoc_state_v2.hex");
-  BinaryReader r(state);
-  (void)r.u32();  // magic
-  ASSERT_EQ(r.u8(), 2);
-  for (std::uint64_t n = r.varint(); n > 0; --n) {
-    (void)r.bytes();  // key
-    (void)r.bytes();  // value
-  }
-  ASSERT_GT(r.varint(), 0u);  // inner nodes
-  (void)r.str();              // prefix
-  const std::size_t com_end = state.size() - r.remaining();
-  (void)r.bytes();  // commitment
-  const std::size_t com_last = state.size() - r.remaining() - 1;
-  ASSERT_GT(com_last, com_end);
-  ASSERT_EQ(r.varint(), test_config().q);
-  const std::size_t message_at = state.size() - r.remaining() + 1;
-  for (const std::size_t at : {com_last, message_at}) {
-    Bytes bad = state;
-    bad[at] ^= 0x01;
-    EXPECT_THROW(EdbProver::load(crs, bad), SerializationError) << at;
-  }
-  const EdbProver fresh(crs, fixture_entries(*crs), fixture_options());
-  EXPECT_EQ(EdbProver::load(crs, state).commitment(), fresh.commitment());
-}
-
-TEST_F(PersistTest, FabricatedNodesStoredWithoutTheirCommitments) {
-  // Version 3 stores no node's commitment but the root's: trie nodes and
-  // backings are re-derived from the key, and a fabricated inner soft node
-  // is stored as its decommitment. A replay after reload is byte-identical.
-  const EdbKey ghost = key("ghost");
-  const auto proof = prover_->prove_non_membership(ghost);
+TEST_F(PersistTest, StateDoesNotGrowWithNonMembershipProofs) {
+  // The state holds the key, the entries and the trie nodes' epochs:
+  // proofs store nothing, so 50 of them leave it byte for byte as it was,
+  // and no fabricated commitment appears in it.
   const Bytes state = prover_->serialize_state();
+  EdbNonMembershipProof last;
+  for (int i = 0; i < 50; ++i) {
+    const EdbKey ghost = key("ghost-" + std::to_string(i));
+    if (!prover_->contains(ghost)) last = prover_->prove_non_membership(ghost);
+  }
+  EXPECT_EQ(prover_->serialize_state(), state);
   const auto stored = [&state](const Bytes& needle) {
     return std::search(state.begin(), state.end(), needle.begin(),
                        needle.end()) != state.end();
   };
-  // The ghost's path leaves the root through a trie node; with 4 entries
-  // the walk falls off the trie long before the last inner level, whose
-  // node was fabricated.
-  const std::size_t h = test_config().height;
   EXPECT_TRUE(stored(prover_->commitment_bytes()));
-  EXPECT_FALSE(stored(proof.child_commitments[0]));
-  EXPECT_FALSE(stored(proof.child_commitments[h - 2]));
-  EdbProver reloaded = EdbProver::load(crs_, state);
-  EXPECT_EQ(reloaded.prove_non_membership(ghost).serialize(*crs_),
-            proof.serialize(*crs_));
+  for (const Bytes& com : last.child_commitments) EXPECT_FALSE(stored(com));
 }
 
-TEST_F(PersistTest, VersionOneStateStillLoads) {
-  // tests/data/dpoc_state_v1.hex is the fixture prover's state in the
-  // version 1 layout, recorded by an earlier build whose writer still
-  // stored soft commitments: every soft node a backing node, inner ones
-  // with their commitment (tag 0), version byte 1.
+// Proving only reads the prover, so serialize_state may run while
+// non-membership proofs do (TSan covers the overlap), and each proof is
+// the one a sequential run makes.
+TEST_F(PersistTest, SerializeWhileProvingNonMembership) {
+  std::vector<EdbKey> ghosts;
+  std::vector<Bytes> expected;
+  for (int i = 0; i < 4; ++i) {
+    const EdbKey ghost = key("overlap-ghost-" + std::to_string(i));
+    if (prover_->contains(ghost)) continue;
+    ghosts.push_back(ghost);
+    expected.push_back(
+        prover_->prove_non_membership(ghosts.back()).serialize(*crs_));
+  }
+  const Bytes state = prover_->serialize_state();
+  std::vector<Bytes> got(ghosts.size());
+  std::vector<Bytes> states(ghosts.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < ghosts.size(); ++i) {
+    threads.emplace_back([&, i] {
+      got[i] = prover_->prove_non_membership(ghosts[i]).serialize(*crs_);
+    });
+    threads.emplace_back([&, i] { states[i] = prover_->serialize_state(); });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(got, expected);
+  for (const Bytes& s : states) EXPECT_EQ(s, state);
+}
+
+TEST_F(PersistTest, OlderStateVersionsRejected) {
+  // tests/data holds the fixture prover's state as older builds wrote it:
+  // version 1 (every node's commitment and drawn randomizers), version 2
+  // (the same without inner soft commitments; once as the shared-backing
+  // layout after one non-membership proof for "ghost", once as the
+  // per-child backing layout), and version 3 (the key and node epochs,
+  // plus the fabrications of one non-membership proof for "ghost", named
+  // by a counter). No key re-derives their randomizers or fabrications, so
+  // each is refused by version before anything else is read.
   const EdbCrsPtr crs = fixture_crs();
-  const Bytes v1 =
-      read_hex_file(std::string(DESWORD_TEST_DATA_DIR) + "/dpoc_state_v1.hex");
-  ASSERT_GT(v1.size(), 5u);
-  ASSERT_EQ(v1[4], 1);
-  const EdbProver fresh(crs, fixture_entries(*crs), fixture_options());
-  EdbProver reloaded = EdbProver::load(crs, v1);
-  EXPECT_EQ(reloaded.commitment(), fresh.commitment());
-  for (const auto& [key, value] : fixture_entries(*crs)) {
-    const auto got = edb_verify_membership(*crs, fresh.commitment(), key,
-                                           reloaded.prove_membership(key));
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(*got, value);
+  for (const char* name : {"dpoc_state_v1", "dpoc_state_v2",
+                           "dpoc_state_per_child", "dpoc_state_v3"}) {
+    const Bytes state = read_hex_file(std::string(DESWORD_TEST_DATA_DIR) +
+                                      "/" + name + ".hex");
+    ASSERT_GT(state.size(), 5u) << name;
+    ASSERT_GE(state[4], 1) << name;
+    ASSERT_LE(state[4], 3) << name;
+    try {
+      (void)EdbProver::load(crs, state);
+      ADD_FAILURE() << name << " loaded";
+    } catch (const SerializationError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported DPOC state version"),
+                std::string::npos)
+          << name << ": " << e.what();
+    }
   }
-  const EdbKey ghost = key_for_identifier(*crs, bytes_of("ghost"));
-  EXPECT_TRUE(edb_verify_non_membership(*crs, fresh.commitment(), ghost,
-                                        reloaded.prove_non_membership(ghost)));
-  // Written back as version 3, the nodes keep the randomizers they were
-  // loaded with but no commitment or message, and an older version byte
-  // cannot carry that layout.
-  Bytes rewritten = reloaded.serialize_state();
-  ASSERT_EQ(rewritten[4], 3);
-  EXPECT_LT(rewritten.size(), v1.size());
-  EXPECT_EQ(EdbProver::load(crs, rewritten).commitment(), fresh.commitment());
-  for (const std::uint8_t older : {1, 2}) {
-    rewritten[4] = older;
-    EXPECT_THROW(EdbProver::load(crs, rewritten), SerializationError);
+  // Nor does today's layout load under any other version byte.
+  const EdbProver prover(crs, fixture_entries(*crs), fixture_options());
+  Bytes state = prover.serialize_state();
+  ASSERT_EQ(state[4], 4);
+  EXPECT_EQ(EdbProver::load(crs, state).commitment(), prover.commitment());
+  for (const std::uint8_t other : {0, 1, 2, 3, 5}) {
+    state[4] = other;
+    EXPECT_THROW(EdbProver::load(crs, state), SerializationError) << +other;
   }
 }
 
-TEST_F(PersistTest, VersionTwoStateStillLoads) {
-  // tests/data/dpoc_state_v2.hex is the fixture prover's state after one
-  // non-membership proof for "ghost", in the version 2 layout: every inner
-  // node with its commitment, messages and randomizers, every backing a
-  // soft node, the fabricated path memoized below one of them.
-  const EdbCrsPtr crs = fixture_crs();
-  const Bytes v2 =
-      read_hex_file(std::string(DESWORD_TEST_DATA_DIR) + "/dpoc_state_v2.hex");
-  ASSERT_GT(v2.size(), 5u);
-  ASSERT_EQ(v2[4], 2);
-  EdbProver fresh(crs, fixture_entries(*crs), fixture_options());
-  const EdbKey ghost = key_for_identifier(*crs, bytes_of("ghost"));
-  const EdbNonMembershipProof fresh_ghost = fresh.prove_non_membership(ghost);
-  EdbProver reloaded = EdbProver::load(crs, v2);
-  EXPECT_EQ(reloaded.commitment(), fresh.commitment());
-  for (const auto& [key, value] : fixture_entries(*crs)) {
-    EXPECT_EQ(reloaded.prove_membership(key).serialize(*crs),
-              fresh.prove_membership(key).serialize(*crs));
-  }
-  // The stored fabrication replays: the chain the seeded prover derives,
-  // with the memoized teases (a tease draws fresh lift randomness, so
-  // only a replay repeats one).
-  const EdbNonMembershipProof replay = reloaded.prove_non_membership(ghost);
-  EXPECT_EQ(replay.child_commitments, fresh_ghost.child_commitments);
-  EXPECT_TRUE(
-      edb_verify_non_membership(*crs, fresh.commitment(), ghost, replay));
-  EXPECT_EQ(reloaded.prove_non_membership(ghost).serialize(*crs),
-            replay.serialize(*crs));
-  const EdbKey other = key_for_identifier(*crs, bytes_of("other-ghost"));
-  EXPECT_TRUE(edb_verify_non_membership(*crs, fresh.commitment(), other,
-                                        reloaded.prove_non_membership(other)));
-  // Updates after the load draw from the loaded prover's fresh key.
-  const EdbKey late = key_for_identifier(*crs, bytes_of("late"));
-  reloaded.insert(late, bytes_of("late-value"));
-  const auto got = edb_verify_membership(*crs, reloaded.commitment(), late,
-                                         reloaded.prove_membership(late));
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(*got, bytes_of("late-value"));
-  const Bytes rewritten = reloaded.serialize_state();
-  ASSERT_EQ(rewritten[4], 3);
-  EdbProver again = EdbProver::load(crs, rewritten);
-  EXPECT_EQ(again.commitment(), reloaded.commitment());
-  EXPECT_EQ(again.serialize_state(), rewritten);
-}
-
-TEST_F(PersistTest, VersionThreeKeyOrEpochFlipRejected) {
-  // A version 3 blob stores the key and each node's epochs, from which the
-  // load re-derives every node: flipping a byte of either yields other
+TEST_F(PersistTest, KeyOrEpochFlipRejected) {
+  // The state stores the key and each node's epochs, from which the load
+  // re-derives every node: flipping a byte of either yields other
   // randomizers, hence another root than the stored one.
   const EdbCrsPtr crs = fixture_crs();
   EdbProver prover(crs, fixture_entries(*crs), fixture_options());
@@ -361,11 +278,10 @@ TEST_F(PersistTest, VersionThreeKeyOrEpochFlipRejected) {
   const Bytes state = prover.serialize_state();
   BinaryReader r(state);
   (void)r.u32();  // magic
-  ASSERT_EQ(r.u8(), 3);
+  ASSERT_EQ(r.u8(), 4);
   const std::size_t key_at = state.size() - r.remaining() + 1;
   ASSERT_EQ(r.bytes(), fixture_options().seed);
   ASSERT_EQ(r.varint(), 1u);  // epoch: one insert
-  (void)r.varint();           // fabrication counter
   for (std::uint64_t n = r.varint(); n > 0; --n) {
     (void)r.bytes();  // key
     (void)r.bytes();  // value
@@ -382,26 +298,6 @@ TEST_F(PersistTest, VersionThreeKeyOrEpochFlipRejected) {
     EXPECT_THROW(EdbProver::load(crs, bad), SerializationError) << at;
   }
   EXPECT_EQ(EdbProver::load(crs, state).commitment(), prover.commitment());
-}
-
-TEST_F(PersistTest, PerChildBackedStateRejected) {
-  // tests/data/dpoc_state_per_child.hex is the fixture prover's state as an
-  // earlier build wrote it when asked to back every absent child with a
-  // soft node of its own, keyed by the child's prefix. Backing is now keyed
-  // by the trie node's prefix, so the stored messages do not match what
-  // the loaded trie derives: the load itself must fail, before any proof.
-  const Bytes state = read_hex_file(std::string(DESWORD_TEST_DATA_DIR) +
-                                    "/dpoc_state_per_child.hex");
-  ASSERT_GT(state.size(), 5u);
-  try {
-    (void)EdbProver::load(fixture_crs(), state);
-    ADD_FAILURE() << "a state with child-keyed backing loaded";
-  } catch (const SerializationError& e) {
-    EXPECT_NE(std::string(e.what()).find(
-                  "inner node messages do not match the trie"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 TEST_F(PersistTest, PocDecommitmentRoundTrip) {

@@ -114,26 +114,28 @@ TEST_P(QtmcTest, OpenRejectsWrongCommitment) {
 TEST_P(QtmcTest, SoftCommitTeasesToAnythingAtAnyPosition) {
   const auto [com, dec] = scheme_->soft_commit();
   for (std::uint32_t i = 0; i < q_; ++i) {
-    const QtmcTease t = scheme_->tease_soft(dec, i, msg16(static_cast<int>(i)));
+    const QtmcTease t = scheme_->tease_soft(
+        dec, i, msg16(static_cast<int>(i)), system_random());
     EXPECT_TRUE(scheme_->verify_tease(com, t)) << "pos " << i;
   }
   // Including the null message.
-  const QtmcTease tn = scheme_->tease_soft(dec, 0, null_message());
+  const QtmcTease tn = scheme_->tease_soft(
+      dec, 0, null_message(), system_random());
   EXPECT_TRUE(scheme_->verify_tease(com, tn));
 }
 
 TEST_P(QtmcTest, SoftCommitTeasesSamePositionToDifferentMessages) {
   // The equivocation at the heart of non-ownership proofs.
   const auto [com, dec] = scheme_->soft_commit();
-  const QtmcTease t1 = scheme_->tease_soft(dec, 0, msg16(1));
-  const QtmcTease t2 = scheme_->tease_soft(dec, 0, msg16(2));
+  const QtmcTease t1 = scheme_->tease_soft(dec, 0, msg16(1), system_random());
+  const QtmcTease t2 = scheme_->tease_soft(dec, 0, msg16(2), system_random());
   EXPECT_TRUE(scheme_->verify_tease(com, t1));
   EXPECT_TRUE(scheme_->verify_tease(com, t2));
 }
 
 TEST_P(QtmcTest, SoftCommitCannotBeHardOpenedNaively) {
   const auto [com, dec] = scheme_->soft_commit();
-  const QtmcTease t = scheme_->tease_soft(dec, 0, msg16(3));
+  const QtmcTease t = scheme_->tease_soft(dec, 0, msg16(3), system_random());
   // Present the tease as an opening using the soft r1 — must fail the
   // C1 = h^{r1} check (C1 is a power of g, not of h).
   QtmcOpening cheat{0, t.message, t.tau, t.lambda, dec.r1};
@@ -151,7 +153,8 @@ TEST_P(QtmcTest, HardAndSoftTeasesLookAlike) {
   const auto [hcom, hdec] = scheme_->hard_commit(make_messages(q_));
   const auto [scom, sdec] = scheme_->soft_commit();
   const QtmcTease th = scheme_->tease_hard(hdec, 0);
-  const QtmcTease ts = scheme_->tease_soft(sdec, 0, hdec.message(0));
+  const QtmcTease ts = scheme_->tease_soft(
+      sdec, 0, hdec.message(0), system_random());
   EXPECT_EQ(th.serialize(keys_.pk.n).size(), ts.serialize(keys_.pk.n).size());
 }
 
@@ -362,7 +365,7 @@ void expect_matches_reference(const QtmcScheme& scheme, const Reference& ref) {
       const QtmcTease th = scheme.tease_hard(dec, i);
       EXPECT_EQ(th.lambda, expected);
       EXPECT_TRUE(scheme.verify_tease(com, th));
-      const QtmcTease ts = scheme.tease_soft(sdec, i, msgs[i]);
+      const QtmcTease ts = scheme.tease_soft(sdec, i, msgs[i], system_random());
       EXPECT_EQ(ts.lambda, scheme.canonical(ref.tease_lambda(sdec, ts)));
       EXPECT_TRUE(scheme.verify_tease(scom, ts));
     }
@@ -628,7 +631,8 @@ TEST_P(QtmcTest, ProvingRacesTheFirstTableBuild) {
       for (int r = 0; r < kRounds; ++r) {
         const auto pos = static_cast<std::uint32_t>((t + r) % q_);
         if (scheme_->hard_open(dec, pos).lambda != lambdas[pos]) ++mismatches;
-        const QtmcTease ts = scheme_->tease_soft(sdec, pos, msgs[pos]);
+        const QtmcTease ts = scheme_->tease_soft(
+            sdec, pos, msgs[pos], system_random());
         if (ts.lambda != scheme_->canonical(ref.tease_lambda(sdec, ts))) {
           ++mismatches;
         }

@@ -1,6 +1,6 @@
 // Larger-scale soak: a 20-participant chain, several tasks, dozens of
 // queries with mixed qualities and a sprinkle of adversaries — checks that
-// nothing degrades across many sequential protocol runs (memoization
+// nothing degrades across many sequential protocol runs (DPOC state
 // growth, session bookkeeping, reputation accumulation).
 #include <gtest/gtest.h>
 
@@ -74,8 +74,8 @@ TEST(StressTest, MultiTaskMultiQuerySoak) {
 }
 
 TEST(StressTest, RepeatedNonMembershipQueriesBoundedGrowth) {
-  // Repeatedly querying the same absent products must reuse memoized
-  // fabrications rather than growing state per query.
+  // Repeatedly querying the same absent product re-derives the same
+  // proof, byte for byte, and never grows the DPOC.
   zkedb::EdbConfig cfg{4, 8, 512, "p256"};
   const zkedb::EdbCrsPtr crs = zkedb::generate_crs(cfg);
   poc::PocScheme scheme(crs);
@@ -88,12 +88,12 @@ TEST(StressTest, RepeatedNonMembershipQueriesBoundedGrowth) {
   const std::size_t state_after_first = dpoc->serialize().size();
   for (int i = 0; i < 20; ++i) {
     const poc::PocProof proof = scheme.prove(*dpoc, ghost);
+    EXPECT_EQ(proof.serialize(), first);
     EXPECT_EQ(scheme.verify(p, ghost, proof).verdict,
               poc::PocVerdict::kValid);
   }
   EXPECT_EQ(dpoc->serialize().size(), state_after_first)
       << "repeated queries for the same key must not grow the DPOC";
-  (void)first;
 }
 
 TEST(StressTest, ReplyCacheEvictsLeastRecentlyUsed) {

@@ -143,12 +143,12 @@ TEST_F(ZkEdbUpdateTest, UpdatedProverSurvivesPersistence) {
 
 TEST_F(ZkEdbUpdateTest, PrunedBranchesLeaveNoState) {
   // Three rounds of inserting 20 fresh keys, proving ghosts that fall off
-  // four of the fresh branches two levels above the leaf (each proof
-  // memoizes a fabrication below the branch's node), then erasing the
-  // fresh keys: the pruned nodes take their memo roots and fabrications
-  // with them, so the state returns to its starting size. Epochs and
-  // counters stay below 128, one varint byte, throughout.
-  expect_non_member(key("ghost"));  // a memo root that survives
+  // four of the fresh branches two levels above the leaf (fabricating
+  // below the branch's node), then erasing the fresh keys: proofs store
+  // nothing and the pruned nodes leave nothing behind, so the state
+  // returns to its starting size. Epochs stay below 128, one varint byte,
+  // throughout.
+  expect_non_member(key("ghost"));
   const std::size_t start = prover_->serialize_state().size();
   const std::uint32_t h = crs_->height();
   for (int round = 0; round < 3; ++round) {

@@ -39,9 +39,9 @@ Rules (each can be waived on a specific line with a trailing
                 scheme calls (``scheme().verify/prove/aggregate``,
                 ``qHOpen``-family, ``make_ownership_proof``,
                 ``check_hop``) inline. Blocking crypto belongs in the
-                builder/check methods dispatched through the Executor
-                strands; a handler that proves or verifies directly stalls
-                every session behind it.
+                builder/check methods posted to the Executor; a handler
+                that proves or verifies directly stalls every session
+                behind it.
 
   metric-name   Every ``metric("...")`` / ``gauge_metric("...")`` /
                 ``histogram_metric("...")`` call site must use a name that
@@ -61,7 +61,7 @@ Rules (each can be waived on a specific line with a trailing
                 sees every acquisition — a raw std::mutex is a lock the
                 analysis silently cannot check.
 
-  loop-affinity Inside ``Proxy``/``Participant`` strand/executor ``post``
+  loop-affinity Inside ``Proxy``/``Participant`` executor ``post``
                 lambdas (worker context), loop-owned state must not be
                 touched: ``transport_.send/set_timer/cancel_timer``,
                 ``sessions_``, ``in_flight_``, ``reply_cache_*``,
@@ -204,10 +204,9 @@ RE_CANCEL_TIMER_ARGS = re.compile(r"\bcancel_timer\s*\(([^()]*)\)")
 RE_CACHE_KEY = re.compile(r"\bhop_key\s*\(")
 RE_CACHE_KEY_PROOF_ARG = re.compile(r"proof")
 
-# Worker-context dispatch points (rule loop-affinity): posting to a strand
-# or directly to the executor moves the lambda off the loop thread.
-RE_WORKER_POST = re.compile(
-    r"(?:\bstrand\w*|\w+\.strand|\bexecutor_)\s*(?:->|\.)\s*post\s*\(")
+# Worker-context dispatch points (rule loop-affinity): posting to the
+# executor moves the lambda off the loop thread.
+RE_WORKER_POST = re.compile(r"\bexecutor_\s*(?:->|\.)\s*post\s*\(")
 # Nested hand-back to the loop thread: spans under transport post are the
 # one sanctioned place worker code names loop-owned state again.
 RE_LOOP_POST = re.compile(r"\btransport_?\s*(?:\.|->)\s*post\s*\(")
@@ -353,11 +352,11 @@ class Linter:
                 self.report(rel, lineno, "handler-crypto",
                             f"blocking crypto call inside handler "
                             f"{handler}(); move it to a builder/check "
-                            "method dispatched via the Executor strand")
+                            "method posted to the Executor")
 
     def check_loop_affinity(self, rel: str, text: str,
                             lines: list[str]) -> None:
-        """Flags loop-owned state named inside strand/executor post lambdas
+        """Flags loop-owned state named inside executor post lambdas
         (worker context), outside nested transport_.post hand-backs."""
         for match in RE_WORKER_POST.finditer(text):
             open_idx = text.index("(", match.end() - 1)
@@ -383,7 +382,7 @@ class Linter:
                     continue
                 self.report(rel, lineno, "loop-affinity",
                             "loop-owned state touched in worker context "
-                            "(strand/executor post lambda); hand the "
+                            "(executor post lambda); hand the "
                             "result back via transport_.post(...)")
 
     def check_timer_pairing(self, rel: str, text: str,

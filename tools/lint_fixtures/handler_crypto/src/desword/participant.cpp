@@ -1,6 +1,6 @@
 // Fixture: blocking crypto invoked inline from loop-thread handlers
 // (rule handler-crypto). The builder method is not a handler and may
-// prove directly — it runs on an Executor strand.
+// prove directly — it runs on an Executor worker.
 
 namespace desword {
 

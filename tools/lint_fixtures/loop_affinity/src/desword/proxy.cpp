@@ -1,4 +1,4 @@
-// Fixture: worker-context strand lambdas touching loop-owned state
+// Fixture: worker-context executor lambdas touching loop-owned state
 // (rule loop-affinity). Only the direct touches fire; the nested
 // transport_.post hand-back runs on the loop thread and is exempt, as is
 // the waived scheduler_ line and the clean good_path pattern.
@@ -7,7 +7,7 @@
 namespace desword {
 
 void Proxy::verify_hop() {
-  strand->post([this] {
+  executor_->post([this] {
     sessions_.erase(7);
     transport_.send(id_, peer_, type_, {});
     hop_in_flight_.erase(key_);
@@ -24,7 +24,7 @@ void Proxy::verify_hop() {
 }
 
 void Proxy::good_path() {
-  s.strand->post([this] {
+  executor_->post([this] {
     auto result = check();
     transport_.post([this, result] { finish_hop_verify(key_, result); });
   });
