@@ -58,19 +58,21 @@ int main() {
     Stopwatch sw;
     auto [zk_poc, zk_dpoc] = zk_scheme.aggregate("v1", db.as_poc_input());
     const double zk_ms = sw.elapsed_ms();
+    const std::string zk_metrics = benchutil::case_metrics_json();
 
     sw.reset();
     auto [sig_poc, sig_keys] = sig_scheme.aggregate("v1", db);
     const double sig_ms = sw.elapsed_ms();
+    const std::string sig_metrics = benchutil::case_metrics_json();
 
     std::printf("%-8zu %-11zuB   %-11zuB   %-12.1f %-12.1f %zu/%zu\n", n,
                 zk_poc.serialize().size(), sig_poc.serialize().size(), zk_ms,
                 sig_ms, sig_poc.entries.size(), n);
     const std::string suffix = "/n:" + std::to_string(n);
     benchutil::emit_json_line("bench_baseline", "ZkAggregate" + suffix,
-                              zk_ms * 1e6);
+                              zk_ms * 1e6, zk_metrics);
     benchutil::emit_json_line("bench_baseline", "BaselineAggregate" + suffix,
-                              sig_ms * 1e6);
+                              sig_ms * 1e6, sig_metrics);
   }
 
   std::printf("\nThe ZK-EDB credential stays constant-size and leaks no\n"

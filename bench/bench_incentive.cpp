@@ -110,20 +110,23 @@ int main() {
     adder.added = 10;
 
     const StrategyResult h = simulate(honest, kPeriods, 1);
+    const std::string h_metrics = desword::benchutil::case_metrics_json();
     const StrategyResult d = simulate(deleter, kPeriods, 2);
+    const std::string d_metrics = desword::benchutil::case_metrics_json();
     const StrategyResult a = simulate(adder, kPeriods, 3);
+    const std::string a_metrics = desword::benchutil::case_metrics_json();
     std::printf("%-8.2f | %8.3f +- %-10.3f | %8.3f +- %-10.3f | "
                 "%8.3f +- %-10.3f\n",
                 p_bad, h.mean, h.stddev, d.mean, d.stddev, a.mean, a.stddev);
     // Mean reputation per period is the measurement; it rides in the
     // schema's numeric slot under explicit case names.
     const std::string suffix = "/pbad:" + std::to_string(p_bad);
-    desword::benchutil::emit_json_line("bench_incentive",
-                                       "HonestMean" + suffix, h.mean);
-    desword::benchutil::emit_json_line("bench_incentive",
-                                       "DeleteMean" + suffix, d.mean);
+    desword::benchutil::emit_json_line(
+        "bench_incentive", "HonestMean" + suffix, h.mean, h_metrics);
+    desword::benchutil::emit_json_line(
+        "bench_incentive", "DeleteMean" + suffix, d.mean, d_metrics);
     desword::benchutil::emit_json_line("bench_incentive", "AddMean" + suffix,
-                                       a.mean);
+                                       a.mean, a_metrics);
   }
 
   std::printf(

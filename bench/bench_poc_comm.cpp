@@ -242,7 +242,9 @@ void run_e2e() {
   std::printf("\nEnd-to-end good-product query (paper Fig. 1 chain, %d-bit"
               " RSA)\n", benchutil::rsa_bits());
   const E2eResult sim = e2e_sim();
+  const std::string sim_metrics = benchutil::case_metrics_json();
   const E2eResult sock = e2e_socket();
+  const std::string sock_metrics = benchutil::case_metrics_json();
   std::printf("%-22s %-12s %-14s %s\n", "Transport", "Path hops", "Latency",
               "Wire bytes");
   std::printf("%-22s %-12zu %-11.2fms  %9llu\n", "SimTransport", sim.hops,
@@ -252,13 +254,13 @@ void run_e2e() {
               sock.hops, sock.latency_ns / 1e6,
               static_cast<unsigned long long>(sock.bytes));
   benchutil::emit_json_line("bench_poc_comm", "E2EQueryLatencySim",
-                            sim.latency_ns);
+                            sim.latency_ns, sim_metrics);
   benchutil::emit_json_line("bench_poc_comm", "E2EQueryBytesSim",
-                            static_cast<double>(sim.bytes));
+                            static_cast<double>(sim.bytes), sim_metrics);
   benchutil::emit_json_line("bench_poc_comm", "E2EQueryLatencySocket",
-                            sock.latency_ns);
+                            sock.latency_ns, sock_metrics);
   benchutil::emit_json_line("bench_poc_comm", "E2EQueryBytesSocket",
-                            static_cast<double>(sock.bytes));
+                            static_cast<double>(sock.bytes), sock_metrics);
 }
 
 }  // namespace
@@ -272,6 +274,7 @@ int main() {
   bool shape_holds = true;
   for (const auto& [q, h] : benchutil::qh_sweep()) {
     const Row row = measure(q, h);
+    const std::string metrics = benchutil::case_metrics_json();
     std::printf("%-18u %-13u %-10.2fKB     %-10.2fKB     %-10.2fKB\n", row.q,
                 row.h, static_cast<double>(row.own_bytes) / 1024.0,
                 static_cast<double>(row.own_paper_bytes) / 1024.0,
@@ -282,11 +285,12 @@ int main() {
     // Proof sizes are the measurement here; report bytes in the ns_per_op
     // slot (the schema's one numeric field) under explicit case names.
     benchutil::emit_json_line("bench_poc_comm", "OwnProofBytes" + suffix,
-                              static_cast<double>(row.own_bytes));
+                              static_cast<double>(row.own_bytes), metrics);
     benchutil::emit_json_line("bench_poc_comm", "OwnProofPaperBytes" + suffix,
-                              static_cast<double>(row.own_paper_bytes));
+                              static_cast<double>(row.own_paper_bytes),
+                              metrics);
     benchutil::emit_json_line("bench_poc_comm", "NonOwnProofBytes" + suffix,
-                              static_cast<double>(row.nown_bytes));
+                              static_cast<double>(row.nown_bytes), metrics);
   }
   if (!shape_holds) {
     std::fprintf(stderr,

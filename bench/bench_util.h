@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/thread_pool.h"
 #include "crypto/hash.h"
 #include "mercurial/qtmc.h"
@@ -118,17 +120,67 @@ inline void spread_pool(unsigned threads) {
 /// Worker count the parallel stages will use (the JSON "threads" field).
 inline unsigned bench_threads() { return ThreadPool::default_threads(); }
 
+/// The observability work (obs/metrics.h) the process recorded since the
+/// previous call, as a JSON object for the "metrics" field of a case's
+/// result lines: counters and histogram count/sum_ms as deltas, gauges as
+/// read now, each only when non-zero. The first call covers everything
+/// since the process started. A histogram's max is a process-lifetime
+/// figure, not a delta, so it is left out. Call it once a case's work is
+/// done, on one thread, and pass the result to each of that case's lines.
+inline std::string case_metrics_json() {
+  using obs::MetricsRegistry;
+  constexpr auto kCounters = static_cast<std::size_t>(obs::CounterId::kCount);
+  constexpr auto kGauges = static_cast<std::size_t>(obs::GaugeId::kCount);
+  constexpr auto kHistograms =
+      static_cast<std::size_t>(obs::HistogramId::kCount);
+  static std::array<std::uint64_t, kCounters> counted{};
+  static std::array<std::uint64_t, kHistograms> observed{};
+  static std::array<std::uint64_t, kHistograms> observed_us{};
+  const MetricsRegistry& registry = MetricsRegistry::global();
+  json::Object root;
+  for (std::size_t i = 0; i < kCounters; ++i) {
+    const auto id = static_cast<obs::CounterId>(i);
+    const std::uint64_t now = registry.counter(id).value();
+    if (now != counted[i]) {
+      root[MetricsRegistry::name_of(id)] =
+          json::Value(static_cast<std::int64_t>(now - counted[i]));
+    }
+    counted[i] = now;
+  }
+  for (std::size_t i = 0; i < kGauges; ++i) {
+    const auto id = static_cast<obs::GaugeId>(i);
+    const std::int64_t now = registry.gauge(id).value();
+    if (now != 0) root[MetricsRegistry::name_of(id)] = json::Value(now);
+  }
+  for (std::size_t i = 0; i < kHistograms; ++i) {
+    const auto id = static_cast<obs::HistogramId>(i);
+    const obs::Histogram& h = registry.histogram(id);
+    const std::uint64_t count = h.count();
+    const std::uint64_t sum_us = h.sum_us();
+    if (count != observed[i]) {
+      json::Object o;
+      o["count"] = json::Value(static_cast<std::int64_t>(count - observed[i]));
+      o["sum_ms"] =
+          json::Value(static_cast<double>(sum_us - observed_us[i]) / 1000.0);
+      root[MetricsRegistry::name_of(id)] = json::Value(std::move(o));
+    }
+    observed[i] = count;
+    observed_us[i] = sum_us;
+  }
+  return json::Value(std::move(root)).dump();
+}
+
 /// Emits one machine-readable result line on stdout. The schema is stable
 /// — scripts grep for lines starting with '{"bench"':
 ///   {"bench":"<binary>","case":"<case>","ns_per_op":<num>,"threads":<n>,
 ///    "counters":{...},"metrics":{...}}
 /// "counters" carries the per-benchmark user counters (rates such as
-/// proofs_per_sec; omitted when a run defines none). The "metrics" object
-/// is the process-global observability snapshot (non-zero instruments
-/// only, see obs/metrics.h), so a result line also records how much
-/// crypto/ZK-EDB work the run has driven so far.
+/// proofs_per_sec; omitted when a run defines none). "metrics" is the
+/// case's case_metrics_json(): the work the case drove, not the process's
+/// running totals.
 inline void emit_json_line(
     const std::string& bench, const std::string& case_name, double ns_per_op,
+    const std::string& metrics,
     const std::map<std::string, double>& counters = {}) {
   const auto escaped = [](const std::string& s) {
     std::string out;
@@ -154,8 +206,7 @@ inline void emit_json_line(
   std::printf("{\"bench\":\"%s\",\"case\":\"%s\",\"ns_per_op\":%.1f,"
               "\"threads\":%u%s,\"metrics\":%s}\n",
               escaped(bench).c_str(), escaped(case_name).c_str(), ns_per_op,
-              bench_threads(), counters_json.c_str(),
-              obs::MetricsRegistry::global().compact_json().c_str());
+              bench_threads(), counters_json.c_str(), metrics.c_str());
 }
 
 /// Console reporter that additionally emits one JSON line per finished
@@ -166,6 +217,10 @@ class JsonLineReporter final : public benchmark::ConsoleReporter {
 
   void ReportRuns(const std::vector<Run>& reports) override {
     benchmark::ConsoleReporter::ReportRuns(reports);
+    // Read even when no line is emitted, so a failed case's work is not
+    // charged to the next one. A repeated case's aggregate lines all carry
+    // the work of its repetitions.
+    const std::string metrics = case_metrics_json();
     for (const Run& run : reports) {
       if (run.error_occurred || run.iterations == 0) continue;
       // A repeated case's coefficient of variation is a ratio, not a time.
@@ -181,7 +236,8 @@ class JsonLineReporter final : public benchmark::ConsoleReporter {
       for (const auto& [name, counter] : run.counters) {
         counters.emplace(name, static_cast<double>(counter));
       }
-      emit_json_line(bench_, run.benchmark_name(), ns_per_op, counters);
+      emit_json_line(bench_, run.benchmark_name(), ns_per_op, metrics,
+                     counters);
     }
   }
 

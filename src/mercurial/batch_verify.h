@@ -63,8 +63,9 @@ namespace desword::mercurial {
 
 /// Accumulates verification equations from many openings ("units") and
 /// checks them all with O(1) folded product equations. A unit is the
-/// granularity of the verdict — typically one proof chain, or one proof in
-/// a many-proof batch. Not thread safe; build one per verification task.
+/// granularity of the verdict: the ZK-EDB verifier makes one unit of a
+/// whole proof chain; a fold over several units bisects a failure down to
+/// the units at fault. Not thread safe; build one per verification task.
 class BatchVerifier {
  public:
   struct Result {

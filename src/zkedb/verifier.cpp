@@ -1,6 +1,5 @@
 #include "zkedb/verifier.h"
 
-#include <algorithm>
 #include <optional>
 
 #include "common/error.h"
@@ -13,9 +12,9 @@ namespace desword::zkedb {
 
 namespace {
 
-/// Verification runs concurrently from the thread pool (see
-/// edb_verify_membership_many), which the histogram's atomic buckets are
-/// built for — no extra synchronization here.
+/// Verification runs concurrently (the proxy's executor checks several
+/// hops at once), which the histogram's atomic buckets are built for — no
+/// extra synchronization here.
 obs::Histogram& verify_wall_ms() {
   static obs::Histogram& h = obs::histogram_metric("zkedb.verify.wall_ms");
   return h;
@@ -278,84 +277,6 @@ VerifyOutcome edb_verify_non_membership(const EdbCrs& crs,
   } catch (const Error&) {
     return VerifyOutcome::reject();
   }
-}
-
-std::vector<VerifyOutcome> edb_verify_membership_many(
-    const EdbCrs& crs, const mercurial::QtmcCommitment& root,
-    const std::vector<EdbMembershipQuery>& queries,
-    const EdbVerifyOptions& opts) {
-  std::vector<VerifyOutcome> results(queries.size());
-  ThreadPool* pool = ThreadPool::for_threads(opts.threads);
-
-  if (!opts.batched) {
-    // Proof verification is pure (crs and root are only read), so queries
-    // are embarrassingly parallel.
-    parallel_for(pool, queries.size(), [&](std::size_t i) {
-      if (queries[i].proof == nullptr) return;
-      results[i] = edb_verify_membership(crs, root, queries[i].key,
-                                         *queries[i].proof, opts);
-    });
-    return results;
-  }
-
-  // Batched: contiguous shards, one BatchVerifier per worker so each fold
-  // spans as many proofs as possible (the fold's win grows with the number
-  // of merged equations). Units are proofs, so a bad proof in a shard is
-  // bisected down to its own slot and everything else still passes.
-  const std::size_t shards =
-      pool == nullptr
-          ? 1
-          : std::max<std::size_t>(
-                1, std::min<std::size_t>(pool->concurrency(), queries.size()));
-  parallel_for(pool, shards, [&](std::size_t s) {
-    const std::size_t begin = queries.size() * s / shards;
-    const std::size_t end = queries.size() * (s + 1) / shards;
-    if (begin == end) return;
-    const obs::ScopedTimer timer(verify_wall_ms());
-    mercurial::BatchVerifier bv(crs.qtmc(), &crs.tmc());
-    struct Pending {
-      std::size_t query;
-      std::size_t unit;
-      OpenedChain chain;  // bv derives its C1s in place
-    };
-    // Reserved up front: bv holds pointers into the chains' commitments.
-    std::vector<Pending> pending;
-    pending.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (queries[i].proof == nullptr) continue;
-      batched_verifies().add();
-      const std::size_t unit = bv.begin_unit();
-      const EdbMembershipProof& proof = *queries[i].proof;
-      bool ok = false;
-      try {
-        auto chain = decode_chain(crs, root, queries[i].key, proof);
-        if (chain.has_value()) {
-          pending.push_back({i, unit, std::move(*chain)});
-          ok = add_membership_chain(crs, pending.back().chain, proof, bv);
-          if (!ok) pending.pop_back();
-        }
-      } catch (const Error&) {
-        ok = false;
-      }
-      if (!ok) bv.fail_unit();  // rejected before the equations; stays so
-    }
-    // Same exception discipline as the scalar verifiers: a verify() throw
-    // (BN_* failure, internal check) rejects the shard's pending units —
-    // their results stay rejected — instead of escaping the pool worker.
-    // No pool for the fold: the shards already occupy it, so each pass
-    // runs its jobs in order on this worker.
-    try {
-      const mercurial::BatchVerifier::Result res = bv.verify();
-      for (const Pending& p : pending) {
-        const EdbMembershipProof& proof = *queries[p.query].proof;
-        if (res.unit_ok[p.unit] && chain_digests_match(crs, p.chain, proof)) {
-          results[p.query] = VerifyOutcome::accept_value(proof.value);
-        }
-      }
-    } catch (const Error&) {
-    }
-  });
-  return results;
 }
 
 }  // namespace desword::zkedb

@@ -17,8 +17,6 @@
 // verdict; memberships additionally carry the proven value D(key).
 #pragma once
 
-#include <vector>
-
 #include "zkedb/proof.h"
 #include "zkedb/verify_cache.h"
 
@@ -31,11 +29,10 @@ namespace desword::zkedb {
 /// zkedb/verify_cache.h).
 struct EdbVerifyOptions {
   bool batched = true;  // fold proof-chain equations into one multi-exp
-  /// Worker threads: the *_many fan-out, and the pool one batched
-  /// proof's verification pass runs its jobs on (see
-  /// BatchVerifier::verify). 0 = default
-  /// (DESWORD_THREADS env var, else hardware_concurrency()), 1 = fully
-  /// sequential.
+  /// Worker threads: the pool a batched proof's verification pass runs
+  /// its jobs on (see BatchVerifier::verify), or a scalar one derives its
+  /// inner C1s on. 0 = default (DESWORD_THREADS env var, else
+  /// hardware_concurrency()), 1 = fully sequential.
   unsigned threads = 0;
 };
 
@@ -55,24 +52,5 @@ VerifyOutcome edb_verify_non_membership(const EdbCrs& crs,
                                         const EdbKey& key,
                                         const EdbNonMembershipProof& proof,
                                         const EdbVerifyOptions& opts = {});
-
-/// One key/proof pair of a verification sweep.
-struct EdbMembershipQuery {
-  EdbKey key;
-  const EdbMembershipProof* proof;
-};
-
-/// Verifies many independent membership proofs, fanning the per-proof work
-/// out over `opts.threads` workers (0 = default: DESWORD_THREADS env, else
-/// hardware_concurrency()). result[i] corresponds to queries[i] and equals
-/// what edb_verify_membership would return for it. With `opts.batched`,
-/// each worker folds its whole shard of proofs into one batch — the main
-/// throughput lever of this module (see bench_zkedb VerifyManyBatched).
-/// The shards already fill the pool, so each shard's verification pass
-/// runs its jobs in order on its worker.
-std::vector<VerifyOutcome> edb_verify_membership_many(
-    const EdbCrs& crs, const mercurial::QtmcCommitment& root,
-    const std::vector<EdbMembershipQuery>& queries,
-    const EdbVerifyOptions& opts = {});
 
 }  // namespace desword::zkedb

@@ -599,33 +599,6 @@ TEST_F(EdbDifferentialTest, BitFlippedSerializedProofsAgree) {
   }
 }
 
-TEST_F(EdbDifferentialTest, VerifyManyPinpointsTamperedProof) {
-  constexpr std::size_t kProofs = 8;
-  constexpr std::size_t kBad = 5;
-  std::vector<zk::EdbMembershipProof> proofs;
-  std::vector<zk::EdbMembershipQuery> queries;
-  proofs.reserve(kProofs);
-  queries.reserve(kProofs);
-  for (std::size_t i = 0; i < kProofs; ++i) {
-    const EdbKey key = key_of(static_cast<int>(i));
-    proofs.push_back(prover_->prove_membership(key));
-    queries.push_back({key, &proofs.back()});
-  }
-  proofs[kBad].openings[3].tau += Bignum(1);
-
-  for (const bool batched : {true, false}) {
-    zk::EdbVerifyOptions opts;
-    opts.batched = batched;
-    const auto results = zk::edb_verify_membership_many(
-        *crs_, prover_->commitment(), queries, opts);
-    ASSERT_EQ(results.size(), kProofs);
-    for (std::size_t i = 0; i < kProofs; ++i) {
-      EXPECT_EQ(results[i].has_value(), i != kBad)
-          << "proof " << i << " batched=" << batched;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // The verification pass: each fold runs its coprimality test, EC fold, h
 // power, multi-exp parts and (in the first pass) the queued C1 derivations

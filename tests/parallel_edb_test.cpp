@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "crypto/hash.h"
-#include "zkedb/batch.h"
 #include "zkedb/prover.h"
 #include "zkedb/verifier.h"
 
@@ -80,18 +79,6 @@ TEST_F(ParallelEdbTest, SeededProofsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(seq.prove_membership(key).serialize(*crs_),
             par.prove_membership(key).serialize(*crs_));
 
-  // Batch proofs: byte-identical, at either batch thread count.
-  std::vector<EdbKey> keys;
-  for (int i = 0; i < 12; ++i) keys.push_back(key_of(*crs_, "prod-" + std::to_string(i)));
-  const Bytes base =
-      edb_prove_membership_batch(seq, keys, /*threads=*/1).serialize(*crs_);
-  EXPECT_EQ(edb_prove_membership_batch(par, keys, /*threads=*/1)
-                .serialize(*crs_),
-            base);
-  EXPECT_EQ(edb_prove_membership_batch(par, keys, /*threads=*/4)
-                .serialize(*crs_),
-            base);
-
   // Non-membership proofs too, teases included: their lifts are drawn
   // from the key like every other randomizer.
   const EdbKey ghost = key_of(*crs_, "ghost-1");
@@ -139,42 +126,6 @@ TEST_F(ParallelEdbTest, SeededUpdatesStayDeterministic) {
   a.erase(key_of(*crs_, "prod-0"));
   b.erase(key_of(*crs_, "prod-0"));
   EXPECT_EQ(a.commitment_bytes(), b.commitment_bytes());
-}
-
-TEST_F(ParallelEdbTest, VerifyManySweep) {
-  const auto entries = test_entries(*crs_, 8);
-  EdbProver prover(crs_, entries, seeded(4));
-  std::vector<EdbMembershipProof> proofs;
-  std::vector<EdbMembershipQuery> queries;
-  proofs.reserve(8);
-  for (const auto& [key, value] : entries) {
-    proofs.push_back(prover.prove_membership(key));
-    queries.push_back({key, &proofs.back()});
-  }
-  queries.push_back({key_of(*crs_, "prod-0"), nullptr});  // skipped slot
-  EdbVerifyOptions opts;
-  opts.threads = 4;
-  const auto results =
-      edb_verify_membership_many(*crs_, prover.commitment(), queries, opts);
-  ASSERT_EQ(results.size(), queries.size());
-  std::size_t i = 0;
-  for (const auto& [key, value] : entries) {
-    ASSERT_TRUE(results[i].has_value()) << i;
-    EXPECT_EQ(*results[i], value);
-    ++i;
-  }
-  EXPECT_FALSE(results.back().has_value());
-
-  // A tampered proof fails only its own slot.
-  auto bad = proofs.front();
-  bad.value = bytes_of("forged");
-  std::vector<EdbMembershipQuery> mixed{{queries[0].key, &bad}, queries[1]};
-  EdbVerifyOptions mixed_opts;
-  mixed_opts.threads = 2;
-  const auto mixed_results = edb_verify_membership_many(
-      *crs_, prover.commitment(), mixed, mixed_opts);
-  EXPECT_FALSE(mixed_results[0].has_value());
-  EXPECT_TRUE(mixed_results[1].has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Runs the core benchmark trio (bench_qtmc_micro, bench_zkedb,
-# bench_poc_comp), collects their machine-readable '{"bench"...}' result
+# Runs the core benchmarks (bench_qtmc_micro, bench_zkedb, bench_poc_comp,
+# bench_macro), collects their machine-readable '{"bench"...}' result
 # lines, and assembles a consolidated BENCH_zkedb.json at the repo root.
 #
-# The consolidated file records every result line plus two summaries:
+# The consolidated file records every result line plus six summaries:
 #
-#   * "verify_throughput" pairs the ZkEdb/VerifyManyScalar and
-#     ZkEdb/VerifyManyBatched cases (same proof pile, same thread count)
-#     into per-configuration speedups — the acceptance metric for the
-#     batch verification engine;
+#   * "verify_throughput" pairs the medians of the ZkEdb/VerifyManyScalar
+#     and ZkEdb/VerifyManyBatched cases (same proof pile, same thread
+#     count, one edb_verify_membership call per proof, as the proxy checks
+#     a hop) into per-configuration speedups — the acceptance metric for
+#     folding a proof's equations into one multi-exponentiation;
 #   * "query_throughput" pairs Macro/QueryThroughputSerial with every
 #     Macro/QueryThroughputConcurrent configuration (workers x sessions
 #     in flight) on queries_per_sec — the acceptance metric for the
@@ -36,11 +37,11 @@
 # Usage: tools/run_bench.sh [--build-dir DIR] [--out FILE] [--check]
 #   --build-dir DIR  where the bench binaries live (default: build)
 #   --out FILE       consolidated JSON path (default: BENCH_zkedb.json)
-#   --check          exit non-zero if any batched configuration is slower
-#                    than its scalar counterpart, if the warm repeat-
-#                    query cache hit rate drops below 0.8, or if a prover
-#                    keeps more than PROVER_BYTES_PER_LEVEL_MAX bytes per
-#                    key per level per modulus byte in the largest
+#   --check          exit non-zero if batched single-proof verification is
+#                    slower than scalar in any configuration, if the warm
+#                    repeat-query cache hit rate drops below 0.8, or if a
+#                    prover keeps more than PROVER_BYTES_PER_LEVEL_MAX bytes
+#                    per key per level per modulus byte in the largest
 #                    ZkEdb/Commit cases, or if a membership proof exceeds
 #                    PROOF_BYTES_PER_LEVEL_MAX bytes per level per modulus
 #                    byte (CI perf smoke, at any parameters).
@@ -141,28 +142,6 @@ with open(lines_path, encoding="utf-8") as fh:
         if line:
             results.append(json.loads(line))
 
-# Pair ZkEdb/VerifyManyScalar/<batch>/<threads> with the matching
-# ...Batched case on proofs_per_sec.
-scalar, batched = {}, {}
-for r in results:
-    case = r.get("case", "")
-    pps = r.get("counters", {}).get("proofs_per_sec")
-    if pps is None:
-        continue
-    if case.startswith("ZkEdb/VerifyManyScalar/"):
-        scalar[case.split("VerifyManyScalar/", 1)[1]] = pps
-    elif case.startswith("ZkEdb/VerifyManyBatched/"):
-        batched[case.split("VerifyManyBatched/", 1)[1]] = pps
-
-configs = []
-for cfg in sorted(scalar.keys() & batched.keys()):
-    configs.append({
-        "config": cfg,  # "<batch>/<threads>"
-        "scalar_proofs_per_sec": scalar[cfg],
-        "batched_proofs_per_sec": batched[cfg],
-        "speedup": batched[cfg] / scalar[cfg] if scalar[cfg] else None,
-    })
-
 # Pair Macro/QueryThroughputSerial with every ...Concurrent/<workers>/
 # <in_flight> configuration on queries_per_sec.
 serial_qps = None
@@ -261,6 +240,19 @@ def median_cases(prefix, counter):
     return out
 
 
+# Pair the ZkEdb/VerifyManyScalar/<proofs>/<threads> median with the
+# matching ...Batched one on proofs_per_sec.
+scalar = {(n, t): pps for n, t, pps, _ in
+          median_cases("ZkEdb/VerifyManyScalar/", "proofs_per_sec")}
+batched = {(n, t): pps for n, t, pps, _ in
+           median_cases("ZkEdb/VerifyManyBatched/", "proofs_per_sec")}
+configs = [
+    {"config": f"{n}/{t}",  # "<proofs>/<threads>"
+     "scalar_proofs_per_sec": scalar[(n, t)],
+     "batched_proofs_per_sec": batched[(n, t)],
+     "speedup": batched[(n, t)] / scalar[(n, t)] if scalar[(n, t)] else None}
+    for n, t in sorted(scalar.keys() & batched.keys())]
+
 # Every ZkEdb/Commit/<n>/<threads> case's KiB_per_key.
 prover_memory = [
     {"keys": n, "threads": threads, "kib_per_key": kib,
@@ -321,7 +313,7 @@ if repeat_query:
 
 if check:
     if not configs:
-        print("run_bench.sh: --check but no VerifyMany pairs found",
+        print("run_bench.sh: --check but no VerifyMany median pairs found",
               file=sys.stderr)
         sys.exit(1)
     slow = [c for c in configs if c["speedup"] is None or c["speedup"] < 1.0]
